@@ -33,6 +33,7 @@ from .io import (
     format_edge_list,
     graph_content_hash,
     parse_document,
+    read_document,
     read_edge_list,
     reconstruct_graph,
     to_dot,
@@ -100,6 +101,7 @@ __all__ = [
     "maximal_cliques",
     "parse_document",
     "particularise",
+    "read_document",
     "read_edge_list",
     "reconstruct_graph",
     "run_series",

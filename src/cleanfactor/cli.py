@@ -18,7 +18,7 @@ from .io import (
     document_to_multipartite,
     format_edge_list,
     graph_content_hash,
-    parse_document,
+    read_document,
     read_edge_list,
     reconstruct_graph,
     to_dot,
@@ -60,7 +60,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
-    doc = parse_document(Path(args.decomposition).read_text(encoding="utf-8"))
+    doc = read_document(args.decomposition)
 
     failures = 0
 
@@ -123,7 +123,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    doc = parse_document(Path(args.decomposition).read_text(encoding="utf-8"))
+    doc = read_document(args.decomposition)
     sys.stdout.write(format_edge_list(reconstruct_graph(doc)))
     return EXIT_OK
 

@@ -8,13 +8,15 @@ such candidates; the factor and clean variants add level-local
 constraints. The step appends one new vertex per inclusion-maximal
 candidate, adjacent to exactly the candidate's members.
 
-Two enumeration paths exist on purpose. ``candidate_family`` walks every
-admissible seed and returns the whole (deduplicated) family, which is what
-the definitions describe and what the tests compare against brute force.
-``factorise`` only needs the maximal candidates and gets them directly
-from the closed seeds of the upper/lower Galois connection, restricted to
-the admissible neighbourhood-equality class where the clean variant
-demands one. The two paths must agree; the test suite checks that they do.
+``candidate_family`` walks every admissible seed and returns the whole
+(deduplicated) family, which is what the definitions describe and what the
+tests compare against brute force. ``factorise`` needs only the maximal
+candidates. A candidate is maximal exactly when its seed is closed: no
+further upper vertex of its neighbourhood-equality class covers its common
+neighbourhood (only the clean variant splits the upper level into several
+classes). So the maximal candidates come from a depth-first Close-by-One
+walk over the closed seeds of each class, which cuts a branch as soon as
+its common neighbourhood fails a cardinality constraint.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
 from .graphs import MultipartiteGraph, _ancestor_masks, bits
@@ -178,60 +180,76 @@ def maximal_candidates(family: Iterable[CandidateSet]) -> set[CandidateSet]:
     return set(kept)
 
 
-def _concepts(members: Sequence[int], adj: Sequence[int], base_common: int) -> Iterator[tuple[int, int]]:
-    """Closed seed sets of the relation between ``members`` and the lower region.
+def _closed_seeds(
+    members: Sequence[int],
+    adj: Sequence[int],
+    base_common: int,
+    lmask: Sequence[int],
+    card_levels: Sequence[int],
+) -> list[tuple[int, int]]:
+    """Closed seeds of one class that make a candidate, with their commons.
 
-    Yields (seed mask over global indexes, common neighbourhood mask) for
-    every seed that is closed, i.e. already contains every member whose
-    neighbourhood covers the seed's common neighbourhood. Enumeration is
-    Ganter's lectic-order walk, so the output order is deterministic.
+    A seed is closed when it holds every member whose neighbourhood covers
+    the seed's common neighbourhood (within ``base_common``). Returns
+    (seed mask over global indexes, common mask) for every closed seed of
+    at least two members whose common neighbourhood has at least two
+    vertices, and at least two on each level in ``card_levels``.
+
+    The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
+    extended by one member ``j`` past the branch start, the result closed,
+    and kept only if it adds no member before ``j``, so every closed seed
+    is reached once. A branch whose common neighbourhood fails the size or
+    card test is cut, since every seed below it has a smaller common
+    neighbourhood. Output order follows the walk; callers sort.
     """
-    count = len(members)
-    full = (1 << count) - 1
+    rows = [adj[u] for u in members]
+    units = [1 << u for u in members]
+    cards = [lmask[i] for i in card_levels]
+    out: list[tuple[int, int]] = []
 
-    def close(local: int) -> tuple[int, int]:
-        common = base_common
-        t = local
-        while t:
-            low = t & -t
-            common &= adj[members[low.bit_length() - 1]]
-            t ^= low
-        closed = 0
-        for i in range(count):
-            if common & ~adj[members[i]] == 0:
-                closed |= 1 << i
-        return closed, common
+    def passes(common: int) -> bool:
+        return common.bit_count() >= 2 and all((common & mask).bit_count() >= 2 for mask in cards)
 
-    def to_global(local: int) -> int:
-        g = 0
-        for i in bits(local):
-            g |= 1 << members[i]
-        return g
+    def close(common: int) -> tuple[int, int]:
+        local = seed = 0
+        for i, row in enumerate(rows):
+            if not common & ~row:
+                local |= 1 << i
+                seed |= units[i]
+        return local, seed
 
-    cur, common = close(0)
-    yield to_global(cur), common
-    while cur != full:
-        for i in range(count - 1, -1, -1):
-            if (cur >> i) & 1:
+    def extend(local: int, common: int, start: int) -> None:
+        for j in range(start, len(rows)):
+            if local >> j & 1:
                 continue
-            below = (1 << i) - 1
-            cand, cand_common = close((cur & below) | (1 << i))
-            if (cand & below) & ~cur == 0:
-                cur, common = cand, cand_common
-                yield to_global(cur), common
-                break
-        else:
-            break
+            c = common & rows[j]
+            if not passes(c):
+                continue
+            closed, seed = close(c)
+            if (closed ^ local) & ((1 << j) - 1):
+                continue
+            if closed & (closed - 1):
+                out.append((seed, c))
+            extend(closed, c, j + 1)
+
+    if passes(base_common):
+        local, seed = close(base_common)
+        if local & (local - 1):
+            out.append((seed, base_common))
+        extend(local, base_common, 0)
+    return out
 
 
 def _maximal_family(m: MultipartiteGraph, op: OperatorKind, threads: int = 1) -> list[tuple[int, int]]:
-    """Maximal candidates as (seed, common) mask pairs.
+    """Maximal candidates as (seed, common) mask pairs, in no fixed order.
 
-    For the clean variant at five or more levels the seed members must
-    share their neighbourhood three levels down (two down at k=4), so the
-    upper level splits into independent classes; each class contributes
-    the closed seeds of its own subrelation. Classes never dominate each
-    other because seeds from different classes are incomparable.
+    These are the closed seeds that pass the operator's constraints; see
+    ``_closed_seeds``. For the clean variant at four or more levels the
+    seed members must share their neighbourhood on one lower level (three
+    levels down at k=4, two down above), so the upper level splits into
+    independent classes and each class is walked on its own. Classes never
+    dominate each other because seeds from different classes are
+    incomparable.
     """
     _require_multipartite(m)
     k = m.level_count
@@ -254,14 +272,7 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind, threads: int = 1) ->
         groups.sort(key=lambda grp: grp[0])
 
     def scan(group: list[int]) -> list[tuple[int, int]]:
-        out = []
-        for seed, common in _concepts(group, adj, base_common):
-            if seed.bit_count() < 2 or common.bit_count() < 2:
-                continue
-            if any((common & lmask[i]).bit_count() < 2 for i in card_levels):
-                continue
-            out.append((seed, common))
-        return out
+        return _closed_seeds(group, adj, base_common, lmask, card_levels)
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

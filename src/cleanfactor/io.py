@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 from typing import Any
 
@@ -31,6 +32,7 @@ __all__ = [
     "to_json",
     "write_decomposition",
     "parse_document",
+    "read_document",
     "document_to_multipartite",
     "reconstruct_graph",
     "to_dot",
@@ -44,26 +46,33 @@ def read_edge_list(path: str | Path) -> Graph:
 
     Lines starting with '#' and blank lines are skipped; duplicate edges
     collapse silently; self-loops and malformed lines are rejected with
-    their line number. An edge list declaring no vertices is rejected.
+    their line number. An edge list declaring no vertices is rejected, and
+    so is a file that is not UTF-8, with the offset of the first bad byte.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise EdgeListParseError(before.count(b"\n") + 1, _not_utf8(exc)) from None
     vertices: set[str] = set()
     edges: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                vertices.add(parts[0])
-            elif len(parts) == 2:
-                u, v = parts
-                if u == v:
-                    raise InvalidArgumentError(f"line {lineno}: self-loop on vertex {u!r}")
-                vertices.update((u, v))
-                edges.add((min(u, v), max(u, v)))
-            else:
-                raise EdgeListParseError(lineno, f"expected one or two labels, got {len(parts)}")
+    # universal newlines, as reading the file in text mode would give
+    for lineno, raw in enumerate(StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            vertices.add(parts[0])
+        elif len(parts) == 2:
+            u, v = parts
+            if u == v:
+                raise InvalidArgumentError(f"line {lineno}: self-loop on vertex {u!r}")
+            vertices.update((u, v))
+            edges.add((min(u, v), max(u, v)))
+        else:
+            raise EdgeListParseError(lineno, f"expected one or two labels, got {len(parts)}")
     if not vertices:
         raise InvalidArgumentError(f"{path}: edge list declares no vertices")
     return Graph(vertices, edges)
@@ -164,6 +173,10 @@ def write_decomposition(result: SeriesResult, source_hash: str) -> str:
     return to_json(build_document(result, source_hash))
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"byte {exc.start} (0x{exc.object[exc.start]:02x}) is not valid UTF-8"
+
+
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise DocumentFormatError(message)
@@ -231,6 +244,16 @@ def parse_document(text: str) -> DecompositionDocument:
         levels=tuple(levels),
         edges=tuple(edges),
     )
+
+
+def read_document(path: str | Path) -> DecompositionDocument:
+    """Read and parse a document file; a file that is not UTF-8 is rejected."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentFormatError(f"{path}: {_not_utf8(exc)}") from None
+    return parse_document(text)
 
 
 def document_to_multipartite(doc: DecompositionDocument) -> MultipartiteGraph:

@@ -16,7 +16,7 @@ from cleanfactor import (
     particularise,
     vertex_clique_incidence,
 )
-from cleanfactor.factorisation import _candidate_from_masks, _concepts, _maximal_family
+from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family
 
 from bruteforce import maximal_sets, subset_candidate_family
 from conftest import random_graph
@@ -197,24 +197,49 @@ def test_all_operators_match_subset_oracle():
                 assert fast == produced_top
 
 
-def test_concepts_enumerates_exactly_the_closed_seeds():
+def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
     rng = random.Random(11)
-    for _ in range(30):
-        n_up, n_low = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [rng.getrandbits(n_low) for _ in range(n_up)]
+    visited = 0
+    for _ in range(300):
+        # two or three lower levels of 1..4 vertices, uppers above them
+        lmask, n_low = [], 0
+        for size in [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]:
+            lmask.append(((1 << size) - 1) << n_low)
+            n_low += size
         base = (1 << n_low) - 1
-        members = list(range(n_up))
+        n_up = rng.randint(1, 7)
+        members = sorted(rng.sample(range(n_low, n_low + 10), n_up))
+        density = rng.choice((0.5, 0.7, 0.85))
+        adj = [0] * (n_low + 10)
+        for u in members:
+            adj[u] = sum(1 << v for v in range(n_low) if rng.random() < density)
+        card_levels = tuple(rng.sample(range(len(lmask)), rng.randint(0, len(lmask))))
 
-        def close(seed: int) -> int:
+        def common_of(local: int) -> int:
             common = base
-            for i in range(n_up):
-                if (seed >> i) & 1:
-                    common &= rows[i]
-            return sum(1 << i for i in range(n_up) if common & ~rows[i] == 0)
+            for i, u in enumerate(members):
+                if (local >> i) & 1:
+                    common &= adj[u]
+            return common
 
-        expected = {s for s in range(1 << n_up) if close(s) == s}
-        got = {seed for seed, _ in _concepts(members, rows, base)}
-        assert got == expected
+        def close(local: int) -> int:
+            common = common_of(local)
+            return sum(1 << i for i, u in enumerate(members) if common & ~adj[u] == 0)
+
+        expected = set()
+        for local in range(1 << n_up):
+            common = common_of(local)
+            if close(local) != local or local.bit_count() < 2 or common.bit_count() < 2:
+                continue
+            if any((common & lmask[i]).bit_count() < 2 for i in card_levels):
+                continue
+            seed = sum(1 << u for i, u in enumerate(members) if (local >> i) & 1)
+            expected.add((seed, common))
+        got = _closed_seeds(members, adj, base, lmask, card_levels)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        visited += len(expected)
+    assert visited >= 100
 
 
 def test_threads_do_not_change_the_result(g3):

@@ -16,6 +16,7 @@ from cleanfactor import (
     format_edge_list,
     graph_content_hash,
     parse_document,
+    read_document,
     read_edge_list,
     reconstruct_graph,
     run_series,
@@ -233,3 +234,45 @@ def test_cli_gen_reconstruct_and_exit_codes(tmp_path, capsys):
     assert cli_main(["reconstruct", "--decomposition", bad_doc]) == 2
     loop = write(tmp_path, "loop.txt", "a a\n")
     assert cli_main(["cliques", "--input", loop]) == 2
+
+
+def test_cli_non_utf8_edge_list_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a b\nb \xff\n")
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(bad)
+    assert err.value.line == 2
+    assert "byte 6 (0xff)" in str(err.value)
+    old_mac = tmp_path / "cr.txt"
+    old_mac.write_bytes(b"a b\rb c\r\nc \xfe\n")
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(old_mac)
+    assert err.value.line == 3
+    doc_path = write(tmp_path, "d.json", decomposition_text(make_g2()))
+    capsys.readouterr()
+    for argv in (
+        ["decompose", "--operator", "clean", "--input", str(bad), "--output", str(tmp_path / "out.json")],
+        ["verify", "--decomposition", doc_path, "--input", str(bad)],
+    ):
+        assert cli_main(argv) == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: line 2: byte 6 (0xff) is not valid UTF-8")
+        assert err_text.count("\n") == 1
+
+
+def test_cli_non_utf8_document_is_a_format_error(tmp_path, capsys):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc = tmp_path / "d.json"
+    doc.write_bytes(decomposition_text(make_g2()).encode("utf-8").replace(b'"clean"', b'"cl\xe9an"'))
+    with pytest.raises(DocumentFormatError):
+        read_document(doc)
+    capsys.readouterr()
+    for argv in (
+        ["verify", "--decomposition", str(doc), "--input", graph_path],
+        ["reconstruct", "--decomposition", str(doc)],
+    ):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "is not valid UTF-8" in captured.err
+        assert captured.err.count("\n") == 1

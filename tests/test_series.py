@@ -1,5 +1,7 @@
 """Series iteration: termination, budgets, bipartite starts."""
 
+import random
+
 import pytest
 
 from cleanfactor import (
@@ -13,8 +15,13 @@ from cleanfactor import (
     particularise,
     run_series,
     run_series_from_bipartite,
+    size_bound,
+    verify_bijection,
+    verify_neighbourhood_formula,
     vertex_clique_incidence,
 )
+
+from conftest import random_connected_graph
 
 # Found by seeded random search: the weak series of this graph reproduces a
 # four-vertex level forever, so it exceeds any budget.
@@ -128,3 +135,18 @@ def test_budget_validation(triangle):
         run_series(triangle, OperatorKind.CLEAN, 1)
     with pytest.raises(InvalidArgumentError):
         run_series(Graph([]), OperatorKind.CLEAN)
+
+
+def test_dense_eighteen_vertex_graph():
+    # the sixth draw of the large benchmark shapes: (18, .7), levels up to 1059
+    rng = random.Random(7)
+    shapes = ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7), (18, 0.7))
+    g = [random_connected_graph(rng, n, p) for n, p in shapes][-1]
+    result = run_series(g, OperatorKind.CLEAN)
+    assert result.status is SeriesStatus.TERMINATED
+    assert result.level_sizes == (18, 58, 259, 1059, 1004, 242)
+    bijection = verify_bijection(g, result.final)
+    assert bijection.passed, bijection.counterexample
+    formula = verify_neighbourhood_formula(result.final)
+    assert formula.passed, formula.counterexample
+    assert size_bound(g, series=result).holds
