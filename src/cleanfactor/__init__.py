@@ -20,9 +20,7 @@ from .factorisation import (
     CandidateSet,
     OperatorKind,
     StepResult,
-    candidate_family,
     factorise,
-    maximal_candidates,
     particularise,
 )
 from .graphs import Graph, MultipartiteGraph, level0_ancestors
@@ -38,6 +36,7 @@ from .io import (
     reconstruct_graph,
     to_dot,
     to_json,
+    verify_document_fields,
     write_decomposition,
 )
 from .oracle import (
@@ -85,7 +84,6 @@ __all__ = [
     "VerificationReport",
     "anti_matching",
     "build_document",
-    "candidate_family",
     "chains_of_length",
     "characterising_sequence",
     "cli_main",
@@ -97,7 +95,6 @@ __all__ = [
     "graph_content_hash",
     "intersection_family",
     "level0_ancestors",
-    "maximal_candidates",
     "maximal_cliques",
     "parse_document",
     "particularise",
@@ -110,6 +107,7 @@ __all__ = [
     "to_dot",
     "to_json",
     "verify_bijection",
+    "verify_document_fields",
     "verify_neighbourhood_formula",
     "vertex_clique_incidence",
     "write_decomposition",

@@ -22,6 +22,7 @@ from .io import (
     read_edge_list,
     reconstruct_graph,
     to_dot,
+    verify_document_fields,
     write_decomposition,
 )
 from .oracle import (
@@ -77,8 +78,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_VERIFICATION_FAILED
 
     m = document_to_multipartite(doc)
+    fields = verify_document_fields(doc, m)
+    report("document-fields", fields.passed, fields.counterexample or "")
     bijection = verify_bijection(g, m)
-    report("bijection", bijection.passed, bijection.counterexample or "")
+    counts = " ".join(f"{k}:{vertices}/{chains}" for k, vertices, chains in bijection.level_counts)
+    report("bijection", bijection.passed, bijection.counterexample or counts)
     neighbourhoods = verify_neighbourhood_formula(m)
     report("neighbourhood-formula", neighbourhoods.passed, neighbourhoods.counterexample or "")
 

@@ -8,15 +8,14 @@ such candidates; the factor and clean variants add level-local
 constraints. The step appends one new vertex per inclusion-maximal
 candidate, adjacent to exactly the candidate's members.
 
-``candidate_family`` walks every admissible seed and returns the whole
-(deduplicated) family, which is what the definitions describe and what the
-tests compare against brute force. ``factorise`` needs only the maximal
-candidates. A candidate is maximal exactly when its seed is closed: no
-further upper vertex of its neighbourhood-equality class covers its common
-neighbourhood (only the clean variant splits the upper level into several
-classes). So the maximal candidates come from a depth-first Close-by-One
-walk over the closed seeds of each class, which cuts a branch as soon as
-its common neighbourhood fails a cardinality constraint.
+``factorise`` needs only the maximal candidates. A candidate is maximal
+exactly when its seed is closed: no further upper vertex of its
+neighbourhood-equality class covers its common neighbourhood (only the
+clean variant splits the upper level into several classes). So the maximal
+candidates come from a depth-first Close-by-One walk over the closed seeds
+of each class, which cuts a branch as soon as its common neighbourhood
+fails a cardinality constraint. The whole candidate family, which the
+definitions describe, is enumerated only in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidArgumentError
 from .graphs import MultipartiteGraph, _ancestor_masks, bits
@@ -33,8 +32,6 @@ __all__ = [
     "OperatorKind",
     "CandidateSet",
     "StepResult",
-    "candidate_family",
-    "maximal_candidates",
     "factorise",
     "particularise",
 ]
@@ -121,63 +118,6 @@ def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> Candi
     upper = m._labels_from_mask(seed)
     lowers = tuple(m._labels_from_mask(common & m._level_masks[i]) for i in range(k - 1))
     return CandidateSet(upper=upper, lower_by_level=lowers)
-
-
-def _candidate_sort_key(c: CandidateSet) -> tuple:
-    return (tuple(sorted(c.members)), tuple(sorted(c.upper)))
-
-
-def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet]:
-    """All candidates of the given variant, deduplicated by their full set.
-
-    Seeds are grown depth-first in index order; a branch is abandoned as
-    soon as a cardinality constraint fails, which is sound because common
-    neighbourhoods only shrink as the seed grows.
-    """
-    _require_multipartite(m)
-    k = m.level_count
-    card_levels, eq_level = _plan(op, k)
-    adj = m._adj
-    lmask = m._level_masks
-    eq_mask = lmask[eq_level] if eq_level is not None else 0
-    uppers = list(bits(lmask[k - 1]))
-    base_common = 0
-    for i in range(k - 1):
-        base_common |= lmask[i]
-
-    found: dict[int, tuple[int, int]] = {}
-
-    def extend(start: int, seed: int, size: int, common: int, eqref: int | None) -> None:
-        for t in range(start, len(uppers)):
-            u = uppers[t]
-            a = adj[u]
-            if eqref is not None and (a & eq_mask) != eqref:
-                continue
-            c = common & a
-            if c.bit_count() < 2:
-                continue
-            if any((c & lmask[i]).bit_count() < 2 for i in card_levels):
-                continue
-            s = seed | (1 << u)
-            if size >= 1:
-                found[s | c] = (s, c)
-            ref = eqref
-            if eq_level is not None and ref is None:
-                ref = a & eq_mask
-            extend(t + 1, s, size + 1, c, ref)
-
-    extend(0, 0, 0, base_common, None)
-    return {_candidate_from_masks(m, seed, common) for seed, common in found.values()}
-
-
-def maximal_candidates(family: Iterable[CandidateSet]) -> set[CandidateSet]:
-    """The inclusion-maximal members of a family, compared on full sets."""
-    pool = sorted(set(family), key=lambda c: (-len(c.members),) + _candidate_sort_key(c))
-    kept: list[CandidateSet] = []
-    for cand in pool:
-        if not any(cand.members < other.members for other in kept):
-            kept.append(cand)
-    return set(kept)
 
 
 def _closed_seeds(

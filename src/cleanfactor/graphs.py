@@ -250,13 +250,6 @@ class MultipartiteGraph:
     def _sorted_labels_from_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(sorted(self._labels[i] for i in bits(mask)))
 
-    def _mask_from_labels(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for v in labels:
-            self._require(v)
-            mask |= 1 << self._index[v]
-        return mask
-
     def _require(self, v: str) -> None:
         if v not in self._index:
             raise InvalidArgumentError(f"unknown vertex {v!r}")

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Any
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph
-from .oracle import characterising_sequence
+from .graphs import Graph, MultipartiteGraph, bits
+from .oracle import VerificationReport, _sequence_masks
 from .series import SeriesResult
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "format_edge_list",
     "graph_content_hash",
     "build_document",
+    "verify_document_fields",
     "to_json",
     "write_decomposition",
     "parse_document",
@@ -122,27 +123,56 @@ class DecompositionDocument:
     edges: tuple[tuple[str, str], ...]
 
 
+def _stored_sequences(m: MultipartiteGraph) -> dict[int, tuple[tuple[str, ...], ...]]:
+    """Each level >= 2 vertex's sequence as a document stores it, by global index."""
+    labels = m._labels
+    names: dict[int, tuple[str, ...]] = {}  # level-0 indexes follow label order, so names come out sorted
+    out = {}
+    for x, seq in _sequence_masks(m).items():
+        for o in seq:
+            if o not in names:
+                names[o] = tuple(labels[i] for i in bits(o))
+        out[x] = tuple(names[o] for o in seq)
+    return out
+
+
 def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocument:
     """Canonical document for a finished series run."""
     m = result.final
-    levels = []
-    for li, members in enumerate(m.levels):
-        records = []
-        for v in members:
-            sequence = None
-            if li >= 2:
-                s = characterising_sequence(m, v)
-                sequence = tuple(tuple(sorted(o)) for o in s.sets)
-            records.append(VertexRecord(id=v, label=v, sequence=sequence))
-        levels.append(LevelRecord(index=li, vertices=tuple(records)))
+    sequences = _stored_sequences(m)
+    index = m._index
+    levels = tuple(
+        LevelRecord(
+            index=li,
+            vertices=tuple(VertexRecord(id=v, label=v, sequence=sequences.get(index[v])) for v in members),
+        )
+        for li, members in enumerate(m.levels)
+    )
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=source_hash,
         operator=result.operator.value,
         status=result.status.value,
-        levels=tuple(levels),
+        levels=levels,
         edges=tuple(sorted(m.edges())),
     )
+
+
+def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> VerificationReport:
+    """Check that every label equals its id and every stored sequence is the one ``m`` gives.
+
+    ``m`` is ``document_to_multipartite(doc)``, which reads neither field.
+    """
+    sequences = _stored_sequences(m)
+    for level in doc.levels:
+        for vr in level.vertices:
+            if vr.label != vr.id:
+                return VerificationReport(False, f"vertex {vr.id!r}: label {vr.label!r} differs from its id")
+            want = sequences.get(m._index[vr.id])
+            if vr.sequence != want:
+                message = f"stored sequence {json.dumps(vr.sequence)} but the graph gives {json.dumps(want)}"
+                return VerificationReport(False, f"vertex {vr.id!r}: {message}")
+    return VerificationReport(True)
 
 
 def to_json(doc: DecompositionDocument) -> str:

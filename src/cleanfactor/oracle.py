@@ -4,18 +4,24 @@ The non-simple intersections of the maximal cliques of a graph, ordered by
 strict inclusion, index the decomposition levels: level k of a terminated
 clean series holds exactly one vertex per strictly increasing sequence of
 k-1 such intersections. This module computes the intersection families,
-enumerates chains, recovers the sequence attached to a decomposition
-vertex, and verifies the expected structure of a decomposition instance,
-reporting the first counterexample on failure.
+counts and enumerates chains, recovers the sequence attached to a
+decomposition vertex, and verifies the expected structure of a
+decomposition instance, reporting the first counterexample on failure.
+
+The checks work on bitmasks: ``_sequence_masks``, the library's one
+sequence code path, gives each vertex's sequence as level-0 masks. Chains
+are counted, and enumerated only to name a missing one; labels are
+formatted only for a counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator
 
-from .cliques import maximal_cliques
+from .cliques import _clique_masks, maximal_cliques
 from .errors import InvalidArgumentError
 from .factorisation import OperatorKind
 from .graphs import Graph, MultipartiteGraph, bits
@@ -59,41 +65,38 @@ class IntersectionFamily:
     nonsimple: frozenset[frozenset[str]]
 
 
-def intersection_family(g: Graph) -> IntersectionFamily:
-    """Compute the intersection closure of the maximal cliques of ``g``.
+def _meets(cliques: list[int]) -> set[int]:
+    """Every intersection of two or more distinct cliques, as masks.
 
-    Membership in the non-simple part is decided through the containing
-    cliques: O qualifies iff it has at least two vertices, at least two
-    maximal cliques contain it, and intersecting those cliques gives back
-    exactly O.
+    Together with the cliques themselves and the whole vertex set this is
+    the intersection closure of the cliques. Its members with at least two
+    vertices are exactly the non-simple intersections: such a member is
+    contained in at least two maximal cliques, and those intersect back to
+    it.
     """
-    family = maximal_cliques(g)
-    closed: set[frozenset[str]] = {frozenset(g.vertices)}
-    closed.update(family.cliques)
-    work = list(closed)
+    found = {a & b for a, b in combinations(cliques, 2)}
+    work = list(found)
     while work:
-        a = work.pop()
-        fresh = []
-        for b in closed:
-            c = a & b
-            if c not in closed:
-                fresh.append(c)
-        for c in fresh:
-            closed.add(c)
-            work.append(c)
+        o = work.pop()
+        for c in cliques:
+            meet = o & c
+            if meet not in found:
+                found.add(meet)
+                work.append(meet)
+    return found
 
-    nonsimple: set[frozenset[str]] = set()
-    for o in closed:
-        if len(o) < 2:
-            continue
-        containing = [c for c in family.cliques if o <= c]
-        if len(containing) < 2:
-            continue
-        if frozenset.intersection(*containing) == o:
-            nonsimple.add(o)
+
+def intersection_family(g: Graph) -> IntersectionFamily:
+    """Compute the intersection closure of the maximal cliques of ``g``."""
+    family = maximal_cliques(g)
+    index = g._index
+    cliques = [sum(1 << index[v] for v in c) for c in family]
+    meets = _meets(cliques)
+    closed = meets.union(cliques, [(1 << len(g)) - 1])
+    labels = {o: frozenset(g.vertices[i] for i in bits(o)) for o in closed}
     return IntersectionFamily(
-        all_intersections=frozenset(closed),
-        nonsimple=frozenset(nonsimple),
+        all_intersections=frozenset(labels.values()),
+        nonsimple=frozenset(labels[o] for o in meets if o.bit_count() >= 2),
     )
 
 
@@ -193,6 +196,45 @@ def chains_of_length(poset: IntersectionPoset, m: int) -> set[CharacterisingSequ
     return {CharacterisingSequence(chain) for chain in poset.chains(m)}
 
 
+def _level_indexes(m: MultipartiteGraph, k: int) -> range:
+    """Global indexes of level ``k``, which are contiguous and in label order."""
+    start = sum(len(level) for level in m.levels[:k])
+    return range(start, start + len(m.levels[k]))
+
+
+def _sequence_masks(m: MultipartiteGraph, indexes: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
+    """Characterising sequences as tuples of level-0 masks, by global index.
+
+    ``indexes`` defaults to every vertex from level 2 up; see
+    ``characterising_sequence`` for the entries. Clique sets recur across
+    vertices, so their intersections are memoised.
+    """
+    adj = m._adj
+    lmask = m._level_masks
+    level_of = m._level_of
+    bottom, cliques = lmask[0], lmask[1]
+    if indexes is None:
+        indexes = range(len(m.levels[0]) + len(m.levels[1]), len(m))
+    meet: dict[int, int] = {}
+    out: dict[int, tuple[int, ...]] = {}
+    for x in indexes:
+        row = adj[x]
+        seq = [row & bottom]
+        for j in range(2, level_of[x]):
+            shared = cliques
+            for y in bits(row & lmask[j]):
+                shared &= adj[y]
+            o = meet.get(shared)
+            if o is None:
+                o = bottom
+                for c in bits(shared):
+                    o &= adj[c]
+                meet[shared] = o
+            seq.append(o)
+        out[x] = tuple(seq)
+    return out
+
+
 def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSequence:
     """Recover the sequence of a vertex at level k >= 2 of a clean series graph.
 
@@ -201,27 +243,11 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
     of x's neighbours at level j; that intersection is the unique clique
     intersection whose containing-clique set matches.
     """
-    if x not in m:
-        raise InvalidArgumentError(f"unknown vertex {x!r}")
-    k = m.level_of(x)
-    if k < 2:
+    if m.level_of(x) < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
-    adj = m._adj
-    lmask = m._level_masks
     idx = m._index[x]
-    sets = [m._labels_from_mask(adj[idx] & lmask[0])]
-    for j in range(2, k):
-        nj = adj[idx] & lmask[j]
-        clique_set = lmask[1]
-        for y in bits(nj):
-            clique_set &= adj[y]
-        clique_set &= lmask[1]
-        o = lmask[0]
-        for c in bits(clique_set):
-            o &= adj[c]
-        o &= lmask[0]
-        sets.append(m._labels_from_mask(o))
-    return CharacterisingSequence(tuple(sets))
+    seq = _sequence_masks(m, [idx])[idx]
+    return CharacterisingSequence(tuple(m._labels_from_mask(o) for o in seq))
 
 
 @dataclass(frozen=True)
@@ -245,52 +271,56 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     """Check the chain correspondence on a terminated clean decomposition of g.
 
     Per level k >= 2: every vertex carries a strictly increasing sequence
-    of non-simple intersections, no two vertices share one, every (k-1)-
-    element chain is attained, and the counts agree. Beyond the top level
-    no chains may remain, otherwise the series was not terminated.
+    of non-simple intersections, no two vertices share one, and the level
+    has as many vertices as there are (k-1)-element chains. The sequences
+    are then distinct chains, so equal counts mean every chain is attained.
+    Beyond the top level no chains may remain, otherwise the series was not
+    terminated.
     """
-    family = maximal_cliques(g)
     if set(m.levels[0]) != set(g.vertices):
         return _fail("level 0 does not match the input graph's vertex set")
-    level1_sets = [m.neighbourhood_at_level(c, 0) for c in m.levels[1]]
-    if len(set(level1_sets)) != len(level1_sets) or set(level1_sets) != set(family.cliques):
+    # both vertex sets are now one sorted tuple, so g's masks are m's level-0 masks
+    bottom = m._level_masks[0]
+    cliques = _clique_masks(g._adj)
+    level1 = [m._adj[c] & bottom for c in _level_indexes(m, 1)]
+    if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
 
-    fam = intersection_family(g)
-    poset = IntersectionPoset(fam.nonsimple)
+    labels = m._labels_from_mask
+    nonsimple = {o for o in _meets(cliques) if o.bit_count() >= 2}
+    poset = IntersectionPoset(labels(o) for o in nonsimple)
+    sequences = _sequence_masks(m)
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
-        level = m.levels[k]
-        sequences: dict[str, CharacterisingSequence] = {}
+        level = _level_indexes(m, k)
+        seen: dict[tuple[int, ...], int] = {}
+        shared: tuple[int, int] | None = None
         for x in level:
-            s = characterising_sequence(m, x)
-            if not s.is_strict_chain():
-                return _fail(f"level {k}, vertex {x!r}: sequence {_fmt_seq(s.sets)} is not strictly increasing")
-            for o in s.sets:
-                if o not in fam.nonsimple:
+            s = sequences[x]
+            if any(a == b or a & ~b for a, b in zip(s, s[1:])):
+                seq = _fmt_seq(labels(o) for o in s)
+                return _fail(f"level {k}, vertex {m._labels[x]!r}: sequence {seq} is not strictly increasing")
+            for o in s:
+                if o not in nonsimple:
                     return _fail(
-                        f"level {k}, vertex {x!r}: {_fmt(o)} is not a non-simple clique intersection"
+                        f"level {k}, vertex {m._labels[x]!r}: {_fmt(labels(o))} is not a non-simple clique intersection"
                     )
-            sequences[x] = s
-        attained = set(sequences.values())
-        if len(attained) != len(sequences):
-            seen: dict[CharacterisingSequence, str] = {}
-            for x, s in sequences.items():
-                if s in seen:
-                    return _fail(
-                        f"level {k}: vertices {seen[s]!r} and {x!r} share the sequence {_fmt_seq(s.sets)}"
-                    )
-                seen[s] = x
-        expected = chains_of_length(poset, k - 1)
-        missing = expected - attained
-        if missing:
-            chain = min(missing, key=lambda c: tuple(tuple(sorted(o)) for o in c.sets))
-            return _fail(f"level {k}: chain {_fmt_seq(chain.sets)} is attained by no vertex")
-        extra = attained - expected
-        if extra:
-            chain = min(extra, key=lambda c: tuple(tuple(sorted(o)) for o in c.sets))
-            return _fail(f"level {k}: sequence {_fmt_seq(chain.sets)} is not a chain of the order")
-        counts.append((k, len(level), len(expected)))
+            first = seen.setdefault(s, x)
+            if shared is None and first != x:
+                shared = (first, x)
+        if shared is not None:
+            first, x = shared
+            seq = _fmt_seq(labels(o) for o in sequences[x])
+            return _fail(f"level {k}: vertices {m._labels[first]!r} and {m._labels[x]!r} share the sequence {seq}")
+        expected = poset.chain_count(k - 1)
+        if len(level) != expected:
+            attained = {tuple(labels(o) for o in sequences[x]) for x in level}
+            chain = min(
+                (c for c in poset.chains(k - 1) if c not in attained),
+                key=lambda c: tuple(tuple(sorted(o)) for o in c),
+            )
+            return _fail(f"level {k}: chain {_fmt_seq(chain)} is attained by no vertex")
+        counts.append((k, len(level), expected))
 
     beyond = m.level_count - 1
     leftover = poset.chain_count(beyond) if len(poset) else 0
@@ -309,60 +339,63 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
     level-j neighbourhood equals the sequence-window set W_j; and vertices
     of a level that agree one level below agree on every lower level
     except level 1.
+
+    W_j of a vertex with sequence s holds the level-j vertices whose
+    sequence starts with s[:j-2] and ends between s[j-2] and s[j-1]. Level
+    j is bucketed by sequence prefix, so only the matching bucket is
+    scanned.
     """
-    sequences: dict[str, CharacterisingSequence] = {}
-    for k in range(2, m.level_count):
-        for x in m.levels[k]:
-            sequences[x] = characterising_sequence(m, x)
+    adj = m._adj
+    lmask = m._level_masks
+    labels = m._labels
+    sequences = _sequence_masks(m)
 
-    level1 = m.levels[1]
-    bottom = {c: m.neighbourhood_at_level(c, 0) for c in level1}
+    def fmt(mask: int) -> str:
+        return _fmt(m._labels_from_mask(mask))
 
-    for k in range(2, m.level_count):
-        for x in m.levels[k]:
-            last = sequences[x].sets[-1]
-            containing = frozenset(c for c in level1 if last <= bottom[c])
-            actual = m.neighbourhood_at_level(x, 1)
-            if containing != actual:
+    for x, s in sequences.items():
+        last = s[-1]
+        want = lmask[1]
+        for v in bits(last):
+            want &= adj[v]
+        actual = adj[x] & lmask[1]
+        if want != actual:
+            return _fail(
+                f"level {len(s) + 1}, vertex {labels[x]!r}: cliques containing {fmt(last)} are "
+                f"{fmt(want)} but N_1 is {fmt(actual)}"
+            )
+
+    # per level: sequence prefix -> (last entry, vertex bit) of each vertex with that prefix
+    buckets: list[dict[tuple[int, ...], list[tuple[int, int]]]] = [{} for _ in range(m.level_count)]
+    for y, s in sequences.items():
+        buckets[len(s) + 1].setdefault(s[:-1], []).append((s[-1], 1 << y))
+    for x, s in sequences.items():
+        k = len(s) + 1
+        for j in range(2, k):
+            low, high = s[j - 2], s[j - 1]
+            window = 0
+            for last, y in buckets[j].get(s[: j - 2], ()):
+                if not low & ~last and not last & ~high:
+                    window |= y
+            actual = adj[x] & lmask[j]
+            if window != actual:
                 return _fail(
-                    f"level {k}, vertex {x!r}: cliques containing {_fmt(last)} are "
-                    f"{_fmt(containing)} but N_1 is {_fmt(actual)}"
+                    f"level {k}, vertex {labels[x]!r}, level-{j} neighbourhood: expected "
+                    f"{fmt(window)}, got {fmt(actual)}"
                 )
-
-    for k in range(3, m.level_count):
-        for x in m.levels[k]:
-            sx = sequences[x].sets
-            for j in range(2, k):
-                window = frozenset(
-                    y
-                    for y in m.levels[j]
-                    if sequences[y].sets[: j - 2] == sx[: j - 2]
-                    and sx[j - 2] <= sequences[y].sets[j - 2] <= sx[j - 1]
-                )
-                actual = m.neighbourhood_at_level(x, j)
-                if window != actual:
-                    return _fail(
-                        f"level {k}, vertex {x!r}, level-{j} neighbourhood: expected "
-                        f"{_fmt(window)}, got {_fmt(actual)}"
-                    )
 
     for k in range(4, m.level_count):
-        groups: dict[frozenset[str], str] = {}
-        for x in m.levels[k]:
-            key = m.neighbourhood_at_level(x, k - 2)
-            other = groups.get(key)
-            if other is None:
-                groups[key] = x
+        groups: dict[int, int] = {}
+        for x in _level_indexes(m, k):
+            other = groups.setdefault(adj[x] & lmask[k - 2], x)
+            if other == x:
                 continue
+            differ = adj[other] ^ adj[x]
             for p in range(0, k - 1):
-                if p == 1:
-                    continue
-                left = m.neighbourhood_at_level(other, p)
-                right = m.neighbourhood_at_level(x, p)
-                if left != right:
+                if p != 1 and differ & lmask[p]:
                     return _fail(
-                        f"level {k}: {other!r} and {x!r} agree on level {k - 2} but differ "
-                        f"on level {p}: {_fmt(left)} vs {_fmt(right)}"
+                        f"level {k}: {labels[other]!r} and {labels[x]!r} agree on level {k - 2} but differ "
+                        f"on level {p}: {fmt(adj[other] & lmask[p])} vs {fmt(adj[x] & lmask[p])}"
                     )
     return VerificationReport(passed=True)
 

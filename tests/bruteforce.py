@@ -1,15 +1,21 @@
 """Independent reference implementations by exhaustive enumeration.
 
-Everything here recomputes, from plain label sets and the written-out
-definitions, what the library computes with bitmask kernels and closure
-walks. The point is independence, not speed; tests compare the two paths.
+The ``subset_*`` functions recompute, from plain label sets and the
+written-out definitions, what the library computes with bitmask kernels
+and closure walks. ``candidate_family`` enumerates every candidate seed on
+bitmasks, which is exponential, and ``maximal_candidates`` filters a
+family by inclusion; the library builds only the maximal candidates. The
+point is independence, not speed; tests compare the paths.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
-from cleanfactor import Graph, MultipartiteGraph, OperatorKind
+from cleanfactor import CandidateSet, Graph, MultipartiteGraph, OperatorKind
+from cleanfactor.factorisation import _candidate_from_masks, _plan, _require_multipartite
+from cleanfactor.graphs import bits
 
 
 def subset_maximal_cliques(g: Graph) -> set[frozenset[str]]:
@@ -109,3 +115,56 @@ def subset_chains(elements: set[frozenset[str]], m: int) -> set[tuple[frozenset[
         if all(a < b for a, b in zip(ordered, ordered[1:])):
             out.add(tuple(ordered))
     return out
+
+
+def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet]:
+    """All candidates of the given variant, deduplicated by their full set.
+
+    Seeds are grown depth-first in index order; a branch is abandoned as
+    soon as a cardinality constraint fails, which is sound because common
+    neighbourhoods only shrink as the seed grows.
+    """
+    _require_multipartite(m)
+    k = m.level_count
+    card_levels, eq_level = _plan(op, k)
+    adj = m._adj
+    lmask = m._level_masks
+    eq_mask = lmask[eq_level] if eq_level is not None else 0
+    uppers = list(bits(lmask[k - 1]))
+    base_common = 0
+    for i in range(k - 1):
+        base_common |= lmask[i]
+
+    found: dict[int, tuple[int, int]] = {}
+
+    def extend(start: int, seed: int, size: int, common: int, eqref: int | None) -> None:
+        for t in range(start, len(uppers)):
+            u = uppers[t]
+            a = adj[u]
+            if eqref is not None and (a & eq_mask) != eqref:
+                continue
+            c = common & a
+            if c.bit_count() < 2:
+                continue
+            if any((c & lmask[i]).bit_count() < 2 for i in card_levels):
+                continue
+            s = seed | (1 << u)
+            if size >= 1:
+                found[s | c] = (s, c)
+            ref = eqref
+            if eq_level is not None and ref is None:
+                ref = a & eq_mask
+            extend(t + 1, s, size + 1, c, ref)
+
+    extend(0, 0, 0, base_common, None)
+    return {_candidate_from_masks(m, seed, common) for seed, common in found.values()}
+
+
+def maximal_candidates(family: Iterable[CandidateSet]) -> set[CandidateSet]:
+    """The inclusion-maximal members of a family, compared on full sets."""
+    pool = sorted(set(family), key=lambda c: (-len(c.members), sorted(c.members), sorted(c.upper)))
+    kept: list[CandidateSet] = []
+    for cand in pool:
+        if not any(cand.members < other.members for other in kept):
+            kept.append(cand)
+    return set(kept)

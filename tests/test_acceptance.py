@@ -20,12 +20,10 @@ from cleanfactor import (
     OperatorKind,
     SeriesStatus,
     anti_matching,
-    candidate_family,
     cliques_containing,
     factorise,
     graph_content_hash,
     intersection_family,
-    maximal_candidates,
     parse_document,
     particularise,
     reconstruct_graph,
@@ -39,7 +37,7 @@ from cleanfactor import (
 )
 from cleanfactor.factorisation import _candidate_from_masks, _maximal_family
 
-from bruteforce import maximal_sets, subset_candidate_family
+from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
 from conftest import make_g2, make_g3, make_triangle, random_connected_graph, random_graph
 
 

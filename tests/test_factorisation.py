@@ -10,15 +10,13 @@ from cleanfactor import (
     MultipartiteGraph,
     OperatorKind,
     anti_matching,
-    candidate_family,
     factorise,
-    maximal_candidates,
     particularise,
     vertex_clique_incidence,
 )
 from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family
 
-from bruteforce import maximal_sets, subset_candidate_family
+from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
 from conftest import random_graph
 
 C1, C2, C3 = "K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"

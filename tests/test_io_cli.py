@@ -148,7 +148,7 @@ def test_cli_decompose_and_verify_round_trip(tmp_path, capsys):
     assert "status=terminated" in capsys.readouterr().out
     assert cli_main(["verify", "--decomposition", out_path, "--input", graph_path]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 4
+    assert out.count(": ok") == 5
 
 
 def test_cli_verify_rejects_tampered_document(tmp_path, capsys):
@@ -161,6 +161,45 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["verify", "--decomposition", out_path, "--input", graph_path]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_prints_level_counts(tmp_path, capsys):
+    graph_path = write(tmp_path, "g3.txt", format_edge_list(make_g3()))
+    out_path = str(tmp_path / "d.json")
+    cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])
+    capsys.readouterr()
+    assert cli_main(["verify", "--decomposition", out_path, "--input", graph_path]) == 0
+    assert "bijection: ok (2:2/2 3:1/1)\n" in capsys.readouterr().out
+
+
+def tamper_vertex_field(tmp_path, level, field, value):
+    """Decompose G2, overwrite one field of the first vertex record on ``level``, return the verify argv."""
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    out_path = tmp_path / "d.json"
+    cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)])
+    payload = json.loads(out_path.read_text())
+    payload["levels"][level]["vertices"][0][field] = value
+    out_path.write_text(json.dumps(payload))
+    return ["verify", "--decomposition", str(out_path), "--input", graph_path]
+
+
+@pytest.mark.parametrize(
+    "level, field, value, detail",
+    [
+        (2, "sequence", [["b", "c", "d"]], """vertex 'L2:a,b,c,d': stored sequence [["b", "c", "d"]] but the graph gives [["b", "c"]]"""),
+        (2, "sequence", [["c", "b"]], """vertex 'L2:a,b,c,d': stored sequence [["c", "b"]] but the graph gives [["b", "c"]]"""),
+        (0, "sequence", [["a", "b"]], """vertex 'a': stored sequence [["a", "b"]] but the graph gives null"""),
+        (1, "label", "K:x", "vertex 'K:a,b,c': label 'K:x' differs from its id"),
+    ],
+    ids=["sequence", "unsorted-sequence", "level-0-sequence", "label"],
+)
+def test_cli_verify_rejects_tampered_document_fields(tmp_path, capsys, level, field, value, detail):
+    argv = tamper_vertex_field(tmp_path, level, field, value)
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"document-fields: FAIL ({detail})\n" in out
+    assert out.count(": ok") == 4
 
 
 def test_cli_verify_rejects_mismatched_input(tmp_path, capsys):

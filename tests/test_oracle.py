@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,8 @@ from cleanfactor import (
 )
 
 from bruteforce import subset_chains, subset_intersections
-from conftest import random_graph
+from conftest import random_connected_graph, random_graph
+from reference_oracle import reference_verify_bijection, reference_verify_neighbourhood_formula
 
 
 def fs(*labels: str) -> frozenset[str]:
@@ -266,3 +268,75 @@ def test_poset_height_is_bounded_by_n_minus_2():
         g = random_graph(rng, rng.randint(2, 10), rng.choice([0.4, 0.6, 0.8]))
         poset = IntersectionPoset(intersection_family(g).nonsimple)
         assert poset.height() <= max(len(g) - 2, 0)
+
+
+def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[MultipartiteGraph]:
+    """Copies of ``m`` with one change each, ``rounds`` of every kind.
+
+    The kinds: one edge deleted (its level pair drawn first, so that the
+    sparse pairs are hit too), one edge added between two levels, and one
+    vertex of level >= 2 deleted with its edges; last, the top level
+    deleted.
+    """
+    edges = list(m.edges())
+    present = set(edges)
+    by_pair: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for a, b in edges:
+        by_pair.setdefault((m.level_of(a), m.level_of(b)), []).append((a, b))
+    pairs = sorted(by_pair)
+    for _ in range(rounds):
+        gone = rng.choice(by_pair[rng.choice(pairs)])
+        yield MultipartiteGraph(m.levels, [e for e in edges if e != gone])
+        while True:
+            i, j = sorted(rng.sample(range(m.level_count), 2))
+            extra = (rng.choice(m.levels[i]), rng.choice(m.levels[j]))
+            if extra not in present:
+                break
+        yield MultipartiteGraph(m.levels, edges + [extra])
+        k = rng.randrange(2, m.level_count)
+        if len(m.levels[k]) > 1:
+            x = rng.choice(m.levels[k])
+            yield MultipartiteGraph([[v for v in level if v != x] for level in m.levels], [e for e in edges if x not in e])
+    top = set(m.levels[-1])
+    yield MultipartiteGraph(m.levels[:-1], [e for e in edges if e[1] not in top])
+
+
+COUNTEREXAMPLES = (
+    "level 1 does not match",
+    "is not strictly increasing",
+    "is not a non-simple clique intersection",
+    "share the sequence",
+    "is attained by no vertex",
+    "series is not terminated",
+    "cliques containing",
+    "neighbourhood: expected",
+)
+
+
+def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
+    rng = random.Random(0x7A3B)
+    runs, _ = clean_runs
+    cases = [(g, result.final) for g, result in rng.sample(runs, 120)]
+    shapes = ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7))
+    large_rng = random.Random(7)
+    for n, p in shapes:
+        g = random_connected_graph(large_rng, n, p)
+        cases.append((g, run_series(g, OperatorKind.CLEAN).final))
+
+    seen = set()
+    checked = 0
+    for g, m in cases:
+        if m.level_count < 3:
+            continue
+        assert verify_bijection(g, m) == reference_verify_bijection(g, m)
+        for t in tampered(m, rng, rounds=2 if len(g) <= 12 else 1):
+            bijection = verify_bijection(g, t)
+            formula = verify_neighbourhood_formula(t)
+            assert bijection == reference_verify_bijection(g, t)
+            assert formula == reference_verify_neighbourhood_formula(t)
+            assert not (bijection.passed and formula.passed)
+            for report in (bijection, formula):
+                seen.update(c for c in COUNTEREXAMPLES if c in (report.counterexample or ""))
+            checked += 1
+    assert checked >= 500
+    assert seen == set(COUNTEREXAMPLES)
