@@ -236,11 +236,39 @@ class MultipartiteGraph:
         fresh = [label for label, _ in new_vertices]
         if len(set(fresh)) != len(fresh):
             raise InvalidArgumentError("duplicate label among new vertices")
-        new_edges: list[tuple[str, str]] = list(self.edges())
+        _check_labels(fresh)
+        level = tuple(sorted(fresh))
+        # the index is level-major, so every existing index survives and the new ones follow
+        base = len(self._labels)
+        k = len(self._levels)
+        index = dict(self._index)
+        for i, v in enumerate(level, start=base):
+            if v in index:
+                raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
+            index[v] = i
+        adj = list(self._adj) + [0] * len(level)
         for label, nbrs in new_vertices:
+            i = index[label]
+            bit = 1 << i
+            row = 0
             for u in nbrs:
-                new_edges.append((u, label))
-        return MultipartiteGraph(self._levels + (tuple(fresh),), new_edges)
+                j = index.get(u)
+                if j is None:
+                    raise InvalidArgumentError(f"edge endpoint {u!r} is not a declared vertex")
+                if j >= base:
+                    raise InvalidArgumentError(f"edge {u!r}-{label!r} stays inside level {k}")
+                row |= 1 << j
+                adj[j] |= bit
+            adj[i] = row
+
+        out = MultipartiteGraph.__new__(MultipartiteGraph)
+        out._levels = self._levels + (level,)
+        out._labels = self._labels + level
+        out._index = index
+        out._level_of = self._level_of + (k,) * len(level)
+        out._level_masks = self._level_masks + (((1 << len(level)) - 1) << base,)
+        out._adj = tuple(adj)
+        return out
 
     # -- internal helpers shared inside the package ---------------------
 

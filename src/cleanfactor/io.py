@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -159,10 +160,17 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
 
 
 def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> VerificationReport:
-    """Check that every label equals its id and every stored sequence is the one ``m`` gives.
+    """Check the fields that the graph checks do not read.
 
-    ``m`` is ``document_to_multipartite(doc)``, which reads neither field.
+    The document must record a terminated clean series, the only kind the
+    oracle certifies; every label must equal its id; and every stored
+    sequence must be the one ``m`` gives. ``m`` is
+    ``document_to_multipartite(doc)``, which reads none of these fields.
     """
+    if doc.operator != "clean":
+        return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
+    if doc.status != "terminated":
+        return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
     sequences = _stored_sequences(m)
     for level in doc.levels:
         for vr in level.vertices:
@@ -175,27 +183,51 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
     return VerificationReport(True)
 
 
+def _list(items: list[str], pad: str) -> str:
+    """A JSON list of rendered ``items``, one per line at indent ``pad``, closed two spaces less."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
 def to_json(doc: DecompositionDocument) -> str:
-    """Serialize a document; identical documents give identical bytes."""
-    payload: dict[str, Any] = {
-        "format_version": doc.format_version,
-        "source_hash": doc.source_hash,
-        "operator": doc.operator,
-        "status": doc.status,
-        "levels": [
-            {
-                "index": level.index,
-                "vertices": [
-                    {"id": vr.id, "label": vr.label}
-                    | ({"sequence": [list(o) for o in vr.sequence]} if vr.sequence is not None else {})
-                    for vr in level.vertices
-                ],
-            }
-            for level in doc.levels
-        ],
-        "edges": [[a, b] for a, b in doc.edges],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Serialize a document; identical documents give identical bytes.
+
+    The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus a newline, written directly for this schema: keys in sorted order,
+    two-space indent, every string escaped to ASCII by the ``json`` module's
+    own escaper. ``json.dumps`` runs its pure-Python encoder whenever it
+    indents, which is several times slower.
+    """
+    esc = encode_basestring_ascii
+    pad = " " * 14
+    rendered: dict[tuple[str, ...], str] = {}  # sequence elements repeat across a document
+    levels = []
+    for level in doc.levels:
+        vertices = []
+        for vr in level.vertices:
+            head = f'{{\n          "id": {esc(vr.id)},\n          "label": {esc(vr.label)}'
+            if vr.sequence is None:
+                vertices.append(head + "\n        }")
+                continue
+            items = []
+            for o in vr.sequence:
+                if (item := rendered.get(o)) is None:
+                    item = rendered[o] = _list([esc(v) for v in o], pad)
+                items.append(item)
+            vertices.append(f'{head},\n          "sequence": {_list(items, pad[:-2])}\n        }}')
+        levels.append(
+            f'{{\n      "index": {int.__repr__(level.index)},\n      "vertices": {_list(vertices, " " * 8)}\n    }}'
+        )
+    edges = [f"[\n      {esc(a)},\n      {esc(b)}\n    ]" for a, b in doc.edges]
+    return (
+        f'{{\n  "edges": {_list(edges, "    ")},\n'
+        f'  "format_version": {int.__repr__(doc.format_version)},\n'
+        f'  "levels": {_list(levels, "    ")},\n'
+        f'  "operator": {esc(doc.operator)},\n'
+        f'  "source_hash": {esc(doc.source_hash)},\n'
+        f'  "status": {esc(doc.status)}\n}}\n'
+    )
 
 
 def write_decomposition(result: SeriesResult, source_hash: str) -> str:
@@ -212,8 +244,62 @@ def _expect(condition: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
+def _vertex_record(rv: Any, pos: int, ids: set[str]) -> VertexRecord:
+    """Run every check on one vertex record, in order, and build it.
+
+    ``parse_document`` calls this only for a record its fast test refused,
+    so that the rejection names the first check that fails.
+    """
+    _expect(isinstance(rv, dict), "vertex records must be objects")
+    vid = rv.get("id")
+    _expect(isinstance(vid, str), "vertex id must be a string")
+    _expect(vid not in ids, f"duplicate vertex id {vid!r}")
+    ids.add(vid)
+    label = rv.get("label")
+    _expect(isinstance(label, str), "vertex label must be a string")
+    sequence = None
+    if "sequence" in rv:
+        raw_seq = rv["sequence"]
+        _expect(
+            isinstance(raw_seq, list)
+            and all(isinstance(o, list) and all(isinstance(v, str) for v in o) for o in raw_seq),
+            f"vertex {vid!r}: sequence must be a list of label lists",
+        )
+        sequence = tuple(tuple(o) for o in raw_seq)
+    _expect(pos < 2 or sequence is not None, f"vertex {vid!r} at level {pos} needs a sequence")
+    return VertexRecord(id=vid, label=label, sequence=sequence)
+
+
+def _sequence(raw_seq: list, elements: dict[tuple, tuple[str, ...]]) -> tuple[tuple[str, ...], ...] | None:
+    """``raw_seq`` as a tuple of label tuples, or None if it is not a list of label lists.
+
+    ``elements`` maps each label tuple accepted so far to itself, so a
+    document checks each distinct sequence element once and shares it.
+    """
+    out = []
+    for o in raw_seq:
+        if type(o) is not list:
+            return None
+        key = tuple(o)
+        try:
+            out.append(elements[key])
+        except KeyError:
+            if not all(type(v) is str for v in key):
+                return None
+            elements[key] = key
+            out.append(key)
+        except TypeError:  # an unhashable element, so not a label
+            return None
+    return tuple(out)
+
+
 def parse_document(text: str) -> DecompositionDocument:
-    """Parse and validate a JSON decomposition document."""
+    """Parse and validate a JSON decomposition document.
+
+    Records are tested with exact-type checks first; a record that fails
+    them goes through every check in order, so a rejection always names
+    the first problem in the document.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -221,43 +307,52 @@ def parse_document(text: str) -> DecompositionDocument:
     _expect(isinstance(payload, dict), "top level must be an object")
     for key in ("format_version", "source_hash", "operator", "status", "levels", "edges"):
         _expect(key in payload, f"missing key {key!r}")
-    _expect(payload["format_version"] == FORMAT_VERSION, "unsupported format_version")
+    version = payload["format_version"]
+    _expect(type(version) is int and version == FORMAT_VERSION, "unsupported format_version")
     _expect(isinstance(payload["source_hash"], str), "source_hash must be a string")
     _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
     _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
     _expect(isinstance(payload["levels"], list) and len(payload["levels"]) >= 2, "need at least two levels")
 
     ids: set[str] = set()
+    elements: dict[tuple, tuple[str, ...]] = {}
     levels = []
     for pos, level in enumerate(payload["levels"]):
         _expect(isinstance(level, dict), "levels must be objects")
-        _expect(level.get("index") == pos, f"level index {level.get('index')!r} out of order")
+        index = level.get("index")
+        _expect(type(index) is int and index == pos, f"level index {index!r} out of order")
         raw_vertices = level.get("vertices")
         _expect(isinstance(raw_vertices, list) and raw_vertices, f"level {pos} needs vertices")
         records = []
         for rv in raw_vertices:
-            _expect(isinstance(rv, dict), "vertex records must be objects")
-            vid = rv.get("id")
-            _expect(isinstance(vid, str), "vertex id must be a string")
-            _expect(vid not in ids, f"duplicate vertex id {vid!r}")
-            ids.add(vid)
-            label = rv.get("label")
-            _expect(isinstance(label, str), "vertex label must be a string")
             sequence = None
-            if "sequence" in rv:
-                raw_seq = rv["sequence"]
-                _expect(
-                    isinstance(raw_seq, list)
-                    and all(isinstance(o, list) and all(isinstance(v, str) for v in o) for o in raw_seq),
-                    f"vertex {vid!r}: sequence must be a list of label lists",
+            if (
+                type(rv) is dict
+                and type(vid := rv.get("id")) is str
+                and vid not in ids
+                and type(label := rv.get("label")) is str
+                and (
+                    ("sequence" not in rv and pos < 2)
+                    or (
+                        type(raw_seq := rv.get("sequence")) is list
+                        and (sequence := _sequence(raw_seq, elements)) is not None
+                    )
                 )
-                sequence = tuple(tuple(o) for o in raw_seq)
-            _expect(pos < 2 or sequence is not None, f"vertex {vid!r} at level {pos} needs a sequence")
-            records.append(VertexRecord(id=vid, label=label, sequence=sequence))
+            ):
+                ids.add(vid)
+                records.append(VertexRecord(vid, label, sequence))
+            else:
+                records.append(_vertex_record(rv, pos, ids))
         levels.append(LevelRecord(index=pos, vertices=tuple(records)))
 
+    _expect(isinstance(payload["edges"], list), "edges must be a list")
     edges = []
     for raw in payload["edges"]:
+        if type(raw) is list and len(raw) == 2:
+            a, b = raw
+            if type(a) is str and type(b) is str and a in ids and b in ids:
+                edges.append((a, b))
+                continue
         _expect(
             isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, str) for v in raw),
             "edges must be pairs of ids",

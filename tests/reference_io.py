@@ -1,0 +1,110 @@
+"""Reference implementations of the document codec.
+
+``reference_to_json`` is the serialiser as first written: the document as
+nested dicts and lists through ``json.dumps(indent=2, sort_keys=True)``.
+``reference_parse_document`` validates with one plain check per field, in
+document order. The library writes the same bytes directly and parses with
+exact-type fast tests; tests require both to give the same text, the same
+documents and the same rejection messages.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any
+
+from cleanfactor import DecompositionDocument, DocumentFormatError
+from cleanfactor.io import FORMAT_VERSION, LevelRecord, VertexRecord
+
+
+def reference_to_json(doc: DecompositionDocument) -> str:
+    payload: dict[str, Any] = {
+        "format_version": doc.format_version,
+        "source_hash": doc.source_hash,
+        "operator": doc.operator,
+        "status": doc.status,
+        "levels": [
+            {
+                "index": level.index,
+                "vertices": [
+                    {"id": vr.id, "label": vr.label}
+                    | ({"sequence": [list(o) for o in vr.sequence]} if vr.sequence is not None else {})
+                    for vr in level.vertices
+                ],
+            }
+            for level in doc.levels
+        ],
+        "edges": [[a, b] for a, b in doc.edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _expect(condition: bool, message: str) -> None:
+    if not condition:
+        raise DocumentFormatError(message)
+
+
+def reference_parse_document(text: str) -> DecompositionDocument:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentFormatError(f"not valid JSON: {exc}") from None
+    _expect(isinstance(payload, dict), "top level must be an object")
+    for key in ("format_version", "source_hash", "operator", "status", "levels", "edges"):
+        _expect(key in payload, f"missing key {key!r}")
+    version = payload["format_version"]
+    _expect(type(version) is int and version == FORMAT_VERSION, "unsupported format_version")
+    _expect(isinstance(payload["source_hash"], str), "source_hash must be a string")
+    _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
+    _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
+    _expect(isinstance(payload["levels"], list) and len(payload["levels"]) >= 2, "need at least two levels")
+
+    ids: set[str] = set()
+    levels = []
+    for pos, level in enumerate(payload["levels"]):
+        _expect(isinstance(level, dict), "levels must be objects")
+        index = level.get("index")
+        _expect(type(index) is int and index == pos, f"level index {index!r} out of order")
+        raw_vertices = level.get("vertices")
+        _expect(isinstance(raw_vertices, list) and raw_vertices, f"level {pos} needs vertices")
+        records = []
+        for rv in raw_vertices:
+            _expect(isinstance(rv, dict), "vertex records must be objects")
+            vid = rv.get("id")
+            _expect(isinstance(vid, str), "vertex id must be a string")
+            _expect(vid not in ids, f"duplicate vertex id {vid!r}")
+            ids.add(vid)
+            label = rv.get("label")
+            _expect(isinstance(label, str), "vertex label must be a string")
+            sequence = None
+            if "sequence" in rv:
+                raw_seq = rv["sequence"]
+                _expect(
+                    isinstance(raw_seq, list)
+                    and all(isinstance(o, list) and all(isinstance(v, str) for v in o) for o in raw_seq),
+                    f"vertex {vid!r}: sequence must be a list of label lists",
+                )
+                sequence = tuple(tuple(o) for o in raw_seq)
+            _expect(pos < 2 or sequence is not None, f"vertex {vid!r} at level {pos} needs a sequence")
+            records.append(VertexRecord(id=vid, label=label, sequence=sequence))
+        levels.append(LevelRecord(index=pos, vertices=tuple(records)))
+
+    _expect(isinstance(payload["edges"], list), "edges must be a list")
+    edges = []
+    for raw in payload["edges"]:
+        _expect(
+            isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, str) for v in raw),
+            "edges must be pairs of ids",
+        )
+        a, b = raw
+        _expect(a in ids and b in ids, f"edge [{a!r}, {b!r}] references an undeclared id")
+        edges.append((a, b))
+
+    return DecompositionDocument(
+        format_version=FORMAT_VERSION,
+        source_hash=payload["source_hash"],
+        operator=payload["operator"],
+        status=payload["status"],
+        levels=tuple(levels),
+        edges=tuple(edges),
+    )

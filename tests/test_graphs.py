@@ -1,5 +1,8 @@
 """Graph and multipartite-graph behaviour."""
 
+import itertools
+import random
+
 import pytest
 
 from cleanfactor import (
@@ -96,14 +99,56 @@ def test_append_level_mechanical_extension(triangle):
     assert m2.neighbourhood("x") == {"a", "b"}
 
 
+APPEND_LEVEL_ERRORS = [
+    ([], "append_level needs at least one new vertex"),
+    ([("x", ["a"]), ("x", ["b"])], "duplicate label among new vertices"),
+    ([("x", ["a"]), (7, ["b"])], "vertex labels must be strings, got 7"),
+    ([("y", ["a"]), ("b", ["a"]), ("c", ["a"])], "vertex 'b' appears in more than one level"),
+    ([("x", ["a", "nope"])], "edge endpoint 'nope' is not a declared vertex"),
+    ([("x", ["a"]), ("y", ["b", "x"])], "edge 'x'-'y' stays inside level 2"),
+    ([("x", ["x"])], "edge 'x'-'x' stays inside level 2"),
+]
+
+
 def test_append_level_validation(triangle):
     m = vertex_clique_incidence(triangle)
-    with pytest.raises(InvalidArgumentError):
-        m.append_level([])
-    with pytest.raises(InvalidArgumentError):
-        m.append_level([("x", ["nope"])])
-    with pytest.raises(InvalidArgumentError):
-        m.append_level([("x", ["a"]), ("x", ["b"])])
+    for new_vertices, message in APPEND_LEVEL_ERRORS:
+        with pytest.raises(InvalidArgumentError) as err:
+            m.append_level(new_vertices)
+        assert str(err.value) == message
+        if new_vertices and message != "duplicate label among new vertices":
+            # the constructor rejects the same extension with the same message
+            edges = list(m.edges()) + [(u, x) for x, nbrs in new_vertices for u in nbrs]
+            with pytest.raises(InvalidArgumentError) as err:
+                MultipartiteGraph(m.levels + (tuple(x for x, _ in new_vertices),), edges)
+            assert str(err.value) == message
+
+
+def test_append_level_matches_the_constructor_on_random_graphs():
+    rng = random.Random(0xA99E)
+    for _ in range(300):
+        names = rng.sample([f"{c}{i}" for c in "abxyz" for i in range(12)], rng.randint(3, 30))
+        cuts = sorted(rng.sample(range(1, len(names)), rng.randint(2, min(4, len(names) - 1))))
+        levels = [names[i:j] for i, j in zip([0] + cuts, cuts + [len(names)])]
+        below = [v for level in levels[:-1] for v in level]
+        level_of = {v: li for li, level in enumerate(levels) for v in level}
+        pairs = itertools.combinations(names, 2)
+        edges = [(u, v) for u, v in pairs if level_of[u] != level_of[v] and rng.random() < 0.3]
+        top = set(levels[-1])
+        lower_edges = [(u, v) for u, v in edges if u not in top and v not in top]
+        m = MultipartiteGraph(levels[:-1], lower_edges)
+        new_vertices = []
+        for x in rng.sample(levels[-1], len(levels[-1])):
+            nbrs = [u for u, v in edges if v == x] + [v for u, v in edges if u == x]
+            nbrs += rng.sample(below, rng.randint(0, 2))  # repeated neighbours collapse
+            rng.shuffle(nbrs)
+            new_vertices.append((x, nbrs))
+        appended = m.append_level(new_vertices)
+        built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
+        assert appended == built
+        for slot in ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_adj"):
+            assert getattr(appended, slot) == getattr(built, slot), slot
+        assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
 
 def test_append_level_matches_clean_step_on_g2(g2):

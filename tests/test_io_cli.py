@@ -1,15 +1,20 @@
 """Edge-list parsing, document round trips, and the command line."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cleanfactor import (
+    DecompositionDocument,
     DocumentFormatError,
     EdgeListParseError,
     Graph,
     InvalidArgumentError,
     OperatorKind,
+    anti_matching,
     build_document,
     cli_main,
     document_to_multipartite,
@@ -20,12 +25,15 @@ from cleanfactor import (
     read_edge_list,
     reconstruct_graph,
     run_series,
+    run_series_from_bipartite,
     to_dot,
     to_json,
     write_decomposition,
 )
+from cleanfactor.io import LevelRecord, VertexRecord
 
-from conftest import make_g2, make_g3
+from conftest import make_g2, make_g3, random_connected_graph
+from reference_io import reference_parse_document, reference_to_json
 
 G2_TEXT = "a b\na c\nb c\nb d\nc d\n"
 
@@ -132,6 +140,162 @@ def test_parse_document_rejects_malformed_input():
         parse_document(json.dumps(bad))
 
 
+def test_codec_matches_the_reference_on_benchmark_documents(clean_runs):
+    runs, _ = clean_runs
+    docs = [build_document(result, graph_content_hash(g)) for g, result in runs]
+    rng = random.Random(7)
+    for n, p in ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7)):
+        g = random_connected_graph(rng, n, p)
+        docs.append(build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g)))
+    for n in (3, 4, 5):
+        h = anti_matching(n)
+        result = run_series_from_bipartite(h, OperatorKind.FACTOR)
+        docs.append(build_document(result, graph_content_hash(Graph(h.vertices, h.edges()))))
+    for doc in docs:
+        text = reference_to_json(doc)
+        assert to_json(doc) == text
+        assert parse_document(text) == reference_parse_document(text) == doc
+
+
+# quotes, escapes, control and non-ASCII characters, an astral character, and the generated id syntax
+ADVERSARIAL = '"\\\n\x00\u00e9\U0001d11e,:#ab'
+adversarial_labels = st.one_of(
+    st.text(ADVERSARIAL, min_size=1, max_size=5),
+    st.builds(str.__add__, st.sampled_from(["K:", "L2:"]), st.text(ADVERSARIAL, max_size=3)),
+)
+
+
+@st.composite
+def documents(draw):
+    ids = draw(st.lists(adversarial_labels, min_size=2, max_size=10, unique=True))
+    level_of = [0, 1] + [draw(st.integers(0, 3)) for _ in ids[2:]]
+    used = sorted(set(level_of))
+    levels = []
+    for pos, li in enumerate(used):
+        records = []
+        for vid, lv in zip(ids, level_of):
+            if lv != li:
+                continue
+            label = draw(st.one_of(st.just(vid), adversarial_labels))
+            sequence = None
+            if pos >= 2 or draw(st.booleans()):
+                sequence = tuple(tuple(o) for o in draw(st.lists(st.lists(adversarial_labels, max_size=3), max_size=3)))
+            records.append(VertexRecord(id=vid, label=label, sequence=sequence))
+        levels.append(LevelRecord(index=pos, vertices=tuple(records)))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8))
+    return DecompositionDocument(
+        format_version=1,
+        source_hash=draw(st.text(ADVERSARIAL)),
+        operator=draw(st.sampled_from(["weak", "factor", "clean"])),
+        status=draw(st.sampled_from(["terminated", "budget-exceeded"])),
+        levels=tuple(levels),
+        edges=tuple(edges),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_codec_matches_the_reference_on_adversarial_labels(doc):
+    text = to_json(doc)
+    assert text == reference_to_json(doc)
+    assert text.isascii()
+    parsed = parse_document(text)
+    assert parsed == reference_parse_document(text) == doc
+    assert to_json(parsed) == text
+
+
+def test_to_json_writes_empty_containers_like_json_dumps():
+    vertex = VertexRecord(id="x", label="x", sequence=())
+    docs = [
+        DecompositionDocument(1, "h", "clean", "terminated", (), ()),
+        DecompositionDocument(1, "h", "clean", "terminated", (LevelRecord(0, ()),), ()),
+        DecompositionDocument(1, "h", "clean", "terminated", (LevelRecord(0, (vertex,)),), ()),
+        DecompositionDocument(1, "h", "clean", "terminated", (LevelRecord(0, (VertexRecord("x", "x", ((),)),)),), ()),
+    ]
+    for doc in docs:
+        assert to_json(doc) == reference_to_json(doc)
+
+
+DELETE = object()
+SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
+NOT_LABEL_LISTS = "vertex 'L2:a,b,c,d': sequence must be a list of label lists"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("edges", 0), "a b", "edges must be pairs of ids"),
+        (("edges", 0), ["a", "K:a,b,c", "b"], "edges must be pairs of ids"),
+        (("edges", 0), ["a", 1], "edges must be pairs of ids"),
+        (("edges", 0), ["ghost", "a"], "edge ['ghost', 'a'] references an undeclared id"),
+        (("edges",), 5, "edges must be a list"),
+        (("edges",), None, "edges must be a list"),
+        (SEQUENCE, ["b"], NOT_LABEL_LISTS),
+        (SEQUENCE, [["b", 1]], NOT_LABEL_LISTS),
+        (SEQUENCE, [["b", ["c"]]], NOT_LABEL_LISTS),
+        (SEQUENCE, None, NOT_LABEL_LISTS),
+        (SEQUENCE, DELETE, "vertex 'L2:a,b,c,d' at level 2 needs a sequence"),
+        (("levels", 1, "vertices", 0, "id"), "a", "duplicate vertex id 'a'"),
+        (("levels", 0, "vertices", 1, "id"), None, "vertex id must be a string"),
+        (("levels", 0, "vertices", 1, "label"), 2, "vertex label must be a string"),
+        (("levels", 0, "vertices", 1), "b", "vertex records must be objects"),
+        (("levels", 1, "index"), True, "level index True out of order"),
+        (("format_version",), True, "unsupported format_version"),
+        (("format_version",), 1.0, "unsupported format_version"),
+    ],
+    ids=[
+        "non-list-edge",
+        "three-element-edge",
+        "non-string-endpoint",
+        "undeclared-id",
+        "edges-number",
+        "edges-null",
+        "non-list-sequence-element",
+        "non-string-sequence-label",
+        "unhashable-sequence-label",
+        "null-sequence",
+        "missing-sequence",
+        "duplicate-id",
+        "non-string-id",
+        "non-string-label",
+        "non-object-vertex",
+        "boolean-index",
+        "boolean-format-version",
+        "float-format-version",
+    ],
+)
+def test_parse_document_rejections_match_the_reference(path, value, message):
+    payload = json.loads(decomposition_text(make_g2()))
+    *parents, last = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    text = json.dumps(payload)
+    with pytest.raises(DocumentFormatError) as err:
+        parse_document(text)
+    assert str(err.value) == message
+    with pytest.raises(DocumentFormatError) as err:
+        reference_parse_document(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edges", [5, None], ids=["number", "null"])
+def test_cli_verify_rejects_non_list_edges(tmp_path, capsys, edges):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    payload = json.loads(decomposition_text(make_g2()))
+    payload["edges"] = edges
+    doc_path = write(tmp_path, "d.json", json.dumps(payload))
+    capsys.readouterr()
+    assert cli_main(["verify", "--decomposition", doc_path, "--input", graph_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: edges must be a list\n"
+
+
 def test_to_dot_mentions_every_vertex():
     g = make_g2()
     m = run_series(g, OperatorKind.CLEAN).final
@@ -200,6 +364,23 @@ def test_cli_verify_rejects_tampered_document_fields(tmp_path, capsys, level, fi
     out = capsys.readouterr().out
     assert f"document-fields: FAIL ({detail})\n" in out
     assert out.count(": ok") == 4
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("status", "budget-exceeded", "status 'budget-exceeded': only terminated series are certified"),
+        ("operator", "weak", "operator 'weak': only clean decompositions are certified"),
+    ],
+)
+def test_cli_verify_rejects_uncertified_status_and_operator(tmp_path, capsys, field, value, detail):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    payload = json.loads(decomposition_text(make_g2()))
+    payload[field] = value
+    doc_path = write(tmp_path, "d.json", json.dumps(payload))
+    capsys.readouterr()
+    assert cli_main(["verify", "--decomposition", doc_path, "--input", graph_path]) == 1
+    assert f"document-fields: FAIL ({detail})\n" in capsys.readouterr().out
 
 
 def test_cli_verify_rejects_mismatched_input(tmp_path, capsys):
