@@ -77,15 +77,25 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one factorisation: the extended graph, or not effective.
-
-    When effective, ``new_level`` lists the chosen candidates in the same
-    order as the freshly appended vertices.
-    """
+    """Outcome of one factorisation: the extended graph, or not effective."""
 
     effective: bool
     graph: MultipartiteGraph | None
-    new_level: tuple[CandidateSet, ...]
+
+    @property
+    def new_level(self) -> tuple[CandidateSet, ...]:
+        """The chosen candidates, in the order of the appended top level.
+
+        Read back from ``graph``: a new vertex's upper set is its
+        neighbourhood on the level below it, and each lower set its
+        neighbourhood on a level further down. Empty when not effective.
+        """
+        g = self.graph
+        if g is None:
+            return ()
+        upper = g._level_masks[-2]
+        rows = (g._adj[i] for i in bits(g._level_masks[-1]))
+        return tuple(_candidate_from_masks(g, row & upper, row & ~upper) for row in rows)
 
 
 def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
@@ -114,10 +124,10 @@ def _require_multipartite(m: MultipartiteGraph) -> None:
 
 
 def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> CandidateSet:
-    k = m.level_count
-    upper = m._labels_from_mask(seed)
-    lowers = tuple(m._labels_from_mask(common & m._level_masks[i]) for i in range(k - 1))
-    return CandidateSet(upper=upper, lower_by_level=lowers)
+    """The candidate of a seed and its common neighbourhood on the levels below it."""
+    top = m._level_of[(seed & -seed).bit_length() - 1]
+    lowers = tuple(m._labels_from_mask(common & m._level_masks[i]) for i in range(top))
+    return CandidateSet(upper=m._labels_from_mask(seed), lower_by_level=lowers)
 
 
 def _closed_seeds(
@@ -136,47 +146,58 @@ def _closed_seeds(
     vertices, and at least two on each level in ``card_levels``.
 
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
-    extended by one member ``j`` past the branch start, the result closed,
-    and kept only if it adds no member before ``j``, so every closed seed
-    is reached once. A branch whose common neighbourhood fails the size or
-    card test is cut, since every seed below it has a smaller common
-    neighbourhood. Output order follows the walk; callers sort.
+    extended by one member ``j`` past the branch start. The extension is
+    canonical when no member before ``j`` outside the seed covers the new
+    common neighbourhood; that prefix is tested first, and only a
+    canonical extension is closed over the members after ``j``. So every
+    closed seed is reached once. A branch whose common neighbourhood fails
+    the size or card test is cut, since every seed below it has a smaller
+    common neighbourhood. Output order follows the walk; callers sort.
     """
     rows = [adj[u] for u in members]
+    misses = [~row for row in rows]
     units = [1 << u for u in members]
-    cards = [lmask[i] for i in card_levels]
+    n = len(rows)
+    # every common lies inside base_common, where "at least two" is the size
+    # test itself, so base_common stands in for a missing card level
+    cards = [lmask[i] for i in card_levels] + [base_common, base_common]
+    card_a, card_b = cards[0], cards[1]
+    rest = cards[2 : len(card_levels)]
     out: list[tuple[int, int]] = []
 
-    def passes(common: int) -> bool:
-        return common.bit_count() >= 2 and all((common & mask).bit_count() >= 2 for mask in cards)
-
-    def close(common: int) -> tuple[int, int]:
-        local = seed = 0
-        for i, row in enumerate(rows):
-            if not common & ~row:
-                local |= 1 << i
-                seed |= units[i]
-        return local, seed
-
-    def extend(local: int, common: int, start: int) -> None:
-        for j in range(start, len(rows)):
+    def extend(local: int, seed: int, common: int, start: int) -> None:
+        for j in range(start, n):
             if local >> j & 1:
                 continue
             c = common & rows[j]
-            if not passes(c):
+            if (c & card_a).bit_count() < 2 or (c & card_b).bit_count() < 2:
                 continue
-            closed, seed = close(c)
-            if (closed ^ local) & ((1 << j) - 1):
+            if rest and any((c & mask).bit_count() < 2 for mask in rest):
                 continue
-            if closed & (closed - 1):
-                out.append((seed, c))
-            extend(closed, c, j + 1)
+            for i in range(j):
+                if not c & misses[i] and not local >> i & 1:
+                    break
+            else:
+                closed = local | 1 << j
+                grown = seed | units[j]
+                for i in range(j + 1, n):
+                    if not c & misses[i]:
+                        closed |= 1 << i
+                        grown |= units[i]
+                if closed & (closed - 1):
+                    out.append((grown, c))
+                extend(closed, grown, c, j + 1)
 
-    if passes(base_common):
-        local, seed = close(base_common)
+    c = base_common
+    if all((c & mask).bit_count() >= 2 for mask in cards):
+        local = seed = 0
+        for i in range(n):
+            if not c & misses[i]:
+                local |= 1 << i
+                seed |= units[i]
         if local & (local - 1):
-            out.append((seed, base_common))
-        extend(local, base_common, 0)
+            out.append((seed, c))
+        extend(local, seed, c, 0)
     return out
 
 
@@ -228,38 +249,39 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     Not effective when the candidate family has no maximal element;
     otherwise returns the graph extended by one new level, one vertex per
     maximal candidate, adjacent to exactly that candidate's members. New
-    vertices are labelled by their sorted level-0 ancestors plus the new
-    level index; the rare label clash gets a deterministic ``#n`` suffix.
+    vertices are labelled ``L<k>:`` plus their sorted level-0 ancestors.
+    Vertices that share their ancestors, which is common from the second
+    new level up, are told apart by a ``#n`` suffix (``#2``, ``#3``, ...)
+    in the order of their sorted member labels.
     """
     pairs = _maximal_family(m, op, threads=threads)
     if not pairs:
-        return StepResult(effective=False, graph=None, new_level=())
-    k = m.level_count
+        return StepResult(effective=False, graph=None)
+    labels = m._labels
     anc = _ancestor_masks(m)
 
-    items = []
+    # every common vertex lies below every seed member, so the seed's
+    # ancestors are the new vertex's ancestors
+    groups: dict[int, list[int]] = {}
     for seed, common in pairs:
-        x = seed | common
         ancestors = 0
-        for i in bits(x):
+        for i in bits(seed):
             ancestors |= anc[i]
-        base = f"L{k}:" + ",".join(m._sorted_labels_from_mask(ancestors))
-        items.append((base, m._sorted_labels_from_mask(x), seed, common))
-    items.sort(key=lambda it: (it[0], it[1]))
+        groups.setdefault(ancestors, []).append(seed | common)
 
-    seen: dict[str, int] = {}
-    labelled = []
-    for base, member_labels, seed, common in items:
-        n = seen.get(base, 0) + 1
-        seen[base] = n
-        label = base if n == 1 else f"{base}#{n}"
-        labelled.append((label, member_labels, seed, common))
-    # the new level is stored label-sorted; keep the chosen list aligned
-    labelled.sort(key=lambda it: it[0])
-    new_vertices = [(label, member_labels) for label, member_labels, _, _ in labelled]
-    chosen = tuple(_candidate_from_masks(m, seed, common) for _, _, seed, common in labelled)
-    graph = m.append_level(new_vertices)
-    return StepResult(effective=True, graph=graph, new_level=chosen)
+    level = []
+    for ancestors, rows in groups.items():
+        # level-0 indexes follow label order, so the names come out sorted
+        base = f"L{m.level_count}:" + ",".join([labels[i] for i in bits(ancestors)])
+        if len(rows) == 1:
+            level.append((base, rows[0]))
+            continue
+        rows.sort(key=m._sorted_labels_from_mask)
+        level.append((base, rows[0]))
+        level.extend((f"{base}#{n}", row) for n, row in enumerate(rows[1:], start=2))
+    level.sort()
+    graph = m._append_rows(tuple(label for label, _ in level), [row for _, row in level])
+    return StepResult(effective=True, graph=graph)
 
 
 def particularise(h: MultipartiteGraph) -> MultipartiteGraph:

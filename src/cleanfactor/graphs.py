@@ -84,11 +84,12 @@ class Graph:
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as (u, v) pairs with u < v, sorted."""
+        labels = self._labels
         out = []
         for i, mask in enumerate(self._adj):
-            for j in bits(mask):
-                if j > i:
-                    out.append((self._labels[i], self._labels[j]))
+            u, above = labels[i], i + 1
+            for j in bits(mask >> above):
+                out.append((u, labels[above + j]))
         out.sort()
         return tuple(out)
 
@@ -211,12 +212,13 @@ class MultipartiteGraph:
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge as (lower-level endpoint, higher-level endpoint), sorted."""
+        labels = self._labels
         out = []
         for i, mask in enumerate(self._adj):
-            for j in bits(mask):
-                if j > i:
-                    # level-major index order: j > i implies level_of[j] > level_of[i]
-                    out.append((self._labels[i], self._labels[j]))
+            # level-major index order: j > i implies level_of[j] > level_of[i]
+            u, above = labels[i], i + 1
+            for j in bits(mask >> above):
+                out.append((u, labels[above + j]))
         out.sort()
         return tuple(out)
 
@@ -234,38 +236,59 @@ class MultipartiteGraph:
         if not new_vertices:
             raise InvalidArgumentError("append_level needs at least one new vertex")
         fresh = [label for label, _ in new_vertices]
-        if len(set(fresh)) != len(fresh):
+        fresh_set = set(fresh)
+        if len(fresh_set) != len(fresh):
             raise InvalidArgumentError("duplicate label among new vertices")
         _check_labels(fresh)
         level = tuple(sorted(fresh))
-        # the index is level-major, so every existing index survives and the new ones follow
-        base = len(self._labels)
+        index = self._index
         k = len(self._levels)
+
+        def rows() -> Iterator[int]:
+            row_of = {}
+            for label, nbrs in new_vertices:
+                row = 0
+                for u in nbrs:
+                    j = index.get(u)
+                    if j is None:
+                        if u in fresh_set:
+                            raise InvalidArgumentError(f"edge {u!r}-{label!r} stays inside level {k}")
+                        raise InvalidArgumentError(f"edge endpoint {u!r} is not a declared vertex")
+                    row |= 1 << j
+                row_of[label] = row
+            for v in level:
+                yield row_of[v]
+
+        return self._append_rows(level, rows())
+
+    def _append_rows(self, level: tuple[str, ...], rows: Iterable[int]) -> MultipartiteGraph:
+        """The (k+1)-level graph with ``level`` on top, adjacent by row masks.
+
+        ``level`` holds the new labels, sorted and distinct; ``rows`` gives
+        each one's neighbours as a mask over this graph's indexes, in the
+        same order. It is read only after the labels are checked, so a lazy
+        ``rows`` reports its own errors after any label clash. The index is
+        level-major, so every existing index survives and the new ones
+        follow.
+        """
+        base = len(self._labels)
         index = dict(self._index)
         for i, v in enumerate(level, start=base):
             if v in index:
                 raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
             index[v] = i
-        adj = list(self._adj) + [0] * len(level)
-        for label, nbrs in new_vertices:
-            i = index[label]
+        adj = list(self._adj)
+        for i, row in enumerate(rows, start=base):
             bit = 1 << i
-            row = 0
-            for u in nbrs:
-                j = index.get(u)
-                if j is None:
-                    raise InvalidArgumentError(f"edge endpoint {u!r} is not a declared vertex")
-                if j >= base:
-                    raise InvalidArgumentError(f"edge {u!r}-{label!r} stays inside level {k}")
-                row |= 1 << j
+            for j in bits(row):
                 adj[j] |= bit
-            adj[i] = row
+            adj.append(row)
 
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._levels = self._levels + (level,)
         out._labels = self._labels + level
         out._index = index
-        out._level_of = self._level_of + (k,) * len(level)
+        out._level_of = self._level_of + (len(self._levels),) * len(level)
         out._level_masks = self._level_masks + (((1 << len(level)) - 1) << base,)
         out._adj = tuple(adj)
         return out
@@ -297,17 +320,16 @@ class MultipartiteGraph:
 
 def _ancestor_masks(m: MultipartiteGraph) -> list[int]:
     """Level-0 ancestor bitmask per vertex, following strictly descending edges."""
-    anc = [0] * len(m._labels)
-    for i in range(len(m._labels)):
-        li = m._level_of[i]
-        if li == 0:
-            anc[i] = 1 << i
-            continue
-        below = 0
-        for j in bits(m._adj[i]):
-            if m._level_of[j] < li:
-                below |= anc[j]
-        anc[i] = below
+    # a level-0 vertex is its own ancestor, so the level-0 part of a row is
+    # taken whole; the index is level-major, so lower levels are low bits
+    level0 = m._level_masks[0]
+    anc = [1 << i for i in bits(level0)]
+    for i in range(len(anc), len(m._labels)):
+        row = m._adj[i] & ((1 << i) - 1)
+        below = row & level0
+        for j in bits(row & ~level0):
+            below |= anc[j]
+        anc.append(below)
     return anc
 
 

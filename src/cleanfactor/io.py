@@ -155,7 +155,7 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
         operator=result.operator.value,
         status=result.status.value,
         levels=levels,
-        edges=tuple(sorted(m.edges())),
+        edges=m.edges(),
     )
 
 

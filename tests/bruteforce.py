@@ -4,8 +4,11 @@ The ``subset_*`` functions recompute, from plain label sets and the
 written-out definitions, what the library computes with bitmask kernels
 and closure walks. ``candidate_family`` enumerates every candidate seed on
 bitmasks, which is exponential, and ``maximal_candidates`` filters a
-family by inclusion; the library builds only the maximal candidates. The
-point is independence, not speed; tests compare the paths.
+family by inclusion; the library builds only the maximal candidates.
+``reference_factorise`` is the factorisation step on label sets, from an
+intersection-closure enumeration of the maximal candidates to
+``append_level``. The point is independence, not speed; tests compare the
+paths.
 """
 
 from __future__ import annotations
@@ -168,3 +171,82 @@ def maximal_candidates(family: Iterable[CandidateSet]) -> set[CandidateSet]:
         if not any(cand.members < other.members for other in kept):
             kept.append(cand)
     return set(kept)
+
+
+def closed_candidates(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """The maximal candidates as (seed, common) label sets, by intersection closure.
+
+    Within each class of upper vertices (one class, or one per shared
+    neighbourhood on the operator's equality level), every closed common
+    neighbourhood is an intersection of member neighbourhoods with
+    everything below the upper level. The family of those intersections is
+    grown one member at a time, dropping any that fails the cardinality
+    constraints, which no further intersection can restore. Each common
+    that at least two members cover is one maximal candidate.
+    """
+    _require_multipartite(m)
+    k = m.level_count
+    card_levels, eq_level = _plan(op, k)
+    level_sets = [frozenset(level) for level in m.levels]
+    below = frozenset().union(*level_sets[:-1])
+    uppers = m.levels[-1]
+    nb = {y: m.neighbourhood(y) for y in uppers}
+    classes: dict[frozenset[str], list[str]] = {}
+    for y in uppers:
+        key = m.neighbourhood_at_level(y, eq_level) if eq_level is not None else frozenset()
+        classes.setdefault(key, []).append(y)
+
+    def ok(common: frozenset[str]) -> bool:
+        return len(common) >= 2 and all(len(common & level_sets[i]) >= 2 for i in card_levels)
+
+    out = []
+    for members in classes.values():
+        commons = {below} if ok(below) else set()
+        for y in members:
+            commons |= {c & nb[y] for c in commons if ok(c & nb[y])}
+        for common in commons:
+            seed = frozenset(y for y in members if common <= nb[y])
+            if len(seed) >= 2:
+                out.append((seed, common))
+    return out
+
+
+def reference_factorise(
+    m: MultipartiteGraph, op: OperatorKind
+) -> tuple[MultipartiteGraph | None, tuple[CandidateSet, ...]]:
+    """One factorisation step on label sets: the extended graph and its candidates.
+
+    Takes the maximal candidates from ``closed_candidates``, labels each new
+    vertex ``L<k>:`` plus the sorted level-0 ancestors of all its members,
+    numbers vertices that share a label ``#2``, ``#3``, ... in the order of
+    their sorted member labels, and appends the level through
+    ``append_level``. Returns (None, ()) when there is no candidate.
+    """
+    found = closed_candidates(m, op)
+    if not found:
+        return None, ()
+    k = m.level_count
+    ancestors: dict[str, frozenset[str]] = {v: frozenset([v]) for v in m.levels[0]}
+    for li in range(1, k):
+        for v in m.levels[li]:
+            ancestors[v] = frozenset().union(
+                *(ancestors[u] for i in range(li) for u in m.neighbourhood_at_level(v, i))
+            )
+
+    lower_levels = [frozenset(level) for level in m.levels[:-1]]
+    items = []
+    for seed, common in found:
+        members = seed | common
+        base = f"L{k}:" + ",".join(sorted(frozenset().union(*(ancestors[v] for v in members))))
+        items.append((base, tuple(sorted(members)), seed, common))
+    items.sort(key=lambda it: (it[0], it[1]))
+    seen: dict[str, int] = {}
+    labelled = []
+    for base, members, seed, common in items:
+        seen[base] = seen.get(base, 0) + 1
+        label = base if seen[base] == 1 else f"{base}#{seen[base]}"
+        lowers = tuple(common & level for level in lower_levels)
+        labelled.append((label, members, CandidateSet(upper=seed, lower_by_level=lowers)))
+    labelled.sort(key=lambda it: it[0])
+    graph = m.append_level([(label, members) for label, members, _ in labelled])
+    return graph, tuple(cand for _, _, cand in labelled)

@@ -1,25 +1,36 @@
 """Candidate families, maximality, the factorisation step, particularise."""
 
+import itertools
 import random
 
 import pytest
 
 from cleanfactor import (
     CandidateSet,
+    Graph,
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
     anti_matching,
     factorise,
     particularise,
+    run_series,
     vertex_clique_incidence,
 )
 from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family
 
-from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
-from conftest import random_graph
+from bruteforce import (
+    candidate_family,
+    maximal_candidates,
+    maximal_sets,
+    reference_factorise,
+    subset_candidate_family,
+)
+from conftest import random_connected_graph, random_graph
 
 C1, C2, C3 = "K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"
+# the graph shapes of the benchmark's large-clean workload, drawn from Random(7)
+LARGE_CLEAN_SHAPES = ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7))
 
 
 def drop_top_level(m: MultipartiteGraph) -> MultipartiteGraph:
@@ -238,6 +249,55 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
         assert set(got) == expected
         visited += len(expected)
     assert visited >= 100
+
+
+def random_multipartite(rng: random.Random) -> MultipartiteGraph:
+    """Two to four levels of 1..7 vertices, edges between any two levels."""
+    levels = [[f"{'abcd'[li]}{i}" for i in range(rng.randint(1, 7))] for li in range(rng.randint(2, 4))]
+    p = rng.choice((0.4, 0.6, 0.8))
+    edges = [
+        (u, v)
+        for lo, hi in itertools.combinations(levels, 2)
+        for u in lo
+        for v in hi
+        if rng.random() < p
+    ]
+    return MultipartiteGraph(levels, edges)
+
+
+def test_factorise_matches_the_reference_step(corpus):
+    rng = random.Random(0xFAC7)
+    inputs = [random_multipartite(rng) for _ in range(300)]
+    large = random.Random(7)
+    graphs = corpus[:100] + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES]
+    for g in graphs:
+        inputs.extend(clean_prefix_graphs(g))
+    suffixed = plain = 0
+    for m in inputs:
+        # the weak and factor steps over the widest clean levels take seconds each
+        ops = list(OperatorKind) if len(m.levels[-1]) <= 200 else [OperatorKind.CLEAN]
+        for op in ops:
+            step = factorise(m, op)
+            graph, new_level = reference_factorise(m, op)
+            assert step.effective == (graph is not None)
+            assert step.graph == graph
+            assert step.new_level == new_level
+            if graph is None:
+                continue
+            for slot in ("_index", "_labels", "_level_of", "_level_masks", "_adj"):
+                assert getattr(step.graph, slot) == getattr(graph, slot), slot
+            top = graph.levels[-1]
+            suffixed += sum("#" in x for x in top)
+            plain += sum("#" not in x for x in top)
+    assert suffixed > 0 and plain > 0
+
+
+def test_a_new_label_that_names_an_existing_vertex_is_rejected(g2):
+    # the clean step of G2 labels its one new vertex L2:a,b,c,d
+    g = Graph(g2.vertices + ("L2:a,b,c,d",), g2.edges())
+    with pytest.raises(InvalidArgumentError) as err:
+        run_series(g, OperatorKind.CLEAN)
+    assert str(err.value) == "vertex 'L2:a,b,c,d' appears in more than one level"
 
 
 def test_threads_do_not_change_the_result(g3):

@@ -456,6 +456,17 @@ def test_cli_gen_reconstruct_and_exit_codes(tmp_path, capsys):
     assert cli_main(["cliques", "--input", loop]) == 2
 
 
+def test_cli_decompose_rejects_a_label_clash_with_one_error_line(tmp_path, capsys):
+    # an isolated vertex named like the label the clean step gives G2's new vertex
+    graph_path = write(tmp_path, "clash.txt", G2_TEXT + "L2:a,b,c,d\n")
+    out_path = tmp_path / "d.json"
+    argv = ["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: vertex 'L2:a,b,c,d' appears in more than one level\n"
+    assert not out_path.exists()
+
+
 def test_cli_non_utf8_edge_list_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"a b\nb \xff\n")
