@@ -8,6 +8,7 @@ labels and frozensets. All types are immutable after construction.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError
@@ -58,6 +59,15 @@ class Graph:
         self._labels = labels
         self._index = index
         self._adj = tuple(adj)
+
+    @classmethod
+    def _from_rows(cls, labels: tuple[str, ...], adj: Iterable[int]) -> Graph:
+        """The graph on ``labels`` (sorted, distinct) with these adjacency masks, unchecked."""
+        g = cls.__new__(cls)
+        g._labels = labels
+        g._index = dict(zip(labels, range(len(labels))))
+        g._adj = tuple(adj)
+        return g
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -135,25 +145,16 @@ class MultipartiteGraph:
             level_tuples.append(tuple(sorted(members)))
         if len(level_tuples) < 2:
             raise InvalidArgumentError("a multipartite graph needs at least two levels")
-
-        labels: list[str] = []
-        level_of: list[int] = []
-        index: dict[str, int] = {}
-        for li, members in enumerate(level_tuples):
-            for v in members:
-                if v in index:
+        self._set_levels(tuple(level_tuples))
+        if len(self._index) != len(self._labels):
+            seen: set[str] = set()
+            for v in self._labels:
+                if v in seen:
                     raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
-                index[v] = len(labels)
-                labels.append(v)
-                level_of.append(li)
+                seen.add(v)
 
-        masks: list[int] = []
-        offset = 0
-        for members in level_tuples:
-            masks.append(((1 << len(members)) - 1) << offset)
-            offset += len(members)
-
-        adj = [0] * len(labels)
+        index, level_of = self._index, self._level_of
+        adj = [0] * len(self._labels)
         for u, v in edges:
             iu = index.get(u)
             iv = index.get(v)
@@ -164,13 +165,42 @@ class MultipartiteGraph:
                 raise InvalidArgumentError(f"edge {u!r}-{v!r} stays inside level {level_of[iu]}")
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-
-        self._levels = tuple(level_tuples)
-        self._labels = tuple(labels)
-        self._index = index
-        self._level_of = tuple(level_of)
-        self._level_masks = tuple(masks)
         self._adj = tuple(adj)
+
+    def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
+        """Set every field but ``_adj`` from ``levels``, each a sorted tuple of distinct labels."""
+        self._levels = levels
+        self._labels = tuple(chain.from_iterable(levels))
+        self._index = dict(zip(self._labels, range(len(self._labels))))
+        self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(levels)))
+        masks = []
+        offset = 0
+        for level in levels:
+            masks.append(((1 << len(level)) - 1) << offset)
+            offset += len(level)
+        self._level_masks = tuple(masks)
+
+    @classmethod
+    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[Iterable[int]]) -> MultipartiteGraph:
+        """The graph on ``levels`` where each vertex above level 0 is adjacent to the indexes of its row.
+
+        Nothing is checked: the caller guarantees what ``__init__`` would,
+        with ``rows`` giving one row per vertex from level 1 up, in index
+        order, each naming only indexes on lower levels.
+        """
+        out = cls.__new__(cls)
+        out._set_levels(levels)
+        adj = [0] * len(out._labels)
+        for i, row in enumerate(rows, start=len(levels[0])):
+            # every higher neighbour of i comes later, so adj[i] is still 0 here
+            bit = 1 << i
+            down = 0
+            for j in row:
+                down |= 1 << j
+                adj[j] |= bit
+            adj[i] = down
+        out._adj = tuple(adj)
+        return out
 
     @property
     def levels(self) -> tuple[tuple[str, ...], ...]:

@@ -1,9 +1,14 @@
-"""Edge-list input, canonical JSON decomposition documents, DOT export.
+"""Edge-list input, compact JSON decomposition documents, DOT export.
 
-Documents are byte-deterministic: keys sorted, vertices sorted by (level,
-label), edges sorted lexicographically with the lower-level endpoint
-first. A document binds itself to its input through a content hash of the
-canonical edge list, so verification can refuse mismatched pairs.
+A document (format 2) names each vertex once, in ``levels``, and refers to
+it everywhere else by its global index: level-major, label order within a
+level, as in ``MultipartiteGraph``. ``down`` lists each vertex's lower
+neighbours, so every edge appears once; ``elements`` holds the distinct
+characterising-sequence entries as level-0 index lists and ``sequences``
+each vertex's entries as element indexes. The text is ``json.dumps`` with
+sorted keys and no spaces, so documents are byte-deterministic. A document
+binds itself to its input through a content hash of the canonical edge
+list, so verification can refuse mismatched pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from io import StringIO
-from json.encoder import encode_basestring_ascii
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Any
 
@@ -23,8 +28,6 @@ from .series import SeriesResult
 
 __all__ = [
     "FORMAT_VERSION",
-    "VertexRecord",
-    "LevelRecord",
     "DecompositionDocument",
     "read_edge_list",
     "format_edge_list",
@@ -40,7 +43,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -96,66 +99,49 @@ def graph_content_hash(g: Graph) -> str:
 
 
 @dataclass(frozen=True)
-class VertexRecord:
-    id: str
-    label: str
-    sequence: tuple[tuple[str, ...], ...] | None = None
-
-
-@dataclass(frozen=True)
-class LevelRecord:
-    index: int
-    vertices: tuple[VertexRecord, ...]
-
-
-@dataclass(frozen=True)
 class DecompositionDocument:
-    """Serializable form of a decomposition run.
+    """Serializable form of a decomposition run; the fields are the document's keys.
 
-    Vertex ids are the canonical labels (unique by construction); vertices
-    from level 2 upward carry their characterising sequence.
+    With ``n0`` and ``n1`` vertices on levels 0 and 1, ``down[i - n0]`` lists
+    the lower neighbours of vertex ``i`` and ``sequences[i - n0 - n1]`` its
+    characterising sequence as indexes into ``elements``.
     """
 
     format_version: int
     source_hash: str
     operator: str
     status: str
-    levels: tuple[LevelRecord, ...]
-    edges: tuple[tuple[str, str], ...]
+    levels: tuple[tuple[str, ...], ...]
+    down: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, ...], ...]
+    sequences: tuple[tuple[int, ...], ...]
 
 
-def _stored_sequences(m: MultipartiteGraph) -> dict[int, tuple[tuple[str, ...], ...]]:
-    """Each level >= 2 vertex's sequence as a document stores it, by global index."""
-    labels = m._labels
-    names: dict[int, tuple[str, ...]] = {}  # level-0 indexes follow label order, so names come out sorted
-    out = {}
-    for x, seq in _sequence_masks(m).items():
-        for o in seq:
-            if o not in names:
-                names[o] = tuple(labels[i] for i in bits(o))
-        out[x] = tuple(names[o] for o in seq)
-    return out
+def _sequence_table(m: MultipartiteGraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``elements`` and ``sequences`` as a document stores them for ``m``."""
+    element_of: dict[int, int] = {}
+    sequences = tuple(
+        tuple([element_of.setdefault(o, len(element_of)) for o in seq]) for seq in _sequence_masks(m).values()
+    )
+    # level-0 indexes are the low bits of a mask
+    return tuple(tuple(bits(o)) for o in element_of), sequences
 
 
 def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocument:
     """Canonical document for a finished series run."""
     m = result.final
-    sequences = _stored_sequences(m)
-    index = m._index
-    levels = tuple(
-        LevelRecord(
-            index=li,
-            vertices=tuple(VertexRecord(id=v, label=v, sequence=sequences.get(index[v])) for v in members),
-        )
-        for li, members in enumerate(m.levels)
-    )
+    adj = m._adj
+    elements, sequences = _sequence_table(m)
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=source_hash,
         operator=result.operator.value,
         status=result.status.value,
-        levels=levels,
-        edges=m.edges(),
+        levels=m.levels,
+        # the index is level-major, so the lower neighbours of i are the set bits below i
+        down=tuple(tuple(bits(adj[i] & ((1 << i) - 1))) for i in range(len(m.levels[0]), len(m))),
+        elements=elements,
+        sequences=sequences,
     )
 
 
@@ -163,71 +149,38 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
     """Check the fields that the graph checks do not read.
 
     The document must record a terminated clean series, the only kind the
-    oracle certifies; every label must equal its id; and every stored
-    sequence must be the one ``m`` gives. ``m`` is
-    ``document_to_multipartite(doc)``, which reads none of these fields.
+    oracle certifies, and ``elements`` and ``sequences`` must be exactly
+    what ``m`` gives: every vertex's sequence, and the distinct entries in
+    order of first use. ``m`` is ``document_to_multipartite(doc)``, which
+    reads none of these fields.
     """
     if doc.operator != "clean":
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
-    sequences = _stored_sequences(m)
-    for level in doc.levels:
-        for vr in level.vertices:
-            if vr.label != vr.id:
-                return VerificationReport(False, f"vertex {vr.id!r}: label {vr.label!r} differs from its id")
-            want = sequences.get(m._index[vr.id])
-            if vr.sequence != want:
-                message = f"stored sequence {json.dumps(vr.sequence)} but the graph gives {json.dumps(want)}"
-                return VerificationReport(False, f"vertex {vr.id!r}: {message}")
+    elements, sequences = _sequence_table(m)
+    level0 = doc.levels[0]
+
+    def names(element: tuple[int, ...] | None) -> list[str] | None:
+        return None if element is None else [level0[i] for i in element]
+
+    first = len(m) - len(sequences)
+    for x, have, want in zip(range(first, len(m)), doc.sequences, sequences):
+        stored = [names(doc.elements[e]) for e in have]
+        given = [names(elements[e]) for e in want]
+        if stored != given:
+            message = f"stored sequence {json.dumps(stored)} but the graph gives {json.dumps(given)}"
+            return VerificationReport(False, f"vertex {m._labels[x]!r}: {message}")
+    for e, (have, want) in enumerate(zip_longest(doc.elements, elements)):
+        if have != want:
+            message = f"stored {json.dumps(names(have))} but the graph gives {json.dumps(names(want))}"
+            return VerificationReport(False, f"element {e} (distinct entries in order of first use): {message}")
     return VerificationReport(True)
 
 
-def _list(items: list[str], pad: str) -> str:
-    """A JSON list of rendered ``items``, one per line at indent ``pad``, closed two spaces less."""
-    if not items:
-        return "[]"
-    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
-
-
 def to_json(doc: DecompositionDocument) -> str:
-    """Serialize a document; identical documents give identical bytes.
-
-    The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
-    plus a newline, written directly for this schema: keys in sorted order,
-    two-space indent, every string escaped to ASCII by the ``json`` module's
-    own escaper. ``json.dumps`` runs its pure-Python encoder whenever it
-    indents, which is several times slower.
-    """
-    esc = encode_basestring_ascii
-    pad = " " * 14
-    rendered: dict[tuple[str, ...], str] = {}  # sequence elements repeat across a document
-    levels = []
-    for level in doc.levels:
-        vertices = []
-        for vr in level.vertices:
-            head = f'{{\n          "id": {esc(vr.id)},\n          "label": {esc(vr.label)}'
-            if vr.sequence is None:
-                vertices.append(head + "\n        }")
-                continue
-            items = []
-            for o in vr.sequence:
-                if (item := rendered.get(o)) is None:
-                    item = rendered[o] = _list([esc(v) for v in o], pad)
-                items.append(item)
-            vertices.append(f'{head},\n          "sequence": {_list(items, pad[:-2])}\n        }}')
-        levels.append(
-            f'{{\n      "index": {int.__repr__(level.index)},\n      "vertices": {_list(vertices, " " * 8)}\n    }}'
-        )
-    edges = [f"[\n      {esc(a)},\n      {esc(b)}\n    ]" for a, b in doc.edges]
-    return (
-        f'{{\n  "edges": {_list(edges, "    ")},\n'
-        f'  "format_version": {int.__repr__(doc.format_version)},\n'
-        f'  "levels": {_list(levels, "    ")},\n'
-        f'  "operator": {esc(doc.operator)},\n'
-        f'  "source_hash": {esc(doc.source_hash)},\n'
-        f'  "status": {esc(doc.status)}\n}}\n'
-    )
+    """Serialize a document; identical documents give identical bytes, all ASCII."""
+    return json.dumps(vars(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_decomposition(result: SeriesResult, source_hash: str) -> str:
@@ -244,130 +197,95 @@ def _expect(condition: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
-def _vertex_record(rv: Any, pos: int, ids: set[str]) -> VertexRecord:
-    """Run every check on one vertex record, in order, and build it.
-
-    ``parse_document`` calls this only for a record its fast test refused,
-    so that the rejection names the first check that fails.
-    """
-    _expect(isinstance(rv, dict), "vertex records must be objects")
-    vid = rv.get("id")
-    _expect(isinstance(vid, str), "vertex id must be a string")
-    _expect(vid not in ids, f"duplicate vertex id {vid!r}")
-    ids.add(vid)
-    label = rv.get("label")
-    _expect(isinstance(label, str), "vertex label must be a string")
-    sequence = None
-    if "sequence" in rv:
-        raw_seq = rv["sequence"]
-        _expect(
-            isinstance(raw_seq, list)
-            and all(isinstance(o, list) and all(isinstance(v, str) for v in o) for o in raw_seq),
-            f"vertex {vid!r}: sequence must be a list of label lists",
-        )
-        sequence = tuple(tuple(o) for o in raw_seq)
-    _expect(pos < 2 or sequence is not None, f"vertex {vid!r} at level {pos} needs a sequence")
-    return VertexRecord(id=vid, label=label, sequence=sequence)
+def _index_rows(rows: Any, name: str, count: int | None = None) -> list[list[int]]:
+    """``rows`` if it is a list of integer lists, holding ``count`` rows when given."""
+    _expect(type(rows) is list and set(map(type, rows)) <= {list}, f"{name} must be a list of index lists")
+    _expect(count is None or len(rows) == count, f"{name} must hold {count} rows, not {len(rows)}")
+    _expect(set(map(type, chain.from_iterable(rows))) <= {int}, f"{name} must hold integer indexes")
+    return rows
 
 
-def _sequence(raw_seq: list, elements: dict[tuple, tuple[str, ...]]) -> tuple[tuple[str, ...], ...] | None:
-    """``raw_seq`` as a tuple of label tuples, or None if it is not a list of label lists.
+def _strict(rows: list[list[int]], limit: int) -> bool:
+    """Whether every row is strictly ascending inside ``range(limit)``."""
+    flat = list(chain.from_iterable(rows))
+    return not flat or (min(flat) >= 0 and max(flat) < limit and list(map(sorted, map(set, rows))) == rows)
 
-    ``elements`` maps each label tuple accepted so far to itself, so a
-    document checks each distinct sequence element once and shares it.
-    """
-    out = []
-    for o in raw_seq:
-        if type(o) is not list:
-            return None
-        key = tuple(o)
-        try:
-            out.append(elements[key])
-        except KeyError:
-            if not all(type(v) is str for v in key):
-                return None
-            elements[key] = key
-            out.append(key)
-        except TypeError:  # an unhashable element, so not a label
-            return None
-    return tuple(out)
+
+def _down_problem(row: list[int], limit: int, n: int) -> str:
+    """Why a down row is not strictly ascending below ``limit``."""
+    for j in row:
+        if not 0 <= j < n:
+            return f"index {j} is out of range"
+        if j >= limit:
+            return f"index {j} is not on a lower level"
+    return "indexes are not strictly ascending"
 
 
 def parse_document(text: str) -> DecompositionDocument:
     """Parse and validate a JSON decomposition document.
 
-    Records are tested with exact-type checks first; a record that fails
-    them goes through every check in order, so a rejection always names
-    the first problem in the document.
+    Every field is checked for its exact type (an index is an ``int``, not
+    a ``bool``), its range and its order, so the document decodes to a
+    well-formed multipartite graph. The first problem found is named.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from None
-    _expect(isinstance(payload, dict), "top level must be an object")
-    for key in ("format_version", "source_hash", "operator", "status", "levels", "edges"):
+    except RecursionError:
+        raise DocumentFormatError("not valid JSON: nested too deeply") from None
+    _expect(type(payload) is dict, "top level must be an object")
+    version = payload.get("format_version")
+    supported = type(version) is int and version == FORMAT_VERSION
+    _expect(supported, f"unsupported format_version: this reader takes {FORMAT_VERSION}")
+    for key in ("source_hash", "operator", "status", "levels", "down", "elements", "sequences"):
         _expect(key in payload, f"missing key {key!r}")
-    version = payload["format_version"]
-    _expect(type(version) is int and version == FORMAT_VERSION, "unsupported format_version")
-    _expect(isinstance(payload["source_hash"], str), "source_hash must be a string")
+    _expect(type(payload["source_hash"]) is str, "source_hash must be a string")
     _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
     _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
-    _expect(isinstance(payload["levels"], list) and len(payload["levels"]) >= 2, "need at least two levels")
 
-    ids: set[str] = set()
-    elements: dict[tuple, tuple[str, ...]] = {}
-    levels = []
-    for pos, level in enumerate(payload["levels"]):
-        _expect(isinstance(level, dict), "levels must be objects")
-        index = level.get("index")
-        _expect(type(index) is int and index == pos, f"level index {index!r} out of order")
-        raw_vertices = level.get("vertices")
-        _expect(isinstance(raw_vertices, list) and raw_vertices, f"level {pos} needs vertices")
-        records = []
-        for rv in raw_vertices:
-            sequence = None
-            if (
-                type(rv) is dict
-                and type(vid := rv.get("id")) is str
-                and vid not in ids
-                and type(label := rv.get("label")) is str
-                and (
-                    ("sequence" not in rv and pos < 2)
-                    or (
-                        type(raw_seq := rv.get("sequence")) is list
-                        and (sequence := _sequence(raw_seq, elements)) is not None
-                    )
-                )
-            ):
-                ids.add(vid)
-                records.append(VertexRecord(vid, label, sequence))
-            else:
-                records.append(_vertex_record(rv, pos, ids))
-        levels.append(LevelRecord(index=pos, vertices=tuple(records)))
+    levels = payload["levels"]
+    _expect(type(levels) is list and len(levels) >= 2, "need at least two levels")
+    for li, level in enumerate(levels):
+        labelled = type(level) is list and level and set(map(type, level)) == {str}
+        _expect(labelled, f"level {li} must be a non-empty list of labels")
+        _expect(sorted(set(level)) == level, f"level {li}: labels are not sorted and distinct")
+    labels = list(chain.from_iterable(levels))
+    n, n0, n1 = len(labels), len(levels[0]), len(levels[1])
+    _expect(len(set(labels)) == n, "a label appears on more than one level")
 
-    _expect(isinstance(payload["edges"], list), "edges must be a list")
-    edges = []
-    for raw in payload["edges"]:
-        if type(raw) is list and len(raw) == 2:
-            a, b = raw
-            if type(a) is str and type(b) is str and a in ids and b in ids:
-                edges.append((a, b))
-                continue
-        _expect(
-            isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, str) for v in raw),
-            "edges must be pairs of ids",
-        )
-        a, b = raw
-        _expect(a in ids and b in ids, f"edge [{a!r}, {b!r}] references an undeclared id")
-        edges.append((a, b))
+    down = _index_rows(payload["down"], "down", n - n0)
+    limit = n0
+    for level in levels[1:]:
+        rows = down[limit - n0 : limit - n0 + len(level)]
+        if not _strict(rows, limit):
+            label, row = next((v, r) for v, r in zip(level, rows) if not _strict([r], limit))
+            raise DocumentFormatError(f"down row of {label!r}: {_down_problem(row, limit, n)}")
+        limit += len(level)
+
+    elements = _index_rows(payload["elements"], "elements")
+    if not _strict(elements, n0):
+        e = next(e for e, element in enumerate(elements) if not _strict([element], n0))
+        raise DocumentFormatError(f"element {e}: indexes must be strictly ascending level-0 indexes")
+
+    sequences = _index_rows(payload["sequences"], "sequences", n - n0 - n1)
+    start = 0
+    for li, level in enumerate(levels[2:], start=2):
+        lengths = set(map(len, sequences[start : start + len(level)]))
+        _expect(lengths == {li - 1}, f"level {li}: every sequence must have length {li - 1}")
+        start += len(level)
+    flat = list(chain.from_iterable(sequences))
+    _expect(not flat or (min(flat) >= 0 and max(flat) < len(elements)), "sequences must index into elements")
 
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],
-        levels=tuple(levels),
-        edges=tuple(edges),
+        levels=tuple(map(tuple, levels)),
+        down=tuple(map(tuple, down)),
+        elements=tuple(map(tuple, elements)),
+        sequences=tuple(map(tuple, sequences)),
     )
 
 
@@ -382,31 +300,21 @@ def read_document(path: str | Path) -> DecompositionDocument:
 
 
 def document_to_multipartite(doc: DecompositionDocument) -> MultipartiteGraph:
-    """Rebuild the multipartite graph a document describes."""
-    levels = [[vr.id for vr in level.vertices] for level in doc.levels]
-    return MultipartiteGraph(levels, doc.edges)
+    """Rebuild the multipartite graph a document from ``build_document`` or ``parse_document`` describes."""
+    return MultipartiteGraph._from_rows(doc.levels, doc.down)
 
 
 def reconstruct_graph(doc: DecompositionDocument) -> Graph:
-    """Recover the original graph: level-0 vertices, clique unions as edges."""
-    if len(doc.levels) < 2:
-        raise DocumentFormatError("reconstruction needs at least two levels")
-    level0 = [vr.id for vr in doc.levels[0].vertices]
-    level0_set = set(level0)
-    level1_set = {vr.id for vr in doc.levels[1].vertices}
-    members: dict[str, list[str]] = {c: [] for c in level1_set}
-    for a, b in doc.edges:
-        if a in level0_set and b in level1_set:
-            members[b].append(a)
-        elif b in level0_set and a in level1_set:
-            members[a].append(b)
-    edges: set[tuple[str, str]] = set()
-    for clique in members.values():
-        clique.sort()
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                edges.add((u, v))
-    return Graph(level0, edges)
+    """Recover the original graph: level-0 vertices, each level-1 clique's members pairwise adjacent."""
+    level0 = doc.levels[0]
+    adj = [0] * len(level0)
+    for row in doc.down[: len(doc.levels[1])]:
+        clique = 0
+        for j in row:
+            clique |= 1 << j
+        for j in row:
+            adj[j] |= clique
+    return Graph._from_rows(level0, [mask & ~(1 << i) for i, mask in enumerate(adj)])
 
 
 def to_dot(m: MultipartiteGraph) -> str:

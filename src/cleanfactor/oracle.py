@@ -423,13 +423,15 @@ def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
 
     ``series`` may pass in a precomputed clean run to avoid recomputing it.
     """
-    family = maximal_cliques(g)
-    per_vertex = {v: 0 for v in g.vertices}
-    for clique in family:
-        for v in clique:
+    if len(g) == 0:
+        raise InvalidArgumentError("the size bound of the empty graph is undefined")
+    cliques = _clique_masks(g._adj)
+    per_vertex = [0] * len(g)
+    for clique in cliques:
+        for v in bits(clique):
             per_vertex[v] += 1
-    k = max(per_vertex.values())
-    c = max(len(clique) for clique in family)
+    k = max(per_vertex)
+    c = max(clique.bit_count() for clique in cliques)
     n = len(g)
     bound = min(k * (2**c) * factorial(c), (2**k) * factorial(k) + 1) * n
     if series is None:

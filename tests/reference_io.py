@@ -1,23 +1,63 @@
-"""Reference implementations of the document codec.
+"""Document format 1, kept as the reference for format 2.
 
-``reference_to_json`` is the serialiser as first written: the document as
-nested dicts and lists through ``json.dumps(indent=2, sort_keys=True)``.
-``reference_parse_document`` validates with one plain check per field, in
-document order. The library writes the same bytes directly and parses with
-exact-type fast tests; tests require both to give the same text, the same
-documents and the same rejection messages.
+Format 1 names every vertex by its label everywhere: a level is a list of
+``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
+sequence entry a list of level-0 labels, all written by
+``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
+format 2 only; tests require both formats to decode to the same graph and
+the same sequences.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any
 
-from cleanfactor import DecompositionDocument, DocumentFormatError
-from cleanfactor.io import FORMAT_VERSION, LevelRecord, VertexRecord
+from cleanfactor import DocumentFormatError, MultipartiteGraph, SeriesResult
+from cleanfactor.graphs import bits
+from cleanfactor.oracle import _sequence_masks
+
+FORMAT_VERSION = 1
 
 
-def reference_to_json(doc: DecompositionDocument) -> str:
+@dataclass(frozen=True)
+class VertexRecord:
+    id: str
+    label: str
+    sequence: tuple[tuple[str, ...], ...] | None = None
+
+
+@dataclass(frozen=True)
+class LevelRecord:
+    index: int
+    vertices: tuple[VertexRecord, ...]
+
+
+@dataclass(frozen=True)
+class V1Document:
+    format_version: int
+    source_hash: str
+    operator: str
+    status: str
+    levels: tuple[LevelRecord, ...]
+    edges: tuple[tuple[str, str], ...]
+
+
+def reference_build_document(result: SeriesResult, source_hash: str) -> V1Document:
+    m = result.final
+    sequences = {
+        m._labels[x]: tuple(tuple(m._labels[i] for i in bits(o)) for o in seq)
+        for x, seq in _sequence_masks(m).items()
+    }
+    levels = tuple(
+        LevelRecord(index=li, vertices=tuple(VertexRecord(v, v, sequences.get(v)) for v in members))
+        for li, members in enumerate(m.levels)
+    )
+    return V1Document(FORMAT_VERSION, source_hash, result.operator.value, result.status.value, levels, m.edges())
+
+
+def reference_to_json(doc: V1Document) -> str:
     payload: dict[str, Any] = {
         "format_version": doc.format_version,
         "source_hash": doc.source_hash,
@@ -44,7 +84,8 @@ def _expect(condition: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
-def reference_parse_document(text: str) -> DecompositionDocument:
+def reference_parse_document(text: str) -> V1Document:
+    """One plain check per field, in document order; the first failure is named."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -100,7 +141,7 @@ def reference_parse_document(text: str) -> DecompositionDocument:
         _expect(a in ids and b in ids, f"edge [{a!r}, {b!r}] references an undeclared id")
         edges.append((a, b))
 
-    return DecompositionDocument(
+    return V1Document(
         format_version=FORMAT_VERSION,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
@@ -108,3 +149,10 @@ def reference_parse_document(text: str) -> DecompositionDocument:
         levels=tuple(levels),
         edges=tuple(edges),
     )
+
+
+def reference_decode(doc: V1Document) -> tuple[MultipartiteGraph, dict[str, tuple[tuple[str, ...], ...]]]:
+    """The graph a format-1 document describes, and each stored sequence by vertex label."""
+    graph = MultipartiteGraph([[vr.id for vr in level.vertices] for level in doc.levels], doc.edges)
+    sequences = {vr.id: vr.sequence for level in doc.levels for vr in level.vertices if vr.sequence is not None}
+    return graph, sequences

@@ -16,11 +16,13 @@ from collections import Counter
 import pytest
 
 from cleanfactor import (
+    Graph,
     MultipartiteGraph,
     OperatorKind,
     SeriesStatus,
     anti_matching,
     cliques_containing,
+    document_to_multipartite,
     factorise,
     graph_content_hash,
     intersection_family,
@@ -30,6 +32,7 @@ from cleanfactor import (
     run_series,
     run_series_from_bipartite,
     size_bound,
+    to_json,
     verify_bijection,
     verify_neighbourhood_formula,
     vertex_clique_incidence,
@@ -111,6 +114,42 @@ def test_termination_bound(clean_runs):
     for g, result in runs:
         assert result.status is SeriesStatus.TERMINATED
         assert len(result.level_sizes) <= len(g) + 1
+
+
+def complete_multipartite(parts: int, size: int):
+    """K_{size,...,size} with ``parts`` parts: its maximal cliques take one vertex from each part."""
+    vertices = [f"p{i}v{j}" for i in range(parts) for j in range(size)]
+    edges = [(u, v) for u, v in itertools.combinations(vertices, 2) if u[:2] != v[:2]]
+    return Graph(vertices, edges)
+
+
+@criterion("worst-case families: K_{3,3,3,3,3} (Moon-Moser), K_{2,2,2,2,2}, K_{4,4,4}")
+@pytest.mark.parametrize(
+    "parts, size, level_sizes",
+    [
+        (5, 3, (15, 243, 765, 4860, 4860)),
+        (5, 2, (10, 32, 200, 1040, 960)),
+        (3, 4, (12, 64, 48)),
+    ],
+    ids=["K3x5", "K2x5", "K4x3"],
+)
+def test_worst_case_families(parts, size, level_sizes):
+    g = complete_multipartite(parts, size)
+    result = run_series(g, OperatorKind.CLEAN)
+    assert result.status is SeriesStatus.TERMINATED
+    assert result.level_sizes == level_sizes
+    assert len(level_sizes) <= len(g) + 1
+    bijection = verify_bijection(g, result.final)
+    assert bijection.passed, bijection.counterexample
+    formula = verify_neighbourhood_formula(result.final)
+    assert formula.passed, formula.counterexample
+    bound = size_bound(g, series=result)
+    assert bound.holds, (bound.actual, bound.bound)
+    text = write_decomposition(result, graph_content_hash(g))
+    doc = parse_document(text)
+    assert to_json(doc) == text
+    assert document_to_multipartite(doc) == result.final
+    assert reconstruct_graph(doc) == g
 
 
 @criterion("neighbourhood formula on every corpus instance")

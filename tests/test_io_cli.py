@@ -1,7 +1,12 @@
 """Edge-list parsing, document round trips, and the command line."""
 
+import contextlib
+import io
 import json
 import random
+import tempfile
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,10 @@ from cleanfactor import (
     EdgeListParseError,
     Graph,
     InvalidArgumentError,
+    MultipartiteGraph,
     OperatorKind,
+    SeriesResult,
+    SeriesStatus,
     anti_matching,
     build_document,
     cli_main,
@@ -28,12 +36,11 @@ from cleanfactor import (
     run_series_from_bipartite,
     to_dot,
     to_json,
+    verify_document_fields,
     write_decomposition,
 )
-from cleanfactor.io import LevelRecord, VertexRecord
-
 from conftest import make_g2, make_g3, random_connected_graph
-from reference_io import reference_parse_document, reference_to_json
+from reference_io import reference_build_document, reference_decode, reference_parse_document, reference_to_json
 
 G2_TEXT = "a b\na c\nb c\nb d\nc d\n"
 
@@ -83,19 +90,38 @@ def test_format_edge_list_round_trips(tmp_path):
 
 def test_document_shape_triangle(triangle):
     doc = build_document(run_series(triangle, OperatorKind.CLEAN), graph_content_hash(triangle))
-    assert len(doc.levels) == 2
-    assert sum(len(level.vertices) for level in doc.levels) == 4
-    assert len(doc.edges) == 3
+    assert doc.levels == (("a", "b", "c"), ("K:a,b,c",))
+    assert doc.down == ((0, 1, 2),)
+    assert doc.elements == doc.sequences == ()
     assert doc.status == "terminated" and doc.operator == "clean"
 
 
 def test_document_shape_g2():
     g = make_g2()
     doc = build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g))
-    assert len(doc.levels) == 3
-    assert sum(len(level.vertices) for level in doc.levels) == 7
-    (record,) = doc.levels[2].vertices
-    assert record.sequence == (("b", "c"),)
+    assert doc.levels == (("a", "b", "c", "d"), ("K:a,b,c", "K:b,c,d"), ("L2:a,b,c,d",))
+    assert doc.down == ((0, 1, 2), (1, 2, 3), (1, 2, 4, 5))
+    # the one sequence is ({b, c}), and b, c are level-0 indexes 1, 2
+    assert doc.elements == ((1, 2),)
+    assert doc.sequences == ((0,),)
+
+
+G2_GOLDEN = (
+    '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"elements":[[1,2]],"format_version":2,'
+    '"levels":[["a","b","c","d"],["K:a,b,c","K:b,c,d"],["L2:a,b,c,d"]],"operator":"clean","sequences":[[0]],'
+    '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
+)
+G3_GOLDEN = (
+    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[0,1,2,6,7],[0,1,6,7,8],[0,1,6,7,9,10]],"elements":[[0,1,2],[0,1]],'
+    '"format_version":2,"levels":[["1","2","3","4","5","6"],["K:1,2,3,4","K:1,2,3,5","K:1,2,6"],'
+    '["L2:1,2,3,4,5","L2:1,2,3,4,5,6"],["L3:1,2,3,4,5,6"]],"operator":"clean","sequences":[[0],[1],[1,0]],'
+    '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
+)
+
+
+@pytest.mark.parametrize("make, golden", [(make_g2, G2_GOLDEN), (make_g3, G3_GOLDEN)], ids=["G2", "G3"])
+def test_golden_bytes(make, golden):
+    assert decomposition_text(make()) == golden
 
 
 def test_serialization_is_byte_deterministic():
@@ -135,30 +161,51 @@ def test_parse_document_rejects_malformed_input():
     bad = dict(good, format_version=99)
     with pytest.raises(DocumentFormatError):
         parse_document(json.dumps(bad))
-    bad = dict(good, edges=good["edges"] + [["ghost", "a"]])
+    bad = dict(good, down=good["down"][:-1] + [[0, 99]])
     with pytest.raises(DocumentFormatError):
         parse_document(json.dumps(bad))
 
 
+def decoded(text):
+    """The graph a format-2 text decodes to, and each vertex's sequence as level-0 label tuples."""
+    doc = parse_document(text)
+    m = document_to_multipartite(doc)
+    level0 = doc.levels[0]
+    first = len(m) - len(doc.sequences)
+    sequences = {
+        m.vertices[x]: tuple(tuple(level0[i] for i in doc.elements[e]) for e in seq)
+        for x, seq in enumerate(doc.sequences, start=first)
+    }
+    return m, sequences
+
+
+def assert_formats_agree(result, source_hash):
+    """Format 1 (the reference) and format 2 decode ``result`` to the same graph and sequences."""
+    v1 = reference_to_json(reference_build_document(result, source_hash))
+    v2 = write_decomposition(result, source_hash)
+    assert v2.isascii()
+    assert to_json(parse_document(v2)) == v2
+    m, sequences = decoded(v2)
+    assert (m, sequences) == reference_decode(reference_parse_document(v1))
+    assert m == result.final
+
+
 def test_codec_matches_the_reference_on_benchmark_documents(clean_runs):
     runs, _ = clean_runs
-    docs = [build_document(result, graph_content_hash(g)) for g, result in runs]
+    for g, result in runs:
+        assert_formats_agree(result, graph_content_hash(g))
     rng = random.Random(7)
     for n, p in ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7)):
         g = random_connected_graph(rng, n, p)
-        docs.append(build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g)))
+        assert_formats_agree(run_series(g, OperatorKind.CLEAN), graph_content_hash(g))
     for n in (3, 4, 5):
         h = anti_matching(n)
         result = run_series_from_bipartite(h, OperatorKind.FACTOR)
-        docs.append(build_document(result, graph_content_hash(Graph(h.vertices, h.edges()))))
-    for doc in docs:
-        text = reference_to_json(doc)
-        assert to_json(doc) == text
-        assert parse_document(text) == reference_parse_document(text) == doc
+        assert_formats_agree(result, graph_content_hash(Graph(h.vertices, h.edges())))
 
 
-# quotes, escapes, control and non-ASCII characters, an astral character, and the generated id syntax
-ADVERSARIAL = '"\\\n\x00\u00e9\U0001d11e,:#ab'
+# quotes, escapes, control and non-ASCII characters, an astral character, and the generated label syntax
+ADVERSARIAL = '"\\\n\x00é\U0001d11e,:#ab'
 adversarial_labels = st.one_of(
     st.text(ADVERSARIAL, min_size=1, max_size=5),
     st.builds(str.__add__, st.sampled_from(["K:", "L2:"]), st.text(ADVERSARIAL, max_size=3)),
@@ -166,59 +213,58 @@ adversarial_labels = st.one_of(
 
 
 @st.composite
-def documents(draw):
-    ids = draw(st.lists(adversarial_labels, min_size=2, max_size=10, unique=True))
-    level_of = [0, 1] + [draw(st.integers(0, 3)) for _ in ids[2:]]
+def multipartite_runs(draw):
+    """A finished run on a multipartite graph with adversarial labels and any edges between levels."""
+    labels = draw(st.lists(adversarial_labels, min_size=2, max_size=10, unique=True))
+    level_of = [0, 1] + [draw(st.integers(0, 3)) for _ in labels[2:]]
     used = sorted(set(level_of))
-    levels = []
-    for pos, li in enumerate(used):
-        records = []
-        for vid, lv in zip(ids, level_of):
-            if lv != li:
-                continue
-            label = draw(st.one_of(st.just(vid), adversarial_labels))
-            sequence = None
-            if pos >= 2 or draw(st.booleans()):
-                sequence = tuple(tuple(o) for o in draw(st.lists(st.lists(adversarial_labels, max_size=3), max_size=3)))
-            records.append(VertexRecord(id=vid, label=label, sequence=sequence))
-        levels.append(LevelRecord(index=pos, vertices=tuple(records)))
-    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8))
-    return DecompositionDocument(
-        format_version=1,
-        source_hash=draw(st.text(ADVERSARIAL)),
-        operator=draw(st.sampled_from(["weak", "factor", "clean"])),
-        status=draw(st.sampled_from(["terminated", "budget-exceeded"])),
-        levels=tuple(levels),
-        edges=tuple(edges),
+    levels = [[v for v, lv in zip(labels, level_of) if lv == li] for li in used]
+    pairs = [(u, v) for a, lower in enumerate(levels) for upper in levels[a + 1 :] for u in lower for v in upper]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    m = MultipartiteGraph(levels, edges)
+    return SeriesResult(
+        final=m,
+        status=draw(st.sampled_from(list(SeriesStatus))),
+        steps=m.level_count - 2,
+        level_sizes=tuple(len(level) for level in m.levels),
+        operator=draw(st.sampled_from(list(OperatorKind))),
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(documents())
-def test_codec_matches_the_reference_on_adversarial_labels(doc):
-    text = to_json(doc)
-    assert text == reference_to_json(doc)
-    assert text.isascii()
-    parsed = parse_document(text)
-    assert parsed == reference_parse_document(text) == doc
-    assert to_json(parsed) == text
+@given(multipartite_runs(), st.text(ADVERSARIAL))
+def test_codec_matches_the_reference_on_adversarial_labels(result, source_hash):
+    assert_formats_agree(result, source_hash)
+    doc = parse_document(write_decomposition(result, source_hash))
+    assert (doc.source_hash, doc.operator, doc.status) == (source_hash, result.operator.value, result.status.value)
 
 
 def test_to_json_writes_empty_containers_like_json_dumps():
-    vertex = VertexRecord(id="x", label="x", sequence=())
+    # a vertex without lower neighbours, an empty sequence entry, and a document without sequences
     docs = [
-        DecompositionDocument(1, "h", "clean", "terminated", (), ()),
-        DecompositionDocument(1, "h", "clean", "terminated", (LevelRecord(0, ()),), ()),
-        DecompositionDocument(1, "h", "clean", "terminated", (LevelRecord(0, (vertex,)),), ()),
-        DecompositionDocument(1, "h", "clean", "terminated", (LevelRecord(0, (VertexRecord("x", "x", ((),)),)),), ()),
+        DecompositionDocument(2, "h", "weak", "budget-exceeded", (("a",), ("b",), ("c",)), ((), (0,)), ((),), ((0,),)),
+        DecompositionDocument(2, "h", "clean", "terminated", (("a",), ("b",)), ((0,),), (), ()),
     ]
     for doc in docs:
-        assert to_json(doc) == reference_to_json(doc)
+        payload = {
+            "format_version": 2,
+            "source_hash": doc.source_hash,
+            "operator": doc.operator,
+            "status": doc.status,
+            "levels": [list(level) for level in doc.levels],
+            "down": [list(row) for row in doc.down],
+            "elements": [list(o) for o in doc.elements],
+            "sequences": [list(s) for s in doc.sequences],
+        }
+        text = to_json(doc)
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert parse_document(text) == doc
 
 
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
 NOT_LABEL_LISTS = "vertex 'L2:a,b,c,d': sequence must be a list of label lists"
+V1_REJECTED = "unsupported format_version: this reader takes 2"
 
 
 @pytest.mark.parametrize(
@@ -265,7 +311,20 @@ NOT_LABEL_LISTS = "vertex 'L2:a,b,c,d': sequence must be a list of label lists"
     ],
 )
 def test_parse_document_rejections_match_the_reference(path, value, message):
-    payload = json.loads(decomposition_text(make_g2()))
+    """Malformed format-1 documents: the reference names the fault, the library refuses the format."""
+    g = make_g2()
+    v1 = reference_to_json(reference_build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g)))
+    text = json.dumps(edited(json.loads(v1), path, value))
+    with pytest.raises(DocumentFormatError) as err:
+        reference_parse_document(text)
+    assert str(err.value) == message
+    with pytest.raises(DocumentFormatError) as err:
+        parse_document(text)
+    assert str(err.value) == V1_REJECTED
+
+
+def edited(payload, path, value):
+    """``payload`` with the item at ``path`` set to ``value``, or deleted for ``DELETE``."""
     *parents, last = path
     target = payload
     for key in parents:
@@ -274,26 +333,100 @@ def test_parse_document_rejections_match_the_reference(path, value, message):
         del target[last]
     else:
         target[last] = value
-    text = json.dumps(payload)
+    return payload
+
+
+# G2 in format 2: levels a b c d | K:a,b,c K:b,c,d | L2:a,b,c,d, so level 1 holds indexes 4, 5 and level 2 index 6
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("down", 0), [0, 1, 4], "down row of 'K:a,b,c': index 4 is not on a lower level"),
+        (("down", 0), [0, 1, 6], "down row of 'K:a,b,c': index 6 is not on a lower level"),
+        (("down", 2), [1, 2, 4, 6], "down row of 'L2:a,b,c,d': index 6 is not on a lower level"),
+        (("down", 0), [-1, 0, 1], "down row of 'K:a,b,c': index -1 is out of range"),
+        (("down", 0), [0, 1, 7], "down row of 'K:a,b,c': index 7 is out of range"),
+        (("down", 0), [0, 2, 1], "down row of 'K:a,b,c': indexes are not strictly ascending"),
+        (("down", 0), [0, 1, 1], "down row of 'K:a,b,c': indexes are not strictly ascending"),
+        (("down", 0), [0, 1, True], "down must hold integer indexes"),
+        (("down", 0), [0, 1, 2.0], "down must hold integer indexes"),
+        (("down", 0), "0 1 2", "down must be a list of index lists"),
+        (("down", 2), DELETE, "down must hold 3 rows, not 2"),
+        (("down",), None, "down must be a list of index lists"),
+        (("elements", 0), [2, 1], "element 0: indexes must be strictly ascending level-0 indexes"),
+        (("elements", 0), [1, 4], "element 0: indexes must be strictly ascending level-0 indexes"),
+        (("elements", 0), [False], "elements must hold integer indexes"),
+        (("sequences", 0), [0, 0], "level 2: every sequence must have length 1"),
+        (("sequences", 0), [1], "sequences must index into elements"),
+        (("sequences", 0), [-1], "sequences must index into elements"),
+        (("sequences", 0), [True], "sequences must hold integer indexes"),
+        (("levels", 0), ["b", "a", "c", "d"], "level 0: labels are not sorted and distinct"),
+        (("levels", 0), ["a", "a", "c", "d"], "level 0: labels are not sorted and distinct"),
+        (("levels", 0), ["K:a,b,c", "b", "c", "d"], "a label appears on more than one level"),
+        (("levels", 0), ["a", "b", "c", 4], "level 0 must be a non-empty list of labels"),
+        (("levels", 2), [], "level 2 must be a non-empty list of labels"),
+        (("levels",), [["a", "b", "c", "d"]], "need at least two levels"),
+        (("operator",), "strong", "unknown operator"),
+        (("status",), None, "unknown status"),
+        (("source_hash",), 7, "source_hash must be a string"),
+        (("elements",), DELETE, "missing key 'elements'"),
+        (("format_version",), 1, V1_REJECTED),
+        (("format_version",), True, V1_REJECTED),
+        (("format_version",), 2.0, V1_REJECTED),
+    ],
+    ids=[
+        "down-own-level",
+        "down-level-above",
+        "down-own-level-at-level-2",
+        "down-negative",
+        "down-beyond-last",
+        "down-unsorted",
+        "down-repeated",
+        "down-boolean",
+        "down-float",
+        "down-row-not-list",
+        "down-row-missing",
+        "down-null",
+        "element-unsorted",
+        "element-not-level-0",
+        "element-boolean",
+        "sequence-too-long",
+        "sequence-past-elements",
+        "sequence-negative",
+        "sequence-boolean",
+        "level-unsorted",
+        "level-repeated",
+        "label-on-two-levels",
+        "label-not-string",
+        "level-empty",
+        "one-level",
+        "unknown-operator",
+        "unknown-status",
+        "hash-not-string",
+        "missing-key",
+        "format-version-1",
+        "boolean-format-version",
+        "float-format-version",
+    ],
+)
+def test_parse_document_rejects_each_malformed_field(path, value, message):
+    text = json.dumps(edited(json.loads(decomposition_text(make_g2())), path, value))
     with pytest.raises(DocumentFormatError) as err:
         parse_document(text)
-    assert str(err.value) == message
-    with pytest.raises(DocumentFormatError) as err:
-        reference_parse_document(text)
     assert str(err.value) == message
 
 
 @pytest.mark.parametrize("edges", [5, None], ids=["number", "null"])
 def test_cli_verify_rejects_non_list_edges(tmp_path, capsys, edges):
+    # format 2 keeps the edges in down, one row per vertex
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     payload = json.loads(decomposition_text(make_g2()))
-    payload["edges"] = edges
+    payload["down"] = edges
     doc_path = write(tmp_path, "d.json", json.dumps(payload))
     capsys.readouterr()
     assert cli_main(["verify", "--decomposition", doc_path, "--input", graph_path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: edges must be a list\n"
+    assert captured.err == "error: down must be a list of index lists\n"
 
 
 def test_to_dot_mentions_every_vertex():
@@ -320,7 +453,7 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys):
     out_path = str(tmp_path / "d.json")
     cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])
     payload = json.loads((tmp_path / "d.json").read_text())
-    payload["edges"] = payload["edges"][1:]  # drop one edge
+    payload["down"][0] = payload["down"][0][1:]  # drop one edge
     (tmp_path / "d.json").write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli_main(["verify", "--decomposition", out_path, "--input", graph_path]) == 1
@@ -336,31 +469,30 @@ def test_cli_verify_prints_level_counts(tmp_path, capsys):
     assert "bijection: ok (2:2/2 3:1/1)\n" in capsys.readouterr().out
 
 
-def tamper_vertex_field(tmp_path, level, field, value):
-    """Decompose G2, overwrite one field of the first vertex record on ``level``, return the verify argv."""
-    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
-    out_path = tmp_path / "d.json"
-    cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)])
-    payload = json.loads(out_path.read_text())
-    payload["levels"][level]["vertices"][0][field] = value
-    out_path.write_text(json.dumps(payload))
-    return ["verify", "--decomposition", str(out_path), "--input", graph_path]
-
-
 @pytest.mark.parametrize(
-    "level, field, value, detail",
+    "graph, edit, detail",
     [
-        (2, "sequence", [["b", "c", "d"]], """vertex 'L2:a,b,c,d': stored sequence [["b", "c", "d"]] but the graph gives [["b", "c"]]"""),
-        (2, "sequence", [["c", "b"]], """vertex 'L2:a,b,c,d': stored sequence [["c", "b"]] but the graph gives [["b", "c"]]"""),
-        (0, "sequence", [["a", "b"]], """vertex 'a': stored sequence [["a", "b"]] but the graph gives null"""),
-        (1, "label", "K:x", "vertex 'K:a,b,c': label 'K:x' differs from its id"),
+        (make_g2, {"elements": [[1, 2, 3]]}, """vertex 'L2:a,b,c,d': stored sequence [["b", "c", "d"]] but the graph gives [["b", "c"]]"""),
+        (
+            make_g3,
+            {"sequences": [[0], [1], [0, 1]]},
+            """vertex 'L3:1,2,3,4,5,6': stored sequence [["1", "2", "3"], ["1", "2"]] but the graph gives [["1", "2"], ["1", "2", "3"]]""",
+        ),
+        (make_g2, {"elements": [[1, 2], [0]]}, """element 1 (distinct entries in order of first use): stored ["a"] but the graph gives null"""),
+        (
+            make_g2,
+            {"elements": [[0], [1, 2]], "sequences": [[1]]},
+            """element 0 (distinct entries in order of first use): stored ["a"] but the graph gives ["b", "c"]""",
+        ),
     ],
-    ids=["sequence", "unsorted-sequence", "level-0-sequence", "label"],
+    ids=["sequence", "unsorted-sequence", "unused-element", "element-order"],
 )
-def test_cli_verify_rejects_tampered_document_fields(tmp_path, capsys, level, field, value, detail):
-    argv = tamper_vertex_field(tmp_path, level, field, value)
+def test_cli_verify_rejects_tampered_document_fields(tmp_path, capsys, graph, edit, detail):
+    g = graph()
+    graph_path = write(tmp_path, "g.txt", format_edge_list(g))
+    doc_path = write(tmp_path, "d.json", json.dumps(json.loads(decomposition_text(g)) | edit))
     capsys.readouterr()
-    assert cli_main(argv) == 1
+    assert cli_main(["verify", "--decomposition", doc_path, "--input", graph_path]) == 1
     out = capsys.readouterr().out
     assert f"document-fields: FAIL ({detail})\n" in out
     assert out.count(": ok") == 4
@@ -507,3 +639,134 @@ def test_cli_non_utf8_document_is_a_format_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "is not valid UTF-8" in captured.err
         assert captured.err.count("\n") == 1
+
+
+def run_cli(argv):
+    """Exit status, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def document_command(command, doc_path, graph_path):
+    """The argv of ``verify`` or ``reconstruct`` on ``doc_path``."""
+    argv = [command, "--decomposition", doc_path]
+    return argv + ["--input", graph_path] if command == "verify" else argv
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_deeply_nested_document_is_a_format_error(tmp_path, command):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", "[" * 200_000)
+    with pytest.raises(DocumentFormatError):
+        read_document(doc_path)
+    expected = (2, "", "error: not valid JSON: nested too deeply\n")
+    assert run_cli(document_command(command, doc_path, graph_path)) == expected
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_a_format_1_document_with_one_error_line(tmp_path, command):
+    g = make_g2()
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    v1 = reference_to_json(reference_build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g)))
+    doc_path = write(tmp_path, "d.json", v1)
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {V1_REJECTED}\n")
+
+
+def test_cli_reconstruct_rejects_an_edge_inside_a_level(tmp_path):
+    # format 1 could hold an edge ["a", "b"] inside level 0, which reconstruct accepted and verify refused;
+    # a format-2 row can name only indexes, and one on its own level is refused
+    payload = json.loads(decomposition_text(make_g2()))
+    payload["down"][0] = [0, 1, 2, 5]  # 5 is 'K:b,c,d', on the level of 'K:a,b,c' itself
+    doc_path = write(tmp_path, "d.json", json.dumps(payload))
+    assert run_cli(["reconstruct", "--decomposition", doc_path]) == (
+        2, "", "error: down row of 'K:a,b,c': index 5 is not on a lower level\n")
+
+
+SEED_DOCUMENTS = [json.loads(decomposition_text(g)) for g in (make_g2(), make_g3())]
+
+
+@st.composite
+def broken_documents(draw):
+    """A valid format-2 document with one field edited so that it breaks a rule of the format."""
+    payload = json.loads(json.dumps(draw(st.sampled_from(SEED_DOCUMENTS))))
+    n0, n = len(payload["levels"][0]), sum(map(len, payload["levels"]))
+    junk = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2), st.none())
+    field = draw(st.sampled_from(["down", "elements", "sequences", "levels", "top"]))
+    if field == "top":
+        key = draw(st.sampled_from(sorted(payload)))
+        if draw(st.booleans()):
+            del payload[key]
+        else:
+            payload["format_version"] = draw(st.sampled_from([1, 3, True, 2.0, "2", None]))
+        return payload
+    rows = payload[field]
+    r = draw(st.integers(0, len(rows) - 1))
+    row = rows[r]
+    if field == "levels":
+        moves = ["junk", "repeat", "other-level"] + (["reverse"] if len(row) > 1 else [])
+    elif field == "sequences":
+        moves = ["junk", "repeat", "out-of-range", "longer"]
+    else:
+        moves = ["junk", "repeat", "out-of-range"] + (["reverse"] if len(row) > 1 else [])
+    move = draw(st.sampled_from(moves))
+    if move == "junk":
+        items = st.lists(st.one_of(junk, st.just([])), min_size=1, max_size=3)
+        rows[r] = draw(st.one_of(junk, items.map(lambda extra: row + extra)))
+    elif move == "repeat":
+        row.insert(draw(st.integers(0, len(row) - 1)), row[0])
+    elif move == "reverse":
+        row.reverse()
+    elif move == "longer":
+        row.append(0)
+    elif move == "other-level":
+        others = [v for level in payload["levels"] if level is not row for v in level]
+        row.append(draw(st.sampled_from(others)))
+        row.sort()
+    else:
+        # a down row may name only indexes below the first index of its vertex's level
+        own_level = max(start for start in accumulate(map(len, payload["levels"]), initial=0) if start <= n0 + r)
+        limit = {"down": own_level, "elements": n0, "sequences": len(payload["elements"])}[field]
+        bad = draw(st.one_of(st.integers(-3, -1), st.integers(limit, n + 3)))
+        rows[r] = sorted(set(row) | {bad}) if draw(st.booleans()) else [bad]
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_documents())
+def test_broken_documents_are_format_errors(payload):
+    text = json.dumps(payload)
+    with pytest.raises(DocumentFormatError):
+        parse_document(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = write(Path(tmp), "d.json", text)
+        code, out, err = run_cli(["reconstruct", "--decomposition", doc_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 12), st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SEED_DOCUMENTS), st.data())
+def test_parse_document_raises_only_format_errors(seed, data):
+    """Any node of a document replaced by any JSON value: a format error or a document that decodes."""
+    payload = json.loads(json.dumps(seed))
+    parent, key = payload, data.draw(st.sampled_from(sorted(payload)))
+    while isinstance(parent[key], list) and parent[key] and data.draw(st.booleans()):
+        parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
+    parent[key] = data.draw(json_values)
+    try:
+        doc = parse_document(json.dumps(payload))
+    except DocumentFormatError:
+        return
+    m = document_to_multipartite(doc)
+    assert reconstruct_graph(doc).vertices == doc.levels[0] == m.levels[0]
+    verify_document_fields(doc, m)
+    assert parse_document(to_json(doc)) == doc

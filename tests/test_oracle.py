@@ -262,6 +262,17 @@ def test_size_bound_accepts_a_precomputed_run(g3):
     assert size_bound(g3, series=run) == size_bound(g3)
 
 
+def test_size_bound_counts_match_the_clique_family(clean_runs):
+    runs, _ = clean_runs
+    for g, result in runs:
+        family = maximal_cliques(g)
+        sb = size_bound(g, series=result)
+        assert sb.k == max(sum(v in clique for clique in family) for v in g.vertices)
+        assert sb.c == max(map(len, family))
+    with pytest.raises(InvalidArgumentError):
+        size_bound(Graph([]))
+
+
 def test_poset_height_is_bounded_by_n_minus_2():
     rng = random.Random(627)
     for _ in range(25):
