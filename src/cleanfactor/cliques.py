@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, bits
+from .graphs import Graph, MultipartiteGraph, _checked_levels, bits
 
 __all__ = [
     "CliqueFamily",
@@ -47,8 +47,9 @@ class CliqueFamily:
 
 
 def _clique_masks(adj: tuple[int, ...]) -> list[int]:
-    # Bron-Kerbosch with a greedy pivot. Deterministic: candidates are
-    # scanned in bit order and pivot ties keep the lowest index.
+    # The maximal cliques of a non-empty graph, by Bron-Kerbosch with a greedy
+    # pivot. Deterministic: candidates are scanned in bit order and pivot ties
+    # keep the lowest index.
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -75,8 +76,9 @@ def _clique_masks(adj: tuple[int, ...]) -> list[int]:
             p ^= low
             x |= low
 
-    if adj:
-        expand(0, (1 << len(adj)) - 1, 0)
+    if not adj:
+        raise InvalidArgumentError("maximal cliques of the empty graph are undefined")
+    expand(0, (1 << len(adj)) - 1, 0)
     return out
 
 
@@ -86,8 +88,6 @@ def maximal_cliques(g: Graph) -> CliqueFamily:
     The family is sorted lexicographically on the sorted member lists.
     Raises on the empty graph, which has no clique family.
     """
-    if len(g) == 0:
-        raise InvalidArgumentError("maximal cliques of the empty graph are undefined")
     labels = g.vertices
     found = [frozenset(labels[i] for i in bits(m)) for m in _clique_masks(g._adj)]
     found.sort(key=lambda c: tuple(sorted(c)))
@@ -100,14 +100,11 @@ def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     Level 0 holds the vertices, level 1 one vertex per maximal clique, and
     membership gives the edges.
     """
-    family = maximal_cliques(g)
-    level1: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for clique in family:
-        label = clique_label(clique)
-        level1.append(label)
-        edges.extend((v, label) for v in clique)
-    return MultipartiteGraph((g.vertices, level1), edges)
+    labels = g.vertices
+    # both graphs index level 0 in label order, so a clique mask is its row
+    level1 = sorted((clique_label([labels[i] for i in bits(c)]), c) for c in _clique_masks(g._adj))
+    levels = _checked_levels((labels, [label for label, _ in level1]))
+    return MultipartiteGraph._from_rows(levels, [c for _, c in level1])
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

@@ -23,10 +23,12 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import MultipartiteGraph, _ancestor_masks, bits
+from .graphs import MultipartiteGraph, bits
 
 __all__ = [
     "OperatorKind",
@@ -94,7 +96,7 @@ class StepResult:
         if g is None:
             return ()
         upper = g._level_masks[-2]
-        rows = (g._adj[i] for i in bits(g._level_masks[-1]))
+        rows = g._down[-len(g.levels[-1]) :]
         return tuple(_candidate_from_masks(g, row & upper, row & ~upper) for row in rows)
 
 
@@ -215,7 +217,8 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind, threads: int = 1) ->
     _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
-    adj = m._adj
+    # the upper level is the top one, so its rows are whole neighbourhoods
+    adj = m._down
     lmask = m._level_masks
     uppers = list(bits(lmask[k - 1]))
     base_common = 0
@@ -243,45 +246,47 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind, threads: int = 1) ->
     return [pair for chunk in chunks for pair in chunk]
 
 
+def _level_labels(m: MultipartiteGraph, k: int, ancestors: Sequence[int], rows: Sequence[int]) -> list[str]:
+    """Labels of level-``k`` vertices given by ancestor masks and rows over ``m``, in input order.
+
+    A vertex is ``L<k>:`` plus its sorted level-0 ancestors. Vertices that
+    share their ancestors, common from the second new level up, get a
+    ``#n`` suffix (``#2``, ``#3``, ...) in the order of their sorted member
+    labels. ``factorise`` names with it and ``verify`` checks with it.
+    """
+    labels = m._labels
+    groups: dict[int, list[int]] = {}
+    for t, a in enumerate(ancestors):
+        groups.setdefault(a, []).append(t)
+    out = [""] * len(rows)
+    for a, group in groups.items():
+        # level-0 indexes follow label order, so the names come out sorted
+        base = f"L{k}:" + ",".join([labels[i] for i in bits(a)])
+        if len(group) > 1:
+            group.sort(key=lambda t: sorted([labels[i] for i in bits(rows[t])]))
+        for n, t in enumerate(group, start=1):
+            out[t] = f"{base}#{n}" if n > 1 else base
+    return out
+
+
 def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> StepResult:
     """Apply one factorisation step of the given variant.
 
     Not effective when the candidate family has no maximal element;
     otherwise returns the graph extended by one new level, one vertex per
-    maximal candidate, adjacent to exactly that candidate's members. New
-    vertices are labelled ``L<k>:`` plus their sorted level-0 ancestors.
-    Vertices that share their ancestors, which is common from the second
-    new level up, are told apart by a ``#n`` suffix (``#2``, ``#3``, ...)
-    in the order of their sorted member labels.
+    maximal candidate, adjacent to exactly that candidate's members and
+    labelled as ``_level_labels`` says.
     """
     pairs = _maximal_family(m, op, threads=threads)
     if not pairs:
         return StepResult(effective=False, graph=None)
-    labels = m._labels
-    anc = _ancestor_masks(m)
-
+    anc = m._ancestors().__getitem__
     # every common vertex lies below every seed member, so the seed's
     # ancestors are the new vertex's ancestors
-    groups: dict[int, list[int]] = {}
-    for seed, common in pairs:
-        ancestors = 0
-        for i in bits(seed):
-            ancestors |= anc[i]
-        groups.setdefault(ancestors, []).append(seed | common)
-
-    level = []
-    for ancestors, rows in groups.items():
-        # level-0 indexes follow label order, so the names come out sorted
-        base = f"L{m.level_count}:" + ",".join([labels[i] for i in bits(ancestors)])
-        if len(rows) == 1:
-            level.append((base, rows[0]))
-            continue
-        rows.sort(key=m._sorted_labels_from_mask)
-        level.append((base, rows[0]))
-        level.extend((f"{base}#{n}", row) for n, row in enumerate(rows[1:], start=2))
-    level.sort()
-    graph = m._append_rows(tuple(label for label, _ in level), [row for _, row in level])
-    return StepResult(effective=True, graph=graph)
+    ancestors = [reduce(or_, map(anc, bits(seed))) for seed, _ in pairs]
+    rows = [seed | common for seed, common in pairs]
+    labels, rows, ancestors = zip(*sorted(zip(_level_labels(m, m.level_count, ancestors, rows), rows, ancestors)))
+    return StepResult(effective=True, graph=m._append_rows(labels, rows, ancestors))
 
 
 def particularise(h: MultipartiteGraph) -> MultipartiteGraph:

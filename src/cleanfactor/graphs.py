@@ -2,8 +2,12 @@
 
 Vertex sets are handled internally as integer bitmasks over a per-graph
 vertex index (level-major, label-sorted within each level), so every set
-operation is deterministic across runs. The public surface speaks plain
-labels and frozensets. All types are immutable after construction.
+operation is deterministic across runs. A ``MultipartiteGraph`` stores only
+each vertex's lower neighbourhood, so appending a level rewrites no row.
+Up-neighbourhoods are derived where read: ``edges()`` transposes the rows,
+and the first public up-query on a graph builds its up-index. The public
+surface speaks plain labels and frozensets. All types are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -122,6 +126,27 @@ class Graph:
         return f"Graph({len(self._labels)} vertices, {self.edge_count()} edges)"
 
 
+def _checked_levels(levels: Sequence[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
+    """``levels`` as sorted label tuples, after the checks a multipartite graph needs."""
+    level_tuples: list[tuple[str, ...]] = []
+    for li, level in enumerate(levels):
+        members = list(level)
+        _check_labels(members)
+        if len(set(members)) != len(members):
+            raise InvalidArgumentError(f"duplicate vertex label inside level {li}")
+        if not members:
+            raise InvalidArgumentError(f"level {li} is empty")
+        level_tuples.append(tuple(sorted(members)))
+    if len(level_tuples) < 2:
+        raise InvalidArgumentError("a multipartite graph needs at least two levels")
+    seen: set[str] = set()
+    for v in chain.from_iterable(level_tuples):
+        if v in seen:
+            raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
+        seen.add(v)
+    return tuple(level_tuples)
+
+
 class MultipartiteGraph:
     """An ordered multipartite graph: disjoint non-empty levels V0..V(k-1), k >= 2.
 
@@ -131,30 +156,12 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_adj")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
-        level_tuples: list[tuple[str, ...]] = []
-        for li, level in enumerate(levels):
-            members = list(level)
-            _check_labels(members)
-            if len(set(members)) != len(members):
-                raise InvalidArgumentError(f"duplicate vertex label inside level {li}")
-            if not members:
-                raise InvalidArgumentError(f"level {li} is empty")
-            level_tuples.append(tuple(sorted(members)))
-        if len(level_tuples) < 2:
-            raise InvalidArgumentError("a multipartite graph needs at least two levels")
-        self._set_levels(tuple(level_tuples))
-        if len(self._index) != len(self._labels):
-            seen: set[str] = set()
-            for v in self._labels:
-                if v in seen:
-                    raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
-                seen.add(v)
-
+        self._set_levels(_checked_levels(levels))
         index, level_of = self._index, self._level_of
-        adj = [0] * len(self._labels)
+        down = [0] * len(self._labels)
         for u, v in edges:
             iu = index.get(u)
             iv = index.get(v)
@@ -163,12 +170,12 @@ class MultipartiteGraph:
                 raise InvalidArgumentError(f"edge endpoint {missing!r} is not a declared vertex")
             if level_of[iu] == level_of[iv]:
                 raise InvalidArgumentError(f"edge {u!r}-{v!r} stays inside level {level_of[iu]}")
-            adj[iu] |= 1 << iv
-            adj[iv] |= 1 << iu
-        self._adj = tuple(adj)
+            # level-major index order: the lower endpoint has the lower index
+            down[max(iu, iv)] |= 1 << min(iu, iv)
+        self._down = tuple(down)
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
-        """Set every field but ``_adj`` from ``levels``, each a sorted tuple of distinct labels."""
+        """Set every field but ``_down`` from ``levels``, each a sorted tuple of distinct labels."""
         self._levels = levels
         self._labels = tuple(chain.from_iterable(levels))
         self._index = dict(zip(self._labels, range(len(self._labels))))
@@ -179,27 +186,18 @@ class MultipartiteGraph:
             masks.append(((1 << len(level)) - 1) << offset)
             offset += len(level)
         self._level_masks = tuple(masks)
+        self._anc = None
+        self._up = None
 
     @classmethod
-    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[Iterable[int]]) -> MultipartiteGraph:
-        """The graph on ``levels`` where each vertex above level 0 is adjacent to the indexes of its row.
+    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int]) -> MultipartiteGraph:
+        """The graph on ``levels`` with these lower-neighbourhood masks, one per vertex from level 1 up.
 
-        Nothing is checked: the caller guarantees what ``__init__`` would,
-        with ``rows`` giving one row per vertex from level 1 up, in index
-        order, each naming only indexes on lower levels.
+        Nothing is checked: the caller guarantees what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
-        adj = [0] * len(out._labels)
-        for i, row in enumerate(rows, start=len(levels[0])):
-            # every higher neighbour of i comes later, so adj[i] is still 0 here
-            bit = 1 << i
-            down = 0
-            for j in row:
-                down |= 1 << j
-                adj[j] |= bit
-            adj[i] = down
-        out._adj = tuple(adj)
+        out._down = (0,) * len(levels[0]) + tuple(rows)
         return out
 
     @property
@@ -227,33 +225,33 @@ class MultipartiteGraph:
     def neighbourhood(self, x: str) -> frozenset[str]:
         """N(x) across all levels."""
         self._require(x)
-        return self._labels_from_mask(self._adj[self._index[x]])
+        i = self._index[x]
+        return self._labels_from_mask(self._down[i] | self._up_masks()[i])
 
     def neighbourhood_at_level(self, x: str, i: int) -> frozenset[str]:
         """N_i(x): the neighbours of ``x`` inside level ``i``. Pure query."""
         self._require(x)
         if not 0 <= i < len(self._levels):
             raise InvalidArgumentError(f"level index {i} out of range 0..{len(self._levels) - 1}")
-        return self._labels_from_mask(self._adj[self._index[x]] & self._level_masks[i])
+        ix = self._index[x]
+        row = self._down[ix] if i <= self._level_of[ix] else self._up_masks()[ix]
+        return self._labels_from_mask(row & self._level_masks[i])
 
     def degree(self, v: str) -> int:
         self._require(v)
-        return self._adj[self._index[v]].bit_count()
+        i = self._index[v]
+        return self._down[i].bit_count() + self._up_masks()[i].bit_count()
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge as (lower-level endpoint, higher-level endpoint), sorted."""
         labels = self._labels
-        out = []
-        for i, mask in enumerate(self._adj):
-            # level-major index order: j > i implies level_of[j] > level_of[i]
-            u, above = labels[i], i + 1
-            for j in bits(mask >> above):
-                out.append((u, labels[above + j]))
+        # grouped by lower endpoint, each group in index order: few runs for the sort to merge
+        out = [(labels[j], labels[i]) for j, above in enumerate(self._above()) for i in above]
         out.sort()
         return tuple(out)
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        return sum(row.bit_count() for row in self._down)
 
     def append_level(self, new_vertices: Sequence[tuple[str, Iterable[str]]]) -> MultipartiteGraph:
         """Return a (k+1)-level graph with one extra level on top.
@@ -291,15 +289,16 @@ class MultipartiteGraph:
 
         return self._append_rows(level, rows())
 
-    def _append_rows(self, level: tuple[str, ...], rows: Iterable[int]) -> MultipartiteGraph:
+    def _append_rows(self, level: tuple[str, ...], rows: Iterable[int], anc: tuple[int, ...] = ()) -> MultipartiteGraph:
         """The (k+1)-level graph with ``level`` on top, adjacent by row masks.
 
         ``level`` holds the new labels, sorted and distinct; ``rows`` gives
         each one's neighbours as a mask over this graph's indexes, in the
-        same order. It is read only after the labels are checked, so a lazy
-        ``rows`` reports its own errors after any label clash. The index is
-        level-major, so every existing index survives and the new ones
-        follow.
+        same order, and ``anc``, when not empty, each one's level-0
+        ancestor mask. ``rows`` is read only after the labels are checked,
+        so a lazy ``rows`` reports its own errors after any label clash.
+        The index is level-major, so every existing index and row survives
+        and the new ones follow.
         """
         base = len(self._labels)
         index = dict(self._index)
@@ -307,12 +306,6 @@ class MultipartiteGraph:
             if v in index:
                 raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
             index[v] = i
-        adj = list(self._adj)
-        for i, row in enumerate(rows, start=base):
-            bit = 1 << i
-            for j in bits(row):
-                adj[j] |= bit
-            adj.append(row)
 
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._levels = self._levels + (level,)
@@ -320,16 +313,36 @@ class MultipartiteGraph:
         out._index = index
         out._level_of = self._level_of + (len(self._levels),) * len(level)
         out._level_masks = self._level_masks + (((1 << len(level)) - 1) << base,)
-        out._adj = tuple(adj)
+        out._down = self._down + tuple(rows)
+        out._anc = self._ancestors() + anc if anc else None
+        out._up = None
         return out
 
     # -- internal helpers shared inside the package ---------------------
 
+    def _ancestors(self) -> tuple[int, ...]:
+        """Level-0 ancestor mask per vertex: carried by ``factorise``, else computed on first use."""
+        if self._anc is None:
+            self._anc = _ancestor_masks(self)
+        return self._anc
+
+    def _above(self) -> list[list[int]]:
+        """Per vertex, the ascending indexes of its higher-level neighbours."""
+        above: list[list[int]] = [[] for _ in self._labels]
+        for i, row in enumerate(self._down):
+            for j in bits(row):
+                above[j].append(i)
+        return above
+
+    def _up_masks(self) -> tuple[int, ...]:
+        """Higher-level neighbourhood mask per vertex, built on first use."""
+        if self._up is None:
+            # the bits are distinct, so their sum is their union
+            self._up = tuple(sum(map((1).__lshift__, above)) for above in self._above())
+        return self._up
+
     def _labels_from_mask(self, mask: int) -> frozenset[str]:
         return frozenset(self._labels[i] for i in bits(mask))
-
-    def _sorted_labels_from_mask(self, mask: int) -> tuple[str, ...]:
-        return tuple(sorted(self._labels[i] for i in bits(mask)))
 
     def _require(self, v: str) -> None:
         if v not in self._index:
@@ -338,35 +351,30 @@ class MultipartiteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultipartiteGraph):
             return NotImplemented
-        return self._levels == other._levels and self._adj == other._adj
+        return self._levels == other._levels and self._down == other._down
 
     def __hash__(self) -> int:
-        return hash((self._levels, self._adj))
+        return hash((self._levels, self._down))
 
     def __repr__(self) -> str:
         sizes = ",".join(str(len(lv)) for lv in self._levels)
         return f"MultipartiteGraph(levels=[{sizes}], {self.edge_count()} edges)"
 
 
-def _ancestor_masks(m: MultipartiteGraph) -> list[int]:
+def _ancestor_masks(m: MultipartiteGraph) -> tuple[int, ...]:
     """Level-0 ancestor bitmask per vertex, following strictly descending edges."""
     # a level-0 vertex is its own ancestor, so the level-0 part of a row is
     # taken whole; the index is level-major, so lower levels are low bits
     level0 = m._level_masks[0]
-    anc = [1 << i for i in bits(level0)]
-    for i in range(len(anc), len(m._labels)):
-        row = m._adj[i] & ((1 << i) - 1)
+    anc = [1 << i for i in range(len(m._levels[0]))]
+    for row in m._down[len(anc) :]:
         below = row & level0
         for j in bits(row & ~level0):
             below |= anc[j]
         anc.append(below)
-    return anc
+    return tuple(anc)
 
 
 def level0_ancestors(m: MultipartiteGraph) -> dict[str, frozenset[str]]:
     """Map each vertex to the level-0 vertices reachable by descending paths."""
-    anc = _ancestor_masks(m)
-    return {
-        m._labels[i]: m._labels_from_mask(anc[i])
-        for i in range(len(m._labels))
-    }
+    return {v: m._labels_from_mask(a) for v, a in zip(m._labels, m._ancestors())}

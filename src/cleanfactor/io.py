@@ -21,9 +21,11 @@ from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Any
 
+from .cliques import clique_label
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
+from .factorisation import _level_labels
 from .graphs import Graph, MultipartiteGraph, bits
-from .oracle import VerificationReport, _sequence_masks
+from .oracle import VerificationReport, _level_indexes, _sequence_masks
 from .series import SeriesResult
 
 __all__ = [
@@ -130,7 +132,6 @@ def _sequence_table(m: MultipartiteGraph) -> tuple[tuple[tuple[int, ...], ...], 
 def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocument:
     """Canonical document for a finished series run."""
     m = result.final
-    adj = m._adj
     elements, sequences = _sequence_table(m)
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
@@ -138,8 +139,7 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
         operator=result.operator.value,
         status=result.status.value,
         levels=m.levels,
-        # the index is level-major, so the lower neighbours of i are the set bits below i
-        down=tuple(tuple(bits(adj[i] & ((1 << i) - 1))) for i in range(len(m.levels[0]), len(m))),
+        down=tuple(tuple(bits(row)) for row in m._down[len(m.levels[0]) :]),
         elements=elements,
         sequences=sequences,
     )
@@ -149,15 +149,25 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
     """Check the fields that the graph checks do not read.
 
     The document must record a terminated clean series, the only kind the
-    oracle certifies, and ``elements`` and ``sequences`` must be exactly
-    what ``m`` gives: every vertex's sequence, and the distinct entries in
-    order of first use. ``m`` is ``document_to_multipartite(doc)``, which
-    reads none of these fields.
+    oracle certifies. Every label above level 0 must be the one the series
+    gives that vertex (``clique_label`` on level 1, ``_level_labels``
+    above), and ``elements`` and ``sequences`` must be exactly what ``m``
+    gives: every vertex's sequence, and the distinct entries in order of
+    first use. ``m`` is ``document_to_multipartite(doc)``, which is built
+    from ``levels`` and ``down`` alone.
     """
     if doc.operator != "clean":
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
+    labels, down, anc = m._labels, m._down, m._ancestors()
+    given = [clique_label([labels[i] for i in bits(down[x])]) for x in _level_indexes(m, 1)]
+    for k in range(2, m.level_count):
+        level = _level_indexes(m, k)
+        given += _level_labels(m, k, anc[level.start : level.stop], down[level.start : level.stop])
+    for x, want in enumerate(given, start=len(labels) - len(given)):
+        if labels[x] != want:
+            return VerificationReport(False, f"vertex {x}: label {labels[x]!r} but the graph gives {want!r}")
     elements, sequences = _sequence_table(m)
     level0 = doc.levels[0]
 
@@ -301,7 +311,8 @@ def read_document(path: str | Path) -> DecompositionDocument:
 
 def document_to_multipartite(doc: DecompositionDocument) -> MultipartiteGraph:
     """Rebuild the multipartite graph a document from ``build_document`` or ``parse_document`` describes."""
-    return MultipartiteGraph._from_rows(doc.levels, doc.down)
+    # the indexes of a row are distinct, so their sum is their union
+    return MultipartiteGraph._from_rows(doc.levels, [sum(map((1).__lshift__, row)) for row in doc.down])
 
 
 def reconstruct_graph(doc: DecompositionDocument) -> Graph:

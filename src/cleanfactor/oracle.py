@@ -209,7 +209,8 @@ def _sequence_masks(m: MultipartiteGraph, indexes: Iterable[int] | None = None) 
     ``characterising_sequence`` for the entries. Clique sets recur across
     vertices, so their intersections are memoised.
     """
-    adj = m._adj
+    # every row read here is a lower neighbourhood
+    adj = m._down
     lmask = m._level_masks
     level_of = m._level_of
     bottom, cliques = lmask[0], lmask[1]
@@ -280,9 +281,8 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     if set(m.levels[0]) != set(g.vertices):
         return _fail("level 0 does not match the input graph's vertex set")
     # both vertex sets are now one sorted tuple, so g's masks are m's level-0 masks
-    bottom = m._level_masks[0]
     cliques = _clique_masks(g._adj)
-    level1 = [m._adj[c] & bottom for c in _level_indexes(m, 1)]
+    level1 = [m._down[c] for c in _level_indexes(m, 1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
 
@@ -345,7 +345,8 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
     j is bucketed by sequence prefix, so only the matching bucket is
     scanned.
     """
-    adj = m._adj
+    # each vertex is compared with lower levels only, so its lower neighbourhood is all it reads
+    adj = m._down
     lmask = m._level_masks
     labels = m._labels
     sequences = _sequence_masks(m)
@@ -353,11 +354,13 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
     def fmt(mask: int) -> str:
         return _fmt(m._labels_from_mask(mask))
 
+    cliques = [(1 << c, adj[c]) for c in _level_indexes(m, 1)]
+    containing: dict[int, int] = {}  # a last entry -> the cliques that contain it
     for x, s in sequences.items():
         last = s[-1]
-        want = lmask[1]
-        for v in bits(last):
-            want &= adj[v]
+        want = containing.get(last)
+        if want is None:
+            want = containing[last] = sum(bit for bit, row in cliques if not last & ~row)
         actual = adj[x] & lmask[1]
         if want != actual:
             return _fail(

@@ -130,7 +130,7 @@ def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet
     _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
-    adj = m._adj
+    adj = m._down  # the upper level is the top one, so its rows are whole neighbourhoods
     lmask = m._level_masks
     eq_mask = lmask[eq_level] if eq_level is not None else 0
     uppers = list(bits(lmask[k - 1]))

@@ -123,18 +123,32 @@ def complete_multipartite(parts: int, size: int):
     return Graph(vertices, edges)
 
 
-@criterion("worst-case families: K_{3,3,3,3,3} (Moon-Moser), K_{2,2,2,2,2}, K_{4,4,4}")
+def particularised_anti_matching(n: int):
+    """The graph whose maximal cliques include the upper neighbourhoods of ``particularise(anti_matching(n))``.
+
+    On b1..bn and the pins p:u1..p:un, each {bj : j != i} plus p:ui is a
+    clique; for n >= 3 so is {b1..bn}.
+    """
+    h = particularise(anti_matching(n))
+    edges = [e for u in h.levels[1] for e in itertools.combinations(sorted(h.neighbourhood(u)), 2)]
+    return Graph(h.levels[0], edges)
+
+
+@criterion("worst-case families: K_{3,3,3,3,3} (Moon-Moser), K_{2,2,2,2,2}, K_{4,4,4}, particularised anti-matchings")
 @pytest.mark.parametrize(
-    "parts, size, level_sizes",
+    "make, level_sizes",
     [
-        (5, 3, (15, 243, 765, 4860, 4860)),
-        (5, 2, (10, 32, 200, 1040, 960)),
-        (3, 4, (12, 64, 48)),
+        (functools.partial(complete_multipartite, 5, 3), (15, 243, 765, 4860, 4860)),
+        (functools.partial(complete_multipartite, 5, 2), (10, 32, 200, 1040, 960)),
+        (functools.partial(complete_multipartite, 3, 4), (12, 64, 48)),
+        (functools.partial(particularised_anti_matching, 5), (10, 6, 25, 80, 60)),
+        (functools.partial(particularised_anti_matching, 6), (12, 7, 56, 360, 660, 360)),
+        (functools.partial(particularised_anti_matching, 7), (14, 8, 119, 1372, 4620, 5880, 2520)),
     ],
-    ids=["K3x5", "K2x5", "K4x3"],
+    ids=["K3x5", "K2x5", "K4x3", "PAM5", "PAM6", "PAM7"],
 )
-def test_worst_case_families(parts, size, level_sizes):
-    g = complete_multipartite(parts, size)
+def test_worst_case_families(make, level_sizes):
+    g = make()
     result = run_series(g, OperatorKind.CLEAN)
     assert result.status is SeriesStatus.TERMINATED
     assert result.level_sizes == level_sizes

@@ -284,7 +284,7 @@ def test_factorise_matches_the_reference_step(corpus):
             assert step.new_level == new_level
             if graph is None:
                 continue
-            for slot in ("_index", "_labels", "_level_of", "_level_masks", "_adj"):
+            for slot in ("_index", "_labels", "_level_of", "_level_masks", "_down"):
                 assert getattr(step.graph, slot) == getattr(graph, slot), slot
             top = graph.levels[-1]
             suffixed += sum("#" in x for x in top)

@@ -6,15 +6,21 @@ import random
 import pytest
 
 from cleanfactor import (
+    DecompositionDocument,
     Graph,
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
+    document_to_multipartite,
     factorise,
     level0_ancestors,
     run_series,
     vertex_clique_incidence,
 )
+from cleanfactor import graphs
+
+from conftest import random_connected_graph
+from test_factorisation import LARGE_CLEAN_SHAPES, clean_prefix_graphs
 
 
 def test_graph_basics():
@@ -146,7 +152,7 @@ def test_append_level_matches_the_constructor_on_random_graphs():
         appended = m.append_level(new_vertices)
         built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
         assert appended == built
-        for slot in ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_adj"):
+        for slot in ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down"):
             assert getattr(appended, slot) == getattr(built, slot), slot
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
@@ -183,3 +189,98 @@ def test_level0_ancestors(g2):
     assert anc["K:b,c,d"] == {"b", "c", "d"}
     (top,) = m.levels[2]
     assert anc[top] == {"a", "b", "c", "d"}
+
+
+def random_levels_and_edges(rng: random.Random) -> tuple[list[list[str]], list[tuple[str, str]]]:
+    """Three to five levels of 1..7 vertices; edges in either orientation, some repeated."""
+    levels = [[f"{'abcde'[li]}{i}" for i in range(rng.randint(1, 7))] for li in range(rng.randint(3, 5))]
+    for level in levels:
+        rng.shuffle(level)
+    p = rng.choice((0.2, 0.5, 0.8))
+    edges = [(u, v) for lo, hi in itertools.combinations(levels, 2) for u in lo for v in hi if rng.random() < p]
+    edges += rng.sample(edges, min(len(edges), 2))
+    return levels, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def built_three_ways(levels, edges) -> list[MultipartiteGraph]:
+    """The graph on ``levels`` and ``edges`` from the constructor, ``append_level`` and a document."""
+    whole = MultipartiteGraph(levels, edges)
+    top = set(levels[-1])
+    lower = MultipartiteGraph(levels[:-1], [(u, v) for u, v in edges if u not in top and v not in top])
+    appended = lower.append_level(
+        [(x, [u for u, v in edges if v == x] + [v for u, v in edges if u == x]) for x in levels[-1]]
+    )
+    index = {v: i for i, v in enumerate(sorted(levels[0]) + sorted(v for level in levels[1:] for v in level))}
+    level_of = {v: li for li, level in enumerate(levels) for v in level}
+    down = [
+        tuple(sorted({index[u] for e in edges for u in e if x in e and level_of[u] < level_of[x]}))
+        for level in levels[1:]
+        for x in sorted(level)
+    ]
+    sorted_levels = tuple(tuple(sorted(level)) for level in levels)
+    doc = DecompositionDocument(2, "", "clean", "terminated", sorted_levels, tuple(down), (), ())
+    return [whole, appended, document_to_multipartite(doc)]
+
+
+def brute_ancestors(levels, edges) -> dict[str, frozenset[str]]:
+    """Level-0 vertices reachable from each vertex along edges that go strictly down."""
+    level_of = {v: li for li, level in enumerate(levels) for v in level}
+    anc = {v: frozenset([v]) for v in levels[0]}
+    for level in levels[1:]:
+        for x in level:
+            lower = {u for e in edges for u in e if x in e and level_of[u] < level_of[x]}
+            anc[x] = frozenset().union(*(anc[u] for u in lower))
+    return anc
+
+
+def test_queries_match_the_edge_list_however_the_graph_was_built():
+    rng = random.Random(0xD0C5)
+    for _ in range(200):
+        levels, edges = random_levels_and_edges(rng)
+        level_of = {v: li for li, level in enumerate(levels) for v in level}
+        nbrs = {v: set() for v in level_of}
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        want_edges = tuple(sorted({(u, v) if level_of[u] < level_of[v] else (v, u) for u, v in edges}))
+        ancestors = brute_ancestors(levels, edges)
+        for m in built_three_ways(levels, edges):
+            assert m.edges() == want_edges
+            assert m.edge_count() == len(want_edges)
+            assert level0_ancestors(m) == ancestors
+            for x in level_of:
+                assert m.neighbourhood(x) == nbrs[x]
+                assert m.degree(x) == len(nbrs[x])
+                for i in range(len(levels)):
+                    assert m.neighbourhood_at_level(x, i) == {u for u in nbrs[x] if level_of[u] == i}
+
+
+def test_series_graphs_carry_their_ancestor_masks(corpus):
+    large = random.Random(7)
+    inputs = corpus + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES]
+    steps = 0
+    for g in inputs:
+        for m in clean_prefix_graphs(g)[1:]:
+            steps += 1
+            assert m._anc is not None and m._anc == graphs._ancestor_masks(m)
+            # no step reads an up-neighbourhood
+            assert m._up is None
+    assert steps > 500
+
+
+def test_a_series_computes_ancestor_masks_at_most_once(monkeypatch, corpus):
+    calls = []
+    recompute = graphs._ancestor_masks
+
+    def counted(m):
+        calls.append(m.level_count)
+        return recompute(m)
+
+    monkeypatch.setattr(graphs, "_ancestor_masks", counted)
+    assert level0_ancestors(MultipartiteGraph([["a"], ["b"]], [("a", "b")]))["b"] == {"a"}
+    assert calls == [2]
+    deepest = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
+    calls.clear()
+    result = run_series(deepest, OperatorKind.CLEAN)
+    assert result.steps >= 4
+    assert len(calls) <= 1

@@ -192,12 +192,14 @@ def assert_formats_agree(result, source_hash):
 
 def test_codec_matches_the_reference_on_benchmark_documents(clean_runs):
     runs, _ = clean_runs
-    for g, result in runs:
-        assert_formats_agree(result, graph_content_hash(g))
     rng = random.Random(7)
-    for n, p in ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7)):
-        g = random_connected_graph(rng, n, p)
-        assert_formats_agree(run_series(g, OperatorKind.CLEAN), graph_content_hash(g))
+    large = [random_connected_graph(rng, n, p) for n, p in ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7))]
+    for g, result in runs + [(g, run_series(g, OperatorKind.CLEAN)) for g in large]:
+        assert_formats_agree(result, graph_content_hash(g))
+        # every stored label, #n suffixes included, is the one verify recomputes
+        doc = parse_document(write_decomposition(result, graph_content_hash(g)))
+        fields = verify_document_fields(doc, document_to_multipartite(doc))
+        assert fields.passed, fields.counterexample
     for n in (3, 4, 5):
         h = anti_matching(n)
         result = run_series_from_bipartite(h, OperatorKind.FACTOR)
@@ -484,8 +486,32 @@ def test_cli_verify_prints_level_counts(tmp_path, capsys):
             {"elements": [[0], [1, 2]], "sequences": [[1]]},
             """element 0 (distinct entries in order of first use): stored ["a"] but the graph gives ["b", "c"]""",
         ),
+        (
+            make_g2,
+            {"levels": [["a", "b", "c", "d"], ["K:x", "K:y"], ["not a canonical label"]]},
+            "vertex 4: label 'K:x' but the graph gives 'K:a,b,c'",
+        ),
+        (
+            make_g2,
+            {"levels": [["a", "b", "c", "d"], ["K:a,b,c", "K:b,c,d"], ["L2:a,b"]]},
+            "vertex 6: label 'L2:a,b' but the graph gives 'L2:a,b,c,d'",
+        ),
+        (
+            make_g3,
+            {
+                "levels": [
+                    ["1", "2", "3", "4", "5", "6"],
+                    ["K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"],
+                    ["L2:1,2,3,4,5#2", "L2:1,2,3,4,5,6"],
+                    ["L3:1,2,3,4,5,6"],
+                ]
+            },
+            "vertex 9: label 'L2:1,2,3,4,5#2' but the graph gives 'L2:1,2,3,4,5'",
+        ),
     ],
-    ids=["sequence", "unsorted-sequence", "unused-element", "element-order"],
+    ids=[
+        "sequence", "unsorted-sequence", "unused-element", "element-order", "renamed-levels", "level-2-label", "suffix"
+    ],
 )
 def test_cli_verify_rejects_tampered_document_fields(tmp_path, capsys, graph, edit, detail):
     g = graph()
@@ -712,7 +738,9 @@ def broken_documents(draw):
         moves = ["junk", "repeat", "out-of-range"] + (["reverse"] if len(row) > 1 else [])
     move = draw(st.sampled_from(moves))
     if move == "junk":
-        items = st.lists(st.one_of(junk, st.just([])), min_size=1, max_size=3)
+        # a string appended to level 0 can be a new valid label ("e" after G2's "a".."d")
+        extra = st.one_of(st.booleans(), st.floats(allow_nan=False), st.none()) if field == "levels" else junk
+        items = st.lists(st.one_of(extra, st.just([])), min_size=1, max_size=3)
         rows[r] = draw(st.one_of(junk, items.map(lambda extra: row + extra)))
     elif move == "repeat":
         row.insert(draw(st.integers(0, len(row) - 1)), row[0])
