@@ -5,9 +5,9 @@ vertex index (level-major, label-sorted within each level), so every set
 operation is deterministic across runs. A ``MultipartiteGraph`` stores only
 each vertex's lower neighbourhood, so appending a level rewrites no row.
 Up-neighbourhoods are derived where read: ``edges()`` transposes the rows,
-and the first public up-query on a graph builds its up-index. The public
-surface speaks plain labels and frozensets. All types are immutable after
-construction.
+and the first public up-query on a graph builds its up-index, one tuple of
+ascending indexes per vertex. The public surface speaks plain labels and
+frozensets. All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up", "_seq")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         self._set_levels(_checked_levels(levels))
@@ -188,6 +188,7 @@ class MultipartiteGraph:
         self._level_masks = tuple(masks)
         self._anc = None
         self._up = None
+        self._seq = None
 
     @classmethod
     def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int]) -> MultipartiteGraph:
@@ -226,7 +227,7 @@ class MultipartiteGraph:
         """N(x) across all levels."""
         self._require(x)
         i = self._index[x]
-        return self._labels_from_mask(self._down[i] | self._up_masks()[i])
+        return self._labels_from_mask(self._down[i]).union([self._labels[j] for j in self._up_index()[i]])
 
     def neighbourhood_at_level(self, x: str, i: int) -> frozenset[str]:
         """N_i(x): the neighbours of ``x`` inside level ``i``. Pure query."""
@@ -234,13 +235,14 @@ class MultipartiteGraph:
         if not 0 <= i < len(self._levels):
             raise InvalidArgumentError(f"level index {i} out of range 0..{len(self._levels) - 1}")
         ix = self._index[x]
-        row = self._down[ix] if i <= self._level_of[ix] else self._up_masks()[ix]
-        return self._labels_from_mask(row & self._level_masks[i])
+        if i <= self._level_of[ix]:
+            return self._labels_from_mask(self._down[ix] & self._level_masks[i])
+        return frozenset([self._labels[j] for j in self._up_index()[ix] if self._level_of[j] == i])
 
     def degree(self, v: str) -> int:
         self._require(v)
         i = self._index[v]
-        return self._down[i].bit_count() + self._up_masks()[i].bit_count()
+        return self._down[i].bit_count() + len(self._up_index()[i])
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge as (lower-level endpoint, higher-level endpoint), sorted."""
@@ -316,6 +318,7 @@ class MultipartiteGraph:
         out._down = self._down + tuple(rows)
         out._anc = self._ancestors() + anc if anc else None
         out._up = None
+        out._seq = None
         return out
 
     # -- internal helpers shared inside the package ---------------------
@@ -334,11 +337,13 @@ class MultipartiteGraph:
                 above[j].append(i)
         return above
 
-    def _up_masks(self) -> tuple[int, ...]:
-        """Higher-level neighbourhood mask per vertex, built on first use."""
+    def _up_index(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ascending indexes of its higher-level neighbours, built on first use.
+
+        Index lists, not masks: a mask would be as wide as the whole graph.
+        """
         if self._up is None:
-            # the bits are distinct, so their sum is their union
-            self._up = tuple(sum(map((1).__lshift__, above)) for above in self._above())
+            self._up = tuple(map(tuple, self._above()))
         return self._up
 
     def _labels_from_mask(self, mask: int) -> frozenset[str]:

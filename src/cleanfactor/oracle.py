@@ -9,15 +9,19 @@ decomposition vertex, and verifies the expected structure of a
 decomposition instance, reporting the first counterexample on failure.
 
 The checks work on bitmasks: ``_sequence_masks``, the library's one
-sequence code path, gives each vertex's sequence as level-0 masks. Chains
-are counted, and enumerated only to name a missing one; labels are
-formatted only for a counterexample.
+sequence code path, gives each vertex's sequence as level-0 masks, and a
+graph's whole table is computed once and kept on the graph, so the checks
+and the document writer share it. Chains are counted, and enumerated only
+to name a missing one. The neighbourhood formula is mask algebra over
+per-level tables (vertices by sequence prefix, and by each level-0 vertex
+their last entries hold), with no scan of a level. Labels are formatted
+only for a counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -205,17 +209,25 @@ def _level_indexes(m: MultipartiteGraph, k: int) -> range:
 def _sequence_masks(m: MultipartiteGraph, indexes: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
     """Characterising sequences as tuples of level-0 masks, by global index.
 
-    ``indexes`` defaults to every vertex from level 2 up; see
-    ``characterising_sequence`` for the entries. Clique sets recur across
-    vertices, so their intersections are memoised.
+    ``indexes`` defaults to every vertex from level 2 up, in index order;
+    see ``characterising_sequence`` for the entries. That full table is
+    computed once per graph and kept on it (``m._seq``), so callers must
+    not modify it. Clique sets recur across vertices, so their
+    intersections are memoised.
     """
+    if indexes is None:
+        if m._seq is None:
+            m._seq = _compute_sequences(m, range(len(m.levels[0]) + len(m.levels[1]), len(m)))
+        return m._seq
+    return _compute_sequences(m, indexes)
+
+
+def _compute_sequences(m: MultipartiteGraph, indexes: Iterable[int]) -> dict[int, tuple[int, ...]]:
     # every row read here is a lower neighbourhood
     adj = m._down
     lmask = m._level_masks
     level_of = m._level_of
     bottom, cliques = lmask[0], lmask[1]
-    if indexes is None:
-        indexes = range(len(m.levels[0]) + len(m.levels[1]), len(m))
     meet: dict[int, int] = {}
     out: dict[int, tuple[int, ...]] = {}
     for x in indexes:
@@ -341,26 +353,66 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
     except level 1.
 
     W_j of a vertex with sequence s holds the level-j vertices whose
-    sequence starts with s[:j-2] and ends between s[j-2] and s[j-1]. Level
-    j is bucketed by sequence prefix, so only the matching bucket is
-    scanned.
+    sequence starts with s[:j-2] and ends between s[j-2] and s[j-1]. The
+    windows and the containing cliques are mask algebra over two tables
+    built once per level j: ``prefix[j]``, the vertices with each sequence
+    prefix, and ``holds[j][v]``, per level-0 vertex v the vertices whose
+    last entry holds v (on level 1, the cliques that hold v). Ending above
+    s[j-2] is then an AND over the v in s[j-2], and ending below s[j-1]
+    the complement of an OR over the v outside it; both are memoised per
+    level and entry.
     """
     # each vertex is compared with lower levels only, so its lower neighbourhood is all it reads
     adj = m._down
     lmask = m._level_masks
     labels = m._labels
+    level_of = m._level_of
+    bottom = lmask[0]
     sequences = _sequence_masks(m)
+    if not sequences:  # two levels: nothing to check
+        return VerificationReport(passed=True)
 
     def fmt(mask: int) -> str:
         return _fmt(m._labels_from_mask(mask))
 
-    cliques = [(1 << c, adj[c]) for c in _level_indexes(m, 1)]
-    containing: dict[int, int] = {}  # a last entry -> the cliques that contain it
+    holds = [[0] * len(m.levels[0]) for _ in range(m.level_count)]
+    prefix: list[dict[tuple[int, ...], int]] = [{} for _ in range(m.level_count)]
+    for c in _level_indexes(m, 1):
+        for v in bits(adj[c]):
+            holds[1][v] |= 1 << c
+    # no window lies in the top level, which comes last in index order
+    for y, s in islice(sequences.items(), len(sequences) - len(m.levels[-1])):
+        j, bit = level_of[y], 1 << y
+        prefix[j][s[:-1]] = prefix[j].get(s[:-1], 0) | bit
+        for v in bits(s[-1]):
+            holds[j][v] |= bit
+
+    over: dict[tuple[int, int], int] = {}
+    under: dict[tuple[int, int], int] = {}
+
+    def ending_over(j: int, o: int) -> int:
+        """The level-j vertices whose last entry contains ``o``."""
+        got = over.get((j, o))
+        if got is None:
+            got = lmask[j]
+            for v in bits(o):
+                got &= holds[j][v]
+            over[j, o] = got
+        return got
+
+    def ending_under(j: int, o: int) -> int:
+        """The level-j vertices whose last entry lies inside ``o``."""
+        got = under.get((j, o))
+        if got is None:
+            outside = 0
+            for v in bits(bottom & ~o):
+                outside |= holds[j][v]
+            got = under[j, o] = lmask[j] & ~outside
+        return got
+
     for x, s in sequences.items():
         last = s[-1]
-        want = containing.get(last)
-        if want is None:
-            want = containing[last] = sum(bit for bit, row in cliques if not last & ~row)
+        want = ending_over(1, last)
         actual = adj[x] & lmask[1]
         if want != actual:
             return _fail(
@@ -368,18 +420,10 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
                 f"{fmt(want)} but N_1 is {fmt(actual)}"
             )
 
-    # per level: sequence prefix -> (last entry, vertex bit) of each vertex with that prefix
-    buckets: list[dict[tuple[int, ...], list[tuple[int, int]]]] = [{} for _ in range(m.level_count)]
-    for y, s in sequences.items():
-        buckets[len(s) + 1].setdefault(s[:-1], []).append((s[-1], 1 << y))
     for x, s in sequences.items():
         k = len(s) + 1
         for j in range(2, k):
-            low, high = s[j - 2], s[j - 1]
-            window = 0
-            for last, y in buckets[j].get(s[: j - 2], ()):
-                if not low & ~last and not last & ~high:
-                    window |= y
+            window = prefix[j].get(s[: j - 2], 0) & ending_over(j, s[j - 2]) & ending_under(j, s[j - 1])
             actual = adj[x] & lmask[j]
             if window != actual:
                 return _fail(

@@ -15,9 +15,17 @@ from cleanfactor import (
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
+    SeriesResult,
+    SeriesStatus,
+    build_document,
     chains_of_length,
     characterising_sequence,
+    cli_main,
     cliques_containing,
+    document_to_multipartite,
+    factorise,
+    format_edge_list,
+    graph_content_hash,
     intersection_family,
     maximal_cliques,
     run_series,
@@ -25,7 +33,9 @@ from cleanfactor import (
     verify_bijection,
     verify_neighbourhood_formula,
     vertex_clique_incidence,
+    write_decomposition,
 )
+from cleanfactor import oracle
 
 from bruteforce import subset_chains, subset_intersections
 from conftest import random_connected_graph, random_graph
@@ -351,3 +361,64 @@ def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
             checked += 1
     assert checked >= 500
     assert seen == set(COUNTEREXAMPLES)
+
+
+@st.composite
+def multipartite_graphs(draw) -> MultipartiteGraph:
+    """3 to 6 levels of 1 to 4 vertices, each cross-level edge present with one drawn probability."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=3, max_size=6))
+    p = draw(st.floats(0.3, 0.9))
+    rng = draw(st.randoms(use_true_random=False))
+    levels = [[f"{li}.{i}" for i in range(size)] for li, size in enumerate(sizes)]
+    pairs = [(u, v) for lower, upper in itertools.combinations(levels, 2) for u in lower for v in upper]
+    return MultipartiteGraph(levels, [e for e in pairs if rng.random() < p])
+
+
+@settings(max_examples=300, deadline=None)
+@given(multipartite_graphs())
+def test_neighbourhood_formula_matches_the_reference_on_arbitrary_graphs(m):
+    assert verify_neighbourhood_formula(m) == reference_verify_neighbourhood_formula(m)
+
+
+def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, capsys):
+    calls = []
+    compute = oracle._compute_sequences
+
+    def counted(m, indexes):
+        calls.append(m.level_count)
+        return compute(m, indexes)
+
+    monkeypatch.setattr(oracle, "_compute_sequences", counted)
+    g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
+    result = run_series(g, OperatorKind.CLEAN)
+    final = result.final
+    assert final.level_count >= 5
+    graph_path, doc_path = tmp_path / "g.txt", tmp_path / "d.json"
+    graph_path.write_text(format_edge_list(g), encoding="utf-8")
+    doc_path.write_text(write_decomposition(result, graph_content_hash(g)), encoding="ascii")
+    calls.clear()
+    assert cli_main(["verify", "--decomposition", str(doc_path), "--input", str(graph_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert calls == [final.level_count]
+
+    # graphs derived from one whose sequences are filled compute their own
+    top = set(final.levels[-1])
+    below = MultipartiteGraph(final.levels[:-1], [e for e in final.edges() if e[1] not in top])
+    below_run = SeriesResult(below, SeriesStatus.TERMINATED, below.level_count - 2, (), OperatorKind.CLEAN)
+    calls.clear()
+    oracle._sequence_masks(below)
+    derived = [
+        below.append_level([(x, final.neighbourhood(x)) for x in final.levels[-1]]),
+        factorise(below, OperatorKind.CLEAN).graph,
+        document_to_multipartite(build_document(below_run, "")),
+    ]
+    assert calls == [below.level_count]
+    for m in derived:
+        fresh = MultipartiteGraph(m.levels, m.edges())
+        assert m == fresh
+        for x in itertools.chain.from_iterable(m.levels[2:]):
+            assert characterising_sequence(m, x) == characterising_sequence(fresh, x)
+        assert verify_bijection(g, m) == verify_bijection(g, fresh)
+        assert verify_neighbourhood_formula(m) == verify_neighbourhood_formula(fresh)
+    assert derived[0] == derived[1] == final
+    assert verify_bijection(g, final).passed and verify_neighbourhood_formula(final).passed
