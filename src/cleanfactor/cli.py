@@ -41,7 +41,10 @@ EXIT_USAGE = 2
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below, with the same message as a value under 1
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -49,7 +52,7 @@ def _positive_int(text: str) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
-    result = run_series(g, OperatorKind(args.operator), args.max_levels, threads=args.threads)
+    result = run_series(g, OperatorKind(args.operator), args.max_levels)
     text = write_decomposition(result, graph_content_hash(g))
     Path(args.output).write_text(text, encoding="utf-8")
     if args.dot:
@@ -145,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--output", required=True, help="decomposition JSON file to write")
     decompose.add_argument("--max-levels", type=_positive_int, default=None)
     decompose.add_argument("--dot", default=None, help="also write a DOT rendering here")
-    decompose.add_argument("--threads", type=_positive_int, default=1)
     decompose.set_defaults(run=_cmd_decompose)
 
     verify = sub.add_parser("verify", help="verify a decomposition against its input graph")

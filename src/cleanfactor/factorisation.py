@@ -21,7 +21,6 @@ definitions describe, is enumerated only in the tests.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -203,7 +202,7 @@ def _closed_seeds(
     return out
 
 
-def _maximal_family(m: MultipartiteGraph, op: OperatorKind, threads: int = 1) -> list[tuple[int, int]]:
+def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, int]]:
     """Maximal candidates as (seed, common) mask pairs, in no fixed order.
 
     These are the closed seeds that pass the operator's constraints; see
@@ -235,15 +234,7 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind, threads: int = 1) ->
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
         groups.sort(key=lambda grp: grp[0])
 
-    def scan(group: list[int]) -> list[tuple[int, int]]:
-        return _closed_seeds(group, adj, base_common, lmask, card_levels)
-
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(scan, groups))
-    else:
-        chunks = [scan(group) for group in groups]
-    return [pair for chunk in chunks for pair in chunk]
+    return [pair for group in groups for pair in _closed_seeds(group, adj, base_common, lmask, card_levels)]
 
 
 def _level_labels(m: MultipartiteGraph, k: int, ancestors: Sequence[int], rows: Sequence[int]) -> list[str]:
@@ -269,15 +260,27 @@ def _level_labels(m: MultipartiteGraph, k: int, ancestors: Sequence[int], rows: 
     return out
 
 
+def _check_threads(threads: int) -> None:
+    """Refuse any ``threads`` but 1: the keyword stays only while ``bench/`` passes ``threads=1``.
+
+    A thread pool over the per-class scans measured no faster, since they
+    hold the GIL. The keyword goes when ``bench/`` stops passing it.
+    """
+    if threads != 1:
+        raise InvalidArgumentError(f"threads must be 1, got {threads!r}: the candidate walk runs in one thread")
+
+
 def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> StepResult:
     """Apply one factorisation step of the given variant.
 
     Not effective when the candidate family has no maximal element;
     otherwise returns the graph extended by one new level, one vertex per
     maximal candidate, adjacent to exactly that candidate's members and
-    labelled as ``_level_labels`` says.
+    labelled as ``_level_labels`` says. ``threads`` must be 1; see
+    ``_check_threads``.
     """
-    pairs = _maximal_family(m, op, threads=threads)
+    _check_threads(threads)
+    pairs = _maximal_family(m, op)
     if not pairs:
         return StepResult(effective=False, graph=None)
     anc = m._ancestors().__getitem__

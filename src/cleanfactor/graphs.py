@@ -302,23 +302,14 @@ class MultipartiteGraph:
         The index is level-major, so every existing index and row survives
         and the new ones follow.
         """
-        base = len(self._labels)
-        index = dict(self._index)
-        for i, v in enumerate(level, start=base):
-            if v in index:
+        for v in level:
+            if v in self._index:
                 raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
-            index[v] = i
-
         out = MultipartiteGraph.__new__(MultipartiteGraph)
-        out._levels = self._levels + (level,)
-        out._labels = self._labels + level
-        out._index = index
-        out._level_of = self._level_of + (len(self._levels),) * len(level)
-        out._level_masks = self._level_masks + (((1 << len(level)) - 1) << base,)
+        out._set_levels(self._levels + (level,))
         out._down = self._down + tuple(rows)
-        out._anc = self._ancestors() + anc if anc else None
-        out._up = None
-        out._seq = None
+        if anc:
+            out._anc = self._ancestors() + anc
         return out
 
     # -- internal helpers shared inside the package ---------------------

@@ -92,9 +92,7 @@ def _meets(cliques: list[int]) -> set[int]:
 
 def intersection_family(g: Graph) -> IntersectionFamily:
     """Compute the intersection closure of the maximal cliques of ``g``."""
-    family = maximal_cliques(g)
-    index = g._index
-    cliques = [sum(1 << index[v] for v in c) for c in family]
+    cliques = _clique_masks(g._adj)
     meets = _meets(cliques)
     closed = meets.union(cliques, [(1 << len(g)) - 1])
     labels = {o: frozenset(g.vertices[i] for i in bits(o)) for o in closed}
@@ -206,23 +204,21 @@ def _level_indexes(m: MultipartiteGraph, k: int) -> range:
     return range(start, start + len(m.levels[k]))
 
 
-def _sequence_masks(m: MultipartiteGraph, indexes: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
+def _sequence_masks(m: MultipartiteGraph) -> dict[int, tuple[int, ...]]:
     """Characterising sequences as tuples of level-0 masks, by global index.
 
-    ``indexes`` defaults to every vertex from level 2 up, in index order;
-    see ``characterising_sequence`` for the entries. That full table is
-    computed once per graph and kept on it (``m._seq``), so callers must
-    not modify it. Clique sets recur across vertices, so their
-    intersections are memoised.
+    One entry per vertex from level 2 up, in index order; see
+    ``characterising_sequence`` for the entries. The table is computed
+    once per graph and kept on it (``m._seq``), so callers must not
+    modify it.
     """
-    if indexes is None:
-        if m._seq is None:
-            m._seq = _compute_sequences(m, range(len(m.levels[0]) + len(m.levels[1]), len(m)))
-        return m._seq
-    return _compute_sequences(m, indexes)
+    if m._seq is None:
+        m._seq = _compute_sequences(m)
+    return m._seq
 
 
-def _compute_sequences(m: MultipartiteGraph, indexes: Iterable[int]) -> dict[int, tuple[int, ...]]:
+def _compute_sequences(m: MultipartiteGraph) -> dict[int, tuple[int, ...]]:
+    # clique sets recur across vertices, so their intersections are memoised;
     # every row read here is a lower neighbourhood
     adj = m._down
     lmask = m._level_masks
@@ -230,7 +226,7 @@ def _compute_sequences(m: MultipartiteGraph, indexes: Iterable[int]) -> dict[int
     bottom, cliques = lmask[0], lmask[1]
     meet: dict[int, int] = {}
     out: dict[int, tuple[int, ...]] = {}
-    for x in indexes:
+    for x in range(len(m.levels[0]) + len(m.levels[1]), len(m)):
         row = adj[x]
         seq = [row & bottom]
         for j in range(2, level_of[x]):
@@ -254,12 +250,13 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
     The first entry is N_0(x). Entry j is the intersection of the cliques
     (level-1 vertices read as their level-0 neighbourhoods) shared by all
     of x's neighbours at level j; that intersection is the unique clique
-    intersection whose containing-clique set matches.
+    intersection whose containing-clique set matches. Read from the
+    graph's one sequence table, which the checks and the document writer
+    share.
     """
     if m.level_of(x) < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
-    idx = m._index[x]
-    seq = _sequence_masks(m, [idx])[idx]
+    seq = _sequence_masks(m)[m._index[x]]
     return CharacterisingSequence(tuple(m._labels_from_mask(o) for o in seq))
 
 

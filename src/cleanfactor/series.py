@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cliques import vertex_clique_incidence
 from .errors import InvalidArgumentError
-from .factorisation import OperatorKind, factorise
+from .factorisation import OperatorKind, _check_threads, factorise
 from .graphs import Graph, MultipartiteGraph
 
 __all__ = [
@@ -50,13 +50,13 @@ class SeriesResult:
     operator: OperatorKind
 
 
-def _drive(m: MultipartiteGraph, op: OperatorKind, max_levels: int, threads: int) -> SeriesResult:
+def _drive(m: MultipartiteGraph, op: OperatorKind, max_levels: int) -> SeriesResult:
     steps = 0
     while True:
         if m.level_count >= max_levels:
             status = SeriesStatus.BUDGET_EXCEEDED
             break
-        step = factorise(m, op, threads=threads)
+        step = factorise(m, op)
         if not step.effective:
             status = SeriesStatus.TERMINATED
             break
@@ -85,19 +85,22 @@ def run_series(g: Graph, op: OperatorKind, max_levels: int | None = None, *, thr
     """Run the series of ``g`` from its vertex/clique incidence graph.
 
     The default budget is n+2 levels for the clean variant (enough for any
-    input) and 32 for the other two.
+    input) and 32 for the other two. ``threads`` must be 1; see
+    ``factorisation._check_threads``.
     """
+    _check_threads(threads)
     if len(g) == 0:
         raise InvalidArgumentError("cannot run a series on the empty graph")
     budget = _budget(op, max_levels, len(g))
-    return _drive(vertex_clique_incidence(g), op, budget, threads)
+    return _drive(vertex_clique_incidence(g), op, budget)
 
 
 def run_series_from_bipartite(
     h: MultipartiteGraph, op: OperatorKind, max_levels: int | None = None, *, threads: int = 1
 ) -> SeriesResult:
-    """Run the series starting from an arbitrary bipartite graph ``h``."""
+    """Run the series starting from an arbitrary bipartite graph ``h``; ``threads`` as in ``run_series``."""
+    _check_threads(threads)
     if h.level_count != 2:
         raise InvalidArgumentError("the series must start from a bipartite (two-level) graph")
     budget = _budget(op, max_levels, len(h))
-    return _drive(h, op, budget, threads)
+    return _drive(h, op, budget)

@@ -300,14 +300,6 @@ def test_a_new_label_that_names_an_existing_vertex_is_rejected(g2):
     assert str(err.value) == "vertex 'L2:a,b,c,d' appears in more than one level"
 
 
-def test_threads_do_not_change_the_result(g3):
-    m = vertex_clique_incidence(g3)
-    step = factorise(m, OperatorKind.CLEAN)
-    assert step == factorise(m, OperatorKind.CLEAN, threads=4)
-    nxt = factorise(step.graph, OperatorKind.CLEAN)
-    assert nxt == factorise(step.graph, OperatorKind.CLEAN, threads=4)
-
-
 def test_particularise_single_edge():
     h = MultipartiteGraph([["u"], ["y"]], [("u", "y")])
     pinned = particularise(h)

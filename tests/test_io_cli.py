@@ -26,6 +26,7 @@ from cleanfactor import (
     build_document,
     cli_main,
     document_to_multipartite,
+    factorise,
     format_edge_list,
     graph_content_hash,
     parse_document,
@@ -37,6 +38,7 @@ from cleanfactor import (
     to_dot,
     to_json,
     verify_document_fields,
+    vertex_clique_incidence,
     write_decomposition,
 )
 from conftest import make_g2, make_g3, random_connected_graph
@@ -565,13 +567,35 @@ def test_cli_budget_exhaustion_is_a_normal_outcome(tmp_path, capsys):
     assert "status=budget-exceeded" in capsys.readouterr().out
 
 
-def test_cli_threads_do_not_change_output_bytes(tmp_path):
-    graph_path = write(tmp_path, "g3.txt", format_edge_list(make_g3()))
-    one = tmp_path / "one.json"
-    two = tmp_path / "two.json"
-    cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", str(one)])
-    cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", str(two), "--threads", "4"])
-    assert one.read_bytes() == two.read_bytes()
+def test_threads_other_than_one_are_refused(tmp_path, capsys):
+    g = make_g3()
+    m = vertex_clique_incidence(g)
+    for call in (
+        lambda: factorise(m, OperatorKind.CLEAN, threads=2),
+        lambda: run_series(g, OperatorKind.CLEAN, threads=2),
+        lambda: run_series_from_bipartite(m, OperatorKind.CLEAN, threads=2),
+    ):
+        with pytest.raises(InvalidArgumentError, match="threads must be 1"):
+            call()
+    graph_path = write(tmp_path, "g3.txt", format_edge_list(g))
+    out_path = tmp_path / "d.json"
+    argv = ["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path), "--threads", "2"]
+    assert cli_main(argv) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_cli_non_integer_counts_are_usage_errors(tmp_path, capsys):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    for argv, name in (
+        (["decompose", "--operator", "clean", "--input", graph_path, "--output", "y", "--max-levels", "abc"], "--max-levels"),
+        (["oracle", "--input", graph_path, "--chains", "abc"], "--chains"),
+        (["oracle", "--input", graph_path, "--chains", "0"], "--chains"),
+    ):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {name}: must be a positive integer" in err
+        assert "_positive_int" not in err
 
 
 def test_cli_dot_export(tmp_path):

@@ -17,6 +17,7 @@ from cleanfactor import (
     OperatorKind,
     SeriesResult,
     SeriesStatus,
+    VerificationReport,
     build_document,
     chains_of_length,
     characterising_sequence,
@@ -244,6 +245,23 @@ def test_verify_neighbourhood_formula_detects_tampering(g2):
     assert not verify_neighbourhood_formula(tampered).passed
 
 
+def test_agreement_check_fails_first_when_only_a_lower_level_differs():
+    # x and xp share their level-2 neighbourhood {y} and pass the
+    # containing-cliques and window checks, but differ on level 0
+    levels = [["a", "b", "c"], ["c1"], ["y"], ["z"], ["x", "xp"]]
+    below = {
+        "c1": "a b c",
+        "y": "a b c c1",
+        "z": "a b c c1 y",
+        "x": "a c1 y",
+        "xp": "a b c1 y",
+    }
+    m = MultipartiteGraph(levels, [(u, v) for v, us in below.items() for u in us.split()])
+    expected = "level 4: 'x' and 'xp' agree on level 2 but differ on level 0: {a} vs {a,b}"
+    assert verify_neighbourhood_formula(m) == VerificationReport(passed=False, counterexample=expected)
+    assert reference_verify_neighbourhood_formula(m) == verify_neighbourhood_formula(m)
+
+
 def test_verify_bijection_detects_tampering(g2):
     # dropping a bottom edge shrinks the vertex's sequence below two
     # vertices, which is no non-simple intersection
@@ -384,9 +402,9 @@ def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, c
     calls = []
     compute = oracle._compute_sequences
 
-    def counted(m, indexes):
+    def counted(m):
         calls.append(m.level_count)
-        return compute(m, indexes)
+        return compute(m)
 
     monkeypatch.setattr(oracle, "_compute_sequences", counted)
     g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
@@ -400,6 +418,12 @@ def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, c
     assert cli_main(["verify", "--decomposition", str(doc_path), "--input", str(graph_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert calls == [final.level_count]
+
+    # the writer filled the final graph's table, and per-vertex sequences read it
+    calls.clear()
+    for x in itertools.chain.from_iterable(final.levels[2:]):
+        characterising_sequence(final, x)
+    assert calls == []
 
     # graphs derived from one whose sequences are filled compute their own
     top = set(final.levels[-1])
