@@ -294,19 +294,21 @@ class MultipartiteGraph:
     def _append_rows(self, level: tuple[str, ...], rows: Iterable[int], anc: tuple[int, ...] = ()) -> MultipartiteGraph:
         """The (k+1)-level graph with ``level`` on top, adjacent by row masks.
 
-        ``level`` holds the new labels, sorted and distinct; ``rows`` gives
-        each one's neighbours as a mask over this graph's indexes, in the
-        same order, and ``anc``, when not empty, each one's level-0
-        ancestor mask. ``rows`` is read only after the labels are checked,
-        so a lazy ``rows`` reports its own errors after any label clash.
+        ``level`` holds the new labels, sorted; a repeated or existing one
+        is rejected. ``rows`` gives each one's neighbours as a mask over
+        this graph's indexes, in the same order, and ``anc``, when not
+        empty, each one's level-0 ancestor mask. ``rows`` is read only after
+        the labels are checked, so a lazy ``rows`` reports its own errors
+        after any label clash.
         The index is level-major, so every existing index and row survives
         and the new ones follow.
         """
-        for v in level:
-            if v in self._index:
-                raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._set_levels(self._levels + (level,))
+        if len(out._index) != len(out._labels):
+            # the first new label that names an old vertex or repeats its sorted predecessor
+            clash = next(v for v, before in zip(level, (None,) + level) if v == before or v in self._index)
+            raise InvalidArgumentError(f"vertex {clash!r} appears in more than one level")
         out._down = self._down + tuple(rows)
         if anc:
             out._anc = self._ancestors() + anc

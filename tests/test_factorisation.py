@@ -15,6 +15,7 @@ from cleanfactor import (
     factorise,
     particularise,
     run_series,
+    run_series_from_bipartite,
     vertex_clique_incidence,
 )
 from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family
@@ -298,6 +299,20 @@ def test_a_new_label_that_names_an_existing_vertex_is_rejected(g2):
     with pytest.raises(InvalidArgumentError) as err:
         run_series(g, OperatorKind.CLEAN)
     assert str(err.value) == "vertex 'L2:a,b,c,d' appears in more than one level"
+
+
+@pytest.mark.parametrize("op", list(OperatorKind))
+def test_two_new_vertices_with_the_same_label_are_rejected(op):
+    # {y1,y2} and {y3,y4} both have lower part {a,b,c,d,e} once "b,c" is a
+    # level-0 label, so the step would name two new vertices L2:a,b,c,d,e
+    ys = {"y1": "a b c d", "y2": "b c d e", "y3": "a b,c d", "y4": "b,c d e"}
+    h = MultipartiteGraph(
+        [("a", "b", "b,c", "c", "d", "e"), tuple(ys)],
+        [(u, y) for y, lower in ys.items() for u in lower.split()],
+    )
+    with pytest.raises(InvalidArgumentError) as err:
+        run_series_from_bipartite(h, op)
+    assert str(err.value) == "vertex 'L2:a,b,c,d,e' appears in more than one level"
 
 
 def test_particularise_single_edge():
