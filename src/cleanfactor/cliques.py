@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, _checked_levels, bits
+from .graphs import Graph, MultipartiteGraph, _level_labels, bits
 
 __all__ = [
     "CliqueFamily",
@@ -101,10 +101,10 @@ def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     membership gives the edges.
     """
     labels = g.vertices
-    # both graphs index level 0 in label order, so a clique mask is its row
-    level1 = sorted((clique_label([labels[i] for i in bits(c)]), c) for c in _clique_masks(g._adj))
-    levels = _checked_levels((labels, [label for label, _ in level1]))
-    return MultipartiteGraph._from_rows(levels, [c for _, c in level1])
+    # both graphs index level 0 in label order, so a clique mask is its row and its ancestors
+    cliques = _clique_masks(g._adj)
+    level1 = sorted(zip(_level_labels(labels, 1, cliques, cliques), cliques))
+    return MultipartiteGraph._from_rows((labels, tuple(label for label, _ in level1)), [c for _, c in level1])
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

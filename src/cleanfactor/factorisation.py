@@ -27,7 +27,7 @@ from operator import or_
 from typing import Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import MultipartiteGraph, bits
+from .graphs import MultipartiteGraph, _level_labels, bits
 
 __all__ = [
     "OperatorKind",
@@ -232,32 +232,8 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
         for u in uppers:
             buckets.setdefault(adj[u] & eq_mask, []).append(u)
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
-        groups.sort(key=lambda grp: grp[0])
 
     return [pair for group in groups for pair in _closed_seeds(group, adj, base_common, lmask, card_levels)]
-
-
-def _level_labels(m: MultipartiteGraph, k: int, ancestors: Sequence[int], rows: Sequence[int]) -> list[str]:
-    """Labels of level-``k`` vertices given by ancestor masks and rows over ``m``, in input order.
-
-    A vertex is ``L<k>:`` plus its sorted level-0 ancestors. Vertices that
-    share their ancestors, common from the second new level up, get a
-    ``#n`` suffix (``#2``, ``#3``, ...) in the order of their sorted member
-    labels. ``factorise`` names with it and ``verify`` checks with it.
-    """
-    labels = m._labels
-    groups: dict[int, list[int]] = {}
-    for t, a in enumerate(ancestors):
-        groups.setdefault(a, []).append(t)
-    out = [""] * len(rows)
-    for a, group in groups.items():
-        # level-0 indexes follow label order, so the names come out sorted
-        base = f"L{k}:" + ",".join([labels[i] for i in bits(a)])
-        if len(group) > 1:
-            group.sort(key=lambda t: sorted([labels[i] for i in bits(rows[t])]))
-        for n, t in enumerate(group, start=1):
-            out[t] = f"{base}#{n}" if n > 1 else base
-    return out
 
 
 def _check_threads(threads: int) -> None:
@@ -288,7 +264,8 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     # ancestors are the new vertex's ancestors
     ancestors = [reduce(or_, map(anc, bits(seed))) for seed, _ in pairs]
     rows = [seed | common for seed, common in pairs]
-    labels, rows, ancestors = zip(*sorted(zip(_level_labels(m, m.level_count, ancestors, rows), rows, ancestors)))
+    named = _level_labels(m._labels, m.level_count, ancestors, rows)
+    labels, rows, ancestors = zip(*sorted(zip(named, rows, ancestors)))
     return StepResult(effective=True, graph=m._append_rows(labels, rows, ancestors))
 
 

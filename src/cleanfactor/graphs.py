@@ -126,27 +126,6 @@ class Graph:
         return f"Graph({len(self._labels)} vertices, {self.edge_count()} edges)"
 
 
-def _checked_levels(levels: Sequence[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    """``levels`` as sorted label tuples, after the checks a multipartite graph needs."""
-    level_tuples: list[tuple[str, ...]] = []
-    for li, level in enumerate(levels):
-        members = list(level)
-        _check_labels(members)
-        if len(set(members)) != len(members):
-            raise InvalidArgumentError(f"duplicate vertex label inside level {li}")
-        if not members:
-            raise InvalidArgumentError(f"level {li} is empty")
-        level_tuples.append(tuple(sorted(members)))
-    if len(level_tuples) < 2:
-        raise InvalidArgumentError("a multipartite graph needs at least two levels")
-    seen: set[str] = set()
-    for v in chain.from_iterable(level_tuples):
-        if v in seen:
-            raise InvalidArgumentError(f"vertex {v!r} appears in more than one level")
-        seen.add(v)
-    return tuple(level_tuples)
-
-
 class MultipartiteGraph:
     """An ordered multipartite graph: disjoint non-empty levels V0..V(k-1), k >= 2.
 
@@ -159,7 +138,16 @@ class MultipartiteGraph:
     __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up", "_seq")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
-        self._set_levels(_checked_levels(levels))
+        level_tuples: list[tuple[str, ...]] = []
+        for li, level in enumerate(levels):
+            members = list(level)
+            _check_labels(members)
+            if not members:
+                raise InvalidArgumentError(f"level {li} is empty")
+            level_tuples.append(tuple(sorted(members)))
+        if len(level_tuples) < 2:
+            raise InvalidArgumentError("a multipartite graph needs at least two levels")
+        self._set_levels(tuple(level_tuples))
         index, level_of = self._index, self._level_of
         down = [0] * len(self._labels)
         for u, v in edges:
@@ -175,10 +163,15 @@ class MultipartiteGraph:
         self._down = tuple(down)
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
-        """Set every field but ``_down`` from ``levels``, each a sorted tuple of distinct labels."""
+        """Set every field but ``_down`` from sorted label tuples; every constructor's one repeated-label check."""
         self._levels = levels
         self._labels = tuple(chain.from_iterable(levels))
         self._index = dict(zip(self._labels, range(len(self._labels))))
+        if len(self._index) != len(self._labels):
+            seen: set[str] = set()
+            # the first label, in index order, that an earlier vertex already has
+            clash = next(v for v in self._labels if v in seen or seen.add(v))
+            raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
         self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(levels)))
         masks = []
         offset = 0
@@ -194,7 +187,7 @@ class MultipartiteGraph:
     def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int]) -> MultipartiteGraph:
         """The graph on ``levels`` with these lower-neighbourhood masks, one per vertex from level 1 up.
 
-        Nothing is checked: the caller guarantees what ``__init__`` would.
+        Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
@@ -266,9 +259,6 @@ class MultipartiteGraph:
         if not new_vertices:
             raise InvalidArgumentError("append_level needs at least one new vertex")
         fresh = [label for label, _ in new_vertices]
-        fresh_set = set(fresh)
-        if len(fresh_set) != len(fresh):
-            raise InvalidArgumentError("duplicate label among new vertices")
         _check_labels(fresh)
         level = tuple(sorted(fresh))
         index = self._index
@@ -281,7 +271,7 @@ class MultipartiteGraph:
                 for u in nbrs:
                     j = index.get(u)
                     if j is None:
-                        if u in fresh_set:
+                        if u in level:
                             raise InvalidArgumentError(f"edge {u!r}-{label!r} stays inside level {k}")
                         raise InvalidArgumentError(f"edge endpoint {u!r} is not a declared vertex")
                     row |= 1 << j
@@ -294,21 +284,16 @@ class MultipartiteGraph:
     def _append_rows(self, level: tuple[str, ...], rows: Iterable[int], anc: tuple[int, ...] = ()) -> MultipartiteGraph:
         """The (k+1)-level graph with ``level`` on top, adjacent by row masks.
 
-        ``level`` holds the new labels, sorted; a repeated or existing one
-        is rejected. ``rows`` gives each one's neighbours as a mask over
-        this graph's indexes, in the same order, and ``anc``, when not
-        empty, each one's level-0 ancestor mask. ``rows`` is read only after
-        the labels are checked, so a lazy ``rows`` reports its own errors
-        after any label clash.
+        ``level`` holds the new labels, sorted. ``rows`` gives each one's
+        neighbours as a mask over this graph's indexes, in the same order,
+        and ``anc``, when not empty, each one's level-0 ancestor mask.
+        ``rows`` is read only after ``_set_levels`` has checked the labels,
+        so a lazy ``rows`` reports its own errors after any label clash.
         The index is level-major, so every existing index and row survives
         and the new ones follow.
         """
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._set_levels(self._levels + (level,))
-        if len(out._index) != len(out._labels):
-            # the first new label that names an old vertex or repeats its sorted predecessor
-            clash = next(v for v, before in zip(level, (None,) + level) if v == before or v in self._index)
-            raise InvalidArgumentError(f"vertex {clash!r} appears in more than one level")
         out._down = self._down + tuple(rows)
         if anc:
             out._anc = self._ancestors() + anc
@@ -321,6 +306,11 @@ class MultipartiteGraph:
         if self._anc is None:
             self._anc = _ancestor_masks(self)
         return self._anc
+
+    def _level_range(self, k: int) -> range:
+        """Global indexes of level ``k``, which are contiguous and in label order."""
+        stop = self._level_masks[k].bit_length()
+        return range(stop - len(self._levels[k]), stop)
 
     def _above(self) -> list[list[int]]:
         """Per vertex, the ascending indexes of its higher-level neighbours."""
@@ -371,6 +361,30 @@ def _ancestor_masks(m: MultipartiteGraph) -> tuple[int, ...]:
             below |= anc[j]
         anc.append(below)
     return tuple(anc)
+
+
+def _level_labels(labels: Sequence[str], k: int, ancestors: Sequence[int], rows: Sequence[int]) -> list[str]:
+    """Labels of level-``k`` vertices given by ancestor masks and rows over ``labels``, in input order.
+
+    A vertex is ``K:`` on level 1, and ``L<k>:`` above, plus its sorted
+    level-0 ancestors. Vertices that share their ancestors get a ``#n``
+    suffix (``#2``, ``#3``, ...) in the order of their sorted member labels;
+    a level-1 vertex's ancestors are its clique, so level 1 never has one.
+    Every generated level is named here, and ``verify`` checks with it.
+    """
+    prefix = "K:" if k == 1 else f"L{k}:"
+    groups: dict[int, list[int]] = {}
+    for t, a in enumerate(ancestors):
+        groups.setdefault(a, []).append(t)
+    out = [""] * len(rows)
+    for a, group in groups.items():
+        # level-0 indexes follow label order, so the names come out sorted
+        base = prefix + ",".join([labels[i] for i in bits(a)])
+        if len(group) > 1:
+            group.sort(key=lambda t: sorted([labels[i] for i in bits(rows[t])]))
+        for n, t in enumerate(group, start=1):
+            out[t] = f"{base}#{n}" if n > 1 else base
+    return out
 
 
 def level0_ancestors(m: MultipartiteGraph) -> dict[str, frozenset[str]]:

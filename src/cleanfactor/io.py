@@ -21,11 +21,9 @@ from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Any
 
-from .cliques import clique_label
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
-from .factorisation import _level_labels
-from .graphs import Graph, MultipartiteGraph, bits
-from .oracle import VerificationReport, _level_indexes, _sequence_masks
+from .graphs import Graph, MultipartiteGraph, _level_labels, bits
+from .oracle import VerificationReport, _sequence_masks
 from .series import SeriesResult
 
 __all__ = [
@@ -51,14 +49,16 @@ FORMAT_VERSION = 2
 def read_edge_list(path: str | Path) -> Graph:
     """Parse a whitespace edge list: 'u v' per line, 'v' alone declares a vertex.
 
-    Lines starting with '#' and blank lines are skipped; duplicate edges
-    collapse silently; self-loops and malformed lines are rejected with
-    their line number. An edge list declaring no vertices is rejected, and
-    so is a file that is not UTF-8, with the offset of the first bad byte.
+    One leading byte-order mark is dropped. Lines starting with '#' and
+    blank lines are skipped; duplicate edges collapse silently; self-loops
+    and malformed lines are rejected with their line number. An edge list
+    declaring no vertices is rejected, and so is a file that is not UTF-8,
+    with the offset of the first bad byte.
     """
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        # not the utf-8-sig codec, which would count a bad byte's offset from after the mark
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise EdgeListParseError(before.count(b"\n") + 1, _not_utf8(exc)) from None
@@ -86,10 +86,26 @@ def read_edge_list(path: str | Path) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Canonical edge-list text: isolated vertices first, then sorted edges."""
+    """Canonical edge-list text that ``read_edge_list`` reads back as ``g``.
+
+    Isolated vertices first, then the sorted edges, lower label first unless
+    it starts with '#'. Refused: a label that is empty or holds whitespace,
+    an edge between two '#' labels, and an isolated '#' vertex.
+    """
+    joined = " ".join(g.vertices)
+    if joined.split() != list(g.vertices):
+        bad = next(v for v in g.vertices if v.split() != [v])
+        raise InvalidArgumentError(f"label {bad!r} is empty or holds whitespace, so no edge list can hold it")
+    edges = g.edges()
+    if " #" in " " + joined:  # only a label that starts with '#' needs the per-edge test
+        edges = [(v, u) if u[0] == "#" else (u, v) for u, v in edges]
     lines = [v for v in g.vertices if g.degree(v) == 0]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    lines.extend(f"{u} {v}" for u, v in edges)
+    text = "\n".join(lines) + "\n"
+    if text[0] == "#" or "\n#" in text:
+        comment = next(line for line in lines if line[0] == "#")
+        raise InvalidArgumentError(f"edge-list line {comment!r} would read as a comment")
+    return "\ufeff" + text if text[0] == "\ufeff" else text  # the reader drops one leading U+FEFF
 
 
 def graph_content_hash(g: Graph) -> str:
@@ -149,9 +165,9 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
     """Check the fields that the graph checks do not read.
 
     The document must record a terminated clean series, the only kind the
-    oracle certifies. Every label above level 0 must be the one the series
-    gives that vertex (``clique_label`` on level 1, ``_level_labels``
-    above), and ``elements`` and ``sequences`` must be exactly what ``m``
+    oracle certifies. Every label above level 0 must be the one
+    ``_level_labels``, which names every generated level, gives that
+    vertex, and ``elements`` and ``sequences`` must be exactly what ``m``
     gives: every vertex's sequence, and the distinct entries in order of
     first use. ``m`` is ``document_to_multipartite(doc)``, which is built
     from ``levels`` and ``down`` alone.
@@ -161,13 +177,12 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
     labels, down, anc = m._labels, m._down, m._ancestors()
-    given = [clique_label([labels[i] for i in bits(down[x])]) for x in _level_indexes(m, 1)]
-    for k in range(2, m.level_count):
-        level = _level_indexes(m, k)
-        given += _level_labels(m, k, anc[level.start : level.stop], down[level.start : level.stop])
-    for x, want in enumerate(given, start=len(labels) - len(given)):
-        if labels[x] != want:
-            return VerificationReport(False, f"vertex {x}: label {labels[x]!r} but the graph gives {want!r}")
+    for k in range(1, m.level_count):
+        level = m._level_range(k)
+        given = _level_labels(labels, k, anc[level.start : level.stop], down[level.start : level.stop])
+        for x, want in zip(level, given):
+            if labels[x] != want:
+                return VerificationReport(False, f"vertex {x}: label {labels[x]!r} but the graph gives {want!r}")
     elements, sequences = _sequence_table(m)
     level0 = doc.levels[0]
 

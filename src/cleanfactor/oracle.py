@@ -198,12 +198,6 @@ def chains_of_length(poset: IntersectionPoset, m: int) -> set[CharacterisingSequ
     return {CharacterisingSequence(chain) for chain in poset.chains(m)}
 
 
-def _level_indexes(m: MultipartiteGraph, k: int) -> range:
-    """Global indexes of level ``k``, which are contiguous and in label order."""
-    start = sum(len(level) for level in m.levels[:k])
-    return range(start, start + len(m.levels[k]))
-
-
 def _sequence_masks(m: MultipartiteGraph) -> dict[int, tuple[int, ...]]:
     """Characterising sequences as tuples of level-0 masks, by global index.
 
@@ -291,7 +285,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
         return _fail("level 0 does not match the input graph's vertex set")
     # both vertex sets are now one sorted tuple, so g's masks are m's level-0 masks
     cliques = _clique_masks(g._adj)
-    level1 = [m._down[c] for c in _level_indexes(m, 1)]
+    level1 = [m._down[c] for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
 
@@ -301,7 +295,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     sequences = _sequence_masks(m)
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
-        level = _level_indexes(m, k)
+        level = m._level_range(k)
         seen: dict[tuple[int, ...], int] = {}
         shared: tuple[int, int] | None = None
         for x in level:
@@ -374,7 +368,7 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
 
     holds = [[0] * len(m.levels[0]) for _ in range(m.level_count)]
     prefix: list[dict[tuple[int, ...], int]] = [{} for _ in range(m.level_count)]
-    for c in _level_indexes(m, 1):
+    for c in m._level_range(1):
         for v in bits(adj[c]):
             holds[1][v] |= 1 << c
     # no window lies in the top level, which comes last in index order
@@ -430,7 +424,7 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
 
     for k in range(4, m.level_count):
         groups: dict[int, int] = {}
-        for x in _level_indexes(m, k):
+        for x in m._level_range(k):
             other = groups.setdefault(adj[x] & lmask[k - 2], x)
             if other == x:
                 continue

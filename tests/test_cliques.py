@@ -104,6 +104,11 @@ def test_incidence_invariants():
         assert edges == set(g.edges())
 
 
+def test_incidence_names_level_one_as_clique_label_does(corpus):
+    for g in corpus:
+        assert vertex_clique_incidence(g).levels[1] == tuple(sorted(maximal_cliques(g).labels()))
+
+
 def test_anti_matching_small():
     m = anti_matching(2)
     assert set(m.edges()) == {("b1", "u2"), ("b2", "u1")}

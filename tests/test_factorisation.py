@@ -298,7 +298,7 @@ def test_a_new_label_that_names_an_existing_vertex_is_rejected(g2):
     g = Graph(g2.vertices + ("L2:a,b,c,d",), g2.edges())
     with pytest.raises(InvalidArgumentError) as err:
         run_series(g, OperatorKind.CLEAN)
-    assert str(err.value) == "vertex 'L2:a,b,c,d' appears in more than one level"
+    assert str(err.value) == "vertex 'L2:a,b,c,d' appears more than once"
 
 
 @pytest.mark.parametrize("op", list(OperatorKind))
@@ -312,7 +312,7 @@ def test_two_new_vertices_with_the_same_label_are_rejected(op):
     )
     with pytest.raises(InvalidArgumentError) as err:
         run_series_from_bipartite(h, op)
-    assert str(err.value) == "vertex 'L2:a,b,c,d,e' appears in more than one level"
+    assert str(err.value) == "vertex 'L2:a,b,c,d,e' appears more than once"
 
 
 def test_particularise_single_edge():

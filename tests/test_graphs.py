@@ -107,9 +107,9 @@ def test_append_level_mechanical_extension(triangle):
 
 APPEND_LEVEL_ERRORS = [
     ([], "append_level needs at least one new vertex"),
-    ([("x", ["a"]), ("x", ["b"])], "duplicate label among new vertices"),
+    ([("x", ["a"]), ("x", ["b"])], "vertex 'x' appears more than once"),
     ([("x", ["a"]), (7, ["b"])], "vertex labels must be strings, got 7"),
-    ([("y", ["a"]), ("b", ["a"]), ("c", ["a"])], "vertex 'b' appears in more than one level"),
+    ([("y", ["a"]), ("b", ["a"]), ("c", ["a"])], "vertex 'b' appears more than once"),
     ([("x", ["a", "nope"])], "edge endpoint 'nope' is not a declared vertex"),
     ([("x", ["a"]), ("y", ["b", "x"])], "edge 'x'-'y' stays inside level 2"),
     ([("x", ["x"])], "edge 'x'-'x' stays inside level 2"),
@@ -122,7 +122,7 @@ def test_append_level_validation(triangle):
         with pytest.raises(InvalidArgumentError) as err:
             m.append_level(new_vertices)
         assert str(err.value) == message
-        if new_vertices and message != "duplicate label among new vertices":
+        if new_vertices:
             # the constructor rejects the same extension with the same message
             edges = list(m.edges()) + [(u, x) for x, nbrs in new_vertices for u in nbrs]
             with pytest.raises(InvalidArgumentError) as err:

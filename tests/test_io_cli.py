@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -9,7 +10,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cleanfactor import (
@@ -84,10 +85,6 @@ def test_read_edge_list_errors(tmp_path):
         read_edge_list(write(tmp_path, "empty.txt", "# nothing\n"))
 
 
-def test_format_edge_list_round_trips(tmp_path):
-    g = Graph(["a", "b", "z"], [("a", "b")])
-    path = write(tmp_path, "r.txt", format_edge_list(g))
-    assert read_edge_list(path) == g
 
 
 def test_document_shape_triangle(triangle):
@@ -214,6 +211,41 @@ adversarial_labels = st.one_of(
     st.text(ADVERSARIAL, min_size=1, max_size=5),
     st.builds(str.__add__, st.sampled_from(["K:", "L2:"]), st.text(ADVERSARIAL, max_size=3)),
 )
+
+
+def unwritable(g):
+    """Whether ``g`` holds something no edge list can express."""
+    return (
+        any(v.split() != [v] for v in g.vertices)
+        or any(u.startswith("#") and v.startswith("#") for u, v in g.edges())
+        or any(v.startswith("#") and g.degree(v) == 0 for v in g.vertices)
+    )
+
+
+@st.composite
+def adversarial_graphs(draw):
+    labels = draw(st.lists(adversarial_labels, min_size=1, max_size=6, unique=True))
+    pairs = list(itertools.combinations(labels, 2))
+    return Graph(labels, draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_graphs())
+@example(Graph(["a", "b", "z"], [("a", "b")]))
+@example(Graph(["y", "#x", "z"], [("y", "#x"), ("y", "z")]))
+# a first line that starts with a byte-order mark
+@example(Graph(["\ufeff", "a", "b"], [("a", "b")]))
+@example(Graph(["\ufeffa", "\ufeffb"], [("\ufeffa", "\ufeffb")]))
+def test_format_edge_list_round_trips(g):
+    if unwritable(g):
+        with pytest.raises(InvalidArgumentError):
+            format_edge_list(g)
+        return
+    text = format_edge_list(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert read_edge_list(path) == g
 
 
 @st.composite
@@ -645,8 +677,62 @@ def test_cli_decompose_rejects_a_label_clash_with_one_error_line(tmp_path, capsy
     argv = ["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)]
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: vertex 'L2:a,b,c,d' appears in more than one level\n"
+    assert captured.err == "error: vertex 'L2:a,b,c,d' appears more than once\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text, label", [("K:b c\nc d\nb\n", "K:b"), ("a b\na,b\n", "K:a,b")])
+def test_cli_decompose_rejects_a_repeated_generated_label_with_one_error_line(tmp_path, text, label):
+    # K:b is a level-0 label and the level-1 label of the clique {b}; both cliques of the second are labelled K:a,b
+    graph_path = write(tmp_path, "g.txt", text)
+    out_path = tmp_path / "d.json"
+    argv = ["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)]
+    assert run_cli(argv) == (2, "", f"error: vertex {label!r} appears more than once\n")
+    assert not out_path.exists()
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_a_label(tmp_path, capsys):
+    plain = read_edge_list(write(tmp_path, "t.txt", "a b\na c\nb c\n"))
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbfa b\na c\nb c\n")
+    assert read_edge_list(bom) == plain
+    assert graph_content_hash(read_edge_list(bom)) == graph_content_hash(plain)
+    assert cli_main(["cliques", "--input", str(bom)]) == 0
+    assert capsys.readouterr().out == "a b c\n"
+    # a comment on the first line stays a comment
+    bom.write_bytes(b"\xef\xbb\xbf# a comment\na b\n")
+    assert read_edge_list(bom) == Graph("ab", [("a", "b")])
+    # a bad byte is still placed by its offset in the file
+    bom.write_bytes(b"\xef\xbb\xbfa b\nb \xff\n")
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(bom)
+    assert err.value.line == 2
+    assert "byte 9 (0xff)" in str(err.value)
+
+
+def test_cli_reconstruct_writes_a_hash_label_second_and_verifies(tmp_path):
+    # written first, '#x y' would read back as a comment and the graph as y-z alone
+    graph_path = write(tmp_path, "g.txt", "y #x\ny z\n")
+    doc_path = str(tmp_path / "d.json")
+    assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", doc_path])[0] == 0
+    code, out, err = run_cli(["reconstruct", "--decomposition", doc_path])
+    assert (code, out, err) == (0, "y #x\ny z\n", "")
+    rebuilt = write(tmp_path, "r.txt", out)
+    assert run_cli(["verify", "--decomposition", doc_path, "--input", rebuilt])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (Graph(["a b", "c"], [("a b", "c")]), "label 'a b' is empty or holds whitespace, so no edge list can hold it"),
+        (Graph(["#x", "#y"], [("#x", "#y")]), "edge-list line '#y #x' would read as a comment"),
+        (Graph(["#x", "a", "b"], [("a", "b")]), "edge-list line '#x' would read as a comment"),
+    ],
+    ids=["whitespace", "hash-edge", "hash-isolated"],
+)
+def test_cli_reconstruct_refuses_a_graph_no_edge_list_can_hold(tmp_path, g, message):
+    doc_path = write(tmp_path, "d.json", decomposition_text(g))
+    assert run_cli(["reconstruct", "--decomposition", doc_path]) == (2, "", f"error: {message}\n")
 
 
 def test_cli_non_utf8_edge_list_is_a_parse_error(tmp_path, capsys):
