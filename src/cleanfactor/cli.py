@@ -1,7 +1,7 @@
 """Command line: decompose, verify, cliques, oracle, gen, reconstruct.
 
 Exit codes: 0 on success (or a verified document), 1 when verification
-fails, 2 on usage or parse errors.
+fails, 2 on usage or parse errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,11 +1,11 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 2) names each vertex once, in ``levels``, and refers to
-it everywhere else by its global index: level-major, label order within a
+A document (format 3) stores the decomposition graph and nothing derived
+from it. It names each vertex once, in ``levels``, and refers to it
+everywhere else by its global index: level-major, label order within a
 level, as in ``MultipartiteGraph``. ``down`` lists each vertex's lower
-neighbours, so every edge appears once; ``elements`` holds the distinct
-characterising-sequence entries as level-0 index lists and ``sequences``
-each vertex's entries as element indexes. The text is ``json.dumps`` with
+neighbours, so every edge appears once; a vertex's characterising sequence
+is recovered from the graph, not stored. The text is ``json.dumps`` with
 sorted keys and no spaces, so documents are byte-deterministic. A document
 binds itself to its input through a content hash of the canonical edge
 list, so verification can refuse mismatched pairs.
@@ -17,13 +17,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from io import StringIO
-from itertools import chain, zip_longest
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
 from .graphs import Graph, MultipartiteGraph, _level_labels, bits
-from .oracle import VerificationReport, _sequence_masks
+from .oracle import VerificationReport
 from .series import SeriesResult
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -89,9 +89,12 @@ def format_edge_list(g: Graph) -> str:
     """Canonical edge-list text that ``read_edge_list`` reads back as ``g``.
 
     Isolated vertices first, then the sorted edges, lower label first unless
-    it starts with '#'. Refused: a label that is empty or holds whitespace,
-    an edge between two '#' labels, and an isolated '#' vertex.
+    it starts with '#'. Refused: the empty graph, a label that is empty or
+    holds whitespace, an edge between two '#' labels, and an isolated '#'
+    vertex.
     """
+    if not g.vertices:
+        raise InvalidArgumentError("an edge list declares at least one vertex, so none can hold the empty graph")
     joined = " ".join(g.vertices)
     if joined.split() != list(g.vertices):
         bad = next(v for v in g.vertices if v.split() != [v])
@@ -120,9 +123,8 @@ def graph_content_hash(g: Graph) -> str:
 class DecompositionDocument:
     """Serializable form of a decomposition run; the fields are the document's keys.
 
-    With ``n0`` and ``n1`` vertices on levels 0 and 1, ``down[i - n0]`` lists
-    the lower neighbours of vertex ``i`` and ``sequences[i - n0 - n1]`` its
-    characterising sequence as indexes into ``elements``.
+    With ``n0`` vertices on level 0, ``down[i - n0]`` lists the lower
+    neighbours of vertex ``i``.
     """
 
     format_version: int
@@ -131,24 +133,11 @@ class DecompositionDocument:
     status: str
     levels: tuple[tuple[str, ...], ...]
     down: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[int, ...], ...]
-    sequences: tuple[tuple[int, ...], ...]
-
-
-def _sequence_table(m: MultipartiteGraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """``elements`` and ``sequences`` as a document stores them for ``m``."""
-    element_of: dict[int, int] = {}
-    sequences = tuple(
-        tuple([element_of.setdefault(o, len(element_of)) for o in seq]) for seq in _sequence_masks(m).values()
-    )
-    # level-0 indexes are the low bits of a mask
-    return tuple(tuple(bits(o)) for o in element_of), sequences
 
 
 def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocument:
     """Canonical document for a finished series run."""
     m = result.final
-    elements, sequences = _sequence_table(m)
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=source_hash,
@@ -156,8 +145,6 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
         status=result.status.value,
         levels=m.levels,
         down=tuple(tuple(bits(row)) for row in m._down[len(m.levels[0]) :]),
-        elements=elements,
-        sequences=sequences,
     )
 
 
@@ -165,12 +152,9 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
     """Check the fields that the graph checks do not read.
 
     The document must record a terminated clean series, the only kind the
-    oracle certifies. Every label above level 0 must be the one
+    oracle certifies, and every label above level 0 must be the one
     ``_level_labels``, which names every generated level, gives that
-    vertex, and ``elements`` and ``sequences`` must be exactly what ``m``
-    gives: every vertex's sequence, and the distinct entries in order of
-    first use. ``m`` is ``document_to_multipartite(doc)``, which is built
-    from ``levels`` and ``down`` alone.
+    vertex. ``m`` is ``document_to_multipartite(doc)``.
     """
     if doc.operator != "clean":
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
@@ -183,23 +167,6 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
         for x, want in zip(level, given):
             if labels[x] != want:
                 return VerificationReport(False, f"vertex {x}: label {labels[x]!r} but the graph gives {want!r}")
-    elements, sequences = _sequence_table(m)
-    level0 = doc.levels[0]
-
-    def names(element: tuple[int, ...] | None) -> list[str] | None:
-        return None if element is None else [level0[i] for i in element]
-
-    first = len(m) - len(sequences)
-    for x, have, want in zip(range(first, len(m)), doc.sequences, sequences):
-        stored = [names(doc.elements[e]) for e in have]
-        given = [names(elements[e]) for e in want]
-        if stored != given:
-            message = f"stored sequence {json.dumps(stored)} but the graph gives {json.dumps(given)}"
-            return VerificationReport(False, f"vertex {m._labels[x]!r}: {message}")
-    for e, (have, want) in enumerate(zip_longest(doc.elements, elements)):
-        if have != want:
-            message = f"stored {json.dumps(names(have))} but the graph gives {json.dumps(names(want))}"
-            return VerificationReport(False, f"element {e} (distinct entries in order of first use): {message}")
     return VerificationReport(True)
 
 
@@ -222,10 +189,10 @@ def _expect(condition: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
-def _index_rows(rows: Any, name: str, count: int | None = None) -> list[list[int]]:
-    """``rows`` if it is a list of integer lists, holding ``count`` rows when given."""
+def _index_rows(rows: Any, name: str, count: int) -> list[list[int]]:
+    """``rows`` if it is a list of ``count`` integer lists."""
     _expect(type(rows) is list and set(map(type, rows)) <= {list}, f"{name} must be a list of index lists")
-    _expect(count is None or len(rows) == count, f"{name} must hold {count} rows, not {len(rows)}")
+    _expect(len(rows) == count, f"{name} must hold {count} rows, not {len(rows)}")
     _expect(set(map(type, chain.from_iterable(rows))) <= {int}, f"{name} must hold integer indexes")
     return rows
 
@@ -263,8 +230,11 @@ def parse_document(text: str) -> DecompositionDocument:
     version = payload.get("format_version")
     supported = type(version) is int and version == FORMAT_VERSION
     _expect(supported, f"unsupported format_version: this reader takes {FORMAT_VERSION}")
-    for key in ("source_hash", "operator", "status", "levels", "down", "elements", "sequences"):
+    keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
+    for key in keys:
         _expect(key in payload, f"missing key {key!r}")
+    unknown = next((key for key in payload if key not in keys), None)
+    _expect(unknown is None, f"unknown key {unknown!r}")
     _expect(type(payload["source_hash"]) is str, "source_hash must be a string")
     _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
     _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
@@ -276,7 +246,7 @@ def parse_document(text: str) -> DecompositionDocument:
         _expect(labelled, f"level {li} must be a non-empty list of labels")
         _expect(sorted(set(level)) == level, f"level {li}: labels are not sorted and distinct")
     labels = list(chain.from_iterable(levels))
-    n, n0, n1 = len(labels), len(levels[0]), len(levels[1])
+    n, n0 = len(labels), len(levels[0])
     _expect(len(set(labels)) == n, "a label appears on more than one level")
 
     down = _index_rows(payload["down"], "down", n - n0)
@@ -288,20 +258,6 @@ def parse_document(text: str) -> DecompositionDocument:
             raise DocumentFormatError(f"down row of {label!r}: {_down_problem(row, limit, n)}")
         limit += len(level)
 
-    elements = _index_rows(payload["elements"], "elements")
-    if not _strict(elements, n0):
-        e = next(e for e, element in enumerate(elements) if not _strict([element], n0))
-        raise DocumentFormatError(f"element {e}: indexes must be strictly ascending level-0 indexes")
-
-    sequences = _index_rows(payload["sequences"], "sequences", n - n0 - n1)
-    start = 0
-    for li, level in enumerate(levels[2:], start=2):
-        lengths = set(map(len, sequences[start : start + len(level)]))
-        _expect(lengths == {li - 1}, f"level {li}: every sequence must have length {li - 1}")
-        start += len(level)
-    flat = list(chain.from_iterable(sequences))
-    _expect(not flat or (min(flat) >= 0 and max(flat) < len(elements)), "sequences must index into elements")
-
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=payload["source_hash"],
@@ -309,8 +265,6 @@ def parse_document(text: str) -> DecompositionDocument:
         status=payload["status"],
         levels=tuple(map(tuple, levels)),
         down=tuple(map(tuple, down)),
-        elements=tuple(map(tuple, elements)),
-        sequences=tuple(map(tuple, sequences)),
     )
 
 

@@ -11,11 +11,11 @@ decomposition instance, reporting the first counterexample on failure.
 The checks work on bitmasks: ``_sequence_masks``, the library's one
 sequence code path, gives each vertex's sequence as level-0 masks, and a
 graph's whole table is computed once and kept on the graph, so the checks
-and the document writer share it. Chains are counted, and enumerated only
-to name a missing one. The neighbourhood formula is mask algebra over
-per-level tables (vertices by sequence prefix, and by each level-0 vertex
-their last entries hold), with no scan of a level. Labels are formatted
-only for a counterexample.
+and ``characterising_sequence`` share it. Documents do not store the
+sequences. Chains are counted, and enumerated only to name a missing one.
+The neighbourhood formula is mask algebra over per-level tables (vertices
+by sequence prefix, and by each level-0 vertex their last entries hold),
+with no scan of a level. Labels are formatted only for a counterexample.
 """
 
 from __future__ import annotations
@@ -245,8 +245,7 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
     (level-1 vertices read as their level-0 neighbourhoods) shared by all
     of x's neighbours at level j; that intersection is the unique clique
     intersection whose containing-clique set matches. Read from the
-    graph's one sequence table, which the checks and the document writer
-    share.
+    graph's one sequence table, which the checks share.
     """
     if m.level_of(x) < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")

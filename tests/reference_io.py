@@ -1,11 +1,12 @@
-"""Document format 1, kept as the reference for format 2.
+"""Document format 1, kept as the reference for format 3.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
 sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 2 only; tests require both formats to decode to the same graph and
-the same sequences.
+format 3 only, which stores no sequences; tests require both formats to
+decode to the same graph, and each sequence format 1 stores to be the one
+``characterising_sequence`` recovers from the format-3 graph.
 """
 
 from __future__ import annotations

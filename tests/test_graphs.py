@@ -218,7 +218,7 @@ def built_three_ways(levels, edges) -> list[MultipartiteGraph]:
         for x in sorted(level)
     ]
     sorted_levels = tuple(tuple(sorted(level)) for level in levels)
-    doc = DecompositionDocument(2, "", "clean", "terminated", sorted_levels, tuple(down), (), ())
+    doc = DecompositionDocument(3, "", "clean", "terminated", sorted_levels, tuple(down))
     return [whole, appended, document_to_multipartite(doc)]
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cleanfactor import (
+    CharacterisingSequence,
     DecompositionDocument,
     DocumentFormatError,
     EdgeListParseError,
@@ -25,6 +26,7 @@ from cleanfactor import (
     SeriesStatus,
     anti_matching,
     build_document,
+    characterising_sequence,
     cli_main,
     document_to_multipartite,
     factorise,
@@ -42,6 +44,7 @@ from cleanfactor import (
     vertex_clique_incidence,
     write_decomposition,
 )
+import cleanfactor.cli
 from conftest import make_g2, make_g3, random_connected_graph
 from reference_io import reference_build_document, reference_decode, reference_parse_document, reference_to_json
 
@@ -91,7 +94,6 @@ def test_document_shape_triangle(triangle):
     doc = build_document(run_series(triangle, OperatorKind.CLEAN), graph_content_hash(triangle))
     assert doc.levels == (("a", "b", "c"), ("K:a,b,c",))
     assert doc.down == ((0, 1, 2),)
-    assert doc.elements == doc.sequences == ()
     assert doc.status == "terminated" and doc.operator == "clean"
 
 
@@ -100,21 +102,27 @@ def test_document_shape_g2():
     doc = build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g))
     assert doc.levels == (("a", "b", "c", "d"), ("K:a,b,c", "K:b,c,d"), ("L2:a,b,c,d",))
     assert doc.down == ((0, 1, 2), (1, 2, 3), (1, 2, 4, 5))
-    # the one sequence is ({b, c}), and b, c are level-0 indexes 1, 2
-    assert doc.elements == ((1, 2),)
-    assert doc.sequences == ((0,),)
+    # the one sequence, ({b, c}), is not stored: the library recovers it from the graph
+    m = document_to_multipartite(doc)
+    assert characterising_sequence(m, "L2:a,b,c,d") == CharacterisingSequence((frozenset("bc"),))
 
 
 G2_GOLDEN = (
-    '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"elements":[[1,2]],"format_version":2,'
-    '"levels":[["a","b","c","d"],["K:a,b,c","K:b,c,d"],["L2:a,b,c,d"]],"operator":"clean","sequences":[[0]],'
+    '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"format_version":3,'
+    '"levels":[["a","b","c","d"],["K:a,b,c","K:b,c,d"],["L2:a,b,c,d"]],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 G3_GOLDEN = (
-    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[0,1,2,6,7],[0,1,6,7,8],[0,1,6,7,9,10]],"elements":[[0,1,2],[0,1]],'
-    '"format_version":2,"levels":[["1","2","3","4","5","6"],["K:1,2,3,4","K:1,2,3,5","K:1,2,6"],'
-    '["L2:1,2,3,4,5","L2:1,2,3,4,5,6"],["L3:1,2,3,4,5,6"]],"operator":"clean","sequences":[[0],[1],[1,0]],'
+    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[0,1,2,6,7],[0,1,6,7,8],[0,1,6,7,9,10]],'
+    '"format_version":3,"levels":[["1","2","3","4","5","6"],["K:1,2,3,4","K:1,2,3,5","K:1,2,6"],'
+    '["L2:1,2,3,4,5","L2:1,2,3,4,5,6"],["L3:1,2,3,4,5,6"]],"operator":"clean",'
     '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
+)
+# G2 in format 2, which also stored every vertex's sequence, in ``elements`` and ``sequences``
+G2_FORMAT_2 = (
+    '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"elements":[[1,2]],"format_version":2,'
+    '"levels":[["a","b","c","d"],["K:a,b,c","K:b,c,d"],["L2:a,b,c,d"]],"operator":"clean","sequences":[[0]],'
+    '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 
 
@@ -136,6 +144,7 @@ def test_reserializing_a_parsed_document_is_byte_identical():
 def test_json_keys_are_sorted():
     payload = json.loads(decomposition_text(make_g2()))
     assert list(payload) == sorted(payload)
+    assert list(payload) == ["down", "format_version", "levels", "operator", "source_hash", "status"]
 
 
 def test_reconstruct_graph_fixed_instances(triangle):
@@ -166,25 +175,22 @@ def test_parse_document_rejects_malformed_input():
 
 
 def decoded(text):
-    """The graph a format-2 text decodes to, and each vertex's sequence as level-0 label tuples."""
-    doc = parse_document(text)
-    m = document_to_multipartite(doc)
-    level0 = doc.levels[0]
-    first = len(m) - len(doc.sequences)
+    """The graph a format-3 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
+    m = document_to_multipartite(parse_document(text))
     sequences = {
-        m.vertices[x]: tuple(tuple(level0[i] for i in doc.elements[e]) for e in seq)
-        for x, seq in enumerate(doc.sequences, start=first)
+        x: tuple(tuple(sorted(o)) for o in characterising_sequence(m, x).sets)
+        for x in itertools.chain.from_iterable(m.levels[2:])
     }
     return m, sequences
 
 
 def assert_formats_agree(result, source_hash):
-    """Format 1 (the reference) and format 2 decode ``result`` to the same graph and sequences."""
+    """Format 1 (the reference) stores the sequences that format 3 recovers, on the same graph."""
     v1 = reference_to_json(reference_build_document(result, source_hash))
-    v2 = write_decomposition(result, source_hash)
-    assert v2.isascii()
-    assert to_json(parse_document(v2)) == v2
-    m, sequences = decoded(v2)
+    v3 = write_decomposition(result, source_hash)
+    assert v3.isascii()
+    assert to_json(parse_document(v3)) == v3
+    m, sequences = decoded(v3)
     assert (m, sequences) == reference_decode(reference_parse_document(v1))
     assert m == result.final
 
@@ -216,7 +222,8 @@ adversarial_labels = st.one_of(
 def unwritable(g):
     """Whether ``g`` holds something no edge list can express."""
     return (
-        any(v.split() != [v] for v in g.vertices)
+        not g.vertices
+        or any(v.split() != [v] for v in g.vertices)
         or any(u.startswith("#") and v.startswith("#") for u, v in g.edges())
         or any(v.startswith("#") and g.degree(v) == 0 for v in g.vertices)
     )
@@ -232,6 +239,7 @@ def adversarial_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(adversarial_graphs())
 @example(Graph(["a", "b", "z"], [("a", "b")]))
+@example(Graph([]))
 @example(Graph(["y", "#x", "z"], [("y", "#x"), ("y", "z")]))
 # a first line that starts with a byte-order mark
 @example(Graph(["\ufeff", "a", "b"], [("a", "b")]))
@@ -276,21 +284,19 @@ def test_codec_matches_the_reference_on_adversarial_labels(result, source_hash):
 
 
 def test_to_json_writes_empty_containers_like_json_dumps():
-    # a vertex without lower neighbours, an empty sequence entry, and a document without sequences
+    # a vertex without lower neighbours
     docs = [
-        DecompositionDocument(2, "h", "weak", "budget-exceeded", (("a",), ("b",), ("c",)), ((), (0,)), ((),), ((0,),)),
-        DecompositionDocument(2, "h", "clean", "terminated", (("a",), ("b",)), ((0,),), (), ()),
+        DecompositionDocument(3, "h", "weak", "budget-exceeded", (("a",), ("b",), ("c",)), ((), (0,))),
+        DecompositionDocument(3, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
     ]
     for doc in docs:
         payload = {
-            "format_version": 2,
+            "format_version": 3,
             "source_hash": doc.source_hash,
             "operator": doc.operator,
             "status": doc.status,
             "levels": [list(level) for level in doc.levels],
             "down": [list(row) for row in doc.down],
-            "elements": [list(o) for o in doc.elements],
-            "sequences": [list(s) for s in doc.sequences],
         }
         text = to_json(doc)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -300,7 +306,7 @@ def test_to_json_writes_empty_containers_like_json_dumps():
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
 NOT_LABEL_LISTS = "vertex 'L2:a,b,c,d': sequence must be a list of label lists"
-V1_REJECTED = "unsupported format_version: this reader takes 2"
+OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 3"
 
 
 @pytest.mark.parametrize(
@@ -356,7 +362,7 @@ def test_parse_document_rejections_match_the_reference(path, value, message):
     assert str(err.value) == message
     with pytest.raises(DocumentFormatError) as err:
         parse_document(text)
-    assert str(err.value) == V1_REJECTED
+    assert str(err.value) == OLD_FORMAT_REJECTED
 
 
 def edited(payload, path, value):
@@ -372,7 +378,7 @@ def edited(payload, path, value):
     return payload
 
 
-# G2 in format 2: levels a b c d | K:a,b,c K:b,c,d | L2:a,b,c,d, so level 1 holds indexes 4, 5 and level 2 index 6
+# G2 in format 3: levels a b c d | K:a,b,c K:b,c,d | L2:a,b,c,d, so level 1 holds indexes 4, 5 and level 2 index 6
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -388,13 +394,6 @@ def edited(payload, path, value):
         (("down", 0), "0 1 2", "down must be a list of index lists"),
         (("down", 2), DELETE, "down must hold 3 rows, not 2"),
         (("down",), None, "down must be a list of index lists"),
-        (("elements", 0), [2, 1], "element 0: indexes must be strictly ascending level-0 indexes"),
-        (("elements", 0), [1, 4], "element 0: indexes must be strictly ascending level-0 indexes"),
-        (("elements", 0), [False], "elements must hold integer indexes"),
-        (("sequences", 0), [0, 0], "level 2: every sequence must have length 1"),
-        (("sequences", 0), [1], "sequences must index into elements"),
-        (("sequences", 0), [-1], "sequences must index into elements"),
-        (("sequences", 0), [True], "sequences must hold integer indexes"),
         (("levels", 0), ["b", "a", "c", "d"], "level 0: labels are not sorted and distinct"),
         (("levels", 0), ["a", "a", "c", "d"], "level 0: labels are not sorted and distinct"),
         (("levels", 0), ["K:a,b,c", "b", "c", "d"], "a label appears on more than one level"),
@@ -404,10 +403,12 @@ def edited(payload, path, value):
         (("operator",), "strong", "unknown operator"),
         (("status",), None, "unknown status"),
         (("source_hash",), 7, "source_hash must be a string"),
-        (("elements",), DELETE, "missing key 'elements'"),
-        (("format_version",), 1, V1_REJECTED),
-        (("format_version",), True, V1_REJECTED),
-        (("format_version",), 2.0, V1_REJECTED),
+        (("down",), DELETE, "missing key 'down'"),
+        (("comment",), "hello", "unknown key 'comment'"),
+        (("format_version",), 1, OLD_FORMAT_REJECTED),
+        (("format_version",), 2, OLD_FORMAT_REJECTED),
+        (("format_version",), True, OLD_FORMAT_REJECTED),
+        (("format_version",), 3.0, OLD_FORMAT_REJECTED),
     ],
     ids=[
         "down-own-level",
@@ -422,13 +423,6 @@ def edited(payload, path, value):
         "down-row-not-list",
         "down-row-missing",
         "down-null",
-        "element-unsorted",
-        "element-not-level-0",
-        "element-boolean",
-        "sequence-too-long",
-        "sequence-past-elements",
-        "sequence-negative",
-        "sequence-boolean",
         "level-unsorted",
         "level-repeated",
         "label-on-two-levels",
@@ -439,7 +433,9 @@ def edited(payload, path, value):
         "unknown-status",
         "hash-not-string",
         "missing-key",
+        "unknown-key",
         "format-version-1",
+        "format-version-2",
         "boolean-format-version",
         "float-format-version",
     ],
@@ -453,7 +449,7 @@ def test_parse_document_rejects_each_malformed_field(path, value, message):
 
 @pytest.mark.parametrize("edges", [5, None], ids=["number", "null"])
 def test_cli_verify_rejects_non_list_edges(tmp_path, capsys, edges):
-    # format 2 keeps the edges in down, one row per vertex
+    # format 3 keeps the edges in down, one row per vertex
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     payload = json.loads(decomposition_text(make_g2()))
     payload["down"] = edges
@@ -508,18 +504,6 @@ def test_cli_verify_prints_level_counts(tmp_path, capsys):
 @pytest.mark.parametrize(
     "graph, edit, detail",
     [
-        (make_g2, {"elements": [[1, 2, 3]]}, """vertex 'L2:a,b,c,d': stored sequence [["b", "c", "d"]] but the graph gives [["b", "c"]]"""),
-        (
-            make_g3,
-            {"sequences": [[0], [1], [0, 1]]},
-            """vertex 'L3:1,2,3,4,5,6': stored sequence [["1", "2", "3"], ["1", "2"]] but the graph gives [["1", "2"], ["1", "2", "3"]]""",
-        ),
-        (make_g2, {"elements": [[1, 2], [0]]}, """element 1 (distinct entries in order of first use): stored ["a"] but the graph gives null"""),
-        (
-            make_g2,
-            {"elements": [[0], [1, 2]], "sequences": [[1]]},
-            """element 0 (distinct entries in order of first use): stored ["a"] but the graph gives ["b", "c"]""",
-        ),
         (
             make_g2,
             {"levels": [["a", "b", "c", "d"], ["K:x", "K:y"], ["not a canonical label"]]},
@@ -543,9 +527,7 @@ def test_cli_verify_prints_level_counts(tmp_path, capsys):
             "vertex 9: label 'L2:1,2,3,4,5#2' but the graph gives 'L2:1,2,3,4,5'",
         ),
     ],
-    ids=[
-        "sequence", "unsorted-sequence", "unused-element", "element-order", "renamed-levels", "level-2-label", "suffix"
-    ],
+    ids=["renamed-levels", "level-2-label", "suffix"],
 )
 def test_cli_verify_rejects_tampered_document_fields(tmp_path, capsys, graph, edit, detail):
     g = graph()
@@ -807,12 +789,39 @@ def test_cli_rejects_a_format_1_document_with_one_error_line(tmp_path, command):
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     v1 = reference_to_json(reference_build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g)))
     doc_path = write(tmp_path, "d.json", v1)
-    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {V1_REJECTED}\n")
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_a_format_2_document_with_one_error_line(tmp_path, command):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", G2_FORMAT_2)
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_an_unknown_key_with_one_error_line(tmp_path, command):
+    # a key the reader dropped would pass verify unread and be missing from the re-serialised bytes
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", json.dumps(json.loads(G2_GOLDEN) | {"comment": "hello"}))
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", "error: unknown key 'comment'\n")
+
+
+def test_cli_maps_running_out_of_memory_to_one_error_line(monkeypatch, tmp_path):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cleanfactor.cli, "run_series", exhausted)
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    out_path = tmp_path / "d.json"
+    argv = ["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)]
+    assert run_cli(argv) == (2, "", "error: out of memory\n")
+    assert not out_path.exists()
 
 
 def test_cli_reconstruct_rejects_an_edge_inside_a_level(tmp_path):
     # format 1 could hold an edge ["a", "b"] inside level 0, which reconstruct accepted and verify refused;
-    # a format-2 row can name only indexes, and one on its own level is refused
+    # a format-3 row can name only indexes, and one on its own level is refused
     payload = json.loads(decomposition_text(make_g2()))
     payload["down"][0] = [0, 1, 2, 5]  # 5 is 'K:b,c,d', on the level of 'K:a,b,c' itself
     doc_path = write(tmp_path, "d.json", json.dumps(payload))
@@ -825,25 +834,25 @@ SEED_DOCUMENTS = [json.loads(decomposition_text(g)) for g in (make_g2(), make_g3
 
 @st.composite
 def broken_documents(draw):
-    """A valid format-2 document with one field edited so that it breaks a rule of the format."""
+    """A valid format-3 document with one field edited so that it breaks a rule of the format."""
     payload = json.loads(json.dumps(draw(st.sampled_from(SEED_DOCUMENTS))))
     n0, n = len(payload["levels"][0]), sum(map(len, payload["levels"]))
     junk = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2), st.none())
-    field = draw(st.sampled_from(["down", "elements", "sequences", "levels", "top"]))
+    field = draw(st.sampled_from(["down", "levels", "top"]))
     if field == "top":
-        key = draw(st.sampled_from(sorted(payload)))
-        if draw(st.booleans()):
-            del payload[key]
+        move = draw(st.sampled_from(["delete", "version", "extra"]))
+        if move == "delete":
+            del payload[draw(st.sampled_from(sorted(payload)))]
+        elif move == "version":
+            payload["format_version"] = draw(st.sampled_from([1, 2, True, 3.0, "3", None]))
         else:
-            payload["format_version"] = draw(st.sampled_from([1, 3, True, 2.0, "2", None]))
+            payload[draw(st.sampled_from(["elements", "sequences", "comment", ""]))] = draw(junk)
         return payload
     rows = payload[field]
     r = draw(st.integers(0, len(rows) - 1))
     row = rows[r]
     if field == "levels":
         moves = ["junk", "repeat", "other-level"] + (["reverse"] if len(row) > 1 else [])
-    elif field == "sequences":
-        moves = ["junk", "repeat", "out-of-range", "longer"]
     else:
         moves = ["junk", "repeat", "out-of-range"] + (["reverse"] if len(row) > 1 else [])
     move = draw(st.sampled_from(moves))
@@ -856,16 +865,13 @@ def broken_documents(draw):
         row.insert(draw(st.integers(0, len(row) - 1)), row[0])
     elif move == "reverse":
         row.reverse()
-    elif move == "longer":
-        row.append(0)
     elif move == "other-level":
         others = [v for level in payload["levels"] if level is not row for v in level]
         row.append(draw(st.sampled_from(others)))
         row.sort()
     else:
         # a down row may name only indexes below the first index of its vertex's level
-        own_level = max(start for start in accumulate(map(len, payload["levels"]), initial=0) if start <= n0 + r)
-        limit = {"down": own_level, "elements": n0, "sequences": len(payload["elements"])}[field]
+        limit = max(start for start in accumulate(map(len, payload["levels"]), initial=0) if start <= n0 + r)
         bad = draw(st.one_of(st.integers(-3, -1), st.integers(limit, n + 3)))
         rows[r] = sorted(set(row) | {bad}) if draw(st.booleans()) else [bad]
     return payload

@@ -413,17 +413,21 @@ def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, c
     assert final.level_count >= 5
     graph_path, doc_path = tmp_path / "g.txt", tmp_path / "d.json"
     graph_path.write_text(format_edge_list(g), encoding="utf-8")
-    doc_path.write_text(write_decomposition(result, graph_content_hash(g)), encoding="ascii")
     calls.clear()
+    # documents store no sequences, so decompose computes none
+    assert cli_main(["decompose", "--operator", "clean", "--input", str(graph_path), "--output", str(doc_path)]) == 0
+    assert calls == []
     assert cli_main(["verify", "--decomposition", str(doc_path), "--input", str(graph_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert calls == [final.level_count]
 
-    # the writer filled the final graph's table, and per-vertex sequences read it
+    # neither does the writer; the first per-vertex query fills the final graph's table, and the rest read it
     calls.clear()
+    assert write_decomposition(result, graph_content_hash(g)) == doc_path.read_text(encoding="ascii")
+    assert calls == []
     for x in itertools.chain.from_iterable(final.levels[2:]):
         characterising_sequence(final, x)
-    assert calls == []
+    assert calls == [final.level_count]
 
     # graphs derived from one whose sequences are filled compute their own
     top = set(final.levels[-1])
