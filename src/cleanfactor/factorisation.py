@@ -13,9 +13,13 @@ exactly when its seed is closed: no further upper vertex of its
 neighbourhood-equality class covers its common neighbourhood (only the
 clean variant splits the upper level into several classes). So the maximal
 candidates come from a depth-first Close-by-One walk over the closed seeds
-of each class, which cuts a branch as soon as its common neighbourhood
-fails a cardinality constraint. The whole candidate family, which the
-definitions describe, is enumerated only in the tests.
+of each class. Each node of the walk passes down ``live``, the members
+whose row still meets its common neighbourhood in two vertices on every
+card level, and its children scan only those: a common neighbourhood only
+shrinks down the walk, so a member that fails the card test at a node
+fails it, and covers no common neighbourhood, anywhere below. The whole
+candidate family, which the definitions describe, is enumerated only in
+the tests.
 """
 
 from __future__ import annotations
@@ -149,56 +153,56 @@ def _closed_seeds(
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
     extended by one member ``j`` past the branch start. The extension is
     canonical when no member before ``j`` outside the seed covers the new
-    common neighbourhood; that prefix is tested first, and only a
-    canonical extension is closed over the members after ``j``. So every
-    closed seed is reached once. A branch whose common neighbourhood fails
-    the size or card test is cut, since every seed below it has a smaller
-    common neighbourhood. Output order follows the walk; callers sort.
+    common neighbourhood ``c``; only a canonical extension is closed over
+    the members after ``j``, so every closed seed is reached once. Output
+    order follows the walk; callers sort.
+
+    Every node carries ``live``: the ascending members outside its seed
+    whose row meets its common neighbourhood in at least two vertices on
+    each card level (in all, when there is none). Only a live ``j`` is
+    extended, and one pass over ``live`` tests canonicity, closes the seed
+    and collects the child's ``live``: the members that pass the card test
+    against ``c``. Inheriting the list is sound because commons only shrink
+    down the walk, so a member that fails the card test fails it at every
+    descendant, and it cannot cover a descendant's common either, which
+    keeps two vertices on every card level.
     """
     rows = [adj[u] for u in members]
     misses = [~row for row in rows]
     units = [1 << u for u in members]
-    n = len(rows)
-    # every common lies inside base_common, where "at least two" is the size
-    # test itself, so base_common stands in for a missing card level
-    cards = [lmask[i] for i in card_levels] + [base_common, base_common]
-    card_a, card_b = cards[0], cards[1]
-    rest = cards[2 : len(card_levels)]
+    # two vertices on a card level are two in all, so the size test is
+    # needed only when there is no card level
+    cards = [lmask[i] for i in card_levels] or [base_common]
     out: list[tuple[int, int]] = []
 
-    def extend(local: int, seed: int, common: int, start: int) -> None:
-        for j in range(start, n):
-            if local >> j & 1:
+    def visit(seed: int, c: int, j: int, scan: Sequence[int]) -> None:
+        """The node that adds ``j`` to ``seed``, with common ``c``; ``scan`` is its parent's ``live``.
+
+        It is dropped when a member before ``j`` covers ``c``; otherwise it
+        is closed, recorded and its children are walked.
+        """
+        live = []
+        for i in scan:
+            if not c & misses[i]:
+                if i < j:
+                    return
+                seed |= units[i]
                 continue
-            c = common & rows[j]
-            if (c & card_a).bit_count() < 2 or (c & card_b).bit_count() < 2:
-                continue
-            if rest and any((c & mask).bit_count() < 2 for mask in rest):
-                continue
-            for i in range(j):
-                if not c & misses[i] and not local >> i & 1:
+            x = c & rows[i]
+            for mask in cards:
+                if (x & mask).bit_count() < 2:
                     break
             else:
-                closed = local | 1 << j
-                grown = seed | units[j]
-                for i in range(j + 1, n):
-                    if not c & misses[i]:
-                        closed |= 1 << i
-                        grown |= units[i]
-                if closed & (closed - 1):
-                    out.append((grown, c))
-                extend(closed, grown, c, j + 1)
-
-    c = base_common
-    if all((c & mask).bit_count() >= 2 for mask in cards):
-        local = seed = 0
-        for i in range(n):
-            if not c & misses[i]:
-                local |= 1 << i
-                seed |= units[i]
-        if local & (local - 1):
+                live.append(i)
+        if seed & (seed - 1):
             out.append((seed, c))
-        extend(local, seed, c, 0)
+        for i in live:
+            if i > j:
+                visit(seed, c & rows[i], i, live)
+
+    # the root is the empty seed; it scans every member
+    if all((base_common & mask).bit_count() >= 2 for mask in cards):
+        visit(0, base_common, -1, range(len(rows)))
     return out
 
 
@@ -219,7 +223,7 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     # the upper level is the top one, so its rows are whole neighbourhoods
     adj = m._down
     lmask = m._level_masks
-    uppers = list(bits(lmask[k - 1]))
+    uppers = m._level_range(k - 1)
     base_common = 0
     for i in range(k - 1):
         base_common |= lmask[i]

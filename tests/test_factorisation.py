@@ -209,21 +209,22 @@ def test_all_operators_match_subset_oracle():
 
 def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
     rng = random.Random(11)
-    visited = 0
+    visited = deep = 0
     for _ in range(300):
-        # two or three lower levels of 1..4 vertices, uppers above them
+        # three lower levels of 1..4 vertices, up to 11 uppers above them
         lmask, n_low = [], 0
-        for size in [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]:
+        for size in [rng.randint(1, 4) for _ in range(3)]:
             lmask.append(((1 << size) - 1) << n_low)
             n_low += size
         base = (1 << n_low) - 1
-        n_up = rng.randint(1, 7)
-        members = sorted(rng.sample(range(n_low, n_low + 10), n_up))
+        n_up = rng.randint(1, 11)
+        members = sorted(rng.sample(range(n_low, n_low + 14), n_up))
         density = rng.choice((0.5, 0.7, 0.85))
-        adj = [0] * (n_low + 10)
+        adj = [0] * (n_low + 14)
         for u in members:
             adj[u] = sum(1 << v for v in range(n_low) if rng.random() < density)
-        card_levels = tuple(rng.sample(range(len(lmask)), rng.randint(0, len(lmask))))
+        # the card-level sets _plan gives (weak and clean at k=2, factor at k=4, clean at k=3), or any subset
+        card_levels = rng.choice(((), (2,), (1, 0), tuple(rng.sample(range(3), rng.randint(0, 3)))))
 
         def common_of(local: int) -> int:
             common = base
@@ -249,7 +250,10 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
         assert len(got) == len(set(got))
         assert set(got) == expected
         visited += len(expected)
-    assert visited >= 100
+        deep += sum(seed.bit_count() >= 4 for seed, _ in expected)
+    assert visited >= 1000
+    # many closed seeds of four or more members, so the walk passes inherited lists well below the root
+    assert deep >= 500
 
 
 def random_multipartite(rng: random.Random) -> MultipartiteGraph:
