@@ -17,7 +17,9 @@ of each class. Each node of the walk passes down ``live``, the members
 whose row still meets its common neighbourhood in two vertices on every
 card level, and its children scan only those: a common neighbourhood only
 shrinks down the walk, so a member that fails the card test at a node
-fails it, and covers no common neighbourhood, anywhere below. The whole
+fails it, and covers no common neighbourhood, anywhere below. Each scan
+is one intersection of a row with the common neighbourhood: equality is
+the cover test, and two popcounts of it are the card test. The whole
 candidate family, which the definitions describe, is enumerated only in
 the tests.
 """
@@ -139,8 +141,8 @@ def _closed_seeds(
     members: Sequence[int],
     adj: Sequence[int],
     base_common: int,
-    lmask: Sequence[int],
-    card_levels: Sequence[int],
+    a: int,
+    b: int,
 ) -> list[tuple[int, int]]:
     """Closed seeds of one class that make a candidate, with their commons.
 
@@ -148,7 +150,10 @@ def _closed_seeds(
     the seed's common neighbourhood (within ``base_common``). Returns
     (seed mask over global indexes, common mask) for every closed seed of
     at least two members whose common neighbourhood has at least two
-    vertices, and at least two on each level in ``card_levels``.
+    vertices on each of the card masks ``a`` and ``b``. ``_plan`` gives at
+    most two card levels: a single one is both ``a`` and ``b``, and with
+    none both are ``base_common``, which asks for two common vertices in
+    all (two on a card level are two in all).
 
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
     extended by one member ``j`` past the branch start. The extension is
@@ -159,20 +164,17 @@ def _closed_seeds(
 
     Every node carries ``live``: the ascending members outside its seed
     whose row meets its common neighbourhood in at least two vertices on
-    each card level (in all, when there is none). Only a live ``j`` is
-    extended, and one pass over ``live`` tests canonicity, closes the seed
-    and collects the child's ``live``: the members that pass the card test
-    against ``c``. Inheriting the list is sound because commons only shrink
-    down the walk, so a member that fails the card test fails it at every
+    ``a`` and on ``b``. Only a live ``j`` is extended, and one pass over
+    ``live`` tests canonicity, closes the seed and collects the child's
+    ``live``, at one intersection ``x`` of a row with ``c`` per member:
+    ``x == c`` is the cover test and two popcounts of ``x`` the card test.
+    Inheriting the list is sound because commons only shrink down the
+    walk, so a member that fails the card test fails it at every
     descendant, and it cannot cover a descendant's common either, which
-    keeps two vertices on every card level.
+    keeps two vertices on ``a`` and ``b``.
     """
     rows = [adj[u] for u in members]
-    misses = [~row for row in rows]
     units = [1 << u for u in members]
-    # two vertices on a card level are two in all, so the size test is
-    # needed only when there is no card level
-    cards = [lmask[i] for i in card_levels] or [base_common]
     out: list[tuple[int, int]] = []
 
     def visit(seed: int, c: int, j: int, scan: Sequence[int]) -> None:
@@ -183,16 +185,12 @@ def _closed_seeds(
         """
         live = []
         for i in scan:
-            if not c & misses[i]:
+            x = c & rows[i]
+            if x == c:
                 if i < j:
                     return
                 seed |= units[i]
-                continue
-            x = c & rows[i]
-            for mask in cards:
-                if (x & mask).bit_count() < 2:
-                    break
-            else:
+            elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
                 live.append(i)
         if seed & (seed - 1):
             out.append((seed, c))
@@ -201,7 +199,7 @@ def _closed_seeds(
                 visit(seed, c & rows[i], i, live)
 
     # the root is the empty seed; it scans every member
-    if all((base_common & mask).bit_count() >= 2 for mask in cards):
+    if (base_common & a).bit_count() > 1 and (base_common & b).bit_count() > 1:
         visit(0, base_common, -1, range(len(rows)))
     return out
 
@@ -227,6 +225,8 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     base_common = 0
     for i in range(k - 1):
         base_common |= lmask[i]
+    cards = [lmask[i] for i in card_levels] or [base_common]
+    a, b = cards[0], cards[-1]
 
     if eq_level is None:
         groups = [uppers]
@@ -237,7 +237,7 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
             buckets.setdefault(adj[u] & eq_mask, []).append(u)
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
 
-    return [pair for group in groups for pair in _closed_seeds(group, adj, base_common, lmask, card_levels)]
+    return [pair for group in groups for pair in _closed_seeds(group, adj, base_common, a, b)]
 
 
 def _check_threads(threads: int) -> None:

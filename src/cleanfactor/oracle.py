@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .cliques import _clique_masks, maximal_cliques
 from .errors import InvalidArgumentError
@@ -128,7 +128,6 @@ class IntersectionPoset:
             )
             above.append(ups)
         self._above = tuple(above)
-        self._count_memo: dict[tuple[int, int], int] = {}
 
     @property
     def elements(self) -> tuple[frozenset[str], ...]:
@@ -147,21 +146,12 @@ class IntersectionPoset:
                     high[i] = 1 + high[j]
         return max(high, default=0)
 
-    def _count_from(self, i: int, m: int) -> int:
-        if m == 1:
-            return 1
-        key = (i, m)
-        got = self._count_memo.get(key)
-        if got is None:
-            got = sum(self._count_from(j, m - 1) for j in self._above[i])
-            self._count_memo[key] = got
-        return got
-
     def chain_count(self, m: int) -> int:
         """Number of strictly increasing m-element sequences."""
         if m < 1:
             raise InvalidArgumentError("chain length must be at least 1")
-        return sum(self._count_from(i, m) for i in range(len(self._elements)))
+        counts = _chain_counts(self._elements)
+        return counts[m] if m < len(counts) else 0
 
     def chains(self, m: int) -> Iterator[tuple[frozenset[str], ...]]:
         if m < 1:
@@ -196,6 +186,22 @@ class CharacterisingSequence:
 def chains_of_length(poset: IntersectionPoset, m: int) -> set[CharacterisingSequence]:
     """All strictly increasing m-element sequences over the poset."""
     return {CharacterisingSequence(chain) for chain in poset.chains(m)}
+
+
+def _chain_counts(order: Sequence[int] | Sequence[frozenset[str]]) -> list[int]:
+    """Chain counts of distinct masks or sets, ordered with every strict subset first.
+
+    Entry m counts the strictly increasing m-element sequences, up to the
+    longest (entry 0 is the empty one). The chains ending at each element
+    are counted one length at a time from those ending at its subsets.
+    """
+    below = [[j for j, p in enumerate(order[:i]) if p | o == o] for i, o in enumerate(order)]
+    counts = [1]
+    ending = [1] * len(order)
+    while any(ending):
+        counts.append(sum(ending))
+        ending = [sum(ending[j] for j in js) for js in below]
+    return counts
 
 
 def _sequence_masks(m: MultipartiteGraph) -> dict[int, tuple[int, ...]]:
@@ -290,7 +296,8 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
 
     labels = m._labels_from_mask
     nonsimple = {o for o in _meets(cliques) if o.bit_count() >= 2}
-    poset = IntersectionPoset(labels(o) for o in nonsimple)
+    # padded, so that every chain length asked for below has an entry
+    chains = _chain_counts(sorted(nonsimple, key=int.bit_count)) + [0] * m.level_count
     sequences = _sequence_masks(m)
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
@@ -314,9 +321,10 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
             first, x = shared
             seq = _fmt_seq(labels(o) for o in sequences[x])
             return _fail(f"level {k}: vertices {m._labels[first]!r} and {m._labels[x]!r} share the sequence {seq}")
-        expected = poset.chain_count(k - 1)
+        expected = chains[k - 1]
         if len(level) != expected:
             attained = {tuple(labels(o) for o in sequences[x]) for x in level}
+            poset = IntersectionPoset(labels(o) for o in nonsimple)
             chain = min(
                 (c for c in poset.chains(k - 1) if c not in attained),
                 key=lambda c: tuple(tuple(sorted(o)) for o in c),
@@ -325,7 +333,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
         counts.append((k, len(level), expected))
 
     beyond = m.level_count - 1
-    leftover = poset.chain_count(beyond) if len(poset) else 0
+    leftover = chains[beyond]
     if leftover:
         return _fail(
             f"series is not terminated: {leftover} chains of {beyond} elements have no level {beyond + 1}"

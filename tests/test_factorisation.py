@@ -18,7 +18,7 @@ from cleanfactor import (
     run_series_from_bipartite,
     vertex_clique_incidence,
 )
-from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family
+from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family, _plan
 
 from bruteforce import (
     candidate_family,
@@ -223,8 +223,9 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
         adj = [0] * (n_low + 14)
         for u in members:
             adj[u] = sum(1 << v for v in range(n_low) if rng.random() < density)
-        # the card-level sets _plan gives (weak and clean at k=2, factor at k=4, clean at k=3), or any subset
-        card_levels = rng.choice(((), (2,), (1, 0), tuple(rng.sample(range(3), rng.randint(0, 3)))))
+        # the card-level sets _plan gives (weak and clean at k=2, factor at k=4, clean at k=3), or any
+        # subset of at most two levels, which is all _plan gives
+        card_levels = rng.choice(((), (2,), (1, 0), tuple(rng.sample(range(3), rng.randint(0, 2)))))
 
         def common_of(local: int) -> int:
             common = base
@@ -246,7 +247,8 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
                 continue
             seed = sum(1 << u for i, u in enumerate(members) if (local >> i) & 1)
             expected.add((seed, common))
-        got = _closed_seeds(members, adj, base, lmask, card_levels)
+        cards = [lmask[i] for i in card_levels] or [base]
+        got = _closed_seeds(members, adj, base, cards[0], cards[-1])
         assert len(got) == len(set(got))
         assert set(got) == expected
         visited += len(expected)
@@ -254,6 +256,15 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
     assert visited >= 1000
     # many closed seeds of four or more members, so the walk passes inherited lists well below the root
     assert deep >= 500
+
+
+def test_plan_gives_at_most_two_card_levels():
+    # _closed_seeds tests the common neighbourhood on two card masks, so no step may need three
+    for op in OperatorKind:
+        for k in range(2, 13):
+            card_levels, _ = _plan(op, k)
+            assert len(card_levels) <= 2
+            assert all(0 <= i < k - 1 for i in card_levels)
 
 
 def random_multipartite(rng: random.Random) -> MultipartiteGraph:

@@ -1,6 +1,7 @@
 """Edge-list parsing, document round trips, and the command line."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -129,6 +130,23 @@ G2_FORMAT_2 = (
 @pytest.mark.parametrize("make, golden", [(make_g2, G2_GOLDEN), (make_g3, G3_GOLDEN)], ids=["G2", "G3"])
 def test_golden_bytes(make, golden):
     assert decomposition_text(make()) == golden
+
+
+@pytest.mark.parametrize(
+    "op, digest",
+    [
+        (OperatorKind.WEAK, "b1e193411d59caf72ad8f97bc7b5d0cf8d1062f5e91432ce3136355feb834a0f"),
+        (OperatorKind.FACTOR, "06c5cfa630f1ff73479bb4f1a5d86cb3cef0a3ad11bc9ba20f72c590659c0e2e"),
+    ],
+    ids=["weak", "factor"],
+)
+def test_golden_digests_of_weak_and_factor(op, digest):
+    # on G2 and G3 weak and factor give the clean levels; here weak tests no card level and factor one
+    g = random_connected_graph(random.Random(7), 10, 0.6)
+    result = run_series(g, op, 5)
+    assert result.status is SeriesStatus.BUDGET_EXCEEDED
+    text = write_decomposition(result, graph_content_hash(g))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_serialization_is_byte_deterministic():
