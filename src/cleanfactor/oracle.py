@@ -3,33 +3,33 @@
 The non-simple intersections of the maximal cliques of a graph, ordered by
 strict inclusion, index the decomposition levels: level k of a terminated
 clean series holds exactly one vertex per strictly increasing sequence of
-k-1 such intersections. This module computes the intersection families,
-counts and enumerates chains, recovers the sequence attached to a
-decomposition vertex, and verifies the expected structure of a
-decomposition instance, reporting the first counterexample on failure.
+k-1 such intersections, and each vertex's lower neighbourhood follows from
+its sequence. This module computes the intersection families, counts and
+enumerates chains, recovers the sequence attached to a decomposition
+vertex, and verifies a decomposition instance, reporting the first
+counterexample on failure.
 
-The checks work on bitmasks: ``_sequence_masks``, the library's one
-sequence code path, gives each vertex's sequence as level-0 masks, and a
-graph's whole table is computed once and kept on the graph, so the checks
-and ``characterising_sequence`` share it. Documents do not store the
-sequences. Chains are counted, and enumerated only to name a missing one.
-The neighbourhood formula is mask algebra over per-level tables (vertices
-by sequence prefix, and by each level-0 vertex their last entries hold),
-with no scan of a level. Labels are formatted only for a counterexample.
+Both checks are views of one walk over bitmasks, ``_pair``. It predicts,
+level by level, the lower neighbourhood of the vertex of every chain from
+the level-1 rows and the vertices already paired below, and pairs each
+vertex with the chain that predicts its row. It needs no labels and no
+sequence table, and each check is complete on its own. ``_sequence_masks``
+serves ``characterising_sequence`` only: it recovers a vertex's sequence
+from its neighbourhoods, once per graph. Labels are formatted only for a
+counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .cliques import _clique_masks, maximal_cliques
 from .errors import InvalidArgumentError
-from .factorisation import OperatorKind
 from .graphs import Graph, MultipartiteGraph, bits
-from .series import SeriesResult, run_series
+from .series import SeriesResult
 
 __all__ = [
     "IntersectionFamily",
@@ -47,12 +47,8 @@ __all__ = [
 ]
 
 
-def _fmt(s: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(s)) + "}"
-
-
 def _fmt_seq(sets: Iterable[frozenset[str]]) -> str:
-    return "(" + " < ".join(_fmt(o) for o in sets) + ")"
+    return "(" + " < ".join("{" + ",".join(sorted(o)) + "}" for o in sets) + ")"
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,7 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
     (level-1 vertices read as their level-0 neighbourhoods) shared by all
     of x's neighbours at level j; that intersection is the unique clique
     intersection whose containing-clique set matches. Read from the
-    graph's one sequence table, which the checks share.
+    graph's sequence table, computed on the first query.
     """
     if m.level_of(x) < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
@@ -276,15 +272,78 @@ def _fail(message: str) -> VerificationReport:
     return VerificationReport(passed=False, counterexample=message)
 
 
+def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int], ...], int]:
+    """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
+
+    The non-simple intersections are those of m's own level-1 rows, and
+    ``cont[o]`` is the mask of the level-1 vertices that contain ``o``. A
+    chain is keyed by the vertex paired with its prefix (-1 for none) and
+    its last entry. Chain ``(o,)`` predicts the row ``o | cont[o]``. The
+    vertex paired with a chain ``p`` predicts the row of each child
+    ``p + (o,)``, ``o`` above ``p[-1]``: its own row except on level 1,
+    then ``cont[o]``, then the window W_k, the vertices paired with
+    ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``. Each level must hold
+    exactly one vertex per predicted row, and distinct chains predict
+    distinct rows, so the pairing is a bijection.
+
+    Returns the first counterexample (None when every level pairs up), the
+    (level, vertices, chains) counts, and the number of chains left over
+    for a level above the top one.
+    """
+    down, labels = m._down, m._labels
+    off1 = ~m._level_masks[1]
+    cliques = [(1 << c, down[c]) for c in m._level_range(1)]
+    # ordered, so that the counterexample named does not depend on set order
+    order = sorted((o for o in _meets([row for _, row in cliques]) if o.bit_count() >= 2), key=lambda o: (o.bit_count(), o))
+    cont = {o: sum([bit for bit, row in cliques if o | row == row]) for o in order}
+    # a strict superset has more bits, so it comes later
+    up = {o: [q for q in order[i + 1 :] if o | q == q] for i, o in enumerate(order)}
+    between: dict[tuple[int, int], list[int]] = {}
+    key_of: dict[int, tuple[int, int]] = {}
+    chains = {(-1, o): o | cont[o] for o in order}
+    counts: list[tuple[int, int, int]] = []
+    for k in range(2, m.level_count):
+        want = {row: key for key, row in chains.items()}
+        paired: dict[tuple[int, int], int] = {}
+        for x in m._level_range(k):
+            key = want.get(down[x])
+            if key is None:
+                return f"level {k}, vertex {labels[x]!r}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
+            y = paired.setdefault(key, x)
+            if y != x:
+                return f"level {k}: vertices {labels[y]!r} and {labels[x]!r} have the same lower neighbourhood", (), 0
+            key_of[x] = key
+        if len(paired) != len(chains):
+            key = next(key for key in chains if key not in paired)
+            seq = [key[1]]
+            while key[0] != -1:
+                key = key_of[key[0]]
+                seq.append(key[1])
+            chain = _fmt_seq(m._labels_from_mask(o) for o in reversed(seq))
+            return f"level {k}: chain {chain} is attained by no vertex", (), 0
+        counts.append((k, len(paired), len(chains)))
+        chains = {}
+        for (a, last), x in paired.items():
+            base = down[x] & off1
+            for o in up[last]:
+                qs = between.get((last, o))
+                if qs is None:
+                    qs = between[last, o] = [last] + [q for q in up[last] if q | o == o]
+                w = 0
+                for q in qs:
+                    w |= 1 << paired[a, q]
+                chains[x, o] = base | cont[o] | w
+    return None, tuple(counts), len(chains)
+
+
 def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     """Check the chain correspondence on a terminated clean decomposition of g.
 
-    Per level k >= 2: every vertex carries a strictly increasing sequence
-    of non-simple intersections, no two vertices share one, and the level
-    has as many vertices as there are (k-1)-element chains. The sequences
-    are then distinct chains, so equal counts mean every chain is attained.
-    Beyond the top level no chains may remain, otherwise the series was not
-    terminated.
+    Level 0 must be g's vertex set and level 1 its maximal cliques. Each
+    level k >= 2 must then pair one to one with the (k-1)-element chains
+    of non-simple intersections, every vertex having the lower
+    neighbourhood its chain predicts (``_pair``). Beyond the top level no
+    chains may remain, otherwise the series was not terminated.
     """
     if set(m.levels[0]) != set(g.vertices):
         return _fail("level 0 does not match the input graph's vertex set")
@@ -293,156 +352,27 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     level1 = [m._down[c] for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
-
-    labels = m._labels_from_mask
-    nonsimple = {o for o in _meets(cliques) if o.bit_count() >= 2}
-    # padded, so that every chain length asked for below has an entry
-    chains = _chain_counts(sorted(nonsimple, key=int.bit_count)) + [0] * m.level_count
-    sequences = _sequence_masks(m)
-    counts: list[tuple[int, int, int]] = []
-    for k in range(2, m.level_count):
-        level = m._level_range(k)
-        seen: dict[tuple[int, ...], int] = {}
-        shared: tuple[int, int] | None = None
-        for x in level:
-            s = sequences[x]
-            if any(a == b or a & ~b for a, b in zip(s, s[1:])):
-                seq = _fmt_seq(labels(o) for o in s)
-                return _fail(f"level {k}, vertex {m._labels[x]!r}: sequence {seq} is not strictly increasing")
-            for o in s:
-                if o not in nonsimple:
-                    return _fail(
-                        f"level {k}, vertex {m._labels[x]!r}: {_fmt(labels(o))} is not a non-simple clique intersection"
-                    )
-            first = seen.setdefault(s, x)
-            if shared is None and first != x:
-                shared = (first, x)
-        if shared is not None:
-            first, x = shared
-            seq = _fmt_seq(labels(o) for o in sequences[x])
-            return _fail(f"level {k}: vertices {m._labels[first]!r} and {m._labels[x]!r} share the sequence {seq}")
-        expected = chains[k - 1]
-        if len(level) != expected:
-            attained = {tuple(labels(o) for o in sequences[x]) for x in level}
-            poset = IntersectionPoset(labels(o) for o in nonsimple)
-            chain = min(
-                (c for c in poset.chains(k - 1) if c not in attained),
-                key=lambda c: tuple(tuple(sorted(o)) for o in c),
-            )
-            return _fail(f"level {k}: chain {_fmt_seq(chain)} is attained by no vertex")
-        counts.append((k, len(level), expected))
-
-    beyond = m.level_count - 1
-    leftover = chains[beyond]
+    failure, counts, leftover = _pair(m)
+    if failure is not None:
+        return _fail(failure)
     if leftover:
-        return _fail(
-            f"series is not terminated: {leftover} chains of {beyond} elements have no level {beyond + 1}"
-        )
-    return VerificationReport(passed=True, level_counts=tuple(counts))
+        beyond = m.level_count - 1
+        return _fail(f"series is not terminated: {leftover} chains of {beyond} elements have no level {beyond + 1}")
+    return VerificationReport(passed=True, level_counts=counts)
 
 
 def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
-    """Check the neighbourhood structure of a terminated clean decomposition.
+    """Check the lower neighbourhoods of a clean decomposition against its chains.
 
-    Three families of checks: the containing cliques of a vertex's last
-    sequence entry are exactly its level-1 neighbours; for j in 2..k-1 the
-    level-j neighbourhood equals the sequence-window set W_j; and vertices
-    of a level that agree one level below agree on every lower level
-    except level 1.
-
-    W_j of a vertex with sequence s holds the level-j vertices whose
-    sequence starts with s[:j-2] and ends between s[j-2] and s[j-1]. The
-    windows and the containing cliques are mask algebra over two tables
-    built once per level j: ``prefix[j]``, the vertices with each sequence
-    prefix, and ``holds[j][v]``, per level-0 vertex v the vertices whose
-    last entry holds v (on level 1, the cliques that hold v). Ending above
-    s[j-2] is then an AND over the v in s[j-2], and ending below s[j-1]
-    the complement of an OR over the v outside it; both are memoised per
-    level and entry.
+    Every vertex of level k >= 2 must have the lower neighbourhood of a
+    distinct (k-1)-element chain ``s`` of the non-simple intersections of
+    m's level-1 rows: ``s[0]`` on level 0, the cliques containing ``s[-1]``
+    on level 1 and the window W_j on each level 2 <= j < k. Every chain
+    of a level must be attained. The same pairing walk as
+    ``verify_bijection`` (``_pair``), over the levels that m has.
     """
-    # each vertex is compared with lower levels only, so its lower neighbourhood is all it reads
-    adj = m._down
-    lmask = m._level_masks
-    labels = m._labels
-    level_of = m._level_of
-    bottom = lmask[0]
-    sequences = _sequence_masks(m)
-    if not sequences:  # two levels: nothing to check
-        return VerificationReport(passed=True)
-
-    def fmt(mask: int) -> str:
-        return _fmt(m._labels_from_mask(mask))
-
-    holds = [[0] * len(m.levels[0]) for _ in range(m.level_count)]
-    prefix: list[dict[tuple[int, ...], int]] = [{} for _ in range(m.level_count)]
-    for c in m._level_range(1):
-        for v in bits(adj[c]):
-            holds[1][v] |= 1 << c
-    # no window lies in the top level, which comes last in index order
-    for y, s in islice(sequences.items(), len(sequences) - len(m.levels[-1])):
-        j, bit = level_of[y], 1 << y
-        prefix[j][s[:-1]] = prefix[j].get(s[:-1], 0) | bit
-        for v in bits(s[-1]):
-            holds[j][v] |= bit
-
-    over: dict[tuple[int, int], int] = {}
-    under: dict[tuple[int, int], int] = {}
-
-    def ending_over(j: int, o: int) -> int:
-        """The level-j vertices whose last entry contains ``o``."""
-        got = over.get((j, o))
-        if got is None:
-            got = lmask[j]
-            for v in bits(o):
-                got &= holds[j][v]
-            over[j, o] = got
-        return got
-
-    def ending_under(j: int, o: int) -> int:
-        """The level-j vertices whose last entry lies inside ``o``."""
-        got = under.get((j, o))
-        if got is None:
-            outside = 0
-            for v in bits(bottom & ~o):
-                outside |= holds[j][v]
-            got = under[j, o] = lmask[j] & ~outside
-        return got
-
-    for x, s in sequences.items():
-        last = s[-1]
-        want = ending_over(1, last)
-        actual = adj[x] & lmask[1]
-        if want != actual:
-            return _fail(
-                f"level {len(s) + 1}, vertex {labels[x]!r}: cliques containing {fmt(last)} are "
-                f"{fmt(want)} but N_1 is {fmt(actual)}"
-            )
-
-    for x, s in sequences.items():
-        k = len(s) + 1
-        for j in range(2, k):
-            window = prefix[j].get(s[: j - 2], 0) & ending_over(j, s[j - 2]) & ending_under(j, s[j - 1])
-            actual = adj[x] & lmask[j]
-            if window != actual:
-                return _fail(
-                    f"level {k}, vertex {labels[x]!r}, level-{j} neighbourhood: expected "
-                    f"{fmt(window)}, got {fmt(actual)}"
-                )
-
-    for k in range(4, m.level_count):
-        groups: dict[int, int] = {}
-        for x in m._level_range(k):
-            other = groups.setdefault(adj[x] & lmask[k - 2], x)
-            if other == x:
-                continue
-            differ = adj[other] ^ adj[x]
-            for p in range(0, k - 1):
-                if p != 1 and differ & lmask[p]:
-                    return _fail(
-                        f"level {k}: {labels[other]!r} and {labels[x]!r} agree on level {k - 2} but differ "
-                        f"on level {p}: {fmt(adj[other] & lmask[p])} vs {fmt(adj[x] & lmask[p])}"
-                    )
-    return VerificationReport(passed=True)
+    failure, _, _ = _pair(m)
+    return VerificationReport(passed=True) if failure is None else _fail(failure)
 
 
 @dataclass(frozen=True)
@@ -466,7 +396,9 @@ class SizeBound:
 def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
     """Evaluate min(k*2^c*c!, 2^k*k!+1)*n against the clean decomposition size.
 
-    ``series`` may pass in a precomputed clean run to avoid recomputing it.
+    The size is counted from the chains, without building the series; a
+    ``series`` passed in is measured instead, so that ``verify`` bounds the
+    decomposition it was given.
     """
     if len(g) == 0:
         raise InvalidArgumentError("the size bound of the empty graph is undefined")
@@ -480,6 +412,9 @@ def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
     n = len(g)
     bound = min(k * (2**c) * factorial(c), (2**k) * factorial(k) + 1) * n
     if series is None:
-        series = run_series(g, OperatorKind.CLEAN)
-    actual = sum(len(level) for level in series.final.levels)
+        # the bijection: one vertex per chain of non-simple intersections above levels 0 and 1
+        nonsimple = sorted((o for o in _meets(cliques) if o.bit_count() >= 2), key=int.bit_count)
+        actual = n + len(cliques) + sum(_chain_counts(nonsimple)[1:])
+    else:
+        actual = sum(len(level) for level in series.final.levels)
     return SizeBound(bound=bound, actual=actual, k=k, c=c)

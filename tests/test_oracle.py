@@ -245,9 +245,9 @@ def test_verify_neighbourhood_formula_detects_tampering(g2):
     assert not verify_neighbourhood_formula(tampered).passed
 
 
-def test_agreement_check_fails_first_when_only_a_lower_level_differs():
-    # x and xp share their level-2 neighbourhood {y} and pass the
-    # containing-cliques and window checks, but differ on level 0
+def test_agreement_check_fails_first_when_only_a_lower_level_differs(clean_runs):
+    # x and xp share their level-2 neighbourhood {y} but differ on level 0; the one clique
+    # has no non-simple intersection, so no chain predicts y's row and the walk stops there
     levels = [["a", "b", "c"], ["c1"], ["y"], ["z"], ["x", "xp"]]
     below = {
         "c1": "a b c",
@@ -257,9 +257,22 @@ def test_agreement_check_fails_first_when_only_a_lower_level_differs():
         "xp": "a b c1 y",
     }
     m = MultipartiteGraph(levels, [(u, v) for v, us in below.items() for u in us.split()])
-    expected = "level 4: 'x' and 'xp' agree on level 2 but differ on level 0: {a} vs {a,b}"
+    expected = "level 2, vertex 'y': no 1-element chain predicts its lower neighbourhood"
     assert verify_neighbourhood_formula(m) == VerificationReport(passed=False, counterexample=expected)
-    assert reference_verify_neighbourhood_formula(m) == verify_neighbourhood_formula(m)
+    assert not reference_verify_neighbourhood_formula(m).passed
+
+    # in a real decomposition, a level-4 vertex that loses one level-0 neighbour and nothing else is named
+    runs, _ = clean_runs
+    g, result = next((g, r) for g, r in runs if r.final.level_count >= 5)
+    final = result.final
+    x = final._level_range(4)[0]
+    rows = list(final._down[len(final.levels[0]) :])
+    low = final._down[x] & final._level_masks[0]
+    rows[x - len(final.levels[0])] ^= low & -low
+    t = MultipartiteGraph._from_rows(final.levels, rows)
+    expected = f"level 4, vertex {final._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
+    assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
+    assert not reference_verify_neighbourhood_formula(t).passed
 
 
 def test_verify_bijection_detects_tampering(g2):
@@ -295,6 +308,8 @@ def test_size_bound_counts_match_the_clique_family(clean_runs):
     for g, result in runs:
         family = maximal_cliques(g)
         sb = size_bound(g, series=result)
+        # counted from the chains, the size is the size of the series
+        assert size_bound(g).actual == sb.actual
         assert sb.k == max(sum(v in clique for clique in family) for v in g.vertices)
         assert sb.c == max(map(len, family))
     with pytest.raises(InvalidArgumentError):
@@ -315,7 +330,7 @@ def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[
     The kinds: one edge deleted (its level pair drawn first, so that the
     sparse pairs are hit too), one edge added between two levels, and one
     vertex of level >= 2 deleted with its edges; last, the top level
-    deleted.
+    deleted, and one vertex of level >= 2 copied with its lower edges.
     """
     edges = list(m.edges())
     present = set(edges)
@@ -338,18 +353,46 @@ def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[
             yield MultipartiteGraph([[v for v in level if v != x] for level in m.levels], [e for e in edges if x not in e])
     top = set(m.levels[-1])
     yield MultipartiteGraph(m.levels[:-1], [e for e in edges if e[1] not in top])
+    k = rng.randrange(2, m.level_count)
+    x = rng.choice(m.levels[k])
+    copied = [level + ((x + "'",) if li == k else ()) for li, level in enumerate(m.levels)]
+    yield MultipartiteGraph(copied, edges + [(u, x + "'") for u, v in edges if v == x])
 
 
 COUNTEREXAMPLES = (
     "level 1 does not match",
-    "is not strictly increasing",
-    "is not a non-simple clique intersection",
-    "share the sequence",
+    "chain predicts its lower neighbourhood",
+    "have the same lower neighbourhood",
     "is attained by no vertex",
     "series is not terminated",
-    "cliques containing",
-    "neighbourhood: expected",
 )
+# the counterexamples found before any level is paired, and after every level is, stay the reference's
+REFERENCE_WORDED = ("level 0 does not match", "level 1 does not match", "series is not terminated")
+
+
+def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: MultipartiteGraph) -> list[str]:
+    """Check the verdicts on a tampered copy ``t`` of ``m`` against the reference; return the counterexamples.
+
+    The bijection check fails; the formula check passes only where the
+    reference's does; the two together fail, as the reference's do. Where
+    the copy differs from ``m`` in one row above level 1, both checks name
+    that row's vertex.
+    """
+    bijection = verify_bijection(g, t)
+    formula = verify_neighbourhood_formula(t)
+    reference_bijection = reference_verify_bijection(g, t)
+    reference_formula = reference_verify_neighbourhood_formula(t)
+    assert not bijection.passed
+    assert reference_formula.passed or not formula.passed
+    assert not (reference_bijection.passed and reference_formula.passed)
+    if any(c.startswith(REFERENCE_WORDED) for c in (bijection.counterexample, reference_bijection.counterexample or "")):
+        assert bijection == reference_bijection
+    if t.levels == m.levels:
+        changed = [x for x, (a, b) in enumerate(zip(m._down, t._down)) if a != b]
+        if len(changed) == 1 and m._level_of[changed[0]] >= 2:
+            name = repr(m._labels[changed[0]])
+            assert name in bijection.counterexample and name in (formula.counterexample or "")
+    return [bijection.counterexample, formula.counterexample or ""]
 
 
 def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
@@ -368,17 +411,53 @@ def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
         if m.level_count < 3:
             continue
         assert verify_bijection(g, m) == reference_verify_bijection(g, m)
+        assert verify_neighbourhood_formula(m) == reference_verify_neighbourhood_formula(m)
         for t in tampered(m, rng, rounds=2 if len(g) <= 12 else 1):
-            bijection = verify_bijection(g, t)
-            formula = verify_neighbourhood_formula(t)
-            assert bijection == reference_verify_bijection(g, t)
-            assert formula == reference_verify_neighbourhood_formula(t)
-            assert not (bijection.passed and formula.passed)
-            for report in (bijection, formula):
-                seen.update(c for c in COUNTEREXAMPLES if c in (report.counterexample or ""))
+            for message in assert_fails_with_the_reference(g, m, t):
+                seen.update(c for c in COUNTEREXAMPLES if c in message)
             checked += 1
     assert checked >= 500
     assert seen == set(COUNTEREXAMPLES)
+
+
+def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
+    # fresh Random(7) at (18, .7): 27,062 vertices, beyond the brute-force references
+    g = random_connected_graph(random.Random(7), 18, 0.7)
+    m = run_series(g, OperatorKind.CLEAN).final
+    assert len(m) == 27062
+    chains = oracle._chain_counts(IntersectionPoset(intersection_family(g).nonsimple).elements)
+    assert len(chains) == m.level_count - 1
+    report = verify_bijection(g, m)
+    assert report.passed and verify_neighbourhood_formula(m).passed
+    assert report.level_counts == tuple((k, chains[k - 1], chains[k - 1]) for k in range(2, m.level_count))
+
+    # one bit of one level-4 row cleared, the rows handed over as they are
+    bottom = len(m.levels[0])
+    x = m._level_range(4)[len(m.levels[4]) // 2]
+    rows = list(m._down[bottom:])
+    rows[x - bottom] &= rows[x - bottom] - 1
+    t = MultipartiteGraph._from_rows(m.levels, rows)
+    expected = f"level 4, vertex {m._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
+    assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    """Graphs of 1 to 9 vertices, each edge drawn."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 9)))]
+    pairs = list(itertools.combinations(vs, 2))
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(vs, [p for p, keep in zip(pairs, flags) if keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_tampered_small_decompositions_fail_with_the_reference(g, rng):
+    m = run_series(g, OperatorKind.CLEAN).final
+    assert verify_bijection(g, m).passed and verify_neighbourhood_formula(m).passed
+    if m.level_count >= 3:
+        for t in tampered(m, rng, rounds=1):
+            assert_fails_with_the_reference(g, m, t)
 
 
 @st.composite
@@ -395,7 +474,9 @@ def multipartite_graphs(draw) -> MultipartiteGraph:
 @settings(max_examples=300, deadline=None)
 @given(multipartite_graphs())
 def test_neighbourhood_formula_matches_the_reference_on_arbitrary_graphs(m):
-    assert verify_neighbourhood_formula(m) == reference_verify_neighbourhood_formula(m)
+    # the walk also needs one vertex per chain, so it may fail where the reference passes, never the other way
+    if verify_neighbourhood_formula(m).passed:
+        assert reference_verify_neighbourhood_formula(m).passed
 
 
 def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, capsys):
@@ -419,7 +500,8 @@ def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, c
     assert calls == []
     assert cli_main(["verify", "--decomposition", str(doc_path), "--input", str(graph_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert calls == [final.level_count]
+    # verify pairs vertices with chains and recovers no sequence
+    assert calls == []
 
     # neither does the writer; the first per-vertex query fills the final graph's table, and the rest read it
     calls.clear()
