@@ -135,7 +135,7 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up", "_seq")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -181,7 +181,7 @@ class MultipartiteGraph:
         self._level_masks = tuple(masks)
         self._anc = None
         self._up = None
-        self._seq = None
+        self._pairing = None
 
     @classmethod
     def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int]) -> MultipartiteGraph:

@@ -9,14 +9,15 @@ enumerates chains, recovers the sequence attached to a decomposition
 vertex, and verifies a decomposition instance, reporting the first
 counterexample on failure.
 
-Both checks are views of one walk over bitmasks, ``_pair``. It predicts,
+Both checks read one pairing per graph. The walk ``_pair`` predicts,
 level by level, the lower neighbourhood of the vertex of every chain from
 the level-1 rows and the vertices already paired below, and pairs each
 vertex with the chain that predicts its row. It needs no labels and no
-sequence table, and each check is complete on its own. ``_sequence_masks``
-serves ``characterising_sequence`` only: it recovers a vertex's sequence
-from its neighbourhoods, once per graph. Labels are formatted only for a
-counterexample.
+second graph. ``_pairing`` runs it on a graph's first check and keeps the
+result on the graph, so verifying a graph walks it once, whichever checks
+run and in whatever order. ``characterising_sequence`` reads no pairing: it
+recovers one vertex's sequence from that vertex's own rows. Labels are
+formatted only for a counterexample.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ def _meets(cliques: list[int]) -> set[int]:
     return found
 
 
+def _nonsimple(cliques: list[int]) -> list[int]:
+    """The non-simple intersections of the cliques as masks, ordered by (bit count, value), not by set order."""
+    return sorted((o for o in _meets(cliques) if o.bit_count() >= 2), key=lambda o: (o.bit_count(), o))
+
+
 def intersection_family(g: Graph) -> IntersectionFamily:
     """Compute the intersection closure of the maximal cliques of ``g``."""
     cliques = _clique_masks(g._adj)
@@ -134,13 +140,7 @@ class IntersectionPoset:
 
     def height(self) -> int:
         """Number of elements on a longest chain (0 for the empty poset)."""
-        n = len(self._elements)
-        high = [1] * n
-        for i in range(n - 1, -1, -1):
-            for j in self._above[i]:
-                if 1 + high[j] > high[i]:
-                    high[i] = 1 + high[j]
-        return max(high, default=0)
+        return len(_chain_counts(self._elements)) - 1
 
     def chain_count(self, m: int) -> int:
         """Number of strictly increasing m-element sequences."""
@@ -200,58 +200,29 @@ def _chain_counts(order: Sequence[int] | Sequence[frozenset[str]]) -> list[int]:
     return counts
 
 
-def _sequence_masks(m: MultipartiteGraph) -> dict[int, tuple[int, ...]]:
-    """Characterising sequences as tuples of level-0 masks, by global index.
-
-    One entry per vertex from level 2 up, in index order; see
-    ``characterising_sequence`` for the entries. The table is computed
-    once per graph and kept on it (``m._seq``), so callers must not
-    modify it.
-    """
-    if m._seq is None:
-        m._seq = _compute_sequences(m)
-    return m._seq
-
-
-def _compute_sequences(m: MultipartiteGraph) -> dict[int, tuple[int, ...]]:
-    # clique sets recur across vertices, so their intersections are memoised;
-    # every row read here is a lower neighbourhood
-    adj = m._down
-    lmask = m._level_masks
-    level_of = m._level_of
-    bottom, cliques = lmask[0], lmask[1]
-    meet: dict[int, int] = {}
-    out: dict[int, tuple[int, ...]] = {}
-    for x in range(len(m.levels[0]) + len(m.levels[1]), len(m)):
-        row = adj[x]
-        seq = [row & bottom]
-        for j in range(2, level_of[x]):
-            shared = cliques
-            for y in bits(row & lmask[j]):
-                shared &= adj[y]
-            o = meet.get(shared)
-            if o is None:
-                o = bottom
-                for c in bits(shared):
-                    o &= adj[c]
-                meet[shared] = o
-            seq.append(o)
-        out[x] = tuple(seq)
-    return out
-
-
 def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSequence:
     """Recover the sequence of a vertex at level k >= 2 of a clean series graph.
 
-    The first entry is N_0(x). Entry j is the intersection of the cliques
-    (level-1 vertices read as their level-0 neighbourhoods) shared by all
-    of x's neighbours at level j; that intersection is the unique clique
-    intersection whose containing-clique set matches. Read from the
-    graph's sequence table, computed on the first query.
+    Read from x's own rows, and from those of its neighbours on levels 1
+    and up. The first entry is N_0(x). Entry j is the intersection of the
+    cliques (level-1 vertices read as their level-0 neighbourhoods) shared
+    by all of x's neighbours at level j; that intersection is the unique
+    clique intersection whose containing-clique set matches.
     """
-    if m.level_of(x) < 2:
+    k = m.level_of(x)
+    if k < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
-    seq = _sequence_masks(m)[m._index[x]]
+    down, lmask = m._down, m._level_masks
+    row, bottom = down[m._index[x]], lmask[0]
+    seq = [row & bottom]
+    for j in range(2, k):
+        shared = lmask[1]
+        for y in bits(row & lmask[j]):
+            shared &= down[y]
+        o = bottom
+        for c in bits(shared):
+            o &= down[c]
+        seq.append(o)
     return CharacterisingSequence(tuple(m._labels_from_mask(o) for o in seq))
 
 
@@ -288,13 +259,12 @@ def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int],
 
     Returns the first counterexample (None when every level pairs up), the
     (level, vertices, chains) counts, and the number of chains left over
-    for a level above the top one.
+    for a level above the top one: the graph's one pairing (``_pairing``).
     """
     down, labels = m._down, m._labels
     off1 = ~m._level_masks[1]
     cliques = [(1 << c, down[c]) for c in m._level_range(1)]
-    # ordered, so that the counterexample named does not depend on set order
-    order = sorted((o for o in _meets([row for _, row in cliques]) if o.bit_count() >= 2), key=lambda o: (o.bit_count(), o))
+    order = _nonsimple([row for _, row in cliques])
     cont = {o: sum([bit for bit, row in cliques if o | row == row]) for o in order}
     # a strict superset has more bits, so it comes later
     up = {o: [q for q in order[i + 1 :] if o | q == q] for i, o in enumerate(order)}
@@ -336,14 +306,22 @@ def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int],
     return None, tuple(counts), len(chains)
 
 
+def _pairing(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int], ...], int]:
+    """``_pair(m)``, walked on first use and kept on the graph (``m._pairing``)."""
+    if m._pairing is None:
+        m._pairing = _pair(m)
+    return m._pairing
+
+
 def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     """Check the chain correspondence on a terminated clean decomposition of g.
 
     Level 0 must be g's vertex set and level 1 its maximal cliques. Each
     level k >= 2 must then pair one to one with the (k-1)-element chains
     of non-simple intersections, every vertex having the lower
-    neighbourhood its chain predicts (``_pair``). Beyond the top level no
-    chains may remain, otherwise the series was not terminated.
+    neighbourhood its chain predicts in m's stored pairing (``_pairing``).
+    Beyond the top level no chains may remain, otherwise the series was
+    not terminated.
     """
     if set(m.levels[0]) != set(g.vertices):
         return _fail("level 0 does not match the input graph's vertex set")
@@ -352,7 +330,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     level1 = [m._down[c] for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
-    failure, counts, leftover = _pair(m)
+    failure, counts, leftover = _pairing(m)
     if failure is not None:
         return _fail(failure)
     if leftover:
@@ -368,10 +346,10 @@ def verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
     distinct (k-1)-element chain ``s`` of the non-simple intersections of
     m's level-1 rows: ``s[0]`` on level 0, the cliques containing ``s[-1]``
     on level 1 and the window W_j on each level 2 <= j < k. Every chain
-    of a level must be attained. The same pairing walk as
-    ``verify_bijection`` (``_pair``), over the levels that m has.
+    of a level must be attained. Read from m's stored pairing
+    (``_pairing``), the one ``verify_bijection`` reads, over m's levels.
     """
-    failure, _, _ = _pair(m)
+    failure, _, _ = _pairing(m)
     return VerificationReport(passed=True) if failure is None else _fail(failure)
 
 
@@ -413,8 +391,7 @@ def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
     bound = min(k * (2**c) * factorial(c), (2**k) * factorial(k) + 1) * n
     if series is None:
         # the bijection: one vertex per chain of non-simple intersections above levels 0 and 1
-        nonsimple = sorted((o for o in _meets(cliques) if o.bit_count() >= 2), key=int.bit_count)
-        actual = n + len(cliques) + sum(_chain_counts(nonsimple)[1:])
+        actual = n + len(cliques) + sum(_chain_counts(_nonsimple(cliques))[1:])
     else:
         actual = sum(len(level) for level in series.final.levels)
     return SizeBound(bound=bound, actual=actual, k=k, c=c)

@@ -6,18 +6,21 @@ sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
 format 3 only, which stores no sequences; tests require both formats to
 decode to the same graph, and each sequence format 1 stores to be the one
-``characterising_sequence`` recovers from the format-3 graph.
+``characterising_sequence`` recovers from the format-3 graph. Format 1
+fills its sequences with ``reference_sequence``, which reads labelled
+neighbourhoods, so that comparison checks the library against a second
+implementation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from cleanfactor import DocumentFormatError, MultipartiteGraph, SeriesResult
-from cleanfactor.graphs import bits
-from cleanfactor.oracle import _sequence_masks
+from reference_oracle import reference_sequence
 
 FORMAT_VERSION = 1
 
@@ -48,8 +51,7 @@ class V1Document:
 def reference_build_document(result: SeriesResult, source_hash: str) -> V1Document:
     m = result.final
     sequences = {
-        m._labels[x]: tuple(tuple(m._labels[i] for i in bits(o)) for o in seq)
-        for x, seq in _sequence_masks(m).items()
+        x: tuple(tuple(sorted(o)) for o in reference_sequence(m, x).sets) for x in chain.from_iterable(m.levels[2:])
     }
     levels = tuple(
         LevelRecord(index=li, vertices=tuple(VertexRecord(v, v, sequences.get(v)) for v in members))

@@ -203,7 +203,10 @@ def decoded(text):
 
 
 def assert_formats_agree(result, source_hash):
-    """Format 1 (the reference) stores the sequences that format 3 recovers, on the same graph."""
+    """Format 3 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores.
+
+    Format 1 is the reference codec and fills its sequences with ``reference_sequence``.
+    """
     v1 = reference_to_json(reference_build_document(result, source_hash))
     v3 = write_decomposition(result, source_hash)
     assert v3.isascii()

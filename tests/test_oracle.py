@@ -156,6 +156,11 @@ def test_chains_match_subset_oracle():
             got = {c.sets for c in chains_of_length(poset, m)}
             assert got == expected
             assert poset.chain_count(m) == len(expected)
+        # a longer chain holds a shorter one, so the longest is the last length that has any
+        longest = 0
+        while subset_chains(set(elements), longest + 1):
+            longest += 1
+        assert poset.height() == longest
 
 
 def test_chain_length_validation():
@@ -479,15 +484,15 @@ def test_neighbourhood_formula_matches_the_reference_on_arbitrary_graphs(m):
         assert reference_verify_neighbourhood_formula(m).passed
 
 
-def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, capsys):
+def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
     calls = []
-    compute = oracle._compute_sequences
+    walk = oracle._pair
 
     def counted(m):
         calls.append(m.level_count)
-        return compute(m)
+        return walk(m)
 
-    monkeypatch.setattr(oracle, "_compute_sequences", counted)
+    monkeypatch.setattr(oracle, "_pair", counted)
     g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
     result = run_series(g, OperatorKind.CLEAN)
     final = result.final
@@ -495,40 +500,44 @@ def test_each_graph_computes_its_sequences_once(monkeypatch, corpus, tmp_path, c
     graph_path, doc_path = tmp_path / "g.txt", tmp_path / "d.json"
     graph_path.write_text(format_edge_list(g), encoding="utf-8")
     calls.clear()
-    # documents store no sequences, so decompose computes none
+    # decompose runs no check
     assert cli_main(["decompose", "--operator", "clean", "--input", str(graph_path), "--output", str(doc_path)]) == 0
     assert calls == []
     assert cli_main(["verify", "--decomposition", str(doc_path), "--input", str(graph_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    # verify pairs vertices with chains and recovers no sequence
-    assert calls == []
-
-    # neither does the writer; the first per-vertex query fills the final graph's table, and the rest read it
-    calls.clear()
-    assert write_decomposition(result, graph_content_hash(g)) == doc_path.read_text(encoding="ascii")
-    assert calls == []
-    for x in itertools.chain.from_iterable(final.levels[2:]):
-        characterising_sequence(final, x)
+    # both checks of the one decoded graph read one pairing
     assert calls == [final.level_count]
 
-    # graphs derived from one whose sequences are filled compute their own
+    # neither the writer nor the sequences walk; the first check does, and the second reads its result
+    calls.clear()
+    assert write_decomposition(result, graph_content_hash(g)) == doc_path.read_text(encoding="ascii")
+    for x in itertools.chain.from_iterable(final.levels[2:]):
+        characterising_sequence(final, x)
+    assert calls == []
+    assert verify_bijection(g, final).passed and verify_neighbourhood_formula(final).passed
+    assert calls == [final.level_count]
+
+    # graphs derived from one whose pairing is stored walk their own
     top = set(final.levels[-1])
     below = MultipartiteGraph(final.levels[:-1], [e for e in final.edges() if e[1] not in top])
     below_run = SeriesResult(below, SeriesStatus.TERMINATED, below.level_count - 2, (), OperatorKind.CLEAN)
     calls.clear()
-    oracle._sequence_masks(below)
+    assert not verify_bijection(g, below).passed and verify_neighbourhood_formula(below).passed
     derived = [
         below.append_level([(x, final.neighbourhood(x)) for x in final.levels[-1]]),
         factorise(below, OperatorKind.CLEAN).graph,
         document_to_multipartite(build_document(below_run, "")),
+        MultipartiteGraph._from_rows(below.levels, below._down[len(below.levels[0]) :]),
     ]
     assert calls == [below.level_count]
     for m in derived:
         fresh = MultipartiteGraph(m.levels, m.edges())
         assert m == fresh
+        calls.clear()
+        reports = (verify_bijection(g, m), verify_neighbourhood_formula(m))
+        assert calls == [m.level_count]
+        assert reports == (verify_bijection(g, fresh), verify_neighbourhood_formula(fresh))
         for x in itertools.chain.from_iterable(m.levels[2:]):
             assert characterising_sequence(m, x) == characterising_sequence(fresh, x)
-        assert verify_bijection(g, m) == verify_bijection(g, fresh)
-        assert verify_neighbourhood_formula(m) == verify_neighbourhood_formula(fresh)
     assert derived[0] == derived[1] == final
-    assert verify_bijection(g, final).passed and verify_neighbourhood_formula(final).passed
+    assert derived[2] == derived[3] == below
