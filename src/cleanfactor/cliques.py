@@ -103,8 +103,9 @@ def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     labels = g.vertices
     # both graphs index level 0 in label order, so a clique mask is its row and its ancestors
     cliques = _clique_masks(g._adj)
-    level1 = sorted(zip(_level_labels(labels, 1, cliques, cliques), cliques))
-    return MultipartiteGraph._from_rows((labels, tuple(label for label, _ in level1)), [c for _, c in level1])
+    rows = [tuple(bits(c)) for c in cliques]
+    names, masks, rows = zip(*sorted(zip(_level_labels(labels, 1, cliques, rows), cliques, rows)))
+    return MultipartiteGraph._from_rows((labels, names), masks, rows)
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

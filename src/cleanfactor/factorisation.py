@@ -33,7 +33,7 @@ from operator import or_
 from typing import Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import MultipartiteGraph, _level_labels, bits
+from .graphs import MultipartiteGraph, _level_labels
 
 __all__ = [
     "OperatorKind",
@@ -263,14 +263,22 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     pairs = _maximal_family(m, op)
     if not pairs:
         return StepResult(effective=False, graph=None)
+    rows = [seed | common for seed, common in pairs]
+    idx = []  # each row's indexes, ascending: the one expansion of the row
+    for row in rows:
+        members = []
+        while row:
+            low = row & -row
+            members.append(low.bit_length() - 1)
+            row ^= low
+        idx.append(tuple(members))
     anc = m._ancestors().__getitem__
     # every common vertex lies below every seed member, so the seed's
-    # ancestors are the new vertex's ancestors
-    ancestors = [reduce(or_, map(anc, bits(seed))) for seed, _ in pairs]
-    rows = [seed | common for seed, common in pairs]
-    named = _level_labels(m._labels, m.level_count, ancestors, rows)
-    labels, rows, ancestors = zip(*sorted(zip(named, rows, ancestors)))
-    return StepResult(effective=True, graph=m._append_rows(labels, rows, ancestors))
+    # ancestors, those of the row's last indexes, are the new vertex's
+    ancestors = [reduce(or_, map(anc, row[-seed.bit_count() :])) for (seed, _), row in zip(pairs, idx)]
+    named = _level_labels(m._labels, m.level_count, ancestors, idx)
+    labels, rows, ancestors, idx = zip(*sorted(zip(named, rows, ancestors, idx)))
+    return StepResult(effective=True, graph=m._append_rows(labels, rows, ancestors, idx))
 
 
 def particularise(h: MultipartiteGraph) -> MultipartiteGraph:

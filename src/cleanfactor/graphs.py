@@ -4,20 +4,27 @@ Vertex sets are handled internally as integer bitmasks over a per-graph
 vertex index (level-major, label-sorted within each level), so every set
 operation is deterministic across runs. A ``MultipartiteGraph`` stores only
 each vertex's lower neighbourhood, so appending a level rewrites no row.
-Up-neighbourhoods are derived where read: ``edges()`` transposes the rows,
-and the first public up-query on a graph builds its up-index, one tuple of
-ascending indexes per vertex. The public surface speaks plain labels and
+Each row is held twice: as a mask, which the candidate and pairing walks
+intersect, and as a tuple of ascending indexes, which ancestors, labels,
+documents and up-queries read. ``vertex_clique_incidence``, ``factorise``
+and ``document_to_multipartite`` pass the tuples in; other constructors
+expand the masks once. ``edges()`` and the up-index of the first public
+up-query transpose the tuples. The public surface speaks plain labels and
 frozensets. All types are immutable after construction.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, repeat
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError
 
 __all__ = ["Graph", "MultipartiteGraph", "bits", "level0_ancestors"]
+
+IndexRows = Sequence[tuple[int, ...]]  # per vertex, some of its neighbours as ascending indexes
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -135,7 +142,7 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_anc", "_up", "_pairing")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_idx", "_anc", "_up", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -161,9 +168,10 @@ class MultipartiteGraph:
             # level-major index order: the lower endpoint has the lower index
             down[max(iu, iv)] |= 1 << min(iu, iv)
         self._down = tuple(down)
+        self._idx = tuple(tuple(bits(row)) for row in down)
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
-        """Set every field but ``_down`` from sorted label tuples; every constructor's one repeated-label check."""
+        """Set every field but the rows from sorted label tuples; every constructor's one repeated-label check."""
         self._levels = levels
         self._labels = tuple(chain.from_iterable(levels))
         self._index = dict(zip(self._labels, range(len(self._labels))))
@@ -184,14 +192,18 @@ class MultipartiteGraph:
         self._pairing = None
 
     @classmethod
-    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int]) -> MultipartiteGraph:
+    def _from_rows(
+        cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int], idx: IndexRows = ()
+    ) -> MultipartiteGraph:
         """The graph on ``levels`` with these lower-neighbourhood masks, one per vertex from level 1 up.
 
+        ``idx``, when not empty, holds the same rows as ascending index tuples.
         Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
         out._down = (0,) * len(levels[0]) + tuple(rows)
+        out._idx = ((),) * len(levels[0]) + tuple(idx) if idx else tuple(tuple(bits(row)) for row in out._down)
         return out
 
     @property
@@ -220,7 +232,7 @@ class MultipartiteGraph:
         """N(x) across all levels."""
         self._require(x)
         i = self._index[x]
-        return self._labels_from_mask(self._down[i]).union([self._labels[j] for j in self._up_index()[i]])
+        return frozenset([self._labels[j] for j in chain(self._idx[i], self._up_index()[i])])
 
     def neighbourhood_at_level(self, x: str, i: int) -> frozenset[str]:
         """N_i(x): the neighbours of ``x`` inside level ``i``. Pure query."""
@@ -281,12 +293,15 @@ class MultipartiteGraph:
 
         return self._append_rows(level, rows())
 
-    def _append_rows(self, level: tuple[str, ...], rows: Iterable[int], anc: tuple[int, ...] = ()) -> MultipartiteGraph:
+    def _append_rows(
+        self, level: tuple[str, ...], rows: Iterable[int], anc: tuple[int, ...] = (), idx: IndexRows = ()
+    ) -> MultipartiteGraph:
         """The (k+1)-level graph with ``level`` on top, adjacent by row masks.
 
         ``level`` holds the new labels, sorted. ``rows`` gives each one's
-        neighbours as a mask over this graph's indexes, in the same order,
-        and ``anc``, when not empty, each one's level-0 ancestor mask.
+        neighbours as a mask over this graph's indexes, in the same order;
+        ``anc`` and ``idx``, when not empty, each one's level-0 ancestor
+        mask and its row as ascending indexes.
         ``rows`` is read only after ``_set_levels`` has checked the labels,
         so a lazy ``rows`` reports its own errors after any label clash.
         The index is level-major, so every existing index and row survives
@@ -295,6 +310,7 @@ class MultipartiteGraph:
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._set_levels(self._levels + (level,))
         out._down = self._down + tuple(rows)
+        out._idx = self._idx + tuple(idx or (tuple(bits(row)) for row in out._down[len(self._down) :]))
         if anc:
             out._anc = self._ancestors() + anc
         return out
@@ -315,8 +331,8 @@ class MultipartiteGraph:
     def _above(self) -> list[list[int]]:
         """Per vertex, the ascending indexes of its higher-level neighbours."""
         above: list[list[int]] = [[] for _ in self._labels]
-        for i, row in enumerate(self._down):
-            for j in bits(row):
+        for i, row in enumerate(self._idx):
+            for j in row:
                 above[j].append(i)
         return above
 
@@ -351,20 +367,15 @@ class MultipartiteGraph:
 
 def _ancestor_masks(m: MultipartiteGraph) -> tuple[int, ...]:
     """Level-0 ancestor bitmask per vertex, following strictly descending edges."""
-    # a level-0 vertex is its own ancestor, so the level-0 part of a row is
-    # taken whole; the index is level-major, so lower levels are low bits
-    level0 = m._level_masks[0]
+    # a level-0 vertex is its own ancestor
     anc = [1 << i for i in range(len(m._levels[0]))]
-    for row in m._down[len(anc) :]:
-        below = row & level0
-        for j in bits(row & ~level0):
-            below |= anc[j]
-        anc.append(below)
+    for row in m._idx[len(anc) :]:
+        anc.append(reduce(or_, map(anc.__getitem__, row), 0))
     return tuple(anc)
 
 
-def _level_labels(labels: Sequence[str], k: int, ancestors: Sequence[int], rows: Sequence[int]) -> list[str]:
-    """Labels of level-``k`` vertices given by ancestor masks and rows over ``labels``, in input order.
+def _level_labels(labels: Sequence[str], k: int, ancestors: Sequence[int], rows: IndexRows) -> list[str]:
+    """Labels of level-``k`` vertices given by ancestor masks and index rows over ``labels``, in input order.
 
     A vertex is ``K:`` on level 1, and ``L<k>:`` above, plus its sorted
     level-0 ancestors. Vertices that share their ancestors get a ``#n``
@@ -381,7 +392,7 @@ def _level_labels(labels: Sequence[str], k: int, ancestors: Sequence[int], rows:
         # level-0 indexes follow label order, so the names come out sorted
         base = prefix + ",".join([labels[i] for i in bits(a)])
         if len(group) > 1:
-            group.sort(key=lambda t: sorted([labels[i] for i in bits(rows[t])]))
+            group.sort(key=lambda t: sorted([labels[i] for i in rows[t]]))
         for n, t in enumerate(group, start=1):
             out[t] = f"{base}#{n}" if n > 1 else base
     return out

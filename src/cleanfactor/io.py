@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, _level_labels, bits
+from .graphs import Graph, MultipartiteGraph, _level_labels
 from .oracle import VerificationReport
 from .series import SeriesResult
 
@@ -144,7 +144,7 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
         operator=result.operator.value,
         status=result.status.value,
         levels=m.levels,
-        down=tuple(tuple(bits(row)) for row in m._down[len(m.levels[0]) :]),
+        down=m._idx[len(m.levels[0]) :],
     )
 
 
@@ -160,7 +160,7 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
-    labels, down, anc = m._labels, m._down, m._ancestors()
+    labels, down, anc = m._labels, m._idx, m._ancestors()
     for k in range(1, m.level_count):
         level = m._level_range(k)
         given = _level_labels(labels, k, anc[level.start : level.stop], down[level.start : level.stop])
@@ -281,7 +281,7 @@ def read_document(path: str | Path) -> DecompositionDocument:
 def document_to_multipartite(doc: DecompositionDocument) -> MultipartiteGraph:
     """Rebuild the multipartite graph a document from ``build_document`` or ``parse_document`` describes."""
     # the indexes of a row are distinct, so their sum is their union
-    return MultipartiteGraph._from_rows(doc.levels, [sum(map((1).__lshift__, row)) for row in doc.down])
+    return MultipartiteGraph._from_rows(doc.levels, [sum(map((1).__lshift__, row)) for row in doc.down], doc.down)
 
 
 def reconstruct_graph(doc: DecompositionDocument) -> Graph:

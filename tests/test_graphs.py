@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cleanfactor import (
     DecompositionDocument,
@@ -11,8 +13,10 @@ from cleanfactor import (
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
+    build_document,
     document_to_multipartite,
     factorise,
+    graph_content_hash,
     level0_ancestors,
     run_series,
     vertex_clique_incidence,
@@ -284,3 +288,107 @@ def test_a_series_computes_ancestor_masks_at_most_once(monkeypatch, corpus):
     result = run_series(deepest, OperatorKind.CLEAN)
     assert result.steps >= 4
     assert len(calls) <= 1
+
+
+def assert_rows_carried(m: MultipartiteGraph) -> None:
+    """The index tuples a graph carries are its masks' set bits, one tuple per vertex."""
+    assert m._idx == tuple(tuple(graphs.bits(row)) for row in m._down)
+
+
+def test_every_builder_carries_its_rows_as_index_tuples(corpus):
+    rng = random.Random(0x1D)
+    for _ in range(100):
+        levels, edges = random_levels_and_edges(rng)
+        for m in built_three_ways(levels, edges):
+            assert_rows_carried(m)
+    finals = 0
+    for g in corpus[:60]:
+        base = vertex_clique_incidence(g)
+        assert_rows_carried(base)
+        for op in OperatorKind:
+            # weak and factor may not terminate; four levels are two steps
+            result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)
+            final = result.final
+            assert_rows_carried(final)
+            m = base
+            while m.level_count < final.level_count:
+                step = factorise(m, op)
+                assert_rows_carried(step.graph)
+                appended = m.append_level(list(zip(step.graph.levels[-1], (c.members for c in step.new_level))))
+                assert appended == step.graph
+                assert_rows_carried(appended)
+                m = step.graph
+            bottom = len(final.levels[0])
+            assert_rows_carried(MultipartiteGraph._from_rows(final.levels, final._down[bottom:]))
+            decoded = document_to_multipartite(build_document(result, graph_content_hash(g)))
+            assert decoded == final
+            assert_rows_carried(decoded)
+            finals += 1
+    assert finals == 180
+
+
+def test_build_document_reads_the_carried_tuples(monkeypatch, corpus):
+    g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
+    result = run_series(g, OperatorKind.CLEAN)
+    final, source_hash = result.final, graph_content_hash(g)
+    assert final.level_count >= 5
+    calls = []
+    expand = graphs.bits
+
+    def counted(mask):
+        calls.append(mask)
+        return expand(mask)
+
+    monkeypatch.setattr(graphs, "bits", counted)
+    doc = build_document(result, source_hash)
+    # no row is expanded again: the document's down lists are the final graph's own tuples
+    assert calls == []
+    bottom = len(final.levels[0])
+    assert len(doc.down) == len(final) - bottom
+    assert all(mine is carried for mine, carried in zip(doc.down, final._idx[bottom:]))
+    # and decoding a document stores its down lists as the graph's tuples
+    decoded = document_to_multipartite(doc)
+    assert calls == []
+    assert all(mine is carried for mine, carried in zip(decoded._idx[bottom:], doc.down))
+
+
+def reference_level_labels(k, ancestor_labels, member_labels):
+    """``_level_labels`` from label sets alone: a name is the sorted ancestor labels, and a
+    vertex sharing its name is ranked among the others by its sorted member labels."""
+    prefix = "K:" if k == 1 else f"L{k}:"
+    names = [prefix + ",".join(sorted(ancestors)) for ancestors in ancestor_labels]
+    out = []
+    for t, name in enumerate(names):
+        rivals = sorted((sorted(member_labels[s]), s) for s, other in enumerate(names) if other == name)
+        n = [s for _, s in rivals].index(t) + 1
+        out.append(f"{name}#{n}" if n > 1 else name)
+    return out
+
+
+# user labels sort below "K:" (upper case) and above "L" (lower case)
+USER_LABELS = st.text(alphabet="ABJabz", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_level_label_suffixes_follow_member_labels_not_indexes(data):
+    # levels 0..k-1 in index order; "K:" < "L10:" < "L2:" < lower-case user labels as strings
+    k = data.draw(st.integers(2, 12), label="k")
+    levels = [sorted(data.draw(st.sets(USER_LABELS, min_size=2, max_size=5), label="level 0"))]
+    for j in range(1, k):
+        prefix = "K:" if j == 1 else f"L{j}:"
+        names = data.draw(st.sets(USER_LABELS, min_size=1, max_size=2), label=f"level {j}")
+        levels.append(sorted(prefix + name for name in names))
+    labels = [v for level in levels for v in level]
+    n0 = len(levels[0])
+    rows = data.draw(
+        st.lists(st.frozensets(st.integers(0, len(labels) - 1), min_size=1), min_size=1, max_size=8, unique=True),
+        label="rows",
+    )
+    # two ancestor sets for all the vertices, so most names are shared
+    pool = data.draw(st.lists(st.integers(1, (1 << n0) - 1), min_size=2, max_size=2), label="ancestors")
+    ancestors = [pool[data.draw(st.integers(0, 1))] for _ in rows]
+    given_labels = graphs._level_labels(labels, k, ancestors, [tuple(sorted(row)) for row in rows])
+    ancestor_labels = [{labels[i] for i in range(n0) if a >> i & 1} for a in ancestors]
+    member_labels = [{labels[i] for i in row} for row in rows]
+    assert given_labels == reference_level_labels(k, ancestor_labels, member_labels)
