@@ -49,7 +49,7 @@ class Graph:
     operations that need a non-empty graph check for themselves.
     """
 
-    __slots__ = ("_labels", "_index", "_adj")
+    __slots__ = ("_labels", "_index", "_adj", "_cliques")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> None:
         vertex_list = list(vertices)
@@ -70,6 +70,7 @@ class Graph:
         self._labels = labels
         self._index = index
         self._adj = tuple(adj)
+        self._cliques = None  # the oracle's maximal-clique masks, enumerated on first use
 
     @classmethod
     def _from_rows(cls, labels: tuple[str, ...], adj: Iterable[int]) -> Graph:
@@ -78,6 +79,7 @@ class Graph:
         g._labels = labels
         g._index = dict(zip(labels, range(len(labels))))
         g._adj = tuple(adj)
+        g._cliques = None
         return g
 
     @property

@@ -17,7 +17,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from io import StringIO
-from itertools import chain
+from itertools import accumulate, chain, compress, count, islice
+from operator import ge, lt
 from pathlib import Path
 from typing import Any
 
@@ -189,18 +190,23 @@ def _expect(condition: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
-def _index_rows(rows: Any, name: str, count: int) -> list[list[int]]:
-    """``rows`` if it is a list of ``count`` integer lists."""
+def _index_rows(rows: Any, name: str, length: int) -> list[list[int]]:
+    """``rows`` if it is a list of ``length`` integer lists."""
     _expect(type(rows) is list and set(map(type, rows)) <= {list}, f"{name} must be a list of index lists")
-    _expect(len(rows) == count, f"{name} must hold {count} rows, not {len(rows)}")
+    _expect(len(rows) == length, f"{name} must hold {length} rows, not {len(rows)}")
     _expect(set(map(type, chain.from_iterable(rows))) <= {int}, f"{name} must hold integer indexes")
     return rows
 
 
 def _strict(rows: list[list[int]], limit: int) -> bool:
-    """Whether every row is strictly ascending inside ``range(limit)``."""
+    """Whether every row of integers is strictly ascending inside ``range(limit)``.
+
+    The rows are read as one flat list: inside the range, and every position
+    where the indexes fail to rise starts a row.
+    """
     flat = list(chain.from_iterable(rows))
-    return not flat or (min(flat) >= 0 and max(flat) < limit and list(map(sorted, map(set, rows))) == rows)
+    falls = compress(count(1), map(ge, flat, islice(flat, 1, None)))
+    return not flat or (min(flat) >= 0 and max(flat) < limit and set(falls) <= set(accumulate(map(len, rows))))
 
 
 def _down_problem(row: list[int], limit: int, n: int) -> str:
@@ -218,7 +224,10 @@ def parse_document(text: str) -> DecompositionDocument:
 
     Every field is checked for its exact type (an index is an ``int``, not
     a ``bool``), its range and its order, so the document decodes to a
-    well-formed multipartite graph. The first problem found is named.
+    well-formed multipartite graph. The first problem found is named. A
+    level's labels and a level's down rows are each checked in a few
+    passes over the whole level; only a failure searches for the row at
+    fault.
     """
     try:
         payload = json.loads(text)
@@ -244,7 +253,7 @@ def parse_document(text: str) -> DecompositionDocument:
     for li, level in enumerate(levels):
         labelled = type(level) is list and level and set(map(type, level)) == {str}
         _expect(labelled, f"level {li} must be a non-empty list of labels")
-        _expect(sorted(set(level)) == level, f"level {li}: labels are not sorted and distinct")
+        _expect(all(map(lt, level, islice(level, 1, None))), f"level {li}: labels are not sorted and distinct")
     labels = list(chain.from_iterable(levels))
     n, n0 = len(labels), len(levels[0])
     _expect(len(set(labels)) == n, "a label appears on more than one level")

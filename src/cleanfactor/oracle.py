@@ -15,9 +15,13 @@ the level-1 rows and the vertices already paired below, and pairs each
 vertex with the chain that predicts its row. It needs no labels and no
 second graph. ``_pairing`` runs it on a graph's first check and keeps the
 result on the graph, so verifying a graph walks it once, whichever checks
-run and in whatever order. ``characterising_sequence`` reads no pairing: it
-recovers one vertex's sequence from that vertex's own rows. Labels are
-formatted only for a counterexample.
+run and in whatever order. In the same way ``_cliques`` keeps the input
+graph's maximal cliques, which ``verify_bijection`` and ``size_bound`` both
+read; decomposing a graph neither reads nor fills them, so a graph passed
+from decomposition to verification is still enumerated once by the oracle.
+``characterising_sequence`` reads no pairing: it recovers one vertex's
+sequence from that vertex's own rows. Labels are formatted only for a
+counterexample.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class IntersectionFamily:
     nonsimple: frozenset[frozenset[str]]
 
 
-def _meets(cliques: list[int]) -> set[int]:
+def _meets(cliques: Sequence[int]) -> set[int]:
     """Every intersection of two or more distinct cliques, as masks.
 
     Together with the cliques themselves and the whole vertex set this is
@@ -87,7 +91,7 @@ def _meets(cliques: list[int]) -> set[int]:
     return found
 
 
-def _nonsimple(cliques: list[int]) -> list[int]:
+def _nonsimple(cliques: Sequence[int]) -> list[int]:
     """The non-simple intersections of the cliques as masks, ordered by (bit count, value), not by set order."""
     return sorted((o for o in _meets(cliques) if o.bit_count() >= 2), key=lambda o: (o.bit_count(), o))
 
@@ -313,20 +317,28 @@ def _pairing(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, in
     return m._pairing
 
 
+def _cliques(g: Graph) -> tuple[int, ...]:
+    """``_clique_masks(g._adj)``, enumerated on first use and kept on the graph (``g._cliques``)."""
+    if g._cliques is None:
+        g._cliques = tuple(_clique_masks(g._adj))
+    return g._cliques
+
+
 def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     """Check the chain correspondence on a terminated clean decomposition of g.
 
-    Level 0 must be g's vertex set and level 1 its maximal cliques. Each
+    Level 0 must be g's vertex set and level 1 its maximal cliques, as
+    g's stored enumeration (``_cliques``) gives them. Each
     level k >= 2 must then pair one to one with the (k-1)-element chains
     of non-simple intersections, every vertex having the lower
     neighbourhood its chain predicts in m's stored pairing (``_pairing``).
     Beyond the top level no chains may remain, otherwise the series was
     not terminated.
     """
-    if set(m.levels[0]) != set(g.vertices):
+    # both are sorted tuples of distinct labels, so once equal g's masks are m's level-0 masks
+    if m.levels[0] != g.vertices:
         return _fail("level 0 does not match the input graph's vertex set")
-    # both vertex sets are now one sorted tuple, so g's masks are m's level-0 masks
-    cliques = _clique_masks(g._adj)
+    cliques = _cliques(g)
     level1 = [m._down[c] for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
@@ -380,7 +392,7 @@ def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
     """
     if len(g) == 0:
         raise InvalidArgumentError("the size bound of the empty graph is undefined")
-    cliques = _clique_masks(g._adj)
+    cliques = _cliques(g)
     per_vertex = [0] * len(g)
     for clique in cliques:
         for v in bits(clique):

@@ -1,4 +1,4 @@
-"""Document format 1, kept as the reference for format 3.
+"""Document format 1, and the format-3 parser's first checks, kept as references.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
@@ -10,6 +10,12 @@ decode to the same graph, and each sequence format 1 stores to be the one
 fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
+
+``reference_parse_v3`` is ``parse_document`` as it was before its label
+and row checks read a whole level in a few flat passes: it tests each
+level's labels with ``reference_labels_ascend`` and each down row on its
+own with ``reference_strict``. Tests require the library to raise the same
+message, or return an equal document, on any text.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any
 
-from cleanfactor import DocumentFormatError, MultipartiteGraph, SeriesResult
+from cleanfactor import DecompositionDocument, DocumentFormatError, MultipartiteGraph, SeriesResult
 from reference_oracle import reference_sequence
 
 FORMAT_VERSION = 1
@@ -159,3 +165,72 @@ def reference_decode(doc: V1Document) -> tuple[MultipartiteGraph, dict[str, tupl
     graph = MultipartiteGraph([[vr.id for vr in level.vertices] for level in doc.levels], doc.edges)
     sequences = {vr.id: vr.sequence for level in doc.levels for vr in level.vertices if vr.sequence is not None}
     return graph, sequences
+
+
+def reference_labels_ascend(level: list[str]) -> bool:
+    """Whether a level's labels are sorted and distinct."""
+    return sorted(set(level)) == level
+
+
+def reference_strict(rows: list[list[int]], limit: int) -> bool:
+    """Whether every row, on its own, is strictly ascending inside ``range(limit)``."""
+    return all(all(0 <= j < limit for j in row) and sorted(set(row)) == row for row in rows)
+
+
+def _down_problem(row: list[int], limit: int, n: int) -> str:
+    for j in row:
+        if not 0 <= j < n:
+            return f"index {j} is out of range"
+        if j >= limit:
+            return f"index {j} is not on a lower level"
+    return "indexes are not strictly ascending"
+
+
+def reference_parse_v3(text: str) -> DecompositionDocument:
+    """A format-3 document, checked one level's labels and one down row at a time."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentFormatError("not valid JSON: nested too deeply") from None
+    _expect(type(payload) is dict, "top level must be an object")
+    version = payload.get("format_version")
+    _expect(type(version) is int and version == 3, "unsupported format_version: this reader takes 3")
+    keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
+    for key in keys:
+        _expect(key in payload, f"missing key {key!r}")
+    unknown = next((key for key in payload if key not in keys), None)
+    _expect(unknown is None, f"unknown key {unknown!r}")
+    _expect(type(payload["source_hash"]) is str, "source_hash must be a string")
+    _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
+    _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
+
+    levels = payload["levels"]
+    _expect(type(levels) is list and len(levels) >= 2, "need at least two levels")
+    for li, level in enumerate(levels):
+        labelled = type(level) is list and level and set(map(type, level)) == {str}
+        _expect(labelled, f"level {li} must be a non-empty list of labels")
+        _expect(reference_labels_ascend(level), f"level {li}: labels are not sorted and distinct")
+    labels = list(chain.from_iterable(levels))
+    n, n0 = len(labels), len(levels[0])
+    _expect(len(set(labels)) == n, "a label appears on more than one level")
+
+    down = payload["down"]
+    _expect(type(down) is list and set(map(type, down)) <= {list}, "down must be a list of index lists")
+    _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}")
+    _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
+    limit = n0
+    for level in levels[1:]:
+        for label, row in zip(level, down[limit - n0 : limit - n0 + len(level)]):
+            _expect(reference_strict([row], limit), f"down row of {label!r}: {_down_problem(row, limit, n)}")
+        limit += len(level)
+
+    return DecompositionDocument(
+        format_version=3,
+        source_hash=payload["source_hash"],
+        operator=payload["operator"],
+        status=payload["status"],
+        levels=tuple(map(tuple, levels)),
+        down=tuple(map(tuple, down)),
+    )

@@ -46,8 +46,16 @@ from cleanfactor import (
     write_decomposition,
 )
 import cleanfactor.cli
+from cleanfactor.io import _strict
 from conftest import make_g2, make_g3, random_connected_graph
-from reference_io import reference_build_document, reference_decode, reference_parse_document, reference_to_json
+from reference_io import (
+    reference_build_document,
+    reference_decode,
+    reference_parse_document,
+    reference_parse_v3,
+    reference_strict,
+    reference_to_json,
+)
 
 G2_TEXT = "a b\na c\nb c\nb d\nc d\n"
 
@@ -921,17 +929,62 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SEED_DOCUMENTS), st.data())
 def test_parse_document_raises_only_format_errors(seed, data):
-    """Any node of a document replaced by any JSON value: a format error or a document that decodes."""
+    """Any node replaced by any JSON value: the reference parser's outcome, and a format error or a document that decodes."""
     payload = json.loads(json.dumps(seed))
     parent, key = payload, data.draw(st.sampled_from(sorted(payload)))
     while isinstance(parent[key], list) and parent[key] and data.draw(st.booleans()):
         parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
     parent[key] = data.draw(json_values)
+    text = json.dumps(payload)
+    assert parsed(parse_document, text) == parsed(reference_parse_v3, text)
     try:
-        doc = parse_document(json.dumps(payload))
+        doc = parse_document(text)
     except DocumentFormatError:
         return
     m = document_to_multipartite(doc)
     assert reconstruct_graph(doc).vertices == doc.levels[0] == m.levels[0]
     verify_document_fields(doc, m)
     assert parse_document(to_json(doc)) == doc
+
+
+def parsed(parse, text):
+    """The document ``parse`` reads from ``text``, or the message it refuses the text with."""
+    try:
+        return parse(text)
+    except DocumentFormatError as exc:
+        return str(exc)
+
+
+ROWS = st.lists(st.integers(-2, 9), max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(ROWS, ROWS.map(lambda row: sorted(set(row)))), max_size=5), st.integers(0, 9))
+@example([[], [0], [], [2]], 3)  # empty and one-index rows
+@example([[0, 1], [-1]], 3)  # a negative index
+@example([[0, 1], [1, 3]], 3)  # an index at the limit
+@example([[0, 2], [0, 1]], 3)  # a fall exactly at a row start: allowed
+@example([[0, 2], [2, 3]], 4)  # a repeat exactly at a row start: allowed
+@example([[2], [], [1]], 3)  # a fall across an empty row: allowed
+@example([[0, 2], [1, 0]], 3)  # a fall one position after a row start: refused
+@example([[0, 2], [1, 1]], 3)  # a repeat one position after a row start: refused
+def test_flat_row_check_matches_the_per_row_reference(rows, limit):
+    assert _strict(rows, limit) == reference_strict(rows, limit)
+
+
+LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SEED_DOCUMENTS), st.data())
+def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, data):
+    """A level or a down row replaced by labels or indexes, in any order: the reference's message or document."""
+    payload = json.loads(json.dumps(seed))
+    field = data.draw(st.sampled_from(["levels", "down"]))
+    items = LABELS if field == "levels" else st.lists(st.integers(-1, sum(map(len, payload["levels"]))), max_size=5)
+    rows = payload[field]
+    rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(
+        st.one_of(items, items.map(sorted), items.map(lambda xs: sorted(set(xs))))
+    )
+    text = json.dumps(payload)
+    assert parsed(parse_document, text) == parsed(reference_parse_v3, text)

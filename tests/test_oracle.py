@@ -36,7 +36,7 @@ from cleanfactor import (
     vertex_clique_incidence,
     write_decomposition,
 )
-from cleanfactor import oracle
+from cleanfactor import cliques, oracle
 
 from bruteforce import subset_chains, subset_intersections
 from conftest import random_connected_graph, random_graph
@@ -541,3 +541,47 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
             assert characterising_sequence(m, x) == characterising_sequence(fresh, x)
     assert derived[0] == derived[1] == final
     assert derived[2] == derived[3] == below
+
+
+def test_each_input_graph_enumerates_its_cliques_once(monkeypatch, corpus, tmp_path, capsys):
+    # a copy, since other tests verify the corpus graphs and so fill their stored cliques
+    g = max(corpus[:60], key=lambda g: len(maximal_cliques(g)))
+    g, n = Graph(g.vertices, g.edges()), len(g)
+    calls = []
+    enumerate_cliques = cliques._clique_masks
+
+    def counted(adj):
+        calls.append(len(adj))
+        return enumerate_cliques(adj)
+
+    # the oracle imports the function by name, so both modules' references are counted
+    monkeypatch.setattr(cliques, "_clique_masks", counted)
+    monkeypatch.setattr(oracle, "_clique_masks", counted)
+    graph_path, doc_path = tmp_path / "g.txt", tmp_path / "d.json"
+    graph_path.write_text(format_edge_list(g), encoding="utf-8")
+    assert cli_main(["decompose", "--operator", "clean", "--input", str(graph_path), "--output", str(doc_path)]) == 0
+    assert calls == [n]
+    calls.clear()
+    assert cli_main(["verify", "--decomposition", str(doc_path), "--input", str(graph_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # the bijection and size-bound checks read one enumeration
+    assert calls == [n]
+
+    # decomposing enumerates without keeping the cliques, so the oracle's first check still enumerates
+    calls.clear()
+    result = run_series(g, OperatorKind.CLEAN)
+    vertex_clique_incidence(g)
+    assert calls == [n, n] and g._cliques is None
+    calls.clear()
+    assert verify_bijection(g, result.final).passed
+    assert size_bound(g).holds and size_bound(g, series=result).holds
+    assert calls == [n]
+    # nor does decomposing read the kept cliques
+    maximal_cliques(g)
+    vertex_clique_incidence(g)
+    assert calls == [n, n, n]
+
+    # the kept cliques take no part in equality or hashing
+    for fresh in (Graph(g.vertices, g.edges()), Graph._from_rows(g.vertices, g._adj)):
+        assert fresh._cliques is None and g._cliques is not None
+        assert fresh == g and hash(fresh) == hash(g)
