@@ -49,13 +49,18 @@ class CliqueFamily:
 def _clique_masks(adj: tuple[int, ...]) -> list[int]:
     # The maximal cliques of a non-empty graph, by Bron-Kerbosch with a greedy
     # pivot. Deterministic: candidates are scanned in bit order and pivot ties
-    # keep the lowest index.
+    # keep the lowest index. The walk keeps its own stack, so a clique of any
+    # size is found without deep recursion, and expands the branches of a node,
+    # each with its subtree, in bit order.
+    if not adj:
+        raise InvalidArgumentError("maximal cliques of the empty graph are undefined")
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
+            continue
         pivot = -1
         best = -1
         scan = p | x
@@ -67,18 +72,13 @@ def _clique_masks(adj: tuple[int, ...]) -> list[int]:
             if size > best:
                 best = size
                 pivot = u
+        # a candidate's branch excludes the candidates before it from p and adds them to x;
+        # pushing from the highest candidate down pops them in bit order
         cand = p & ~adj[pivot]
         while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            expand(r | low, p & adj[v], x & adj[v])
-            p ^= low
-            x |= low
-
-    if not adj:
-        raise InvalidArgumentError("maximal cliques of the empty graph are undefined")
-    expand(0, (1 << len(adj)) - 1, 0)
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            stack.append((r | 1 << v, p & ~cand & adj[v], (x | cand) & adj[v]))
     return out
 
 

@@ -19,9 +19,13 @@ card level, and its children scan only those: a common neighbourhood only
 shrinks down the walk, so a member that fails the card test at a node
 fails it, and covers no common neighbourhood, anywhere below. Each scan
 is one intersection of a row with the common neighbourhood: equality is
-the cover test, and two popcounts of it are the card test. The whole
-candidate family, which the definitions describe, is enumerated only in
-the tests.
+the cover test, and two popcounts of it are the card test. The root's
+children, where most of the scanning happens, come from one pass over the
+pairs of the root's live members, so each pair meets once rather than
+once from each side; deeper nodes, which mostly have few children, keep
+the per-node scan, which costs them less than building every child's
+list in one pass. The whole candidate family, which the definitions
+describe, is enumerated only in the tests.
 """
 
 from __future__ import annotations
@@ -172,6 +176,18 @@ def _closed_seeds(
     walk, so a member that fails the card test fails it at every
     descendant, and it cannot cover a descendant's common either, which
     keeps two vertices on ``a`` and ``b``.
+
+    The root's children come from one pass instead. Every row lies inside
+    ``base_common``: a row equal to it joins the root's closure, and the
+    others that pass the card test make ``top``. For each pair ``p < q``
+    of ``top`` one intersection ``x`` serves both children: ``x`` equal to
+    a row is the cover test from either side, and otherwise one card test
+    puts each member in the other's ``live``. So each pair meets once,
+    where the root's children scanning the root's ``live`` would meet it
+    twice. Row ``p``'s list is complete once its row is done, so its
+    subtree is walked then and the list dropped. Deeper nodes keep the
+    per-node scan: most have few children, and building every child's list
+    up front costs them more than the halved scan saves.
     """
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
@@ -198,9 +214,54 @@ def _closed_seeds(
             if i > j:
                 visit(seed, c & rows[i], i, live)
 
-    # the root is the empty seed; it scans every member
-    if (base_common & a).bit_count() > 1 and (base_common & b).bit_count() > 1:
-        visit(0, base_common, -1, range(len(rows)))
+    # the root is the empty seed, and every row lies inside base_common
+    if (base_common & a).bit_count() < 2 or (base_common & b).bit_count() < 2:
+        return out
+    # the root's children in one pass over the pairs p < q of top: lives[n] collects
+    # top[n]'s live list, earlier members first, and covered[n] drops its node
+    root = 0
+    top: list[int] = []
+    trows: list[int] = []
+    lives: list[list[int]] = []
+    for i, row in enumerate(rows):
+        if row == base_common:
+            root |= units[i]
+        elif (row & a).bit_count() > 1 and (row & b).bit_count() > 1:
+            top.append(i)
+            trows.append(row)
+            lives.append([])
+    if root & (root - 1):
+        out.append((root, base_common))
+    covered = [False] * len(top)
+    for n, p in enumerate(top):
+        rp = trows[n]
+        seed = root | units[p]
+        live = lives[n]
+        for m, rq in enumerate(trows[n + 1 :], n + 1):
+            x = rp & rq
+            if x == rp:
+                # q covers p's common and joins p's seed; a twin gets no node, else p is live for q
+                seed |= units[top[m]]
+                if x == rq:
+                    covered[m] = True
+                else:
+                    lives[m].append(p)
+            elif x == rq:
+                # p covers q's common, so q gets no node but is live for p
+                covered[m] = True
+                live.append(top[m])
+            elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
+                live.append(top[m])
+                lives[m].append(p)
+        # p's list is complete and ascending: walk its subtree now and drop the list
+        lives[n] = []
+        if covered[n]:
+            continue
+        if seed & (seed - 1):
+            out.append((seed, rp))
+        for i in live:
+            if i > p:
+                visit(seed, rp & rows[i], i, live)
     return out
 
 

@@ -11,9 +11,12 @@ from cleanfactor import (
     Graph,
     InvalidArgumentError,
     anti_matching,
+    clique_label,
     maximal_cliques,
     vertex_clique_incidence,
 )
+from cleanfactor.cliques import _clique_masks
+from cleanfactor.graphs import bits
 
 from bruteforce import subset_maximal_cliques
 from conftest import random_graph
@@ -70,6 +73,41 @@ def test_random_graphs_match_subset_oracle():
 @given(graphs(max_n=7))
 def test_cliques_match_subset_oracle_property(g):
     assert set(maximal_cliques(g)) == subset_maximal_cliques(g)
+
+
+def recursive_clique_masks(adj: tuple[int, ...]) -> list[int]:
+    """Bron-Kerbosch with the library's pivot rule, one Python call per node of the walk."""
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot = min(bits(p | x), key=lambda u: (-(p & adj[u]).bit_count(), u))
+        for v in bits(p & ~adj[pivot]):
+            expand(r | 1 << v, p & adj[v], x & adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return out
+
+
+def test_clique_masks_come_in_the_order_of_the_recursive_walk(corpus):
+    rng = random.Random(5150)
+    graphs = corpus + [random_graph(rng, rng.randint(1, 30), rng.choice([0.3, 0.6, 0.9])) for _ in range(100)]
+    for g in graphs:
+        assert _clique_masks(g._adj) == recursive_clique_masks(g._adj)
+
+
+def test_a_clique_of_1100_vertices_needs_no_deep_recursion():
+    # the walk goes one level deeper per clique member: 1100 levels are past Python's recursion limit
+    vs = [f"v{i:04d}" for i in range(1100)]
+    g = Graph(vs, itertools.combinations(vs, 2))
+    assert maximal_cliques(g).cliques == (frozenset(vs),)
+    m = vertex_clique_incidence(g)
+    assert m.levels == (tuple(vs), (clique_label(vs),))
+    assert m.edge_count() == 1100
 
 
 def test_incidence_triangle(triangle):

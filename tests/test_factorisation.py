@@ -40,15 +40,20 @@ def drop_top_level(m: MultipartiteGraph) -> MultipartiteGraph:
     return MultipartiteGraph(m.levels[:-1], edges)
 
 
-def clean_prefix_graphs(g, limit=32):
-    """Every multipartite graph along the clean series of g, in order."""
-    out = [vertex_clique_incidence(g)]
+def series_graphs(m: MultipartiteGraph, op: OperatorKind, limit=32):
+    """Every multipartite graph along the series of op from m, in order."""
+    out = [m]
     while len(out) < limit:
-        step = factorise(out[-1], OperatorKind.CLEAN)
+        step = factorise(out[-1], op)
         if not step.effective:
             break
         out.append(step.graph)
     return out
+
+
+def clean_prefix_graphs(g, limit=32):
+    """Every multipartite graph along the clean series of g, in order."""
+    return series_graphs(vertex_clique_incidence(g), OperatorKind.CLEAN, limit)
 
 
 def test_candidate_set_validation():
@@ -207,6 +212,32 @@ def test_all_operators_match_subset_oracle():
                 assert fast == produced_top
 
 
+def qualifying_closed_seeds(members, adj, base, cards):
+    """What ``_closed_seeds`` returns, by brute force over every subset of ``members``.
+
+    That is (seed, common) for every closed seed of two or more members whose common
+    neighbourhood keeps two vertices in all and on each mask of ``cards``.
+    """
+
+    def common_of(local: int) -> int:
+        common = base
+        for i, u in enumerate(members):
+            if (local >> i) & 1:
+                common &= adj[u]
+        return common
+
+    out = set()
+    for local in range(1 << len(members)):
+        common = common_of(local)
+        close = sum(1 << i for i, u in enumerate(members) if common & ~adj[u] == 0)
+        if close != local or local.bit_count() < 2 or common.bit_count() < 2:
+            continue
+        if any((common & card).bit_count() < 2 for card in cards):
+            continue
+        out.add((sum(1 << u for i, u in enumerate(members) if (local >> i) & 1), common))
+    return out
+
+
 def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
     rng = random.Random(11)
     visited = deep = 0
@@ -226,28 +257,9 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
         # the card-level sets _plan gives (weak and clean at k=2, factor at k=4, clean at k=3), or any
         # subset of at most two levels, which is all _plan gives
         card_levels = rng.choice(((), (2,), (1, 0), tuple(rng.sample(range(3), rng.randint(0, 2)))))
-
-        def common_of(local: int) -> int:
-            common = base
-            for i, u in enumerate(members):
-                if (local >> i) & 1:
-                    common &= adj[u]
-            return common
-
-        def close(local: int) -> int:
-            common = common_of(local)
-            return sum(1 << i for i, u in enumerate(members) if common & ~adj[u] == 0)
-
-        expected = set()
-        for local in range(1 << n_up):
-            common = common_of(local)
-            if close(local) != local or local.bit_count() < 2 or common.bit_count() < 2:
-                continue
-            if any((common & lmask[i]).bit_count() < 2 for i in card_levels):
-                continue
-            seed = sum(1 << u for i, u in enumerate(members) if (local >> i) & 1)
-            expected.add((seed, common))
-        cards = [lmask[i] for i in card_levels] or [base]
+        card_masks = [lmask[i] for i in card_levels]
+        expected = qualifying_closed_seeds(members, adj, base, card_masks)
+        cards = card_masks or [base]
         got = _closed_seeds(members, adj, base, cards[0], cards[-1])
         assert len(got) == len(set(got))
         assert set(got) == expected
@@ -256,6 +268,48 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
     assert visited >= 1000
     # many closed seeds of four or more members, so the walk passes inherited lists well below the root
     assert deep >= 500
+
+
+# One case of the root's pass each, over two lower levels {0,1,2} and {3,4,5}: the uppers' rows,
+# the card levels, and the closed seeds as (members, common).
+ROOT_PASS_CASES = {
+    # 11 is 10's twin: it joins 10's seed and gets no node of its own
+    "twin rows": ({10: {0, 1, 2}, 11: {0, 1, 2}, 12: {1, 2, 3}}, (), [({10, 11}, {0, 1, 2}), ({10, 11, 12}, {1, 2})]),
+    # 11 and 12 cover 10's row: they join 10's seed, and 10 enters their live lists, where it
+    # covers the common of 11 and 12 and so drops that node
+    "a later row covers an earlier one": ({10: {0, 1}, 11: {0, 1, 2}, 12: {0, 1, 3}}, (), [({10, 11, 12}, {0, 1})]),
+    # 10 covers 11's row: 11 gets no node, but enters 10's live list, where it extends 10's seed
+    "an earlier row covers a later one": ({10: {0, 1, 2}, 11: {0, 1}, 12: {0, 1, 3}}, (), [({10, 11, 12}, {0, 1})]),
+    # 10 and 11 equal base_common and close the root; 12 is the one member of top
+    "two rows equal to base_common": (
+        {10: {0, 1, 2, 3, 4, 5}, 11: {0, 1, 2, 3, 4, 5}, 12: {0, 1}},
+        (),
+        [({10, 11}, {0, 1, 2, 3, 4, 5}), ({10, 11, 12}, {0, 1})],
+    ),
+    # 12 fails the card test at the root, so top is 11 alone, whose seed takes the root's 10
+    "a top with a single member": (
+        {10: {0, 1, 2, 3, 4, 5}, 11: {0, 1, 3, 4}, 12: {0, 3}},
+        (0, 1),
+        [({10, 11}, {0, 1, 3, 4})],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROOT_PASS_CASES)
+def test_closed_seeds_handles_each_case_of_the_root_pass(case):
+    rows, card_levels, expected = ROOT_PASS_CASES[case]
+    members = sorted(rows)
+    adj = [0] * 13
+    for u, row in rows.items():
+        adj[u] = sum(1 << v for v in row)
+    lmask = [0b000111, 0b111000]
+    base = 0b111111
+    card_masks = [lmask[i] for i in card_levels]
+    cards = card_masks or [base]
+    got = _closed_seeds(members, adj, base, cards[0], cards[-1])
+    want = {(sum(1 << u for u in seed), sum(1 << v for v in common)) for seed, common in expected}
+    assert len(got) == len(set(got))
+    assert set(got) == want == qualifying_closed_seeds(members, adj, base, card_masks)
 
 
 def test_plan_gives_at_most_two_card_levels():
@@ -288,6 +342,9 @@ def test_factorise_matches_the_reference_step(corpus):
     graphs = corpus[:100] + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES]
     for g in graphs:
         inputs.extend(clean_prefix_graphs(g))
+    # every graph of the antimatching-factor workload's series (anti_matching(3..5), factor): nine graphs
+    for n in (3, 4, 5):
+        inputs.extend(series_graphs(anti_matching(n), OperatorKind.FACTOR))
     suffixed = plain = 0
     for m in inputs:
         # the weak and factor steps over the widest clean levels take seconds each
