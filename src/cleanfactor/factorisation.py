@@ -24,20 +24,25 @@ children, where most of the scanning happens, come from one pass over the
 pairs of the root's live members, so each pair meets once rather than
 once from each side; deeper nodes, which mostly have few children, keep
 the per-node scan, which costs them less than building every child's
-list in one pass. The whole candidate family, which the definitions
-describe, is enumerated only in the tests.
+list in one pass. In a class of ``_COLUMNS_FROM`` or more root members,
+where most pairs fail the card test, each member meets only its card
+partners, found at once by bit-parallel columns over the members. The
+walk keeps its own stack, so a long chain of nested seeds needs no deep
+recursion. The whole candidate family, which the definitions describe,
+is enumerated only in the tests.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import MultipartiteGraph, _level_labels
+from .graphs import IndexRows, MultipartiteGraph, _level_labels, bits
 
 __all__ = [
     "OperatorKind",
@@ -46,6 +51,9 @@ __all__ = [
     "factorise",
     "particularise",
 ]
+
+# the root pass of a class whose top has at least this many members finds partners by columns; see _closed_seeds
+_COLUMNS_FROM = 64
 
 
 class OperatorKind(enum.Enum):
@@ -144,6 +152,7 @@ def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> Candi
 def _closed_seeds(
     members: Sequence[int],
     adj: Sequence[int],
+    idx: IndexRows,
     base_common: int,
     a: int,
     b: int,
@@ -157,14 +166,17 @@ def _closed_seeds(
     vertices on each of the card masks ``a`` and ``b``. ``_plan`` gives at
     most two card levels: a single one is both ``a`` and ``b``, and with
     none both are ``base_common``, which asks for two common vertices in
-    all (two on a card level are two in all).
+    all (two on a card level are two in all). ``idx`` holds the rows of
+    ``adj`` as ascending index tuples; each card mask is one run of
+    consecutive indexes, as a level and ``base_common`` are.
 
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
     extended by one member ``j`` past the branch start. The extension is
     canonical when no member before ``j`` outside the seed covers the new
     common neighbourhood ``c``; only a canonical extension is closed over
     the members after ``j``, so every closed seed is reached once. Output
-    order follows the walk; callers sort.
+    order follows the walk; callers sort. The walk keeps its own stack, so
+    a chain of nested seeds of any length is walked without deep recursion.
 
     Every node carries ``live``: the ascending members outside its seed
     whose row meets its common neighbourhood in at least two vertices on
@@ -188,31 +200,20 @@ def _closed_seeds(
     subtree is walked then and the list dropped. Deeper nodes keep the
     per-node scan: most have few children, and building every child's list
     up front costs them more than the halved scan saves.
+
+    In a class whose ``top`` has at least ``_COLUMNS_FROM`` members, most
+    pairs fail the card test, so ``p`` meets only its partners (see
+    ``_partners``): the later members of ``top`` whose rows share two
+    vertices with its own on ``a`` and on ``b``. A cover or a twin shares
+    the whole of one of the two rows, which passes the card test as that
+    row does, so every pair that the pairwise pass acts on is a partner,
+    and the output is the same, in the same order. Smaller classes keep
+    the pairwise pass, where building the columns costs more than the
+    skipped pairs save; the threshold is the measured crossover.
     """
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
     out: list[tuple[int, int]] = []
-
-    def visit(seed: int, c: int, j: int, scan: Sequence[int]) -> None:
-        """The node that adds ``j`` to ``seed``, with common ``c``; ``scan`` is its parent's ``live``.
-
-        It is dropped when a member before ``j`` covers ``c``; otherwise it
-        is closed, recorded and its children are walked.
-        """
-        live = []
-        for i in scan:
-            x = c & rows[i]
-            if x == c:
-                if i < j:
-                    return
-                seed |= units[i]
-            elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
-                live.append(i)
-        if seed & (seed - 1):
-            out.append((seed, c))
-        for i in live:
-            if i > j:
-                visit(seed, c & rows[i], i, live)
 
     # the root is the empty seed, and every row lies inside base_common
     if (base_common & a).bit_count() < 2 or (base_common & b).bit_count() < 2:
@@ -232,12 +233,18 @@ def _closed_seeds(
             lives.append([])
     if root & (root - 1):
         out.append((root, base_common))
+    partners = None
+    if len(top) >= _COLUMNS_FROM:
+        partners = _partners([idx[members[i]] for i in top], (a,) if a == b else (a, b))
     covered = [False] * len(top)
+    stack: list[tuple[int, int, list[int], Iterator[int]]] = []
+    push, pop = stack.append, stack.pop
     for n, p in enumerate(top):
         rp = trows[n]
         seed = root | units[p]
         live = lives[n]
-        for m, rq in enumerate(trows[n + 1 :], n + 1):
+        later = enumerate(trows[n + 1 :], n + 1) if partners is None else [(m, trows[m]) for m in partners[n]]
+        for m, rq in later:
             x = rp & rq
             if x == rp:
                 # q covers p's common and joins p's seed; a twin gets no node, else p is live for q
@@ -259,9 +266,71 @@ def _closed_seeds(
             continue
         if seed & (seed - 1):
             out.append((seed, rp))
-        for i in live:
-            if i > p:
-                visit(seed, rp & rows[i], i, live)
+        # walk p's subtree depth first, in the order recursion would take. The stack holds
+        # the nodes whose children are not all walked: seed, common, live list, and an
+        # iterator over the members of the list after the node's j. A child adds its j to
+        # the closed seed and scans the list; it is dropped when a member before j covers
+        # its common, else closed and recorded.
+        k = bisect_left(live, p)
+        if k < len(live):
+            push((seed, rp, live, iter(live[k:])))
+        while stack:
+            pseed, pc, scan, kids = stack[-1]
+            j = next(kids, None)
+            if j is None:
+                pop()
+                continue
+            seed, c = pseed, pc & rows[j]
+            live = []
+            for i in scan:
+                x = c & rows[i]
+                if x == c:
+                    if i < j:
+                        break
+                    seed |= units[i]
+                elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
+                    live.append(i)
+            else:
+                if seed & (seed - 1):
+                    out.append((seed, c))
+                k = bisect_left(live, j)
+                if k < len(live):
+                    push((seed, c, live, iter(live[k:])))
+    return out
+
+
+def _partners(tops: IndexRows, cards: tuple[int, ...]) -> list[list[int]]:
+    """For each position ``n`` of ``top``, the later positions whose rows share two vertices with its row on every card mask.
+
+    ``tops`` holds the rows of ``top`` as ascending index tuples. Each card
+    mask's indexes are consecutive, so a row's part on it is one slice.
+    A card vertex's column is the mask of the positions whose rows hold
+    it. Folding the columns of ``n``'s part on one card mask into "met at
+    least once" and "met at least twice" gives the positions sharing two
+    vertices with it there; ANDing that over the distinct card masks gives
+    all of ``n``'s partners in one pass over its own row.
+    """
+    spans = [((card & -card).bit_length() - 1, card.bit_length()) for card in cards]
+    parts = [[t[bisect_left(t, lo) : bisect_left(t, hi)] for lo, hi in spans] for t in tops]
+    # the column of a card vertex: the positions whose rows hold it
+    cols: dict[int, int] = {}
+    for n, row_parts in enumerate(parts):
+        unit = 1 << n
+        for part in row_parts:
+            for v in part:
+                cols[v] = cols.get(v, 0) | unit
+    out = []
+    for n, row_parts in enumerate(parts):
+        found = -1 << (n + 1)
+        for part in row_parts:
+            # the positions met at least twice by the columns of this part
+            ones = twos = 0
+            for v in part:
+                col = cols[v]
+                twos |= ones & col
+                ones |= col
+            found &= twos
+        out.append(list(bits(found)))
     return out
 
 
@@ -298,7 +367,8 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
             buckets.setdefault(adj[u] & eq_mask, []).append(u)
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
 
-    return [pair for group in groups for pair in _closed_seeds(group, adj, base_common, a, b)]
+    idx = m._idx
+    return [pair for group in groups for pair in _closed_seeds(group, adj, idx, base_common, a, b)]
 
 
 def _check_threads(threads: int) -> None:

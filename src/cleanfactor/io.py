@@ -185,16 +185,17 @@ def _not_utf8(exc: UnicodeDecodeError) -> str:
     return f"byte {exc.start} (0x{exc.object[exc.start]:02x}) is not valid UTF-8"
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str, *args: object) -> None:
+    """Raise ``DocumentFormatError(message.format(*args))`` unless ``condition`` holds; only a failure formats it."""
     if not condition:
-        raise DocumentFormatError(message)
+        raise DocumentFormatError(message.format(*args))
 
 
 def _index_rows(rows: Any, name: str, length: int) -> list[list[int]]:
     """``rows`` if it is a list of ``length`` integer lists."""
-    _expect(type(rows) is list and set(map(type, rows)) <= {list}, f"{name} must be a list of index lists")
-    _expect(len(rows) == length, f"{name} must hold {length} rows, not {len(rows)}")
-    _expect(set(map(type, chain.from_iterable(rows))) <= {int}, f"{name} must hold integer indexes")
+    _expect(type(rows) is list and set(map(type, rows)) <= {list}, "{} must be a list of index lists", name)
+    _expect(len(rows) == length, "{} must hold {} rows, not {}", name, length, len(rows))
+    _expect(set(map(type, chain.from_iterable(rows))) <= {int}, "{} must hold integer indexes", name)
     return rows
 
 
@@ -238,12 +239,12 @@ def parse_document(text: str) -> DecompositionDocument:
     _expect(type(payload) is dict, "top level must be an object")
     version = payload.get("format_version")
     supported = type(version) is int and version == FORMAT_VERSION
-    _expect(supported, f"unsupported format_version: this reader takes {FORMAT_VERSION}")
+    _expect(supported, "unsupported format_version: this reader takes {}", FORMAT_VERSION)
     keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
     for key in keys:
-        _expect(key in payload, f"missing key {key!r}")
+        _expect(key in payload, "missing key {!r}", key)
     unknown = next((key for key in payload if key not in keys), None)
-    _expect(unknown is None, f"unknown key {unknown!r}")
+    _expect(unknown is None, "unknown key {!r}", unknown)
     _expect(type(payload["source_hash"]) is str, "source_hash must be a string")
     _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
     _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
@@ -252,8 +253,8 @@ def parse_document(text: str) -> DecompositionDocument:
     _expect(type(levels) is list and len(levels) >= 2, "need at least two levels")
     for li, level in enumerate(levels):
         labelled = type(level) is list and level and set(map(type, level)) == {str}
-        _expect(labelled, f"level {li} must be a non-empty list of labels")
-        _expect(all(map(lt, level, islice(level, 1, None))), f"level {li}: labels are not sorted and distinct")
+        _expect(labelled, "level {} must be a non-empty list of labels", li)
+        _expect(all(map(lt, level, islice(level, 1, None))), "level {}: labels are not sorted and distinct", li)
     labels = list(chain.from_iterable(levels))
     n, n0 = len(labels), len(levels[0])
     _expect(len(set(labels)) == n, "a label appears on more than one level")

@@ -18,7 +18,9 @@ from cleanfactor import (
     run_series_from_bipartite,
     vertex_clique_incidence,
 )
-from cleanfactor.factorisation import _candidate_from_masks, _closed_seeds, _maximal_family, _plan
+from cleanfactor import factorisation
+from cleanfactor.factorisation import _COLUMNS_FROM, _candidate_from_masks, _closed_seeds, _maximal_family, _plan
+from cleanfactor.graphs import bits
 
 from bruteforce import (
     candidate_family,
@@ -212,6 +214,11 @@ def test_all_operators_match_subset_oracle():
                 assert fast == produced_top
 
 
+def index_rows(adj):
+    """The rows of ``adj`` as ascending index tuples, as a graph carries them."""
+    return [tuple(bits(row)) for row in adj]
+
+
 def qualifying_closed_seeds(members, adj, base, cards):
     """What ``_closed_seeds`` returns, by brute force over every subset of ``members``.
 
@@ -260,7 +267,7 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
         card_masks = [lmask[i] for i in card_levels]
         expected = qualifying_closed_seeds(members, adj, base, card_masks)
         cards = card_masks or [base]
-        got = _closed_seeds(members, adj, base, cards[0], cards[-1])
+        got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
         assert len(got) == len(set(got))
         assert set(got) == expected
         visited += len(expected)
@@ -306,10 +313,198 @@ def test_closed_seeds_handles_each_case_of_the_root_pass(case):
     base = 0b111111
     card_masks = [lmask[i] for i in card_levels]
     cards = card_masks or [base]
-    got = _closed_seeds(members, adj, base, cards[0], cards[-1])
+    got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
     want = {(sum(1 << u for u in seed), sum(1 << v for v in common)) for seed, common in expected}
     assert len(got) == len(set(got))
     assert set(got) == want == qualifying_closed_seeds(members, adj, base, card_masks)
+
+
+def closure_closed_seeds(members, adj, base, cards):
+    """What ``_closed_seeds`` returns, from the intersection closure of the rows: no walk and no subsets.
+
+    A closed seed of two or more members has the meet of two or more rows as its common, and a
+    meet that passes the card test has every partial meet pass it too. So the qualifying commons
+    are the pairwise meets that pass, closed under meeting with one more row while they pass;
+    each common's seed is every member whose row covers it.
+    """
+
+    def ok(c: int) -> bool:
+        return c.bit_count() >= 2 and all((c & card).bit_count() >= 2 for card in cards)
+
+    rows = [adj[u] & base for u in members]
+    commons = {x for r, q in itertools.combinations(rows, 2) if ok(x := r & q)}
+    frontier, distinct = commons, set(rows)
+    while frontier:
+        frontier = {x for c in frontier for r in distinct if ok(x := c & r)} - commons
+        commons |= frontier
+    return {(sum(1 << u for u, r in zip(members, rows) if c & ~r == 0), c) for c in commons}
+
+
+def random_class(rng: random.Random, n_top: int, card_levels: tuple[int, ...]):
+    """A class over three lower levels whose root pass has exactly ``n_top`` members in ``top``.
+
+    Most rows are sparse, so most pairs fail the card test. Among them are twin rows, rows that
+    cover an earlier row, rows the earlier ones cover, up to two rows equal to ``base_common`` (which
+    join the root) and up to three rows that fail the card test (which stay out of ``top``).
+    Returns members, adj, base_common and the card masks (``[base_common]`` for none), as
+    ``closure_closed_seeds`` takes them.
+    """
+    lmask, n_low = [], 0
+    for size in [rng.randint(6, 12) for _ in range(3)]:
+        lmask.append(((1 << size) - 1) << n_low)
+        n_low += size
+    base = (1 << n_low) - 1
+    cards = [lmask[i] for i in card_levels] or [base]
+    density = rng.choice((0.15, 0.25)) if card_levels else 0.1
+
+    def passes(row: int) -> bool:
+        return all((row & card).bit_count() >= 2 for card in cards)
+
+    top: list[int] = []
+    while len(top) < n_top:
+        shape = rng.random()
+        if top and shape < 0.1:
+            row = rng.choice(top)
+        elif top and shape < 0.25:
+            row = rng.choice(top) | 1 << rng.randrange(n_low)
+        elif top and shape < 0.35:
+            row = rng.choice(top) & ~(1 << rng.randrange(n_low))
+        else:
+            row = sum(1 << v for v in range(n_low) if rng.random() < density)
+        if row != base and passes(row):
+            top.append(row)
+    # a row with one vertex on the first card mask fails the card test
+    low = (cards[0] & -cards[0]).bit_length() - 1
+    failing = [(base & ~cards[0]) | 1 << low for _ in range(rng.randint(0, 3))]
+    rows = top + [base] * rng.randint(0, 2) + failing
+    rng.shuffle(rows)
+    members = sorted(rng.sample(range(n_low, n_low + 2 * len(rows)), len(rows)))
+    adj = [0] * (n_low + 2 * len(rows))
+    for u, row in zip(members, rows):
+        adj[u] = row
+    return members, adj, base, cards
+
+
+# every card shape _plan gives (none, one level, two levels), each with a top just below the
+# column threshold, at it, and well on both sides of it
+COLUMN_CASES = [
+    pytest.param(n_top, card_levels, id=f"top{n_top}-cards{''.join(map(str, card_levels)) or 'none'}")
+    for card_levels in ((), (2,), (1, 0))
+    for n_top in (40, _COLUMNS_FROM - 1, _COLUMNS_FROM, 90, 140, 200)
+]
+
+
+@pytest.mark.parametrize("n_top, card_levels", COLUMN_CASES)
+def test_closed_seeds_match_the_closure_on_both_sides_of_the_column_threshold(n_top, card_levels, monkeypatch):
+    columns = []
+    partners = factorisation._partners
+    monkeypatch.setattr(factorisation, "_partners", lambda *args: columns.append(1) or partners(*args))
+    rng = random.Random(n_top * 10 + len(card_levels))
+    for _ in range(2):
+        members, adj, base, cards = random_class(rng, n_top, card_levels)
+        got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
+        assert len(got) == len(set(got))
+        assert set(got) == closure_closed_seeds(members, adj, base, cards)
+    # the columns run exactly when top reaches the threshold
+    assert len(columns) == (2 if n_top >= _COLUMNS_FROM else 0)
+
+
+def recursive_closed_seeds(members, adj, base_common, a, b):
+    """``_closed_seeds`` as it was written with a recursive walk and a pairwise root pass, kept for its output order."""
+    rows = [adj[u] for u in members]
+    units = [1 << u for u in members]
+    out = []
+
+    def visit(seed, c, j, scan):
+        live = []
+        for i in scan:
+            x = c & rows[i]
+            if x == c:
+                if i < j:
+                    return
+                seed |= units[i]
+            elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
+                live.append(i)
+        if seed & (seed - 1):
+            out.append((seed, c))
+        for i in live:
+            if i > j:
+                visit(seed, c & rows[i], i, live)
+
+    if (base_common & a).bit_count() < 2 or (base_common & b).bit_count() < 2:
+        return out
+    root, top, lives = 0, [], []
+    for i, row in enumerate(rows):
+        if row == base_common:
+            root |= units[i]
+        elif (row & a).bit_count() > 1 and (row & b).bit_count() > 1:
+            top.append(i)
+            lives.append([])
+    if root & (root - 1):
+        out.append((root, base_common))
+    covered = [False] * len(top)
+    for n, p in enumerate(top):
+        rp, seed, live = rows[p], root | units[p], lives[n]
+        for m in range(n + 1, len(top)):
+            rq = rows[top[m]]
+            x = rp & rq
+            if x == rp:
+                seed |= units[top[m]]
+                if x == rq:
+                    covered[m] = True
+                else:
+                    lives[m].append(p)
+            elif x == rq:
+                covered[m] = True
+                live.append(top[m])
+            elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
+                live.append(top[m])
+                lives[m].append(p)
+        if covered[n]:
+            continue
+        if seed & (seed - 1):
+            out.append((seed, rp))
+        for i in live:
+            if i > p:
+                visit(seed, rp & rows[i], i, live)
+    return out
+
+
+def staircase(n: int) -> MultipartiteGraph:
+    """Uppers u_0..u_{n-1} over bottoms b_0..b_n, with u_i adjacent to b_j for every j >= i: nested rows."""
+    bottoms = [f"b{j:04d}" for j in range(n + 1)]
+    uppers = [f"u{i:04d}" for i in range(n)]
+    rows = [tuple(range(i, n + 1)) for i in range(n)]
+    return MultipartiteGraph._from_rows((tuple(bottoms), tuple(uppers)), [sum(1 << j for j in row) for row in rows], rows)
+
+
+def test_closed_seeds_keep_the_order_of_the_recursive_walk():
+    rng = random.Random(19)
+    for case in COLUMN_CASES:
+        members, adj, base, cards = random_class(rng, *case.values)
+        got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
+        assert got == recursive_closed_seeds(members, adj, base, cards[0], cards[-1])
+    # a chain of 499 nested seeds, as deep as the recursive walk goes here
+    h = staircase(500)
+    members, base = h._level_range(1), h._level_masks[0]
+    got = _closed_seeds(members, h._down, h._idx, base, base, base)
+    assert len(got) == 499
+    assert got == recursive_closed_seeds(members, h._down, base, base, base)
+
+
+def test_weak_step_walks_a_chain_of_a_thousand_nested_seeds():
+    # the recursive walk raised RecursionError here: each closed seed {u_0..u_i} is the child of the one before
+    n = 1100
+    h = staircase(n)
+    step = factorise(h, OperatorKind.WEAK)
+    assert step.effective
+    m = step.graph
+    new_rows = m._down[len(h._down) :]
+    # one vertex per i >= 1: the seed {u_0..u_i} plus its common, u_i's row; u_1099's row is the last with two bottoms
+    uppers = h._level_range(1)
+    expected = {sum(1 << u for u in uppers[: i + 1]) | h._down[uppers[i]] for i in range(1, n)}
+    assert len(new_rows) == len(expected) == n - 1
+    assert set(new_rows) == expected
 
 
 def test_plan_gives_at_most_two_card_levels():

@@ -46,6 +46,7 @@ from cleanfactor import (
     write_decomposition,
 )
 import cleanfactor.cli
+import cleanfactor.io
 from cleanfactor.io import _strict
 from conftest import make_g2, make_g3, random_connected_graph
 from reference_io import (
@@ -475,6 +476,24 @@ def test_parse_document_rejects_each_malformed_field(path, value, message):
         parse_document(text)
     assert str(err.value) == message
 
+
+
+def test_parse_document_formats_a_message_only_when_its_check_fails(monkeypatch):
+    class Unprintable:
+        def __repr__(self):
+            raise AssertionError("a passing check formatted its message")
+
+    expect = cleanfactor.io._expect
+    expect(True, "unknown key {!r}", Unprintable())
+    with pytest.raises(DocumentFormatError, match="^unknown key 'x'$"):
+        expect(False, "unknown key {!r}", "x")
+    calls = []
+    monkeypatch.setattr(cleanfactor.io, "_expect", lambda ok, message, *args: calls.append((message, args)) or expect(ok, message, *args))
+    parse_document(decomposition_text(make_g3()))
+    # a message that names a key, a level, a count or the version comes as a template with its values beside it
+    assert all(("{" in message) == bool(args) for message, args in calls)
+    # the version, six missing keys, the unknown key, two checks on each of G3's four levels, three on down
+    assert sum(bool(args) for _, args in calls) == 1 + 6 + 1 + 2 * 4 + 3
 
 @pytest.mark.parametrize("edges", [5, None], ids=["number", "null"])
 def test_cli_verify_rejects_non_list_edges(tmp_path, capsys, edges):
