@@ -24,12 +24,13 @@ children, where most of the scanning happens, come from one pass over the
 pairs of the root's live members, so each pair meets once rather than
 once from each side; deeper nodes, which mostly have few children, keep
 the per-node scan, which costs them less than building every child's
-list in one pass. In a class of ``_COLUMNS_FROM`` or more root members,
-where most pairs fail the card test, each member meets only its card
-partners, found at once by bit-parallel columns over the members. The
-walk keeps its own stack, so a long chain of nested seeds needs no deep
-recursion. The whole candidate family, which the definitions describe,
-is enumerated only in the tests.
+list in one pass. In a class of ``_COLUMNS_FROM`` or more root members
+whose rows are sparse on the card levels, where most pairs fail the card
+test, each member meets only its card partners, found at once by
+bit-parallel columns over the members. The walk keeps its own stack, so
+a long chain of nested seeds needs no deep recursion. The whole
+candidate family, which the definitions describe, is enumerated only in
+the tests.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ __all__ = [
     "particularise",
 ]
 
-# the root pass of a class whose top has at least this many members finds partners by columns; see _closed_seeds
+# the root pass finds partners by columns when top has at least _COLUMNS_FROM members and the
+# columns hold fewer entries than one per _PAIRS_PER_FOLD pairs of top; see _closed_seeds
 _COLUMNS_FROM = 64
+_PAIRS_PER_FOLD = 6
 
 
 class OperatorKind(enum.Enum):
@@ -201,15 +204,20 @@ def _closed_seeds(
     per-node scan: most have few children, and building every child's list
     up front costs them more than the halved scan saves.
 
-    In a class whose ``top`` has at least ``_COLUMNS_FROM`` members, most
-    pairs fail the card test, so ``p`` meets only its partners (see
+    In a large class whose rows are sparse on the card masks, most pairs
+    fail the card test, so ``p`` meets only its partners (see
     ``_partners``): the later members of ``top`` whose rows share two
     vertices with its own on ``a`` and on ``b``. A cover or a twin shares
     the whole of one of the two rows, which passes the card test as that
     row does, so every pair that the pairwise pass acts on is a partner,
-    and the output is the same, in the same order. Smaller classes keep
-    the pairwise pass, where building the columns costs more than the
-    skipped pairs save; the threshold is the measured crossover.
+    and the output is the same, in the same order. The columns cost one
+    fold per card vertex of each row, where the pairwise pass costs one
+    intersection per pair, so they are used only when ``top`` has at least
+    ``_COLUMNS_FROM`` members and the rows hold fewer card vertices in all
+    than one per ``_PAIRS_PER_FOLD`` pairs. Both bounds are the measured
+    crossovers: below the first, building the columns costs more than the
+    skipped pairs save; past the second, as in a class of nested rows where
+    every pair passes, the folds cost more than the intersections.
     """
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
@@ -234,7 +242,8 @@ def _closed_seeds(
     if root & (root - 1):
         out.append((root, base_common))
     partners = None
-    if len(top) >= _COLUMNS_FROM:
+    t = len(top)
+    if t >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum((row & (a | b)).bit_count() for row in trows) < t * (t - 1) // 2:
         partners = _partners([idx[members[i]] for i in top], (a,) if a == b else (a, b))
     covered = [False] * len(top)
     stack: list[tuple[int, int, list[int], Iterator[int]]] = []

@@ -19,7 +19,14 @@ from cleanfactor import (
     vertex_clique_incidence,
 )
 from cleanfactor import factorisation
-from cleanfactor.factorisation import _COLUMNS_FROM, _candidate_from_masks, _closed_seeds, _maximal_family, _plan
+from cleanfactor.factorisation import (
+    _COLUMNS_FROM,
+    _PAIRS_PER_FOLD,
+    _candidate_from_masks,
+    _closed_seeds,
+    _maximal_family,
+    _plan,
+)
 from cleanfactor.graphs import bits
 
 from bruteforce import (
@@ -340,22 +347,25 @@ def closure_closed_seeds(members, adj, base, cards):
     return {(sum(1 << u for u, r in zip(members, rows) if c & ~r == 0), c) for c in commons}
 
 
-def random_class(rng: random.Random, n_top: int, card_levels: tuple[int, ...]):
+def random_class(rng: random.Random, n_top: int, card_levels: tuple[int, ...], dense: bool = False):
     """A class over three lower levels whose root pass has exactly ``n_top`` members in ``top``.
 
-    Most rows are sparse, so most pairs fail the card test. Among them are twin rows, rows that
+    Most rows are sparse, so most pairs fail the card test, unless ``dense``: then the rows nest,
+    each dropping a prefix of one order of the lower vertices, and every pair passes. Among them
+    are twin rows, rows that
     cover an earlier row, rows the earlier ones cover, up to two rows equal to ``base_common`` (which
     join the root) and up to three rows that fail the card test (which stay out of ``top``).
     Returns members, adj, base_common and the card masks (``[base_common]`` for none), as
     ``closure_closed_seeds`` takes them.
     """
     lmask, n_low = [], 0
-    for size in [rng.randint(6, 12) for _ in range(3)]:
+    for size in [rng.randint(12, 16) if dense else rng.randint(6, 12) for _ in range(3)]:
         lmask.append(((1 << size) - 1) << n_low)
         n_low += size
     base = (1 << n_low) - 1
     cards = [lmask[i] for i in card_levels] or [base]
-    density = rng.choice((0.15, 0.25)) if card_levels else 0.1
+    density = (0.1, 0.15, 0.08)[len(card_levels)]
+    order = rng.sample(range(n_low), n_low) if dense else []
 
     def passes(row: int) -> bool:
         return all((row & card).bit_count() >= 2 for card in cards)
@@ -369,6 +379,8 @@ def random_class(rng: random.Random, n_top: int, card_levels: tuple[int, ...]):
             row = rng.choice(top) | 1 << rng.randrange(n_low)
         elif top and shape < 0.35:
             row = rng.choice(top) & ~(1 << rng.randrange(n_low))
+        elif dense:
+            row = base & ~sum(1 << v for v in order[: rng.randrange(n_low // 3)])
         else:
             row = sum(1 << v for v in range(n_low) if rng.random() < density)
         if row != base and passes(row):
@@ -385,28 +397,73 @@ def random_class(rng: random.Random, n_top: int, card_levels: tuple[int, ...]):
     return members, adj, base, cards
 
 
-# every card shape _plan gives (none, one level, two levels), each with a top just below the
-# column threshold, at it, and well on both sides of it
+# every card shape _plan gives (none, one level, two levels), each with a sparse top just below
+# the column threshold, at it, and well on both sides of it, and a dense top at it and above it
 COLUMN_CASES = [
-    pytest.param(n_top, card_levels, id=f"top{n_top}-cards{''.join(map(str, card_levels)) or 'none'}")
+    pytest.param(n_top, card_levels, dense, id=f"{'dense' if dense else 'top'}{n_top}-cards{''.join(map(str, card_levels)) or 'none'}")
     for card_levels in ((), (2,), (1, 0))
-    for n_top in (40, _COLUMNS_FROM - 1, _COLUMNS_FROM, 90, 140, 200)
+    for n_top, dense in [(n, False) for n in (40, _COLUMNS_FROM - 1, _COLUMNS_FROM, 90, 140, 200)]
+    + [(n, True) for n in (_COLUMNS_FROM, 90)]
 ]
 
 
-@pytest.mark.parametrize("n_top, card_levels", COLUMN_CASES)
-def test_closed_seeds_match_the_closure_on_both_sides_of_the_column_threshold(n_top, card_levels, monkeypatch):
-    columns = []
+def count_partners(monkeypatch) -> list[int]:
+    """Record one entry per call of ``_partners``, which runs only on the column path."""
+    calls: list[int] = []
     partners = factorisation._partners
-    monkeypatch.setattr(factorisation, "_partners", lambda *args: columns.append(1) or partners(*args))
+    monkeypatch.setattr(factorisation, "_partners", lambda *args: calls.append(1) or partners(*args))
+    return calls
+
+
+def takes_columns(members, adj, base, cards) -> bool:
+    """Whether the root pass takes the columns: a large top whose rows hold few card vertices."""
+    joined = cards[0] | cards[-1]
+    top = [adj[u] & joined for u in members if adj[u] != base and all((adj[u] & card).bit_count() >= 2 for card in cards)]
+    n = len(top)
+    return n >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum(row.bit_count() for row in top) < n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("n_top, card_levels, dense", COLUMN_CASES)
+def test_closed_seeds_match_the_closure_on_both_sides_of_the_column_threshold(n_top, card_levels, dense, monkeypatch):
+    columns = count_partners(monkeypatch)
     rng = random.Random(n_top * 10 + len(card_levels))
+    takes = []
     for _ in range(2):
-        members, adj, base, cards = random_class(rng, n_top, card_levels)
+        members, adj, base, cards = random_class(rng, n_top, card_levels, dense)
+        takes.append(takes_columns(members, adj, base, cards))
         got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
         assert len(got) == len(set(got))
         assert set(got) == closure_closed_seeds(members, adj, base, cards)
-    # the columns run exactly when top reaches the threshold
-    assert len(columns) == (2 if n_top >= _COLUMNS_FROM else 0)
+    assert len(columns) == sum(takes)
+    # small or dense tops keep the pairwise pass; sparse tops well past the threshold take the
+    # columns (at the threshold, two card levels hold about as many vertices as the bound allows)
+    if n_top < _COLUMNS_FROM or dense:
+        assert not any(takes)
+    elif n_top > _COLUMNS_FROM or len(card_levels) < 2:
+        assert all(takes)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["below", "at"])
+def test_the_columns_run_only_while_the_rows_hold_fewer_card_vertices_than_one_per_six_pairs(extra, monkeypatch):
+    # a top of _COLUMNS_FROM rows with no card level: every vertex of a row is folded once
+    columns = count_partners(monkeypatch)
+    n = _COLUMNS_FROM
+    most = -(-n * (n - 1) // 2 // _PAIRS_PER_FOLD) - 1  # the most folds that still take the columns
+    sizes = [most // n + (i < most % n + extra) for i in range(n)]
+    rng = random.Random(n + extra)
+    base = (1 << 40) - 1
+    rows: set[int] = set()
+    for size in sizes:
+        while len(rows) < len(sizes) and (row := sum(1 << v for v in rng.sample(range(40), size))) in rows:
+            pass
+        rows.add(row)
+    assert len(rows) == n and sum(r.bit_count() for r in rows) == most + extra
+    members = list(range(40, 40 + n))
+    adj = [0] * 40 + sorted(rows)
+    got = _closed_seeds(members, adj, index_rows(adj), base, base, base)
+    assert len(got) == len(set(got))
+    assert set(got) == closure_closed_seeds(members, adj, base, [base])
+    assert len(columns) == 1 - extra
 
 
 def recursive_closed_seeds(members, adj, base_common, a, b):
