@@ -11,7 +11,6 @@ from .cli import cli_main
 from .cliques import (
     CliqueFamily,
     anti_matching,
-    clique_label,
     maximal_cliques,
     vertex_clique_incidence,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "chains_of_length",
     "characterising_sequence",
     "cli_main",
-    "clique_label",
     "cliques_containing",
     "document_to_multipartite",
     "factorise",

@@ -3,23 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InvalidArgumentError
 from .graphs import Graph, MultipartiteGraph, _level_labels, bits
 
 __all__ = [
     "CliqueFamily",
-    "clique_label",
     "maximal_cliques",
     "vertex_clique_incidence",
     "anti_matching",
 ]
-
-
-def clique_label(members: Iterable[str]) -> str:
-    """Canonical level-1 label for a clique: 'K:' plus its sorted members."""
-    return "K:" + ",".join(sorted(members))
 
 
 @dataclass(frozen=True)
@@ -41,9 +35,6 @@ class CliqueFamily:
 
     def __contains__(self, item: object) -> bool:
         return item in self.cliques
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(clique_label(c) for c in self.cliques)
 
 
 def _clique_masks(adj: tuple[int, ...]) -> list[int]:
@@ -101,11 +92,11 @@ def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     membership gives the edges.
     """
     labels = g.vertices
-    # both graphs index level 0 in label order, so a clique mask is its row and its ancestors
+    # both graphs index level 0 in label order, so a clique mask is its ancestors and its bits are its row
     cliques = _clique_masks(g._adj)
     rows = [tuple(bits(c)) for c in cliques]
-    names, masks, rows = zip(*sorted(zip(_level_labels(labels, 1, cliques, rows), cliques, rows)))
-    return MultipartiteGraph._from_rows((labels, names), masks, rows)
+    names, rows = zip(*sorted(zip(_level_labels(labels, 1, cliques, rows), rows)))
+    return MultipartiteGraph._from_rows((labels, names), rows)
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

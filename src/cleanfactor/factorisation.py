@@ -116,8 +116,7 @@ class StepResult:
         if g is None:
             return ()
         upper = g._level_masks[-2]
-        rows = g._down[-len(g.levels[-1]) :]
-        return tuple(_candidate_from_masks(g, row & upper, row & ~upper) for row in rows)
+        return tuple(_candidate_from_masks(g, row & upper, row & ~upper) for row in g._top)
 
 
 def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
@@ -162,16 +161,17 @@ def _closed_seeds(
 ) -> list[tuple[int, int]]:
     """Closed seeds of one class that make a candidate, with their commons.
 
-    A seed is closed when it holds every member whose neighbourhood covers
-    the seed's common neighbourhood (within ``base_common``). Returns
-    (seed mask over global indexes, common mask) for every closed seed of
-    at least two members whose common neighbourhood has at least two
-    vertices on each of the card masks ``a`` and ``b``. ``_plan`` gives at
-    most two card levels: a single one is both ``a`` and ``b``, and with
-    none both are ``base_common``, which asks for two common vertices in
-    all (two on a card level are two in all). ``idx`` holds the rows of
-    ``adj`` as ascending index tuples; each card mask is one run of
-    consecutive indexes, as a level and ``base_common`` are.
+    ``adj[u]`` is the row of member ``u`` as a mask, and ``idx[u]`` as an
+    ascending index tuple. A seed is closed when it holds every member
+    whose neighbourhood covers the seed's common neighbourhood (within
+    ``base_common``). Returns (seed mask over the members ``u``, common
+    mask) for every closed seed of at least two members whose common
+    neighbourhood has at least two vertices on each of the card masks
+    ``a`` and ``b``. ``_plan`` gives at most two card levels: a single one
+    is both ``a`` and ``b``, and with none both are ``base_common``, which
+    asks for two common vertices in all (two on a card level are two in
+    all). Each card mask is one run of consecutive indexes, as a level and
+    ``base_common`` are.
 
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
     extended by one member ``j`` past the branch start. The extension is
@@ -357,10 +357,12 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
-    # the upper level is the top one, so its rows are whole neighbourhoods
-    adj = m._down
+    # the upper level is the top one, so its rows are whole neighbourhoods; the walk
+    # indexes them by their place in the level, and each seed is shifted to global indexes
+    adj = m._top
     lmask = m._level_masks
-    uppers = m._level_range(k - 1)
+    uppers = range(len(adj))
+    offset = m._level_range(k - 1).start
     base_common = 0
     for i in range(k - 1):
         base_common |= lmask[i]
@@ -376,8 +378,8 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
             buckets.setdefault(adj[u] & eq_mask, []).append(u)
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
 
-    idx = m._idx
-    return [pair for group in groups for pair in _closed_seeds(group, adj, idx, base_common, a, b)]
+    idx = m._idx[offset:]
+    return [(seed << offset, c) for grp in groups for seed, c in _closed_seeds(grp, adj, idx, base_common, a, b)]
 
 
 def _check_threads(threads: int) -> None:
@@ -418,7 +420,7 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     ancestors = [reduce(or_, map(anc, row[-seed.bit_count() :])) for (seed, _), row in zip(pairs, idx)]
     named = _level_labels(m._labels, m.level_count, ancestors, idx)
     labels, rows, ancestors, idx = zip(*sorted(zip(named, rows, ancestors, idx)))
-    return StepResult(effective=True, graph=m._append_rows(labels, rows, ancestors, idx))
+    return StepResult(effective=True, graph=m._append_rows(labels, zip(idx, rows), ancestors))
 
 
 def particularise(h: MultipartiteGraph) -> MultipartiteGraph:

@@ -3,14 +3,15 @@
 Vertex sets are handled internally as integer bitmasks over a per-graph
 vertex index (level-major, label-sorted within each level), so every set
 operation is deterministic across runs. A ``MultipartiteGraph`` stores only
-each vertex's lower neighbourhood, so appending a level rewrites no row.
-Each row is held twice: as a mask, which the candidate and pairing walks
-intersect, and as a tuple of ascending indexes, which ancestors, labels,
-documents and up-queries read. ``vertex_clique_incidence``, ``factorise``
-and ``document_to_multipartite`` pass the tuples in; other constructors
-expand the masks once. ``edges()`` and the up-index of the first public
-up-query transpose the tuples. The public surface speaks plain labels and
-frozensets. All types are immutable after construction.
+each vertex's lower neighbourhood, as a tuple of ascending indexes, so
+appending a level rewrites no row. Ancestors, labels, documents, the
+pairing walk and up-queries read the tuples. Only the candidate walk ANDs
+rows, and only the top level's, so a graph also holds its top level's
+rows as masks: ``factorise`` and ``append_level`` hand them in with the
+new level, and the other constructors build them once. ``edges()`` and
+the up-index of the first public up-query transpose the tuples. The
+public surface speaks plain labels and frozensets. All types are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(row: Iterable[int]) -> int:
+    """The mask of distinct indexes: their sum is their union."""
+    return sum(map((1).__lshift__, row))
 
 
 def _check_labels(labels: Iterable[object]) -> None:
@@ -144,7 +150,7 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down", "_idx", "_anc", "_up", "_pairing")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_idx", "_top", "_anc", "_up", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -169,8 +175,8 @@ class MultipartiteGraph:
                 raise InvalidArgumentError(f"edge {u!r}-{v!r} stays inside level {level_of[iu]}")
             # level-major index order: the lower endpoint has the lower index
             down[max(iu, iv)] |= 1 << min(iu, iv)
-        self._down = tuple(down)
         self._idx = tuple(tuple(bits(row)) for row in down)
+        self._top = tuple(down[-len(level_tuples[-1]) :])
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
         """Set every field but the rows from sorted label tuples; every constructor's one repeated-label check."""
@@ -194,18 +200,16 @@ class MultipartiteGraph:
         self._pairing = None
 
     @classmethod
-    def _from_rows(
-        cls, levels: tuple[tuple[str, ...], ...], rows: Iterable[int], idx: IndexRows = ()
-    ) -> MultipartiteGraph:
-        """The graph on ``levels`` with these lower-neighbourhood masks, one per vertex from level 1 up.
+    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], idx: IndexRows) -> MultipartiteGraph:
+        """The graph on ``levels`` with these lower neighbourhoods, one per vertex from level 1 up.
 
-        ``idx``, when not empty, holds the same rows as ascending index tuples.
+        Each row is a tuple of ascending indexes, which the graph keeps.
         Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
-        out._down = (0,) * len(levels[0]) + tuple(rows)
-        out._idx = ((),) * len(levels[0]) + tuple(idx) if idx else tuple(tuple(bits(row)) for row in out._down)
+        out._idx = ((),) * len(levels[0]) + tuple(idx)
+        out._top = tuple(map(_mask, out._idx[-len(levels[-1]) :]))
         return out
 
     @property
@@ -242,14 +246,13 @@ class MultipartiteGraph:
         if not 0 <= i < len(self._levels):
             raise InvalidArgumentError(f"level index {i} out of range 0..{len(self._levels) - 1}")
         ix = self._index[x]
-        if i <= self._level_of[ix]:
-            return self._labels_from_mask(self._down[ix] & self._level_masks[i])
-        return frozenset([self._labels[j] for j in self._up_index()[ix] if self._level_of[j] == i])
+        row = self._idx[ix] if i <= self._level_of[ix] else self._up_index()[ix]
+        return frozenset([self._labels[j] for j in row if self._level_of[j] == i])
 
     def degree(self, v: str) -> int:
         self._require(v)
         i = self._index[v]
-        return self._down[i].bit_count() + len(self._up_index()[i])
+        return len(self._idx[i]) + len(self._up_index()[i])
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge as (lower-level endpoint, higher-level endpoint), sorted."""
@@ -260,7 +263,7 @@ class MultipartiteGraph:
         return tuple(out)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self._down)
+        return sum(map(len, self._idx))
 
     def append_level(self, new_vertices: Sequence[tuple[str, Iterable[str]]]) -> MultipartiteGraph:
         """Return a (k+1)-level graph with one extra level on top.
@@ -278,7 +281,7 @@ class MultipartiteGraph:
         index = self._index
         k = len(self._levels)
 
-        def rows() -> Iterator[int]:
+        def rows() -> Iterator[tuple[tuple[int, ...], int]]:
             row_of = {}
             for label, nbrs in new_vertices:
                 row = 0
@@ -291,28 +294,28 @@ class MultipartiteGraph:
                     row |= 1 << j
                 row_of[label] = row
             for v in level:
-                yield row_of[v]
+                yield tuple(bits(row_of[v])), row_of[v]
 
         return self._append_rows(level, rows())
 
     def _append_rows(
-        self, level: tuple[str, ...], rows: Iterable[int], anc: tuple[int, ...] = (), idx: IndexRows = ()
+        self, level: tuple[str, ...], rows: Iterable[tuple[tuple[int, ...], int]], anc: tuple[int, ...] = ()
     ) -> MultipartiteGraph:
-        """The (k+1)-level graph with ``level`` on top, adjacent by row masks.
+        """The (k+1)-level graph with ``level`` on top.
 
         ``level`` holds the new labels, sorted. ``rows`` gives each one's
-        neighbours as a mask over this graph's indexes, in the same order;
-        ``anc`` and ``idx``, when not empty, each one's level-0 ancestor
-        mask and its row as ascending indexes.
+        neighbours over this graph's indexes, in the same order, as an
+        ascending index tuple and as a mask; ``anc``, when not empty, each
+        one's level-0 ancestor mask.
         ``rows`` is read only after ``_set_levels`` has checked the labels,
         so a lazy ``rows`` reports its own errors after any label clash.
         The index is level-major, so every existing index and row survives
-        and the new ones follow.
+        and the new ones follow; of the masks, only the new level's are kept.
         """
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._set_levels(self._levels + (level,))
-        out._down = self._down + tuple(rows)
-        out._idx = self._idx + tuple(idx or (tuple(bits(row)) for row in out._down[len(self._down) :]))
+        idx, out._top = zip(*rows)
+        out._idx = self._idx + idx
         if anc:
             out._anc = self._ancestors() + anc
         return out
@@ -357,10 +360,10 @@ class MultipartiteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultipartiteGraph):
             return NotImplemented
-        return self._levels == other._levels and self._down == other._down
+        return self._levels == other._levels and self._idx == other._idx
 
     def __hash__(self) -> int:
-        return hash((self._levels, self._down))
+        return hash((self._levels, self._idx))
 
     def __repr__(self) -> str:
         sizes = ",".join(str(len(lv)) for lv in self._levels)

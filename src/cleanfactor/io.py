@@ -290,8 +290,7 @@ def read_document(path: str | Path) -> DecompositionDocument:
 
 def document_to_multipartite(doc: DecompositionDocument) -> MultipartiteGraph:
     """Rebuild the multipartite graph a document from ``build_document`` or ``parse_document`` describes."""
-    # the indexes of a row are distinct, so their sum is their union
-    return MultipartiteGraph._from_rows(doc.levels, [sum(map((1).__lshift__, row)) for row in doc.down], doc.down)
+    return MultipartiteGraph._from_rows(doc.levels, doc.down)
 
 
 def reconstruct_graph(doc: DecompositionDocument) -> Graph:

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .cliques import _clique_masks, maximal_cliques
 from .errors import InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, bits
+from .graphs import Graph, MultipartiteGraph, _mask, bits
 from .series import SeriesResult
 
 __all__ = [
@@ -216,16 +216,17 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
     k = m.level_of(x)
     if k < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
-    down, lmask = m._down, m._level_masks
-    row, bottom = down[m._index[x]], lmask[0]
-    seq = [row & bottom]
+    idx, level_of, lmask = m._idx, m._level_of, m._level_masks
+    row = idx[m._index[x]]
+    seq = [_mask(i for i in row if level_of[i] == 0)]
     for j in range(2, k):
         shared = lmask[1]
-        for y in bits(row & lmask[j]):
-            shared &= down[y]
-        o = bottom
+        for y in row:
+            if level_of[y] == j:
+                shared &= _mask(idx[y])
+        o = lmask[0]
         for c in bits(shared):
-            o &= down[c]
+            o &= _mask(idx[c])
         seq.append(o)
     return CharacterisingSequence(tuple(m._labels_from_mask(o) for o in seq))
 
@@ -250,7 +251,9 @@ def _fail(message: str) -> VerificationReport:
 def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int], ...], int]:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
-    The non-simple intersections are those of m's own level-1 rows, and
+    Each vertex's row is keyed as the mask of its index tuple, built as
+    the walk reaches it and then dropped. The non-simple intersections are
+    those of m's own level-1 rows, and
     ``cont[o]`` is the mask of the level-1 vertices that contain ``o``. A
     chain is keyed by the vertex paired with its prefix (-1 for none) and
     its last entry. Chain ``(o,)`` predicts the row ``o | cont[o]``. The
@@ -265,9 +268,9 @@ def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int],
     (level, vertices, chains) counts, and the number of chains left over
     for a level above the top one: the graph's one pairing (``_pairing``).
     """
-    down, labels = m._down, m._labels
+    idx, labels, shift = m._idx, m._labels, (1).__lshift__
     off1 = ~m._level_masks[1]
-    cliques = [(1 << c, down[c]) for c in m._level_range(1)]
+    cliques = [(1 << c, _mask(idx[c])) for c in m._level_range(1)]
     order = _nonsimple([row for _, row in cliques])
     cont = {o: sum([bit for bit, row in cliques if o | row == row]) for o in order}
     # a strict superset has more bits, so it comes later
@@ -280,7 +283,7 @@ def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int],
         want = {row: key for key, row in chains.items()}
         paired: dict[tuple[int, int], int] = {}
         for x in m._level_range(k):
-            key = want.get(down[x])
+            key = want.get(sum(map(shift, idx[x])))  # x's row as a mask: _mask inlined, as this runs per vertex
             if key is None:
                 return f"level {k}, vertex {labels[x]!r}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
             y = paired.setdefault(key, x)
@@ -296,9 +299,10 @@ def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int],
             chain = _fmt_seq(m._labels_from_mask(o) for o in reversed(seq))
             return f"level {k}: chain {chain} is attained by no vertex", (), 0
         counts.append((k, len(paired), len(chains)))
-        chains = {}
-        for (a, last), x in paired.items():
-            base = down[x] & off1
+        predicted, chains = chains, {}
+        for key, x in paired.items():
+            a, last = key
+            base = predicted[key] & off1  # x's row is the one its chain predicts
             for o in up[last]:
                 qs = between.get((last, o))
                 if qs is None:
@@ -339,7 +343,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     if m.levels[0] != g.vertices:
         return _fail("level 0 does not match the input graph's vertex set")
     cliques = _cliques(g)
-    level1 = [m._down[c] for c in m._level_range(1)]
+    level1 = [_mask(m._idx[c]) for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
     failure, counts, leftover = _pairing(m)

@@ -130,7 +130,12 @@ def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet
     _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
-    adj = m._down  # the upper level is the top one, so its rows are whole neighbourhoods
+    # each vertex's lower neighbours as a mask, from the edge list; the upper level is the top
+    # one, so its rows are whole neighbourhoods
+    index = {v: i for i, v in enumerate(m.vertices)}
+    adj = [0] * len(m)
+    for lower, upper in m.edges():
+        adj[index[upper]] |= 1 << index[lower]
     lmask = m._level_masks
     eq_mask = lmask[eq_level] if eq_level is not None else 0
     uppers = list(bits(lmask[k - 1]))

@@ -11,7 +11,6 @@ from cleanfactor import (
     Graph,
     InvalidArgumentError,
     anti_matching,
-    clique_label,
     maximal_cliques,
     vertex_clique_incidence,
 )
@@ -34,7 +33,7 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
 def test_triangle_is_one_clique(triangle):
     family = maximal_cliques(triangle)
     assert set(family) == {frozenset("abc")}
-    assert family.labels() == ("K:a,b,c",)
+    assert vertex_clique_incidence(triangle).levels[1] == ("K:a,b,c",)
 
 
 def test_isolated_vertices_are_singleton_cliques():
@@ -106,7 +105,7 @@ def test_a_clique_of_1100_vertices_needs_no_deep_recursion():
     g = Graph(vs, itertools.combinations(vs, 2))
     assert maximal_cliques(g).cliques == (frozenset(vs),)
     m = vertex_clique_incidence(g)
-    assert m.levels == (tuple(vs), (clique_label(vs),))
+    assert m.levels == (tuple(vs), ("K:" + ",".join(vs),))
     assert m.edge_count() == 1100
 
 
@@ -142,9 +141,10 @@ def test_incidence_invariants():
         assert edges == set(g.edges())
 
 
-def test_incidence_names_level_one_as_clique_label_does(corpus):
+def test_incidence_names_level_one_k_and_the_sorted_clique(corpus):
     for g in corpus:
-        assert vertex_clique_incidence(g).levels[1] == tuple(sorted(maximal_cliques(g).labels()))
+        names = ["K:" + ",".join(sorted(c)) for c in maximal_cliques(g)]
+        assert vertex_clique_incidence(g).levels[1] == tuple(sorted(names))
 
 
 def test_anti_matching_small():

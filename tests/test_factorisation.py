@@ -532,7 +532,7 @@ def staircase(n: int) -> MultipartiteGraph:
     bottoms = [f"b{j:04d}" for j in range(n + 1)]
     uppers = [f"u{i:04d}" for i in range(n)]
     rows = [tuple(range(i, n + 1)) for i in range(n)]
-    return MultipartiteGraph._from_rows((tuple(bottoms), tuple(uppers)), [sum(1 << j for j in row) for row in rows], rows)
+    return MultipartiteGraph._from_rows((tuple(bottoms), tuple(uppers)), rows)
 
 
 def test_closed_seeds_keep_the_order_of_the_recursive_walk():
@@ -543,10 +543,10 @@ def test_closed_seeds_keep_the_order_of_the_recursive_walk():
         assert got == recursive_closed_seeds(members, adj, base, cards[0], cards[-1])
     # a chain of 499 nested seeds, as deep as the recursive walk goes here
     h = staircase(500)
-    members, base = h._level_range(1), h._level_masks[0]
-    got = _closed_seeds(members, h._down, h._idx, base, base, base)
+    members, base = range(len(h.levels[1])), h._level_masks[0]
+    got = _closed_seeds(members, h._top, h._idx[len(h.levels[0]) :], base, base, base)
     assert len(got) == 499
-    assert got == recursive_closed_seeds(members, h._down, base, base, base)
+    assert got == recursive_closed_seeds(members, h._top, base, base, base)
 
 
 def test_weak_step_walks_a_chain_of_a_thousand_nested_seeds():
@@ -556,10 +556,10 @@ def test_weak_step_walks_a_chain_of_a_thousand_nested_seeds():
     step = factorise(h, OperatorKind.WEAK)
     assert step.effective
     m = step.graph
-    new_rows = m._down[len(h._down) :]
+    new_rows = m._top
     # one vertex per i >= 1: the seed {u_0..u_i} plus its common, u_i's row; u_1099's row is the last with two bottoms
     uppers = h._level_range(1)
-    expected = {sum(1 << u for u in uppers[: i + 1]) | h._down[uppers[i]] for i in range(1, n)}
+    expected = {sum(1 << u for u in uppers[: i + 1]) | h._top[i] for i in range(1, n)}
     assert len(new_rows) == len(expected) == n - 1
     assert set(new_rows) == expected
 
@@ -609,7 +609,7 @@ def test_factorise_matches_the_reference_step(corpus):
             assert step.new_level == new_level
             if graph is None:
                 continue
-            for slot in ("_index", "_labels", "_level_of", "_level_masks", "_down"):
+            for slot in ("_index", "_labels", "_level_of", "_level_masks", "_idx", "_top"):
                 assert getattr(step.graph, slot) == getattr(graph, slot), slot
             top = graph.levels[-1]
             suffixed += sum("#" in x for x in top)

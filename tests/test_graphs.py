@@ -156,7 +156,7 @@ def test_append_level_matches_the_constructor_on_random_graphs():
         appended = m.append_level(new_vertices)
         built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
         assert appended == built
-        for slot in ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_down"):
+        for slot in ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_idx", "_top"):
             assert getattr(appended, slot) == getattr(built, slot), slot
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
@@ -290,39 +290,46 @@ def test_a_series_computes_ancestor_masks_at_most_once(monkeypatch, corpus):
     assert len(calls) <= 1
 
 
-def assert_rows_carried(m: MultipartiteGraph) -> None:
-    """The index tuples a graph carries are its masks' set bits, one tuple per vertex."""
-    assert m._idx == tuple(tuple(graphs.bits(row)) for row in m._down)
+def assert_held_alike(*built: MultipartiteGraph) -> None:
+    """Every graph holds each row as an ascending index tuple, and its top level's rows, no others, also as masks.
+
+    The masks equal the top level's tuples, and all the graphs compare and hash equal.
+    """
+    for m in built:
+        assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in m._idx)
+        top = m._level_range(m.level_count - 1)
+        assert len(m._top) == len(top)
+        assert m._top == tuple(sum(1 << j for j in m._idx[x]) for x in top)
+        assert m == built[0] and hash(m) == hash(built[0])
 
 
-def test_every_builder_carries_its_rows_as_index_tuples(corpus):
+def test_every_builder_holds_each_row_once_and_its_top_level_as_masks(corpus):
+    # the index tuples and the top level's masks are the only rows a graph has a field for
+    others = {"_levels", "_labels", "_index", "_level_of", "_level_masks", "_anc", "_up", "_pairing"}
+    assert set(MultipartiteGraph.__slots__) == others | {"_idx", "_top"}
     rng = random.Random(0x1D)
     for _ in range(100):
         levels, edges = random_levels_and_edges(rng)
-        for m in built_three_ways(levels, edges):
-            assert_rows_carried(m)
+        whole, appended, decoded = built_three_ways(levels, edges)
+        bottom = len(whole.levels[0])
+        assert_held_alike(whole, appended, decoded, MultipartiteGraph._from_rows(whole.levels, whole._idx[bottom:]))
     finals = 0
     for g in corpus[:60]:
         base = vertex_clique_incidence(g)
-        assert_rows_carried(base)
+        assert_held_alike(base, MultipartiteGraph(base.levels, base.edges()))
         for op in OperatorKind:
             # weak and factor may not terminate; four levels are two steps
             result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)
             final = result.final
-            assert_rows_carried(final)
             m = base
             while m.level_count < final.level_count:
                 step = factorise(m, op)
-                assert_rows_carried(step.graph)
                 appended = m.append_level(list(zip(step.graph.levels[-1], (c.members for c in step.new_level))))
-                assert appended == step.graph
-                assert_rows_carried(appended)
+                assert_held_alike(step.graph, appended, MultipartiteGraph(step.graph.levels, step.graph.edges()))
                 m = step.graph
             bottom = len(final.levels[0])
-            assert_rows_carried(MultipartiteGraph._from_rows(final.levels, final._down[bottom:]))
             decoded = document_to_multipartite(build_document(result, graph_content_hash(g)))
-            assert decoded == final
-            assert_rows_carried(decoded)
+            assert_held_alike(final, MultipartiteGraph._from_rows(final.levels, final._idx[bottom:]), decoded)
             finals += 1
     assert finals == 180
 

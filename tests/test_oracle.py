@@ -271,9 +271,10 @@ def test_agreement_check_fails_first_when_only_a_lower_level_differs(clean_runs)
     g, result = next((g, r) for g, r in runs if r.final.level_count >= 5)
     final = result.final
     x = final._level_range(4)[0]
-    rows = list(final._down[len(final.levels[0]) :])
-    low = final._down[x] & final._level_masks[0]
-    rows[x - len(final.levels[0])] ^= low & -low
+    rows = list(final._idx[len(final.levels[0]) :])
+    row = rows[x - len(final.levels[0])]
+    assert final._level_of[row[0]] == 0
+    rows[x - len(final.levels[0])] = row[1:]  # its lowest level-0 neighbour dropped
     t = MultipartiteGraph._from_rows(final.levels, rows)
     expected = f"level 4, vertex {final._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
     assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
@@ -393,7 +394,7 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
     if any(c.startswith(REFERENCE_WORDED) for c in (bijection.counterexample, reference_bijection.counterexample or "")):
         assert bijection == reference_bijection
     if t.levels == m.levels:
-        changed = [x for x, (a, b) in enumerate(zip(m._down, t._down)) if a != b]
+        changed = [x for x, (a, b) in enumerate(zip(m._idx, t._idx)) if a != b]
         if len(changed) == 1 and m._level_of[changed[0]] >= 2:
             name = repr(m._labels[changed[0]])
             assert name in bijection.counterexample and name in (formula.counterexample or "")
@@ -436,11 +437,11 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     assert report.passed and verify_neighbourhood_formula(m).passed
     assert report.level_counts == tuple((k, chains[k - 1], chains[k - 1]) for k in range(2, m.level_count))
 
-    # one bit of one level-4 row cleared, the rows handed over as they are
+    # one level-4 row's lowest index dropped (its lowest bit), the rows handed over as they are
     bottom = len(m.levels[0])
     x = m._level_range(4)[len(m.levels[4]) // 2]
-    rows = list(m._down[bottom:])
-    rows[x - bottom] &= rows[x - bottom] - 1
+    rows = list(m._idx[bottom:])
+    rows[x - bottom] = rows[x - bottom][1:]
     t = MultipartiteGraph._from_rows(m.levels, rows)
     expected = f"level 4, vertex {m._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
     assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
@@ -527,7 +528,7 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
         below.append_level([(x, final.neighbourhood(x)) for x in final.levels[-1]]),
         factorise(below, OperatorKind.CLEAN).graph,
         document_to_multipartite(build_document(below_run, "")),
-        MultipartiteGraph._from_rows(below.levels, below._down[len(below.levels[0]) :]),
+        MultipartiteGraph._from_rows(below.levels, below._idx[len(below.levels[0]) :]),
     ]
     assert calls == [below.level_count]
     for m in derived:
