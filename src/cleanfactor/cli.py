@@ -195,6 +195,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # labels and edge lists are UTF-8 whatever the locale
     raise SystemExit(cli_main())
 
 

@@ -43,7 +43,7 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import IndexRows, MultipartiteGraph, _level_labels, bits
+from .graphs import IndexRows, MultipartiteGraph, _level_labels, _mask, _span, bits
 
 __all__ = [
     "OperatorKind",
@@ -115,7 +115,7 @@ class StepResult:
         g = self.graph
         if g is None:
             return ()
-        upper = g._level_masks[-2]
+        upper = _span(g._level_range(-2))
         return tuple(_candidate_from_masks(g, row & upper, row & ~upper) for row in g._top)
 
 
@@ -147,7 +147,7 @@ def _require_multipartite(m: MultipartiteGraph) -> None:
 def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> CandidateSet:
     """The candidate of a seed and its common neighbourhood on the levels below it."""
     top = m._level_of[(seed & -seed).bit_length() - 1]
-    lowers = tuple(m._labels_from_mask(common & m._level_masks[i]) for i in range(top))
+    lowers = tuple(m._labels_from_mask(common & _span(m._level_range(i))) for i in range(top))
     return CandidateSet(upper=m._labels_from_mask(seed), lower_by_level=lowers)
 
 
@@ -352,33 +352,34 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     levels down at k=4, two down above), so the upper level splits into
     independent classes and each class is walked on its own. Classes never
     dominate each other because seeds from different classes are
-    incomparable.
+    incomparable. The walk ANDs the top level's rows as masks, cached on
+    the graph (``m._top``): built here from the tuples unless ``factorise``
+    left them there.
     """
     _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
     # indexes them by their place in the level, and each seed is shifted to global indexes
-    adj = m._top
-    lmask = m._level_masks
-    uppers = range(len(adj))
     offset = m._level_range(k - 1).start
-    base_common = 0
-    for i in range(k - 1):
-        base_common |= lmask[i]
-    cards = [lmask[i] for i in card_levels] or [base_common]
+    idx = m._idx[offset:]
+    adj = m._top
+    if adj is None:
+        adj = m._top = tuple(map(_mask, idx))
+    uppers = range(len(adj))
+    base_common = (1 << offset) - 1  # every level below the top
+    cards = [_span(m._level_range(i)) for i in card_levels] or [base_common]
     a, b = cards[0], cards[-1]
 
     if eq_level is None:
         groups = [uppers]
     else:
-        eq_mask = lmask[eq_level]
+        eq_mask = _span(m._level_range(eq_level))
         buckets: dict[int, list[int]] = {}
         for u in uppers:
             buckets.setdefault(adj[u] & eq_mask, []).append(u)
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
 
-    idx = m._idx[offset:]
     return [(seed << offset, c) for grp in groups for seed, c in _closed_seeds(grp, adj, idx, base_common, a, b)]
 
 
@@ -420,7 +421,9 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     ancestors = [reduce(or_, map(anc, row[-seed.bit_count() :])) for (seed, _), row in zip(pairs, idx)]
     named = _level_labels(m._labels, m.level_count, ancestors, idx)
     labels, rows, ancestors, idx = zip(*sorted(zip(named, rows, ancestors, idx)))
-    return StepResult(effective=True, graph=m._append_rows(labels, zip(idx, rows), ancestors))
+    out = m._append_rows(labels, idx, ancestors)
+    out._top = rows  # the next step's walk ANDs these masks
+    return StepResult(effective=True, graph=out)
 
 
 def particularise(h: MultipartiteGraph) -> MultipartiteGraph:

@@ -4,14 +4,14 @@ Vertex sets are handled internally as integer bitmasks over a per-graph
 vertex index (level-major, label-sorted within each level), so every set
 operation is deterministic across runs. A ``MultipartiteGraph`` stores only
 each vertex's lower neighbourhood, as a tuple of ascending indexes, so
-appending a level rewrites no row. Ancestors, labels, documents, the
-pairing walk and up-queries read the tuples. Only the candidate walk ANDs
-rows, and only the top level's, so a graph also holds its top level's
-rows as masks: ``factorise`` and ``append_level`` hand them in with the
-new level, and the other constructors build them once. ``edges()`` and
-the up-index of the first public up-query transpose the tuples. The
-public surface speaks plain labels and frozensets. All types are
-immutable after construction.
+appending a level rewrites no row and no constructor builds a mask of a
+row. Ancestors, labels, documents, the pairing walk and up-queries read the
+tuples. Only the candidate walk ANDs rows, and only the top level's: it
+keeps them as masks in ``_top``, a cache that ``factorise`` fills on the
+graph it returns and the walk fills on any other graph it is given.
+``edges()`` and the up-index of the first public up-query transpose the
+tuples. The public surface speaks plain labels and frozensets. All types
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ def bits(mask: int) -> Iterator[int]:
 def _mask(row: Iterable[int]) -> int:
     """The mask of distinct indexes: their sum is their union."""
     return sum(map((1).__lshift__, row))
+
+
+def _span(indexes: range) -> int:
+    """The mask of a run of consecutive indexes, such as a level's."""
+    return (1 << indexes.stop) - (1 << indexes.start)
 
 
 def _check_labels(labels: Iterable[object]) -> None:
@@ -150,7 +155,7 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_idx", "_top", "_anc", "_up", "_pairing")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_idx", "_top", "_anc", "_up", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -164,7 +169,7 @@ class MultipartiteGraph:
             raise InvalidArgumentError("a multipartite graph needs at least two levels")
         self._set_levels(tuple(level_tuples))
         index, level_of = self._index, self._level_of
-        down = [0] * len(self._labels)
+        down: list[set[int]] = [set() for _ in self._labels]
         for u, v in edges:
             iu = index.get(u)
             iv = index.get(v)
@@ -174,9 +179,8 @@ class MultipartiteGraph:
             if level_of[iu] == level_of[iv]:
                 raise InvalidArgumentError(f"edge {u!r}-{v!r} stays inside level {level_of[iu]}")
             # level-major index order: the lower endpoint has the lower index
-            down[max(iu, iv)] |= 1 << min(iu, iv)
-        self._idx = tuple(tuple(bits(row)) for row in down)
-        self._top = tuple(down[-len(level_tuples[-1]) :])
+            down[max(iu, iv)].add(min(iu, iv))
+        self._idx = tuple(tuple(sorted(row)) for row in down)
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
         """Set every field but the rows from sorted label tuples; every constructor's one repeated-label check."""
@@ -189,12 +193,7 @@ class MultipartiteGraph:
             clash = next(v for v in self._labels if v in seen or seen.add(v))
             raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
         self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(levels)))
-        masks = []
-        offset = 0
-        for level in levels:
-            masks.append(((1 << len(level)) - 1) << offset)
-            offset += len(level)
-        self._level_masks = tuple(masks)
+        self._top = None  # the top level's rows as masks: the candidate walk's cache (see factorisation)
         self._anc = None
         self._up = None
         self._pairing = None
@@ -209,7 +208,6 @@ class MultipartiteGraph:
         out = cls.__new__(cls)
         out._set_levels(levels)
         out._idx = ((),) * len(levels[0]) + tuple(idx)
-        out._top = tuple(map(_mask, out._idx[-len(levels[-1]) :]))
         return out
 
     @property
@@ -281,41 +279,39 @@ class MultipartiteGraph:
         index = self._index
         k = len(self._levels)
 
-        def rows() -> Iterator[tuple[tuple[int, ...], int]]:
+        def rows() -> Iterator[tuple[int, ...]]:
             row_of = {}
             for label, nbrs in new_vertices:
-                row = 0
+                row = set()
                 for u in nbrs:
                     j = index.get(u)
                     if j is None:
                         if u in level:
                             raise InvalidArgumentError(f"edge {u!r}-{label!r} stays inside level {k}")
                         raise InvalidArgumentError(f"edge endpoint {u!r} is not a declared vertex")
-                    row |= 1 << j
+                    row.add(j)
                 row_of[label] = row
             for v in level:
-                yield tuple(bits(row_of[v])), row_of[v]
+                yield tuple(sorted(row_of[v]))
 
         return self._append_rows(level, rows())
 
     def _append_rows(
-        self, level: tuple[str, ...], rows: Iterable[tuple[tuple[int, ...], int]], anc: tuple[int, ...] = ()
+        self, level: tuple[str, ...], rows: Iterable[tuple[int, ...]], anc: tuple[int, ...] = ()
     ) -> MultipartiteGraph:
         """The (k+1)-level graph with ``level`` on top.
 
         ``level`` holds the new labels, sorted. ``rows`` gives each one's
-        neighbours over this graph's indexes, in the same order, as an
-        ascending index tuple and as a mask; ``anc``, when not empty, each
-        one's level-0 ancestor mask.
+        neighbours as an ascending tuple of this graph's indexes, in the same
+        order; ``anc``, when not empty, each one's level-0 ancestor mask.
         ``rows`` is read only after ``_set_levels`` has checked the labels,
         so a lazy ``rows`` reports its own errors after any label clash.
         The index is level-major, so every existing index and row survives
-        and the new ones follow; of the masks, only the new level's are kept.
+        and the new ones follow.
         """
         out = MultipartiteGraph.__new__(MultipartiteGraph)
         out._set_levels(self._levels + (level,))
-        idx, out._top = zip(*rows)
-        out._idx = self._idx + idx
+        out._idx = self._idx + tuple(rows)
         if anc:
             out._anc = self._ancestors() + anc
         return out
@@ -330,8 +326,8 @@ class MultipartiteGraph:
 
     def _level_range(self, k: int) -> range:
         """Global indexes of level ``k``, which are contiguous and in label order."""
-        stop = self._level_masks[k].bit_length()
-        return range(stop - len(self._levels[k]), stop)
+        start = sum(map(len, self._levels[:k]))
+        return range(start, start + len(self._levels[k]))
 
     def _above(self) -> list[list[int]]:
         """Per vertex, the ascending indexes of its higher-level neighbours."""

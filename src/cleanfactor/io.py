@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, _level_labels
+from .graphs import Graph, MultipartiteGraph, _level_labels, _mask
 from .oracle import VerificationReport
 from .series import SeriesResult
 
@@ -298,9 +298,7 @@ def reconstruct_graph(doc: DecompositionDocument) -> Graph:
     level0 = doc.levels[0]
     adj = [0] * len(level0)
     for row in doc.down[: len(doc.levels[1])]:
-        clique = 0
-        for j in row:
-            clique |= 1 << j
+        clique = _mask(row)
         for j in row:
             adj[j] |= clique
     return Graph._from_rows(level0, [mask & ~(1 << i) for i, mask in enumerate(adj)])

@@ -9,23 +9,24 @@ enumerates chains, recovers the sequence attached to a decomposition
 vertex, and verifies a decomposition instance, reporting the first
 counterexample on failure.
 
-Both checks read one pairing per graph. The walk ``_pair`` predicts,
-level by level, the lower neighbourhood of the vertex of every chain from
-the level-1 rows and the vertices already paired below, and pairs each
-vertex with the chain that predicts its row. It needs no labels and no
-second graph. ``_pairing`` runs it on a graph's first check and keeps the
-result on the graph, so verifying a graph walks it once, whichever checks
-run and in whatever order. In the same way ``_cliques`` keeps the input
-graph's maximal cliques, which ``verify_bijection`` and ``size_bound`` both
-read; decomposing a graph neither reads nor fills them, so a graph passed
-from decomposition to verification is still enumerated once by the oracle.
-``characterising_sequence`` reads no pairing: it recovers one vertex's
-sequence from that vertex's own rows. Labels are formatted only for a
-counterexample.
+Both checks read one pairing per graph. The walk ``_pair`` predicts, level
+by level, the lower neighbourhood of the vertex of every chain from the
+level-1 rows and the vertices already paired below, as an index tuple, and
+pairs each vertex with the chain that predicts its row. It needs no labels
+and no second graph. ``_pairing`` runs it on a graph's first check and
+keeps the result on the graph, so verifying a graph walks it once,
+whichever checks run and in whatever order. In the same way ``_cliques``
+keeps the input graph's maximal cliques, which ``verify_bijection`` and
+``size_bound`` both read; decomposing a graph neither reads nor fills
+them, so a graph passed from decomposition to verification is still
+enumerated once by the oracle. ``characterising_sequence`` reads no
+pairing: it recovers one vertex's sequence from that vertex's own rows.
+Labels are formatted only for a counterexample.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .cliques import _clique_masks, maximal_cliques
 from .errors import InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, _mask, bits
+from .graphs import Graph, MultipartiteGraph, _mask, _span, bits
 from .series import SeriesResult
 
 __all__ = [
@@ -216,15 +217,15 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
     k = m.level_of(x)
     if k < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
-    idx, level_of, lmask = m._idx, m._level_of, m._level_masks
+    idx, level_of = m._idx, m._level_of
     row = idx[m._index[x]]
     seq = [_mask(i for i in row if level_of[i] == 0)]
     for j in range(2, k):
-        shared = lmask[1]
+        shared = _span(m._level_range(1))
         for y in row:
             if level_of[y] == j:
-                shared &= _mask(idx[y])
-        o = lmask[0]
+                shared &= _mask(i for i in idx[y] if level_of[i] == 1)
+        o = _span(m._level_range(0))
         for c in bits(shared):
             o &= _mask(idx[c])
         seq.append(o)
@@ -248,42 +249,43 @@ def _fail(message: str) -> VerificationReport:
     return VerificationReport(passed=False, counterexample=message)
 
 
-def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int], ...], int]:
+# the graph's one pairing: first counterexample or None, (level, vertices, chains) counts, chains left over
+Pairing = tuple[str | None, tuple[tuple[int, int, int], ...], int]
+
+
+def _pair(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
-    Each vertex's row is keyed as the mask of its index tuple, built as
-    the walk reaches it and then dropped. The non-simple intersections are
-    those of m's own level-1 rows, and
-    ``cont[o]`` is the mask of the level-1 vertices that contain ``o``. A
-    chain is keyed by the vertex paired with its prefix (-1 for none) and
-    its last entry. Chain ``(o,)`` predicts the row ``o | cont[o]``. The
-    vertex paired with a chain ``p`` predicts the row of each child
-    ``p + (o,)``, ``o`` above ``p[-1]``: its own row except on level 1,
-    then ``cont[o]``, then the window W_k, the vertices paired with
-    ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``. Each level must hold
-    exactly one vertex per predicted row, and distinct chains predict
-    distinct rows, so the pairing is a bijection.
-
-    Returns the first counterexample (None when every level pairs up), the
-    (level, vertices, chains) counts, and the number of chains left over
-    for a level above the top one: the graph's one pairing (``_pairing``).
+    Rows are ascending index tuples, and each vertex's row is looked up as
+    the graph stores it. ``level1`` holds m's level-1 rows as masks over
+    level 0, built here unless given. The non-simple intersections are
+    those of these rows, and ``cont[o]`` is the tuple of the level-1
+    vertices that contain ``o``. A chain is keyed by the vertex paired
+    with its prefix (-1 for none) and its last entry. Chain ``(o,)``
+    predicts the row of ``o``'s vertices, then ``cont[o]``. The vertex
+    paired with a chain ``p`` predicts the row of each child ``p + (o,)``,
+    ``o`` above ``p[-1]``: its own row below level 1, then ``cont[o]``,
+    then its own row above level 1, then the window W_k, the vertices
+    paired with ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``, sorted. Each
+    level must hold exactly one vertex per predicted row, and distinct
+    chains predict distinct rows, so the pairing is a bijection.
     """
-    idx, labels, shift = m._idx, m._labels, (1).__lshift__
-    off1 = ~m._level_masks[1]
-    cliques = [(1 << c, _mask(idx[c])) for c in m._level_range(1)]
-    order = _nonsimple([row for _, row in cliques])
-    cont = {o: sum([bit for bit, row in cliques if o | row == row]) for o in order}
+    idx, labels, ones = m._idx, m._labels, m._level_range(1)
+    if level1 is None:
+        level1 = [_mask(idx[c]) for c in ones]
+    order = _nonsimple(level1)
+    cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in order}
     # a strict superset has more bits, so it comes later
     up = {o: [q for q in order[i + 1 :] if o | q == q] for i, o in enumerate(order)}
     between: dict[tuple[int, int], list[int]] = {}
     key_of: dict[int, tuple[int, int]] = {}
-    chains = {(-1, o): o | cont[o] for o in order}
+    chains = {(-1, o): tuple(bits(o)) + cont[o] for o in order}
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
         want = {row: key for key, row in chains.items()}
         paired: dict[tuple[int, int], int] = {}
         for x in m._level_range(k):
-            key = want.get(sum(map(shift, idx[x])))  # x's row as a mask: _mask inlined, as this runs per vertex
+            key = want.get(idx[x])
             if key is None:
                 return f"level {k}, vertex {labels[x]!r}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
             y = paired.setdefault(key, x)
@@ -299,25 +301,24 @@ def _pair(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int],
             chain = _fmt_seq(m._labels_from_mask(o) for o in reversed(seq))
             return f"level {k}: chain {chain} is attained by no vertex", (), 0
         counts.append((k, len(paired), len(chains)))
-        predicted, chains = chains, {}
+        chains = {}
         for key, x in paired.items():
             a, last = key
-            base = predicted[key] & off1  # x's row is the one its chain predicts
+            row = idx[x]  # the row its chain predicts, so its level-1 part is cont[last]
+            i = bisect_left(row, ones.start)
+            below, above = row[:i], row[i + len(cont[last]) :]
             for o in up[last]:
                 qs = between.get((last, o))
                 if qs is None:
                     qs = between[last, o] = [last] + [q for q in up[last] if q | o == o]
-                w = 0
-                for q in qs:
-                    w |= 1 << paired[a, q]
-                chains[x, o] = base | cont[o] | w
+                chains[x, o] = below + cont[o] + above + tuple(sorted([paired[a, q] for q in qs]))
     return None, tuple(counts), len(chains)
 
 
-def _pairing(m: MultipartiteGraph) -> tuple[str | None, tuple[tuple[int, int, int], ...], int]:
-    """``_pair(m)``, walked on first use and kept on the graph (``m._pairing``)."""
+def _pairing(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
+    """``_pair(m, level1)``, walked on first use and kept on the graph (``m._pairing``)."""
     if m._pairing is None:
-        m._pairing = _pair(m)
+        m._pairing = _pair(m, level1)
     return m._pairing
 
 
@@ -346,7 +347,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     level1 = [_mask(m._idx[c]) for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
-    failure, counts, leftover = _pairing(m)
+    failure, counts, leftover = _pairing(m, level1)
     if failure is not None:
         return _fail(failure)
     if leftover:

@@ -136,7 +136,11 @@ def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet
     adj = [0] * len(m)
     for lower, upper in m.edges():
         adj[index[upper]] |= 1 << index[lower]
-    lmask = m._level_masks
+    # each level's mask, from the level sizes
+    lmask, offset = [], 0
+    for level in m.levels:
+        lmask.append(((1 << len(level)) - 1) << offset)
+        offset += len(level)
     eq_mask = lmask[eq_level] if eq_level is not None else 0
     uppers = list(bits(lmask[k - 1]))
     base_common = 0

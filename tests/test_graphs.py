@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,10 @@ from cleanfactor import (
     graph_content_hash,
     level0_ancestors,
     run_series,
+    size_bound,
+    verify_bijection,
+    verify_document_fields,
+    verify_neighbourhood_formula,
     vertex_clique_incidence,
 )
 from cleanfactor import graphs
@@ -156,7 +161,7 @@ def test_append_level_matches_the_constructor_on_random_graphs():
         appended = m.append_level(new_vertices)
         built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
         assert appended == built
-        for slot in ("_levels", "_labels", "_index", "_level_of", "_level_masks", "_idx", "_top"):
+        for slot in ("_levels", "_labels", "_index", "_level_of", "_idx", "_top"):
             assert getattr(appended, slot) == getattr(built, slot), slot
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
@@ -291,45 +296,68 @@ def test_a_series_computes_ancestor_masks_at_most_once(monkeypatch, corpus):
 
 
 def assert_held_alike(*built: MultipartiteGraph) -> None:
-    """Every graph holds each row as an ascending index tuple, and its top level's rows, no others, also as masks.
-
-    The masks equal the top level's tuples, and all the graphs compare and hash equal.
-    """
+    """Every graph holds each row as an ascending index tuple, and all the graphs compare and hash equal."""
     for m in built:
         assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in m._idx)
-        top = m._level_range(m.level_count - 1)
-        assert len(m._top) == len(top)
-        assert m._top == tuple(sum(1 << j for j in m._idx[x]) for x in top)
         assert m == built[0] and hash(m) == hash(built[0])
 
 
-def test_every_builder_holds_each_row_once_and_its_top_level_as_masks(corpus):
-    # the index tuples and the top level's masks are the only rows a graph has a field for
-    others = {"_levels", "_labels", "_index", "_level_of", "_level_masks", "_anc", "_up", "_pairing"}
-    assert set(MultipartiteGraph.__slots__) == others | {"_idx", "_top"}
+def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
+    """The top level's rows as masks, from the index tuples."""
+    return tuple(sum(1 << j for j in m._idx[x]) for x in m._level_range(m.level_count - 1))
+
+
+def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(corpus):
+    # the index tuples are the only rows a graph has a field for; _top is the candidate walk's cache
+    others = {"_levels", "_labels", "_index", "_level_of", "_top", "_anc", "_up", "_pairing"}
+    assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
     for _ in range(100):
         levels, edges = random_levels_and_edges(rng)
         whole, appended, decoded = built_three_ways(levels, edges)
         bottom = len(whole.levels[0])
-        assert_held_alike(whole, appended, decoded, MultipartiteGraph._from_rows(whole.levels, whole._idx[bottom:]))
+        rebuilt = MultipartiteGraph._from_rows(whole.levels, whole._idx[bottom:])
+        assert_held_alike(whole, appended, decoded, rebuilt)
+        assert [m._top for m in (whole, appended, decoded, rebuilt)] == [None] * 4
     finals = 0
     for g in corpus[:60]:
+        source = graph_content_hash(g)
         base = vertex_clique_incidence(g)
-        assert_held_alike(base, MultipartiteGraph(base.levels, base.edges()))
+        whole = MultipartiteGraph(base.levels, base.edges())
+        assert_held_alike(base, whole)
+        assert base._top is None and whole._top is None
         for op in OperatorKind:
             # weak and factor may not terminate; four levels are two steps
             result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)
             final = result.final
-            m = base
+            m, step = base, factorise(base, op)
+            assert factorise(whole, op) == step
             while m.level_count < final.level_count:
-                step = factorise(m, op)
-                appended = m.append_level(list(zip(step.graph.levels[-1], (c.members for c in step.new_level))))
-                assert_held_alike(step.graph, appended, MultipartiteGraph(step.graph.levels, step.graph.edges()))
-                m = step.graph
-            bottom = len(final.levels[0])
-            decoded = document_to_multipartite(build_document(result, graph_content_hash(g)))
-            assert_held_alike(final, MultipartiteGraph._from_rows(final.levels, final._idx[bottom:]), decoded)
+                new = step.graph
+                appended = m.append_level(list(zip(new.levels[-1], (c.members for c in step.new_level))))
+                built = MultipartiteGraph(new.levels, new.edges())
+                decoded = document_to_multipartite(build_document(replace(result, final=new), source))
+                assert_held_alike(new, appended, built, decoded)
+                assert new._top == top_masks(new)
+                for other in (appended, built, decoded):
+                    assert other._top is None
+                m, step = new, None
+                if new != final or op is OperatorKind.CLEAN:  # a capped series' next step can be large
+                    # the other builders leave the masks to the walk, which builds the same ones
+                    step = factorise(new, op)
+                    for other in (appended, built, decoded):
+                        assert factorise(other, op) == step
+                        assert other._top == new._top
+            assert m == final
+            if op is OperatorKind.CLEAN:
+                # verifying a document reads its tuples only
+                doc = build_document(result, source)
+                decoded = document_to_multipartite(doc)
+                assert verify_document_fields(doc, decoded).passed
+                assert verify_bijection(g, decoded).passed
+                assert verify_neighbourhood_formula(decoded).passed
+                assert size_bound(g, replace(result, final=decoded)).holds
+                assert decoded._top is None
             finals += 1
     assert finals == 180
 

@@ -5,8 +5,12 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -812,6 +816,35 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
+    # é lies in both cliques {a,b,é} and {a,c,é}, so the oracle lists {a,é}
+    graph_path = write(tmp_path, "g.txt", "é a\né b\na b\né c\na c\n")
+    doc_path, bad_path = str(tmp_path / "d.json"), write(tmp_path, "bad.json", "")
+    assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", doc_path])[0] == 0
+    doc = read_document(doc_path)
+    # without its level-0 vertex a, the level-2 row is predicted by no chain, and verify names its vertex
+    Path(bad_path).write_text(to_json(replace(doc, down=doc.down[:-1] + (doc.down[-1][1:],))), encoding="utf-8")
+    env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=str(Path(cleanfactor.cli.__file__).parents[1]))
+    runs = [
+        (["cliques", "--input", graph_path], 0),
+        (["oracle", "--input", graph_path, "--chains", "1"], 0),
+        (document_command("reconstruct", doc_path, graph_path), 0),
+        (document_command("verify", doc_path, graph_path), 0),
+        (document_command("verify", bad_path, graph_path), 1),
+    ]
+    for argv, code in runs:
+        done = subprocess.run([sys.executable, "-m", "cleanfactor", *argv], env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (code, b"")
+        # the bytes are the UTF-8 of what the command writes in-process
+        assert run_cli(argv) == (code, done.stdout.decode("utf-8"), "")
+        if argv[0] == "reconstruct":
+            rebuilt = write(tmp_path, "r.txt", "")
+            Path(rebuilt).write_bytes(done.stdout)
+            assert read_edge_list(rebuilt) == read_edge_list(graph_path)
+    assert "bijection: FAIL (level 2, vertex 'L2:a,b,c,é': " in done.stdout.decode("utf-8")
 
 
 def document_command(command, doc_path, graph_path):

@@ -489,9 +489,9 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
     calls = []
     walk = oracle._pair
 
-    def counted(m):
+    def counted(m, level1):
         calls.append(m.level_count)
-        return walk(m)
+        return walk(m, level1)
 
     monkeypatch.setattr(oracle, "_pair", counted)
     g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
