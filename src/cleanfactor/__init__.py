@@ -22,7 +22,7 @@ from .factorisation import (
     factorise,
     particularise,
 )
-from .graphs import Graph, MultipartiteGraph, level0_ancestors
+from .graphs import Graph, MultipartiteGraph
 from .io import (
     DecompositionDocument,
     build_document,
@@ -46,7 +46,6 @@ from .oracle import (
     VerificationReport,
     chains_of_length,
     characterising_sequence,
-    cliques_containing,
     intersection_family,
     size_bound,
     verify_bijection,
@@ -86,13 +85,11 @@ __all__ = [
     "chains_of_length",
     "characterising_sequence",
     "cli_main",
-    "cliques_containing",
     "document_to_multipartite",
     "factorise",
     "format_edge_list",
     "graph_content_hash",
     "intersection_family",
-    "level0_ancestors",
     "maximal_cliques",
     "parse_document",
     "particularise",

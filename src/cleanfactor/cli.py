@@ -195,7 +195,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.stdout.reconfigure(encoding="utf-8")  # labels and edge lists are UTF-8 whatever the locale
+    # labels and edge lists are UTF-8 whatever the locale, on stdout and in error lines alike
+    sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     raise SystemExit(cli_main())
 
 

@@ -18,13 +18,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CliqueFamily:
-    """The inclusion-maximal cliques of a graph, in canonical order.
+    """The inclusion-maximal cliques of a graph as label sets, in the order ``maximal_cliques`` gives.
 
-    Every vertex of the source graph appears in at least one member;
-    isolated vertices contribute singleton cliques.
+    Every vertex lies in at least one member; an isolated vertex is a
+    singleton clique. Iteration, ``len`` and ``in`` read ``cliques``.
     """
 
-    graph: Graph
     cliques: tuple[frozenset[str], ...]
 
     def __iter__(self) -> Iterator[frozenset[str]]:
@@ -32,9 +31,6 @@ class CliqueFamily:
 
     def __len__(self) -> int:
         return len(self.cliques)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.cliques
 
 
 def _clique_masks(adj: tuple[int, ...]) -> list[int]:
@@ -82,7 +78,7 @@ def maximal_cliques(g: Graph) -> CliqueFamily:
     labels = g.vertices
     found = [frozenset(labels[i] for i in bits(m)) for m in _clique_masks(g._adj)]
     found.sort(key=lambda c: tuple(sorted(c)))
-    return CliqueFamily(graph=g, cliques=tuple(found))
+    return CliqueFamily(cliques=tuple(found))
 
 
 def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:

@@ -93,9 +93,6 @@ class CandidateSet:
     def members(self) -> frozenset[str]:
         return self.upper | self.lower
 
-    def lower_at(self, i: int) -> frozenset[str]:
-        return self.lower_by_level[i]
-
 
 @dataclass(frozen=True)
 class StepResult:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError
 
-__all__ = ["Graph", "MultipartiteGraph", "bits", "level0_ancestors"]
+__all__ = ["Graph", "MultipartiteGraph", "bits"]
 
 IndexRows = Sequence[tuple[int, ...]]  # per vertex, some of its neighbours as ascending indexes
 
@@ -102,11 +102,6 @@ class Graph:
 
     def __contains__(self, label: object) -> bool:
         return label in self._index
-
-    def has_edge(self, u: str, v: str) -> bool:
-        self._require(u)
-        self._require(v)
-        return u != v and (self._adj[self._index[u]] >> self._index[v]) & 1 == 1
 
     def neighbours(self, v: str) -> frozenset[str]:
         self._require(v)
@@ -397,8 +392,3 @@ def _level_labels(labels: Sequence[str], k: int, ancestors: Sequence[int], rows:
         for n, t in enumerate(group, start=1):
             out[t] = f"{base}#{n}" if n > 1 else base
     return out
-
-
-def level0_ancestors(m: MultipartiteGraph) -> dict[str, frozenset[str]]:
-    """Map each vertex to the level-0 vertices reachable by descending paths."""
-    return {v: m._labels_from_mask(a) for v, a in zip(m._labels, m._ancestors())}

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .cliques import _clique_masks, maximal_cliques
+from .cliques import _clique_masks
 from .errors import InvalidArgumentError
 from .graphs import Graph, MultipartiteGraph, _mask, _span, bits
 from .series import SeriesResult
@@ -44,7 +44,6 @@ __all__ = [
     "VerificationReport",
     "SizeBound",
     "intersection_family",
-    "cliques_containing",
     "chains_of_length",
     "characterising_sequence",
     "verify_bijection",
@@ -59,15 +58,13 @@ def _fmt_seq(sets: Iterable[frozenset[str]]) -> str:
 
 @dataclass(frozen=True)
 class IntersectionFamily:
-    """Intersections of maximal cliques of a graph.
+    """The non-simple intersections of a graph's maximal cliques, as label sets.
 
-    ``all_intersections`` is closed under intersection and contains the
-    whole vertex set (the intersection over no cliques); ``nonsimple``
-    keeps the members with at least two vertices that arise from at least
-    two distinct maximal cliques.
+    ``nonsimple`` holds each intersection of two or more distinct maximal
+    cliques that keeps at least two vertices: the poset whose chains index
+    the levels of the clean decomposition.
     """
 
-    all_intersections: frozenset[frozenset[str]]
     nonsimple: frozenset[frozenset[str]]
 
 
@@ -98,25 +95,12 @@ def _nonsimple(cliques: Sequence[int]) -> list[int]:
 
 
 def intersection_family(g: Graph) -> IntersectionFamily:
-    """Compute the intersection closure of the maximal cliques of ``g``."""
-    cliques = _clique_masks(g._adj)
-    meets = _meets(cliques)
-    closed = meets.union(cliques, [(1 << len(g)) - 1])
-    labels = {o: frozenset(g.vertices[i] for i in bits(o)) for o in closed}
+    """The non-simple intersections of the maximal cliques of ``g``: the members of ``_meets`` with two or more vertices."""
+    labels = g.vertices
+    meets = _meets(_clique_masks(g._adj))
     return IntersectionFamily(
-        all_intersections=frozenset(labels.values()),
-        nonsimple=frozenset(labels[o] for o in meets if o.bit_count() >= 2),
+        nonsimple=frozenset(frozenset(labels[i] for i in bits(o)) for o in meets if o.bit_count() >= 2)
     )
-
-
-def cliques_containing(g: Graph, a: Iterable[str]) -> frozenset[frozenset[str]]:
-    """K(A): the maximal cliques of ``g`` containing every vertex of ``a``."""
-    wanted = frozenset(a)
-    for v in wanted:
-        if v not in g:
-            raise InvalidArgumentError(f"unknown vertex {v!r}")
-    family = maximal_cliques(g)
-    return frozenset(c for c in family.cliques if wanted <= c)
 
 
 class IntersectionPoset:
@@ -142,10 +126,6 @@ class IntersectionPoset:
 
     def __len__(self) -> int:
         return len(self._elements)
-
-    def height(self) -> int:
-        """Number of elements on a longest chain (0 for the empty poset)."""
-        return len(_chain_counts(self._elements)) - 1
 
     def chain_count(self, m: int) -> int:
         """Number of strictly increasing m-element sequences."""
@@ -179,9 +159,6 @@ class CharacterisingSequence:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def is_strict_chain(self) -> bool:
-        return all(a < b for a, b in zip(self.sets, self.sets[1:]))
 
 
 def chains_of_length(poset: IntersectionPoset, m: int) -> set[CharacterisingSequence]:

@@ -5,7 +5,8 @@ vertex from labelled neighbourhoods, the non-simple intersections from a
 frozenset closure, every chain enumerated, and each window set W_j built
 by comparing a vertex with every vertex of level j. The library's checks
 work on bitmasks and count chains instead; tests require both to return
-equal reports, counterexample included.
+equal reports, counterexample included. The intersection-algebra tests read
+the closure (``reference_closure``) and K(A) (``cliques_containing``) here.
 """
 
 from __future__ import annotations
@@ -35,11 +36,16 @@ def _fail(message: str) -> VerificationReport:
     return VerificationReport(passed=False, counterexample=message)
 
 
-def reference_nonsimple(g: Graph) -> frozenset[frozenset[str]]:
-    """Close the maximal cliques under intersection; keep the non-simple members."""
-    family = maximal_cliques(g)
+def cliques_containing(g: Graph, a: Iterable[str]) -> frozenset[frozenset[str]]:
+    """K(A): the maximal cliques of ``g`` that contain every vertex of ``a``."""
+    wanted = frozenset(a)
+    return frozenset(c for c in maximal_cliques(g) if wanted <= c)
+
+
+def reference_closure(g: Graph) -> frozenset[frozenset[str]]:
+    """The maximal cliques and the whole vertex set (the meet of no cliques), closed under intersection."""
     closed: set[frozenset[str]] = {frozenset(g.vertices)}
-    closed.update(family.cliques)
+    closed.update(maximal_cliques(g))
     work = list(closed)
     while work:
         a = work.pop()
@@ -48,8 +54,14 @@ def reference_nonsimple(g: Graph) -> frozenset[frozenset[str]]:
             if c not in closed:
                 closed.add(c)
                 work.append(c)
+    return frozenset(closed)
+
+
+def reference_nonsimple(g: Graph) -> frozenset[frozenset[str]]:
+    """Close the maximal cliques under intersection; keep the non-simple members."""
+    family = maximal_cliques(g)
     nonsimple = set()
-    for o in closed:
+    for o in reference_closure(g):
         containing = [c for c in family.cliques if o <= c]
         if len(o) >= 2 and len(containing) >= 2 and frozenset.intersection(*containing) == o:
             nonsimple.add(o)
@@ -86,7 +98,7 @@ def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationRe
         sequences: dict[str, CharacterisingSequence] = {}
         for x in level:
             s = reference_sequence(m, x)
-            if not s.is_strict_chain():
+            if not all(a < b for a, b in zip(s.sets, s.sets[1:])):
                 return _fail(f"level {k}, vertex {x!r}: sequence {_fmt_seq(s.sets)} is not strictly increasing")
             for o in s.sets:
                 if o not in nonsimple:

@@ -21,7 +21,6 @@ from cleanfactor import (
     OperatorKind,
     SeriesStatus,
     anti_matching,
-    cliques_containing,
     document_to_multipartite,
     factorise,
     graph_content_hash,
@@ -42,6 +41,7 @@ from cleanfactor.factorisation import _candidate_from_masks, _maximal_family
 
 from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
 from conftest import make_g2, make_g3, make_triangle, random_connected_graph, random_graph
+from reference_oracle import cliques_containing, reference_closure, reference_nonsimple
 
 
 def criterion(name):
@@ -286,19 +286,22 @@ def test_oracle_algebra_suite(corpus):
     contexts = []
     for g in corpus:
         family = intersection_family(g)
-        elements = sorted(family.all_intersections, key=lambda s: (len(s), tuple(sorted(s))))
+        assert family.nonsimple == reference_nonsimple(g)
+        # the label-set closure, not the subset oracle: that refuses graphs of more than 16 cliques, as corpus graphs have
+        closure = reference_closure(g)
+        elements = sorted(closure, key=lambda s: (len(s), tuple(sorted(s))))
         images = {o: cliques_containing(g, o) for o in elements}
-        contexts.append((g, family, elements, images))
+        contexts.append((g, family, closure, elements, images))
 
-    for g, family, elements, images in contexts:
+    for g, family, closure, elements, images in contexts:
         image_set = set(images.values())
         for a, b in itertools.combinations(elements, 2):
-            assert a & b in family.all_intersections
+            assert a & b in closure
             assert images[a] & images[b] in image_set
 
     rng = random.Random(0xA15E)
     for step in range(1000):
-        g, family, _elements, images = contexts[rng.randrange(len(contexts))]
+        g, family, _closure, _elements, images = contexts[rng.randrange(len(contexts))]
         vs = g.vertices
         a = frozenset(v for v in vs if rng.random() < 0.4)
         b = frozenset(v for v in vs if rng.random() < 0.4)

@@ -76,7 +76,7 @@ def test_candidate_set_views():
     cand = CandidateSet(upper=frozenset(["x", "y"]), lower_by_level=(frozenset("a"), frozenset("b")))
     assert cand.lower == {"a", "b"}
     assert cand.members == {"a", "b", "x", "y"}
-    assert cand.lower_at(1) == {"b"}
+    assert cand.lower_by_level[1] == {"b"}
 
 
 def test_triangle_has_no_candidates(triangle):
@@ -95,7 +95,7 @@ def test_bg2_single_candidate_for_every_operator(g2):
         (cand,) = family
         assert cand.upper == {"K:a,b,c", "K:b,c,d"}
         assert cand.lower == {"b", "c"}
-        assert cand.lower_at(0) == {"b", "c"}
+        assert cand.lower_by_level[0] == {"b", "c"}
 
 
 def test_anti_matching_weak_candidates_need_n_at_least_4():

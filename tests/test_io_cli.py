@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -822,6 +823,7 @@ def run_cli(argv):
 def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
     # é lies in both cliques {a,b,é} and {a,c,é}, so the oracle lists {a,é}
     graph_path = write(tmp_path, "g.txt", "é a\né b\na b\né c\na c\n")
+    loop_path = write(tmp_path, "loop.txt", "é é\n")
     doc_path, bad_path = str(tmp_path / "d.json"), write(tmp_path, "bad.json", "")
     assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", doc_path])[0] == 0
     doc = read_document(doc_path)
@@ -830,6 +832,7 @@ def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
     env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=str(Path(cleanfactor.cli.__file__).parents[1]))
     runs = [
         (["cliques", "--input", graph_path], 0),
+        (["cliques", "--input", loop_path], 2),
         (["oracle", "--input", graph_path, "--chains", "1"], 0),
         (document_command("reconstruct", doc_path, graph_path), 0),
         (document_command("verify", doc_path, graph_path), 0),
@@ -837,9 +840,10 @@ def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
     ]
     for argv, code in runs:
         done = subprocess.run([sys.executable, "-m", "cleanfactor", *argv], env=env, capture_output=True)
-        assert (done.returncode, done.stderr) == (code, b"")
+        # only the refused input writes to stderr
+        assert (done.returncode, done.stderr == b"") == (code, code < 2)
         # the bytes are the UTF-8 of what the command writes in-process
-        assert run_cli(argv) == (code, done.stdout.decode("utf-8"), "")
+        assert run_cli(argv) == (code, done.stdout.decode("utf-8"), done.stderr.decode("utf-8"))
         if argv[0] == "reconstruct":
             rebuilt = write(tmp_path, "r.txt", "")
             Path(rebuilt).write_bytes(done.stdout)
@@ -1039,3 +1043,11 @@ def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, da
     )
     text = json.dumps(payload)
     assert parsed(parse_document, text) == parsed(reference_parse_v3, text)
+
+
+def test_readme_api_list_is_the_package_all():
+    # the backticked names on the list items of the README's "Library API" section
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    items = "\n".join(line for line in section.splitlines() if line.startswith(("* ", "  ")))
+    assert sorted(re.findall(r"`([^`]+)`", items)) == sorted(cleanfactor.__all__)

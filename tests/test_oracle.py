@@ -22,7 +22,6 @@ from cleanfactor import (
     chains_of_length,
     characterising_sequence,
     cli_main,
-    cliques_containing,
     document_to_multipartite,
     factorise,
     format_edge_list,
@@ -40,7 +39,12 @@ from cleanfactor import cliques, oracle
 
 from bruteforce import subset_chains, subset_intersections
 from conftest import random_connected_graph, random_graph
-from reference_oracle import reference_verify_bijection, reference_verify_neighbourhood_formula
+from reference_oracle import (
+    cliques_containing,
+    reference_closure,
+    reference_verify_bijection,
+    reference_verify_neighbourhood_formula,
+)
 
 
 def fs(*labels: str) -> frozenset[str]:
@@ -51,6 +55,7 @@ def test_intersection_family_fixed_instances(triangle, g2, g3):
     assert intersection_family(triangle).nonsimple == frozenset()
     assert intersection_family(g2).nonsimple == {fs("b", "c")}
     assert intersection_family(g3).nonsimple == {fs("1", "2"), fs("1", "2", "3")}
+    assert all(len(o) >= 2 for o in intersection_family(g3).nonsimple)
 
 
 def test_intersection_family_matches_subset_oracle():
@@ -59,26 +64,8 @@ def test_intersection_family_matches_subset_oracle():
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
         fam = intersection_family(g)
         oracle_all, oracle_nonsimple = subset_intersections(g)
-        assert fam.all_intersections == oracle_all
+        assert reference_closure(g) == oracle_all
         assert fam.nonsimple == oracle_nonsimple
-
-
-def test_intersection_family_invariants(g3):
-    fam = intersection_family(g3)
-    assert fam.nonsimple <= fam.all_intersections
-    assert all(len(o) >= 2 for o in fam.nonsimple)
-    assert frozenset(g3.vertices) in fam.all_intersections
-
-
-def test_cliques_containing(g2, g3):
-    assert cliques_containing(g2, []) == set(maximal_cliques(g2).cliques)
-    assert cliques_containing(g2, ["b", "c"]) == {fs("a", "b", "c"), fs("b", "c", "d")}
-    assert cliques_containing(g3, ["1", "2", "3"]) == {
-        fs("1", "2", "3", "4"),
-        fs("1", "2", "3", "5"),
-    }
-    with pytest.raises(InvalidArgumentError):
-        cliques_containing(g2, ["nope"])
 
 
 def test_families_closed_under_intersection():
@@ -87,10 +74,10 @@ def test_families_closed_under_intersection():
     rng = random.Random(161803)
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
-        fam = intersection_family(g)
-        for a, b in itertools.combinations(fam.all_intersections, 2):
-            assert a & b in fam.all_intersections
-        images = {cliques_containing(g, o) for o in fam.all_intersections}
+        closed = reference_closure(g)
+        for a, b in itertools.combinations(closed, 2):
+            assert a & b in closed
+        images = {cliques_containing(g, o) for o in closed}
         for a, b in itertools.combinations(images, 2):
             assert a & b in images
 
@@ -120,7 +107,7 @@ def test_containing_cliques_reverse_inclusion(case):
     g, a, b = case
     assert cliques_containing(g, a | b) <= cliques_containing(g, a)
     # and K(O) <= K(A) forces A <= O when O is a clique intersection
-    for o in intersection_family(g).all_intersections:
+    for o in reference_closure(g):
         if cliques_containing(g, o) <= cliques_containing(g, a):
             assert a <= o
 
@@ -142,7 +129,7 @@ def test_chains_fixed_instances(g3):
 def test_chains_of_an_antichain():
     poset = IntersectionPoset([fs("a", "b"), fs("c", "d"), fs("e", "f")])
     assert chains_of_length(poset, 2) == set()
-    assert poset.height() == 1
+    assert poset.chain_count(2) == 0 and poset.chain_count(1) > 0
 
 
 def test_chains_match_subset_oracle():
@@ -160,7 +147,8 @@ def test_chains_match_subset_oracle():
         longest = 0
         while subset_chains(set(elements), longest + 1):
             longest += 1
-        assert poset.height() == longest
+        assert poset.chain_count(longest + 1) == 0
+        assert longest == 0 or poset.chain_count(longest) > 0
 
 
 def test_chain_length_validation():
@@ -200,7 +188,10 @@ def test_characterising_sequence_validation(g2):
         characterising_sequence(m, "K:a,b,c")
     with pytest.raises(InvalidArgumentError):
         characterising_sequence(m, "ghost")
-    assert not CharacterisingSequence((fs("a", "b"), fs("a", "b"))).is_strict_chain()
+    # a repeated set is no chain: the only two-element chain of {ab, abc} is (ab < abc)
+    chains = chains_of_length(IntersectionPoset([fs("a", "b"), fs("a", "b", "c")]), 2)
+    assert CharacterisingSequence((fs("a", "b"), fs("a", "b"))) not in chains
+    assert chains == {CharacterisingSequence((fs("a", "b"), fs("a", "b", "c")))}
 
 
 def test_verify_bijection_passes_on_fixed_instances(triangle, g2, g3):
@@ -327,7 +318,8 @@ def test_poset_height_is_bounded_by_n_minus_2():
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 10), rng.choice([0.4, 0.6, 0.8]))
         poset = IntersectionPoset(intersection_family(g).nonsimple)
-        assert poset.height() <= max(len(g) - 2, 0)
+        # no chain of n - 1 elements, so the longest has at most n - 2
+        assert poset.chain_count(len(g) - 1) == 0
 
 
 def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[MultipartiteGraph]:
