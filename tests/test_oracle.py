@@ -68,6 +68,30 @@ def test_intersection_family_matches_subset_oracle():
         assert fam.nonsimple == oracle_nonsimple
 
 
+def test_intersection_family_invariants(g3):
+    fam = intersection_family(g3)
+    closure = reference_closure(g3)
+    assert fam.nonsimple <= closure
+    # each member is the meet of the two or more cliques that contain it
+    for o in fam.nonsimple:
+        containing = cliques_containing(g3, o)
+        assert len(containing) >= 2 and frozenset.intersection(*containing) == o
+    # the vertex set, the meet of no cliques, is in the closure but is not labelled
+    assert frozenset(g3.vertices) in closure
+    assert frozenset(g3.vertices) not in fam.nonsimple
+
+
+def test_cliques_containing(g2, g3):
+    # the tests' K(A), which the Galois and closure tests read, on hand-derived values
+    assert cliques_containing(g2, []) == set(maximal_cliques(g2).cliques)
+    assert cliques_containing(g2, ["b", "c"]) == {fs("a", "b", "c"), fs("b", "c", "d")}
+    assert cliques_containing(g3, ["1", "2", "3"]) == {
+        fs("1", "2", "3", "4"),
+        fs("1", "2", "3", "5"),
+    }
+    assert cliques_containing(g2, ["nope"]) == frozenset()
+
+
 def test_families_closed_under_intersection():
     # both the intersection family and its clique-set image are closed under
     # pairwise intersection
