@@ -9,7 +9,6 @@ the inclusion order on the non-simple intersections of maximal cliques.
 
 from .cli import cli_main
 from .cliques import (
-    CliqueFamily,
     anti_matching,
     maximal_cliques,
     vertex_clique_incidence,
@@ -39,7 +38,6 @@ from .io import (
     write_decomposition,
 )
 from .oracle import (
-    CharacterisingSequence,
     IntersectionFamily,
     IntersectionPoset,
     SizeBound,
@@ -63,8 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateSet",
-    "CharacterisingSequence",
-    "CliqueFamily",
     "DecompositionDocument",
     "DEFAULT_OPEN_BUDGET",
     "DocumentFormatError",

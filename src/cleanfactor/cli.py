@@ -115,9 +115,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for element in poset.elements:
         print(",".join(sorted(element)))
     if args.chains is not None:
-        chains = chains_of_length(poset, args.chains)
-        for chain in sorted(chains, key=lambda c: tuple(tuple(sorted(o)) for o in c.sets)):
-            print(" < ".join(",".join(sorted(o)) for o in chain.sets))
+        for chain in sorted(tuple(map(sorted, c)) for c in chains_of_length(poset, args.chains)):
+            print(" < ".join(map(",".join, chain)))
     return EXIT_OK
 
 

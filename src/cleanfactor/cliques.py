@@ -2,35 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from .errors import InvalidArgumentError
 from .graphs import Graph, MultipartiteGraph, _level_labels, bits
 
 __all__ = [
-    "CliqueFamily",
     "maximal_cliques",
     "vertex_clique_incidence",
     "anti_matching",
 ]
-
-
-@dataclass(frozen=True)
-class CliqueFamily:
-    """The inclusion-maximal cliques of a graph as label sets, in the order ``maximal_cliques`` gives.
-
-    Every vertex lies in at least one member; an isolated vertex is a
-    singleton clique. Iteration, ``len`` and ``in`` read ``cliques``.
-    """
-
-    cliques: tuple[frozenset[str], ...]
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self.cliques)
-
-    def __len__(self) -> int:
-        return len(self.cliques)
 
 
 def _clique_masks(adj: tuple[int, ...]) -> list[int]:
@@ -69,30 +48,30 @@ def _clique_masks(adj: tuple[int, ...]) -> list[int]:
     return out
 
 
-def maximal_cliques(g: Graph) -> CliqueFamily:
-    """Enumerate the inclusion-maximal cliques of ``g``.
+def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
+    """The inclusion-maximal cliques of ``g`` as label sets, sorted on their sorted member lists.
 
-    The family is sorted lexicographically on the sorted member lists.
-    Raises on the empty graph, which has no clique family.
+    An isolated vertex is a singleton clique. Raises on the empty graph, which has no clique family.
     """
     labels = g.vertices
     found = [frozenset(labels[i] for i in bits(m)) for m in _clique_masks(g._adj)]
     found.sort(key=lambda c: tuple(sorted(c)))
-    return CliqueFamily(cliques=tuple(found))
+    return tuple(found)
 
 
 def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     """The bipartite graph with the vertices of ``g`` below its maximal cliques.
 
     Level 0 holds the vertices, level 1 one vertex per maximal clique, and
-    membership gives the edges.
+    membership gives the edges. A clique's ancestors are its members, and the graph keeps their masks.
     """
     labels = g.vertices
     # both graphs index level 0 in label order, so a clique mask is its ancestors and its bits are its row
     cliques = _clique_masks(g._adj)
     rows = [tuple(bits(c)) for c in cliques]
-    names, rows = zip(*sorted(zip(_level_labels(labels, 1, cliques, rows), rows)))
-    return MultipartiteGraph._from_rows((labels, names), rows)
+    names, rows, cliques = zip(*sorted(zip(_level_labels(labels, 1, cliques, rows), rows, cliques)))
+    units = tuple(1 << i for i in range(len(labels)))
+    return MultipartiteGraph._from_rows((labels, names), rows, units + cliques)
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

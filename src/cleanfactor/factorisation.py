@@ -136,11 +136,6 @@ def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
     return (k - 2, 1), k - 3
 
 
-def _require_multipartite(m: MultipartiteGraph) -> None:
-    if m.level_count < 2:
-        raise InvalidArgumentError("factorisation needs at least two levels")
-
-
 def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> CandidateSet:
     """The candidate of a seed and its common neighbourhood on the levels below it."""
     top = m._level_of[(seed & -seed).bit_length() - 1]
@@ -353,7 +348,6 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     the graph (``m._top``): built here from the tuples unless ``factorise``
     left them there.
     """
-    _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
@@ -412,13 +406,13 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
             members.append(low.bit_length() - 1)
             row ^= low
         idx.append(tuple(members))
-    anc = m._ancestors().__getitem__
+    anc = m._ancestors()
     # every common vertex lies below every seed member, so the seed's
     # ancestors, those of the row's last indexes, are the new vertex's
-    ancestors = [reduce(or_, map(anc, row[-seed.bit_count() :])) for (seed, _), row in zip(pairs, idx)]
+    ancestors = [reduce(or_, map(anc.__getitem__, row[-seed.bit_count() :])) for (seed, _), row in zip(pairs, idx)]
     named = _level_labels(m._labels, m.level_count, ancestors, idx)
     labels, rows, ancestors, idx = zip(*sorted(zip(named, rows, ancestors, idx)))
-    out = m._append_rows(labels, idx, ancestors)
+    out = MultipartiteGraph._from_rows(m._levels + (labels,), m._idx[len(m._levels[0]) :] + idx, anc + ancestors)
     out._top = rows  # the next step's walk ANDs these masks
     return StepResult(effective=True, graph=out)
 

@@ -5,13 +5,15 @@ vertex index (level-major, label-sorted within each level), so every set
 operation is deterministic across runs. A ``MultipartiteGraph`` stores only
 each vertex's lower neighbourhood, as a tuple of ascending indexes, so
 appending a level rewrites no row and no constructor builds a mask of a
-row. Ancestors, labels, documents, the pairing walk and up-queries read the
-tuples. Only the candidate walk ANDs rows, and only the top level's: it
-keeps them as masks in ``_top``, a cache that ``factorise`` fills on the
-graph it returns and the walk fills on any other graph it is given.
-``edges()`` and the up-index of the first public up-query transpose the
-tuples. The public surface speaks plain labels and frozensets. All types
-are immutable after construction.
+row. ``factorise``, the decoder, ``append_level`` and the incidence graph
+build through ``_from_rows``, which keeps the tuples it is given and the
+ancestor masks a caller holds. Ancestors, labels, documents, the pairing
+walk and up-queries read the tuples. Only the candidate walk ANDs rows,
+and only the top level's: it keeps them as masks in ``_top``, a cache
+that ``factorise`` fills on the graph it returns and the walk fills on
+any other graph it is given. ``edges()`` and the up-index of the first
+public up-query transpose the tuples. The public surface speaks plain
+labels and frozensets. All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -194,15 +196,19 @@ class MultipartiteGraph:
         self._pairing = None
 
     @classmethod
-    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], idx: IndexRows) -> MultipartiteGraph:
-        """The graph on ``levels`` with these lower neighbourhoods, one per vertex from level 1 up.
+    def _from_rows(
+        cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]], anc: tuple[int, ...] = ()
+    ) -> MultipartiteGraph:
+        """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up) and ancestor masks ``anc`` if any.
 
-        Each row is a tuple of ascending indexes, which the graph keeps.
-        Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
+        ``idx`` is read after ``_set_levels`` checks the labels, so a lazy ``idx`` reports its errors after a label
+        clash. Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
         out._idx = ((),) * len(levels[0]) + tuple(idx)
+        if anc:
+            out._anc = anc
         return out
 
     @property
@@ -289,27 +295,9 @@ class MultipartiteGraph:
             for v in level:
                 yield tuple(sorted(row_of[v]))
 
-        return self._append_rows(level, rows())
-
-    def _append_rows(
-        self, level: tuple[str, ...], rows: Iterable[tuple[int, ...]], anc: tuple[int, ...] = ()
-    ) -> MultipartiteGraph:
-        """The (k+1)-level graph with ``level`` on top.
-
-        ``level`` holds the new labels, sorted. ``rows`` gives each one's
-        neighbours as an ascending tuple of this graph's indexes, in the same
-        order; ``anc``, when not empty, each one's level-0 ancestor mask.
-        ``rows`` is read only after ``_set_levels`` has checked the labels,
-        so a lazy ``rows`` reports its own errors after any label clash.
-        The index is level-major, so every existing index and row survives
-        and the new ones follow.
-        """
-        out = MultipartiteGraph.__new__(MultipartiteGraph)
-        out._set_levels(self._levels + (level,))
-        out._idx = self._idx + tuple(rows)
-        if anc:
-            out._anc = self._ancestors() + anc
-        return out
+        # the index is level-major, so every existing index and row survives and the new ones follow
+        old = self._idx[len(self._levels[0]) :]
+        return MultipartiteGraph._from_rows(self._levels + (level,), chain(old, rows()))
 
     # -- internal helpers shared inside the package ---------------------
 

@@ -7,7 +7,9 @@ k-1 such intersections, and each vertex's lower neighbourhood follows from
 its sequence. This module computes the intersection families, counts and
 enumerates chains, recovers the sequence attached to a decomposition
 vertex, and verifies a decomposition instance, reporting the first
-counterexample on failure.
+counterexample on failure. A chain and a sequence are plain tuples of
+frozensets; the chain walk keeps its own stack, so a chain of any length
+needs no deep recursion.
 
 Both checks read one pairing per graph. The walk ``_pair`` predicts, level
 by level, the lower neighbourhood of the vertex of every chain from the
@@ -40,7 +42,6 @@ from .series import SeriesResult
 __all__ = [
     "IntersectionFamily",
     "IntersectionPoset",
-    "CharacterisingSequence",
     "VerificationReport",
     "SizeBound",
     "intersection_family",
@@ -107,18 +108,12 @@ class IntersectionPoset:
     """A family of vertex sets under strict inclusion, with chain queries."""
 
     def __init__(self, elements: Iterable[frozenset[str]]) -> None:
-        self._elements = tuple(
-            sorted({frozenset(e) for e in elements}, key=lambda s: (len(s), tuple(sorted(s))))
+        self._elements = tuple(sorted({frozenset(e) for e in elements}, key=lambda s: (len(s), tuple(sorted(s)))))
+        # per element, the later ones that strictly contain it: a strict superset is larger, so it comes later
+        self._above = tuple(
+            tuple(j for j in range(i + 1, len(self._elements)) if small < self._elements[j])
+            for i, small in enumerate(self._elements)
         )
-        above: list[tuple[int, ...]] = []
-        for i, small in enumerate(self._elements):
-            ups = tuple(
-                j
-                for j in range(i + 1, len(self._elements))
-                if len(small) < len(self._elements[j]) and small < self._elements[j]
-            )
-            above.append(ups)
-        self._above = tuple(above)
 
     @property
     def elements(self) -> tuple[frozenset[str], ...]:
@@ -135,35 +130,35 @@ class IntersectionPoset:
         return counts[m] if m < len(counts) else 0
 
     def chains(self, m: int) -> Iterator[tuple[frozenset[str], ...]]:
+        """The strictly increasing m-element sequences, in the order of their entries in ``elements``.
+
+        The walk keeps its own stack, so a chain of any length needs no deep
+        recursion, and enters only elements that start a chain long enough.
+        """
         if m < 1:
             raise InvalidArgumentError("chain length must be at least 1")
-
-        def walk(acc: list[int]) -> Iterator[tuple[frozenset[str], ...]]:
-            if len(acc) == m:
-                yield tuple(self._elements[t] for t in acc)
-                return
-            for j in self._above[acc[-1]]:
-                acc.append(j)
-                yield from walk(acc)
-                acc.pop()
-
-        for i in range(len(self._elements)):
-            yield from walk([i])
-
-
-@dataclass(frozen=True)
-class CharacterisingSequence:
-    """The chain label attached to a decomposition vertex: (O_1, ..., O_{k-1})."""
-
-    sets: tuple[frozenset[str], ...]
-
-    def __len__(self) -> int:
-        return len(self.sets)
+        elements, above = self._elements, self._above
+        # longest[i]: the most elements of a chain that starts at element i; above[i] lies past i
+        longest = [1] * len(elements)
+        for i in reversed(range(len(elements))):
+            longest[i] += max(map(longest.__getitem__, above[i]), default=0)
+        # per node: the chain's indexes so far, and the elements left that can extend it
+        stack = [((), iter([i for i, n in enumerate(longest) if n >= m]))]
+        while stack:
+            acc, kids = stack[-1]
+            j = next(kids, None)
+            if j is None:
+                stack.pop()
+            elif len(acc) == m - 1:
+                yield tuple(elements[t] for t in acc + (j,))
+            else:
+                need = m - len(acc) - 1
+                stack.append((acc + (j,), iter([q for q in above[j] if longest[q] >= need])))
 
 
-def chains_of_length(poset: IntersectionPoset, m: int) -> set[CharacterisingSequence]:
+def chains_of_length(poset: IntersectionPoset, m: int) -> set[tuple[frozenset[str], ...]]:
     """All strictly increasing m-element sequences over the poset."""
-    return {CharacterisingSequence(chain) for chain in poset.chains(m)}
+    return set(poset.chains(m))
 
 
 def _chain_counts(order: Sequence[int] | Sequence[frozenset[str]]) -> list[int]:
@@ -182,8 +177,8 @@ def _chain_counts(order: Sequence[int] | Sequence[frozenset[str]]) -> list[int]:
     return counts
 
 
-def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSequence:
-    """Recover the sequence of a vertex at level k >= 2 of a clean series graph.
+def characterising_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str], ...]:
+    """Recover the sequence (O_1, ..., O_{k-1}) of a vertex at level k >= 2 of a clean series graph.
 
     Read from x's own rows, and from those of its neighbours on levels 1
     and up. The first entry is N_0(x). Entry j is the intersection of the
@@ -206,7 +201,7 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSeque
         for c in bits(shared):
             o &= _mask(idx[c])
         seq.append(o)
-    return CharacterisingSequence(tuple(m._labels_from_mask(o) for o in seq))
+    return tuple(m._labels_from_mask(o) for o in seq)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import itertools
 from typing import Iterable
 
 from cleanfactor import CandidateSet, Graph, MultipartiteGraph, OperatorKind
-from cleanfactor.factorisation import _candidate_from_masks, _plan, _require_multipartite
+from cleanfactor.factorisation import _candidate_from_masks, _plan
 from cleanfactor.graphs import bits
 
 
@@ -127,7 +127,6 @@ def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet
     soon as a cardinality constraint fails, which is sound because common
     neighbourhoods only shrink as the seed grows.
     """
-    _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # each vertex's lower neighbours as a mask, from the edge list; the upper level is the top
@@ -193,7 +192,6 @@ def closed_candidates(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[froz
     constraints, which no further intersection can restore. Each common
     that at least two members cover is one maximal candidate.
     """
-    _require_multipartite(m)
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     level_sets = [frozenset(level) for level in m.levels]

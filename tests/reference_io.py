@@ -57,7 +57,7 @@ class V1Document:
 def reference_build_document(result: SeriesResult, source_hash: str) -> V1Document:
     m = result.final
     sequences = {
-        x: tuple(tuple(sorted(o)) for o in reference_sequence(m, x).sets) for x in chain.from_iterable(m.levels[2:])
+        x: tuple(tuple(sorted(o)) for o in reference_sequence(m, x)) for x in chain.from_iterable(m.levels[2:])
     }
     levels = tuple(
         LevelRecord(index=li, vertices=tuple(VertexRecord(v, v, sequences.get(v)) for v in members))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from cleanfactor import (
-    CharacterisingSequence,
     Graph,
     IntersectionPoset,
     MultipartiteGraph,
@@ -62,13 +61,13 @@ def reference_nonsimple(g: Graph) -> frozenset[frozenset[str]]:
     family = maximal_cliques(g)
     nonsimple = set()
     for o in reference_closure(g):
-        containing = [c for c in family.cliques if o <= c]
+        containing = [c for c in family if o <= c]
         if len(o) >= 2 and len(containing) >= 2 and frozenset.intersection(*containing) == o:
             nonsimple.add(o)
     return frozenset(nonsimple)
 
 
-def reference_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSequence:
+def reference_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str], ...]:
     """N_0(x), then per level j in 2..k-1 the meet of the cliques shared by N_j(x)."""
     sets = [m.neighbourhood_at_level(x, 0)]
     for j in range(2, m.level_of(x)):
@@ -79,7 +78,7 @@ def reference_sequence(m: MultipartiteGraph, x: str) -> CharacterisingSequence:
         for c in shared:
             o &= m.neighbourhood_at_level(c, 0)
         sets.append(o)
-    return CharacterisingSequence(tuple(sets))
+    return tuple(sets)
 
 
 def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
@@ -87,7 +86,7 @@ def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationRe
     if set(m.levels[0]) != set(g.vertices):
         return _fail("level 0 does not match the input graph's vertex set")
     level1_sets = [m.neighbourhood_at_level(c, 0) for c in m.levels[1]]
-    if len(set(level1_sets)) != len(level1_sets) or set(level1_sets) != set(family.cliques):
+    if len(set(level1_sets)) != len(level1_sets) or set(level1_sets) != set(family):
         return _fail("level 1 does not match the maximal cliques of the input graph")
 
     nonsimple = reference_nonsimple(g)
@@ -95,25 +94,25 @@ def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationRe
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
         level = m.levels[k]
-        sequences: dict[str, CharacterisingSequence] = {}
+        sequences: dict[str, tuple[frozenset[str], ...]] = {}
         for x in level:
             s = reference_sequence(m, x)
-            if not all(a < b for a, b in zip(s.sets, s.sets[1:])):
-                return _fail(f"level {k}, vertex {x!r}: sequence {_fmt_seq(s.sets)} is not strictly increasing")
-            for o in s.sets:
+            if not all(a < b for a, b in zip(s, s[1:])):
+                return _fail(f"level {k}, vertex {x!r}: sequence {_fmt_seq(s)} is not strictly increasing")
+            for o in s:
                 if o not in nonsimple:
                     return _fail(f"level {k}, vertex {x!r}: {_fmt(o)} is not a non-simple clique intersection")
             sequences[x] = s
-        seen: dict[CharacterisingSequence, str] = {}
+        seen: dict[tuple[frozenset[str], ...], str] = {}
         for x, s in sequences.items():
             if s in seen:
-                return _fail(f"level {k}: vertices {seen[s]!r} and {x!r} share the sequence {_fmt_seq(s.sets)}")
+                return _fail(f"level {k}: vertices {seen[s]!r} and {x!r} share the sequence {_fmt_seq(s)}")
             seen[s] = x
         expected = chains_of_length(poset, k - 1)
         missing = expected - set(sequences.values())
         if missing:
-            chain = min(missing, key=lambda c: tuple(tuple(sorted(o)) for o in c.sets))
-            return _fail(f"level {k}: chain {_fmt_seq(chain.sets)} is attained by no vertex")
+            chain = min(missing, key=lambda c: tuple(tuple(sorted(o)) for o in c))
+            return _fail(f"level {k}: chain {_fmt_seq(chain)} is attained by no vertex")
         counts.append((k, len(level), len(expected)))
 
     beyond = m.level_count - 1
@@ -130,7 +129,7 @@ def reference_verify_neighbourhood_formula(m: MultipartiteGraph) -> Verification
 
     for k in range(2, m.level_count):
         for x in m.levels[k]:
-            last = sequences[x].sets[-1]
+            last = sequences[x][-1]
             containing = frozenset(c for c in level1 if last <= bottom[c])
             actual = m.neighbourhood_at_level(x, 1)
             if containing != actual:
@@ -141,12 +140,12 @@ def reference_verify_neighbourhood_formula(m: MultipartiteGraph) -> Verification
 
     for k in range(3, m.level_count):
         for x in m.levels[k]:
-            sx = sequences[x].sets
+            sx = sequences[x]
             for j in range(2, k):
                 window = frozenset(
                     y
                     for y in m.levels[j]
-                    if sequences[y].sets[: j - 2] == sx[: j - 2] and sx[j - 2] <= sequences[y].sets[j - 2] <= sx[j - 1]
+                    if sequences[y][: j - 2] == sx[: j - 2] and sx[j - 2] <= sequences[y][j - 2] <= sx[j - 1]
                 )
                 actual = m.neighbourhood_at_level(x, j)
                 if window != actual:

@@ -648,6 +648,11 @@ def test_particularise_single_edge():
     pinned = particularise(h)
     assert pinned.levels[0] == ("p:y", "u")
     assert set(pinned.edges()) == {("u", "y"), ("p:y", "y")}
+    # a pin whose label is taken gets a prime until it is free: p:y and p:y' are bottoms already
+    h = MultipartiteGraph([["p:y", "p:y'"], ["y", "z"]], [("p:y", "y"), ("p:y'", "z")])
+    pinned = particularise(h)
+    assert pinned.levels[0] == ("p:y", "p:y'", "p:y''", "p:z")
+    assert set(pinned.edges()) == {("p:y", "y"), ("p:y'", "z"), ("p:y''", "y"), ("p:z", "z")}
 
 
 def test_particularise_separates_twin_uppers():

@@ -41,6 +41,9 @@ def test_graph_basics():
     assert g.neighbours("a") == {"b"}
     assert g.degree("c") == 0
     assert "a" in g and "z" not in g
+    for query in (g.neighbours, g.degree):
+        with pytest.raises(InvalidArgumentError, match="unknown vertex 'z'"):
+            query("z")
 
 
 def test_graph_rejects_self_loop_and_unknown_endpoints():
@@ -61,6 +64,7 @@ def test_graph_equality_and_hash():
 
 def test_single_edge_neighbourhoods():
     m = MultipartiteGraph([["u"], ["y"]], [("u", "y")])
+    assert "u" in m and "y" in m and "z" not in m and 0 not in m
     assert m.neighbourhood_at_level("y", 0) == {"u"}
     assert m.neighbourhood_at_level("y", 1) == frozenset()
     assert m.neighbourhood_at_level("u", 1) == {"y"}
@@ -273,6 +277,9 @@ def test_series_graphs_carry_their_ancestor_masks(corpus):
     inputs = corpus + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES]
     steps = 0
     for g in inputs:
+        # the incidence graph carries its masks before any step reads them
+        base = vertex_clique_incidence(g)
+        assert base._anc is not None and base._anc == graphs._ancestor_masks(base)
         for m in clean_prefix_graphs(g)[1:]:
             steps += 1
             assert m._anc is not None and m._anc == graphs._ancestor_masks(m)
@@ -296,7 +303,8 @@ def test_a_series_computes_ancestor_masks_at_most_once(monkeypatch, corpus):
     calls.clear()
     result = run_series(deepest, OperatorKind.CLEAN)
     assert result.steps >= 4
-    assert len(calls) <= 1
+    # the incidence graph hands its clique masks to the first step, and each step to the next
+    assert calls == []
 
 
 def assert_held_alike(*built: MultipartiteGraph) -> None:

@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cleanfactor import (
-    CharacterisingSequence,
     DecompositionDocument,
     DocumentFormatError,
     EdgeListParseError,
@@ -119,7 +118,7 @@ def test_document_shape_g2():
     assert doc.down == ((0, 1, 2), (1, 2, 3), (1, 2, 4, 5))
     # the one sequence, ({b, c}), is not stored: the library recovers it from the graph
     m = document_to_multipartite(doc)
-    assert characterising_sequence(m, "L2:a,b,c,d") == CharacterisingSequence((frozenset("bc"),))
+    assert characterising_sequence(m, "L2:a,b,c,d") == (frozenset("bc"),)
 
 
 G2_GOLDEN = (
@@ -210,7 +209,7 @@ def decoded(text):
     """The graph a format-3 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
     m = document_to_multipartite(parse_document(text))
     sequences = {
-        x: tuple(tuple(sorted(o)) for o in characterising_sequence(m, x).sets)
+        x: tuple(tuple(sorted(o)) for o in characterising_sequence(m, x))
         for x in itertools.chain.from_iterable(m.levels[2:])
     }
     return m, sequences

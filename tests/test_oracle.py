@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from typing import Iterator
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanfactor import (
-    CharacterisingSequence,
     Graph,
     IntersectionPoset,
     InvalidArgumentError,
@@ -83,7 +83,7 @@ def test_intersection_family_invariants(g3):
 
 def test_cliques_containing(g2, g3):
     # the tests' K(A), which the Galois and closure tests read, on hand-derived values
-    assert cliques_containing(g2, []) == set(maximal_cliques(g2).cliques)
+    assert cliques_containing(g2, []) == set(maximal_cliques(g2))
     assert cliques_containing(g2, ["b", "c"]) == {fs("a", "b", "c"), fs("b", "c", "d")}
     assert cliques_containing(g3, ["1", "2", "3"]) == {
         fs("1", "2", "3", "4"),
@@ -142,9 +142,9 @@ def test_chains_fixed_instances(g3):
     assert chains_of_length(empty, 3) == set()
 
     poset = IntersectionPoset(intersection_family(g3).nonsimple)
-    one = {c.sets for c in chains_of_length(poset, 1)}
+    one = chains_of_length(poset, 1)
     assert one == {(fs("1", "2"),), (fs("1", "2", "3"),)}
-    two = {c.sets for c in chains_of_length(poset, 2)}
+    two = chains_of_length(poset, 2)
     assert two == {(fs("1", "2"), fs("1", "2", "3"))}
     assert chains_of_length(poset, 3) == set()
     assert poset.chain_count(1) == 2 and poset.chain_count(2) == 1 and poset.chain_count(3) == 0
@@ -156,6 +156,22 @@ def test_chains_of_an_antichain():
     assert poset.chain_count(2) == 0 and poset.chain_count(1) > 0
 
 
+def recursive_chains(poset: IntersectionPoset, m: int) -> Iterator[tuple[frozenset[str], ...]]:
+    """The m-element chains as a walk one call deeper per element gives them, in its order."""
+    elements = poset.elements
+
+    def walk(acc: list[int]) -> Iterator[tuple[frozenset[str], ...]]:
+        if len(acc) == m:
+            yield tuple(elements[t] for t in acc)
+            return
+        for j in range(acc[-1] + 1, len(elements)):
+            if elements[acc[-1]] < elements[j]:
+                yield from walk(acc + [j])
+
+    for i in range(len(elements)):
+        yield from walk([i])
+
+
 def test_chains_match_subset_oracle():
     rng = random.Random(5150)
     for _ in range(30):
@@ -164,8 +180,9 @@ def test_chains_match_subset_oracle():
         poset = IntersectionPoset(elements)
         for m in range(1, 5):
             expected = subset_chains(set(elements), m)
-            got = {c.sets for c in chains_of_length(poset, m)}
+            got = chains_of_length(poset, m)
             assert got == expected
+            assert list(poset.chains(m)) == list(recursive_chains(poset, m))
             assert poset.chain_count(m) == len(expected)
         # a longer chain holds a shorter one, so the longest is the last length that has any
         longest = 0
@@ -173,6 +190,23 @@ def test_chains_match_subset_oracle():
             longest += 1
         assert poset.chain_count(longest + 1) == 0
         assert longest == 0 or poset.chain_count(longest) > 0
+
+
+def test_a_200_element_chain_needs_no_deep_recursion():
+    # one chain through every element: a walk one frame deeper per element needs 200 frames
+    sets = [frozenset(f"v{i:03d}" for i in range(n)) for n in range(2, 202)]
+    poset = IntersectionPoset(sets)
+    limit = sys.getrecursionlimit()
+    depth = 0
+    while sys._getframe(depth).f_back is not None:
+        depth += 1
+    sys.setrecursionlimit(depth + 100)
+    try:
+        chains = list(poset.chains(200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chains == [tuple(sets)]
+    assert chains_of_length(poset, 200) == {tuple(sets)} and poset.chain_count(200) == 1
 
 
 def test_chain_length_validation():
@@ -186,11 +220,11 @@ def test_chain_length_validation():
 def test_characterising_sequence_fixed_instances(g2, g3):
     m2 = run_series(g2, OperatorKind.CLEAN).final
     (x2,) = m2.levels[2]
-    assert characterising_sequence(m2, x2).sets == (fs("b", "c"),)
+    assert characterising_sequence(m2, x2) == (fs("b", "c"),)
 
     m3 = run_series(g3, OperatorKind.CLEAN).final
     (x3,) = m3.levels[3]
-    assert characterising_sequence(m3, x3).sets == (fs("1", "2"), fs("1", "2", "3"))
+    assert characterising_sequence(m3, x3) == (fs("1", "2"), fs("1", "2", "3"))
 
 
 def test_level2_sequence_is_the_bottom_neighbourhood():
@@ -201,7 +235,7 @@ def test_level2_sequence_is_the_bottom_neighbourhood():
         if m.level_count < 3:
             continue
         for x in m.levels[2]:
-            assert characterising_sequence(m, x).sets == (m.neighbourhood_at_level(x, 0),)
+            assert characterising_sequence(m, x) == (m.neighbourhood_at_level(x, 0),)
 
 
 def test_characterising_sequence_validation(g2):
@@ -214,8 +248,8 @@ def test_characterising_sequence_validation(g2):
         characterising_sequence(m, "ghost")
     # a repeated set is no chain: the only two-element chain of {ab, abc} is (ab < abc)
     chains = chains_of_length(IntersectionPoset([fs("a", "b"), fs("a", "b", "c")]), 2)
-    assert CharacterisingSequence((fs("a", "b"), fs("a", "b"))) not in chains
-    assert chains == {CharacterisingSequence((fs("a", "b"), fs("a", "b", "c")))}
+    assert (fs("a", "b"), fs("a", "b")) not in chains
+    assert chains == {(fs("a", "b"), fs("a", "b", "c"))}
 
 
 def test_verify_bijection_passes_on_fixed_instances(triangle, g2, g3):
