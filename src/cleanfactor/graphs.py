@@ -199,10 +199,11 @@ class MultipartiteGraph:
     def _from_rows(
         cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]], anc: tuple[int, ...] = ()
     ) -> MultipartiteGraph:
-        """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up) and ancestor masks ``anc`` if any.
+        """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up) and every vertex's ancestors ``anc``.
 
         ``idx`` is read after ``_set_levels`` checks the labels, so a lazy ``idx`` reports its errors after a label
-        clash. Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
+        clash. An empty ``anc`` leaves the ancestors to ``_ancestors``. Only a repeated label is checked: the caller
+        guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
