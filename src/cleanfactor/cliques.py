@@ -63,15 +63,13 @@ def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     """The bipartite graph with the vertices of ``g`` below its maximal cliques.
 
     Level 0 holds the vertices, level 1 one vertex per maximal clique, and
-    membership gives the edges. A clique's ancestors are its members, and the graph keeps their masks.
+    membership gives the edges.
     """
     labels = g.vertices
-    # both graphs index level 0 in label order, so a clique mask is its ancestors and its bits are its row
-    cliques = _clique_masks(g._adj)
-    rows = [tuple(bits(c)) for c in cliques]
-    names, rows, cliques = zip(*sorted(zip(_level_labels(labels, 1, cliques, rows), rows, cliques)))
-    units = tuple(1 << i for i in range(len(labels)))
-    return MultipartiteGraph._from_rows((labels, names), rows, units + cliques)
+    # both graphs index level 0 in label order, so a clique mask's bits are its row
+    rows = [tuple(bits(c)) for c in _clique_masks(g._adj)]
+    names, rows = zip(*sorted(zip(_level_labels(labels, len(labels), 1, rows), rows)))
+    return MultipartiteGraph._from_rows((labels, names), rows)
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

@@ -38,8 +38,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError
@@ -406,13 +404,10 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
             members.append(low.bit_length() - 1)
             row ^= low
         idx.append(tuple(members))
-    anc = m._ancestors()
-    # every common vertex lies below every seed member, so the seed's
-    # ancestors, those of the row's last indexes, are the new vertex's
-    ancestors = [reduce(or_, map(anc.__getitem__, row[-seed.bit_count() :])) for (seed, _), row in zip(pairs, idx)]
-    named = _level_labels(m._labels, m.level_count, ancestors, idx)
-    labels, rows, ancestors, idx = zip(*sorted(zip(named, rows, ancestors, idx)))
-    out = MultipartiteGraph._from_rows(m._levels + (labels,), m._idx[len(m._levels[0]) :] + idx, anc + ancestors)
+    n0 = len(m._levels[0])
+    named = _level_labels(m._labels, n0, m.level_count, idx)
+    labels, rows, idx = zip(*sorted(zip(named, rows, idx)))
+    out = MultipartiteGraph._from_rows(m._levels + (labels,), m._idx[n0:] + idx)
     out._top = rows  # the next step's walk ANDs these masks
     return StepResult(effective=True, graph=out)
 

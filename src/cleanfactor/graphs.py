@@ -6,21 +6,21 @@ operation is deterministic across runs. A ``MultipartiteGraph`` stores only
 each vertex's lower neighbourhood, as a tuple of ascending indexes, so
 appending a level rewrites no row and no constructor builds a mask of a
 row. ``factorise``, the decoder, ``append_level`` and the incidence graph
-build through ``_from_rows``, which keeps the tuples it is given and the
-ancestor masks a caller holds. Ancestors, labels, documents, the pairing
-walk and up-queries read the tuples. Only the candidate walk ANDs rows,
-and only the top level's: it keeps them as masks in ``_top``, a cache
-that ``factorise`` fills on the graph it returns and the walk fills on
-any other graph it is given. ``edges()`` and the up-index of the first
-public up-query transpose the tuples. The public surface speaks plain
-labels and frozensets. All types are immutable after construction.
+build through ``_from_rows``, which keeps the tuples it is given. Labels,
+documents, the pairing walk and up-queries read the tuples: a generated
+vertex is named by its level-0 neighbours, the leading run of its row.
+Only the candidate walk ANDs rows, and only the top level's: it keeps
+them as masks in ``_top``, a cache that ``factorise`` fills on the graph
+it returns and the walk fills on any other graph it is given. ``edges()``
+and the up-index of the first public up-query transpose the tuples. The
+public surface speaks plain labels and frozensets. All types are immutable
+after construction.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from bisect import bisect_left
 from itertools import chain, repeat
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError
@@ -152,7 +152,7 @@ class MultipartiteGraph:
     ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_idx", "_top", "_anc", "_up", "_pairing")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_idx", "_top", "_up", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -191,25 +191,19 @@ class MultipartiteGraph:
             raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
         self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(levels)))
         self._top = None  # the top level's rows as masks: the candidate walk's cache (see factorisation)
-        self._anc = None
         self._up = None
         self._pairing = None
 
     @classmethod
-    def _from_rows(
-        cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]], anc: tuple[int, ...] = ()
-    ) -> MultipartiteGraph:
-        """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up) and every vertex's ancestors ``anc``.
+    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
+        """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up).
 
         ``idx`` is read after ``_set_levels`` checks the labels, so a lazy ``idx`` reports its errors after a label
-        clash. An empty ``anc`` leaves the ancestors to ``_ancestors``. Only a repeated label is checked: the caller
-        guarantees the rest of what ``__init__`` would.
+        clash. Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
         out._idx = ((),) * len(levels[0]) + tuple(idx)
-        if anc:
-            out._anc = anc
         return out
 
     @property
@@ -302,12 +296,6 @@ class MultipartiteGraph:
 
     # -- internal helpers shared inside the package ---------------------
 
-    def _ancestors(self) -> tuple[int, ...]:
-        """Level-0 ancestor mask per vertex: carried by ``factorise``, else computed on first use."""
-        if self._anc is None:
-            self._anc = _ancestor_masks(self)
-        return self._anc
-
     def _level_range(self, k: int) -> range:
         """Global indexes of level ``k``, which are contiguous and in label order."""
         start = sum(map(len, self._levels[:k]))
@@ -350,32 +338,25 @@ class MultipartiteGraph:
         return f"MultipartiteGraph(levels=[{sizes}], {self.edge_count()} edges)"
 
 
-def _ancestor_masks(m: MultipartiteGraph) -> tuple[int, ...]:
-    """Level-0 ancestor bitmask per vertex, following strictly descending edges."""
-    # a level-0 vertex is its own ancestor
-    anc = [1 << i for i in range(len(m._levels[0]))]
-    for row in m._idx[len(anc) :]:
-        anc.append(reduce(or_, map(anc.__getitem__, row), 0))
-    return tuple(anc)
+def _level_labels(labels: Sequence[str], n0: int, k: int, rows: IndexRows) -> list[str]:
+    """Labels of level-``k`` vertices given by index rows over ``labels``, in input order.
 
-
-def _level_labels(labels: Sequence[str], k: int, ancestors: Sequence[int], rows: IndexRows) -> list[str]:
-    """Labels of level-``k`` vertices given by ancestor masks and index rows over ``labels``, in input order.
-
-    A vertex is ``K:`` on level 1, and ``L<k>:`` above, plus its sorted
-    level-0 ancestors. Vertices that share their ancestors get a ``#n``
-    suffix (``#2``, ``#3``, ...) in the order of their sorted member labels;
-    a level-1 vertex's ancestors are its clique, so level 1 never has one.
-    Every generated level is named here, and ``verify`` checks with it.
+    A vertex is ``K:`` on level 1, and ``L<k>:`` above, plus the sorted
+    labels of its level-0 neighbours: the leading run of its row below
+    ``n0``, the size of level 0. Vertices that share their level-0
+    neighbours get a ``#n`` suffix (``#2``, ``#3``, ...) in the order of
+    their sorted member labels; a level-1 row is its clique, so level 1
+    never has one. Every generated level is named here, and ``verify``
+    checks with it.
     """
     prefix = "K:" if k == 1 else f"L{k}:"
-    groups: dict[int, list[int]] = {}
-    for t, a in enumerate(ancestors):
-        groups.setdefault(a, []).append(t)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for t, row in enumerate(rows):
+        groups.setdefault(row[: bisect_left(row, n0)], []).append(t)
     out = [""] * len(rows)
-    for a, group in groups.items():
+    for base_row, group in groups.items():
         # level-0 indexes follow label order, so the names come out sorted
-        base = prefix + ",".join([labels[i] for i in bits(a)])
+        base = prefix + ",".join([labels[i] for i in base_row])
         if len(group) > 1:
             group.sort(key=lambda t: sorted([labels[i] for i in rows[t]]))
         for n, t in enumerate(group, start=1):

@@ -161,10 +161,10 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
-    labels, down, anc = m._labels, m._idx, m._ancestors()
+    labels, down, n0 = m._labels, m._idx, len(m._levels[0])
     for k in range(1, m.level_count):
         level = m._level_range(k)
-        given = _level_labels(labels, k, anc[level.start : level.stop], down[level.start : level.stop])
+        given = _level_labels(labels, n0, k, down[level.start : level.stop])
         for x, want in zip(level, given):
             if labels[x] != want:
                 return VerificationReport(False, f"vertex {x}: label {labels[x]!r} but the graph gives {want!r}")

@@ -109,10 +109,13 @@ class IntersectionPoset:
 
     def __init__(self, elements: Iterable[frozenset[str]]) -> None:
         self._elements = tuple(sorted({frozenset(e) for e in elements}, key=lambda s: (len(s), tuple(sorted(s)))))
-        # per element, the later ones that strictly contain it: a strict superset is larger, so it comes later
+        index = {v: i for i, v in enumerate(frozenset().union(*self._elements))}
+        masks = [_mask(map(index.__getitem__, e)) for e in self._elements]
+        # per element, the later ones that strictly contain it: a strict superset is larger, so it comes
+        # later, and a later superset of a distinct element is a strict one
         self._above = tuple(
-            tuple(j for j in range(i + 1, len(self._elements)) if small < self._elements[j])
-            for i, small in enumerate(self._elements)
+            tuple([j for j in range(i + 1, len(masks)) if small | masks[j] == masks[j]])
+            for i, small in enumerate(masks)
         )
 
     @property

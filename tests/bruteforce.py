@@ -224,27 +224,21 @@ def reference_factorise(
     """One factorisation step on label sets: the extended graph and its candidates.
 
     Takes the maximal candidates from ``closed_candidates``, labels each new
-    vertex ``L<k>:`` plus the sorted level-0 ancestors of all its members,
-    numbers vertices that share a label ``#2``, ``#3``, ... in the order of
-    their sorted member labels, and appends the level through
-    ``append_level``. Returns (None, ()) when there is no candidate.
+    vertex ``L<k>:`` plus the sorted labels of its level-0 neighbours, the
+    level-0 part of its common neighbourhood, numbers vertices that share a
+    label ``#2``, ``#3``, ... in the order of their sorted member labels,
+    and appends the level through ``append_level``. Returns (None, ()) when
+    there is no candidate.
     """
     found = closed_candidates(m, op)
     if not found:
         return None, ()
     k = m.level_count
-    ancestors: dict[str, frozenset[str]] = {v: frozenset([v]) for v in m.levels[0]}
-    for li in range(1, k):
-        for v in m.levels[li]:
-            ancestors[v] = frozenset().union(
-                *(ancestors[u] for i in range(li) for u in m.neighbourhood_at_level(v, i))
-            )
-
     lower_levels = [frozenset(level) for level in m.levels[:-1]]
     items = []
     for seed, common in found:
         members = seed | common
-        base = f"L{k}:" + ",".join(sorted(frozenset().union(*(ancestors[v] for v in members))))
+        base = f"L{k}:" + ",".join(sorted(common & lower_levels[0]))
         items.append((base, tuple(sorted(members)), seed, common))
     items.sort(key=lambda it: (it[0], it[1]))
     seen: dict[str, int] = {}

@@ -27,9 +27,6 @@ from cleanfactor import (
 )
 from cleanfactor import graphs
 
-from conftest import random_connected_graph
-from test_factorisation import LARGE_CLEAN_SHAPES, clean_prefix_graphs
-
 
 def test_graph_basics():
     g = Graph(["b", "a", "c", "a"], [("a", "b"), ("b", "a")])
@@ -172,7 +169,7 @@ def test_append_level_matches_the_constructor_on_random_graphs():
 def test_append_level_matches_clean_step_on_g2(g2):
     # appending the single clean candidate of B(G2) by hand gives the same graph
     m = vertex_clique_incidence(g2)
-    by_hand = m.append_level([("L2:a,b,c,d", ["b", "c", "K:a,b,c", "K:b,c,d"])])
+    by_hand = m.append_level([("L2:b,c", ["b", "c", "K:a,b,c", "K:b,c,d"])])
     step = factorise(m, OperatorKind.CLEAN)
     assert step.effective
     assert step.graph == by_hand
@@ -194,8 +191,13 @@ def test_multipartite_equality_is_exact_on_canonical_labels(g2):
 
 
 def level0_ancestors(m: MultipartiteGraph) -> dict[str, frozenset[str]]:
-    """Each vertex's level-0 ancestors, the vertices below it along descending paths, from the graph's masks."""
-    return {v: m._labels_from_mask(a) for v, a in zip(m.vertices, m._ancestors())}
+    """Each vertex's level-0 ancestors, the vertices below it along descending paths, from the graph's rows."""
+    labels = m.vertices
+    anc = {v: frozenset([v]) for v in m.levels[0]}
+    # the index is level-major, so a row's indexes are all named before its vertex
+    for v, row in zip(labels[len(anc) :], m._idx[len(anc) :]):
+        anc[v] = frozenset().union(*(anc[labels[j]] for j in row))
+    return anc
 
 
 def test_level0_ancestors(g2):
@@ -272,41 +274,6 @@ def test_queries_match_the_edge_list_however_the_graph_was_built():
                     assert m.neighbourhood_at_level(x, i) == {u for u in nbrs[x] if level_of[u] == i}
 
 
-def test_series_graphs_carry_their_ancestor_masks(corpus):
-    large = random.Random(7)
-    inputs = corpus + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES]
-    steps = 0
-    for g in inputs:
-        # the incidence graph carries its masks before any step reads them
-        base = vertex_clique_incidence(g)
-        assert base._anc is not None and base._anc == graphs._ancestor_masks(base)
-        for m in clean_prefix_graphs(g)[1:]:
-            steps += 1
-            assert m._anc is not None and m._anc == graphs._ancestor_masks(m)
-            # no step reads an up-neighbourhood
-            assert m._up is None
-    assert steps > 500
-
-
-def test_a_series_computes_ancestor_masks_at_most_once(monkeypatch, corpus):
-    calls = []
-    recompute = graphs._ancestor_masks
-
-    def counted(m):
-        calls.append(m.level_count)
-        return recompute(m)
-
-    monkeypatch.setattr(graphs, "_ancestor_masks", counted)
-    assert level0_ancestors(MultipartiteGraph([["a"], ["b"]], [("a", "b")]))["b"] == {"a"}
-    assert calls == [2]
-    deepest = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
-    calls.clear()
-    result = run_series(deepest, OperatorKind.CLEAN)
-    assert result.steps >= 4
-    # the incidence graph hands its clique masks to the first step, and each step to the next
-    assert calls == []
-
-
 def assert_held_alike(*built: MultipartiteGraph) -> None:
     """Every graph holds each row as an ascending index tuple, and all the graphs compare and hash equal."""
     for m in built:
@@ -321,7 +288,7 @@ def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
 
 def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(corpus):
     # the index tuples are the only rows a graph has a field for; _top is the candidate walk's cache
-    others = {"_levels", "_labels", "_index", "_level_of", "_top", "_anc", "_up", "_pairing"}
+    others = {"_levels", "_labels", "_index", "_level_of", "_top", "_up", "_pairing"}
     assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
     for _ in range(100):
@@ -360,6 +327,8 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                     for other in (appended, built, decoded):
                         assert factorise(other, op) == step
                         assert other._top == new._top
+                # no step reads an up-neighbourhood
+                assert new._up is None
             assert m == final
             if op is OperatorKind.CLEAN:
                 # verifying a document reads its tuples only
@@ -399,11 +368,11 @@ def test_build_document_reads_the_carried_tuples(monkeypatch, corpus):
     assert all(mine is carried for mine, carried in zip(decoded._idx[bottom:], doc.down))
 
 
-def reference_level_labels(k, ancestor_labels, member_labels):
-    """``_level_labels`` from label sets alone: a name is the sorted ancestor labels, and a
-    vertex sharing its name is ranked among the others by its sorted member labels."""
+def reference_level_labels(k, level0_labels, member_labels):
+    """``_level_labels`` from label sets alone: a name is the sorted labels of the level-0
+    neighbours, and a vertex sharing its name is ranked among the others by its sorted member labels."""
     prefix = "K:" if k == 1 else f"L{k}:"
-    names = [prefix + ",".join(sorted(ancestors)) for ancestors in ancestor_labels]
+    names = [prefix + ",".join(sorted(lows)) for lows in level0_labels]
     out = []
     for t, name in enumerate(names):
         rivals = sorted((sorted(member_labels[s]), s) for s, other in enumerate(names) if other == name)
@@ -428,14 +397,15 @@ def test_level_label_suffixes_follow_member_labels_not_indexes(data):
         levels.append(sorted(prefix + name for name in names))
     labels = [v for level in levels for v in level]
     n0 = len(levels[0])
-    rows = data.draw(
-        st.lists(st.frozensets(st.integers(0, len(labels) - 1), min_size=1), min_size=1, max_size=8, unique=True),
-        label="rows",
+    # two level-0 parts, either of which may be empty, for all the rows, so most names are shared
+    pool = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1)), min_size=2, max_size=2), label="level-0 parts")
+    uppers = data.draw(
+        st.lists(st.frozensets(st.integers(n0, len(labels) - 1), min_size=1), min_size=1, max_size=8),
+        label="upper parts",
     )
-    # two ancestor sets for all the vertices, so most names are shared
-    pool = data.draw(st.lists(st.integers(1, (1 << n0) - 1), min_size=2, max_size=2), label="ancestors")
-    ancestors = [pool[data.draw(st.integers(0, 1))] for _ in rows]
-    given_labels = graphs._level_labels(labels, k, ancestors, [tuple(sorted(row)) for row in rows])
-    ancestor_labels = [{labels[i] for i in range(n0) if a >> i & 1} for a in ancestors]
+    # distinct rows in the order drawn
+    rows = list(dict.fromkeys(tuple(sorted(pool[data.draw(st.integers(0, 1))] | upper)) for upper in uppers))
+    given_labels = graphs._level_labels(labels, n0, k, rows)
+    level0_labels = [{labels[i] for i in row if i < n0} for row in rows]
     member_labels = [{labels[i] for i in row} for row in rows]
-    assert given_labels == reference_level_labels(k, ancestor_labels, member_labels)
+    assert given_labels == reference_level_labels(k, level0_labels, member_labels)

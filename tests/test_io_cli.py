@@ -114,22 +114,22 @@ def test_document_shape_triangle(triangle):
 def test_document_shape_g2():
     g = make_g2()
     doc = build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g))
-    assert doc.levels == (("a", "b", "c", "d"), ("K:a,b,c", "K:b,c,d"), ("L2:a,b,c,d",))
+    assert doc.levels == (("a", "b", "c", "d"), ("K:a,b,c", "K:b,c,d"), ("L2:b,c",))
     assert doc.down == ((0, 1, 2), (1, 2, 3), (1, 2, 4, 5))
     # the one sequence, ({b, c}), is not stored: the library recovers it from the graph
     m = document_to_multipartite(doc)
-    assert characterising_sequence(m, "L2:a,b,c,d") == (frozenset("bc"),)
+    assert characterising_sequence(m, "L2:b,c") == (frozenset("bc"),)
 
 
 G2_GOLDEN = (
     '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"format_version":3,'
-    '"levels":[["a","b","c","d"],["K:a,b,c","K:b,c,d"],["L2:a,b,c,d"]],"operator":"clean",'
+    '"levels":[["a","b","c","d"],["K:a,b,c","K:b,c,d"],["L2:b,c"]],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 G3_GOLDEN = (
-    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[0,1,2,6,7],[0,1,6,7,8],[0,1,6,7,9,10]],'
+    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[0,1,6,7,8],[0,1,2,6,7],[0,1,6,7,9,10]],'
     '"format_version":3,"levels":[["1","2","3","4","5","6"],["K:1,2,3,4","K:1,2,3,5","K:1,2,6"],'
-    '["L2:1,2,3,4,5","L2:1,2,3,4,5,6"],["L3:1,2,3,4,5,6"]],"operator":"clean",'
+    '["L2:1,2","L2:1,2,3"],["L3:1,2"]],"operator":"clean",'
     '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
 )
 # G2 in format 2, which also stored every vertex's sequence, in ``elements`` and ``sequences``
@@ -148,8 +148,8 @@ def test_golden_bytes(make, golden):
 @pytest.mark.parametrize(
     "op, digest",
     [
-        (OperatorKind.WEAK, "b1e193411d59caf72ad8f97bc7b5d0cf8d1062f5e91432ce3136355feb834a0f"),
-        (OperatorKind.FACTOR, "06c5cfa630f1ff73479bb4f1a5d86cb3cef0a3ad11bc9ba20f72c590659c0e2e"),
+        (OperatorKind.WEAK, "fba6eed53ab69e2dd585d18938d26ff603acce879d8bc58e8726a36a77490fb0"),
+        (OperatorKind.FACTOR, "cab6ffb41931b2565d20a6adfcab476ac3882e32e3c6506eced970ae577d8c33"),
     ],
     ids=["weak", "factor"],
 )
@@ -170,6 +170,52 @@ def test_serialization_is_byte_deterministic():
 def test_reserializing_a_parsed_document_is_byte_identical():
     text = decomposition_text(make_g2())
     assert to_json(parse_document(text)) == text
+
+
+def assert_named_by_level0_neighbours(doc: DecompositionDocument) -> int:
+    """Every vertex above level 1 is ``L<k>:`` plus its level-0 neighbours' labels, read from its down row, and the
+    vertices of a level that share that base are the base, then ``#2``, ``#3``, ...; returns how many carry ``#n``."""
+    level0 = doc.levels[0]
+    start = len(level0) + len(doc.levels[1])
+    suffixed = 0
+    for k, level in enumerate(doc.levels[2:], start=2):
+        groups: dict[str, list[str]] = {}
+        for label, row in zip(level, doc.down[start - len(level0) :]):
+            base = f"L{k}:" + ",".join(level0[j] for j in row if j < len(level0))
+            assert re.fullmatch(re.escape(base) + r"(#[1-9][0-9]*)?", label), (label, base)
+            groups.setdefault(base, []).append(label)
+        for base, names in groups.items():
+            assert sorted(names) == sorted([base] + [f"{base}#{n}" for n in range(2, len(names) + 1)])
+            suffixed += len(names) - 1
+        start += len(level)
+    return suffixed
+
+
+def test_corpus_documents_name_each_vertex_by_its_level0_neighbours(clean_runs):
+    runs, _ = clean_runs
+    suffixed = upper = 0
+    for g, result in runs:
+        doc = parse_document(write_decomposition(result, graph_content_hash(g)))
+        suffixed += assert_named_by_level0_neighbours(doc)
+        upper += sum(map(len, doc.levels[2:]))
+    # the README's figures
+    assert (suffixed, upper) == (9643, 16261)
+
+
+def test_vertices_without_level0_neighbours_are_named_by_their_level_alone():
+    # the antimatching-factor workload's series: above level 2 most vertices meet no level-0 vertex
+    empty = upper = 0
+    for n in (3, 4, 5):
+        result = run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR)
+        text = write_decomposition(result, "")
+        doc = parse_document(text)
+        assert to_json(doc) == text
+        assert document_to_multipartite(doc) == result.final
+        assert_named_by_level0_neighbours(doc)
+        for k, level in enumerate(doc.levels[2:], start=2):
+            empty += sum(re.fullmatch(rf"L{k}:(#[0-9]+)?", label) is not None for label in level)
+            upper += len(level)
+    assert (empty, upper) == (280, 426)
 
 
 def test_json_keys_are_sorted():
@@ -339,7 +385,7 @@ def test_to_json_writes_empty_containers_like_json_dumps():
 
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
-NOT_LABEL_LISTS = "vertex 'L2:a,b,c,d': sequence must be a list of label lists"
+NOT_LABEL_LISTS = "vertex 'L2:b,c': sequence must be a list of label lists"
 OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 3"
 
 
@@ -356,7 +402,7 @@ OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 3"
         (SEQUENCE, [["b", 1]], NOT_LABEL_LISTS),
         (SEQUENCE, [["b", ["c"]]], NOT_LABEL_LISTS),
         (SEQUENCE, None, NOT_LABEL_LISTS),
-        (SEQUENCE, DELETE, "vertex 'L2:a,b,c,d' at level 2 needs a sequence"),
+        (SEQUENCE, DELETE, "vertex 'L2:b,c' at level 2 needs a sequence"),
         (("levels", 1, "vertices", 0, "id"), "a", "duplicate vertex id 'a'"),
         (("levels", 0, "vertices", 1, "id"), None, "vertex id must be a string"),
         (("levels", 0, "vertices", 1, "label"), 2, "vertex label must be a string"),
@@ -412,13 +458,13 @@ def edited(payload, path, value):
     return payload
 
 
-# G2 in format 3: levels a b c d | K:a,b,c K:b,c,d | L2:a,b,c,d, so level 1 holds indexes 4, 5 and level 2 index 6
+# G2 in format 3: levels a b c d | K:a,b,c K:b,c,d | L2:b,c, so level 1 holds indexes 4, 5 and level 2 index 6
 @pytest.mark.parametrize(
     "path, value, message",
     [
         (("down", 0), [0, 1, 4], "down row of 'K:a,b,c': index 4 is not on a lower level"),
         (("down", 0), [0, 1, 6], "down row of 'K:a,b,c': index 6 is not on a lower level"),
-        (("down", 2), [1, 2, 4, 6], "down row of 'L2:a,b,c,d': index 6 is not on a lower level"),
+        (("down", 2), [1, 2, 4, 6], "down row of 'L2:b,c': index 6 is not on a lower level"),
         (("down", 0), [-1, 0, 1], "down row of 'K:a,b,c': index -1 is out of range"),
         (("down", 0), [0, 1, 7], "down row of 'K:a,b,c': index 7 is out of range"),
         (("down", 0), [0, 2, 1], "down row of 'K:a,b,c': indexes are not strictly ascending"),
@@ -563,7 +609,7 @@ def test_cli_verify_prints_level_counts(tmp_path, capsys):
         (
             make_g2,
             {"levels": [["a", "b", "c", "d"], ["K:a,b,c", "K:b,c,d"], ["L2:a,b"]]},
-            "vertex 6: label 'L2:a,b' but the graph gives 'L2:a,b,c,d'",
+            "vertex 6: label 'L2:a,b' but the graph gives 'L2:b,c'",
         ),
         (
             make_g3,
@@ -571,11 +617,11 @@ def test_cli_verify_prints_level_counts(tmp_path, capsys):
                 "levels": [
                     ["1", "2", "3", "4", "5", "6"],
                     ["K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"],
-                    ["L2:1,2,3,4,5#2", "L2:1,2,3,4,5,6"],
-                    ["L3:1,2,3,4,5,6"],
+                    ["L2:1,2#2", "L2:1,2,3"],
+                    ["L3:1,2"],
                 ]
             },
-            "vertex 9: label 'L2:1,2,3,4,5#2' but the graph gives 'L2:1,2,3,4,5'",
+            "vertex 9: label 'L2:1,2#2' but the graph gives 'L2:1,2'",
         ),
     ],
     ids=["renamed-levels", "level-2-label", "suffix"],
@@ -705,12 +751,12 @@ def test_cli_gen_reconstruct_and_exit_codes(tmp_path, capsys):
 
 def test_cli_decompose_rejects_a_label_clash_with_one_error_line(tmp_path, capsys):
     # an isolated vertex named like the label the clean step gives G2's new vertex
-    graph_path = write(tmp_path, "clash.txt", G2_TEXT + "L2:a,b,c,d\n")
+    graph_path = write(tmp_path, "clash.txt", G2_TEXT + "L2:b,c\n")
     out_path = tmp_path / "d.json"
     argv = ["decompose", "--operator", "clean", "--input", graph_path, "--output", str(out_path)]
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: vertex 'L2:a,b,c,d' appears more than once\n"
+    assert captured.err == "error: vertex 'L2:b,c' appears more than once\n"
     assert not out_path.exists()
 
 
@@ -847,7 +893,7 @@ def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
             rebuilt = write(tmp_path, "r.txt", "")
             Path(rebuilt).write_bytes(done.stdout)
             assert read_edge_list(rebuilt) == read_edge_list(graph_path)
-    assert "bijection: FAIL (level 2, vertex 'L2:a,b,c,é': " in done.stdout.decode("utf-8")
+    assert "bijection: FAIL (level 2, vertex 'L2:a,é': " in done.stdout.decode("utf-8")
 
 
 def document_command(command, doc_path, graph_path):
