@@ -39,10 +39,8 @@ from .io import (
 )
 from .oracle import (
     IntersectionFamily,
-    IntersectionPoset,
     SizeBound,
     VerificationReport,
-    chains_of_length,
     characterising_sequence,
     intersection_family,
     size_bound,
@@ -67,7 +65,6 @@ __all__ = [
     "EdgeListParseError",
     "Graph",
     "IntersectionFamily",
-    "IntersectionPoset",
     "InvalidArgumentError",
     "MultipartiteGraph",
     "OperatorKind",
@@ -78,7 +75,6 @@ __all__ = [
     "VerificationReport",
     "anti_matching",
     "build_document",
-    "chains_of_length",
     "characterising_sequence",
     "cli_main",
     "document_to_multipartite",

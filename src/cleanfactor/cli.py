@@ -25,14 +25,8 @@ from .io import (
     verify_document_fields,
     write_decomposition,
 )
-from .oracle import (
-    IntersectionPoset,
-    chains_of_length,
-    intersection_family,
-    size_bound,
-    verify_bijection,
-    verify_neighbourhood_formula,
-)
+from .graphs import bits
+from .oracle import _chains, _cliques, _inclusion, size_bound, verify_bijection, verify_neighbourhood_formula
 from .series import SeriesResult, SeriesStatus, run_series
 
 EXIT_OK = 0
@@ -110,12 +104,14 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
-    family = intersection_family(g)
-    poset = IntersectionPoset(family.nonsimple)
-    for element in poset.elements:
-        print(",".join(sorted(element)))
+    up = _inclusion(_cliques(g))
+    labels = g.vertices
+    # the labels are sorted, so each intersection's labels come out sorted
+    names = {o: tuple(labels[i] for i in bits(o)) for o in up}
+    for name in sorted(names.values(), key=lambda name: (len(name), name)):
+        print(",".join(name))
     if args.chains is not None:
-        for chain in sorted(tuple(map(sorted, c)) for c in chains_of_length(poset, args.chains)):
+        for chain in sorted(tuple(map(names.__getitem__, c)) for c in _chains(up, args.chains)):
             print(" < ".join(map(",".join, chain)))
     return EXIT_OK
 

@@ -4,12 +4,13 @@ The non-simple intersections of the maximal cliques of a graph, ordered by
 strict inclusion, index the decomposition levels: level k of a terminated
 clean series holds exactly one vertex per strictly increasing sequence of
 k-1 such intersections, and each vertex's lower neighbourhood follows from
-its sequence. This module computes the intersection families, counts and
-enumerates chains, recovers the sequence attached to a decomposition
-vertex, and verifies a decomposition instance, reporting the first
-counterexample on failure. A chain and a sequence are plain tuples of
-frozensets; the chain walk keeps its own stack, so a chain of any length
-needs no deep recursion.
+its sequence. ``_inclusion`` is the one place that order is built: each
+non-simple intersection as a mask, in (bit count, value) order, with the
+later ones that strictly contain it. Everything here that needs the order
+reads it: ``intersection_family``, the pairing walk ``_pair``, the chain
+count of ``size_bound`` and the chain walk ``_chains`` behind the command
+line's ``oracle`` listing. A chain is a plain tuple of masks, and the walk
+keeps its own stack, so a chain of any length needs no deep recursion.
 
 Both checks read one pairing per graph. The walk ``_pair`` predicts, level
 by level, the lower neighbourhood of the vertex of every chain from the
@@ -23,7 +24,7 @@ keeps the input graph's maximal cliques, which ``verify_bijection`` and
 them, so a graph passed from decomposition to verification is still
 enumerated once by the oracle. ``characterising_sequence`` reads no
 pairing: it recovers one vertex's sequence from that vertex's own rows.
-Labels are formatted only for a counterexample.
+Labels are formatted only for a counterexample or a listing.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ from .series import SeriesResult
 
 __all__ = [
     "IntersectionFamily",
-    "IntersectionPoset",
     "VerificationReport",
     "SizeBound",
     "intersection_family",
-    "chains_of_length",
     "characterising_sequence",
     "verify_bijection",
     "verify_neighbourhood_formula",
@@ -90,94 +89,47 @@ def _meets(cliques: Sequence[int]) -> set[int]:
     return found
 
 
-def _nonsimple(cliques: Sequence[int]) -> list[int]:
-    """The non-simple intersections of the cliques as masks, ordered by (bit count, value), not by set order."""
-    return sorted((o for o in _meets(cliques) if o.bit_count() >= 2), key=lambda o: (o.bit_count(), o))
+def _inclusion(cliques: Sequence[int]) -> dict[int, list[int]]:
+    """The strict-inclusion order on the non-simple intersections of the cliques, as masks.
+
+    Each intersection maps to the later ones that strictly contain it. The
+    keys run by (bit count, value), not by set order: a strict superset has
+    more bits, so it comes later, and a later superset of a distinct
+    element is a strict one.
+    """
+    order = sorted((o for o in _meets(cliques) if o.bit_count() >= 2), key=lambda o: (o.bit_count(), o))
+    return {o: [q for q in order[i + 1 :] if o | q == q] for i, o in enumerate(order)}
 
 
 def intersection_family(g: Graph) -> IntersectionFamily:
-    """The non-simple intersections of the maximal cliques of ``g``: the members of ``_meets`` with two or more vertices."""
+    """The non-simple intersections of the maximal cliques of ``g``: the elements of their inclusion order."""
     labels = g.vertices
-    meets = _meets(_clique_masks(g._adj))
-    return IntersectionFamily(
-        nonsimple=frozenset(frozenset(labels[i] for i in bits(o)) for o in meets if o.bit_count() >= 2)
-    )
+    up = _inclusion(_clique_masks(g._adj))
+    return IntersectionFamily(nonsimple=frozenset(frozenset(labels[i] for i in bits(o)) for o in up))
 
 
-class IntersectionPoset:
-    """A family of vertex sets under strict inclusion, with chain queries."""
+def _chains(up: dict[int, list[int]], m: int) -> Iterator[tuple[int, ...]]:
+    """The strictly increasing m-element sequences (m >= 1) of the order ``up``, in the order of its keys.
 
-    def __init__(self, elements: Iterable[frozenset[str]]) -> None:
-        self._elements = tuple(sorted({frozenset(e) for e in elements}, key=lambda s: (len(s), tuple(sorted(s)))))
-        index = {v: i for i, v in enumerate(frozenset().union(*self._elements))}
-        masks = [_mask(map(index.__getitem__, e)) for e in self._elements]
-        # per element, the later ones that strictly contain it: a strict superset is larger, so it comes
-        # later, and a later superset of a distinct element is a strict one
-        self._above = tuple(
-            tuple([j for j in range(i + 1, len(masks)) if small | masks[j] == masks[j]])
-            for i, small in enumerate(masks)
-        )
-
-    @property
-    def elements(self) -> tuple[frozenset[str], ...]:
-        return self._elements
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def chain_count(self, m: int) -> int:
-        """Number of strictly increasing m-element sequences."""
-        if m < 1:
-            raise InvalidArgumentError("chain length must be at least 1")
-        counts = _chain_counts(self._elements)
-        return counts[m] if m < len(counts) else 0
-
-    def chains(self, m: int) -> Iterator[tuple[frozenset[str], ...]]:
-        """The strictly increasing m-element sequences, in the order of their entries in ``elements``.
-
-        The walk keeps its own stack, so a chain of any length needs no deep
-        recursion, and enters only elements that start a chain long enough.
-        """
-        if m < 1:
-            raise InvalidArgumentError("chain length must be at least 1")
-        elements, above = self._elements, self._above
-        # longest[i]: the most elements of a chain that starts at element i; above[i] lies past i
-        longest = [1] * len(elements)
-        for i in reversed(range(len(elements))):
-            longest[i] += max(map(longest.__getitem__, above[i]), default=0)
-        # per node: the chain's indexes so far, and the elements left that can extend it
-        stack = [((), iter([i for i, n in enumerate(longest) if n >= m]))]
-        while stack:
-            acc, kids = stack[-1]
-            j = next(kids, None)
-            if j is None:
-                stack.pop()
-            elif len(acc) == m - 1:
-                yield tuple(elements[t] for t in acc + (j,))
-            else:
-                need = m - len(acc) - 1
-                stack.append((acc + (j,), iter([q for q in above[j] if longest[q] >= need])))
-
-
-def chains_of_length(poset: IntersectionPoset, m: int) -> set[tuple[frozenset[str], ...]]:
-    """All strictly increasing m-element sequences over the poset."""
-    return set(poset.chains(m))
-
-
-def _chain_counts(order: Sequence[int] | Sequence[frozenset[str]]) -> list[int]:
-    """Chain counts of distinct masks or sets, ordered with every strict subset first.
-
-    Entry m counts the strictly increasing m-element sequences, up to the
-    longest (entry 0 is the empty one). The chains ending at each element
-    are counted one length at a time from those ending at its subsets.
+    The walk keeps its own stack, so a chain of any length needs no deep
+    recursion, and enters only elements that start a chain long enough.
     """
-    below = [[j for j, p in enumerate(order[:i]) if p | o == o] for i, o in enumerate(order)]
-    counts = [1]
-    ending = [1] * len(order)
-    while any(ending):
-        counts.append(sum(ending))
-        ending = [sum(ending[j] for j in js) for js in below]
-    return counts
+    # longest[o]: the most elements of a chain that starts at o; up[o] comes later in the keys
+    longest: dict[int, int] = {}
+    for o in reversed(up):
+        longest[o] = 1 + max(map(longest.__getitem__, up[o]), default=0)
+    # per node: the chain so far, and the elements left that can extend it
+    stack = [((), iter([o for o in up if longest[o] >= m]))]
+    while stack:
+        acc, kids = stack[-1]
+        o = next(kids, None)
+        if o is None:
+            stack.pop()
+        elif len(acc) == m - 1:
+            yield acc + (o,)
+        else:
+            need = m - len(acc) - 1
+            stack.append((acc + (o,), iter([q for q in up[o] if longest[q] >= need])))
 
 
 def characterising_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str], ...]:
@@ -248,13 +200,11 @@ def _pair(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
     idx, labels, ones = m._idx, m._labels, m._level_range(1)
     if level1 is None:
         level1 = [_mask(idx[c]) for c in ones]
-    order = _nonsimple(level1)
-    cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in order}
-    # a strict superset has more bits, so it comes later
-    up = {o: [q for q in order[i + 1 :] if o | q == q] for i, o in enumerate(order)}
+    up = _inclusion(level1)
+    cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}
     between: dict[tuple[int, int], list[int]] = {}
     key_of: dict[int, tuple[int, int]] = {}
-    chains = {(-1, o): tuple(bits(o)) + cont[o] for o in order}
+    chains = {(-1, o): tuple(bits(o)) + cont[o] for o in up}
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
         want = {row: key for key, row in chains.items()}
@@ -366,9 +316,11 @@ class SizeBound:
 def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
     """Evaluate min(k*2^c*c!, 2^k*k!+1)*n against the clean decomposition size.
 
-    The size is counted from the chains, without building the series; a
-    ``series`` passed in is measured instead, so that ``verify`` bounds the
-    decomposition it was given.
+    Without a ``series`` the size is counted instead of built: the
+    vertices, the maximal cliques, and one vertex per chain of the
+    inclusion order, all chains counted in one pass over the order. A
+    ``series`` passed in is measured instead, so that ``verify`` bounds
+    the decomposition it was given.
     """
     if len(g) == 0:
         raise InvalidArgumentError("the size bound of the empty graph is undefined")
@@ -382,8 +334,14 @@ def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
     n = len(g)
     bound = min(k * (2**c) * factorial(c), (2**k) * factorial(k) + 1) * n
     if series is None:
-        # the bijection: one vertex per chain of non-simple intersections above levels 0 and 1
-        actual = n + len(cliques) + sum(_chain_counts(_nonsimple(cliques))[1:])
+        # the bijection: one vertex per chain of non-simple intersections above levels 0 and 1. The chains
+        # that start at o are (o,) and o in front of each chain that starts at a strict superset of o;
+        # up[o] comes later in the keys, so starting[o] is counted from finished entries
+        up = _inclusion(cliques)
+        starting: dict[int, int] = {}
+        for o in reversed(up):
+            starting[o] = 1 + sum(map(starting.__getitem__, up[o]))
+        actual = n + len(cliques) + sum(starting.values())
     else:
         actual = sum(len(level) for level in series.final.levels)
     return SizeBound(bound=bound, actual=actual, k=k, c=c)

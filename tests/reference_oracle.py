@@ -7,20 +7,25 @@ by comparing a vertex with every vertex of level j. The library's checks
 work on bitmasks and count chains instead; tests require both to return
 equal reports, counterexample included. The intersection-algebra tests read
 the closure (``reference_closure``) and K(A) (``cliques_containing``) here.
+
+The chain queries are here too: ``IntersectionPoset`` over label sets, with
+its chain walk and its chain counts one length at a time
+(``reference_chain_counts``), against which the library's one inclusion
+order, its chain walk and its one-pass chain total are compared.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from cleanfactor import (
     Graph,
-    IntersectionPoset,
+    InvalidArgumentError,
     MultipartiteGraph,
     VerificationReport,
-    chains_of_length,
     maximal_cliques,
 )
+from cleanfactor.graphs import _mask
 
 
 def _fmt(s: Iterable[str]) -> str:
@@ -33,6 +38,82 @@ def _fmt_seq(sets: Iterable[frozenset[str]]) -> str:
 
 def _fail(message: str) -> VerificationReport:
     return VerificationReport(passed=False, counterexample=message)
+
+
+class IntersectionPoset:
+    """A family of vertex sets under strict inclusion, with chain queries."""
+
+    def __init__(self, elements: Iterable[frozenset[str]]) -> None:
+        self._elements = tuple(sorted({frozenset(e) for e in elements}, key=lambda s: (len(s), tuple(sorted(s)))))
+        index = {v: i for i, v in enumerate(frozenset().union(*self._elements))}
+        masks = [_mask(map(index.__getitem__, e)) for e in self._elements]
+        # per element, the later ones that strictly contain it: a strict superset is larger, so it comes
+        # later, and a later superset of a distinct element is a strict one
+        self._above = tuple(
+            tuple([j for j in range(i + 1, len(masks)) if small | masks[j] == masks[j]])
+            for i, small in enumerate(masks)
+        )
+
+    @property
+    def elements(self) -> tuple[frozenset[str], ...]:
+        return self._elements
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def chain_count(self, m: int) -> int:
+        """Number of strictly increasing m-element sequences."""
+        if m < 1:
+            raise InvalidArgumentError("chain length must be at least 1")
+        counts = reference_chain_counts(self._elements)
+        return counts[m] if m < len(counts) else 0
+
+    def chains(self, m: int) -> Iterator[tuple[frozenset[str], ...]]:
+        """The strictly increasing m-element sequences, in the order of their entries in ``elements``.
+
+        The walk keeps its own stack, so a chain of any length needs no deep
+        recursion, and enters only elements that start a chain long enough.
+        """
+        if m < 1:
+            raise InvalidArgumentError("chain length must be at least 1")
+        elements, above = self._elements, self._above
+        # longest[i]: the most elements of a chain that starts at element i; above[i] lies past i
+        longest = [1] * len(elements)
+        for i in reversed(range(len(elements))):
+            longest[i] += max(map(longest.__getitem__, above[i]), default=0)
+        # per node: the chain's indexes so far, and the elements left that can extend it
+        stack = [((), iter([i for i, n in enumerate(longest) if n >= m]))]
+        while stack:
+            acc, kids = stack[-1]
+            j = next(kids, None)
+            if j is None:
+                stack.pop()
+            elif len(acc) == m - 1:
+                yield tuple(elements[t] for t in acc + (j,))
+            else:
+                need = m - len(acc) - 1
+                stack.append((acc + (j,), iter([q for q in above[j] if longest[q] >= need])))
+
+
+def chains_of_length(poset: IntersectionPoset, m: int) -> set[tuple[frozenset[str], ...]]:
+    """All strictly increasing m-element sequences over the poset."""
+    return set(poset.chains(m))
+
+
+def reference_chain_counts(order: Sequence[int] | Sequence[frozenset[str]]) -> list[int]:
+    """Chain counts of distinct masks or sets, ordered with every strict subset first.
+
+    Entry m counts the strictly increasing m-element sequences, up to the
+    longest (entry 0 is the empty one). The chains ending at each element
+    are counted one length at a time from those ending at its subsets.
+    """
+    below = [[j for j, p in enumerate(order[:i]) if p | o == o] for i, o in enumerate(order)]
+    counts = [1]
+    ending = [1] * len(order)
+    while any(ending):
+        counts.append(sum(ending))
+        ending = [sum(ending[j] for j in js) for js in below]
+    return counts
 
 
 def cliques_containing(g: Graph, a: Iterable[str]) -> frozenset[frozenset[str]]:

@@ -3,7 +3,7 @@
 import itertools
 import random
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cleanfactor import (
     Graph,
-    IntersectionPoset,
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
@@ -19,7 +18,6 @@ from cleanfactor import (
     SeriesStatus,
     VerificationReport,
     build_document,
-    chains_of_length,
     characterising_sequence,
     cli_main,
     document_to_multipartite,
@@ -36,11 +34,15 @@ from cleanfactor import (
     write_decomposition,
 )
 from cleanfactor import cliques, oracle
+from cleanfactor.graphs import bits
 
 from bruteforce import subset_chains, subset_intersections
 from conftest import random_connected_graph, random_graph
 from reference_oracle import (
+    IntersectionPoset,
+    chains_of_length,
     cliques_containing,
+    reference_chain_counts,
     reference_closure,
     reference_verify_bijection,
     reference_verify_neighbourhood_formula,
@@ -49,6 +51,23 @@ from reference_oracle import (
 
 def fs(*labels: str) -> frozenset[str]:
     return frozenset(labels)
+
+
+def nested_cliques(n: int) -> Graph:
+    """a_1..a_n pairwise adjacent, b_i adjacent to a_1..a_i.
+
+    The n maximal cliques {b_i, a_1, ..., a_i} meet in the n - 2 nested
+    non-simple intersections {a_1, ..., a_i}, 2 <= i < n, which form one
+    chain.
+    """
+    a = [f"a{i:04d}" for i in range(1, n + 1)]
+    b = [f"b{i:04d}" for i in range(1, n + 1)]
+    return Graph(a + b, list(itertools.combinations(a, 2)) + [(b[i], u) for i in range(n) for u in a[: i + 1]])
+
+
+def as_sets(g: Graph, chains: Iterable[tuple[int, ...]]) -> list[tuple[frozenset[str], ...]]:
+    """Chains of masks over ``g``'s vertices as chains of label sets, in the same order."""
+    return [tuple(frozenset(g.vertices[i] for i in bits(o)) for o in chain) for chain in chains]
 
 
 def test_intersection_family_fixed_instances(triangle, g2, g3):
@@ -136,7 +155,15 @@ def test_containing_cliques_reverse_inclusion(case):
             assert a <= o
 
 
-def test_chains_fixed_instances(g3):
+def test_chains_fixed_instances(triangle, g3):
+    none = oracle._inclusion(oracle._cliques(triangle))
+    assert none == {}
+    assert list(oracle._chains(none, 1)) == [] and list(oracle._chains(none, 3)) == []
+    up = oracle._inclusion(oracle._cliques(g3))
+    assert as_sets(g3, oracle._chains(up, 1)) == [(fs("1", "2"),), (fs("1", "2", "3"),)]
+    assert as_sets(g3, oracle._chains(up, 2)) == [(fs("1", "2"), fs("1", "2", "3"))]
+    assert list(oracle._chains(up, 3)) == []
+
     empty = IntersectionPoset([])
     assert chains_of_length(empty, 1) == set()
     assert chains_of_length(empty, 3) == set()
@@ -156,16 +183,19 @@ def test_chains_of_an_antichain():
     assert poset.chain_count(2) == 0 and poset.chain_count(1) > 0
 
 
-def recursive_chains(poset: IntersectionPoset, m: int) -> Iterator[tuple[frozenset[str], ...]]:
-    """The m-element chains as a walk one call deeper per element gives them, in its order."""
-    elements = poset.elements
+def recursive_chains(elements: Sequence, m: int) -> Iterator[tuple]:
+    """The m-element chains as a walk one call deeper per element gives them, in its order.
 
-    def walk(acc: list[int]) -> Iterator[tuple[frozenset[str], ...]]:
+    The elements are distinct sets or masks, every strict subset first, so
+    a later element that holds an earlier one holds it strictly.
+    """
+
+    def walk(acc: list[int]) -> Iterator[tuple]:
         if len(acc) == m:
             yield tuple(elements[t] for t in acc)
             return
         for j in range(acc[-1] + 1, len(elements)):
-            if elements[acc[-1]] < elements[j]:
+            if elements[acc[-1]] | elements[j] == elements[j]:
                 yield from walk(acc + [j])
 
     for i in range(len(elements)):
@@ -177,24 +207,34 @@ def test_chains_match_subset_oracle():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 9), rng.choice([0.4, 0.6, 0.8]))
         elements = intersection_family(g).nonsimple
+        up = oracle._inclusion(oracle._cliques(g))
         poset = IntersectionPoset(elements)
         for m in range(1, 5):
             expected = subset_chains(set(elements), m)
-            got = chains_of_length(poset, m)
-            assert got == expected
-            assert list(poset.chains(m)) == list(recursive_chains(poset, m))
+            got = list(oracle._chains(up, m))
+            assert got == list(recursive_chains(list(up), m))
+            assert len(got) == len(expected) and set(as_sets(g, got)) == expected
+            assert chains_of_length(poset, m) == expected
+            assert list(poset.chains(m)) == list(recursive_chains(poset.elements, m))
             assert poset.chain_count(m) == len(expected)
         # a longer chain holds a shorter one, so the longest is the last length that has any
         longest = 0
         while subset_chains(set(elements), longest + 1):
             longest += 1
+        assert list(oracle._chains(up, longest + 1)) == []
+        assert longest == 0 or list(oracle._chains(up, longest))
         assert poset.chain_count(longest + 1) == 0
         assert longest == 0 or poset.chain_count(longest) > 0
+        # size_bound without a series counts every chain once, in one pass
+        total = sum(len(subset_chains(set(elements), m)) for m in range(1, longest + 1))
+        assert size_bound(g).actual == len(g) + len(maximal_cliques(g)) + total
 
 
 def test_a_200_element_chain_needs_no_deep_recursion():
     # one chain through every element: a walk one frame deeper per element needs 200 frames
-    sets = [frozenset(f"v{i:03d}" for i in range(n)) for n in range(2, 202)]
+    g = nested_cliques(202)
+    sets = [frozenset(f"a{i:04d}" for i in range(1, n + 1)) for n in range(2, 202)]
+    up = oracle._inclusion(oracle._cliques(g))
     poset = IntersectionPoset(sets)
     limit = sys.getrecursionlimit()
     depth = 0
@@ -202,14 +242,21 @@ def test_a_200_element_chain_needs_no_deep_recursion():
         depth += 1
     sys.setrecursionlimit(depth + 100)
     try:
-        chains = list(poset.chains(200))
+        chains = list(oracle._chains(up, 200))
+        reference = list(poset.chains(200))
     finally:
         sys.setrecursionlimit(limit)
-    assert chains == [tuple(sets)]
+    assert as_sets(g, chains) == reference == [tuple(sets)]
     assert chains_of_length(poset, 200) == {tuple(sets)} and poset.chain_count(200) == 1
 
 
-def test_chain_length_validation():
+def test_chain_length_validation(tmp_path, capsys, g3):
+    # the listing walks chains of at least one element: a shorter length is a usage error
+    graph_path = tmp_path / "g3.txt"
+    graph_path.write_text(format_edge_list(g3), encoding="utf-8")
+    for m in ("0", "-1"):
+        assert cli_main(["oracle", "--input", str(graph_path), "--chains", m]) == 2
+        assert "argument --chains: must be a positive integer" in capsys.readouterr().err
     poset = IntersectionPoset([])
     with pytest.raises(InvalidArgumentError):
         chains_of_length(poset, 0)
@@ -371,12 +418,22 @@ def test_size_bound_counts_match_the_clique_family(clean_runs):
         size_bound(Graph([]))
 
 
+def test_size_bound_counts_the_chains_of_nested_cliques():
+    # n vertices a_i, n vertices b_i, n cliques, and one vertex per nonempty subset of the n - 2 intersections
+    g = nested_cliques(6)
+    assert size_bound(g).actual == size_bound(g, series=run_series(g, OperatorKind.CLEAN)).actual == 3 * 6 + 2**4 - 1
+    n = 300
+    assert size_bound(nested_cliques(n)).actual == 3 * n + 2 ** (n - 2) - 1
+
+
 def test_poset_height_is_bounded_by_n_minus_2():
     rng = random.Random(627)
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 10), rng.choice([0.4, 0.6, 0.8]))
+        up = oracle._inclusion(oracle._cliques(g))
         poset = IntersectionPoset(intersection_family(g).nonsimple)
         # no chain of n - 1 elements, so the longest has at most n - 2
+        assert list(oracle._chains(up, len(g) - 1)) == []
         assert poset.chain_count(len(g) - 1) == 0
 
 
@@ -481,7 +538,7 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     g = random_connected_graph(random.Random(7), 18, 0.7)
     m = run_series(g, OperatorKind.CLEAN).final
     assert len(m) == 27062
-    chains = oracle._chain_counts(IntersectionPoset(intersection_family(g).nonsimple).elements)
+    chains = reference_chain_counts(IntersectionPoset(intersection_family(g).nonsimple).elements)
     assert len(chains) == m.level_count - 1
     report = verify_bijection(g, m)
     assert report.passed and verify_neighbourhood_formula(m).passed
