@@ -19,7 +19,6 @@ from .factorisation import (
     OperatorKind,
     StepResult,
     factorise,
-    particularise,
 )
 from .graphs import Graph, MultipartiteGraph
 from .io import (
@@ -84,7 +83,6 @@ __all__ = [
     "intersection_family",
     "maximal_cliques",
     "parse_document",
-    "particularise",
     "read_document",
     "read_edge_list",
     "reconstruct_graph",

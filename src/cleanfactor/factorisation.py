@@ -48,7 +48,6 @@ __all__ = [
     "CandidateSet",
     "StepResult",
     "factorise",
-    "particularise",
 ]
 
 # the root pass finds partners by columns when top has at least _COLUMNS_FROM members and the
@@ -410,26 +409,3 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     out = MultipartiteGraph._from_rows(m._levels + (labels,), m._idx[n0:] + idx)
     out._top = rows  # the next step's walk ANDs these masks
     return StepResult(effective=True, graph=out)
-
-
-def particularise(h: MultipartiteGraph) -> MultipartiteGraph:
-    """Pin each upper vertex of a bipartite graph with a fresh pendant below.
-
-    The resulting upper neighbourhoods are pairwise incomparable, which
-    turns an arbitrary bipartite graph into the vertex/clique incidence
-    graph of some graph without disturbing any level above the bottom.
-    """
-    if h.level_count != 2:
-        raise InvalidArgumentError("particularise needs a bipartite (two-level) graph")
-    bottoms, uppers = h.levels
-    taken = set(bottoms) | set(uppers)
-    new_bottom = list(bottoms)
-    edges = list(h.edges())
-    for y in uppers:
-        pin = f"p:{y}"
-        while pin in taken:
-            pin += "'"
-        taken.add(pin)
-        new_bottom.append(pin)
-        edges.append((pin, y))
-    return MultipartiteGraph((new_bottom, uppers), edges)

@@ -7,14 +7,13 @@ each vertex's lower neighbourhood, as a tuple of ascending indexes, so
 appending a level rewrites no row and no constructor builds a mask of a
 row. ``factorise``, the decoder, ``append_level`` and the incidence graph
 build through ``_from_rows``, which keeps the tuples it is given. Labels,
-documents, the pairing walk and up-queries read the tuples: a generated
-vertex is named by its level-0 neighbours, the leading run of its row.
-Only the candidate walk ANDs rows, and only the top level's: it keeps
-them as masks in ``_top``, a cache that ``factorise`` fills on the graph
-it returns and the walk fills on any other graph it is given. ``edges()``
-and the up-index of the first public up-query transpose the tuples. The
-public surface speaks plain labels and frozensets. All types are immutable
-after construction.
+documents and the pairing walk read the tuples: a generated vertex is
+named by its level-0 neighbours, the leading run of its row. Only the
+candidate walk ANDs rows, and only the top level's: it keeps them as masks
+in ``_top``, a cache that ``factorise`` fills on the graph it returns and
+the walk fills on any other graph it is given. ``edges()`` transposes the
+tuples. The public surface speaks plain labels and frozensets. All types
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -148,11 +147,12 @@ class MultipartiteGraph:
 
     Every edge joins two distinct levels. Vertices within a level are kept
     in label order and the global vertex index is level-major, which makes
-    enumeration over bitmasks deterministic. Instances never mutate;
-    ``append_level`` returns a new graph.
+    enumeration over bitmasks deterministic. Each vertex stores only its
+    lower neighbours, and ``edges()`` is the one public view of the edge
+    set. Instances never mutate; ``append_level`` returns a new graph.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_idx", "_top", "_up", "_pairing")
+    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_idx", "_top", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -191,7 +191,6 @@ class MultipartiteGraph:
             raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
         self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(levels)))
         self._top = None  # the top level's rows as masks: the candidate walk's cache (see factorisation)
-        self._up = None
         self._pairing = None
 
     @classmethod
@@ -228,31 +227,18 @@ class MultipartiteGraph:
         self._require(v)
         return self._level_of[self._index[v]]
 
-    def neighbourhood(self, x: str) -> frozenset[str]:
-        """N(x) across all levels."""
-        self._require(x)
-        i = self._index[x]
-        return frozenset([self._labels[j] for j in chain(self._idx[i], self._up_index()[i])])
-
-    def neighbourhood_at_level(self, x: str, i: int) -> frozenset[str]:
-        """N_i(x): the neighbours of ``x`` inside level ``i``. Pure query."""
-        self._require(x)
-        if not 0 <= i < len(self._levels):
-            raise InvalidArgumentError(f"level index {i} out of range 0..{len(self._levels) - 1}")
-        ix = self._index[x]
-        row = self._idx[ix] if i <= self._level_of[ix] else self._up_index()[ix]
-        return frozenset([self._labels[j] for j in row if self._level_of[j] == i])
-
-    def degree(self, v: str) -> int:
-        self._require(v)
-        i = self._index[v]
-        return len(self._idx[i]) + len(self._up_index()[i])
-
     def edges(self) -> tuple[tuple[str, str], ...]:
-        """Every edge as (lower-level endpoint, higher-level endpoint), sorted."""
+        """Every edge as (lower-level endpoint, higher-level endpoint), sorted.
+
+        Each edge is stored once, in its higher endpoint's row, so the rows are transposed first.
+        """
         labels = self._labels
+        above: list[list[int]] = [[] for _ in labels]
+        for i, row in enumerate(self._idx):
+            for j in row:
+                above[j].append(i)
         # grouped by lower endpoint, each group in index order: few runs for the sort to merge
-        out = [(labels[j], labels[i]) for j, above in enumerate(self._above()) for i in above]
+        out = [(labels[j], labels[i]) for j, up in enumerate(above) for i in up]
         out.sort()
         return tuple(out)
 
@@ -300,23 +286,6 @@ class MultipartiteGraph:
         """Global indexes of level ``k``, which are contiguous and in label order."""
         start = sum(map(len, self._levels[:k]))
         return range(start, start + len(self._levels[k]))
-
-    def _above(self) -> list[list[int]]:
-        """Per vertex, the ascending indexes of its higher-level neighbours."""
-        above: list[list[int]] = [[] for _ in self._labels]
-        for i, row in enumerate(self._idx):
-            for j in row:
-                above[j].append(i)
-        return above
-
-    def _up_index(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the ascending indexes of its higher-level neighbours, built on first use.
-
-        Index lists, not masks: a mask would be as wide as the whole graph.
-        """
-        if self._up is None:
-            self._up = tuple(map(tuple, self._above()))
-        return self._up
 
     def _labels_from_mask(self, mask: int) -> frozenset[str]:
         return frozenset(self._labels[i] for i in bits(mask))

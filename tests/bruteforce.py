@@ -20,6 +20,8 @@ from cleanfactor import CandidateSet, Graph, MultipartiteGraph, OperatorKind
 from cleanfactor.factorisation import _candidate_from_masks, _plan
 from cleanfactor.graphs import bits
 
+from reference_graphs import Neighbours
+
 
 def subset_maximal_cliques(g: Graph) -> set[frozenset[str]]:
     """Every vertex subset that is a clique and maximal among cliques."""
@@ -45,8 +47,9 @@ def subset_candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[froze
     k = m.level_count
     uppers = m.levels[-1]
     assert len(uppers) <= 14, "subset oracle is exponential"
-    full = {y: m.neighbourhood(y) for y in uppers}
-    at = {(y, i): m.neighbourhood_at_level(y, i) for y in uppers for i in range(k)}
+    adj = Neighbours(m)
+    full = {y: adj(y) for y in uppers}
+    at = {(y, i): adj.at_level(y, i) for y in uppers for i in range(k)}
 
     family: set[frozenset[str]] = set()
     for size in range(2, len(uppers) + 1):
@@ -197,10 +200,11 @@ def closed_candidates(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[froz
     level_sets = [frozenset(level) for level in m.levels]
     below = frozenset().union(*level_sets[:-1])
     uppers = m.levels[-1]
-    nb = {y: m.neighbourhood(y) for y in uppers}
+    adj = Neighbours(m)
+    nb = {y: adj(y) for y in uppers}
     classes: dict[frozenset[str], list[str]] = {}
     for y in uppers:
-        key = m.neighbourhood_at_level(y, eq_level) if eq_level is not None else frozenset()
+        key = adj.at_level(y, eq_level) if eq_level is not None else frozenset()
         classes.setdefault(key, []).append(y)
 
     def ok(common: frozenset[str]) -> bool:

@@ -26,6 +26,7 @@ from itertools import chain
 from typing import Any
 
 from cleanfactor import DecompositionDocument, DocumentFormatError, MultipartiteGraph, SeriesResult
+from reference_graphs import Neighbours
 from reference_oracle import reference_sequence
 
 FORMAT_VERSION = 1
@@ -56,8 +57,9 @@ class V1Document:
 
 def reference_build_document(result: SeriesResult, source_hash: str) -> V1Document:
     m = result.final
+    adj = Neighbours(m)
     sequences = {
-        x: tuple(tuple(sorted(o)) for o in reference_sequence(m, x)) for x in chain.from_iterable(m.levels[2:])
+        x: tuple(tuple(sorted(o)) for o in reference_sequence(m, adj, x)) for x in chain.from_iterable(m.levels[2:])
     }
     levels = tuple(
         LevelRecord(index=li, vertices=tuple(VertexRecord(v, v, sequences.get(v)) for v in members))

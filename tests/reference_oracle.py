@@ -27,6 +27,8 @@ from cleanfactor import (
 )
 from cleanfactor.graphs import _mask
 
+from reference_graphs import Neighbours
+
 
 def _fmt(s: Iterable[str]) -> str:
     return "{" + ",".join(sorted(s)) + "}"
@@ -148,16 +150,16 @@ def reference_nonsimple(g: Graph) -> frozenset[frozenset[str]]:
     return frozenset(nonsimple)
 
 
-def reference_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str], ...]:
-    """N_0(x), then per level j in 2..k-1 the meet of the cliques shared by N_j(x)."""
-    sets = [m.neighbourhood_at_level(x, 0)]
+def reference_sequence(m: MultipartiteGraph, adj: Neighbours, x: str) -> tuple[frozenset[str], ...]:
+    """N_0(x), then per level j in 2..k-1 the meet of the cliques shared by N_j(x); ``adj`` is ``Neighbours(m)``."""
+    sets = [adj.at_level(x, 0)]
     for j in range(2, m.level_of(x)):
         shared = frozenset(m.levels[1])
-        for y in m.neighbourhood_at_level(x, j):
-            shared &= m.neighbourhood_at_level(y, 1)
+        for y in adj.at_level(x, j):
+            shared &= adj.at_level(y, 1)
         o = frozenset(m.levels[0])
         for c in shared:
-            o &= m.neighbourhood_at_level(c, 0)
+            o &= adj.at_level(c, 0)
         sets.append(o)
     return tuple(sets)
 
@@ -166,7 +168,8 @@ def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationRe
     family = maximal_cliques(g)
     if set(m.levels[0]) != set(g.vertices):
         return _fail("level 0 does not match the input graph's vertex set")
-    level1_sets = [m.neighbourhood_at_level(c, 0) for c in m.levels[1]]
+    adj = Neighbours(m)
+    level1_sets = [adj.at_level(c, 0) for c in m.levels[1]]
     if len(set(level1_sets)) != len(level1_sets) or set(level1_sets) != set(family):
         return _fail("level 1 does not match the maximal cliques of the input graph")
 
@@ -177,7 +180,7 @@ def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationRe
         level = m.levels[k]
         sequences: dict[str, tuple[frozenset[str], ...]] = {}
         for x in level:
-            s = reference_sequence(m, x)
+            s = reference_sequence(m, adj, x)
             if not all(a < b for a, b in zip(s, s[1:])):
                 return _fail(f"level {k}, vertex {x!r}: sequence {_fmt_seq(s)} is not strictly increasing")
             for o in s:
@@ -204,15 +207,16 @@ def reference_verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationRe
 
 
 def reference_verify_neighbourhood_formula(m: MultipartiteGraph) -> VerificationReport:
-    sequences = {x: reference_sequence(m, x) for k in range(2, m.level_count) for x in m.levels[k]}
+    adj = Neighbours(m)
+    sequences = {x: reference_sequence(m, adj, x) for k in range(2, m.level_count) for x in m.levels[k]}
     level1 = m.levels[1]
-    bottom = {c: m.neighbourhood_at_level(c, 0) for c in level1}
+    bottom = {c: adj.at_level(c, 0) for c in level1}
 
     for k in range(2, m.level_count):
         for x in m.levels[k]:
             last = sequences[x][-1]
             containing = frozenset(c for c in level1 if last <= bottom[c])
-            actual = m.neighbourhood_at_level(x, 1)
+            actual = adj.at_level(x, 1)
             if containing != actual:
                 return _fail(
                     f"level {k}, vertex {x!r}: cliques containing {_fmt(last)} are "
@@ -228,7 +232,7 @@ def reference_verify_neighbourhood_formula(m: MultipartiteGraph) -> Verification
                     for y in m.levels[j]
                     if sequences[y][: j - 2] == sx[: j - 2] and sx[j - 2] <= sequences[y][j - 2] <= sx[j - 1]
                 )
-                actual = m.neighbourhood_at_level(x, j)
+                actual = adj.at_level(x, j)
                 if window != actual:
                     return _fail(
                         f"level {k}, vertex {x!r}, level-{j} neighbourhood: expected "
@@ -238,14 +242,14 @@ def reference_verify_neighbourhood_formula(m: MultipartiteGraph) -> Verification
     for k in range(4, m.level_count):
         groups: dict[frozenset[str], str] = {}
         for x in m.levels[k]:
-            other = groups.setdefault(m.neighbourhood_at_level(x, k - 2), x)
+            other = groups.setdefault(adj.at_level(x, k - 2), x)
             if other == x:
                 continue
             for p in range(0, k - 1):
                 if p == 1:
                     continue
-                left = m.neighbourhood_at_level(other, p)
-                right = m.neighbourhood_at_level(x, p)
+                left = adj.at_level(other, p)
+                right = adj.at_level(x, p)
                 if left != right:
                     return _fail(
                         f"level {k}: {other!r} and {x!r} agree on level {k - 2} but differ "

@@ -26,7 +26,6 @@ from cleanfactor import (
     graph_content_hash,
     intersection_family,
     parse_document,
-    particularise,
     reconstruct_graph,
     run_series,
     run_series_from_bipartite,
@@ -41,6 +40,7 @@ from cleanfactor.factorisation import _candidate_from_masks, _maximal_family
 
 from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
 from conftest import make_g2, make_g3, make_triangle, random_connected_graph, random_graph
+from reference_graphs import Neighbours, particularise
 from reference_oracle import cliques_containing, reference_closure, reference_nonsimple
 
 
@@ -130,7 +130,8 @@ def particularised_anti_matching(n: int):
     clique; for n >= 3 so is {b1..bn}.
     """
     h = particularise(anti_matching(n))
-    edges = [e for u in h.levels[1] for e in itertools.combinations(sorted(h.neighbourhood(u)), 2)]
+    adj = Neighbours(h)
+    edges = [e for u in h.levels[1] for e in itertools.combinations(sorted(adj(u)), 2)]
     return Graph(h.levels[0], edges)
 
 
@@ -237,12 +238,13 @@ def _structure_census(result, original_bottom):
     levels, so equal censuses mean equal structure above level 0.
     """
     m = result.final
+    adj = Neighbours(m)
     key: dict[str, str] = {}
     census = []
     for level in range(1, m.level_count):
         for v in m.levels[level]:
-            below0 = sorted(m.neighbourhood_at_level(v, 0) & original_bottom)
-            higher = sorted(key[u] for j in range(1, level) for u in m.neighbourhood_at_level(v, j))
+            below0 = sorted(adj.at_level(v, 0) & original_bottom)
+            higher = sorted(key[u] for j in range(1, level) for u in adj.at_level(v, j))
             key[v] = f"{level}({','.join(below0)})[{';'.join(higher)}]"
         census.append(Counter(key[v] for v in m.levels[level]))
     return census

@@ -19,6 +19,7 @@ from cleanfactor.graphs import bits
 
 from bruteforce import subset_maximal_cliques
 from conftest import random_graph
+from reference_graphs import Neighbours
 
 
 @st.composite
@@ -126,7 +127,8 @@ def test_incidence_invariants():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 10), rng.choice([0.3, 0.5, 0.7]))
         m = vertex_clique_incidence(g)
-        sets = [m.neighbourhood_at_level(c, 0) for c in m.levels[1]]
+        adj = Neighbours(m)
+        sets = [adj.at_level(c, 0) for c in m.levels[1]]
         # no nested clique neighbourhoods, and together they cover level 0
         for a, b in itertools.combinations(sets, 2):
             assert not (a <= b or b <= a)
@@ -151,13 +153,15 @@ def test_anti_matching_small():
     assert set(m.edges()) == {("b1", "u2"), ("b2", "u1")}
     m3 = anti_matching(3)
     assert m3.edge_count() == 6
-    assert all(m3.degree(v) == 2 for v in m3.vertices)
+    adj = Neighbours(m3)
+    assert all(adj.degree(v) == 2 for v in m3.vertices)
 
 
 def test_anti_matching_common_neighbours():
     m = anti_matching(4)
+    adj = Neighbours(m)
     for x, y in itertools.combinations(m.levels[1], 2):
-        common = m.neighbourhood(x) & m.neighbourhood(y)
+        common = adj(x) & adj(y)
         assert len(common) == 2  # n - 2
 
 

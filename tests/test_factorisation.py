@@ -1,4 +1,4 @@
-"""Candidate families, maximality, the factorisation step, particularise."""
+"""Candidate families, maximality, the factorisation step, and the test helper particularise."""
 
 import itertools
 import random
@@ -13,7 +13,6 @@ from cleanfactor import (
     OperatorKind,
     anti_matching,
     factorise,
-    particularise,
     run_series,
     run_series_from_bipartite,
     vertex_clique_incidence,
@@ -37,6 +36,7 @@ from bruteforce import (
     subset_candidate_family,
 )
 from conftest import random_connected_graph, random_graph
+from reference_graphs import Neighbours, particularise
 
 C1, C2, C3 = "K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"
 # the graph shapes of the benchmark's large-clean workload, drawn from Random(7)
@@ -132,7 +132,7 @@ def test_factorise_g2_clean(g2):
     step = factorise(vertex_clique_incidence(g2), OperatorKind.CLEAN)
     assert step.effective
     (x,) = step.graph.levels[2]
-    assert step.graph.neighbourhood(x) == {"b", "c", "K:a,b,c", "K:b,c,d"}
+    assert Neighbours(step.graph)(x) == {"b", "c", "K:a,b,c", "K:b,c,d"}
 
 
 def test_factorise_g3_clean(g3):
@@ -140,7 +140,8 @@ def test_factorise_g3_clean(g3):
     assert step.effective
     level2 = step.graph.levels[2]
     assert len(level2) == 2
-    bottoms = {step.graph.neighbourhood_at_level(x, 0) for x in level2}
+    adj = Neighbours(step.graph)
+    bottoms = {adj.at_level(x, 0) for x in level2}
     assert bottoms == {frozenset({"1", "2"}), frozenset({"1", "2", "3"})}
 
 
@@ -166,8 +167,9 @@ def test_new_vertices_adjacent_to_exactly_their_candidate():
                 continue
             top = step.graph.levels[-1]
             assert len(top) == len(step.new_level)
+            adj = Neighbours(step.graph)
             for label, cand in zip(top, step.new_level):
-                assert step.graph.neighbourhood(label) == cand.members
+                assert adj(label) == cand.members
             assert drop_top_level(step.graph) == m
 
 
@@ -197,10 +199,9 @@ def test_maximal_weak_candidates_are_closed_bicliques():
                 continue
             family = candidate_family(m, OperatorKind.WEAK)
             top = maximal_candidates(family)
+            adj = Neighbours(m)
             for cand in family:
-                closure = frozenset(
-                    y for y in m.levels[-1] if cand.lower <= m.neighbourhood(y)
-                )
+                closure = frozenset(y for y in m.levels[-1] if cand.lower <= adj(y))
                 assert (cand in top) == (cand.upper == closure)
 
 
@@ -657,9 +658,9 @@ def test_particularise_single_edge():
 
 def test_particularise_separates_twin_uppers():
     h = MultipartiteGraph([["a", "b"], ["y1", "y2"]], [("a", "y1"), ("b", "y1"), ("a", "y2"), ("b", "y2")])
-    pinned = particularise(h)
-    n1 = pinned.neighbourhood("y1")
-    n2 = pinned.neighbourhood("y2")
+    adj = Neighbours(particularise(h))
+    n1 = adj("y1")
+    n2 = adj("y2")
     assert not (n1 <= n2 or n2 <= n1)
 
 
@@ -667,7 +668,8 @@ def test_particularise_anti_matching():
     pinned = particularise(anti_matching(3))
     assert len(pinned.levels[0]) == 6  # 3 original bottoms + 3 pendants
     assert pinned.edge_count() == 9  # 6 original edges + 3 pendant edges
-    assert all(pinned.degree(u) == 3 for u in pinned.levels[1])
+    adj = Neighbours(pinned)
+    assert all(adj.degree(u) == 3 for u in pinned.levels[1])
 
 
 def test_particularise_rejects_non_bipartite(g2):

@@ -27,6 +27,8 @@ from cleanfactor import (
 )
 from cleanfactor import graphs
 
+from reference_graphs import Neighbours
+
 
 def test_graph_basics():
     g = Graph(["b", "a", "c", "a"], [("a", "b"), ("b", "a")])
@@ -62,26 +64,17 @@ def test_graph_equality_and_hash():
 def test_single_edge_neighbourhoods():
     m = MultipartiteGraph([["u"], ["y"]], [("u", "y")])
     assert "u" in m and "y" in m and "z" not in m and 0 not in m
-    assert m.neighbourhood_at_level("y", 0) == {"u"}
-    assert m.neighbourhood_at_level("y", 1) == frozenset()
-    assert m.neighbourhood_at_level("u", 1) == {"y"}
-
-
-def test_neighbourhood_query_validation():
-    m = MultipartiteGraph([["u"], ["y"]], [("u", "y")])
-    with pytest.raises(InvalidArgumentError):
-        m.neighbourhood_at_level("nope", 0)
-    with pytest.raises(InvalidArgumentError):
-        m.neighbourhood_at_level("u", 2)
-    with pytest.raises(InvalidArgumentError):
-        m.neighbourhood_at_level("u", -1)
+    adj = Neighbours(m)
+    assert adj.at_level("y", 0) == {"u"}
+    assert adj.at_level("y", 1) == frozenset()
+    assert adj.at_level("u", 1) == {"y"}
 
 
 def test_bg2_clique_vertex_neighbourhood(g2):
     # b sits in both triangles, so its level-1 neighbourhood is both cliques
-    m = vertex_clique_incidence(g2)
-    assert m.neighbourhood_at_level("b", 1) == {"K:a,b,c", "K:b,c,d"}
-    assert m.neighbourhood_at_level("a", 1) == {"K:a,b,c"}
+    adj = Neighbours(vertex_clique_incidence(g2))
+    assert adj.at_level("b", 1) == {"K:a,b,c", "K:b,c,d"}
+    assert adj.at_level("a", 1) == {"K:a,b,c"}
 
 
 def test_multipartite_constructor_validation():
@@ -99,10 +92,11 @@ def test_multipartite_constructor_validation():
 
 def test_levels_partition_neighbourhood(g3):
     m = run_series(g3, OperatorKind.CLEAN).final
+    adj = Neighbours(m)
     for x in m.vertices:
-        parts = [m.neighbourhood_at_level(x, i) for i in range(m.level_count)]
+        parts = [adj.at_level(x, i) for i in range(m.level_count)]
         union = frozenset().union(*parts)
-        assert union == m.neighbourhood(x)
+        assert union == adj(x)
         assert sum(len(p) for p in parts) == len(union)
 
 
@@ -111,7 +105,7 @@ def test_append_level_mechanical_extension(triangle):
     m2 = m.append_level([("x", ["a", "b"])])
     assert m2.level_count == 3
     assert m2.levels[2] == ("x",)
-    assert m2.neighbourhood("x") == {"a", "b"}
+    assert Neighbours(m2)("x") == {"a", "b"}
 
 
 APPEND_LEVEL_ERRORS = [
@@ -178,8 +172,9 @@ def test_append_level_matches_clean_step_on_g2(g2):
 def test_append_level_preserves_existing_adjacency(g3):
     m = vertex_clique_incidence(g3)
     m2 = m.append_level([("x", ["1", "2"])])
+    adj, adj2 = Neighbours(m), Neighbours(m2)
     for v in m.vertices:
-        assert m.neighbourhood(v) == m2.neighbourhood(v) - {"x"}
+        assert adj(v) == adj2(v) - {"x"}
     assert m2.levels[:2] == m.levels
 
 
@@ -267,11 +262,12 @@ def test_queries_match_the_edge_list_however_the_graph_was_built():
             assert m.edges() == want_edges
             assert m.edge_count() == len(want_edges)
             assert level0_ancestors(m) == ancestors
+            adj = Neighbours(m)
             for x in level_of:
-                assert m.neighbourhood(x) == nbrs[x]
-                assert m.degree(x) == len(nbrs[x])
+                assert adj(x) == nbrs[x]
+                assert adj.degree(x) == len(nbrs[x])
                 for i in range(len(levels)):
-                    assert m.neighbourhood_at_level(x, i) == {u for u in nbrs[x] if level_of[u] == i}
+                    assert adj.at_level(x, i) == {u for u in nbrs[x] if level_of[u] == i}
 
 
 def assert_held_alike(*built: MultipartiteGraph) -> None:
@@ -288,7 +284,7 @@ def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
 
 def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(corpus):
     # the index tuples are the only rows a graph has a field for; _top is the candidate walk's cache
-    others = {"_levels", "_labels", "_index", "_level_of", "_top", "_up", "_pairing"}
+    others = {"_levels", "_labels", "_index", "_level_of", "_top", "_pairing"}
     assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
     for _ in range(100):
@@ -327,8 +323,6 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                     for other in (appended, built, decoded):
                         assert factorise(other, op) == step
                         assert other._top == new._top
-                # no step reads an up-neighbourhood
-                assert new._up is None
             assert m == final
             if op is OperatorKind.CLEAN:
                 # verifying a document reads its tuples only

@@ -38,6 +38,7 @@ from cleanfactor.graphs import bits
 
 from bruteforce import subset_chains, subset_intersections
 from conftest import random_connected_graph, random_graph
+from reference_graphs import Neighbours
 from reference_oracle import (
     IntersectionPoset,
     chains_of_length,
@@ -281,8 +282,9 @@ def test_level2_sequence_is_the_bottom_neighbourhood():
         m = run_series(g, OperatorKind.CLEAN).final
         if m.level_count < 3:
             continue
+        adj = Neighbours(m)
         for x in m.levels[2]:
-            assert characterising_sequence(m, x) == (m.neighbourhood_at_level(x, 0),)
+            assert characterising_sequence(m, x) == (adj.at_level(x, 0),)
 
 
 def test_characterising_sequence_validation(g2):
@@ -331,7 +333,7 @@ def test_g3_window_set_matches_level_two(g3):
     # the level-3 vertex must be adjacent to both level-2 vertices
     m = run_series(g3, OperatorKind.CLEAN).final
     (x,) = m.levels[3]
-    assert m.neighbourhood_at_level(x, 2) == frozenset(m.levels[2])
+    assert Neighbours(m).at_level(x, 2) == frozenset(m.levels[2])
 
 
 def test_verify_neighbourhood_formula_detects_tampering(g2):
@@ -631,8 +633,9 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
     below_run = SeriesResult(below, SeriesStatus.TERMINATED, below.level_count - 2, (), OperatorKind.CLEAN)
     calls.clear()
     assert not verify_bijection(g, below).passed and verify_neighbourhood_formula(below).passed
+    adj = Neighbours(final)
     derived = [
-        below.append_level([(x, final.neighbourhood(x)) for x in final.levels[-1]]),
+        below.append_level([(x, adj(x)) for x in final.levels[-1]]),
         factorise(below, OperatorKind.CLEAN).graph,
         document_to_multipartite(build_document(below_run, "")),
         MultipartiteGraph._from_rows(below.levels, below._idx[len(below.levels[0]) :]),
