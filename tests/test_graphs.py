@@ -70,6 +70,18 @@ def test_single_edge_neighbourhoods():
     assert adj.at_level("u", 1) == {"y"}
 
 
+def test_level_of_is_the_one_vertex_query_and_rejects_unknown_vertices(g2):
+    m = vertex_clique_incidence(g2)
+    assert [m.level_of(v) for v in ("a", "K:a,b,c")] == [0, 1]
+    with pytest.raises(InvalidArgumentError, match="unknown vertex 'z'"):
+        m.level_of("z")
+    with pytest.raises(InvalidArgumentError, match="unknown vertex 0"):
+        m.level_of(0)  # type: ignore[arg-type]
+    # the up-queries and their cache are gone: the tests answer them from m.edges()
+    for gone in ("neighbourhood", "neighbourhood_at_level", "degree", "_up_index", "_above"):
+        assert not hasattr(m, gone)
+
+
 def test_bg2_clique_vertex_neighbourhood(g2):
     # b sits in both triangles, so its level-1 neighbourhood is both cliques
     adj = Neighbours(vertex_clique_incidence(g2))
