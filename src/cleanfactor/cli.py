@@ -29,6 +29,8 @@ from .graphs import bits
 from .oracle import _chains, _cliques, _inclusion, size_bound, verify_bijection, verify_neighbourhood_formula
 from .series import SeriesResult, SeriesStatus, run_series
 
+__all__ = ["cli_main"]
+
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvalidArgumentError", "EdgeListParseError", "DocumentFormatError"]
+
 
 class InvalidArgumentError(ValueError):
     """An operation received arguments that violate its preconditions."""

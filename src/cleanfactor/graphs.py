@@ -12,8 +12,10 @@ named by its level-0 neighbours, the leading run of its row. Only the
 candidate walk ANDs rows, and only the top level's: it keeps them as masks
 in ``_top``, a cache that ``factorise`` fills on the graph it returns and
 the walk fills on any other graph it is given. ``edges()`` transposes the
-tuples. The public surface speaks plain labels and frozensets. All types
-are immutable after construction.
+tuples. The public surface speaks plain labels and frozensets. A graph's
+vertices and rows never change after construction; its three caches,
+``_top``, ``_pairing`` and ``Graph._cliques``, are filled on first use, and
+``__eq__`` and ``__hash__`` ignore them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError
 
-__all__ = ["Graph", "MultipartiteGraph", "bits"]
+__all__ = ["Graph", "MultipartiteGraph"]
 
 IndexRows = Sequence[tuple[int, ...]]  # per vertex, some of its neighbours as ascending indexes
 

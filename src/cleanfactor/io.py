@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from itertools import accumulate, chain, compress, count, islice
 from operator import ge, lt
@@ -23,12 +23,12 @@ from pathlib import Path
 from typing import Any
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
+from .factorisation import OperatorKind
 from .graphs import Graph, MultipartiteGraph, _level_labels, _mask
 from .oracle import VerificationReport
-from .series import SeriesResult
+from .series import SeriesResult, SeriesStatus
 
 __all__ = [
-    "FORMAT_VERSION",
     "DecompositionDocument",
     "read_edge_list",
     "format_edge_list",
@@ -210,6 +210,12 @@ def _strict(rows: list[list[int]], limit: int) -> bool:
     return not flat or (min(flat) >= 0 and max(flat) < limit and set(falls) <= set(accumulate(map(len, rows))))
 
 
+# a document's vocabularies, from the types that define them; tuples, since a JSON value may be unhashable
+_KEYS = tuple(field.name for field in fields(DecompositionDocument))
+_OPERATORS = tuple(kind.value for kind in OperatorKind)
+_STATUSES = tuple(status.value for status in SeriesStatus)
+
+
 def _down_problem(row: list[int], limit: int, n: int) -> str:
     """Why a down row is not strictly ascending below ``limit``."""
     for j in row:
@@ -240,14 +246,13 @@ def parse_document(text: str) -> DecompositionDocument:
     version = payload.get("format_version")
     supported = type(version) is int and version == FORMAT_VERSION
     _expect(supported, "unsupported format_version: this reader takes {}", FORMAT_VERSION)
-    keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
-    for key in keys:
+    for key in _KEYS:
         _expect(key in payload, "missing key {!r}", key)
-    unknown = next((key for key in payload if key not in keys), None)
+    unknown = next((key for key in payload if key not in _KEYS), None)
     _expect(unknown is None, "unknown key {!r}", unknown)
     _expect(type(payload["source_hash"]) is str, "source_hash must be a string")
-    _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
-    _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
+    _expect(payload["operator"] in _OPERATORS, "unknown operator")
+    _expect(payload["status"] in _STATUSES, "unknown status")
 
     levels = payload["levels"]
     _expect(type(levels) is list and len(levels) >= 2, "need at least two levels")

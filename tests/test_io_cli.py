@@ -2,6 +2,8 @@
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import itertools
 import json
@@ -1090,9 +1092,52 @@ def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, da
     assert parsed(parse_document, text) == parsed(reference_parse_v3, text)
 
 
+# each bullet of the README's "Library API" section, by its heading, and the module whose __all__ it lists
+API_MODULES = {
+    "Graphs": "graphs",
+    "Cliques": "cliques",
+    "Factorisation": "factorisation",
+    "Series": "series",
+    "Oracle": "oracle",
+    "Edge lists and documents": "io",
+    "Errors": "errors",
+    "Command line": "cli",
+}
+
+
+def _api_module(name):
+    return importlib.import_module(f"cleanfactor.{name}")
+
+
 def test_readme_api_list_is_the_package_all():
-    # the backticked names on the list items of the README's "Library API" section
+    # the backticked names on each bullet of the README's "Library API" section: one module's __all__ per bullet
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    items = "\n".join(line for line in section.splitlines() if line.startswith(("* ", "  ")))
-    assert sorted(re.findall(r"`([^`]+)`", items)) == sorted(cleanfactor.__all__)
+    bullets = re.findall(r"^\* ([^:]+):(.*(?:\n  .*)*)", section, re.MULTILINE)
+    found = {heading: sorted(re.findall(r"`([^`]+)`", names)) for heading, names in bullets}
+    assert len(found) == len(bullets)
+    assert found == {heading: sorted(_api_module(name).__all__) for heading, name in API_MODULES.items()}
+    assert sorted(itertools.chain.from_iterable(found.values())) == sorted(cleanfactor.__all__)
+
+
+def test_module_all_lists_are_the_package_all():
+    listed = []
+    for name in API_MODULES.values():
+        module = _api_module(name)
+        for public in module.__all__:
+            obj = getattr(module, public)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, public
+        listed.extend(module.__all__)
+    # no two lists share a name, so no star import in the package shadows another
+    assert len(listed) == len(set(listed)) == len(cleanfactor.__all__) == len(set(cleanfactor.__all__))
+    assert sorted(listed) == sorted(cleanfactor.__all__)
+    namespace = {}
+    exec("from cleanfactor import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cleanfactor.__all__)
+    # module-level names that the package's modules and the tests import, not exported
+    from cleanfactor.graphs import bits
+    from cleanfactor.io import FORMAT_VERSION
+
+    assert list(bits(0b101)) == [0, 2] and FORMAT_VERSION == 3
+    assert "bits" not in cleanfactor.__all__ and "FORMAT_VERSION" not in cleanfactor.__all__
