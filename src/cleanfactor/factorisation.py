@@ -25,12 +25,12 @@ pairs of the root's live members, so each pair meets once rather than
 once from each side; deeper nodes, which mostly have few children, keep
 the per-node scan, which costs them less than building every child's
 list in one pass. In a class of ``_COLUMNS_FROM`` or more root members
-whose rows are sparse on the card levels, where most pairs fail the card
-test, each member meets only its card partners, found at once by
-bit-parallel columns over the members. The walk keeps its own stack, so
-a long chain of nested seeds needs no deep recursion. The whole
-candidate family, which the definitions describe, is enumerated only in
-the tests.
+whose rows are sparse on the first card level, where most pairs fail the
+card test, each member meets only the members that share two vertices
+with it there, found at once by bit-parallel columns built from the row
+masks. The walk keeps its own stack, so a long chain of nested seeds
+needs no deep recursion. The whole candidate family, which the
+definitions describe, is enumerated only in the tests.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import IndexRows, MultipartiteGraph, _level_labels, _mask, _span, bits
+from .graphs import MultipartiteGraph, _level_labels, _mask, _span, bits
 
 __all__ = [
     "OperatorKind",
@@ -140,27 +140,19 @@ def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> Candi
     return CandidateSet(upper=m._labels_from_mask(seed), lower_by_level=lowers)
 
 
-def _closed_seeds(
-    members: Sequence[int],
-    adj: Sequence[int],
-    idx: IndexRows,
-    base_common: int,
-    a: int,
-    b: int,
-) -> list[tuple[int, int]]:
+def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, a: int, b: int) -> list[tuple[int, int]]:
     """Closed seeds of one class that make a candidate, with their commons.
 
-    ``adj[u]`` is the row of member ``u`` as a mask, and ``idx[u]`` as an
-    ascending index tuple. A seed is closed when it holds every member
-    whose neighbourhood covers the seed's common neighbourhood (within
-    ``base_common``). Returns (seed mask over the members ``u``, common
-    mask) for every closed seed of at least two members whose common
-    neighbourhood has at least two vertices on each of the card masks
-    ``a`` and ``b``. ``_plan`` gives at most two card levels: a single one
-    is both ``a`` and ``b``, and with none both are ``base_common``, which
-    asks for two common vertices in all (two on a card level are two in
-    all). Each card mask is one run of consecutive indexes, as a level and
-    ``base_common`` are.
+    ``adj[u]`` is the row of member ``u`` as a mask. A seed is closed when
+    it holds every member whose neighbourhood covers the seed's common
+    neighbourhood (within ``base_common``). Returns (seed mask over the
+    members ``u``, common mask) for every closed seed of at least two
+    members whose common neighbourhood has at least two vertices on each
+    of the card masks ``a`` and ``b``. ``_plan`` gives at most two card
+    levels: a single one is both ``a`` and ``b``, and with none both are
+    ``base_common``, which asks for two common vertices in all (two on a
+    card level are two in all). Each card mask is one run of consecutive
+    indexes, as a level and ``base_common`` are.
 
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
     extended by one member ``j`` past the branch start. The extension is
@@ -193,20 +185,21 @@ def _closed_seeds(
     per-node scan: most have few children, and building every child's list
     up front costs them more than the halved scan saves.
 
-    In a large class whose rows are sparse on the card masks, most pairs
-    fail the card test, so ``p`` meets only its partners (see
-    ``_partners``): the later members of ``top`` whose rows share two
-    vertices with its own on ``a`` and on ``b``. A cover or a twin shares
-    the whole of one of the two rows, which passes the card test as that
-    row does, so every pair that the pairwise pass acts on is a partner,
-    and the output is the same, in the same order. The columns cost one
-    fold per card vertex of each row, where the pairwise pass costs one
-    intersection per pair, so they are used only when ``top`` has at least
-    ``_COLUMNS_FROM`` members and the rows hold fewer card vertices in all
-    than one per ``_PAIRS_PER_FOLD`` pairs. Both bounds are the measured
-    crossovers: below the first, building the columns costs more than the
-    skipped pairs save; past the second, as in a class of nested rows where
-    every pair passes, the folds cost more than the intersections.
+    In a large class whose rows are sparse on ``a``, most pairs fail the
+    card test, so ``p`` meets only its partners (see ``_partners``): the
+    later members of ``top`` whose rows share two vertices with its own on
+    ``a``. Every pair that passes the card test is a partner, and so is a
+    cover or a twin, which shares the whole of one of the two rows, and
+    that row passes the card test; the pair loop's own card test drops a
+    partner that fails it on ``b``. So the output is the same, in the same
+    order. The columns cost one fold per vertex of each row on ``a``,
+    where the pairwise pass costs one intersection per pair, so they are
+    used only when ``top`` has at least ``_COLUMNS_FROM`` members and the
+    rows hold fewer vertices on ``a`` in all than one per
+    ``_PAIRS_PER_FOLD`` pairs: below the first bound building the columns
+    costs more than the skipped pairs save, and past the second, as in a
+    class of nested rows where every pair passes, the folds cost more than
+    the intersections.
     """
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
@@ -232,8 +225,8 @@ def _closed_seeds(
         out.append((root, base_common))
     partners = None
     t = len(top)
-    if t >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum((row & (a | b)).bit_count() for row in trows) < t * (t - 1) // 2:
-        partners = _partners([idx[members[i]] for i in top], (a,) if a == b else (a, b))
+    if t >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum((row & a).bit_count() for row in trows) < t * (t - 1) // 2:
+        partners = _partners(trows, a)
     covered = [False] * len(top)
     stack: list[tuple[int, int, list[int], Iterator[int]]] = []
     push, pop = stack.append, stack.pop
@@ -297,38 +290,31 @@ def _closed_seeds(
     return out
 
 
-def _partners(tops: IndexRows, cards: tuple[int, ...]) -> list[list[int]]:
-    """For each position ``n`` of ``top``, the later positions whose rows share two vertices with its row on every card mask.
+def _partners(trows: Sequence[int], card: int) -> list[list[int]]:
+    """For each position ``n`` of ``top``, the later positions whose rows share two vertices with its row on ``card``.
 
-    ``tops`` holds the rows of ``top`` as ascending index tuples. Each card
-    mask's indexes are consecutive, so a row's part on it is one slice.
-    A card vertex's column is the mask of the positions whose rows hold
-    it. Folding the columns of ``n``'s part on one card mask into "met at
-    least once" and "met at least twice" gives the positions sharing two
-    vertices with it there; ANDing that over the distinct card masks gives
-    all of ``n``'s partners in one pass over its own row.
+    ``trows`` holds the rows of ``top`` as masks. The card mask's indexes
+    are consecutive from ``lo``, so a row's part on it, shifted down by
+    ``lo``, has one bit per card vertex, and that bit indexes the vertex's
+    column: the mask of the positions whose rows hold it. Folding the
+    columns of ``n``'s part into "met at least once" and "met at least
+    twice" gives all of ``n``'s partners in one pass over its own part.
     """
-    spans = [((card & -card).bit_length() - 1, card.bit_length()) for card in cards]
-    parts = [[t[bisect_left(t, lo) : bisect_left(t, hi)] for lo, hi in spans] for t in tops]
-    # the column of a card vertex: the positions whose rows hold it
-    cols: dict[int, int] = {}
-    for n, row_parts in enumerate(parts):
+    lo = (card & -card).bit_length() - 1
+    parts = [list(bits((row & card) >> lo)) for row in trows]
+    cols = [0] * (card.bit_length() - lo)
+    for n, part in enumerate(parts):
         unit = 1 << n
-        for part in row_parts:
-            for v in part:
-                cols[v] = cols.get(v, 0) | unit
+        for v in part:
+            cols[v] |= unit
     out = []
-    for n, row_parts in enumerate(parts):
-        found = -1 << (n + 1)
-        for part in row_parts:
-            # the positions met at least twice by the columns of this part
-            ones = twos = 0
-            for v in part:
-                col = cols[v]
-                twos |= ones & col
-                ones |= col
-            found &= twos
-        out.append(list(bits(found)))
+    for n, part in enumerate(parts):
+        ones = twos = 0
+        for v in part:
+            col = cols[v]
+            twos |= ones & col
+            ones |= col
+        out.append(list(bits(twos & (-1 << (n + 1)))))
     return out
 
 
@@ -350,10 +336,9 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
     # indexes them by their place in the level, and each seed is shifted to global indexes
     offset = m._level_range(k - 1).start
-    idx = m._idx[offset:]
     adj = m._top
     if adj is None:
-        adj = m._top = tuple(map(_mask, idx))
+        adj = m._top = tuple(map(_mask, m._idx[offset:]))
     uppers = range(len(adj))
     base_common = (1 << offset) - 1  # every level below the top
     cards = [_span(m._level_range(i)) for i in card_levels] or [base_common]
@@ -368,7 +353,7 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
             buckets.setdefault(adj[u] & eq_mask, []).append(u)
         groups = [grp for grp in buckets.values() if len(grp) >= 2]
 
-    return [(seed << offset, c) for grp in groups for seed, c in _closed_seeds(grp, adj, idx, base_common, a, b)]
+    return [(seed << offset, c) for grp in groups for seed, c in _closed_seeds(grp, adj, base_common, a, b)]
 
 
 def _check_threads(threads: int) -> None:

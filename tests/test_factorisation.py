@@ -26,7 +26,6 @@ from cleanfactor.factorisation import (
     _maximal_family,
     _plan,
 )
-from cleanfactor.graphs import bits
 
 from bruteforce import (
     candidate_family,
@@ -222,11 +221,6 @@ def test_all_operators_match_subset_oracle():
                 assert fast == produced_top
 
 
-def index_rows(adj):
-    """The rows of ``adj`` as ascending index tuples, as a graph carries them."""
-    return [tuple(bits(row)) for row in adj]
-
-
 def qualifying_closed_seeds(members, adj, base, cards):
     """What ``_closed_seeds`` returns, by brute force over every subset of ``members``.
 
@@ -275,7 +269,7 @@ def test_closed_seeds_enumerates_exactly_the_qualifying_closed_seeds():
         card_masks = [lmask[i] for i in card_levels]
         expected = qualifying_closed_seeds(members, adj, base, card_masks)
         cards = card_masks or [base]
-        got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
+        got = _closed_seeds(members, adj, base, cards[0], cards[-1])
         assert len(got) == len(set(got))
         assert set(got) == expected
         visited += len(expected)
@@ -321,7 +315,7 @@ def test_closed_seeds_handles_each_case_of_the_root_pass(case):
     base = 0b111111
     card_masks = [lmask[i] for i in card_levels]
     cards = card_masks or [base]
-    got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
+    got = _closed_seeds(members, adj, base, cards[0], cards[-1])
     want = {(sum(1 << u for u in seed), sum(1 << v for v in common)) for seed, common in expected}
     assert len(got) == len(set(got))
     assert set(got) == want == qualifying_closed_seeds(members, adj, base, card_masks)
@@ -417,9 +411,8 @@ def count_partners(monkeypatch) -> list[int]:
 
 
 def takes_columns(members, adj, base, cards) -> bool:
-    """Whether the root pass takes the columns: a large top whose rows hold few card vertices."""
-    joined = cards[0] | cards[-1]
-    top = [adj[u] & joined for u in members if adj[u] != base and all((adj[u] & card).bit_count() >= 2 for card in cards)]
+    """Whether the root pass takes the columns: a large top whose rows hold few vertices on the first card mask."""
+    top = [adj[u] & cards[0] for u in members if adj[u] != base and all((adj[u] & card).bit_count() >= 2 for card in cards)]
     n = len(top)
     return n >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum(row.bit_count() for row in top) < n * (n - 1) // 2
 
@@ -432,7 +425,7 @@ def test_closed_seeds_match_the_closure_on_both_sides_of_the_column_threshold(n_
     for _ in range(2):
         members, adj, base, cards = random_class(rng, n_top, card_levels, dense)
         takes.append(takes_columns(members, adj, base, cards))
-        got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
+        got = _closed_seeds(members, adj, base, cards[0], cards[-1])
         assert len(got) == len(set(got))
         assert set(got) == closure_closed_seeds(members, adj, base, cards)
     assert len(columns) == sum(takes)
@@ -461,10 +454,24 @@ def test_the_columns_run_only_while_the_rows_hold_fewer_card_vertices_than_one_p
     assert len(rows) == n and sum(r.bit_count() for r in rows) == most + extra
     members = list(range(40, 40 + n))
     adj = [0] * 40 + sorted(rows)
-    got = _closed_seeds(members, adj, index_rows(adj), base, base, base)
+    got = _closed_seeds(members, adj, base, base, base)
     assert len(got) == len(set(got))
     assert set(got) == closure_closed_seeds(members, adj, base, [base])
     assert len(columns) == 1 - extra
+
+
+@pytest.mark.parametrize("n_top", [2, _COLUMNS_FROM - 1, _COLUMNS_FROM, 150])
+def test_partners_are_the_later_rows_sharing_two_vertices_on_the_card(n_top):
+    # a card of 5..30 indexes that starts past index 0, with rows holding vertices on both sides of it
+    rng = random.Random(n_top)
+    for _ in range(20):
+        lo = rng.randint(1, 20)
+        card = ((1 << rng.randint(5, 30)) - 1) << lo
+        width = card.bit_length() + rng.randint(0, 20)
+        density = rng.choice((0.05, 0.15, 0.4))
+        trows = [sum(1 << v for v in range(width) if rng.random() < density) for _ in range(n_top)]
+        expected = [[m for m in range(n + 1, n_top) if (trows[n] & trows[m] & card).bit_count() >= 2] for n in range(n_top)]
+        assert factorisation._partners(trows, card) == expected
 
 
 def recursive_closed_seeds(members, adj, base_common, a, b):
@@ -540,14 +547,14 @@ def test_closed_seeds_keep_the_order_of_the_recursive_walk():
     rng = random.Random(19)
     for case in COLUMN_CASES:
         members, adj, base, cards = random_class(rng, *case.values)
-        got = _closed_seeds(members, adj, index_rows(adj), base, cards[0], cards[-1])
+        got = _closed_seeds(members, adj, base, cards[0], cards[-1])
         assert got == recursive_closed_seeds(members, adj, base, cards[0], cards[-1])
     # a chain of 499 nested seeds, as deep as the recursive walk goes here
     h = staircase(500)
     bottom = len(h.levels[0])
     members, base = range(len(h.levels[1])), (1 << bottom) - 1
     adj = [sum(1 << j for j in row) for row in h._idx[bottom:]]
-    got = _closed_seeds(members, adj, h._idx[bottom:], base, base, base)
+    got = _closed_seeds(members, adj, base, base, base)
     assert len(got) == 499
     assert got == recursive_closed_seeds(members, adj, base, base, base)
 

@@ -840,6 +840,34 @@ def test_cli_non_utf8_edge_list_is_a_parse_error(tmp_path, capsys):
         assert err_text.count("\n") == 1
 
 
+def test_edge_list_lines_end_only_at_newline_crlf_and_a_lone_cr(tmp_path):
+    text = tmp_path / "g.txt"
+    text.write_bytes(b"a b\nb c\r\nc d\rd e\n")
+    assert read_edge_list(text) == Graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    # errors count lines the same way
+    text.write_bytes(b"a b\rb c\r\nc c\n")
+    with pytest.raises(InvalidArgumentError, match="^line 3: self-loop on vertex 'c'$"):
+        read_edge_list(text)
+
+
+# the characters other than \n and \r that str.splitlines breaks on
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY, ids=[f"U+{ord(c):04X}" for c in SPLITLINES_ONLY])
+def test_edge_list_splitlines_breaks_separate_two_labels_inside_one_line(tmp_path, sep):
+    text = tmp_path / "g.txt"
+    text.write_bytes(f"a{sep}b\n".encode("utf-8"))
+    assert read_edge_list(text) == Graph("ab", [("a", "b")])
+    # so a line holding one has one label more, and the next line is line 2
+    text.write_bytes(f"a b{sep}c\nc c\n".encode("utf-8"))
+    with pytest.raises(EdgeListParseError, match="^line 1: expected one or two labels, got 3$"):
+        read_edge_list(text)
+    text.write_bytes(f"a{sep}b\nc c\n".encode("utf-8"))
+    with pytest.raises(InvalidArgumentError, match="^line 2: self-loop on vertex 'c'$"):
+        read_edge_list(text)
+
+
 def test_cli_non_utf8_document_is_a_format_error(tmp_path, capsys):
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     doc = tmp_path / "d.json"
@@ -1118,6 +1146,15 @@ def test_readme_api_list_is_the_package_all():
     assert len(found) == len(bullets)
     assert found == {heading: sorted(_api_module(name).__all__) for heading, name in API_MODULES.items()}
     assert sorted(itertools.chain.from_iterable(found.values())) == sorted(cleanfactor.__all__)
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("\n```\n", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(comments) == 3
+    assert capsys.readouterr().out.splitlines() == comments
 
 
 def test_module_all_lists_are_the_package_all():
