@@ -5,8 +5,9 @@ vertex index (level-major, label-sorted within each level), so every set
 operation is deterministic across runs. A ``MultipartiteGraph`` stores only
 each vertex's lower neighbourhood, as a tuple of ascending indexes, so
 appending a level rewrites no row and no constructor builds a mask of a
-row. ``factorise``, the decoder, ``append_level`` and the incidence graph
-build through ``_from_rows``, which keeps the tuples it is given. Labels,
+row. ``factorise``, the decoder and the incidence graph build through
+``_from_rows``, which keeps the tuples it is given; ``__init__`` and
+``append_level`` resolve labelled edges into rows through ``_rows``. Labels,
 documents and the pairing walk read the tuples: a generated vertex is
 named by its level-0 neighbours, the leading run of its row. Only the
 candidate walk ANDs rows, and only the top level's: it keeps them as masks
@@ -167,8 +168,12 @@ class MultipartiteGraph:
         if len(level_tuples) < 2:
             raise InvalidArgumentError("a multipartite graph needs at least two levels")
         self._set_levels(tuple(level_tuples))
+        self._idx = self._rows(edges, 0)
+
+    def _rows(self, edges: Iterable[tuple[str, str]], first: int) -> tuple[tuple[int, ...], ...]:
+        """The rows of vertices ``first`` and up, as ascending index tuples, from labelled edges that end at them."""
         index, level_of = self._index, self._level_of
-        down: list[set[int]] = [set() for _ in self._labels]
+        down: list[set[int]] = [set() for _ in range(first, len(self._labels))]
         for u, v in edges:
             iu = index.get(u)
             iv = index.get(v)
@@ -178,8 +183,8 @@ class MultipartiteGraph:
             if level_of[iu] == level_of[iv]:
                 raise InvalidArgumentError(f"edge {u!r}-{v!r} stays inside level {level_of[iu]}")
             # level-major index order: the lower endpoint has the lower index
-            down[max(iu, iv)].add(min(iu, iv))
-        self._idx = tuple(tuple(sorted(row)) for row in down)
+            down[max(iu, iv) - first].add(min(iu, iv))
+        return tuple(tuple(sorted(row)) for row in down)
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
         """Set every field but the rows from sorted label tuples; every constructor's one repeated-label check."""
@@ -199,8 +204,7 @@ class MultipartiteGraph:
     def _from_rows(cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
         """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up).
 
-        ``idx`` is read after ``_set_levels`` checks the labels, so a lazy ``idx`` reports its errors after a label
-        clash. Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
+        Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
@@ -259,28 +263,12 @@ class MultipartiteGraph:
             raise InvalidArgumentError("append_level needs at least one new vertex")
         fresh = [label for label, _ in new_vertices]
         _check_labels(fresh)
-        level = tuple(sorted(fresh))
-        index = self._index
-        k = len(self._levels)
-
-        def rows() -> Iterator[tuple[int, ...]]:
-            row_of = {}
-            for label, nbrs in new_vertices:
-                row = set()
-                for u in nbrs:
-                    j = index.get(u)
-                    if j is None:
-                        if u in level:
-                            raise InvalidArgumentError(f"edge {u!r}-{label!r} stays inside level {k}")
-                        raise InvalidArgumentError(f"edge endpoint {u!r} is not a declared vertex")
-                    row.add(j)
-                row_of[label] = row
-            for v in level:
-                yield tuple(sorted(row_of[v]))
-
-        # the index is level-major, so every existing index and row survives and the new ones follow
-        old = self._idx[len(self._levels[0]) :]
-        return MultipartiteGraph._from_rows(self._levels + (level,), chain(old, rows()))
+        out = MultipartiteGraph.__new__(MultipartiteGraph)
+        out._set_levels(self._levels + (tuple(sorted(fresh)),))
+        # the index is level-major, so every existing index and row survives and only the new edges are resolved
+        new_edges = ((u, label) for label, nbrs in new_vertices for u in nbrs)
+        out._idx = self._idx + out._rows(new_edges, len(self))
+        return out
 
     # -- internal helpers shared inside the package ---------------------
 

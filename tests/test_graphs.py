@@ -172,6 +172,28 @@ def test_append_level_matches_the_constructor_on_random_graphs():
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
 
+def test_append_level_keeps_every_row_and_resolves_only_the_new_edges(g3, monkeypatch):
+    m = run_series(g3, OperatorKind.CLEAN).final
+    level0, top = m.levels[0], m.levels[-1]
+    new_vertices = [("y", [top[0], level0[1]]), ("x", [level0[0], level0[1], level0[0]])]
+    calls = []
+    resolve = MultipartiteGraph._rows
+
+    def spy(self, edges, first):
+        edges = list(edges)
+        calls.append((edges, first))
+        return resolve(self, edges, first)
+
+    monkeypatch.setattr(MultipartiteGraph, "_rows", spy)
+    m2 = m.append_level(new_vertices)
+    # one pass over the new level's own edges, in input order: the old edges are never resolved again
+    assert calls == [([(top[0], "y"), (level0[1], "y"), (level0[0], "x"), (level0[1], "x"), (level0[0], "x")], len(m))]
+    assert len(m2._idx) == len(m) + 2
+    assert all(new is old for new, old in zip(m2._idx, m._idx))  # every existing row is the same tuple
+    index = m._index
+    assert m2._idx[len(m) :] == ((index[level0[0]], index[level0[1]]), (index[level0[1]], index[top[0]]))
+
+
 def test_append_level_matches_clean_step_on_g2(g2):
     # appending the single clean candidate of B(G2) by hand gives the same graph
     m = vertex_clique_incidence(g2)

@@ -569,6 +569,19 @@ def test_to_dot_mentions_every_vertex():
     assert dot.count("--") == m.edge_count()
 
 
+def test_to_dot_escapes_quotes_and_backslashes_in_labels():
+    m = MultipartiteGraph([['a"b', "c\\d"], ["x"]], [('a"b', "x"), ("c\\d", "x")])
+    # Graphviz quoting: a backslash is doubled and a double quote is escaped, in vertex and edge lines alike
+    assert to_dot(m) == r'''graph decomposition {
+  rankdir=BT;
+  subgraph level_0 { rank=same; "a\"b"; "c\\d"; }
+  subgraph level_1 { rank=same; "x"; }
+  "a\"b" -- "x";
+  "c\\d" -- "x";
+}
+'''
+
+
 def test_cli_decompose_and_verify_round_trip(tmp_path, capsys):
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     out_path = str(tmp_path / "d.json")
