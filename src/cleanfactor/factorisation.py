@@ -301,7 +301,7 @@ def _partners(trows: Sequence[int], card: int) -> list[list[int]]:
     twice" gives all of ``n``'s partners in one pass over its own part.
     """
     lo = (card & -card).bit_length() - 1
-    parts = [list(bits((row & card) >> lo)) for row in trows]
+    parts = [bits((row & card) >> lo) for row in trows]
     cols = [0] * (card.bit_length() - lo)
     for n, part in enumerate(parts):
         unit = 1 << n
@@ -314,7 +314,7 @@ def _partners(trows: Sequence[int], card: int) -> list[list[int]]:
             col = cols[v]
             twos |= ones & col
             ones |= col
-        out.append(list(bits(twos & (-1 << (n + 1)))))
+        out.append(bits(twos & (-1 << (n + 1))))
     return out
 
 
@@ -380,14 +380,7 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     if not pairs:
         return StepResult(effective=False, graph=None)
     rows = [seed | common for seed, common in pairs]
-    idx = []  # each row's indexes, ascending: the one expansion of the row
-    for row in rows:
-        members = []
-        while row:
-            low = row & -row
-            members.append(low.bit_length() - 1)
-            row ^= low
-        idx.append(tuple(members))
+    idx = [tuple(bits(row)) for row in rows]  # each row's indexes, ascending: the one expansion of the row
     n0 = len(m._levels[0])
     named = _level_labels(m._labels, n0, m.level_count, idx)
     labels, rows, idx = zip(*sorted(zip(named, rows, idx)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
 
@@ -32,12 +32,14 @@ __all__ = ["Graph", "MultipartiteGraph"]
 IndexRows = Sequence[tuple[int, ...]]  # per vertex, some of its neighbours as ascending indexes
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the indexes of the set bits of ``mask``, ascending."""
+def bits(mask: int) -> list[int]:
+    """The indexes of the set bits of ``mask``, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _mask(row: Iterable[int]) -> int:

@@ -19,10 +19,11 @@ pairs each vertex with the chain that predicts its row. It needs no labels
 and no second graph. ``_pairing`` runs it on a graph's first check and
 keeps the result on the graph, so verifying a graph walks it once,
 whichever checks run and in whatever order. In the same way ``_cliques``
-keeps the input graph's maximal cliques, which ``verify_bijection`` and
-``size_bound`` both read; decomposing a graph neither reads nor fills
-them, so a graph passed from decomposition to verification is still
-enumerated once by the oracle. ``characterising_sequence`` reads no
+keeps the input graph's maximal cliques, which ``intersection_family``,
+``verify_bijection`` and ``size_bound`` all read; decomposing a graph
+neither reads nor fills them, so a graph passed from decomposition to
+verification is still enumerated once by the oracle, whichever oracle
+function runs first. ``characterising_sequence`` reads no
 pairing: it recovers one vertex's sequence from that vertex's own rows.
 Labels are formatted only for a counterexample or a listing.
 """
@@ -69,23 +70,24 @@ class IntersectionFamily:
 
 
 def _meets(cliques: Sequence[int]) -> set[int]:
-    """Every intersection of two or more distinct cliques, as masks.
+    """Intersections of two or more distinct cliques, as masks, among them every one of two or more vertices.
 
-    Together with the cliques themselves and the whole vertex set this is
-    the intersection closure of the cliques. Its members with at least two
-    vertices are exactly the non-simple intersections: such a member is
-    contained in at least two maximal cliques, and those intersect back to
-    it.
+    Those are exactly the non-simple intersections: each lies in at least
+    two maximal cliques, which intersect back to it. Only meets of three or
+    more vertices are closed further, since closing a two-vertex meet gives
+    it back or fewer than two vertices; ``c1 & ... & cr`` is still reached
+    through its prefix meets, which contain it.
     """
     found = {a & b for a, b in combinations(cliques, 2)}
-    work = list(found)
+    work = [o for o in found if o.bit_count() > 2]
     while work:
         o = work.pop()
         for c in cliques:
             meet = o & c
             if meet not in found:
                 found.add(meet)
-                work.append(meet)
+                if meet.bit_count() > 2:
+                    work.append(meet)
     return found
 
 
@@ -104,7 +106,7 @@ def _inclusion(cliques: Sequence[int]) -> dict[int, list[int]]:
 def intersection_family(g: Graph) -> IntersectionFamily:
     """The non-simple intersections of the maximal cliques of ``g``: the elements of their inclusion order."""
     labels = g.vertices
-    up = _inclusion(_clique_masks(g._adj))
+    up = _inclusion(_cliques(g))
     return IntersectionFamily(nonsimple=frozenset(frozenset(labels[i] for i in bits(o)) for o in up))
 
 
@@ -180,15 +182,14 @@ def _fail(message: str) -> VerificationReport:
 Pairing = tuple[str | None, tuple[tuple[int, int, int], ...], int]
 
 
-def _pair(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
+def _pair(m: MultipartiteGraph) -> Pairing:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
     Rows are ascending index tuples, and each vertex's row is looked up as
-    the graph stores it. ``level1`` holds m's level-1 rows as masks over
-    level 0, built here unless given. The non-simple intersections are
-    those of these rows, and ``cont[o]`` is the tuple of the level-1
-    vertices that contain ``o``. A chain is keyed by the vertex paired
-    with its prefix (-1 for none) and its last entry. Chain ``(o,)``
+    the graph stores it. The non-simple intersections are those of m's
+    level-1 rows, as masks over level 0, and ``cont[o]`` is the tuple of
+    the level-1 vertices that contain ``o``. A chain is keyed by the vertex
+    paired with its prefix (-1 for none) and its last entry. Chain ``(o,)``
     predicts the row of ``o``'s vertices, then ``cont[o]``. The vertex
     paired with a chain ``p`` predicts the row of each child ``p + (o,)``,
     ``o`` above ``p[-1]``: its own row below level 1, then ``cont[o]``,
@@ -198,8 +199,7 @@ def _pair(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
     chains predict distinct rows, so the pairing is a bijection.
     """
     idx, labels, ones = m._idx, m._labels, m._level_range(1)
-    if level1 is None:
-        level1 = [_mask(idx[c]) for c in ones]
+    level1 = [_mask(idx[c]) for c in ones]
     up = _inclusion(level1)
     cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}
     between: dict[tuple[int, int], list[int]] = {}
@@ -240,10 +240,10 @@ def _pair(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
     return None, tuple(counts), len(chains)
 
 
-def _pairing(m: MultipartiteGraph, level1: list[int] | None = None) -> Pairing:
-    """``_pair(m, level1)``, walked on first use and kept on the graph (``m._pairing``)."""
+def _pairing(m: MultipartiteGraph) -> Pairing:
+    """``_pair(m)``, walked on first use and kept on the graph (``m._pairing``)."""
     if m._pairing is None:
-        m._pairing = _pair(m, level1)
+        m._pairing = _pair(m)
     return m._pairing
 
 
@@ -272,7 +272,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     level1 = [_mask(m._idx[c]) for c in m._level_range(1)]
     if len(set(level1)) != len(level1) or set(level1) != set(cliques):
         return _fail("level 1 does not match the maximal cliques of the input graph")
-    failure, counts, leftover = _pairing(m, level1)
+    failure, counts, leftover = _pairing(m)
     if failure is not None:
         return _fail(failure)
     if leftover:

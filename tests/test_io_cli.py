@@ -1189,5 +1189,6 @@ def test_module_all_lists_are_the_package_all():
     from cleanfactor.graphs import bits
     from cleanfactor.io import FORMAT_VERSION
 
-    assert list(bits(0b101)) == [0, 2] and FORMAT_VERSION == 3
+    # bits returns the ascending index list itself, at any width
+    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 3
     assert "bits" not in cleanfactor.__all__ and "FORMAT_VERSION" not in cleanfactor.__all__

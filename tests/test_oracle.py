@@ -36,7 +36,7 @@ from cleanfactor import (
 from cleanfactor import cliques, oracle
 from cleanfactor.graphs import bits
 
-from bruteforce import subset_chains, subset_intersections
+from bruteforce import subset_chains, subset_intersections, subset_maximal_cliques
 from conftest import random_connected_graph, random_graph
 from reference_graphs import Neighbours
 from reference_oracle import (
@@ -66,6 +66,17 @@ def nested_cliques(n: int) -> Graph:
     return Graph(a + b, list(itertools.combinations(a, 2)) + [(b[i], u) for i in range(n) for u in a[: i + 1]])
 
 
+def union_of_cliques(rng: random.Random, n: int, groups: int) -> Graph:
+    """``groups`` random groups of 3 to 5 of n vertices, each group joined into a clique.
+
+    The shape of an affiliation network: sparse, with most pairs of
+    maximal cliques sharing at most one vertex.
+    """
+    labels = [f"v{i:02d}" for i in range(n)]
+    drawn = [rng.sample(labels, rng.randint(3, 5)) for _ in range(groups)]
+    return Graph(labels, [e for group in drawn for e in itertools.combinations(group, 2)])
+
+
 def as_sets(g: Graph, chains: Iterable[tuple[int, ...]]) -> list[tuple[frozenset[str], ...]]:
     """Chains of masks over ``g``'s vertices as chains of label sets, in the same order."""
     return [tuple(frozenset(g.vertices[i] for i in bits(o)) for o in chain) for chain in chains]
@@ -86,6 +97,17 @@ def test_intersection_family_matches_subset_oracle():
         oracle_all, oracle_nonsimple = subset_intersections(g)
         assert reference_closure(g) == oracle_all
         assert fam.nonsimple == oracle_nonsimple
+    rng, deep = random.Random(9), 0
+    for _ in range(30):
+        g = union_of_cliques(rng, rng.randint(12, 16), rng.randint(4, 8))
+        family = subset_maximal_cliques(g)
+        if len(family) > 16:  # the subset oracle's limit
+            continue
+        _, oracle_nonsimple = subset_intersections(g)
+        assert intersection_family(g).nonsimple == oracle_nonsimple
+        deep += oracle_nonsimple != {a & b for a, b in itertools.combinations(family, 2) if len(a & b) >= 2}
+    # some draws have a non-simple intersection that no two cliques meet in: only the closure finds it
+    assert deep
 
 
 def test_intersection_family_invariants(g3):
@@ -598,9 +620,9 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
     calls = []
     walk = oracle._pair
 
-    def counted(m, level1):
+    def counted(m):
         calls.append(m.level_count)
-        return walk(m, level1)
+        return walk(m)
 
     monkeypatch.setattr(oracle, "_pair", counted)
     g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
@@ -696,3 +718,14 @@ def test_each_input_graph_enumerates_its_cliques_once(monkeypatch, corpus, tmp_p
     for fresh in (Graph(g.vertices, g.edges()), Graph._from_rows(g.vertices, g._adj)):
         assert fresh._cliques is None and g._cliques is not None
         assert fresh == g and hash(fresh) == hash(g)
+
+
+def test_intersection_family_reads_the_kept_cliques(monkeypatch, g3):
+    calls = []
+    enumerate_cliques = cliques._clique_masks
+    monkeypatch.setattr(oracle, "_clique_masks", lambda adj: calls.append(len(adj)) or enumerate_cliques(adj))
+    # whichever oracle function runs first, the graph is enumerated once
+    g = Graph(g3.vertices, g3.edges())
+    family = intersection_family(g)
+    assert size_bound(g).holds and verify_bijection(g, run_series(g, OperatorKind.CLEAN).final).passed
+    assert intersection_family(g) == family and calls == [len(g)]
