@@ -4,11 +4,11 @@ A document (format 3) stores the decomposition graph and nothing derived
 from it. It names each vertex once, in ``levels``, and refers to it
 everywhere else by its global index: level-major, label order within a
 level, as in ``MultipartiteGraph``. ``down`` lists each vertex's lower
-neighbours, so every edge appears once; a vertex's characterising sequence
-is recovered from the graph, not stored. The text is ``json.dumps`` with
-sorted keys and no spaces, so documents are byte-deterministic. A document
-binds itself to its input through a content hash of the canonical edge
-list, so verification can refuse mismatched pairs.
+neighbours, so every edge appears once; characterising sequences are
+recovered, not stored. The text is exactly ``json.dumps`` with sorted keys
+and no spaces, so byte-deterministic; ``down`` is encoded 256 rows at a
+time, and the text joined once. A content hash of the canonical edge list
+binds a document to its input, so verification can refuse mismatched pairs.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 3
+_PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -172,8 +173,15 @@ def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> 
 
 
 def to_json(doc: DecompositionDocument) -> str:
-    """Serialize a document; identical documents give identical bytes, all ASCII."""
-    return json.dumps(vars(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII.
+
+    ``down``, the first key, is encoded ``_PIECE`` rows per ``json.dumps`` call, the rest in one, and all joined once.
+    """
+    rest = {key: value for key, value in vars(doc).items() if key != "down"}
+    text = ['{"down":[']
+    for start in range(0, len(doc.down), _PIECE):
+        text += ("," if start else ""), json.dumps(doc.down[start : start + _PIECE], separators=(",", ":"))[1:-1]
+    return "".join([*text, "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
 
 
 def write_decomposition(result: SeriesResult, source_hash: str) -> str:
@@ -191,11 +199,11 @@ def _expect(condition: bool, message: str, *args: object) -> None:
         raise DocumentFormatError(message.format(*args))
 
 
-def _index_rows(rows: Any, name: str, length: int) -> list[list[int]]:
-    """``rows`` if it is a list of ``length`` integer lists."""
-    _expect(type(rows) is list and set(map(type, rows)) <= {list}, "{} must be a list of index lists", name)
-    _expect(len(rows) == length, "{} must hold {} rows, not {}", name, length, len(rows))
-    _expect(set(map(type, chain.from_iterable(rows))) <= {int}, "{} must hold integer indexes", name)
+def _index_rows(rows: Any, length: int) -> list[list[int]]:
+    """``rows``, a document's ``down``, if it is a list of ``length`` integer lists."""
+    _expect(type(rows) is list and set(map(type, rows)) <= {list}, "down must be a list of index lists")
+    _expect(len(rows) == length, "down must hold {} rows, not {}", length, len(rows))
+    _expect(set(map(type, chain.from_iterable(rows))) <= {int}, "down must hold integer indexes")
     return rows
 
 
@@ -264,7 +272,7 @@ def parse_document(text: str) -> DecompositionDocument:
     n, n0 = len(labels), len(levels[0])
     _expect(len(set(labels)) == n, "a label appears on more than one level")
 
-    down = _index_rows(payload["down"], "down", n - n0)
+    down = _index_rows(payload["down"], n - n0)
     limit = n0
     for level in levels[1:]:
         rows = down[limit - n0 : limit - n0 + len(level)]

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -365,12 +366,31 @@ def test_codec_matches_the_reference_on_adversarial_labels(result, source_hash):
     assert (doc.source_hash, doc.operator, doc.status) == (source_hash, result.operator.value, result.status.value)
 
 
+def piece_document(rows: int) -> DecompositionDocument:
+    """A well-formed document with ``rows`` varied down rows over three level-0 vertices."""
+    cycle = ((0,), (1, 2), (0, 1, 2), (2,))
+    return DecompositionDocument(
+        3, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
+        tuple(cycle[i % len(cycle)] for i in range(rows)),
+    )
+
+
 def test_to_json_writes_empty_containers_like_json_dumps():
-    # a vertex without lower neighbours
+    # a vertex without lower neighbours; down rows around the writer's piece boundaries; non-ASCII labels
     docs = [
         DecompositionDocument(3, "h", "weak", "budget-exceeded", (("a",), ("b",), ("c",)), ((), (0,))),
         DecompositionDocument(3, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
+        *map(piece_document, (255, 256, 257, 513)),
+        DecompositionDocument(
+            3, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
+        ),
     ]
+    malformed = [
+        DecompositionDocument(3, "h", "clean", "terminated", (("a",),), ()),  # no down rows
+        DecompositionDocument(3, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
+    ]
+    for doc in malformed:
+        assert to_json(doc) == json.dumps(vars(doc), sort_keys=True, separators=(",", ":")) + "\n"
     for doc in docs:
         payload = {
             "format_version": 3,
@@ -383,6 +403,19 @@ def test_to_json_writes_empty_containers_like_json_dumps():
         text = to_json(doc)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert parse_document(text) == doc
+
+
+def test_to_json_peaks_at_a_few_times_its_text():
+    # json.dumps holds one string per token until it joins them, so down is encoded a piece at a time
+    rows = tuple(tuple(range(i, i + 16)) for i in range(4096))
+    doc = DecompositionDocument(3, "h", "clean", "terminated", (("a",), ("b",)), rows)
+    tracemalloc.start()
+    try:
+        text = to_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 DELETE = object()
