@@ -24,13 +24,14 @@ children, where most of the scanning happens, come from one pass over the
 pairs of the root's live members, so each pair meets once rather than
 once from each side; deeper nodes, which mostly have few children, keep
 the per-node scan, which costs them less than building every child's
-list in one pass. In a class of ``_COLUMNS_FROM`` or more root members
-whose rows are sparse on the first card level, where most pairs fail the
-card test, each member meets only the members that share two vertices
-with it there, found at once by bit-parallel columns built from the row
-masks. The walk keeps its own stack, so a long chain of nested seeds
-needs no deep recursion. The whole candidate family, which the
-definitions describe, is enumerated only in the tests.
+list in one pass. Where the root's rows hold fewer vertices on the first
+card level than one per ``_PAIRS_PER_FOLD`` pairs of root members, which
+needs ``4 * _PAIRS_PER_FOLD + 2`` members or more since each row holds
+two, each member meets only those sharing two vertices with it there,
+found at once by bit-parallel columns built from the row masks. The walk
+keeps its own stack, so a long chain of nested seeds needs no deep
+recursion. The whole candidate family, which the definitions describe, is
+enumerated only in the tests.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ __all__ = [
     "factorise",
 ]
 
-# the root pass finds partners by columns when top has at least _COLUMNS_FROM members and the
-# columns hold fewer entries than one per _PAIRS_PER_FOLD pairs of top; see _closed_seeds
-_COLUMNS_FROM = 64
-_PAIRS_PER_FOLD = 6
+# the root pass finds partners by columns when the columns hold fewer entries than one per
+# _PAIRS_PER_FOLD pairs of top (see _closed_seeds); 8 walked fastest on the benchmark's step inputs
+_PAIRS_PER_FOLD = 8
 
 
 class OperatorKind(enum.Enum):
@@ -192,14 +192,13 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
     cover or a twin, which shares the whole of one of the two rows, and
     that row passes the card test; the pair loop's own card test drops a
     partner that fails it on ``b``. So the output is the same, in the same
-    order. The columns cost one fold per vertex of each row on ``a``,
-    where the pairwise pass costs one intersection per pair, so they are
-    used only when ``top`` has at least ``_COLUMNS_FROM`` members and the
-    rows hold fewer vertices on ``a`` in all than one per
-    ``_PAIRS_PER_FOLD`` pairs: below the first bound building the columns
-    costs more than the skipped pairs save, and past the second, as in a
-    class of nested rows where every pair passes, the folds cost more than
-    the intersections.
+    order. The columns cost one fold per vertex of each row on ``a``, and
+    the pairwise pass one intersection per pair, so the columns are used
+    only when ``_PAIRS_PER_FOLD * s < t * (t - 1) / 2`` for the ``t``
+    members of ``top``, whose rows hold ``s`` vertices on ``a`` in all.
+    Each holds two or more, so this needs ``t >= 4 * _PAIRS_PER_FOLD + 2``;
+    in a class of nested rows, where every pair passes, ``s`` exceeds the
+    pair count, and the folds would cost more than the intersections.
     """
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
@@ -225,7 +224,7 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
         out.append((root, base_common))
     partners = None
     t = len(top)
-    if t >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum((row & a).bit_count() for row in trows) < t * (t - 1) // 2:
+    if _PAIRS_PER_FOLD * sum((row & a).bit_count() for row in trows) < t * (t - 1) // 2:
         partners = _partners(trows, a)
     covered = [False] * len(top)
     stack: list[tuple[int, int, list[int], Iterator[int]]] = []

@@ -13,13 +13,14 @@ from cleanfactor import (
     OperatorKind,
     anti_matching,
     factorise,
+    graph_content_hash,
     run_series,
     run_series_from_bipartite,
     vertex_clique_incidence,
+    write_decomposition,
 )
 from cleanfactor import factorisation
 from cleanfactor.factorisation import (
-    _COLUMNS_FROM,
     _PAIRS_PER_FOLD,
     _candidate_from_masks,
     _closed_seeds,
@@ -392,13 +393,17 @@ def random_class(rng: random.Random, n_top: int, card_levels: tuple[int, ...], d
     return members, adj, base, cards
 
 
-# every card shape _plan gives (none, one level, two levels), each with a sparse top just below
-# the column threshold, at it, and well on both sides of it, and a dense top at it and above it
+# the fewest members of top that can take the columns: each row holds two card vertices at least,
+# so the folds number at least 2t, and _PAIRS_PER_FOLD * 2t < t(t - 1)/2 needs t >= 4 * _PAIRS_PER_FOLD + 2
+FEWEST_FOR_COLUMNS = 4 * _PAIRS_PER_FOLD + 2
+
+# every card shape _plan gives (none, one level, two levels), each with sparse tops from the fewest
+# members that can take the columns up to well past the ratio (their pairs per fold straddle
+# _PAIRS_PER_FOLD from 40 to 64 members), and two dense tops, which stay well below it
 COLUMN_CASES = [
     pytest.param(n_top, card_levels, dense, id=f"{'dense' if dense else 'top'}{n_top}-cards{''.join(map(str, card_levels)) or 'none'}")
     for card_levels in ((), (2,), (1, 0))
-    for n_top, dense in [(n, False) for n in (40, _COLUMNS_FROM - 1, _COLUMNS_FROM, 90, 140, 200)]
-    + [(n, True) for n in (_COLUMNS_FROM, 90)]
+    for n_top, dense in [(n, False) for n in (FEWEST_FOR_COLUMNS, 40, 48, 64, 140, 200)] + [(n, True) for n in (64, 90)]
 ]
 
 
@@ -411,10 +416,10 @@ def count_partners(monkeypatch) -> list[int]:
 
 
 def takes_columns(members, adj, base, cards) -> bool:
-    """Whether the root pass takes the columns: a large top whose rows hold few vertices on the first card mask."""
+    """Whether the root pass takes the columns: top's rows hold fewer vertices on the first card mask than one per _PAIRS_PER_FOLD pairs."""
     top = [adj[u] & cards[0] for u in members if adj[u] != base and all((adj[u] & card).bit_count() >= 2 for card in cards)]
     n = len(top)
-    return n >= _COLUMNS_FROM and _PAIRS_PER_FOLD * sum(row.bit_count() for row in top) < n * (n - 1) // 2
+    return _PAIRS_PER_FOLD * sum(row.bit_count() for row in top) < n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n_top, card_levels, dense", COLUMN_CASES)
@@ -429,21 +434,28 @@ def test_closed_seeds_match_the_closure_on_both_sides_of_the_column_threshold(n_
         assert len(got) == len(set(got))
         assert set(got) == closure_closed_seeds(members, adj, base, cards)
     assert len(columns) == sum(takes)
-    # small or dense tops keep the pairwise pass; sparse tops well past the threshold take the
-    # columns (at the threshold, two card levels hold about as many vertices as the bound allows)
-    if n_top < _COLUMNS_FROM or dense:
+    # dense tops keep the pairwise pass, and so do sparse tops of the fewest members that could
+    # take the columns, whose rows hold more than two card vertices on average; sparse tops of 64
+    # members or more take the columns
+    if dense or n_top == FEWEST_FOR_COLUMNS:
         assert not any(takes)
-    elif n_top > _COLUMNS_FROM or len(card_levels) < 2:
+    elif n_top >= 64:
         assert all(takes)
 
 
-@pytest.mark.parametrize("extra", [0, 1], ids=["below", "at"])
-def test_the_columns_run_only_while_the_rows_hold_fewer_card_vertices_than_one_per_six_pairs(extra, monkeypatch):
-    # a top of _COLUMNS_FROM rows with no card level: every vertex of a row is folded once
+@pytest.mark.parametrize(
+    "n, extra",
+    [(FEWEST_FOR_COLUMNS - 1, 0), (FEWEST_FOR_COLUMNS, 0), (FEWEST_FOR_COLUMNS, 1), (64, 0), (64, 1)],
+    ids=["under-the-fewest", "fewest-below", "fewest-at", "64-below", "64-at"],
+)
+def test_the_columns_run_only_while_the_rows_hold_fewer_card_vertices_than_one_per_eight_pairs(n, extra, monkeypatch):
+    # a top of n rows with no card level: every vertex of a row is folded once. With "below" the rows
+    # hold the most vertices that still take the columns, with "at" one more; under the fewest
+    # members, even rows of two vertices each hold too many
     columns = count_partners(monkeypatch)
-    n = _COLUMNS_FROM
     most = -(-n * (n - 1) // 2 // _PAIRS_PER_FOLD) - 1  # the most folds that still take the columns
-    sizes = [most // n + (i < most % n + extra) for i in range(n)]
+    folds = max(most + extra, 2 * n)
+    sizes = [folds // n + (i < folds % n) for i in range(n)]
     rng = random.Random(n + extra)
     base = (1 << 40) - 1
     rows: set[int] = set()
@@ -451,16 +463,16 @@ def test_the_columns_run_only_while_the_rows_hold_fewer_card_vertices_than_one_p
         while len(rows) < len(sizes) and (row := sum(1 << v for v in rng.sample(range(40), size))) in rows:
             pass
         rows.add(row)
-    assert len(rows) == n and sum(r.bit_count() for r in rows) == most + extra
+    assert len(rows) == n and sum(r.bit_count() for r in rows) == folds
     members = list(range(40, 40 + n))
     adj = [0] * 40 + sorted(rows)
     got = _closed_seeds(members, adj, base, base, base)
     assert len(got) == len(set(got))
     assert set(got) == closure_closed_seeds(members, adj, base, [base])
-    assert len(columns) == 1 - extra
+    assert len(columns) == (folds == most)
 
 
-@pytest.mark.parametrize("n_top", [2, _COLUMNS_FROM - 1, _COLUMNS_FROM, 150])
+@pytest.mark.parametrize("n_top", [2, 63, 64, 150])
 def test_partners_are_the_later_rows_sharing_two_vertices_on_the_card(n_top):
     # a card of 5..30 indexes that starts past index 0, with rows holding vertices on both sides of it
     rng = random.Random(n_top)
@@ -472,6 +484,58 @@ def test_partners_are_the_later_rows_sharing_two_vertices_on_the_card(n_top):
         trows = [sum(1 << v for v in range(width) if rng.random() < density) for _ in range(n_top)]
         expected = [[m for m in range(n + 1, n_top) if (trows[n] & trows[m] & card).bit_count() >= 2] for n in range(n_top)]
         assert factorisation._partners(trows, card) == expected
+
+
+def test_the_final_step_of_the_anti_matching_five_factor_series_takes_the_columns(monkeypatch):
+    # its one class has 60 members whose rows hold 120 vertices on the card level: 1,770 pairs,
+    # 14.75 per fold. It walks in about 0.3 ms with the columns and 0.5 ms pairwise
+    m = run_series_from_bipartite(anti_matching(5), OperatorKind.FACTOR).final
+    columns = count_partners(monkeypatch)
+    k = m.level_count
+    (card_level,), _ = _plan(OperatorKind.FACTOR, k)
+    offset = m._level_range(k - 1).start
+    members, adj, base = range(len(m.levels[-1])), m._top, (1 << offset) - 1
+    card = sum(1 << v for v in m._level_range(card_level))
+    assert len(members) == 60 and sum((row & card).bit_count() for row in adj) == 120
+    got = _closed_seeds(members, adj, base, card, card)
+    assert len(columns) == 1
+    assert set(got) == closure_closed_seeds(members, adj, base, [card])
+
+
+@pytest.mark.parametrize("t", [64, 256])
+def test_a_class_of_nested_rows_keeps_the_pairwise_pass(t, monkeypatch):
+    # row i holds the first i + 2 card vertices, so the rows hold more vertices than top has pairs
+    columns = count_partners(monkeypatch)
+    base = (1 << (t + 2)) - 1
+    rows = [(1 << (i + 2)) - 1 for i in range(t)]
+    random.Random(t).shuffle(rows)
+    members = range(t + 2, 2 * t + 2)
+    adj = [0] * (t + 2) + rows
+    got = _closed_seeds(members, adj, base, base, base)
+    assert not columns
+    assert set(got) == closure_closed_seeds(members, adj, base, [base])
+
+
+def test_the_columns_and_the_pairwise_pass_write_the_same_documents(corpus, monkeypatch):
+    # the clean series of the first 60 corpus graphs and of the (14, .5) and (16, .5) large-clean
+    # graphs, and the factor series of anti-matching 3 to 5, with every top of two or more members
+    # on the columns and with none
+    columns = count_partners(monkeypatch)
+    large = random.Random(7)
+    graphs = corpus[:60] + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES[:2]]
+
+    def documents() -> list[str]:
+        out = [write_decomposition(run_series(g, OperatorKind.CLEAN), graph_content_hash(g)) for g in graphs]
+        return out + [write_decomposition(run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR), "") for n in (3, 4, 5)]
+
+    monkeypatch.setattr(factorisation, "_PAIRS_PER_FOLD", 0)
+    on_columns = documents()
+    assert columns
+    columns.clear()
+    monkeypatch.setattr(factorisation, "_PAIRS_PER_FOLD", 10**9)
+    pairwise = documents()
+    assert not columns
+    assert on_columns == pairwise
 
 
 def recursive_closed_seeds(members, adj, base_common, a, b):
