@@ -135,7 +135,7 @@ def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
 
 def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> CandidateSet:
     """The candidate of a seed and its common neighbourhood on the levels below it."""
-    top = m._level_of[(seed & -seed).bit_length() - 1]
+    top = m.level_of(m._labels[(seed & -seed).bit_length() - 1])
     lowers = tuple(m._labels_from_mask(common & _span(m._level_range(i))) for i in range(top))
     return CandidateSet(upper=m._labels_from_mask(seed), lower_by_level=lowers)
 
@@ -326,18 +326,16 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     levels down at k=4, two down above), so the upper level splits into
     independent classes and each class is walked on its own. Classes never
     dominate each other because seeds from different classes are
-    incomparable. The walk ANDs the top level's rows as masks, cached on
-    the graph (``m._top``): built here from the tuples unless ``factorise``
-    left them there.
+    incomparable. The walk ANDs the top level's rows as masks: those
+    ``factorise`` left on the graph (``m._top``), else built here from the
+    tuples and not stored, so a caller's graph is left as it was.
     """
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
     # indexes them by their place in the level, and each seed is shifted to global indexes
     offset = m._level_range(k - 1).start
-    adj = m._top
-    if adj is None:
-        adj = m._top = tuple(map(_mask, m._idx[offset:]))
+    adj = m._top or tuple(map(_mask, m._idx[offset:]))
     uppers = range(len(adj))
     base_common = (1 << offset) - 1  # every level below the top
     cards = [_span(m._level_range(i)) for i in card_levels] or [base_common]

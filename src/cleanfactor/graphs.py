@@ -11,12 +11,14 @@ row. ``factorise``, the decoder and the incidence graph build through
 documents and the pairing walk read the tuples: a generated vertex is
 named by its level-0 neighbours, the leading run of its row. Only the
 candidate walk ANDs rows, and only the top level's: it keeps them as masks
-in ``_top``, a cache that ``factorise`` fills on the graph it returns and
-the walk fills on any other graph it is given. ``edges()`` transposes the
-tuples. The public surface speaks plain labels and frozensets. A graph's
-vertices and rows never change after construction; its three caches,
-``_top``, ``_pairing`` and ``Graph._cliques``, are filled on first use, and
-``__eq__`` and ``__hash__`` ignore them.
+in ``_top``, which ``factorise`` leaves on the graph it returns for the
+next step's walk and a finished series drops; the walk builds them for any
+other graph without storing them. ``edges()`` transposes the tuples. The
+public surface speaks plain labels and frozensets. A graph's vertices and
+rows never change after construction; its caches, ``_pairing``,
+``Graph._cliques`` and the label index (``_index``, ``_level_of``), which
+only a label lookup builds, are filled on first use, and ``__eq__`` and
+``__hash__`` ignore them and ``_top``.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class MultipartiteGraph:
 
     def _rows(self, edges: Iterable[tuple[str, str]], first: int) -> tuple[tuple[int, ...], ...]:
         """The rows of vertices ``first`` and up, as ascending index tuples, from labelled edges that end at them."""
-        index, level_of = self._index, self._level_of
+        index, level_of = self._indexed(), self._level_of
         down: list[set[int]] = [set() for _ in range(first, len(self._labels))]
         for u, v in edges:
             iu = index.get(u)
@@ -189,18 +191,24 @@ class MultipartiteGraph:
         return tuple(tuple(sorted(row)) for row in down)
 
     def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
-        """Set every field but the rows from sorted label tuples; every constructor's one repeated-label check."""
+        """Set every field but the rows, leaving the label index to the first lookup; the one repeated-label check."""
         self._levels = levels
         self._labels = tuple(chain.from_iterable(levels))
-        self._index = dict(zip(self._labels, range(len(self._labels))))
-        if len(self._index) != len(self._labels):
+        if len(set(self._labels)) != len(self._labels):
             seen: set[str] = set()
             # the first label, in index order, that an earlier vertex already has
             clash = next(v for v in self._labels if v in seen or seen.add(v))
             raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
-        self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(levels)))
-        self._top = None  # the top level's rows as masks: the candidate walk's cache (see factorisation)
+        self._index = self._level_of = None  # the label index, built on the first label lookup (_indexed)
+        self._top = None  # the top level's rows as masks, which factorise leaves for the next step's walk
         self._pairing = None
+
+    def _indexed(self) -> dict[str, int]:
+        """The label index ``_index``, built with ``_level_of`` (each vertex's level) on the first label lookup."""
+        if self._index is None:
+            self._index = dict(zip(self._labels, range(len(self._labels))))
+            self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(self._levels)))
+        return self._index
 
     @classmethod
     def _from_rows(cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
@@ -229,11 +237,13 @@ class MultipartiteGraph:
         return len(self._labels)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._index
+        return label in (self._index or self._indexed())
 
     def level_of(self, v: str) -> int:
-        self._require(v)
-        return self._level_of[self._index[v]]
+        i = (self._index or self._indexed()).get(v)
+        if i is None:
+            raise InvalidArgumentError(f"unknown vertex {v!r}")
+        return self._level_of[i]
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge as (lower-level endpoint, higher-level endpoint), sorted.
@@ -281,10 +291,6 @@ class MultipartiteGraph:
 
     def _labels_from_mask(self, mask: int) -> frozenset[str]:
         return frozenset(self._labels[i] for i in bits(mask))
-
-    def _require(self, v: str) -> None:
-        if v not in self._index:
-            raise InvalidArgumentError(f"unknown vertex {v!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultipartiteGraph):

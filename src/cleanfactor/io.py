@@ -275,10 +275,12 @@ def parse_document(text: str) -> DecompositionDocument:
     down = _index_rows(payload["down"], n - n0)
     limit = n0
     for level in levels[1:]:
-        rows = down[limit - n0 : limit - n0 + len(level)]
+        span = slice(limit - n0, limit - n0 + len(level))
+        rows = down[span]
         if not _strict(rows, limit):
             label, row = next((v, r) for v, r in zip(level, rows) if not _strict([r], limit))
             raise DocumentFormatError(f"down row of {label!r}: {_down_problem(row, limit, n)}")
+        down[span] = map(tuple, rows)  # in place, so only one level is held both as lists and as tuples
         limit += len(level)
 
     return DecompositionDocument(
@@ -287,7 +289,7 @@ def parse_document(text: str) -> DecompositionDocument:
         operator=payload["operator"],
         status=payload["status"],
         levels=tuple(map(tuple, levels)),
-        down=tuple(map(tuple, down)),
+        down=tuple(down),
     )
 
 

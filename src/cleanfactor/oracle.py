@@ -202,12 +202,12 @@ def _pair(m: MultipartiteGraph) -> Pairing:
     level1 = [_mask(idx[c]) for c in ones]
     up = _inclusion(level1)
     cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}
-    between: dict[tuple[int, int], list[int]] = {}
     key_of: dict[int, tuple[int, int]] = {}
-    chains = {(-1, o): tuple(bits(o)) + cont[o] for o in up}
+    # a level's chain keys, and the key of the chain that predicts each row: the later of two that predict one
+    keys = [(-1, o) for o in up]
+    want = {tuple(bits(o)) + cont[o]: (-1, o) for o in up}
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
-        want = {row: key for key, row in chains.items()}
         paired: dict[tuple[int, int], int] = {}
         for x in m._level_range(k):
             key = want.get(idx[x])
@@ -217,27 +217,27 @@ def _pair(m: MultipartiteGraph) -> Pairing:
             if y != x:
                 return f"level {k}: vertices {labels[y]!r} and {labels[x]!r} have the same lower neighbourhood", (), 0
             key_of[x] = key
-        if len(paired) != len(chains):
-            key = next(key for key in chains if key not in paired)
+        if len(paired) != len(keys):
+            key = next(key for key in keys if key not in paired)
             seq = [key[1]]
             while key[0] != -1:
                 key = key_of[key[0]]
                 seq.append(key[1])
             chain = _fmt_seq(m._labels_from_mask(o) for o in reversed(seq))
             return f"level {k}: chain {chain} is attained by no vertex", (), 0
-        counts.append((k, len(paired), len(chains)))
-        chains = {}
+        counts.append((k, len(paired), len(keys)))
+        keys, want = [], {}
         for key, x in paired.items():
             a, last = key
             row = idx[x]  # the row its chain predicts, so its level-1 part is cont[last]
             i = bisect_left(row, ones.start)
             below, above = row[:i], row[i + len(cont[last]) :]
             for o in up[last]:
-                qs = between.get((last, o))
-                if qs is None:
-                    qs = between[last, o] = [last] + [q for q in up[last] if q | o == o]
-                chains[x, o] = below + cont[o] + above + tuple(sorted([paired[a, q] for q in qs]))
-    return None, tuple(counts), len(chains)
+                child = x, o
+                window = sorted([paired[a, q] for q in [last] + [q for q in up[last] if q | o == o]])
+                keys.append(child)
+                want[below + cont[o] + above + tuple(window)] = child
+    return None, tuple(counts), len(keys)
 
 
 def _pairing(m: MultipartiteGraph) -> Pairing:

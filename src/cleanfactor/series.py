@@ -62,6 +62,7 @@ def _drive(m: MultipartiteGraph, op: OperatorKind, max_levels: int) -> SeriesRes
             break
         m = step.graph
         steps += 1
+    m._top = None  # the walk's masks of the top level: no later step reads them
     return SeriesResult(
         final=m,
         status=status,

@@ -15,15 +15,20 @@ from cleanfactor import (
     MultipartiteGraph,
     OperatorKind,
     build_document,
+    characterising_sequence,
+    cli_main,
     document_to_multipartite,
     factorise,
+    format_edge_list,
     graph_content_hash,
+    parse_document,
     run_series,
     size_bound,
     verify_bijection,
     verify_document_fields,
     verify_neighbourhood_formula,
     vertex_clique_incidence,
+    write_decomposition,
 )
 from cleanfactor import graphs
 
@@ -190,7 +195,8 @@ def test_append_level_keeps_every_row_and_resolves_only_the_new_edges(g3, monkey
     assert calls == [([(top[0], "y"), (level0[1], "y"), (level0[0], "x"), (level0[1], "x"), (level0[0], "x")], len(m))]
     assert len(m2._idx) == len(m) + 2
     assert all(new is old for new, old in zip(m2._idx, m._idx))  # every existing row is the same tuple
-    index = m._index
+    assert m._index is None  # the new edges are resolved on m2, so m's label index is never built
+    index = {v: i for i, v in enumerate(m.vertices)}
     assert m2._idx[len(m) :] == ((index[level0[0]], index[level0[1]]), (index[level0[1]], index[top[0]]))
 
 
@@ -352,12 +358,13 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                     assert other._top is None
                 m, step = new, None
                 if new != final or op is OperatorKind.CLEAN:  # a capped series' next step can be large
-                    # the other builders leave the masks to the walk, which builds the same ones
+                    # the walk builds the masks for the other builders' graphs and leaves none on them
                     step = factorise(new, op)
                     for other in (appended, built, decoded):
                         assert factorise(other, op) == step
-                        assert other._top == new._top
+                        assert other._top is None
             assert m == final
+            assert final._top is None  # a finished series drops the walk's masks
             if op is OperatorKind.CLEAN:
                 # verifying a document reads its tuples only
                 doc = build_document(result, source)
@@ -394,6 +401,86 @@ def test_build_document_reads_the_carried_tuples(monkeypatch, corpus):
     decoded = document_to_multipartite(doc)
     assert calls == []
     assert all(mine is carried for mine, carried in zip(decoded._idx[bottom:], doc.down))
+
+
+def record_index_builds(monkeypatch) -> list[MultipartiteGraph]:
+    """Record each graph whose label index is built, once per build."""
+    built = []
+    build = MultipartiteGraph._indexed
+
+    def spy(self):
+        if self._index is None:
+            built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(MultipartiteGraph, "_indexed", spy)
+    return built
+
+
+def test_decomposing_and_verifying_build_no_label_index(monkeypatch, tmp_path, corpus):
+    built = record_index_builds(monkeypatch)
+    for g in corpus[:60]:
+        result = run_series(g, OperatorKind.CLEAN)
+        doc = parse_document(write_decomposition(result, graph_content_hash(g)))
+        m = document_to_multipartite(doc)
+        assert verify_document_fields(doc, m).passed
+        assert verify_bijection(g, m).passed and verify_neighbourhood_formula(m).passed
+        assert size_bound(g, replace(result, final=m)).holds
+    graph_path, out_path = tmp_path / "g.txt", tmp_path / "d.json"
+    graph_path.write_text(format_edge_list(corpus[59]), encoding="utf-8")
+    decompose = ["decompose", "--operator", "clean", "--input", str(graph_path), "--output", str(out_path)]
+    assert cli_main(decompose) == 0
+    assert cli_main(["verify", "--decomposition", str(out_path), "--input", str(graph_path)]) == 0
+    assert built == []
+
+
+LOOKUPS = {
+    "level_of": lambda m: [m.level_of(v) for v in m.vertices],
+    "in": lambda m: [v in m for v in (*m.vertices, "z", 0)],
+    "characterising_sequence": lambda m: [characterising_sequence(m, x) for x in itertools.chain(*m.levels[2:])],
+}
+
+
+@pytest.mark.parametrize("lookup", LOOKUPS)
+def test_the_first_label_lookup_builds_the_index_once_as_the_constructor_does(lookup, monkeypatch, corpus):
+    ask = LOOKUPS[lookup]
+    g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
+    result = run_series(g, OperatorKind.CLEAN)
+    decoded = document_to_multipartite(parse_document(write_decomposition(result, graph_content_hash(g))))
+    whole = MultipartiteGraph(result.final.levels, result.final.edges())
+    built = record_index_builds(monkeypatch)
+    for m in (result.final, decoded):
+        assert ask(m) == ask(m) == ask(whole)  # the second lookup reads the index the first one built
+        assert built[-1] is m and (m._index, m._level_of) == (whole._index, whole._level_of)
+    assert len(built) == 2
+
+
+def test_append_level_builds_only_the_new_graphs_index(monkeypatch, g3):
+    m = run_series(g3, OperatorKind.CLEAN).final
+    new_vertices = [("y", [m.levels[-1][0], m.levels[0][1]])]
+    expected = MultipartiteGraph(m.levels, m.edges()).append_level(new_vertices)
+    built = record_index_builds(monkeypatch)
+    appended = m.append_level(new_vertices)
+    # the new edges are resolved by label on the new graph, whose index covers every level
+    assert len(built) == 1 and built[0] is appended and appended == expected
+    assert [appended.level_of(v) for v in appended.vertices] == [expected.level_of(v) for v in expected.vertices]
+    assert (appended._index, appended._level_of) == (expected._index, expected._level_of)
+    assert len(built) == 1  # the lookups on the new graph read the index append_level built
+
+
+def test_a_graph_is_not_equal_to_what_is_not_a_graph(g2):
+    assert g2.__eq__(g2.vertices) is NotImplemented
+    assert g2 != g2.vertices
+
+
+def test_a_multipartite_graph_is_not_equal_to_what_is_not_one(g2):
+    m = vertex_clique_incidence(g2)
+    assert m.__eq__(m.levels) is NotImplemented
+    assert m != m.levels and m != g2
+
+
+def test_multipartite_repr_gives_level_sizes_and_edge_count(g2):
+    assert repr(run_series(g2, OperatorKind.CLEAN).final) == "MultipartiteGraph(levels=[4,2,1], 10 edges)"
 
 
 def reference_level_labels(k, level0_labels, member_labels):

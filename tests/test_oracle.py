@@ -393,7 +393,7 @@ def test_agreement_check_fails_first_when_only_a_lower_level_differs(clean_runs)
     x = final._level_range(4)[0]
     rows = list(final._idx[len(final.levels[0]) :])
     row = rows[x - len(final.levels[0])]
-    assert final._level_of[row[0]] == 0
+    assert row[0] < len(final.levels[0])  # its lowest neighbour is on level 0
     rows[x - len(final.levels[0])] = row[1:]  # its lowest level-0 neighbour dropped
     t = MultipartiteGraph._from_rows(final.levels, rows)
     expected = f"level 4, vertex {final._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
@@ -526,7 +526,7 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
         assert bijection == reference_bijection
     if t.levels == m.levels:
         changed = [x for x, (a, b) in enumerate(zip(m._idx, t._idx)) if a != b]
-        if len(changed) == 1 and m._level_of[changed[0]] >= 2:
+        if len(changed) == 1 and changed[0] >= m._level_range(2).start:
             name = repr(m._labels[changed[0]])
             assert name in bijection.counterexample and name in (formula.counterexample or "")
     return [bijection.counterexample, formula.counterexample or ""]
