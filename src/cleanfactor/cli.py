@@ -50,9 +50,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
     result = run_series(g, OperatorKind(args.operator), args.max_levels)
     text = write_decomposition(result, graph_content_hash(g))
+    dot = to_dot(result.final) if args.dot else None  # it names every vertex, so it may refuse: before writing
     Path(args.output).write_text(text, encoding="utf-8")
-    if args.dot:
-        Path(args.dot).write_text(to_dot(result.final), encoding="utf-8")
+    if dot is not None:
+        Path(args.dot).write_text(dot, encoding="utf-8")
     sizes = ",".join(str(s) for s in result.level_sizes)
     print(f"status={result.status.value} levels={len(result.level_sizes)} sizes=[{sizes}]")
     return EXIT_OK
@@ -77,7 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_VERIFICATION_FAILED
 
     m = document_to_multipartite(doc)
-    fields = verify_document_fields(doc, m)
+    fields = verify_document_fields(doc)
     report("document-fields", fields.passed, fields.counterexample or "")
     bijection = verify_bijection(g, m)
     counts = " ".join(f"{k}:{vertices}/{chains}" for k, vertices, chains in bijection.level_counts)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InvalidArgumentError
-from .graphs import Graph, MultipartiteGraph, _level_labels, bits
+from .graphs import Graph, MultipartiteGraph, bits
 
 __all__ = [
     "maximal_cliques",
@@ -62,14 +62,12 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
 def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     """The bipartite graph with the vertices of ``g`` below its maximal cliques.
 
-    Level 0 holds the vertices, level 1 one vertex per maximal clique, and
-    membership gives the edges.
+    Level 0 holds the vertices, and level 1, a generated level, one vertex
+    per maximal clique in row order; membership gives the edges.
     """
-    labels = g.vertices
     # both graphs index level 0 in label order, so a clique mask's bits are its row
-    rows = [tuple(bits(c)) for c in _clique_masks(g._adj)]
-    names, rows = zip(*sorted(zip(_level_labels(labels, len(labels), 1, rows), rows)))
-    return MultipartiteGraph._from_rows((labels, names), rows)
+    rows = sorted(tuple(bits(c)) for c in _clique_masks(g._adj))
+    return MultipartiteGraph._from_rows((g.vertices, len(rows)), rows)
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

@@ -13,25 +13,10 @@ exactly when its seed is closed: no further upper vertex of its
 neighbourhood-equality class covers its common neighbourhood (only the
 clean variant splits the upper level into several classes). So the maximal
 candidates come from a depth-first Close-by-One walk over the closed seeds
-of each class. Each node of the walk passes down ``live``, the members
-whose row still meets its common neighbourhood in two vertices on every
-card level, and its children scan only those: a common neighbourhood only
-shrinks down the walk, so a member that fails the card test at a node
-fails it, and covers no common neighbourhood, anywhere below. Each scan
-is one intersection of a row with the common neighbourhood: equality is
-the cover test, and two popcounts of it are the card test. The root's
-children, where most of the scanning happens, come from one pass over the
-pairs of the root's live members, so each pair meets once rather than
-once from each side; deeper nodes, which mostly have few children, keep
-the per-node scan, which costs them less than building every child's
-list in one pass. Where the root's rows hold fewer vertices on the first
-card level than one per ``_PAIRS_PER_FOLD`` pairs of root members, which
-needs ``4 * _PAIRS_PER_FOLD + 2`` members or more since each row holds
-two, each member meets only those sharing two vertices with it there,
-found at once by bit-parallel columns built from the row masks. The walk
-keeps its own stack, so a long chain of nested seeds needs no deep
-recursion. The whole candidate family, which the definitions describe, is
-enumerated only in the tests.
+of each class, ``_closed_seeds``, which describes how each node scans only
+the members still live and how the root's children come from one pass over
+pairs, or over bit-parallel columns. The whole candidate family, which the
+definitions describe, is enumerated only in the tests.
 """
 
 from __future__ import annotations
@@ -42,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError
-from .graphs import MultipartiteGraph, _level_labels, _mask, _span, bits
+from .graphs import MultipartiteGraph, _mask, _span, bits
 
 __all__ = [
     "OperatorKind",
@@ -135,7 +120,7 @@ def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
 
 def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> CandidateSet:
     """The candidate of a seed and its common neighbourhood on the levels below it."""
-    top = m.level_of(m._labels[(seed & -seed).bit_length() - 1])
+    top = m.level_of(m.vertices[(seed & -seed).bit_length() - 1])
     lowers = tuple(m._labels_from_mask(common & _span(m._level_range(i))) for i in range(top))
     return CandidateSet(upper=m._labels_from_mask(seed), lower_by_level=lowers)
 
@@ -367,20 +352,16 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     """Apply one factorisation step of the given variant.
 
     Not effective when the candidate family has no maximal element;
-    otherwise returns the graph extended by one new level, one vertex per
-    maximal candidate, adjacent to exactly that candidate's members and
-    labelled as ``_level_labels`` says. ``threads`` must be 1; see
-    ``_check_threads``.
+    otherwise returns the graph extended by one generated level, in row
+    order, one vertex per maximal candidate, adjacent to exactly that
+    candidate's members. ``threads`` must be 1; see ``_check_threads``.
     """
     _check_threads(threads)
     pairs = _maximal_family(m, op)
     if not pairs:
         return StepResult(effective=False, graph=None)
-    rows = [seed | common for seed, common in pairs]
-    idx = [tuple(bits(row)) for row in rows]  # each row's indexes, ascending: the one expansion of the row
-    n0 = len(m._levels[0])
-    named = _level_labels(m._labels, n0, m.level_count, idx)
-    labels, rows, idx = zip(*sorted(zip(named, rows, idx)))
-    out = MultipartiteGraph._from_rows(m._levels + (labels,), m._idx[n0:] + idx)
+    # each row as a mask and as its indexes, ascending: the one expansion of the row, and the level's order
+    idx, rows = zip(*sorted((tuple(bits(row)), row) for row in (seed | common for seed, common in pairs)))
+    out = MultipartiteGraph._from_rows(m._levels + (len(idx),), m._idx[len(m._levels[0]) :] + idx)
     out._top = rows  # the next step's walk ANDs these masks
     return StepResult(effective=True, graph=out)

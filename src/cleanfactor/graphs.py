@@ -1,38 +1,27 @@
 """Graphs and levelled multipartite graphs over string vertex labels.
 
-Vertex sets are handled internally as integer bitmasks over a per-graph
-vertex index (level-major, label-sorted within each level), so every set
-operation is deterministic across runs. A ``MultipartiteGraph`` stores only
-each vertex's lower neighbourhood, as a tuple of ascending indexes, so
-appending a level rewrites no row and no constructor builds a mask of a
-row. ``factorise``, the decoder and the incidence graph build through
-``_from_rows``, which keeps the tuples it is given; ``__init__`` and
-``append_level`` resolve labelled edges into rows through ``_rows``. Labels,
-documents and the pairing walk read the tuples: a generated vertex is
-named by its level-0 neighbours, the leading run of its row. Only the
-candidate walk ANDs rows, and only the top level's: it keeps them as masks
-in ``_top``, which ``factorise`` leaves on the graph it returns for the
-next step's walk and a finished series drops; the walk builds them for any
-other graph without storing them. ``edges()`` transposes the tuples. The
-public surface speaks plain labels and frozensets. A graph's vertices and
-rows never change after construction; its caches, ``_pairing``,
-``Graph._cliques`` and the label index (``_index``, ``_level_of``), which
-only a label lookup builds, are filled on first use, and ``__eq__`` and
-``__hash__`` ignore them and ``_top``.
+Vertex sets are integer bitmasks over a per-graph, level-major vertex index.
+A ``MultipartiteGraph`` stores each vertex's lower neighbourhood as a tuple
+of ascending indexes, so appending a level rewrites no row; ``factorise``,
+the decoder and the incidence graph hand it the tuples (``_from_rows``).
+Only the candidate walk ANDs rows, as masks of the top level in ``_top``,
+which ``factorise`` leaves for the next step. A level the library generates
+stores only its size: its names are a function of its rows, built for the
+whole graph on the first label lookup, so decomposing and verifying name
+nothing. Vertices and rows never change; the caches (``_pairing``,
+``Graph._cliques``, the names and the label index) are filled on first use,
+and ``__eq__`` and ``__hash__`` ignore them and ``_top``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
 
 __all__ = ["Graph", "MultipartiteGraph"]
-
-IndexRows = Sequence[tuple[int, ...]]  # per vertex, some of its neighbours as ascending indexes
-
 
 def bits(mask: int) -> list[int]:
     """The indexes of the set bits of ``mask``, ascending."""
@@ -58,6 +47,18 @@ def _check_labels(labels: Iterable[object]) -> None:
     for v in labels:
         if not isinstance(v, str):
             raise InvalidArgumentError(f"vertex labels must be strings, got {v!r}")
+
+
+def _check_distinct(labels: Sequence[str], held: int) -> None:
+    """Refuse ``labels`` unless ``held`` of them are distinct, naming the first that repeats an earlier one."""
+    if held != len(labels):
+        seen: set[str] = set()
+        clash = next(v for v in labels if v in seen or seen.add(v))
+        raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
+
+
+# a level-0 label inside a generated name: ',' separates labels and '#' starts the suffix, so both are escaped
+_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "#": "\\#"})
 
 
 class Graph:
@@ -152,14 +153,18 @@ class Graph:
 class MultipartiteGraph:
     """An ordered multipartite graph: disjoint non-empty levels V0..V(k-1), k >= 2.
 
-    Every edge joins two distinct levels. Vertices within a level are kept
-    in label order and the global vertex index is level-major, which makes
-    enumeration over bitmasks deterministic. Each vertex stores only its
-    lower neighbours, and ``edges()`` is the one public view of the edge
-    set. Instances never mutate; ``append_level`` returns a new graph.
+    Every edge joins two distinct levels; each vertex stores only its lower
+    neighbours, and ``edges()`` is the one public view of the edge set.
+    Instances never mutate. A level given to the constructor is in label
+    order; a level the library generates (level 1 of
+    ``vertex_clique_incidence``, each level ``factorise`` appends) and one
+    ``append_level`` adds are in row order, by their rows as index tuples.
+    A generated vertex is ``K:`` on level 1, else ``L<k>:``, plus the
+    escaped labels of the level-0 neighbours its row starts with, and
+    ``#n`` if it is the n-th (n >= 2) of its level with those neighbours.
     """
 
-    __slots__ = ("_levels", "_labels", "_index", "_level_of", "_idx", "_top", "_pairing")
+    __slots__ = ("_levels", "_sizes", "_labels", "_index", "_level_of", "_idx", "_top", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -177,7 +182,7 @@ class MultipartiteGraph:
     def _rows(self, edges: Iterable[tuple[str, str]], first: int) -> tuple[tuple[int, ...], ...]:
         """The rows of vertices ``first`` and up, as ascending index tuples, from labelled edges that end at them."""
         index, level_of = self._indexed(), self._level_of
-        down: list[set[int]] = [set() for _ in range(first, len(self._labels))]
+        down: list[set[int]] = [set() for _ in range(first, len(level_of))]
         for u, v in edges:
             iu = index.get(u)
             iv = index.get(v)
@@ -190,31 +195,55 @@ class MultipartiteGraph:
             down[max(iu, iv) - first].add(min(iu, iv))
         return tuple(tuple(sorted(row)) for row in down)
 
-    def _set_levels(self, levels: tuple[tuple[str, ...], ...]) -> None:
-        """Set every field but the rows, leaving the label index to the first lookup; the one repeated-label check."""
+    def _set_levels(self, levels: tuple[tuple[str, ...] | int, ...]) -> None:
+        """Set every field but the rows from each level's labels, or a generated level's size; check given labels."""
         self._levels = levels
-        self._labels = tuple(chain.from_iterable(levels))
-        if len(set(self._labels)) != len(self._labels):
-            seen: set[str] = set()
-            # the first label, in index order, that an earlier vertex already has
-            clash = next(v for v in self._labels if v in seen or seen.add(v))
-            raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
-        self._index = self._level_of = None  # the label index, built on the first label lookup (_indexed)
+        self._sizes = tuple(level if type(level) is int else len(level) for level in levels)
+        given = [v for level in levels if type(level) is tuple for v in level]
+        _check_distinct(given, len(set(given)))
+        self._labels = self._index = self._level_of = None  # built on the first label lookup
         self._top = None  # the top level's rows as masks, which factorise leaves for the next step's walk
         self._pairing = None
 
+    def _named(self) -> tuple[str, ...]:
+        """Every vertex's label in index order (``_labels``), the generated ones built in one pass on first use.
+
+        ``#n`` counts a level's rows by their level-0 run in a dict, so that rows in any order get distinct names.
+        """
+        if self._labels is None:
+            n0, out = self._sizes[0], []
+            escaped = [v.translate(_ESCAPES) for v in self._levels[0]]
+            for k, level in enumerate(self._levels):
+                if type(level) is tuple:
+                    out += level
+                    continue
+                prefix, seen = ("K:" if k == 1 else f"L{k}:"), {}
+                for row in self._idx[len(out) : len(out) + level]:
+                    base = row[: bisect_left(row, n0)]
+                    named = seen.get(base)
+                    if named is None:
+                        seen[base] = named = [prefix + ",".join([escaped[i] for i in base]), 1]
+                        out.append(named[0])
+                    else:
+                        named[1] += 1
+                        out.append(f"{named[0]}#{named[1]}")
+            self._labels = tuple(out)
+        return self._labels
+
     def _indexed(self) -> dict[str, int]:
-        """The label index ``_index``, built with ``_level_of`` (each vertex's level) on the first label lookup."""
+        """The label index, built with the names and ``_level_of`` on the first lookup; it refuses a shared label."""
         if self._index is None:
-            self._index = dict(zip(self._labels, range(len(self._labels))))
-            self._level_of = tuple(chain.from_iterable(repeat(li, len(level)) for li, level in enumerate(self._levels)))
+            labels = self._named()
+            index = dict(zip(labels, range(len(labels))))
+            _check_distinct(labels, len(index))
+            self._index, self._level_of = index, tuple(chain.from_iterable(map(repeat, count(), self._sizes)))
         return self._index
 
     @classmethod
-    def _from_rows(cls, levels: tuple[tuple[str, ...], ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
-        """The graph on ``levels`` with rows ``idx`` (index tuples, level 1 up).
+    def _from_rows(cls, levels: tuple[tuple[str, ...] | int, ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
+        """The graph on ``levels`` (labels, or a generated level's size) with rows ``idx`` (index tuples, level 1 up).
 
-        Only a repeated label is checked: the caller guarantees the rest of what ``__init__`` would.
+        Only a repeated given label is checked: the caller guarantees the rest.
         """
         out = cls.__new__(cls)
         out._set_levels(levels)
@@ -222,8 +251,9 @@ class MultipartiteGraph:
         return out
 
     @property
-    def levels(self) -> tuple[tuple[str, ...], ...]:
-        return self._levels
+    def levels(self) -> tuple[Sequence[str], ...]:
+        """Each level's labels; a generated level's are a ``_Named`` view, whose length needs no name."""
+        return tuple(level if type(level) is tuple else _Named(self, k) for k, level in enumerate(self._levels))
 
     @property
     def level_count(self) -> int:
@@ -231,10 +261,11 @@ class MultipartiteGraph:
 
     @property
     def vertices(self) -> tuple[str, ...]:
+        self._index or self._indexed()
         return self._labels
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._idx)
 
     def __contains__(self, label: object) -> bool:
         return label in (self._index or self._indexed())
@@ -250,7 +281,7 @@ class MultipartiteGraph:
 
         Each edge is stored once, in its higher endpoint's row, so the rows are transposed first.
         """
-        labels = self._labels
+        labels = self.vertices
         above: list[list[int]] = [[] for _ in labels]
         for i, row in enumerate(self._idx):
             for j in row:
@@ -264,7 +295,7 @@ class MultipartiteGraph:
         return sum(map(len, self._idx))
 
     def append_level(self, new_vertices: Sequence[tuple[str, Iterable[str]]]) -> MultipartiteGraph:
-        """Return a (k+1)-level graph with one extra level on top.
+        """Return a (k+1)-level graph with one extra level on top, in row order as ``factorise`` appends one.
 
         ``new_vertices`` holds (label, neighbours) pairs; neighbours must
         already be vertices of this graph. Existing levels and edges are
@@ -273,59 +304,64 @@ class MultipartiteGraph:
         """
         if not new_vertices:
             raise InvalidArgumentError("append_level needs at least one new vertex")
-        fresh = [label for label, _ in new_vertices]
+        fresh = tuple(label for label, _ in new_vertices)
         _check_labels(fresh)
         out = MultipartiteGraph.__new__(MultipartiteGraph)
-        out._set_levels(self._levels + (tuple(sorted(fresh)),))
-        # the index is level-major, so every existing index and row survives and only the new edges are resolved
-        new_edges = ((u, label) for label, nbrs in new_vertices for u in nbrs)
-        out._idx = self._idx + out._rows(new_edges, len(self))
+        out._set_levels(self._levels + (fresh,))
+        index = self._indexed()  # built once however often this graph is extended; the new graph's waits
+        try:
+            rows = [tuple(sorted({index[u] for u in nbrs})) for _, nbrs in new_vertices]
+        except KeyError:
+            out._labels = self._labels + fresh
+            out._rows(((u, label) for label, nbrs in new_vertices for u in nbrs), len(self))  # raises as __init__
+        # the index is level-major, so every existing index and row survives; the new level in row order
+        rows, fresh = zip(*sorted(zip(rows, fresh)))
+        out._levels, out._idx = self._levels + (fresh,), self._idx + rows
         return out
 
     # -- internal helpers shared inside the package ---------------------
 
     def _level_range(self, k: int) -> range:
-        """Global indexes of level ``k``, which are contiguous and in label order."""
-        start = sum(map(len, self._levels[:k]))
-        return range(start, start + len(self._levels[k]))
+        """Global indexes of level ``k``, which are contiguous."""
+        start = sum(self._sizes[:k])
+        return range(start, start + self._sizes[k])
 
     def _labels_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(self._labels[i] for i in bits(mask))
+        labels = self.vertices
+        return frozenset(labels[i] for i in bits(mask))
 
     def __eq__(self, other: object) -> bool:
+        """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names."""
         if not isinstance(other, MultipartiteGraph):
             return NotImplemented
-        return self._levels == other._levels and self._idx == other._idx
+        if self._sizes != other._sizes or self._idx != other._idx:
+            return False
+        pairs = enumerate(zip(self._levels, other._levels))
+        return all(a == b if type(a) is type(b) else self.levels[k] == other.levels[k] for k, (a, b) in pairs)
 
     def __hash__(self) -> int:
-        return hash((self._levels, self._idx))
+        # level 0 is always given; a level above it may be given on only one of two equal graphs
+        return hash((self._levels[0], self._sizes, self._idx))
 
     def __repr__(self) -> str:
-        sizes = ",".join(str(len(lv)) for lv in self._levels)
-        return f"MultipartiteGraph(levels=[{sizes}], {self.edge_count()} edges)"
+        return f"MultipartiteGraph(levels=[{','.join(map(str, self._sizes))}], {self.edge_count()} edges)"
 
 
-def _level_labels(labels: Sequence[str], n0: int, k: int, rows: IndexRows) -> list[str]:
-    """Labels of level-``k`` vertices given by index rows over ``labels``, in input order.
+class _Named(Sequence):
+    """Generated level ``k`` of ``graph``, as ``levels`` gives it: its size at once, its names on first lookup."""
 
-    A vertex is ``K:`` on level 1, and ``L<k>:`` above, plus the sorted
-    labels of its level-0 neighbours: the leading run of its row below
-    ``n0``, the size of level 0. Vertices that share their level-0
-    neighbours get a ``#n`` suffix (``#2``, ``#3``, ...) in the order of
-    their sorted member labels; a level-1 row is its clique, so level 1
-    never has one. Every generated level is named here, and ``verify``
-    checks with it.
-    """
-    prefix = "K:" if k == 1 else f"L{k}:"
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for t, row in enumerate(rows):
-        groups.setdefault(row[: bisect_left(row, n0)], []).append(t)
-    out = [""] * len(rows)
-    for base_row, group in groups.items():
-        # level-0 indexes follow label order, so the names come out sorted
-        base = prefix + ",".join([labels[i] for i in base_row])
-        if len(group) > 1:
-            group.sort(key=lambda t: sorted([labels[i] for i in rows[t]]))
-        for n, t in enumerate(group, start=1):
-            out[t] = f"{base}#{n}" if n > 1 else base
-    return out
+    def __init__(self, graph: MultipartiteGraph, k: int) -> None:
+        self._graph, self._k = graph, k
+
+    def __len__(self) -> int:
+        return self._graph._sizes[self._k]
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __iter__(self):
+        level = self._graph._level_range(self._k)
+        return iter(self._graph.vertices[level.start : level.stop])
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _Named)) else NotImplemented

@@ -1,15 +1,14 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 3) stores the decomposition graph and nothing derived
-from it. It names each vertex once, in ``levels``, and refers to it
-everywhere else by its global index: level-major, label order within a
-level, as in ``MultipartiteGraph``. ``down`` lists each vertex's lower
-neighbours, so every edge appears once; characterising sequences are
-recovered, not stored. The text is exactly ``json.dumps`` with sorted keys
-and no spaces, so byte-deterministic; ``down`` is encoded 256 rows at a
-time, and the text joined once. A content hash of the canonical edge list
-binds a document to its input, so verification can refuse mismatched pairs.
-"""
+A document (format 4) stores the decomposition graph and nothing derived
+from it. ``levels`` holds the labels that were given (level 0, and level 1
+of a bipartite start), each level sorted, and the size of each level the
+library generated, whose vertices are in row order and are named by their
+rows. A vertex is referred to by its level-major global index, and ``down``
+lists each vertex's lower neighbours, so every edge appears once. The text
+is exactly ``json.dumps`` with sorted keys and no spaces, so
+byte-deterministic; ``down`` is encoded 256 rows at a time. A content hash
+of the canonical edge list binds a document to its input."""
 
 from __future__ import annotations
 
@@ -20,11 +19,10 @@ from io import StringIO
 from itertools import accumulate, chain, compress, count, islice
 from operator import ge, lt
 from pathlib import Path
-from typing import Any
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
 from .factorisation import OperatorKind
-from .graphs import Graph, MultipartiteGraph, _level_labels, _mask
+from .graphs import Graph, MultipartiteGraph, _mask
 from .oracle import VerificationReport
 from .series import SeriesResult, SeriesStatus
 
@@ -44,7 +42,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
 
 
@@ -125,15 +123,16 @@ def graph_content_hash(g: Graph) -> str:
 class DecompositionDocument:
     """Serializable form of a decomposition run; the fields are the document's keys.
 
-    With ``n0`` vertices on level 0, ``down[i - n0]`` lists the lower
-    neighbours of vertex ``i``.
+    A level is its labels, or a generated level's size. With ``n0``
+    vertices on level 0, ``down[i - n0]`` lists the lower neighbours of
+    vertex ``i``.
     """
 
     format_version: int
     source_hash: str
     operator: str
     status: str
-    levels: tuple[tuple[str, ...], ...]
+    levels: tuple[tuple[str, ...] | int, ...]
     down: tuple[tuple[int, ...], ...]
 
 
@@ -145,30 +144,17 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
         source_hash=source_hash,
         operator=result.operator.value,
         status=result.status.value,
-        levels=m.levels,
-        down=m._idx[len(m.levels[0]) :],
+        levels=m._levels,
+        down=m._idx[len(m._levels[0]) :],
     )
 
 
-def verify_document_fields(doc: DecompositionDocument, m: MultipartiteGraph) -> VerificationReport:
-    """Check the fields that the graph checks do not read.
-
-    The document must record a terminated clean series, the only kind the
-    oracle certifies, and every label above level 0 must be the one
-    ``_level_labels``, which names every generated level, gives that
-    vertex. ``m`` is ``document_to_multipartite(doc)``.
-    """
+def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
+    """Check the fields that the graph checks do not read: a terminated clean series, the only kind certified."""
     if doc.operator != "clean":
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
-    labels, down, n0 = m._labels, m._idx, len(m._levels[0])
-    for k in range(1, m.level_count):
-        level = m._level_range(k)
-        given = _level_labels(labels, n0, k, down[level.start : level.stop])
-        for x, want in zip(level, given):
-            if labels[x] != want:
-                return VerificationReport(False, f"vertex {x}: label {labels[x]!r} but the graph gives {want!r}")
     return VerificationReport(True)
 
 
@@ -199,23 +185,15 @@ def _expect(condition: bool, message: str, *args: object) -> None:
         raise DocumentFormatError(message.format(*args))
 
 
-def _index_rows(rows: Any, length: int) -> list[list[int]]:
-    """``rows``, a document's ``down``, if it is a list of ``length`` integer lists."""
-    _expect(type(rows) is list and set(map(type, rows)) <= {list}, "down must be a list of index lists")
-    _expect(len(rows) == length, "down must hold {} rows, not {}", length, len(rows))
-    _expect(set(map(type, chain.from_iterable(rows))) <= {int}, "down must hold integer indexes")
-    return rows
+def _strict(rows: list[list[int]], limit: int, ordered: bool = False) -> bool:
+    """Whether every row of integers is strictly ascending inside ``range(limit)``, and if ``ordered`` the rows too.
 
-
-def _strict(rows: list[list[int]], limit: int) -> bool:
-    """Whether every row of integers is strictly ascending inside ``range(limit)``.
-
-    The rows are read as one flat list: inside the range, and every position
-    where the indexes fail to rise starts a row.
+    The rows are read as one flat list: inside the range, and each position where the indexes fail to rise starts a row.
     """
     flat = list(chain.from_iterable(rows))
     falls = compress(count(1), map(ge, flat, islice(flat, 1, None)))
-    return not flat or (min(flat) >= 0 and max(flat) < limit and set(falls) <= set(accumulate(map(len, rows))))
+    inside = not flat or (min(flat) >= 0 and max(flat) < limit and set(falls) <= set(accumulate(map(len, rows))))
+    return inside and (not ordered or all(map(lt, rows, islice(rows, 1, None))))
 
 
 # a document's vocabularies, from the types that define them; tuples, since a JSON value may be unhashable
@@ -225,13 +203,13 @@ _STATUSES = tuple(status.value for status in SeriesStatus)
 
 
 def _down_problem(row: list[int], limit: int, n: int) -> str:
-    """Why a down row is not strictly ascending below ``limit``."""
+    """Why a down row is not strictly ascending below ``limit``, or else why it is out of place in its level."""
     for j in row:
         if not 0 <= j < n:
             return f"index {j} is out of range"
         if j >= limit:
             return f"index {j} is not on a lower level"
-    return "indexes are not strictly ascending"
+    return "indexes are not strictly ascending" if not _strict([row], limit) else "the level's rows are not ascending"
 
 
 def parse_document(text: str) -> DecompositionDocument:
@@ -239,10 +217,10 @@ def parse_document(text: str) -> DecompositionDocument:
 
     Every field is checked for its exact type (an index is an ``int``, not
     a ``bool``), its range and its order, so the document decodes to a
-    well-formed multipartite graph. The first problem found is named. A
-    level's labels and a level's down rows are each checked in a few
-    passes over the whole level; only a failure searches for the row at
-    fault.
+    well-formed multipartite graph; the first problem found is named. A
+    generated level's down rows must ascend, the order the library writes.
+    Each level is checked in a few passes; only a failure searches for the
+    row at fault.
     """
     try:
         payload = json.loads(text)
@@ -265,30 +243,39 @@ def parse_document(text: str) -> DecompositionDocument:
     levels = payload["levels"]
     _expect(type(levels) is list and len(levels) >= 2, "need at least two levels")
     for li, level in enumerate(levels):
+        if li and type(level) is int and level > 0:
+            continue
         labelled = type(level) is list and level and set(map(type, level)) == {str}
-        _expect(labelled, "level {} must be a non-empty list of labels", li)
+        _expect(labelled, "level {} must be a non-empty list of labels or, above level 0, a vertex count", li)
         _expect(all(map(lt, level, islice(level, 1, None))), "level {}: labels are not sorted and distinct", li)
-    labels = list(chain.from_iterable(levels))
-    n, n0 = len(labels), len(levels[0])
-    _expect(len(set(labels)) == n, "a label appears on more than one level")
+    labels = [v for level in levels if type(level) is list for v in level]
+    _expect(len(set(labels)) == len(labels), "a label appears on more than one level")
+    sizes = [level if type(level) is int else len(level) for level in levels]
+    n, n0 = sum(sizes), sizes[0]
 
-    down = _index_rows(payload["down"], n - n0)
+    down = payload["down"]
+    _expect(type(down) is list and set(map(type, down)) <= {list}, "down must be a list of index lists")
+    _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
     limit = n0
-    for level in levels[1:]:
-        span = slice(limit - n0, limit - n0 + len(level))
-        rows = down[span]
-        if not _strict(rows, limit):
-            label, row = next((v, r) for v, r in zip(level, rows) if not _strict([r], limit))
-            raise DocumentFormatError(f"down row of {label!r}: {_down_problem(row, limit, n)}")
+    for li, level in enumerate(levels[1:], 1):
+        span = slice(limit - n0, limit - n0 + sizes[li])
+        rows, generated = down[span], type(level) is int
+        if not _strict(rows, limit, generated):
+            # the first row at fault on its own or, in a generated level, not above the row before it
+            t = next(t for t in range(len(rows)) if not _strict(rows[max(t - 1, 0) : t + 1], limit, generated))
+            vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
+            raise DocumentFormatError(f"down row of {vertex}: {_down_problem(rows[t], limit, n)}")
         down[span] = map(tuple, rows)  # in place, so only one level is held both as lists and as tuples
-        limit += len(level)
+        limit += sizes[li]
+    # after the levels, so that a level grown or shrunk is named by the rows it takes from its neighbour
+    _expect(len(down) == n - n0, "down must hold {} rows, not {}", n - n0, len(down))
 
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],
-        levels=tuple(map(tuple, levels)),
+        levels=tuple(level if type(level) is int else tuple(level) for level in levels),
         down=tuple(down),
     )
 
@@ -310,9 +297,9 @@ def document_to_multipartite(doc: DecompositionDocument) -> MultipartiteGraph:
 
 def reconstruct_graph(doc: DecompositionDocument) -> Graph:
     """Recover the original graph: level-0 vertices, each level-1 clique's members pairwise adjacent."""
-    level0 = doc.levels[0]
+    level0, level1 = doc.levels[0], doc.levels[1]
     adj = [0] * len(level0)
-    for row in doc.down[: len(doc.levels[1])]:
+    for row in doc.down[: level1 if type(level1) is int else len(level1)]:
         clique = _mask(row)
         for j in row:
             adj[j] |= clique

@@ -12,20 +12,13 @@ count of ``size_bound`` and the chain walk ``_chains`` behind the command
 line's ``oracle`` listing. A chain is a plain tuple of masks, and the walk
 keeps its own stack, so a chain of any length needs no deep recursion.
 
-Both checks read one pairing per graph. The walk ``_pair`` predicts, level
-by level, the lower neighbourhood of the vertex of every chain from the
-level-1 rows and the vertices already paired below, as an index tuple, and
-pairs each vertex with the chain that predicts its row. It needs no labels
-and no second graph. ``_pairing`` runs it on a graph's first check and
-keeps the result on the graph, so verifying a graph walks it once,
-whichever checks run and in whatever order. In the same way ``_cliques``
-keeps the input graph's maximal cliques, which ``intersection_family``,
-``verify_bijection`` and ``size_bound`` all read; decomposing a graph
-neither reads nor fills them, so a graph passed from decomposition to
-verification is still enumerated once by the oracle, whichever oracle
-function runs first. ``characterising_sequence`` reads no
-pairing: it recovers one vertex's sequence from that vertex's own rows.
-Labels are formatted only for a counterexample or a listing.
+Both checks read one pairing per graph, from the walk ``_pair``, which
+``_pairing`` keeps on the graph; ``_cliques`` keeps an input graph's
+maximal cliques in the same way. So verifying walks a graph once and
+enumerates its input once, whichever checks run and in whatever order.
+``characterising_sequence`` recovers one vertex's sequence from that
+vertex's own rows. Labels are formatted only for a counterexample or a
+listing, so only these build a decomposition's generated names.
 """
 
 from __future__ import annotations
@@ -198,7 +191,7 @@ def _pair(m: MultipartiteGraph) -> Pairing:
     level must hold exactly one vertex per predicted row, and distinct
     chains predict distinct rows, so the pairing is a bijection.
     """
-    idx, labels, ones = m._idx, m._labels, m._level_range(1)
+    idx, ones = m._idx, m._level_range(1)
     level1 = [_mask(idx[c]) for c in ones]
     up = _inclusion(level1)
     cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}
@@ -212,10 +205,12 @@ def _pair(m: MultipartiteGraph) -> Pairing:
         for x in m._level_range(k):
             key = want.get(idx[x])
             if key is None:
-                return f"level {k}, vertex {labels[x]!r}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
+                problem = f"vertex {m.vertices[x]!r}: no {k - 1}-element chain predicts its lower neighbourhood"
+                return f"level {k}, {problem}", (), 0
             y = paired.setdefault(key, x)
             if y != x:
-                return f"level {k}: vertices {labels[y]!r} and {labels[x]!r} have the same lower neighbourhood", (), 0
+                problem = f"vertices {m.vertices[y]!r} and {m.vertices[x]!r} have the same lower neighbourhood"
+                return f"level {k}: {problem}", (), 0
             key_of[x] = key
         if len(paired) != len(keys):
             key = next(key for key in keys if key not in paired)
@@ -266,7 +261,7 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     not terminated.
     """
     # both are sorted tuples of distinct labels, so once equal g's masks are m's level-0 masks
-    if m.levels[0] != g.vertices:
+    if m._levels[0] != g.vertices:
         return _fail("level 0 does not match the input graph's vertex set")
     cliques = _cliques(g)
     level1 = [_mask(m._idx[c]) for c in m._level_range(1)]
@@ -343,5 +338,5 @@ def size_bound(g: Graph, series: SeriesResult | None = None) -> SizeBound:
             starting[o] = 1 + sum(map(starting.__getitem__, up[o]))
         actual = n + len(cliques) + sum(starting.values())
     else:
-        actual = sum(len(level) for level in series.final.levels)
+        actual = len(series.final)
     return SizeBound(bound=bound, actual=actual, k=k, c=c)

@@ -227,31 +227,29 @@ def reference_factorise(
 ) -> tuple[MultipartiteGraph | None, tuple[CandidateSet, ...]]:
     """One factorisation step on label sets: the extended graph and its candidates.
 
-    Takes the maximal candidates from ``closed_candidates``, labels each new
-    vertex ``L<k>:`` plus the sorted labels of its level-0 neighbours, the
-    level-0 part of its common neighbourhood, numbers vertices that share a
-    label ``#2``, ``#3``, ... in the order of their sorted member labels,
-    and appends the level through ``append_level``. Returns (None, ()) when
-    there is no candidate.
+    Takes the maximal candidates from ``closed_candidates`` in row order,
+    by their members' indexes, ascending, as tuples; labels each new vertex
+    ``L<k>:`` plus the sorted labels of its level-0 neighbours, the level-0
+    part of its common neighbourhood, with backslash, comma and '#'
+    escaped; numbers vertices that share a label ``#2``, ``#3``, ... in row
+    order; and appends the level through ``append_level``. Returns
+    (None, ()) when there is no candidate.
     """
     found = closed_candidates(m, op)
     if not found:
         return None, ()
     k = m.level_count
     lower_levels = [frozenset(level) for level in m.levels[:-1]]
-    items = []
-    for seed, common in found:
-        members = seed | common
-        base = f"L{k}:" + ",".join(sorted(common & lower_levels[0]))
-        items.append((base, tuple(sorted(members)), seed, common))
-    items.sort(key=lambda it: (it[0], it[1]))
+    index = {v: i for i, v in enumerate(m.vertices)}
+    escape = lambda v: v.replace("\\", "\\\\").replace(",", "\\,").replace("#", "\\#")
+    rows = sorted((tuple(sorted(index[v] for v in seed | common)), seed, common) for seed, common in found)
     seen: dict[str, int] = {}
     labelled = []
-    for base, members, seed, common in items:
+    for _, seed, common in rows:
+        base = f"L{k}:" + ",".join(escape(v) for v in sorted(common & lower_levels[0]))
         seen[base] = seen.get(base, 0) + 1
         label = base if seen[base] == 1 else f"{base}#{seen[base]}"
         lowers = tuple(common & level for level in lower_levels)
-        labelled.append((label, members, CandidateSet(upper=seed, lower_by_level=lowers)))
-    labelled.sort(key=lambda it: it[0])
+        labelled.append((label, seed | common, CandidateSet(upper=seed, lower_by_level=lowers)))
     graph = m.append_level([(label, members) for label, members, _ in labelled])
     return graph, tuple(cand for _, _, cand in labelled)

@@ -1,20 +1,21 @@
-"""Document format 1, and the format-3 parser's first checks, kept as references.
+"""Document format 1, and the format-4 parser's checks one row at a time, kept as references.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
 sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 3 only, which stores no sequences; tests require both formats to
-decode to the same graph, and each sequence format 1 stores to be the one
-``characterising_sequence`` recovers from the format-3 graph. Format 1
+format 4 only, which stores no sequences and no generated label; tests
+require both formats to decode to the same labelled graph, and each
+sequence format 1 stores to be the one ``characterising_sequence``
+recovers from the format-4 graph. Format 1
 fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
 
-``reference_parse_v3`` is ``parse_document`` as it was before its label
-and row checks read a whole level in a few flat passes: it tests each
-level's labels with ``reference_labels_ascend`` and each down row on its
-own with ``reference_strict``. Tests require the library to raise the same
+``reference_parse_v4`` is ``parse_document`` without its flat passes: it
+tests each level's labels with ``reference_labels_ascend``, each down row
+on its own with ``reference_strict``, and each row of a generated level
+against the row before it. Tests require the library to raise the same
 message, or return an equal document, on any text.
 """
 
@@ -188,8 +189,8 @@ def _down_problem(row: list[int], limit: int, n: int) -> str:
     return "indexes are not strictly ascending"
 
 
-def reference_parse_v3(text: str) -> DecompositionDocument:
-    """A format-3 document, checked one level's labels and one down row at a time."""
+def reference_parse_v4(text: str) -> DecompositionDocument:
+    """A format-4 document, checked one level's labels and one down row at a time."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -198,7 +199,7 @@ def reference_parse_v3(text: str) -> DecompositionDocument:
         raise DocumentFormatError("not valid JSON: nested too deeply") from None
     _expect(type(payload) is dict, "top level must be an object")
     version = payload.get("format_version")
-    _expect(type(version) is int and version == 3, "unsupported format_version: this reader takes 3")
+    _expect(type(version) is int and version == 4, "unsupported format_version: this reader takes 4")
     keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
     for key in keys:
         _expect(key in payload, f"missing key {key!r}")
@@ -211,28 +212,35 @@ def reference_parse_v3(text: str) -> DecompositionDocument:
     levels = payload["levels"]
     _expect(type(levels) is list and len(levels) >= 2, "need at least two levels")
     for li, level in enumerate(levels):
+        if li > 0 and type(level) is int and level >= 1:
+            continue  # a generated level: its size
         labelled = type(level) is list and level and set(map(type, level)) == {str}
-        _expect(labelled, f"level {li} must be a non-empty list of labels")
+        _expect(labelled, f"level {li} must be a non-empty list of labels or, above level 0, a vertex count")
         _expect(reference_labels_ascend(level), f"level {li}: labels are not sorted and distinct")
-    labels = list(chain.from_iterable(levels))
-    n, n0 = len(labels), len(levels[0])
-    _expect(len(set(labels)) == n, "a label appears on more than one level")
+    labels = [v for level in levels if type(level) is list for v in level]
+    _expect(len(set(labels)) == len(labels), "a label appears on more than one level")
+    sizes = [level if type(level) is int else len(level) for level in levels]
+    n, n0 = sum(sizes), sizes[0]
 
     down = payload["down"]
     _expect(type(down) is list and set(map(type, down)) <= {list}, "down must be a list of index lists")
-    _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}")
     _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
     limit = n0
-    for level in levels[1:]:
-        for label, row in zip(level, down[limit - n0 : limit - n0 + len(level)]):
-            _expect(reference_strict([row], limit), f"down row of {label!r}: {_down_problem(row, limit, n)}")
-        limit += len(level)
+    for li, level in enumerate(levels[1:], start=1):
+        rows = down[limit - n0 : limit - n0 + sizes[li]]
+        for t, row in enumerate(rows):
+            vertex = f"vertex {limit + t} on level {li}" if type(level) is int else repr(level[t])
+            _expect(reference_strict([row], limit), f"down row of {vertex}: {_down_problem(row, limit, n)}")
+            if type(level) is int and t > 0:
+                _expect(rows[t - 1] < row, f"down row of {vertex}: the level's rows are not ascending")
+        limit += sizes[li]
+    _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}")
 
     return DecompositionDocument(
-        format_version=3,
+        format_version=4,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],
-        levels=tuple(map(tuple, levels)),
+        levels=tuple(level if type(level) is int else tuple(level) for level in levels),
         down=tuple(map(tuple, down)),
     )

@@ -685,6 +685,7 @@ def test_factorise_matches_the_reference_step(corpus):
             assert step.new_level == new_level
             if graph is None:
                 continue
+            assert step.graph.vertices == graph.vertices  # which builds both label indexes
             for slot in ("_index", "_labels", "_level_of", "_idx"):
                 assert getattr(step.graph, slot) == getattr(graph, slot), slot
             # the reference appends its level through append_level, which leaves the masks to the walk
@@ -695,26 +696,29 @@ def test_factorise_matches_the_reference_step(corpus):
     assert suffixed > 0 and plain > 0
 
 
-def test_a_new_label_that_names_an_existing_vertex_is_rejected(g2):
-    # the clean step of G2 labels its one new vertex L2:b,c
+def test_a_new_vertex_named_as_an_existing_one_is_refused_at_the_first_lookup(g2):
+    # the clean step of G2 names its one new vertex L2:b,c, here a level-0 label too: the series names
+    # nothing, so it runs, and the first lookup of a name refuses the graph
     g = Graph(g2.vertices + ("L2:b,c",), g2.edges())
+    final = run_series(g, OperatorKind.CLEAN).final
+    assert final.level_count == 3 and len(final.levels[2]) == 1
     with pytest.raises(InvalidArgumentError) as err:
-        run_series(g, OperatorKind.CLEAN)
+        final.level_of("L2:b,c")
     assert str(err.value) == "vertex 'L2:b,c' appears more than once"
 
 
 @pytest.mark.parametrize("op", list(OperatorKind))
-def test_two_new_vertices_with_the_same_label_are_rejected(op):
-    # {y1,y2} has lower part {b,c,d} and {y3,y4} has {"b,c",d}, which read
-    # alike once "b,c" is a level-0 label, so the step would name two new vertices L2:b,c,d
+def test_two_new_vertices_whose_members_read_alike_get_distinct_names(op):
+    # {y1,y2} has lower part {b,c,d} and {y3,y4} has {"b,c",d}, which would read alike if the comma
+    # inside the level-0 label "b,c" were not escaped
     ys = {"y1": "a b c d", "y2": "b c d e", "y3": "a b,c d", "y4": "b,c d e"}
     h = MultipartiteGraph(
         [("a", "b", "b,c", "c", "d", "e"), tuple(ys)],
         [(u, y) for y, lower in ys.items() for u in lower.split()],
     )
-    with pytest.raises(InvalidArgumentError) as err:
-        run_series_from_bipartite(h, op)
-    assert str(err.value) == "vertex 'L2:b,c,d' appears more than once"
+    final = run_series_from_bipartite(h, op).final
+    assert {"L2:b,c,d", "L2:b\\,c,d"} <= set(final.levels[2])
+    assert final.level_of("L2:b\\,c,d") == 2 and len(set(final.vertices)) == len(final)
 
 
 def test_particularise_single_edge():

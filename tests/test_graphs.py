@@ -14,6 +14,7 @@ from cleanfactor import (
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
+    anti_matching,
     build_document,
     characterising_sequence,
     cli_main,
@@ -22,6 +23,7 @@ from cleanfactor import (
     format_edge_list,
     graph_content_hash,
     parse_document,
+    reconstruct_graph,
     run_series,
     size_bound,
     verify_bijection,
@@ -171,42 +173,54 @@ def test_append_level_matches_the_constructor_on_random_graphs():
             new_vertices.append((x, nbrs))
         appended = m.append_level(new_vertices)
         built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
-        assert appended == built
-        for slot in ("_levels", "_labels", "_index", "_level_of", "_idx", "_top"):
-            assert getattr(appended, slot) == getattr(built, slot), slot
+        # the same graph, the new level in row order where the constructor keeps label order
+        assert appended.edges() == built.edges()
+        assert appended._levels[:-1] == built._levels[:-1] and sorted(appended.levels[-1]) == list(built.levels[-1])
+        new_rows = appended._idx[len(m) :]
+        assert list(new_rows) == sorted(new_rows) and appended._idx[: len(m)] == built._idx[: len(m)]
+        assert appended._index == {v: i for i, v in enumerate(appended._labels)}
+        assert appended._level_of == built._level_of and appended._top is None
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
 
 def test_append_level_keeps_every_row_and_resolves_only_the_new_edges(g3, monkeypatch):
     m = run_series(g3, OperatorKind.CLEAN).final
-    level0, top = m.levels[0], m.levels[-1]
+    level0, top = m.levels[0], tuple(run_series(g3, OperatorKind.CLEAN).final.levels[-1])  # m names nothing
     new_vertices = [("y", [top[0], level0[1]]), ("x", [level0[0], level0[1], level0[0]])]
-    calls = []
     resolve = MultipartiteGraph._rows
-
-    def spy(self, edges, first):
-        edges = list(edges)
-        calls.append((edges, first))
-        return resolve(self, edges, first)
-
-    monkeypatch.setattr(MultipartiteGraph, "_rows", spy)
+    monkeypatch.setattr(MultipartiteGraph, "_rows", lambda *args: pytest.fail("an edge resolved one at a time"))
     m2 = m.append_level(new_vertices)
-    # one pass over the new level's own edges, in input order: the old edges are never resolved again
-    assert calls == [([(top[0], "y"), (level0[1], "y"), (level0[0], "x"), (level0[1], "x"), (level0[0], "x")], len(m))]
     assert len(m2._idx) == len(m) + 2
     assert all(new is old for new, old in zip(m2._idx, m._idx))  # every existing row is the same tuple
-    assert m._index is None  # the new edges are resolved on m2, so m's label index is never built
+    # m's label index resolves the new vertices' neighbours, each vertex's in one pass; m2's waits for a lookup
+    assert m._index is not None and m2._index is None and m2._labels is None
     index = {v: i for i, v in enumerate(m.vertices)}
     assert m2._idx[len(m) :] == ((index[level0[0]], index[level0[1]]), (index[level0[1]], index[top[0]]))
+    assert m2.levels[-1] == ("x", "y")  # in row order
+    # an edge that cannot be resolved is refused by the constructor's resolver, with its message
+    monkeypatch.setattr(MultipartiteGraph, "_rows", resolve)
+    with pytest.raises(InvalidArgumentError, match="^edge endpoint 'nope' is not a declared vertex$"):
+        m.append_level([("x", [level0[0], "nope"])])
 
 
-def test_append_level_matches_clean_step_on_g2(g2):
-    # appending the single clean candidate of B(G2) by hand gives the same graph
-    m = vertex_clique_incidence(g2)
-    by_hand = m.append_level([("L2:b,c", ["b", "c", "K:a,b,c", "K:b,c,d"])])
-    step = factorise(m, OperatorKind.CLEAN)
-    assert step.effective
-    assert step.graph == by_hand
+@pytest.mark.parametrize("op", [OperatorKind.CLEAN, OperatorKind.FACTOR])
+def test_appending_each_steps_named_level_gives_the_steps_graph(op, corpus):
+    # the benchmark's traced replay: a step's new level, appended by its names and candidates, is the step's graph,
+    # on the corpus's clean series and the anti-matching factor series that the benchmark runs
+    if op is OperatorKind.CLEAN:
+        starts = [vertex_clique_incidence(g) for g in corpus[:60]]
+    else:
+        starts = [anti_matching(n) for n in (3, 4, 5)]
+    appended_levels = 0
+    for m in starts:
+        while (step := factorise(m, op)).effective:
+            new_vertices = [(label, c.members) for label, c in zip(step.graph.levels[-1], step.new_level)]
+            appended = m.append_level(new_vertices)
+            assert appended == step.graph and hash(appended) == hash(step.graph)
+            # the appended level is given, in the step's row order
+            assert appended._levels[-1] == tuple(step.graph.levels[-1]) and type(step.graph._levels[-1]) is int
+            m, appended_levels = step.graph, appended_levels + 1
+    assert appended_levels >= len(starts)
 
 
 def test_append_level_preserves_existing_adjacency(g3):
@@ -324,20 +338,23 @@ def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
 
 def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(corpus):
     # the index tuples are the only rows a graph has a field for; _top is the candidate walk's cache
-    others = {"_levels", "_labels", "_index", "_level_of", "_top", "_pairing"}
+    others = {"_levels", "_sizes", "_labels", "_index", "_level_of", "_top", "_pairing"}
     assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
     for _ in range(100):
         levels, edges = random_levels_and_edges(rng)
         whole, appended, decoded = built_three_ways(levels, edges)
         bottom = len(whole.levels[0])
-        rebuilt = MultipartiteGraph._from_rows(whole.levels, whole._idx[bottom:])
-        assert_held_alike(whole, appended, decoded, rebuilt)
+        rebuilt = MultipartiteGraph._from_rows(whole._levels, whole._idx[bottom:])
+        assert_held_alike(whole, decoded, rebuilt)
+        assert_held_alike(appended)  # its top level is in row order, the others' in label order
+        assert appended.edges() == whole.edges()
         assert [m._top for m in (whole, appended, decoded, rebuilt)] == [None] * 4
     finals = 0
     for g in corpus[:60]:
         source = graph_content_hash(g)
         base = vertex_clique_incidence(g)
+        # every level given, in label order: for these labels, level 1's row order
         whole = MultipartiteGraph(base.levels, base.edges())
         assert_held_alike(base, whole)
         assert base._top is None and whole._top is None
@@ -352,7 +369,9 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                 appended = m.append_level(list(zip(new.levels[-1], (c.members for c in step.new_level))))
                 built = MultipartiteGraph(new.levels, new.edges())
                 decoded = document_to_multipartite(build_document(replace(result, final=new), source))
-                assert_held_alike(new, appended, built, decoded)
+                assert_held_alike(new, appended, decoded)
+                assert_held_alike(built)
+                assert built.edges() == new.edges()
                 assert new._top == top_masks(new)
                 for other in (appended, built, decoded):
                     assert other._top is None
@@ -360,8 +379,9 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                 if new != final or op is OperatorKind.CLEAN:  # a capped series' next step can be large
                     # the walk builds the masks for the other builders' graphs and leaves none on them
                     step = factorise(new, op)
-                    for other in (appended, built, decoded):
+                    for other in (appended, decoded):
                         assert factorise(other, op) == step
+                    for other in (appended, built, decoded):
                         assert other._top is None
             assert m == final
             assert final._top is None  # a finished series drops the walk's masks
@@ -369,7 +389,7 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                 # verifying a document reads its tuples only
                 doc = build_document(result, source)
                 decoded = document_to_multipartite(doc)
-                assert verify_document_fields(doc, decoded).passed
+                assert verify_document_fields(doc).passed
                 assert verify_bijection(g, decoded).passed
                 assert verify_neighbourhood_formula(decoded).passed
                 assert size_bound(g, replace(result, final=decoded)).holds
@@ -417,27 +437,45 @@ def record_index_builds(monkeypatch) -> list[MultipartiteGraph]:
     return built
 
 
+def record_name_builds(monkeypatch) -> list[MultipartiteGraph]:
+    """Record each graph whose vertex names are built, once per build."""
+    named = []
+    build = MultipartiteGraph._named
+
+    def spy(self):
+        if self._labels is None:
+            named.append(self)
+        return build(self)
+
+    monkeypatch.setattr(MultipartiteGraph, "_named", spy)
+    return named
+
+
 def test_decomposing_and_verifying_build_no_label_index(monkeypatch, tmp_path, corpus):
-    built = record_index_builds(monkeypatch)
+    built, named = record_index_builds(monkeypatch), record_name_builds(monkeypatch)
     for g in corpus[:60]:
         result = run_series(g, OperatorKind.CLEAN)
         doc = parse_document(write_decomposition(result, graph_content_hash(g)))
         m = document_to_multipartite(doc)
-        assert verify_document_fields(doc, m).passed
+        assert verify_document_fields(doc).passed
         assert verify_bijection(g, m).passed and verify_neighbourhood_formula(m).passed
         assert size_bound(g, replace(result, final=m)).holds
+        assert reconstruct_graph(doc) == g
+        # the sizes the series, the verify command and the benchmark read
+        assert tuple(len(level) for level in m.levels) == result.level_sizes
     graph_path, out_path = tmp_path / "g.txt", tmp_path / "d.json"
     graph_path.write_text(format_edge_list(corpus[59]), encoding="utf-8")
     decompose = ["decompose", "--operator", "clean", "--input", str(graph_path), "--output", str(out_path)]
     assert cli_main(decompose) == 0
     assert cli_main(["verify", "--decomposition", str(out_path), "--input", str(graph_path)]) == 0
-    assert built == []
+    assert built == [] and named == []  # no generated name is built, and no label index
 
 
+# by vertex, since the constructor keeps each level in label order and a series in row order
 LOOKUPS = {
-    "level_of": lambda m: [m.level_of(v) for v in m.vertices],
-    "in": lambda m: [v in m for v in (*m.vertices, "z", 0)],
-    "characterising_sequence": lambda m: [characterising_sequence(m, x) for x in itertools.chain(*m.levels[2:])],
+    "level_of": lambda m: {v: m.level_of(v) for v in m.vertices},
+    "in": lambda m: {v: v in m for v in (*m.vertices, "z", 0)},
+    "characterising_sequence": lambda m: {x: characterising_sequence(m, x) for x in itertools.chain(*m.levels[2:])},
 }
 
 
@@ -447,25 +485,32 @@ def test_the_first_label_lookup_builds_the_index_once_as_the_constructor_does(lo
     g = max(corpus[:60], key=lambda g: run_series(g, OperatorKind.CLEAN).steps)
     result = run_series(g, OperatorKind.CLEAN)
     decoded = document_to_multipartite(parse_document(write_decomposition(result, graph_content_hash(g))))
-    whole = MultipartiteGraph(result.final.levels, result.final.edges())
+    other = run_series(g, OperatorKind.CLEAN).final  # its lookups leave result.final's index unbuilt
+    whole = MultipartiteGraph(other.levels, other.edges())
     built = record_index_builds(monkeypatch)
     for m in (result.final, decoded):
         assert ask(m) == ask(m) == ask(whole)  # the second lookup reads the index the first one built
-        assert built[-1] is m and (m._index, m._level_of) == (whole._index, whole._level_of)
+        assert built[-1] is m and m._index == {v: i for i, v in enumerate(m._labels)}
+        assert m._level_of == tuple(whole.level_of(v) for v in m._labels)
+    assert (result.final._index, result.final._level_of) == (decoded._index, decoded._level_of)
     assert len(built) == 2
 
 
-def test_append_level_builds_only_the_new_graphs_index(monkeypatch, g3):
+def test_append_level_builds_only_this_graphs_index(monkeypatch, g3):
     m = run_series(g3, OperatorKind.CLEAN).final
     new_vertices = [("y", [m.levels[-1][0], m.levels[0][1]])]
     expected = MultipartiteGraph(m.levels, m.edges()).append_level(new_vertices)
+    expected_levels = {v: expected.level_of(v) for v in expected.vertices}
+    m = run_series(g3, OperatorKind.CLEAN).final  # one whose index is not built yet
     built = record_index_builds(monkeypatch)
     appended = m.append_level(new_vertices)
-    # the new edges are resolved by label on the new graph, whose index covers every level
-    assert len(built) == 1 and built[0] is appended and appended == expected
-    assert [appended.level_of(v) for v in appended.vertices] == [expected.level_of(v) for v in expected.vertices]
-    assert (appended._index, appended._level_of) == (expected._index, expected._level_of)
-    assert len(built) == 1  # the lookups on the new graph read the index append_level built
+    again = m.append_level(new_vertices)
+    # the new edges are resolved by label on this graph, whose index is built once for both appends
+    assert built == [m] and appended == again
+    assert appended.edges() == expected.edges()  # a lookup, so it builds the new graph's names and index
+    assert {v: appended.level_of(v) for v in expected_levels} == expected_levels
+    assert appended._index == {v: i for i, v in enumerate(appended._labels)}
+    assert built == [m, appended]  # built by its first lookup, the new graph's index serves every other
 
 
 def test_a_graph_is_not_equal_to_what_is_not_a_graph(g2):
@@ -483,44 +528,57 @@ def test_multipartite_repr_gives_level_sizes_and_edge_count(g2):
     assert repr(run_series(g2, OperatorKind.CLEAN).final) == "MultipartiteGraph(levels=[4,2,1], 10 edges)"
 
 
-def reference_level_labels(k, level0_labels, member_labels):
-    """``_level_labels`` from label sets alone: a name is the sorted labels of the level-0
-    neighbours, and a vertex sharing its name is ranked among the others by its sorted member labels."""
+def reference_names(k, level0, rows):
+    """The names of level ``k``'s rows, in row order, from label lists alone: ``K:`` or ``L<k>:`` and the level-0
+    labels of a row, each with backslash, comma and '#' escaped, and ``#n`` for the n-th row of the level with them."""
     prefix = "K:" if k == 1 else f"L{k}:"
-    names = [prefix + ",".join(sorted(lows)) for lows in level0_labels]
-    out = []
-    for t, name in enumerate(names):
-        rivals = sorted((sorted(member_labels[s]), s) for s, other in enumerate(names) if other == name)
-        n = [s for _, s in rivals].index(t) + 1
-        out.append(f"{name}#{n}" if n > 1 else name)
-    return out
-
-
-# user labels sort below "K:" (upper case) and above "L" (lower case)
-USER_LABELS = st.text(alphabet="ABJabz", min_size=1, max_size=3)
+    escape = lambda v: v.replace("\\", "\\\\").replace(",", "\\,").replace("#", "\\#")
+    names = [prefix + ",".join(escape(level0[i]) for i in row if i < len(level0)) for row in rows]
+    return [f"{name}#{names[:t].count(name) + 1}" if name in names[:t] else name for t, name in enumerate(names)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_level_label_suffixes_follow_member_labels_not_indexes(data):
-    # levels 0..k-1 in index order; "K:" < "L10:" < "L2:" < lower-case user labels as strings
-    k = data.draw(st.integers(2, 12), label="k")
-    levels = [sorted(data.draw(st.sets(USER_LABELS, min_size=2, max_size=5), label="level 0"))]
-    for j in range(1, k):
-        prefix = "K:" if j == 1 else f"L{j}:"
-        names = data.draw(st.sets(USER_LABELS, min_size=1, max_size=2), label=f"level {j}")
-        levels.append(sorted(prefix + name for name in names))
-    labels = [v for level in levels for v in level]
-    n0 = len(levels[0])
-    # two level-0 parts, either of which may be empty, for all the rows, so most names are shared
-    pool = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1)), min_size=2, max_size=2), label="level-0 parts")
-    uppers = data.draw(
-        st.lists(st.frozensets(st.integers(n0, len(labels) - 1), min_size=1), min_size=1, max_size=8),
-        label="upper parts",
-    )
-    # distinct rows in the order drawn
-    rows = list(dict.fromkeys(tuple(sorted(pool[data.draw(st.integers(0, 1))] | upper)) for upper in uppers))
-    given_labels = graphs._level_labels(labels, n0, k, rows)
-    level0_labels = [{labels[i] for i in row if i < n0} for row in rows]
-    member_labels = [{labels[i] for i in row} for row in rows]
-    assert given_labels == reference_level_labels(k, level0_labels, member_labels)
+def test_generated_names_count_along_row_order_and_escape_their_members(data):
+    # level-0 labels from the characters a name is made of; each higher level's rows are a drawn level-0 part
+    # (one of two, so most names are shared) and a non-empty part on the levels below, distinct and in row order
+    level0 = sorted(data.draw(st.sets(st.text("ab,#\\", min_size=1, max_size=3), min_size=2, max_size=5)))
+    n0 = len(level0)
+    pool = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1), min_size=1), min_size=2, max_size=2))
+    levels, down, size = [tuple(level0)], [], n0
+    for k in range(1, data.draw(st.integers(2, 11), label="levels")):
+        if k == 1:
+            parts = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1), min_size=1), min_size=1, max_size=6))
+        else:
+            uppers = st.frozensets(st.integers(n0, size - 1), min_size=1)
+            drawn = data.draw(st.lists(uppers, min_size=1, max_size=8))
+            parts = [pool[data.draw(st.integers(0, 1))] | upper for upper in drawn]
+        rows = sorted({tuple(sorted(part)) for part in parts})
+        levels.append(len(rows))
+        down += rows
+        size += len(rows)
+    m = MultipartiteGraph._from_rows(tuple(levels), down)
+    start = n0
+    for k, level in enumerate(m.levels[1:], start=1):
+        assert list(level) == reference_names(k, level0, down[start - n0 : start - n0 + len(level)])
+        start += len(level)
+    assert len(set(m.vertices)) == len(m)  # distinct, so the index answers for every name
+    assert [m.level_of(v) for v in m.vertices] == [k for k, level in enumerate(m.levels) for _ in level]
+
+
+NAME_LOOKUPS = {
+    "vertices": lambda m: m.vertices,
+    "level_of": lambda m: m.level_of("b"),
+    "in": lambda m: "b" in m,
+    "edges": lambda m: m.edges(),
+    "levels": lambda m: list(m.levels[1]),
+}
+
+
+@pytest.mark.parametrize("lookup", NAME_LOOKUPS)
+def test_a_given_label_that_a_generated_name_repeats_is_refused_at_the_first_lookup(lookup):
+    # the clique {b} is named K:b, a level-0 label: building the graph names nothing, so nothing is refused then
+    m = vertex_clique_incidence(Graph(["K:b", "b", "c", "d"], [("K:b", "c"), ("c", "d")]))
+    assert len(m.levels[1]) == 3 and m._labels is None
+    with pytest.raises(InvalidArgumentError, match=r"^vertex 'K:b' appears more than once$"):
+        NAME_LOOKUPS[lookup](m)

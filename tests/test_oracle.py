@@ -395,8 +395,8 @@ def test_agreement_check_fails_first_when_only_a_lower_level_differs(clean_runs)
     row = rows[x - len(final.levels[0])]
     assert row[0] < len(final.levels[0])  # its lowest neighbour is on level 0
     rows[x - len(final.levels[0])] = row[1:]  # its lowest level-0 neighbour dropped
-    t = MultipartiteGraph._from_rows(final.levels, rows)
-    expected = f"level 4, vertex {final._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
+    t = MultipartiteGraph._from_rows(final._levels, rows)
+    expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
     assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
     assert not reference_verify_neighbourhood_formula(t).passed
 
@@ -461,6 +461,21 @@ def test_poset_height_is_bounded_by_n_minus_2():
         assert poset.chain_count(len(g) - 1) == 0
 
 
+def in_order_of(m: MultipartiteGraph, edges: list[tuple[str, str]]) -> MultipartiteGraph:
+    """The graph with ``edges`` on m's vertices, every level given m's names in m's index order.
+
+    The constructor would put each level in label order, and a series keeps
+    its levels in row order, so this keeps a vertex's index, and its name,
+    whatever the edges.
+    """
+    index = {v: i for i, v in enumerate(m.vertices)}
+    rows: list[set[int]] = [set() for _ in index]
+    for a, b in edges:
+        rows[max(index[a], index[b])].add(min(index[a], index[b]))
+    n0 = len(m.levels[0])
+    return MultipartiteGraph._from_rows(tuple(map(tuple, m.levels)), [tuple(sorted(row)) for row in rows[n0:]])
+
+
 def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[MultipartiteGraph]:
     """Copies of ``m`` with one change each, ``rounds`` of every kind.
 
@@ -477,13 +492,13 @@ def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[
     pairs = sorted(by_pair)
     for _ in range(rounds):
         gone = rng.choice(by_pair[rng.choice(pairs)])
-        yield MultipartiteGraph(m.levels, [e for e in edges if e != gone])
+        yield in_order_of(m, [e for e in edges if e != gone])
         while True:
             i, j = sorted(rng.sample(range(m.level_count), 2))
             extra = (rng.choice(m.levels[i]), rng.choice(m.levels[j]))
             if extra not in present:
                 break
-        yield MultipartiteGraph(m.levels, edges + [extra])
+        yield in_order_of(m, edges + [extra])
         k = rng.randrange(2, m.level_count)
         if len(m.levels[k]) > 1:
             x = rng.choice(m.levels[k])
@@ -492,7 +507,7 @@ def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[
     yield MultipartiteGraph(m.levels[:-1], [e for e in edges if e[1] not in top])
     k = rng.randrange(2, m.level_count)
     x = rng.choice(m.levels[k])
-    copied = [level + ((x + "'",) if li == k else ()) for li, level in enumerate(m.levels)]
+    copied = [tuple(level) + ((x + "'",) if li == k else ()) for li, level in enumerate(m.levels)]
     yield MultipartiteGraph(copied, edges + [(u, x + "'") for u, v in edges if v == x])
 
 
@@ -527,7 +542,7 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
     if t.levels == m.levels:
         changed = [x for x, (a, b) in enumerate(zip(m._idx, t._idx)) if a != b]
         if len(changed) == 1 and changed[0] >= m._level_range(2).start:
-            name = repr(m._labels[changed[0]])
+            name = repr(m.vertices[changed[0]])
             assert name in bijection.counterexample and name in (formula.counterexample or "")
     return [bijection.counterexample, formula.counterexample or ""]
 
@@ -573,8 +588,8 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     x = m._level_range(4)[len(m.levels[4]) // 2]
     rows = list(m._idx[bottom:])
     rows[x - bottom] = rows[x - bottom][1:]
-    t = MultipartiteGraph._from_rows(m.levels, rows)
-    expected = f"level 4, vertex {m._labels[x]!r}: no 3-element chain predicts its lower neighbourhood"
+    t = MultipartiteGraph._from_rows(m._levels, rows)
+    expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
     assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
 
 
@@ -651,7 +666,9 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
 
     # graphs derived from one whose pairing is stored walk their own
     top = set(final.levels[-1])
-    below = MultipartiteGraph(final.levels[:-1], [e for e in final.edges() if e[1] not in top])
+    # final without its top level, in final's index order
+    lower = MultipartiteGraph._from_rows(final._levels[:-1], final._idx[len(final.levels[0]) : -len(top)])
+    below = in_order_of(lower, [e for e in final.edges() if e[1] not in top])
     below_run = SeriesResult(below, SeriesStatus.TERMINATED, below.level_count - 2, (), OperatorKind.CLEAN)
     calls.clear()
     assert not verify_bijection(g, below).passed and verify_neighbourhood_formula(below).passed
@@ -660,11 +677,11 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
         below.append_level([(x, adj(x)) for x in final.levels[-1]]),
         factorise(below, OperatorKind.CLEAN).graph,
         document_to_multipartite(build_document(below_run, "")),
-        MultipartiteGraph._from_rows(below.levels, below._idx[len(below.levels[0]) :]),
+        MultipartiteGraph._from_rows(below._levels, below._idx[len(below.levels[0]) :]),
     ]
     assert calls == [below.level_count]
     for m in derived:
-        fresh = MultipartiteGraph(m.levels, m.edges())
+        fresh = in_order_of(m, m.edges())
         assert m == fresh
         calls.clear()
         reports = (verify_bijection(g, m), verify_neighbourhood_formula(m))
