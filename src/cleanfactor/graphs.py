@@ -279,17 +279,16 @@ class MultipartiteGraph:
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge as (lower-level endpoint, higher-level endpoint), sorted.
 
-        Each edge is stored once, in its higher endpoint's row, so the rows are transposed first.
+        Each edge is stored once, in its higher endpoint's row, so the rows are transposed first, the
+        vertices taken in label order, so that the edges come out sorted without sorting them.
         """
         labels = self.vertices
+        order = sorted(range(len(labels)), key=labels.__getitem__)
         above: list[list[int]] = [[] for _ in labels]
-        for i, row in enumerate(self._idx):
-            for j in row:
+        for i in order:
+            for j in self._idx[i]:
                 above[j].append(i)
-        # grouped by lower endpoint, each group in index order: few runs for the sort to merge
-        out = [(labels[j], labels[i]) for j, up in enumerate(above) for i in up]
-        out.sort()
-        return tuple(out)
+        return tuple([(labels[j], labels[i]) for j in order for i in above[j]])
 
     def edge_count(self) -> int:
         return sum(map(len, self._idx))
