@@ -203,6 +203,15 @@ def test_append_level_keeps_every_row_and_resolves_only_the_new_edges(g3, monkey
         m.append_level([("x", [level0[0], "nope"])])
 
 
+def test_append_level_matches_clean_step_on_g2(g2):
+    # appending the single clean candidate of B(G2) by hand gives the same graph
+    m = vertex_clique_incidence(g2)
+    by_hand = m.append_level([("L2:b,c", ["b", "c", "K:a,b,c", "K:b,c,d"])])
+    step = factorise(m, OperatorKind.CLEAN)
+    assert step.effective
+    assert step.graph == by_hand
+
+
 @pytest.mark.parametrize("op", [OperatorKind.CLEAN, OperatorKind.FACTOR])
 def test_appending_each_steps_named_level_gives_the_steps_graph(op, corpus):
     # the benchmark's traced replay: a step's new level, appended by its names and candidates, is the step's graph,
