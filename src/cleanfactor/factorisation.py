@@ -13,10 +13,25 @@ exactly when its seed is closed: no further upper vertex of its
 neighbourhood-equality class covers its common neighbourhood (only the
 clean variant splits the upper level into several classes). So the maximal
 candidates come from a depth-first Close-by-One walk over the closed seeds
-of each class, ``_closed_seeds``, which describes how each node scans only
-the members still live and how the root's children come from one pass over
-pairs, or over bit-parallel columns. The whole candidate family, which the
-definitions describe, is enumerated only in the tests.
+of each class. Each node of the walk passes down ``live``, the members
+whose row still meets its common neighbourhood in two vertices on every
+card level, and its children scan only those: a common neighbourhood only
+shrinks down the walk, so a member that fails the card test at a node
+fails it, and covers no common neighbourhood, anywhere below. Each scan
+is one intersection of a row with the common neighbourhood: equality is
+the cover test, and two popcounts of it are the card test. The root's
+children, where most of the scanning happens, come from one pass over the
+pairs of the root's live members, so each pair meets once rather than
+once from each side; deeper nodes, which mostly have few children, keep
+the per-node scan, which costs them less than building every child's
+list in one pass. Where the root's rows hold fewer vertices on the first
+card level than one per ``_PAIRS_PER_FOLD`` pairs of root members, which
+needs ``4 * _PAIRS_PER_FOLD + 2`` members or more since each row holds
+two, each member meets only those sharing two vertices with it there,
+found at once by bit-parallel columns built from the row masks. The walk
+keeps its own stack, so a long chain of nested seeds needs no deep
+recursion. The whole candidate family, which the definitions describe, is
+enumerated only in the tests.
 """
 
 from __future__ import annotations

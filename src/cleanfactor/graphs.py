@@ -356,7 +356,8 @@ class _Named(Sequence):
         return self._graph._sizes[self._k]
 
     def __getitem__(self, i):
-        return tuple(self)[i]
+        at, vertices = self._graph._level_range(self._k)[i], self._graph.vertices
+        return tuple(map(vertices.__getitem__, at)) if isinstance(i, slice) else vertices[at]
 
     def __iter__(self):
         level = self._graph._level_range(self._k)
@@ -364,3 +365,6 @@ class _Named(Sequence):
 
     def __eq__(self, other: object) -> bool:
         return tuple(self) == tuple(other) if isinstance(other, (tuple, _Named)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the tuple it equals

@@ -137,8 +137,11 @@ class DecompositionDocument:
 
 
 def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocument:
-    """Canonical document for a finished series run."""
+    """Canonical document for a finished series run; a series gives labels to levels 0 and 1 only, as a document can."""
     m = result.final
+    given = next((k for k, level in enumerate(m._levels[2:], 2) if type(level) is tuple), None)
+    if given is not None:
+        raise InvalidArgumentError(f"level {given} lists labels, but a document holds labels on levels 0 and 1 only")
     return DecompositionDocument(
         format_version=FORMAT_VERSION,
         source_hash=source_hash,
@@ -150,11 +153,17 @@ def build_document(result: SeriesResult, source_hash: str) -> DecompositionDocum
 
 
 def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
-    """Check the fields that the graph checks do not read: a terminated clean series, the only kind certified."""
+    """Check the fields that the graph checks do not read: a terminated clean series, the only kind certified.
+
+    The series must start from a graph, so that level 1, its cliques, is generated: a document of that
+    series then holds no label but level 0's, and each decomposition has one document.
+    """
     if doc.operator != "clean":
         return VerificationReport(False, f"operator {doc.operator!r}: only clean decompositions are certified")
     if doc.status != "terminated":
         return VerificationReport(False, f"status {doc.status!r}: only terminated series are certified")
+    if type(doc.levels[1]) is not int:
+        return VerificationReport(False, "level 1 lists labels: the series of a graph generates it")
     return VerificationReport(True)
 
 
@@ -217,8 +226,9 @@ def parse_document(text: str) -> DecompositionDocument:
 
     Every field is checked for its exact type (an index is an ``int``, not
     a ``bool``), its range and its order, so the document decodes to a
-    well-formed multipartite graph; the first problem found is named. A
-    generated level's down rows must ascend, the order the library writes.
+    well-formed multipartite graph; the first problem found is named. Only
+    levels 0 and 1 may list labels, and a generated level's down rows must
+    ascend, the order the library writes.
     Each level is checked in a few passes; only a failure searches for the
     row at fault.
     """
@@ -245,6 +255,7 @@ def parse_document(text: str) -> DecompositionDocument:
     for li, level in enumerate(levels):
         if li and type(level) is int and level > 0:
             continue
+        _expect(li < 2, "level {} must be a positive vertex count: only levels 0 and 1 are given", li)
         labelled = type(level) is list and level and set(map(type, level)) == {str}
         _expect(labelled, "level {} must be a non-empty list of labels or, above level 0, a vertex count", li)
         _expect(all(map(lt, level, islice(level, 1, None))), "level {}: labels are not sorted and distinct", li)

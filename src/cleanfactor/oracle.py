@@ -12,13 +12,21 @@ count of ``size_bound`` and the chain walk ``_chains`` behind the command
 line's ``oracle`` listing. A chain is a plain tuple of masks, and the walk
 keeps its own stack, so a chain of any length needs no deep recursion.
 
-Both checks read one pairing per graph, from the walk ``_pair``, which
-``_pairing`` keeps on the graph; ``_cliques`` keeps an input graph's
-maximal cliques in the same way. So verifying walks a graph once and
-enumerates its input once, whichever checks run and in whatever order.
-``characterising_sequence`` recovers one vertex's sequence from that
-vertex's own rows. Labels are formatted only for a counterexample or a
-listing, so only these build a decomposition's generated names.
+Both checks read one pairing per graph. The walk ``_pair`` predicts, level
+by level, the lower neighbourhood of the vertex of every chain from the
+level-1 rows and the vertices already paired below, as an index tuple, and
+pairs each vertex with the chain that predicts its row. It needs no labels
+and no second graph. ``_pairing`` runs it on a graph's first check and
+keeps the result on the graph, so verifying a graph walks it once,
+whichever checks run and in whatever order. In the same way ``_cliques``
+keeps the input graph's maximal cliques, which ``intersection_family``,
+``verify_bijection`` and ``size_bound`` all read; decomposing a graph
+neither reads nor fills them, so a graph passed from decomposition to
+verification is still enumerated once by the oracle, whichever oracle
+function runs first. ``characterising_sequence`` reads no
+pairing: it recovers one vertex's sequence from that vertex's own rows.
+Labels are formatted only for a counterexample or a listing, so only these
+build a decomposition's generated names.
 """
 
 from __future__ import annotations
@@ -175,6 +183,14 @@ def _fail(message: str) -> VerificationReport:
 Pairing = tuple[str | None, tuple[tuple[int, int, int], ...], int]
 
 
+def _name(m: MultipartiteGraph, x: int) -> str:
+    """Vertex ``x`` as a counterexample names it: its label or, where two vertices share a label, its index."""
+    try:
+        return repr(m.vertices[x])
+    except InvalidArgumentError:
+        return str(x)
+
+
 def _pair(m: MultipartiteGraph) -> Pairing:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
@@ -205,12 +221,10 @@ def _pair(m: MultipartiteGraph) -> Pairing:
         for x in m._level_range(k):
             key = want.get(idx[x])
             if key is None:
-                problem = f"vertex {m.vertices[x]!r}: no {k - 1}-element chain predicts its lower neighbourhood"
-                return f"level {k}, {problem}", (), 0
+                return f"level {k}, vertex {_name(m, x)}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
             y = paired.setdefault(key, x)
             if y != x:
-                problem = f"vertices {m.vertices[y]!r} and {m.vertices[x]!r} have the same lower neighbourhood"
-                return f"level {k}: {problem}", (), 0
+                return f"level {k}: vertices {_name(m, y)} and {_name(m, x)} have the same lower neighbourhood", (), 0
             key_of[x] = key
         if len(paired) != len(keys):
             key = next(key for key in keys if key not in paired)
@@ -218,7 +232,7 @@ def _pair(m: MultipartiteGraph) -> Pairing:
             while key[0] != -1:
                 key = key_of[key[0]]
                 seq.append(key[1])
-            chain = _fmt_seq(m._labels_from_mask(o) for o in reversed(seq))
+            chain = _fmt_seq(frozenset(map(m._levels[0].__getitem__, bits(o))) for o in reversed(seq))
             return f"level {k}: chain {chain} is attained by no vertex", (), 0
         counts.append((k, len(paired), len(keys)))
         keys, want = [], {}

@@ -214,6 +214,7 @@ def reference_parse_v4(text: str) -> DecompositionDocument:
     for li, level in enumerate(levels):
         if li > 0 and type(level) is int and level >= 1:
             continue  # a generated level: its size
+        _expect(li < 2, f"level {li} must be a positive vertex count: only levels 0 and 1 are given")
         labelled = type(level) is list and level and set(map(type, level)) == {str}
         _expect(labelled, f"level {li} must be a non-empty list of labels or, above level 0, a vertex count")
         _expect(reference_labels_ascend(level), f"level {li}: labels are not sorted and distinct")

@@ -390,6 +390,10 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
                     step = factorise(new, op)
                     for other in (appended, decoded):
                         assert factorise(other, op) == step
+                    # built holds its levels in label order, so its step finds the same candidates in another order
+                    stepped = factorise(built, op)
+                    assert stepped.effective == step.effective
+                    assert not step.effective or set(stepped.new_level) == set(step.new_level)
                     for other in (appended, built, decoded):
                         assert other._top is None
             assert m == final

@@ -136,6 +136,18 @@ def test_generated_levels_are_in_row_order():
         assert list(rows) == sorted(set(rows))
 
 
+def test_a_generated_level_indexes_slices_and_hashes_as_the_tuple_of_its_names():
+    m = run_series(make_g3(), OperatorKind.CLEAN).final
+    for level in m.levels[1:]:
+        names = tuple(level)
+        assert [level[i] for i in range(-len(names), len(names))] == list(names + names)
+        for part in (slice(None), slice(1, None), slice(None, None, -1), slice(-1, None), slice(5, 9)):
+            assert level[part] == names[part]
+        assert hash(level) == hash(names) and {names: True}[level]
+        with pytest.raises(IndexError):
+            level[len(names)]
+
+
 G2_GOLDEN = (
     '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"format_version":4,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
@@ -371,14 +383,24 @@ def test_every_edge_list_decomposes_verifies_and_reconstructs_to_itself(g):
 
 @st.composite
 def multipartite_runs(draw):
-    """A finished run on a multipartite graph with adversarial labels and any edges between levels."""
+    """A finished run on a graph that a series can end with, its given labels adversarial.
+
+    Level 0 is given, and so is level 1 where the series starts from a bipartite graph, with any edges between
+    them; every level above is generated, its distinct rows drawn over the levels below and held in row order.
+    """
     labels = draw(st.lists(adversarial_labels, min_size=2, max_size=10, unique=True))
-    level_of = [0, 1] + [draw(st.integers(0, 3)) for _ in labels[2:]]
-    used = sorted(set(level_of))
-    levels = [[v for v, lv in zip(labels, level_of) if lv == li] for li in used]
-    pairs = [(u, v) for a, lower in enumerate(levels) for upper in levels[a + 1 :] for u in lower for v in upper]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
-    m = MultipartiteGraph(levels, edges)
+    n0 = draw(st.integers(1, len(labels) - 1))
+    pairs = [(u, v) for u in labels[:n0] for v in labels[n0:]]
+    start = MultipartiteGraph([labels[:n0], labels[n0:]], draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    bipartite = draw(st.booleans())
+    levels, idx = start._levels[: 1 + bipartite], start._idx[n0:] if bipartite else ()
+    for _ in range(draw(st.integers(0 if bipartite else 1, 2))):
+        below = n0 + len(idx)  # every vertex so far
+        row = st.frozensets(st.integers(0, below - 1), max_size=4).map(sorted).map(tuple)
+        rows = sorted(set(draw(st.lists(row, min_size=1, max_size=4))))
+        levels, idx = levels + (len(rows),), idx + tuple(rows)
+    m = MultipartiteGraph._from_rows(levels, idx)
+    assume(named_apart(m))  # a given label that a generated name repeats is refused, as other tests show
     return SeriesResult(
         final=m,
         status=draw(st.sampled_from(list(SeriesStatus))),
@@ -388,12 +410,28 @@ def multipartite_runs(draw):
     )
 
 
+def named_apart(m):
+    """Whether no two vertices of ``m`` share a name."""
+    try:
+        return bool(m.vertices)
+    except InvalidArgumentError:
+        return False
+
+
 @settings(max_examples=300, deadline=None)
 @given(multipartite_runs(), st.text(ADVERSARIAL))
 def test_codec_matches_the_reference_on_adversarial_labels(result, source_hash):
     assert_formats_agree(result, source_hash)
     doc = parse_document(write_decomposition(result, source_hash))
     assert (doc.source_hash, doc.operator, doc.status) == (source_hash, result.operator.value, result.status.value)
+
+
+def test_build_document_refuses_labels_above_level_1():
+    # the constructor keeps every level's labels; a series generates each level above 1
+    m = MultipartiteGraph([["a", "b"], ["p"], ["x"]], [("a", "p"), ("b", "p"), ("p", "x")])
+    result = SeriesResult(m, SeriesStatus.TERMINATED, 1, (2, 1, 1), OperatorKind.WEAK)
+    with pytest.raises(InvalidArgumentError, match="^level 2 lists labels, but a document holds labels on levels 0 and 1 only$"):
+        build_document(result, "h")
 
 
 def piece_document(rows: int) -> DecompositionDocument:
@@ -408,7 +446,7 @@ def piece_document(rows: int) -> DecompositionDocument:
 def test_to_json_writes_empty_containers_like_json_dumps():
     # a vertex without lower neighbours; down rows around the writer's piece boundaries; non-ASCII labels
     docs = [
-        DecompositionDocument(4, "h", "weak", "budget-exceeded", (("a",), ("b",), ("c",)), ((), (0,))),
+        DecompositionDocument(4, "h", "weak", "budget-exceeded", (("a",), ("b",), 1), ((), (0,))),
         DecompositionDocument(4, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
         DecompositionDocument(4, "h", "weak", "terminated", (("a", "b"), 2, 1), ((), (0, 1), (1, 2))),
         *map(piece_document, (255, 256, 257, 513)),
@@ -526,6 +564,7 @@ def edited(payload, path, value):
 
 # G2 in format 4: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6
 NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a vertex count"
+NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are given"
 
 
 @pytest.mark.parametrize(
@@ -546,15 +585,16 @@ NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a 
         (("down", 2), DELETE, "down must hold 3 rows, not 2"),
         (("down",), None, "down must be a list of index lists"),
         (("levels", 1), 3, "down row of vertex 6 on level 1: index 4 is not on a lower level"),
-        (("levels", 2), 0, NOT_A_LEVEL.format(2)),
-        (("levels", 2), True, NOT_A_LEVEL.format(2)),
-        (("levels", 2), 1.0, NOT_A_LEVEL.format(2)),
+        (("levels", 2), 0, NOT_A_COUNT),
+        (("levels", 2), True, NOT_A_COUNT),
+        (("levels", 2), 1.0, NOT_A_COUNT),
         (("levels", 0), 4, NOT_A_LEVEL.format(0)),
         (("levels", 0), ["b", "a", "c", "d"], "level 0: labels are not sorted and distinct"),
         (("levels", 0), ["a", "a", "c", "d"], "level 0: labels are not sorted and distinct"),
         (("levels", 1), ["d", "e"], "a label appears on more than one level"),
         (("levels", 0), ["a", "b", "c", 4], NOT_A_LEVEL.format(0)),
-        (("levels", 2), [], NOT_A_LEVEL.format(2)),
+        (("levels", 2), [], NOT_A_COUNT),
+        (("levels", 1), [], NOT_A_LEVEL.format(1)),
         (("levels",), [["a", "b", "c", "d"]], "need at least two levels"),
         (("operator",), "strong", "unknown operator"),
         (("status",), None, "unknown status"),
@@ -592,6 +632,7 @@ NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a 
         "label-on-two-levels",
         "label-not-string",
         "level-empty",
+        "level-1-empty",
         "one-level",
         "unknown-operator",
         "unknown-status",
@@ -733,10 +774,30 @@ def test_cli_names_the_level_of_a_tampered_document(tmp_path, edit, code, out, e
 
 
 @pytest.mark.parametrize(
+    "graph, levels",
+    [
+        (make_g2, [["a", "b", "c", "d"], ["K:x", "K:y"], ["not a canonical label"]]),
+        (make_g2, [["a", "b", "c", "d"], 2, ["L2:a,b"]]),
+        (make_g3, [["1", "2", "3", "4", "5", "6"], 3, ["L2:1,2#2", "L2:1,2,3"], 1]),
+    ],
+    ids=["renamed-levels", "level-2-label", "suffix"],
+)
+def test_labels_on_a_generated_level_are_refused(tmp_path, graph, levels):
+    """Only levels 0 and 1 can be given, so a document that names a higher level's vertices is malformed."""
+    g = graph()
+    text = json.dumps(json.loads(decomposition_text(g)) | {"levels": levels})
+    assert parsed(parse_document, text) == parsed(reference_parse_v4, text) == NOT_A_COUNT
+    graph_path, doc_path = write(tmp_path, "g.txt", format_edge_list(g)), write(tmp_path, "d.json", text)
+    assert run_cli(["verify", "--decomposition", doc_path, "--input", graph_path]) == (2, "", f"error: {NOT_A_COUNT}\n")
+
+
+@pytest.mark.parametrize(
     "field, value, detail",
     [
         ("status", "budget-exceeded", "status 'budget-exceeded': only terminated series are certified"),
         ("operator", "weak", "operator 'weak': only clean decompositions are certified"),
+        # a bipartite start may give level 1's labels, but verify takes the series of a graph
+        ("levels", [["a", "b", "c", "d"], ["K:x", "K:y"], 1], "level 1 lists labels: the series of a graph generates it"),
     ],
 )
 def test_cli_verify_rejects_uncertified_status_and_operator(tmp_path, capsys, field, value, detail):
@@ -873,6 +934,22 @@ def test_inputs_whose_generated_names_once_clashed_decompose_verify_and_reconstr
         assert '"K:a,b"' in Path(dot_path).read_text() and '"K:a\\\\,b"' in Path(dot_path).read_text()
     else:
         assert run_cli(argv + ["--dot", dot_path]) == (2, "", f"error: vertex {clash!r} appears more than once\n")
+
+
+def test_cli_verify_names_a_vertex_by_its_index_where_the_names_clash(tmp_path):
+    # K:b c, c d, b with a level 2 added, whose vertex no chain predicts: the clique {b} is named K:b, as a level-0 vertex is
+    graph_path = write(tmp_path, "g.txt", "K:b c\nc d\nb\n")
+    out_path = str(tmp_path / "d.json")
+    assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])[0] == 0
+    payload = json.loads(Path(out_path).read_text())
+    assert (payload["levels"][1:], payload["down"]) == ([3], [[0, 2], [1], [2, 3]])
+    payload["levels"].append(1)
+    payload["down"].append([2, 4, 6])
+    doc_path = write(tmp_path, "tampered.json", json.dumps(payload))
+    code, out, err = run_cli(["verify", "--decomposition", doc_path, "--input", graph_path])
+    failure = "level 2, vertex 7: no 1-element chain predicts its lower neighbourhood"
+    assert (code, err) == (1, "")
+    assert f"bijection: FAIL ({failure})\n" in out and f"neighbourhood-formula: FAIL ({failure})\n" in out
 
 
 def test_a_leading_byte_order_mark_is_not_part_of_a_label(tmp_path, capsys):

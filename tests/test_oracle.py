@@ -669,7 +669,8 @@ def test_each_graph_is_paired_once(monkeypatch, corpus, tmp_path, capsys):
     # final without its top level, in final's index order
     lower = MultipartiteGraph._from_rows(final._levels[:-1], final._idx[len(final.levels[0]) : -len(top)])
     below = in_order_of(lower, [e for e in final.edges() if e[1] not in top])
-    below_run = SeriesResult(below, SeriesStatus.TERMINATED, below.level_count - 2, (), OperatorKind.CLEAN)
+    # a document holds its generated levels as sizes, so it is written from lower, whose levels are generated
+    below_run = SeriesResult(lower, SeriesStatus.TERMINATED, lower.level_count - 2, (), OperatorKind.CLEAN)
     calls.clear()
     assert not verify_bijection(g, below).passed and verify_neighbourhood_formula(below).passed
     adj = Neighbours(final)
