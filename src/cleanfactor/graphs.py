@@ -57,7 +57,8 @@ def _check_distinct(labels: Sequence[str], held: int) -> None:
         raise InvalidArgumentError(f"vertex {clash!r} appears more than once")
 
 
-# a level-0 label inside a generated name: ',' separates labels and '#' starts the suffix, so both are escaped
+# a level-0 label inside a generated name: ',' separates labels and '#' starts the suffix, so both are escaped;
+# the empty label is written \0, which no escaped label holds: each backslash written here is followed by \, ',' or '#'
 _ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "#": "\\#"})
 
 
@@ -121,15 +122,11 @@ class Graph:
         return self._adj[self._index[v]].bit_count()
 
     def edges(self) -> tuple[tuple[str, str], ...]:
-        """All edges as (u, v) pairs with u < v, sorted."""
+        """All edges as (u, v) pairs with u < v, sorted: in index order, which is label order."""
         labels = self._labels
-        out = []
-        for i, mask in enumerate(self._adj):
-            u, above = labels[i], i + 1
-            for j in bits(mask >> above):
-                out.append((u, labels[above + j]))
-        out.sort()
-        return tuple(out)
+        return tuple(
+            [(labels[i], labels[i + 1 + j]) for i, mask in enumerate(self._adj) for j in bits(mask >> (i + 1))]
+        )
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
@@ -212,7 +209,7 @@ class MultipartiteGraph:
         """
         if self._labels is None:
             n0, out = self._sizes[0], []
-            escaped = [v.translate(_ESCAPES) for v in self._levels[0]]
+            escaped = [v.translate(_ESCAPES) or "\\0" for v in self._levels[0]]
             for k, level in enumerate(self._levels):
                 if type(level) is tuple:
                     out += level

@@ -16,8 +16,8 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from io import StringIO
-from itertools import accumulate, chain, compress, count, islice
-from operator import ge, lt
+from itertools import chain, islice
+from operator import lt
 from pathlib import Path
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
@@ -194,15 +194,16 @@ def _expect(condition: bool, message: str, *args: object) -> None:
         raise DocumentFormatError(message.format(*args))
 
 
-def _strict(rows: list[list[int]], limit: int, ordered: bool = False) -> bool:
-    """Whether every row of integers is strictly ascending inside ``range(limit)``, and if ``ordered`` the rows too.
+def _first_fault(rows: list[list[int]], limit: int, generated: bool) -> int | None:
+    """The first row not strictly ascending inside ``range(limit)`` or, if ``generated``, not above the row before it.
 
-    The rows are read as one flat list: inside the range, and each position where the indexes fail to rise starts a row.
+    A strictly ascending row is inside the range when its first and last indexes are.
     """
-    flat = list(chain.from_iterable(rows))
-    falls = compress(count(1), map(ge, flat, islice(flat, 1, None)))
-    inside = not flat or (min(flat) >= 0 and max(flat) < limit and set(falls) <= set(accumulate(map(len, rows))))
-    return inside and (not ordered or all(map(lt, rows, islice(rows, 1, None))))
+    for t, row in enumerate(rows):
+        inside = not row or row[0] >= 0 and row[-1] < limit and all(map(lt, row, islice(row, 1, None)))
+        if not inside or generated and t and row <= rows[t - 1]:
+            return t
+    return None
 
 
 # a document's vocabularies, from the types that define them; tuples, since a JSON value may be unhashable
@@ -218,7 +219,8 @@ def _down_problem(row: list[int], limit: int, n: int) -> str:
             return f"index {j} is out of range"
         if j >= limit:
             return f"index {j} is not on a lower level"
-    return "indexes are not strictly ascending" if not _strict([row], limit) else "the level's rows are not ascending"
+    ascends = all(map(lt, row, islice(row, 1, None)))
+    return "the level's rows are not ascending" if ascends else "indexes are not strictly ascending"
 
 
 def parse_document(text: str) -> DecompositionDocument:
@@ -229,8 +231,8 @@ def parse_document(text: str) -> DecompositionDocument:
     well-formed multipartite graph; the first problem found is named. Only
     levels 0 and 1 may list labels, and a generated level's down rows must
     ascend, the order the library writes.
-    Each level is checked in a few passes; only a failure searches for the
-    row at fault.
+    Each level's rows are checked in one pass that stops at the first row at
+    fault; only that row is walked again for the reason.
     """
     try:
         payload = json.loads(text)
@@ -271,9 +273,8 @@ def parse_document(text: str) -> DecompositionDocument:
     for li, level in enumerate(levels[1:], 1):
         span = slice(limit - n0, limit - n0 + sizes[li])
         rows, generated = down[span], type(level) is int
-        if not _strict(rows, limit, generated):
-            # the first row at fault on its own or, in a generated level, not above the row before it
-            t = next(t for t in range(len(rows)) if not _strict(rows[max(t - 1, 0) : t + 1], limit, generated))
+        t = _first_fault(rows, limit, generated)
+        if t is not None:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
             raise DocumentFormatError(f"down row of {vertex}: {_down_problem(rows[t], limit, n)}")
         down[span] = map(tuple, rows)  # in place, so only one level is held both as lists and as tuples

@@ -12,11 +12,12 @@ fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
 
-``reference_parse_v4`` is ``parse_document`` without its flat passes: it
-tests each level's labels with ``reference_labels_ascend``, each down row
-on its own with ``reference_strict``, and each row of a generated level
-against the row before it. Tests require the library to raise the same
-message, or return an equal document, on any text.
+``reference_parse_v4`` is ``parse_document`` written plainly: it tests
+each level's labels with ``reference_labels_ascend`` and finds the first
+down row at fault with ``reference_row_fault``, which tests each row on its
+own with ``reference_strict`` and each row of a generated level against the
+row before it. Tests require the library to raise the same message, or
+return an equal document, on any text.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ def reference_labels_ascend(level: list[str]) -> bool:
     return sorted(set(level)) == level
 
 
-def reference_strict(rows: list[list[int]], limit: int) -> bool:
-    """Whether every row, on its own, is strictly ascending inside ``range(limit)``."""
-    return all(all(0 <= j < limit for j in row) and sorted(set(row)) == row for row in rows)
+def reference_strict(row: list[int], limit: int) -> bool:
+    """Whether a row, on its own, is strictly ascending inside ``range(limit)``."""
+    return all(0 <= j < limit for j in row) and sorted(set(row)) == row
 
 
 def _down_problem(row: list[int], limit: int, n: int) -> str:
@@ -187,6 +188,16 @@ def _down_problem(row: list[int], limit: int, n: int) -> str:
         if j >= limit:
             return f"index {j} is not on a lower level"
     return "indexes are not strictly ascending"
+
+
+def reference_row_fault(rows: list[list[int]], limit: int, n: int, generated: bool) -> tuple[int, str] | None:
+    """The first of a level's down rows at fault, and why: each row on its own, then above the row before it."""
+    for t, row in enumerate(rows):
+        if not reference_strict(row, limit):
+            return t, _down_problem(row, limit, n)
+        if generated and t > 0 and not rows[t - 1] < row:
+            return t, "the level's rows are not ascending"
+    return None
 
 
 def reference_parse_v4(text: str) -> DecompositionDocument:
@@ -228,12 +239,11 @@ def reference_parse_v4(text: str) -> DecompositionDocument:
     _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
     limit = n0
     for li, level in enumerate(levels[1:], start=1):
-        rows = down[limit - n0 : limit - n0 + sizes[li]]
-        for t, row in enumerate(rows):
+        fault = reference_row_fault(down[limit - n0 : limit - n0 + sizes[li]], limit, n, type(level) is int)
+        if fault is not None:
+            t, problem = fault
             vertex = f"vertex {limit + t} on level {li}" if type(level) is int else repr(level[t])
-            _expect(reference_strict([row], limit), f"down row of {vertex}: {_down_problem(row, limit, n)}")
-            if type(level) is int and t > 0:
-                _expect(rows[t - 1] < row, f"down row of {vertex}: the level's rows are not ascending")
+            raise DocumentFormatError(f"down row of {vertex}: {problem}")
         limit += sizes[li]
     _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}")
 

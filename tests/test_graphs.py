@@ -543,9 +543,10 @@ def test_multipartite_repr_gives_level_sizes_and_edge_count(g2):
 
 def reference_names(k, level0, rows):
     """The names of level ``k``'s rows, in row order, from label lists alone: ``K:`` or ``L<k>:`` and the level-0
-    labels of a row, each with backslash, comma and '#' escaped, and ``#n`` for the n-th row of the level with them."""
+    labels of a row, each with backslash, comma and '#' escaped and the empty one as ``\\0``, and ``#n`` for the n-th
+    row of the level with them."""
     prefix = "K:" if k == 1 else f"L{k}:"
-    escape = lambda v: v.replace("\\", "\\\\").replace(",", "\\,").replace("#", "\\#")
+    escape = lambda v: v.replace("\\", "\\\\").replace(",", "\\,").replace("#", "\\#") or "\\0"
     names = [prefix + ",".join(escape(level0[i]) for i in row if i < len(level0)) for row in rows]
     return [f"{name}#{names[:t].count(name) + 1}" if name in names[:t] else name for t, name in enumerate(names)]
 
@@ -553,11 +554,12 @@ def reference_names(k, level0, rows):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_generated_names_count_along_row_order_and_escape_their_members(data):
-    # level-0 labels from the characters a name is made of; each higher level's rows are a drawn level-0 part
-    # (one of two, so most names are shared) and a non-empty part on the levels below, distinct and in row order
-    level0 = sorted(data.draw(st.sets(st.text("ab,#\\", min_size=1, max_size=3), min_size=2, max_size=5)))
+    # level-0 labels from the characters a name is made of, the empty one too; each higher level's rows are a drawn
+    # level-0 part, maybe none (one of two, so most names are shared), and a non-empty part on the levels below,
+    # distinct and in row order
+    level0 = sorted(data.draw(st.sets(st.text("ab,#\\0", max_size=3), min_size=2, max_size=5)))
     n0 = len(level0)
-    pool = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1), min_size=1), min_size=2, max_size=2))
+    pool = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1)), min_size=2, max_size=2))
     levels, down, size = [tuple(level0)], [], n0
     for k in range(1, data.draw(st.integers(2, 11), label="levels")):
         if k == 1:
@@ -577,6 +579,18 @@ def test_generated_names_count_along_row_order_and_escape_their_members(data):
         start += len(level)
     assert len(set(m.vertices)) == len(m)  # distinct, so the index answers for every name
     assert [m.level_of(v) for v in m.vertices] == [k for k, level in enumerate(m.levels) for _ in level]
+
+
+def test_a_weak_step_names_an_empty_level0_neighbour_apart_from_none():
+    # u1, u2 lie on '' and p, q; u3, u4 on r, s: the step's two vertices have level-0 parts ('',) and ()
+    m = MultipartiteGraph(
+        [["", "a"], ["p", "q", "r", "s"], ["u1", "u2", "u3", "u4"]],
+        [(u, v) for u in ("u1", "u2") for v in ("", "p", "q")] + [(u, v) for u in ("u3", "u4") for v in "rs"]
+        + [("", "p"), ("", "q")],
+    )
+    top = factorise(m, OperatorKind.WEAK).graph
+    assert top._idx[-2:] == ((0, 2, 3, 6, 7), (4, 5, 8, 9))
+    assert list(top.levels[-1]) == ["L3:\\0", "L3:"] and len(set(top.vertices)) == len(top)
 
 
 NAME_LOOKUPS = {

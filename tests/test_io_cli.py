@@ -54,14 +54,14 @@ from cleanfactor import (
 )
 import cleanfactor.cli
 import cleanfactor.io
-from cleanfactor.io import _strict
+from cleanfactor.io import _down_problem, _first_fault
 from conftest import make_g2, make_g3, random_connected_graph
 from reference_io import (
     reference_build_document,
     reference_decode,
     reference_parse_document,
     reference_parse_v4,
-    reference_strict,
+    reference_row_fault,
     reference_to_json,
 )
 
@@ -354,6 +354,7 @@ def adversarial_graphs(draw):
 @example(Graph(["\ufeff", "a", "b"], [("a", "b")]))
 @example(Graph(["\ufeffa", "\ufeffb"], [("\ufeffa", "\ufeffb")]))
 def test_format_edge_list_round_trips(g):
+    assert g.edges() == tuple(sorted(g.edges()))  # listed in index order, which is label order
     if unwritable(g):
         with pytest.raises(InvalidArgumentError):
             format_edge_list(g)
@@ -1278,17 +1279,27 @@ ROWS = st.lists(st.integers(-2, 9), max_size=4)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.one_of(ROWS, ROWS.map(lambda row: sorted(set(row)))), max_size=5), st.integers(0, 9))
-@example([[], [0], [], [2]], 3)  # empty and one-index rows
-@example([[0, 1], [-1]], 3)  # a negative index
-@example([[0, 1], [1, 3]], 3)  # an index at the limit
-@example([[0, 2], [0, 1]], 3)  # a fall exactly at a row start: allowed
-@example([[0, 2], [2, 3]], 4)  # a repeat exactly at a row start: allowed
-@example([[2], [], [1]], 3)  # a fall across an empty row: allowed
-@example([[0, 2], [1, 0]], 3)  # a fall one position after a row start: refused
-@example([[0, 2], [1, 1]], 3)  # a repeat one position after a row start: refused
-def test_flat_row_check_matches_the_per_row_reference(rows, limit):
-    assert _strict(rows, limit) == reference_strict(rows, limit)
+@given(st.lists(st.one_of(ROWS, ROWS.map(lambda row: sorted(set(row)))), max_size=5), st.integers(0, 9), st.booleans())
+@example([[], [0], [], [2]], 3, False)  # empty and one-index rows
+@example([[0, 1], [-1]], 3, False)  # a negative index
+@example([[0, 1], [1, 3]], 3, False)  # an index at the limit
+@example([[0, 1], [1, 5]], 3, False)  # an index past every vertex
+@example([[0, 2], [0, 1]], 3, False)  # a fall exactly at a row start: allowed
+@example([[0, 2], [2, 3]], 4, False)  # a repeat exactly at a row start: allowed
+@example([[2], [], [1]], 3, False)  # a fall across an empty row: allowed
+@example([[0, 2], [1, 0]], 3, False)  # a fall one position after a row start: refused
+@example([[0, 2], [1, 1]], 3, False)  # a repeat one position after a row start: refused
+@example([[0, 2], [0, 2]], 3, True)  # equal rows on a generated level
+@example([[1], [0, 2], [0, 1]], 3, True)  # swapped rows on a generated level
+@example([[0, 1], [0]], 3, True)  # a row that is a prefix of the one before
+@example([[0, 1], []], 3, True)  # an empty row after another
+@example([[0, 1], [0, 1, 2], [2, 1]], 3, True)  # ordered rows, then one not ascending on its own
+def test_first_row_fault_matches_the_per_row_reference(rows, limit, generated):
+    """The first row at fault, and the reason its walk gives, as the per-row reference finds them."""
+    n = limit + 2  # indexes from limit up name a higher vertex, from n up none
+    t = _first_fault(rows, limit, generated)
+    fault = None if t is None else (t, _down_problem(rows[t], limit, n))
+    assert fault == reference_row_fault(rows, limit, n, generated)
 
 
 LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_size=1, max_size=5)
