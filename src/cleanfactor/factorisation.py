@@ -196,9 +196,9 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
     the pairwise pass one intersection per pair, so the columns are used
     only when ``_PAIRS_PER_FOLD * s < t * (t - 1) / 2`` for the ``t``
     members of ``top``, whose rows hold ``s`` vertices on ``a`` in all.
-    Each holds two or more, so this needs ``t >= 4 * _PAIRS_PER_FOLD + 2``;
-    in a class of nested rows, where every pair passes, ``s`` exceeds the
-    pair count, and the folds would cost more than the intersections.
+    Each holds two or more, so this needs ``t >= 4 * _PAIRS_PER_FOLD + 2``,
+    tested first; in a class of nested rows, where every pair passes, the
+    folds would cost more than the intersections: ``s`` exceeds the pairs.
     """
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
@@ -224,7 +224,7 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
         out.append((root, base_common))
     partners = None
     t = len(top)
-    if _PAIRS_PER_FOLD * sum((row & a).bit_count() for row in trows) < t * (t - 1) // 2:
+    if t > 4 * _PAIRS_PER_FOLD + 1 and _PAIRS_PER_FOLD * sum((row & a).bit_count() for row in trows) < t * (t - 1) // 2:
         partners = _partners(trows, a)
     covered = [False] * len(top)
     stack: list[tuple[int, int, list[int], Iterator[int]]] = []

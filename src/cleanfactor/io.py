@@ -1,23 +1,25 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 4) stores the decomposition graph and nothing derived
+A document (format 5) stores the decomposition graph and nothing derived
 from it. ``levels`` holds the labels that were given (level 0, and level 1
 of a bipartite start), each level sorted, and the size of each level the
 library generated, whose vertices are in row order and are named by their
 rows. A vertex is referred to by its level-major global index, and ``down``
-lists each vertex's lower neighbours, so every edge appears once. The text
-is exactly ``json.dumps`` with sorted keys and no spaces, so
-byte-deterministic; ``down`` is encoded 256 rows at a time. A content hash
-of the canonical edge list binds a document to its input."""
+lists its neighbours on the level below; above level 1 that is its seed, and
+the reader rebuilds the rest of its row. The text is exactly ``json.dumps``
+with sorted keys and no spaces, so byte-deterministic; ``down`` is encoded
+256 rows at a time. A content hash of the canonical edge list binds a
+document to its input."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from io import StringIO
-from itertools import chain, islice
-from operator import lt
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import le, lt
 from pathlib import Path
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
@@ -42,7 +44,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
 
 
@@ -124,8 +126,8 @@ class DecompositionDocument:
     """Serializable form of a decomposition run; the fields are the document's keys.
 
     A level is its labels, or a generated level's size. With ``n0``
-    vertices on level 0, ``down[i - n0]`` lists the lower neighbours of
-    vertex ``i``.
+    vertices on level 0, ``down[i - n0]`` is vertex ``i``'s whole row,
+    though the text holds only its part on the level below.
     """
 
     format_version: int
@@ -168,15 +170,19 @@ def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
 
 
 def to_json(doc: DecompositionDocument) -> str:
-    """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII.
-
-    ``down``, the first key, is encoded ``_PIECE`` rows per ``json.dumps`` call, the rest in one, and all joined once.
+    """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII, except that
+    each ``down`` row is cut to its part on the level below: above level 1 its seed, so such a row must be the seed's
+    common neighbourhood and the seed, as a series makes it. ``down``, the first key, is cut and encoded ``_PIECE``
+    rows per ``json.dumps`` call, the rest in one, and all joined once; a row past the last level is written whole.
     """
     rest = {key: value for key, value in vars(doc).items() if key != "down"}
-    text = ['{"down":[']
-    for start in range(0, len(doc.down), _PIECE):
-        text += ("," if start else ""), json.dumps(doc.down[start : start + _PIECE], separators=(",", ":"))[1:-1]
-    return "".join([*text, "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
+    sizes = [level if type(level) is int else len(level) for level in doc.levels]
+    floors = chain(chain.from_iterable(map(repeat, accumulate(sizes, initial=0), sizes[1:])), repeat(0))
+    seeds = map(lambda row, lo: row[bisect_left(row, lo) :], doc.down, floors)
+    text = []
+    while piece := list(islice(seeds, _PIECE)):
+        text += ",", json.dumps(piece, separators=(",", ":"))[1:-1]
+    return "".join(['{"down":[', *text[1:], "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
 
 
 def write_decomposition(result: SeriesResult, source_hash: str) -> str:
@@ -194,16 +200,27 @@ def _expect(condition: bool, message: str, *args: object) -> None:
         raise DocumentFormatError(message.format(*args))
 
 
-def _first_fault(rows: list[list[int]], limit: int, generated: bool) -> int | None:
-    """The first row not strictly ascending inside ``range(limit)`` or, if ``generated``, not above the row before it.
-
-    A strictly ascending row is inside the range when its first and last indexes are.
-    """
+def _first_fault(rows: list[list[int]], lo: int, limit: int, least: int) -> int | None:
+    """The first row shorter than ``least`` or not strictly ascending with both ends inside ``range(lo, limit)``."""
     for t, row in enumerate(rows):
-        inside = not row or row[0] >= 0 and row[-1] < limit and all(map(lt, row, islice(row, 1, None)))
-        if not inside or generated and t and row <= rows[t - 1]:
+        inside = not row or row[0] >= lo and row[-1] < limit and all(map(lt, row, islice(row, 1, None)))
+        if not inside or len(row) < least:
             return t
     return None
+
+
+def _rebuilt(seeds: list[list[int]], down: list[tuple[int, ...]], n0: int) -> list[tuple[int, ...]]:
+    """Each seed's whole row: the first member's row filtered through a set of each other member's, then the seed."""
+    sets, out = {}, []  # a member's row as a set's membership test, made on first use for the level
+    for seed in seeds:
+        members = iter(seed)
+        common = down[next(members) - n0]
+        for j in members:
+            if (has := sets.get(j)) is None:
+                has = sets[j] = set(down[j - n0]).__contains__
+            common = filter(has, common)
+        out.append((*common, *seed))
+    return out
 
 
 # a document's vocabularies, from the types that define them; tuples, since a JSON value may be unhashable
@@ -212,15 +229,15 @@ _OPERATORS = tuple(kind.value for kind in OperatorKind)
 _STATUSES = tuple(status.value for status in SeriesStatus)
 
 
-def _down_problem(row: list[int], limit: int, n: int) -> str:
-    """Why a down row is not strictly ascending below ``limit``, or else why it is out of place in its level."""
+def _down_problem(row: list[int], lo: int, limit: int, n: int) -> str:
+    """Why a down row is not strictly ascending inside ``range(lo, limit)``, or else why it is too short for a seed."""
     for j in row:
         if not 0 <= j < n:
             return f"index {j} is out of range"
-        if j >= limit:
-            return f"index {j} is not on a lower level"
+        if not lo <= j < limit:
+            return f"index {j} is not on {'a lower level' if j >= limit else 'the level below'}"
     ascends = all(map(lt, row, islice(row, 1, None)))
-    return "the level's rows are not ascending" if ascends else "indexes are not strictly ascending"
+    return "a seed holds at least two indexes" if ascends else "indexes are not strictly ascending"
 
 
 def parse_document(text: str) -> DecompositionDocument:
@@ -229,8 +246,8 @@ def parse_document(text: str) -> DecompositionDocument:
     Every field is checked for its exact type (an index is an ``int``, not
     a ``bool``), its range and its order, so the document decodes to a
     well-formed multipartite graph; the first problem found is named. Only
-    levels 0 and 1 may list labels, and a generated level's down rows must
-    ascend, the order the library writes.
+    levels 0 and 1 may list labels; a seed holds two or more indexes, and a
+    generated level's rebuilt rows must ascend, the order the library writes.
     Each level's rows are checked in one pass that stops at the first row at
     fault; only that row is walked again for the reason.
     """
@@ -271,16 +288,19 @@ def parse_document(text: str) -> DecompositionDocument:
     _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
     limit = n0
     for li, level in enumerate(levels[1:], 1):
-        span = slice(limit - n0, limit - n0 + sizes[li])
+        lo, span = limit - sizes[li - 1], slice(limit - n0, limit - n0 + sizes[li])
         rows, generated = down[span], type(level) is int
-        t = _first_fault(rows, limit, generated)
+        _expect(len(rows) == sizes[li], "down must hold {} rows, not {}: they end on level {}", n - n0, len(down), li)
+        t = _first_fault(rows, lo, limit, 2 if li > 1 else 0)
         if t is not None:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
-            raise DocumentFormatError(f"down row of {vertex}: {_down_problem(rows[t], limit, n)}")
-        down[span] = map(tuple, rows)  # in place, so only one level is held both as lists and as tuples
+            raise DocumentFormatError(f"down row of {vertex}: {_down_problem(rows[t], lo, limit, n)}")
+        # in place, so only one level is held both as lists and as tuples
+        down[span] = rows = _rebuilt(rows, down, n0) if li > 1 else list(map(tuple, rows))
+        t = next(compress(count(limit + 1), map(le, islice(rows, 1, None), rows)), None) if generated else None
+        _expect(t is None, "down row of vertex {} on level {}: the level's rows are not ascending", t, li)
         limit += sizes[li]
-    # after the levels, so that a level grown or shrunk is named by the rows it takes from its neighbour
-    _expect(len(down) == n - n0, "down must hold {} rows, not {}", n - n0, len(down))
+    _expect(len(down) == n - n0, "down must hold {} rows, not {}: rows remain after level {}", n - n0, len(down), li)
 
     return DecompositionDocument(
         format_version=FORMAT_VERSION,

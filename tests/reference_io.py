@@ -1,23 +1,25 @@
-"""Document format 1, and the format-4 parser's checks one row at a time, kept as references.
+"""Document format 1, and the format-5 parser's checks one row at a time, kept as references.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
 sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 4 only, which stores no sequences and no generated label; tests
+format 5 only, which stores no sequences and no generated label; tests
 require both formats to decode to the same labelled graph, and each
 sequence format 1 stores to be the one ``characterising_sequence``
-recovers from the format-4 graph. Format 1
+recovers from the format-5 graph. Format 1
 fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
 
-``reference_parse_v4`` is ``parse_document`` written plainly: it tests
-each level's labels with ``reference_labels_ascend`` and finds the first
-down row at fault with ``reference_row_fault``, which tests each row on its
-own with ``reference_strict`` and each row of a generated level against the
-row before it. Tests require the library to raise the same message, or
-return an equal document, on any text.
+``reference_parse_v5`` is ``parse_document`` written plainly: it tests
+each level's labels with ``reference_labels_ascend``, finds the first
+stored down row at fault with ``reference_row_fault``, which tests each row
+on its own with ``reference_strict``, rebuilds each row above level 1 from
+its seed with ``reference_rebuild``, a set intersection, and tests each
+whole row of a generated level against the row before it. Tests require
+the library to raise the same message, or return an equal document, on any
+text.
 """
 
 from __future__ import annotations
@@ -176,32 +178,39 @@ def reference_labels_ascend(level: list[str]) -> bool:
     return sorted(set(level)) == level
 
 
-def reference_strict(row: list[int], limit: int) -> bool:
-    """Whether a row, on its own, is strictly ascending inside ``range(limit)``."""
-    return all(0 <= j < limit for j in row) and sorted(set(row)) == row
+def reference_strict(row: list[int], lo: int, limit: int) -> bool:
+    """Whether a row, on its own, is strictly ascending inside ``range(lo, limit)``."""
+    return all(lo <= j < limit for j in row) and sorted(set(row)) == row
 
 
-def _down_problem(row: list[int], limit: int, n: int) -> str:
+def _down_problem(row: list[int], lo: int, limit: int, n: int) -> str:
     for j in row:
         if not 0 <= j < n:
             return f"index {j} is out of range"
         if j >= limit:
             return f"index {j} is not on a lower level"
+        if j < lo:
+            return f"index {j} is not on the level below"
     return "indexes are not strictly ascending"
 
 
-def reference_row_fault(rows: list[list[int]], limit: int, n: int, generated: bool) -> tuple[int, str] | None:
-    """The first of a level's down rows at fault, and why: each row on its own, then above the row before it."""
+def reference_row_fault(rows: list[list[int]], lo: int, limit: int, n: int, seeds: bool) -> tuple[int, str] | None:
+    """The first of a level's stored down rows at fault, and why: each row on its own, and a seed's length."""
     for t, row in enumerate(rows):
-        if not reference_strict(row, limit):
-            return t, _down_problem(row, limit, n)
-        if generated and t > 0 and not rows[t - 1] < row:
-            return t, "the level's rows are not ascending"
+        if not reference_strict(row, lo, limit):
+            return t, _down_problem(row, lo, limit, n)
+        if seeds and len(row) < 2:
+            return t, "a seed holds at least two indexes"
     return None
 
 
-def reference_parse_v4(text: str) -> DecompositionDocument:
-    """A format-4 document, checked one level's labels and one down row at a time."""
+def reference_rebuild(seed: list[int], whole: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """A seed's whole row from the whole rows of its members: their common neighbourhood, sorted, then the seed."""
+    return tuple(sorted(set.intersection(*(set(whole[j]) for j in seed)))) + tuple(seed)
+
+
+def reference_parse_v5(text: str) -> DecompositionDocument:
+    """A format-5 document, checked one level's labels and one down row at a time."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -210,7 +219,7 @@ def reference_parse_v4(text: str) -> DecompositionDocument:
         raise DocumentFormatError("not valid JSON: nested too deeply") from None
     _expect(type(payload) is dict, "top level must be an object")
     version = payload.get("format_version")
-    _expect(type(version) is int and version == 4, "unsupported format_version: this reader takes 4")
+    _expect(type(version) is int and version == 5, "unsupported format_version: this reader takes 5")
     keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
     for key in keys:
         _expect(key in payload, f"missing key {key!r}")
@@ -237,21 +246,31 @@ def reference_parse_v4(text: str) -> DecompositionDocument:
     down = payload["down"]
     _expect(type(down) is list and set(map(type, down)) <= {list}, "down must be a list of index lists")
     _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
-    limit = n0
+    whole: dict[int, tuple[int, ...]] = {}  # every checked vertex's whole row, by its index
+    starts = [sum(sizes[:li]) for li in range(len(sizes))]
     for li, level in enumerate(levels[1:], start=1):
-        fault = reference_row_fault(down[limit - n0 : limit - n0 + sizes[li]], limit, n, type(level) is int)
+        limit, generated = starts[li], type(level) is int
+        rows = down[limit - n0 : limit - n0 + sizes[li]]
+        _expect(len(rows) == sizes[li], f"down must hold {n - n0} rows, not {len(down)}: they end on level {li}")
+        fault = reference_row_fault(rows, starts[li - 1], limit, n, li > 1)
         if fault is not None:
             t, problem = fault
-            vertex = f"vertex {limit + t} on level {li}" if type(level) is int else repr(level[t])
+            vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
             raise DocumentFormatError(f"down row of {vertex}: {problem}")
-        limit += sizes[li]
-    _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}")
+        for t, row in enumerate(rows):
+            whole[limit + t] = reference_rebuild(row, whole) if li > 1 else tuple(row)
+        for t in range(1, sizes[li]):
+            if generated and not whole[limit + t - 1] < whole[limit + t]:
+                vertex = f"vertex {limit + t} on level {li}"
+                raise DocumentFormatError(f"down row of {vertex}: the level's rows are not ascending")
+    top = len(levels) - 1
+    _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}: rows remain after level {top}")
 
     return DecompositionDocument(
-        format_version=4,
+        format_version=5,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],
         levels=tuple(level if type(level) is int else tuple(level) for level in levels),
-        down=tuple(map(tuple, down)),
+        down=tuple(whole[i] for i in range(n0, n)),
     )

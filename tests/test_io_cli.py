@@ -10,6 +10,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -60,7 +61,8 @@ from reference_io import (
     reference_build_document,
     reference_decode,
     reference_parse_document,
-    reference_parse_v4,
+    reference_parse_v5,
+    reference_rebuild,
     reference_row_fault,
     reference_to_json,
 )
@@ -148,14 +150,20 @@ def test_a_generated_level_indexes_slices_and_hashes_as_the_tuple_of_its_names()
             level[len(names)]
 
 
+# a row above level 1 is stored as its seed, its indexes on the level below
 G2_GOLDEN = (
-    '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"format_version":4,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
+    '{"down":[[0,1,2],[1,2,3],[4,5]],"format_version":5,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 G3_GOLDEN = (
-    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[0,1,2,6,7],[0,1,6,7,8],[0,1,6,7,9,10]],'
-    '"format_version":4,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
+    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[6,7],[6,7,8],[9,10]],'
+    '"format_version":5,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
     '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
+)
+# G2 in format 4, which stored every row whole
+G2_FORMAT_4 = (
+    '{"down":[[0,1,2],[1,2,3],[1,2,4,5]],"format_version":4,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
+    '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 # G2 in format 3, which also stored every generated label, each level in label order
 G2_FORMAT_3 = (
@@ -179,8 +187,8 @@ def test_golden_bytes(make, golden):
 @pytest.mark.parametrize(
     "op, digest",
     [
-        (OperatorKind.WEAK, "3334adfc0e31b911abd9c294c541a497827c204c9d832fe12f2795233843934f"),
-        (OperatorKind.FACTOR, "31b645448e52fdf3a1fa4045c0851adecabfa584391484aeb7d143adcff7cdf3"),
+        (OperatorKind.WEAK, "7d48484e31f1aa10828edbd743d82e3fce3e97f52e003deb8827d381599b0241"),
+        (OperatorKind.FACTOR, "d1286ae1bebd9588cdf0760c66ae255ed9d912cd83bddac2a1622837e0f01c31"),
     ],
     ids=["weak", "factor"],
 )
@@ -320,6 +328,73 @@ def test_codec_matches_the_reference_on_benchmark_documents(clean_runs):
         assert_formats_agree(result, graph_content_hash(Graph(h.vertices, h.edges())))
 
 
+@contextlib.contextmanager
+def address_space_cap(headroom: int):
+    """Cap this process's address space at its present size plus ``headroom`` bytes, and lift the cap after."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize() + headroom
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def series_of(start, op):
+    """The series of a graph or of a bipartite start; weak and factor stop at four levels, under a 512 MiB cap."""
+    run = run_series if isinstance(start, Graph) else run_series_from_bipartite
+    with address_space_cap(512 << 20):
+        return run(start, op, None if op is OperatorKind.CLEAN else 4)
+
+
+def assert_rows_rebuild_from_their_seeds(result):
+    """Every row above level 1 is its seed of two or more vertices on the level below plus the common neighbourhood
+    of their rows, so the document, which stores only the seed, decodes to the graph and re-serialises to itself."""
+    m = result.final
+    whole = dict(enumerate(m._idx))
+    for k in range(2, m.level_count):
+        lo = m._level_range(k - 1).start
+        for i in m._level_range(k):
+            seed = [j for j in whole[i] if j >= lo]
+            assert len(seed) >= 2 and reference_rebuild(seed, whole) == whole[i]
+    text = write_decomposition(result, "h")
+    doc = parse_document(text)
+    assert doc == build_document(result, "h") and document_to_multipartite(doc) == m and to_json(doc) == text
+
+
+def test_corpus_rows_rebuild_from_their_seeds(clean_runs):
+    # the first 100 corpus graphs: clean to the end, and those of at most 8 vertices weak and factor to four levels;
+    # and the antimatching-factor workload's series from a bipartite start, to the end
+    runs, _ = clean_runs
+    for g, result in runs[:100]:
+        assert_rows_rebuild_from_their_seeds(result)
+        if len(g) <= 8:
+            for op in (OperatorKind.WEAK, OperatorKind.FACTOR):
+                assert_rows_rebuild_from_their_seeds(series_of(g, op))
+    for n in (3, 4, 5):
+        assert_rows_rebuild_from_their_seeds(run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR))
+
+
+@st.composite
+def small_starts(draw):
+    """A graph of at most 8 vertices, or a bipartite start of at most 8 vertices in all."""
+    if draw(st.booleans()):
+        names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+        pairs = list(itertools.combinations(names, 2))
+        return Graph(names, draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else [])
+    n = draw(st.integers(2, 8))
+    n0 = draw(st.integers(1, n - 1))
+    bottoms, uppers = [f"a{i}" for i in range(n0)], [f"z{j}" for j in range(n - n0)]
+    pairs = [(a, z) for a in bottoms for z in uppers]
+    return MultipartiteGraph((bottoms, uppers), draw(st.lists(st.sampled_from(pairs), max_size=16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_starts(), st.sampled_from(list(OperatorKind)))
+def test_rows_rebuild_from_their_seeds(start, op):
+    assert_rows_rebuild_from_their_seeds(series_of(start, op))
+
+
 # quotes, escapes, control and non-ASCII characters, an astral character, and the generated label syntax
 ADVERSARIAL = '"\\\n\x00é\U0001d11e,:#ab'
 adversarial_labels = st.one_of(
@@ -387,7 +462,9 @@ def multipartite_runs(draw):
     """A finished run on a graph that a series can end with, its given labels adversarial.
 
     Level 0 is given, and so is level 1 where the series starts from a bipartite graph, with any edges between
-    them; every level above is generated, its distinct rows drawn over the levels below and held in row order.
+    them; every level above is generated, its distinct rows held in row order. A generated level 1 draws its rows
+    over level 0; a level above draws seeds of two or more vertices on the level below, and each row is a seed's
+    common neighbourhood and the seed, as a series makes it.
     """
     labels = draw(st.lists(adversarial_labels, min_size=2, max_size=10, unique=True))
     n0 = draw(st.integers(1, len(labels) - 1))
@@ -397,8 +474,16 @@ def multipartite_runs(draw):
     levels, idx = start._levels[: 1 + bipartite], start._idx[n0:] if bipartite else ()
     for _ in range(draw(st.integers(0 if bipartite else 1, 2))):
         below = n0 + len(idx)  # every vertex so far
-        row = st.frozensets(st.integers(0, below - 1), max_size=4).map(sorted).map(tuple)
-        rows = sorted(set(draw(st.lists(row, min_size=1, max_size=4))))
+        if len(levels) == 1:
+            row = st.frozensets(st.integers(0, n0 - 1), max_size=4).map(sorted).map(tuple)
+            rows = sorted(set(draw(st.lists(row, min_size=1, max_size=4))))
+        else:
+            lo = below - (levels[-1] if type(levels[-1]) is int else len(levels[-1]))
+            if below - lo < 2:
+                break
+            seed = st.frozensets(st.integers(lo, below - 1), min_size=2, max_size=4).map(sorted)
+            whole = dict(enumerate(((),) * n0 + idx))
+            rows = sorted({reference_rebuild(s, whole) for s in draw(st.lists(seed, min_size=1, max_size=4))})
         levels, idx = levels + (len(rows),), idx + tuple(rows)
     m = MultipartiteGraph._from_rows(levels, idx)
     assume(named_apart(m))  # a given label that a generated name repeats is refused, as other tests show
@@ -439,36 +524,47 @@ def piece_document(rows: int) -> DecompositionDocument:
     """A well-formed document with ``rows`` varied down rows over three level-0 vertices."""
     cycle = ((0,), (1, 2), (0, 1, 2), (2,))
     return DecompositionDocument(
-        4, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
+        5, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
         tuple(cycle[i % len(cycle)] for i in range(rows)),
     )
 
 
+def written_rows(doc: DecompositionDocument) -> list[list[int]]:
+    """``doc.down`` as the text holds it: a row above level 1 keeps only its indexes on the level below."""
+    sizes = [level if type(level) is int else len(level) for level in doc.levels]
+    out = []
+    for k in range(1, len(sizes)):
+        lo = sum(sizes[: k - 1])
+        out += [[j for j in row if j >= lo] for row in doc.down[len(out) : len(out) + sizes[k]]]
+    return out
+
+
 def test_to_json_writes_empty_containers_like_json_dumps():
-    # a vertex without lower neighbours; down rows around the writer's piece boundaries; non-ASCII labels
+    # vertices without lower neighbours, an empty common neighbourhood; down rows around the writer's piece
+    # boundaries; non-ASCII labels
     docs = [
-        DecompositionDocument(4, "h", "weak", "budget-exceeded", (("a",), ("b",), 1), ((), (0,))),
-        DecompositionDocument(4, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
-        DecompositionDocument(4, "h", "weak", "terminated", (("a", "b"), 2, 1), ((), (0, 1), (1, 2))),
+        DecompositionDocument(5, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
+        DecompositionDocument(5, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
+        DecompositionDocument(5, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (0, 2, 3))),
         *map(piece_document, (255, 256, 257, 513)),
         DecompositionDocument(
-            4, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
+            5, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
         ),
     ]
     malformed = [
-        DecompositionDocument(4, "h", "clean", "terminated", (("a",),), ()),  # no down rows
-        DecompositionDocument(4, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
+        DecompositionDocument(5, "h", "clean", "terminated", (("a",),), ()),  # no down rows
+        DecompositionDocument(5, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
     ]
     for doc in malformed:
         assert to_json(doc) == json.dumps(vars(doc), sort_keys=True, separators=(",", ":")) + "\n"
     for doc in docs:
         payload = {
-            "format_version": 4,
+            "format_version": 5,
             "source_hash": doc.source_hash,
             "operator": doc.operator,
             "status": doc.status,
             "levels": [level if type(level) is int else list(level) for level in doc.levels],
-            "down": [list(row) for row in doc.down],
+            "down": written_rows(doc),
         }
         text = to_json(doc)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -478,7 +574,7 @@ def test_to_json_writes_empty_containers_like_json_dumps():
 def test_to_json_peaks_at_a_few_times_its_text():
     # json.dumps holds one string per token until it joins them, so down is encoded a piece at a time
     rows = tuple(tuple(range(i, i + 16)) for i in range(4096))
-    doc = DecompositionDocument(4, "h", "clean", "terminated", (("a",), ("b",)), rows)
+    doc = DecompositionDocument(5, "h", "clean", "terminated", (("a",), ("b",)), rows)
     tracemalloc.start()
     try:
         text = to_json(doc)
@@ -491,7 +587,7 @@ def test_to_json_peaks_at_a_few_times_its_text():
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
 NOT_LABEL_LISTS = "vertex 'L2:b,c': sequence must be a list of label lists"
-OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 4"
+OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 5"
 
 
 @pytest.mark.parametrize(
@@ -563,7 +659,7 @@ def edited(payload, path, value):
     return payload
 
 
-# G2 in format 4: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6
+# G2 in format 5: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
 NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a vertex count"
 NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are given"
 
@@ -573,7 +669,11 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
     [
         (("down", 0), [0, 1, 4], "down row of vertex 4 on level 1: index 4 is not on a lower level"),
         (("down", 0), [0, 1, 6], "down row of vertex 4 on level 1: index 6 is not on a lower level"),
-        (("down", 2), [1, 2, 4, 6], "down row of vertex 6 on level 2: index 6 is not on a lower level"),
+        (("down", 2), [4, 6], "down row of vertex 6 on level 2: index 6 is not on a lower level"),
+        (("down", 2), [1, 5], "down row of vertex 6 on level 2: index 1 is not on the level below"),
+        (("down", 2), [5, 4], "down row of vertex 6 on level 2: indexes are not strictly ascending"),
+        (("down", 2), [5], "down row of vertex 6 on level 2: a seed holds at least two indexes"),
+        (("down", 2), [], "down row of vertex 6 on level 2: a seed holds at least two indexes"),
         (("down", 0), [-1, 0, 1], "down row of vertex 4 on level 1: index -1 is out of range"),
         (("down", 0), [0, 1, 7], "down row of vertex 4 on level 1: index 7 is out of range"),
         (("down", 0), [0, 2, 1], "down row of vertex 4 on level 1: indexes are not strictly ascending"),
@@ -583,9 +683,13 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("down", 0), [0, 1, True], "down must hold integer indexes"),
         (("down", 0), [0, 1, 2.0], "down must hold integer indexes"),
         (("down", 0), "0 1 2", "down must be a list of index lists"),
-        (("down", 2), DELETE, "down must hold 3 rows, not 2"),
+        (("down", 2), DELETE, "down must hold 3 rows, not 2: they end on level 2"),
+        (("down",), [[0, 1, 2], [1, 2, 3], [4, 5], [4, 5]], "down must hold 3 rows, not 4: rows remain after level 2"),
         (("down",), None, "down must be a list of index lists"),
         (("levels", 1), 3, "down row of vertex 6 on level 1: index 4 is not on a lower level"),
+        # level 2 takes level 1's last row, which is not on level 1
+        (("levels", 1), 1, "down row of vertex 5 on level 2: index 1 is not on the level below"),
+        (("levels", 2), 2, "down must hold 4 rows, not 3: they end on level 2"),
         (("levels", 2), 0, NOT_A_COUNT),
         (("levels", 2), True, NOT_A_COUNT),
         (("levels", 2), 1.0, NOT_A_COUNT),
@@ -605,13 +709,18 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("format_version",), 1, OLD_FORMAT_REJECTED),
         (("format_version",), 2, OLD_FORMAT_REJECTED),
         (("format_version",), 3, OLD_FORMAT_REJECTED),
+        (("format_version",), 4, OLD_FORMAT_REJECTED),
         (("format_version",), True, OLD_FORMAT_REJECTED),
-        (("format_version",), 4.0, OLD_FORMAT_REJECTED),
+        (("format_version",), 5.0, OLD_FORMAT_REJECTED),
     ],
     ids=[
         "down-own-level",
         "down-level-above",
         "down-own-level-at-level-2",
+        "seed-below-the-level-below",
+        "seed-unsorted",
+        "seed-one-member",
+        "seed-empty",
         "down-negative",
         "down-beyond-last",
         "down-unsorted",
@@ -622,8 +731,11 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "down-float",
         "down-row-not-list",
         "down-row-missing",
+        "down-row-extra",
         "down-null",
         "level-grown",
+        "level-1-shrunk",
+        "top-level-grown",
         "level-shrunk",
         "level-size-boolean",
         "level-size-float",
@@ -643,6 +755,7 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "format-version-1",
         "format-version-2",
         "format-version-3",
+        "format-version-4",
         "boolean-format-version",
         "float-format-version",
     ],
@@ -757,15 +870,30 @@ def rename_a_level_0_label(payload):
     payload["levels"][0][-1] = "9"
 
 
+NO_CHAIN = "no 1-element chain predicts its lower neighbourhood"
+
+
+def stored_row(i, row):
+    """An edit that stores ``row`` as ``down[i]``; G3's level 1 holds vertices 6, 7, 8, level 2 9, 10 and level 3 11."""
+    return lambda payload: payload["down"].__setitem__(i, row)
+
+
 @pytest.mark.parametrize(
     "edit, code, out, err",
     [
+        # the seeds [6, 7] and [6, 7, 8] swapped: so are the rows rebuilt from them
         (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's rows are not ascending\n"),
-        # level 2 takes level 3's row, which lies on level 2 and above
+        # level 2 takes level 3's seed, which lies on level 2
         (grow_level_2, 2, "", "error: down row of vertex 11 on level 2: index 9 is not on a lower level\n"),
         (rename_a_level_0_label, 1, "bijection: FAIL (level 0 does not match the input graph's vertex set)\n", ""),
+        # [6, 7, 8] without 7: the rebuilt row (0, 1, 6, 8) loses 7, and no chain predicts it
+        (stored_row(4, [6, 8]), 1, f"bijection: FAIL (level 2, vertex 'L2:1,2': {NO_CHAIN})\n", ""),
+        (stored_row(3, [2, 7]), 2, "", "error: down row of vertex 9 on level 2: index 2 is not on the level below\n"),
+        (stored_row(5, [7, 10]), 2, "", "error: down row of vertex 11 on level 3: index 7 is not on the level below\n"),
+        (stored_row(3, [7]), 2, "", "error: down row of vertex 9 on level 2: a seed holds at least two indexes\n"),
     ],
-    ids=["rows-swapped", "level-size", "label-renamed"],
+    ids=["rows-swapped", "level-size", "label-renamed", "seed-member-dropped", "seed-member-two-levels-down",
+         "seed-member-two-levels-down-at-level-3", "one-member-seed"],
 )
 def test_cli_names_the_level_of_a_tampered_document(tmp_path, edit, code, out, err):
     graph_path = write(tmp_path, "g3.txt", format_edge_list(make_g3()))
@@ -787,7 +915,7 @@ def test_labels_on_a_generated_level_are_refused(tmp_path, graph, levels):
     """Only levels 0 and 1 can be given, so a document that names a higher level's vertices is malformed."""
     g = graph()
     text = json.dumps(json.loads(decomposition_text(g)) | {"levels": levels})
-    assert parsed(parse_document, text) == parsed(reference_parse_v4, text) == NOT_A_COUNT
+    assert parsed(parse_document, text) == parsed(reference_parse_v5, text) == NOT_A_COUNT
     graph_path, doc_path = write(tmp_path, "g.txt", format_edge_list(g)), write(tmp_path, "d.json", text)
     assert run_cli(["verify", "--decomposition", doc_path, "--input", graph_path]) == (2, "", f"error: {NOT_A_COUNT}\n")
 
@@ -945,7 +1073,7 @@ def test_cli_verify_names_a_vertex_by_its_index_where_the_names_clash(tmp_path):
     payload = json.loads(Path(out_path).read_text())
     assert (payload["levels"][1:], payload["down"]) == ([3], [[0, 2], [1], [2, 3]])
     payload["levels"].append(1)
-    payload["down"].append([2, 4, 6])
+    payload["down"].append([4, 6])  # the seed of the row [2, 4, 6]: c, the cliques {K:b, c} and {c, d}
     doc_path = write(tmp_path, "tampered.json", json.dumps(payload))
     code, out, err = run_cli(["verify", "--decomposition", doc_path, "--input", graph_path])
     failure = "level 2, vertex 7: no 1-element chain predicts its lower neighbourhood"
@@ -1083,8 +1211,9 @@ def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
     doc_path, bad_path = str(tmp_path / "d.json"), write(tmp_path, "bad.json", "")
     assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", doc_path])[0] == 0
     doc = read_document(doc_path)
-    # without its level-0 vertex a, the level-2 row is predicted by no chain, and verify names its vertex by that row
-    Path(bad_path).write_text(to_json(replace(doc, down=doc.down[:-1] + (doc.down[-1][1:],))), encoding="utf-8")
+    # without its level-0 vertex a, the second clique meets the first in é alone, so the level-2 row rebuilt from the
+    # seed of both cliques is predicted by no chain, and verify names its vertex by that row
+    Path(bad_path).write_text(to_json(replace(doc, down=(doc.down[0], doc.down[1][1:], doc.down[2]))), encoding="utf-8")
     env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=str(Path(cleanfactor.cli.__file__).parents[1]))
     runs = [
         (["cliques", "--input", graph_path], 0),
@@ -1104,7 +1233,7 @@ def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
             rebuilt = write(tmp_path, "r.txt", "")
             Path(rebuilt).write_bytes(done.stdout)
             assert read_edge_list(rebuilt) == read_edge_list(graph_path)
-    assert "bijection: FAIL (level 2, vertex 'L2:é': " in done.stdout.decode("utf-8")
+    assert "neighbourhood-formula: FAIL (level 2, vertex 'L2:é': " in done.stdout.decode("utf-8")
 
 
 def document_command(command, doc_path, graph_path):
@@ -1143,6 +1272,13 @@ def test_cli_rejects_a_format_2_document_with_one_error_line(tmp_path, command):
 def test_cli_rejects_a_format_3_document_with_one_error_line(tmp_path, command):
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     doc_path = write(tmp_path, "d.json", G2_FORMAT_3)
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_a_format_4_document_with_one_error_line(tmp_path, command):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", G2_FORMAT_4)
     assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
 
 
@@ -1255,7 +1391,7 @@ def test_parse_document_raises_only_format_errors(seed, data):
         parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
     parent[key] = data.draw(json_values)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v4, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v5, text)
     try:
         doc = parse_document(text)
     except DocumentFormatError:
@@ -1279,27 +1415,32 @@ ROWS = st.lists(st.integers(-2, 9), max_size=4)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.one_of(ROWS, ROWS.map(lambda row: sorted(set(row)))), max_size=5), st.integers(0, 9), st.booleans())
-@example([[], [0], [], [2]], 3, False)  # empty and one-index rows
-@example([[0, 1], [-1]], 3, False)  # a negative index
-@example([[0, 1], [1, 3]], 3, False)  # an index at the limit
-@example([[0, 1], [1, 5]], 3, False)  # an index past every vertex
-@example([[0, 2], [0, 1]], 3, False)  # a fall exactly at a row start: allowed
-@example([[0, 2], [2, 3]], 4, False)  # a repeat exactly at a row start: allowed
-@example([[2], [], [1]], 3, False)  # a fall across an empty row: allowed
-@example([[0, 2], [1, 0]], 3, False)  # a fall one position after a row start: refused
-@example([[0, 2], [1, 1]], 3, False)  # a repeat one position after a row start: refused
-@example([[0, 2], [0, 2]], 3, True)  # equal rows on a generated level
-@example([[1], [0, 2], [0, 1]], 3, True)  # swapped rows on a generated level
-@example([[0, 1], [0]], 3, True)  # a row that is a prefix of the one before
-@example([[0, 1], []], 3, True)  # an empty row after another
-@example([[0, 1], [0, 1, 2], [2, 1]], 3, True)  # ordered rows, then one not ascending on its own
-def test_first_row_fault_matches_the_per_row_reference(rows, limit, generated):
-    """The first row at fault, and the reason its walk gives, as the per-row reference finds them."""
+@given(
+    st.lists(st.one_of(ROWS, ROWS.map(lambda row: sorted(set(row)))), max_size=5),
+    st.integers(0, 3),
+    st.integers(0, 9),
+    st.booleans(),
+)
+@example([[], [0], [], [2]], 0, 3, False)  # empty and one-index rows
+@example([[0, 1], [-1]], 0, 3, False)  # a negative index
+@example([[0, 1], [1, 3]], 0, 3, False)  # an index at the limit
+@example([[0, 1], [1, 5]], 0, 3, False)  # an index past every vertex
+@example([[0, 2], [0, 1]], 0, 3, False)  # a fall exactly at a row start: allowed
+@example([[0, 2], [2, 3]], 0, 4, False)  # a repeat exactly at a row start: allowed
+@example([[2], [], [1]], 0, 3, False)  # a fall across an empty row: allowed
+@example([[0, 2], [1, 0]], 0, 3, False)  # a fall one position after a row start: refused
+@example([[0, 2], [1, 1]], 0, 3, False)  # a repeat one position after a row start: refused
+@example([[2, 3], [1, 3]], 2, 4, True)  # a seed index below the level below
+@example([[2, 3], [3]], 2, 4, True)  # a one-member seed
+@example([[2, 3], []], 2, 4, True)  # an empty seed
+@example([[2, 3], [3, 2]], 2, 4, True)  # a seed not ascending
+@example([[2, 3], [2, 4]], 2, 4, True)  # a seed index on the seed's own level
+def test_first_row_fault_matches_the_per_row_reference(rows, lo, limit, seeds):
+    """The first stored row at fault, and the reason its walk gives, as the per-row reference finds them."""
     n = limit + 2  # indexes from limit up name a higher vertex, from n up none
-    t = _first_fault(rows, limit, generated)
-    fault = None if t is None else (t, _down_problem(rows[t], limit, n))
-    assert fault == reference_row_fault(rows, limit, n, generated)
+    t = _first_fault(rows, lo, limit, 2 if seeds else 0)
+    fault = None if t is None else (t, _down_problem(rows[t], lo, limit, n))
+    assert fault == reference_row_fault(rows, lo, limit, n, seeds)
 
 
 LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_size=1, max_size=5)
@@ -1318,7 +1459,7 @@ def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, da
         st.one_of(items, items.map(sorted), items.map(lambda xs: sorted(set(xs))))
     )
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v4, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v5, text)
 
 
 # each bullet of the README's "Library API" section, by its heading, and the module whose __all__ it lists
@@ -1378,5 +1519,5 @@ def test_module_all_lists_are_the_package_all():
     from cleanfactor.io import FORMAT_VERSION
 
     # bits returns the ascending index list itself, at any width
-    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 4
+    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 5
     assert "bits" not in cleanfactor.__all__ and "FORMAT_VERSION" not in cleanfactor.__all__
