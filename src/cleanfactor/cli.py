@@ -129,7 +129,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     doc = read_document(args.decomposition)
-    sys.stdout.write(format_edge_list(reconstruct_graph(doc)))
+    g = reconstruct_graph(doc)
+    if graph_content_hash(g) != doc.source_hash:  # an edited level 1 rebuilds another graph than the one hashed
+        print("error: the graph the document encodes does not match its source_hash", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
+    sys.stdout.write(format_edge_list(g))
     return EXIT_OK
 
 

@@ -1,15 +1,16 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 5) stores the decomposition graph and nothing derived
+A document (format 6) stores the decomposition graph and nothing derived
 from it. ``levels`` holds the labels that were given (level 0, and level 1
 of a bipartite start), each level sorted, and the size of each level the
 library generated, whose vertices are in row order and are named by their
 rows. A vertex is referred to by its level-major global index, and ``down``
-lists its neighbours on the level below; above level 1 that is its seed, and
-the reader rebuilds the rest of its row. The text is exactly ``json.dumps``
-with sorted keys and no spaces, so byte-deterministic; ``down`` is encoded
-256 rows at a time. A content hash of the canonical edge list binds a
-document to its input."""
+lists its neighbours on the level below, as the first index followed by the
+gap to each next one; above level 1 that is its seed, and the reader
+rebuilds the rest of its row. The text is exactly ``json.dumps`` with sorted
+keys and no spaces, so byte-deterministic; ``down`` is encoded 256 rows at a
+time. A content hash of the canonical edge list binds a document to its
+input."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from io import StringIO
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import le, lt
+from operator import le, lt, sub
 from pathlib import Path
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
@@ -44,7 +45,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
 
 
@@ -127,7 +128,7 @@ class DecompositionDocument:
 
     A level is its labels, or a generated level's size. With ``n0``
     vertices on level 0, ``down[i - n0]`` is vertex ``i``'s whole row,
-    though the text holds only its part on the level below.
+    though the text holds only its part on the level below, gap-coded.
     """
 
     format_version: int
@@ -171,18 +172,24 @@ def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
 
 def to_json(doc: DecompositionDocument) -> str:
     """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII, except that
-    each ``down`` row is cut to its part on the level below: above level 1 its seed, so such a row must be the seed's
-    common neighbourhood and the seed, as a series makes it. ``down``, the first key, is cut and encoded ``_PIECE``
-    rows per ``json.dumps`` call, the rest in one, and all joined once; a row past the last level is written whole.
+    each ``down`` row is cut to its part on the level below, above level 1 its seed, so such a row must be the seed's
+    common neighbourhood and the seed, as a series makes it; and that what is written of a row is its first index
+    followed by the gap to each next one. ``down``, the first key, is cut, gap-coded and encoded ``_PIECE`` rows per
+    ``json.dumps`` call, the rest in one, and all joined once; a row past the last level is gap-coded whole.
     """
     rest = {key: value for key, value in vars(doc).items() if key != "down"}
     sizes = [level if type(level) is int else len(level) for level in doc.levels]
     floors = chain(chain.from_iterable(map(repeat, accumulate(sizes, initial=0), sizes[1:])), repeat(0))
-    seeds = map(lambda row, lo: row[bisect_left(row, lo) :], doc.down, floors)
+    seeds = map(lambda row, lo: _gaps(row[bisect_left(row, lo) :]), doc.down, floors)
     text = []
     while piece := list(islice(seeds, _PIECE)):
         text += ",", json.dumps(piece, separators=(",", ":"))[1:-1]
     return "".join(['{"down":[', *text[1:], "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
+
+
+def _gaps(row: tuple[int, ...]) -> list[int]:
+    """An ascending row as its first index followed by the gap to each next one; ``accumulate`` undoes it."""
+    return [*row[:1], *map(sub, row[1:], row)]
 
 
 def write_decomposition(result: SeriesResult, source_hash: str) -> str:
@@ -201,18 +208,21 @@ def _expect(condition: bool, message: str, *args: object) -> None:
 
 
 def _first_fault(rows: list[list[int]], lo: int, limit: int, least: int) -> int | None:
-    """The first row shorter than ``least`` or not strictly ascending with both ends inside ``range(lo, limit)``."""
+    """The first gap-coded row shorter than ``least`` or not strictly ascending inside ``range(lo, limit)``: its first
+    index under ``lo``, a gap under 1, or its sum, the last index, ``limit`` or more."""
     for t, row in enumerate(rows):
-        inside = not row or row[0] >= lo and row[-1] < limit and all(map(lt, row, islice(row, 1, None)))
+        inside = not row or row[0] >= lo and min(row[1:] or [1]) > 0 and sum(row) < limit
         if not inside or len(row) < least:
             return t
     return None
 
 
 def _rebuilt(seeds: list[list[int]], down: list[tuple[int, ...]], n0: int) -> list[tuple[int, ...]]:
-    """Each seed's whole row: the first member's row filtered through a set of each other member's, then the seed."""
+    """Each gap-coded seed's whole row: the first member's row filtered through a set of each other member's, then the
+    seed."""
     sets, out = {}, []  # a member's row as a set's membership test, made on first use for the level
     for seed in seeds:
+        seed = tuple(accumulate(seed))
         members = iter(seed)
         common = down[next(members) - n0]
         for j in members:
@@ -248,8 +258,9 @@ def parse_document(text: str) -> DecompositionDocument:
     well-formed multipartite graph; the first problem found is named. Only
     levels 0 and 1 may list labels; a seed holds two or more indexes, and a
     generated level's rebuilt rows must ascend, the order the library writes.
-    Each level's rows are checked in one pass that stops at the first row at
-    fault; only that row is walked again for the reason.
+    Each level's gap-coded rows are checked in one pass that stops at the
+    first row at fault; only that row is decoded and walked again for the
+    reason, so a message names indexes, never gaps.
     """
     try:
         payload = json.loads(text)
@@ -294,9 +305,9 @@ def parse_document(text: str) -> DecompositionDocument:
         t = _first_fault(rows, lo, limit, 2 if li > 1 else 0)
         if t is not None:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
-            raise DocumentFormatError(f"down row of {vertex}: {_down_problem(rows[t], lo, limit, n)}")
+            raise DocumentFormatError(f"down row of {vertex}: {_down_problem(list(accumulate(rows[t])), lo, limit, n)}")
         # in place, so only one level is held both as lists and as tuples
-        down[span] = rows = _rebuilt(rows, down, n0) if li > 1 else list(map(tuple, rows))
+        down[span] = rows = _rebuilt(rows, down, n0) if li > 1 else list(map(tuple, map(accumulate, rows)))
         t = next(compress(count(limit + 1), map(le, islice(rows, 1, None), rows)), None) if generated else None
         _expect(t is None, "down row of vertex {} on level {}: the level's rows are not ascending", t, li)
         limit += sizes[li]

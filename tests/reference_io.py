@@ -1,20 +1,21 @@
-"""Document format 1, and the format-5 parser's checks one row at a time, kept as references.
+"""Document format 1, and the format-6 parser's checks one row at a time, kept as references.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
 sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 5 only, which stores no sequences and no generated label; tests
+format 6 only, which stores no sequences and no generated label; tests
 require both formats to decode to the same labelled graph, and each
 sequence format 1 stores to be the one ``characterising_sequence``
-recovers from the format-5 graph. Format 1
+recovers from the format-6 graph. Format 1
 fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
 
-``reference_parse_v5`` is ``parse_document`` written plainly: it tests
-each level's labels with ``reference_labels_ascend``, finds the first
-stored down row at fault with ``reference_row_fault``, which tests each row
+``reference_parse_v6`` is ``parse_document`` written plainly: it tests
+each level's labels with ``reference_labels_ascend``, decodes each stored
+down row with ``reference_decode_row``, a running sum, finds the first
+decoded row at fault with ``reference_row_fault``, which tests each row
 on its own with ``reference_strict``, rebuilds each row above level 1 from
 its seed with ``reference_rebuild``, a set intersection, and tests each
 whole row of a generated level against the row before it. Tests require
@@ -204,13 +205,27 @@ def reference_row_fault(rows: list[list[int]], lo: int, limit: int, n: int, seed
     return None
 
 
+def reference_decode_row(stored: list[int]) -> list[int]:
+    """A stored row's indexes: its first index, then each gap added to the index before."""
+    row, total = [], 0
+    for gap in stored:
+        total += gap
+        row.append(total)
+    return row
+
+
+def reference_encode_row(row: list[int]) -> list[int]:
+    """A row as a document stores it: its first index, then each index less the one before."""
+    return [j - before for before, j in zip([0] + row, row)]
+
+
 def reference_rebuild(seed: list[int], whole: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """A seed's whole row from the whole rows of its members: their common neighbourhood, sorted, then the seed."""
     return tuple(sorted(set.intersection(*(set(whole[j]) for j in seed)))) + tuple(seed)
 
 
-def reference_parse_v5(text: str) -> DecompositionDocument:
-    """A format-5 document, checked one level's labels and one down row at a time."""
+def reference_parse_v6(text: str) -> DecompositionDocument:
+    """A format-6 document, checked one level's labels and one decoded down row at a time."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,7 +234,7 @@ def reference_parse_v5(text: str) -> DecompositionDocument:
         raise DocumentFormatError("not valid JSON: nested too deeply") from None
     _expect(type(payload) is dict, "top level must be an object")
     version = payload.get("format_version")
-    _expect(type(version) is int and version == 5, "unsupported format_version: this reader takes 5")
+    _expect(type(version) is int and version == 6, "unsupported format_version: this reader takes 6")
     keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
     for key in keys:
         _expect(key in payload, f"missing key {key!r}")
@@ -250,7 +265,7 @@ def reference_parse_v5(text: str) -> DecompositionDocument:
     starts = [sum(sizes[:li]) for li in range(len(sizes))]
     for li, level in enumerate(levels[1:], start=1):
         limit, generated = starts[li], type(level) is int
-        rows = down[limit - n0 : limit - n0 + sizes[li]]
+        rows = [reference_decode_row(row) for row in down[limit - n0 : limit - n0 + sizes[li]]]
         _expect(len(rows) == sizes[li], f"down must hold {n - n0} rows, not {len(down)}: they end on level {li}")
         fault = reference_row_fault(rows, starts[li - 1], limit, n, li > 1)
         if fault is not None:
@@ -267,7 +282,7 @@ def reference_parse_v5(text: str) -> DecompositionDocument:
     _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}: rows remain after level {top}")
 
     return DecompositionDocument(
-        format_version=5,
+        format_version=6,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],

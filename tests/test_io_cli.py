@@ -55,13 +55,15 @@ from cleanfactor import (
 )
 import cleanfactor.cli
 import cleanfactor.io
-from cleanfactor.io import _down_problem, _first_fault
+from cleanfactor.io import _down_problem, _first_fault, _gaps
 from conftest import make_g2, make_g3, random_connected_graph
 from reference_io import (
     reference_build_document,
     reference_decode,
+    reference_decode_row,
+    reference_encode_row,
     reference_parse_document,
-    reference_parse_v5,
+    reference_parse_v6,
     reference_rebuild,
     reference_row_fault,
     reference_to_json,
@@ -78,6 +80,13 @@ def write(tmp_path, name, text):
 
 def decomposition_text(g, op=OperatorKind.CLEAN):
     return write_decomposition(run_series(g, op), graph_content_hash(g))
+
+
+def row_edit(edit):
+    """An edit of a stored down row: decode it, apply ``edit`` to its indexes, or put the list ``edit`` in their
+    place, and gap-code the result, as the writer would store the edited row."""
+    make = edit if callable(edit) else lambda row: edit
+    return lambda stored: reference_encode_row(make(reference_decode_row(stored)))
 
 
 def test_read_edge_list_triangle(tmp_path):
@@ -150,15 +159,20 @@ def test_a_generated_level_indexes_slices_and_hashes_as_the_tuple_of_its_names()
             level[len(names)]
 
 
-# a row above level 1 is stored as its seed, its indexes on the level below
+# a row above level 1 is stored as its seed, its indexes on the level below; each row as its first index and gaps
 G2_GOLDEN = (
-    '{"down":[[0,1,2],[1,2,3],[4,5]],"format_version":5,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
+    '{"down":[[0,1,1],[1,1,1],[4,1]],"format_version":6,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 G3_GOLDEN = (
-    '{"down":[[0,1,2,3],[0,1,2,4],[0,1,5],[6,7],[6,7,8],[9,10]],'
-    '"format_version":5,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
+    '{"down":[[0,1,1,1],[0,1,1,2],[0,1,4],[6,1],[6,1,1],[9,1]],'
+    '"format_version":6,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
     '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
+)
+# G2 in format 5, which stored each index whole
+G2_FORMAT_5 = (
+    '{"down":[[0,1,2],[1,2,3],[4,5]],"format_version":5,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
+    '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 # G2 in format 4, which stored every row whole
 G2_FORMAT_4 = (
@@ -187,8 +201,8 @@ def test_golden_bytes(make, golden):
 @pytest.mark.parametrize(
     "op, digest",
     [
-        (OperatorKind.WEAK, "7d48484e31f1aa10828edbd743d82e3fce3e97f52e003deb8827d381599b0241"),
-        (OperatorKind.FACTOR, "d1286ae1bebd9588cdf0760c66ae255ed9d912cd83bddac2a1622837e0f01c31"),
+        (OperatorKind.WEAK, "3b9916f27523640fd2b0ef2d34cdb27cdaf9df970816825a44f312dcd748472f"),
+        (OperatorKind.FACTOR, "40834a4758aa7a6b8cdafb872c425258247b91e90757c2ffac00aac902669224"),
     ],
     ids=["weak", "factor"],
 )
@@ -284,13 +298,13 @@ def test_parse_document_rejects_malformed_input():
     bad = dict(good, format_version=99)
     with pytest.raises(DocumentFormatError):
         parse_document(json.dumps(bad))
-    bad = dict(good, down=good["down"][:-1] + [[0, 99]])
+    bad = dict(good, down=good["down"][:-1] + [reference_encode_row([0, 99])])
     with pytest.raises(DocumentFormatError):
         parse_document(json.dumps(bad))
 
 
 def decoded(text):
-    """The graph a format-4 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
+    """The graph a format-6 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
     m = document_to_multipartite(parse_document(text))
     sequences = {
         x: tuple(tuple(sorted(o)) for o in characterising_sequence(m, x))
@@ -300,16 +314,18 @@ def decoded(text):
 
 
 def assert_formats_agree(result, source_hash):
-    """Format 4 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores.
+    """Format 6 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores,
+    and to the document the format-6 reference parser reads.
 
     Format 1 is the reference codec and fills its sequences with ``reference_sequence``. Its graph is built by the
     constructor, which keeps each level in label order, so the two graphs are compared by their labelled edges.
     """
     v1 = reference_to_json(reference_build_document(result, source_hash))
-    v4 = write_decomposition(result, source_hash)
-    assert v4.isascii()
-    assert to_json(parse_document(v4)) == v4
-    m, sequences = decoded(v4)
+    v6 = write_decomposition(result, source_hash)
+    assert v6.isascii()
+    assert to_json(parse_document(v6)) == v6
+    assert reference_parse_v6(v6) == parse_document(v6)
+    m, sequences = decoded(v6)
     reference, reference_sequences = reference_decode(reference_parse_document(v1))
     assert [sorted(level) for level in m.levels] == [sorted(level) for level in reference.levels]
     assert (m.edges(), sequences) == (reference.edges(), reference_sequences)
@@ -524,42 +540,45 @@ def piece_document(rows: int) -> DecompositionDocument:
     """A well-formed document with ``rows`` varied down rows over three level-0 vertices."""
     cycle = ((0,), (1, 2), (0, 1, 2), (2,))
     return DecompositionDocument(
-        5, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
+        6, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
         tuple(cycle[i % len(cycle)] for i in range(rows)),
     )
 
 
 def written_rows(doc: DecompositionDocument) -> list[list[int]]:
-    """``doc.down`` as the text holds it: a row above level 1 keeps only its indexes on the level below."""
+    """``doc.down`` as the text holds it: a row above level 1 keeps only its indexes on the level below, and each row
+    is gap-coded."""
     sizes = [level if type(level) is int else len(level) for level in doc.levels]
     out = []
     for k in range(1, len(sizes)):
         lo = sum(sizes[: k - 1])
         out += [[j for j in row if j >= lo] for row in doc.down[len(out) : len(out) + sizes[k]]]
-    return out
+    return list(map(reference_encode_row, out))
 
 
 def test_to_json_writes_empty_containers_like_json_dumps():
     # vertices without lower neighbours, an empty common neighbourhood; down rows around the writer's piece
     # boundaries; non-ASCII labels
     docs = [
-        DecompositionDocument(5, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
-        DecompositionDocument(5, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
-        DecompositionDocument(5, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (0, 2, 3))),
+        DecompositionDocument(6, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
+        DecompositionDocument(6, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
+        DecompositionDocument(6, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (0, 2, 3))),
         *map(piece_document, (255, 256, 257, 513)),
         DecompositionDocument(
-            5, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
+            6, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
         ),
     ]
     malformed = [
-        DecompositionDocument(5, "h", "clean", "terminated", (("a",),), ()),  # no down rows
-        DecompositionDocument(5, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
+        DecompositionDocument(6, "h", "clean", "terminated", (("a",),), ()),  # no down rows
+        DecompositionDocument(6, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
+        DecompositionDocument(6, "h", "clean", "terminated", (("a", "b"), ("c",)), ((0, 1),) * 2),  # gap-coded whole
     ]
     for doc in malformed:
-        assert to_json(doc) == json.dumps(vars(doc), sort_keys=True, separators=(",", ":")) + "\n"
+        payload = vars(doc) | {"down": [reference_encode_row(list(row)) for row in doc.down]}
+        assert to_json(doc) == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     for doc in docs:
         payload = {
-            "format_version": 5,
+            "format_version": 6,
             "source_hash": doc.source_hash,
             "operator": doc.operator,
             "status": doc.status,
@@ -574,7 +593,7 @@ def test_to_json_writes_empty_containers_like_json_dumps():
 def test_to_json_peaks_at_a_few_times_its_text():
     # json.dumps holds one string per token until it joins them, so down is encoded a piece at a time
     rows = tuple(tuple(range(i, i + 16)) for i in range(4096))
-    doc = DecompositionDocument(5, "h", "clean", "terminated", (("a",), ("b",)), rows)
+    doc = DecompositionDocument(6, "h", "clean", "terminated", (("a",), ("b",)), rows)
     tracemalloc.start()
     try:
         text = to_json(doc)
@@ -587,7 +606,7 @@ def test_to_json_peaks_at_a_few_times_its_text():
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
 NOT_LABEL_LISTS = "vertex 'L2:b,c': sequence must be a list of label lists"
-OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 5"
+OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 6"
 
 
 @pytest.mark.parametrize(
@@ -647,7 +666,8 @@ def test_parse_document_rejections_match_the_reference(path, value, message):
 
 
 def edited(payload, path, value):
-    """``payload`` with the item at ``path`` set to ``value``, or deleted for ``DELETE``."""
+    """``payload`` with the item at ``path`` set to ``value``, to what the callable ``value`` makes of it, or deleted
+    for ``DELETE``."""
     *parents, last = path
     target = payload
     for key in parents:
@@ -655,11 +675,12 @@ def edited(payload, path, value):
     if value is DELETE:
         del target[last]
     else:
-        target[last] = value
+        target[last] = value(target[last]) if callable(value) else value
     return payload
 
 
-# G2 in format 5: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
+# G2 in format 6: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
+# gap-coded, [4, 1]; a row_edit names the indexes a row is edited to, and a row of non-integers is stored as it stands
 NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a vertex count"
 NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are given"
 
@@ -667,24 +688,24 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("down", 0), [0, 1, 4], "down row of vertex 4 on level 1: index 4 is not on a lower level"),
-        (("down", 0), [0, 1, 6], "down row of vertex 4 on level 1: index 6 is not on a lower level"),
-        (("down", 2), [4, 6], "down row of vertex 6 on level 2: index 6 is not on a lower level"),
-        (("down", 2), [1, 5], "down row of vertex 6 on level 2: index 1 is not on the level below"),
-        (("down", 2), [5, 4], "down row of vertex 6 on level 2: indexes are not strictly ascending"),
-        (("down", 2), [5], "down row of vertex 6 on level 2: a seed holds at least two indexes"),
-        (("down", 2), [], "down row of vertex 6 on level 2: a seed holds at least two indexes"),
-        (("down", 0), [-1, 0, 1], "down row of vertex 4 on level 1: index -1 is out of range"),
-        (("down", 0), [0, 1, 7], "down row of vertex 4 on level 1: index 7 is out of range"),
-        (("down", 0), [0, 2, 1], "down row of vertex 4 on level 1: indexes are not strictly ascending"),
-        (("down", 0), [0, 1, 1], "down row of vertex 4 on level 1: indexes are not strictly ascending"),
-        (("down", 0), [1, 3], "down row of vertex 5 on level 1: the level's rows are not ascending"),
-        (("down", 1), [0, 1, 2], "down row of vertex 5 on level 1: the level's rows are not ascending"),
+        (("down", 0), row_edit([0, 1, 4]), "down row of vertex 4 on level 1: index 4 is not on a lower level"),
+        (("down", 0), row_edit([0, 1, 6]), "down row of vertex 4 on level 1: index 6 is not on a lower level"),
+        (("down", 2), row_edit([4, 6]), "down row of vertex 6 on level 2: index 6 is not on a lower level"),
+        (("down", 2), row_edit([1, 5]), "down row of vertex 6 on level 2: index 1 is not on the level below"),
+        (("down", 2), row_edit([5, 4]), "down row of vertex 6 on level 2: indexes are not strictly ascending"),
+        (("down", 2), row_edit([5]), "down row of vertex 6 on level 2: a seed holds at least two indexes"),
+        (("down", 2), row_edit([]), "down row of vertex 6 on level 2: a seed holds at least two indexes"),
+        (("down", 0), row_edit([-1, 0, 1]), "down row of vertex 4 on level 1: index -1 is out of range"),
+        (("down", 0), row_edit([0, 1, 7]), "down row of vertex 4 on level 1: index 7 is out of range"),
+        (("down", 0), row_edit([0, 2, 1]), "down row of vertex 4 on level 1: indexes are not strictly ascending"),
+        (("down", 0), row_edit([0, 1, 1]), "down row of vertex 4 on level 1: indexes are not strictly ascending"),
+        (("down", 0), row_edit([1, 3]), "down row of vertex 5 on level 1: the level's rows are not ascending"),
+        (("down", 1), row_edit([0, 1, 2]), "down row of vertex 5 on level 1: the level's rows are not ascending"),
         (("down", 0), [0, 1, True], "down must hold integer indexes"),
         (("down", 0), [0, 1, 2.0], "down must hold integer indexes"),
         (("down", 0), "0 1 2", "down must be a list of index lists"),
         (("down", 2), DELETE, "down must hold 3 rows, not 2: they end on level 2"),
-        (("down",), [[0, 1, 2], [1, 2, 3], [4, 5], [4, 5]], "down must hold 3 rows, not 4: rows remain after level 2"),
+        (("down",), lambda down: down + down[2:], "down must hold 3 rows, not 4: rows remain after level 2"),
         (("down",), None, "down must be a list of index lists"),
         (("levels", 1), 3, "down row of vertex 6 on level 1: index 4 is not on a lower level"),
         # level 2 takes level 1's last row, which is not on level 1
@@ -710,8 +731,9 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("format_version",), 2, OLD_FORMAT_REJECTED),
         (("format_version",), 3, OLD_FORMAT_REJECTED),
         (("format_version",), 4, OLD_FORMAT_REJECTED),
+        (("format_version",), 5, OLD_FORMAT_REJECTED),
         (("format_version",), True, OLD_FORMAT_REJECTED),
-        (("format_version",), 5.0, OLD_FORMAT_REJECTED),
+        (("format_version",), 6.0, OLD_FORMAT_REJECTED),
     ],
     ids=[
         "down-own-level",
@@ -756,6 +778,7 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "format-version-2",
         "format-version-3",
         "format-version-4",
+        "format-version-5",
         "boolean-format-version",
         "float-format-version",
     ],
@@ -835,7 +858,7 @@ def test_cli_verify_rejects_tampered_document(tmp_path, capsys):
     out_path = str(tmp_path / "d.json")
     cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])
     payload = json.loads((tmp_path / "d.json").read_text())
-    payload["down"][0] = payload["down"][0][1:]  # drop one edge
+    edited(payload, ("down", 0), row_edit(lambda row: row[1:]))  # drop one edge
     (tmp_path / "d.json").write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli_main(["verify", "--decomposition", out_path, "--input", graph_path]) == 1
@@ -875,7 +898,7 @@ NO_CHAIN = "no 1-element chain predicts its lower neighbourhood"
 
 def stored_row(i, row):
     """An edit that stores ``row`` as ``down[i]``; G3's level 1 holds vertices 6, 7, 8, level 2 9, 10 and level 3 11."""
-    return lambda payload: payload["down"].__setitem__(i, row)
+    return lambda payload: edited(payload, ("down", i), row_edit(row))
 
 
 @pytest.mark.parametrize(
@@ -915,7 +938,7 @@ def test_labels_on_a_generated_level_are_refused(tmp_path, graph, levels):
     """Only levels 0 and 1 can be given, so a document that names a higher level's vertices is malformed."""
     g = graph()
     text = json.dumps(json.loads(decomposition_text(g)) | {"levels": levels})
-    assert parsed(parse_document, text) == parsed(reference_parse_v5, text) == NOT_A_COUNT
+    assert parsed(parse_document, text) == parsed(reference_parse_v6, text) == NOT_A_COUNT
     graph_path, doc_path = write(tmp_path, "g.txt", format_edge_list(g)), write(tmp_path, "d.json", text)
     assert run_cli(["verify", "--decomposition", doc_path, "--input", graph_path]) == (2, "", f"error: {NOT_A_COUNT}\n")
 
@@ -1071,9 +1094,10 @@ def test_cli_verify_names_a_vertex_by_its_index_where_the_names_clash(tmp_path):
     out_path = str(tmp_path / "d.json")
     assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])[0] == 0
     payload = json.loads(Path(out_path).read_text())
-    assert (payload["levels"][1:], payload["down"]) == ([3], [[0, 2], [1], [2, 3]])
+    assert (payload["levels"][1:], list(map(reference_decode_row, payload["down"]))) == ([3], [[0, 2], [1], [2, 3]])
     payload["levels"].append(1)
-    payload["down"].append([4, 6])  # the seed of the row [2, 4, 6]: c, the cliques {K:b, c} and {c, d}
+    # the seed of the row [2, 4, 6]: c, the cliques {K:b, c} and {c, d}
+    payload["down"].append(reference_encode_row([4, 6]))
     doc_path = write(tmp_path, "tampered.json", json.dumps(payload))
     code, out, err = run_cli(["verify", "--decomposition", doc_path, "--input", graph_path])
     failure = "level 2, vertex 7: no 1-element chain predicts its lower neighbourhood"
@@ -1283,6 +1307,23 @@ def test_cli_rejects_a_format_4_document_with_one_error_line(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_a_format_5_document_with_one_error_line(tmp_path, command):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", G2_FORMAT_5)
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
+
+
+def test_cli_reconstruct_refuses_a_level_1_that_does_not_rebuild_the_hashed_graph(tmp_path):
+    # G2's clique {a, b, c} edited to {a, b, d}: the document still parses, but encodes a d where G2 has a c
+    payload = edited(json.loads(G2_GOLDEN), ("down", 0), row_edit([0, 1, 3]))
+    doc_path = write(tmp_path, "d.json", json.dumps(payload))
+    mismatch = "error: the graph the document encodes does not match its source_hash\n"
+    assert run_cli(["reconstruct", "--decomposition", doc_path]) == (1, "", mismatch)
+    code, out, err = run_cli(["verify", "--decomposition", doc_path, "--input", write(tmp_path, "g2.txt", G2_TEXT)])
+    assert (code, err) == (1, "") and "bijection: FAIL" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
 def test_cli_rejects_an_unknown_key_with_one_error_line(tmp_path, command):
     # a key the reader dropped would pass verify unread and be missing from the re-serialised bytes
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
@@ -1304,9 +1345,9 @@ def test_cli_maps_running_out_of_memory_to_one_error_line(monkeypatch, tmp_path)
 
 def test_cli_reconstruct_rejects_an_edge_inside_a_level(tmp_path):
     # format 1 could hold an edge ["a", "b"] inside level 0, which reconstruct accepted and verify refused;
-    # a format-4 row can name only indexes, and one on its own level is refused
+    # a down row can name only indexes, and one on its own level is refused
     payload = json.loads(decomposition_text(make_g2()))
-    payload["down"][0] = [0, 1, 2, 5]  # 5 is K:b,c,d, on the level of K:a,b,c (4) itself
+    edited(payload, ("down", 0), row_edit([0, 1, 2, 5]))  # 5 is K:b,c,d, on the level of K:a,b,c (4) itself
     doc_path = write(tmp_path, "d.json", json.dumps(payload))
     assert run_cli(["reconstruct", "--decomposition", doc_path]) == (
         2, "", "error: down row of vertex 4 on level 1: index 5 is not on a lower level\n")
@@ -1317,7 +1358,8 @@ SEED_DOCUMENTS = [json.loads(decomposition_text(g)) for g in (make_g2(), make_g3
 
 @st.composite
 def broken_documents(draw):
-    """A valid format-4 document with one field edited so that it breaks a rule of the format."""
+    """A valid format-6 document with one field edited so that it breaks a rule of the format; a down row is edited
+    as its indexes and gap-coded again."""
     payload = json.loads(json.dumps(draw(st.sampled_from(SEED_DOCUMENTS))))
     sizes = [level if type(level) is int else len(level) for level in payload["levels"]]
     n0, n = sizes[0], sum(sizes)
@@ -1328,13 +1370,13 @@ def broken_documents(draw):
         if move == "delete":
             del payload[draw(st.sampled_from(sorted(payload)))]
         elif move == "version":
-            payload["format_version"] = draw(st.sampled_from([1, 2, 3, True, 4.0, "4", None]))
+            payload["format_version"] = draw(st.sampled_from([1, 2, 3, 4, 5, True, 6.0, "6", None]))
         else:
             payload[draw(st.sampled_from(["elements", "sequences", "comment", ""]))] = draw(junk)
         return payload
     rows = payload[field]
     r = draw(st.integers(0, len(rows) - 1))
-    row = rows[r]
+    row = rows[r] if field == "levels" else reference_decode_row(rows[r])
     if field == "levels" and type(row) is int:
         # a generated level's size: anything but a positive integer, or another one, which down no longer fits
         rows[r] = draw(st.one_of(junk, st.integers(-2, 0), st.integers(1, 4).filter(lambda size: size != row)))
@@ -1348,8 +1390,9 @@ def broken_documents(draw):
         # a string appended to level 0 can be a new valid label ("e" after G2's "a".."d")
         extra = st.one_of(st.booleans(), st.floats(allow_nan=False), st.none()) if field == "levels" else junk
         items = st.lists(st.one_of(extra, st.just([])), min_size=1, max_size=3)
-        rows[r] = draw(st.one_of(junk, items.map(lambda extra: row + extra)))
-    elif move == "repeat":
+        rows[r] = draw(st.one_of(junk, items.map(lambda extra: rows[r] + extra)))
+        return payload
+    if move == "repeat":
         row.insert(draw(st.integers(0, len(row) - 1)), row[0])
     elif move == "reverse":
         row.reverse()
@@ -1357,7 +1400,8 @@ def broken_documents(draw):
         # a down row may name only indexes below the first index of its vertex's level
         limit = max(start for start in accumulate(sizes, initial=0) if start <= n0 + r)
         bad = draw(st.one_of(st.integers(-3, -1), st.integers(limit, n + 3)))
-        rows[r] = sorted(set(row) | {bad}) if draw(st.booleans()) else [bad]
+        row = sorted(set(row) | {bad}) if draw(st.booleans()) else [bad]
+    rows[r] = row if field == "levels" else reference_encode_row(row)
     return payload
 
 
@@ -1391,7 +1435,7 @@ def test_parse_document_raises_only_format_errors(seed, data):
         parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
     parent[key] = data.draw(json_values)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v5, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v6, text)
     try:
         doc = parse_document(text)
     except DocumentFormatError:
@@ -1436,11 +1480,23 @@ ROWS = st.lists(st.integers(-2, 9), max_size=4)
 @example([[2, 3], [3, 2]], 2, 4, True)  # a seed not ascending
 @example([[2, 3], [2, 4]], 2, 4, True)  # a seed index on the seed's own level
 def test_first_row_fault_matches_the_per_row_reference(rows, lo, limit, seeds):
-    """The first stored row at fault, and the reason its walk gives, as the per-row reference finds them."""
+    """The first row at fault, found on the gap-coded rows, and the reason its decoded walk gives, as the per-row
+    reference finds them on the rows' indexes."""
     n = limit + 2  # indexes from limit up name a higher vertex, from n up none
-    t = _first_fault(rows, lo, limit, 2 if seeds else 0)
+    t = _first_fault(list(map(reference_encode_row, rows)), lo, limit, 2 if seeds else 0)
     fault = None if t is None else (t, _down_problem(rows[t], lo, limit, n))
     assert fault == reference_row_fault(rows, lo, limit, n, seeds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 10**6), unique=True).map(sorted), max_size=4))
+@example([[], [0], [5, 6], [-3, 0, 1_000_000]])
+def test_gap_coding_strictly_ascending_rows_gives_them_back(rows):
+    """The writer's gaps, decoded by the parser's running sum or the reference's, give each row back."""
+    for row in rows:
+        stored = _gaps(tuple(row))
+        assert stored == reference_encode_row(row) and all(gap > 0 for gap in stored[1:])
+        assert list(accumulate(stored)) == reference_decode_row(stored) == row
 
 
 LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_size=1, max_size=5)
@@ -1449,17 +1505,17 @@ LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_siz
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SEED_DOCUMENTS), st.data())
 def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, data):
-    """A level or a down row replaced by labels or indexes, in any order: the reference's message or document."""
+    """A level or a down row replaced by labels or indexes, in any order, a row gap-coded: the reference's message or
+    document."""
     payload = json.loads(json.dumps(seed))
     field = data.draw(st.sampled_from(["levels", "down"]))
     n = sum(level if type(level) is int else len(level) for level in payload["levels"])
     items = LABELS if field == "levels" else st.lists(st.integers(-1, n), max_size=5)
     rows = payload[field]
-    rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(
-        st.one_of(items, items.map(sorted), items.map(lambda xs: sorted(set(xs))))
-    )
+    edit = data.draw(st.one_of(items, items.map(sorted), items.map(lambda xs: sorted(set(xs)))))
+    rows[data.draw(st.integers(0, len(rows) - 1))] = edit if field == "levels" else reference_encode_row(edit)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v5, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v6, text)
 
 
 # each bullet of the README's "Library API" section, by its heading, and the module whose __all__ it lists
@@ -1519,5 +1575,5 @@ def test_module_all_lists_are_the_package_all():
     from cleanfactor.io import FORMAT_VERSION
 
     # bits returns the ascending index list itself, at any width
-    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 5
+    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 6
     assert "bits" not in cleanfactor.__all__ and "FORMAT_VERSION" not in cleanfactor.__all__
