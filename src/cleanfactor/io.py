@@ -222,7 +222,7 @@ def _rebuilt(seeds: list[list[int]], down: list[tuple[int, ...]], n0: int) -> li
     seed."""
     sets, out = {}, []  # a member's row as a set's membership test, made on first use for the level
     for seed in seeds:
-        seed = tuple(accumulate(seed))
+        seed = list(accumulate(seed))  # not a tuple, which CPython keeps on a free list once freed
         members = iter(seed)
         common = down[next(members) - n0]
         for j in members:
