@@ -218,8 +218,7 @@ def _first_fault(rows: list[list[int]], lo: int, limit: int, least: int) -> int 
 
 
 def _rebuilt(seeds: list[list[int]], down: list[tuple[int, ...]], n0: int) -> list[tuple[int, ...]]:
-    """Each gap-coded seed's whole row: the first member's row filtered through a set of each other member's, then the
-    seed."""
+    """Each gap-coded seed's whole row: its first member's row filtered by the other members' sets, then the seed."""
     sets, out = {}, []  # a member's row as a set's membership test, made on first use for the level
     for seed in seeds:
         seed = list(accumulate(seed))  # not a tuple, which CPython keeps on a free list once freed
