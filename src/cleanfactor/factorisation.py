@@ -328,14 +328,14 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     dominate each other because seeds from different classes are
     incomparable. The walk ANDs the top level's rows as masks: those
     ``factorise`` left on the graph (``m._top``), else built here from the
-    tuples and not stored, so a caller's graph is left as it was.
+    whole rows (``m._whole``) and not stored.
     """
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
     # indexes them by their place in the level, and each seed is shifted to global indexes
     offset = m._level_range(k - 1).start
-    adj = m._top or tuple(map(_mask, m._idx[offset:]))
+    adj = m._top or tuple(map(_mask, m._whole()[offset:]))
     uppers = range(len(adj))
     base_common = (1 << offset) - 1  # every level below the top
     cards = [_span(m._level_range(i)) for i in card_levels] or [base_common]
@@ -367,16 +367,17 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     """Apply one factorisation step of the given variant.
 
     Not effective when the candidate family has no maximal element;
-    otherwise returns the graph extended by one generated level, in row
-    order, one vertex per maximal candidate, adjacent to exactly that
-    candidate's members. ``threads`` must be 1; see ``_check_threads``.
+    otherwise returns the graph extended by one generated level in seed
+    order, one vertex per maximal candidate, adjacent to exactly its members
+    and holding its seed. ``threads`` must be 1; see ``_check_threads``.
     """
     _check_threads(threads)
     pairs = _maximal_family(m, op)
     if not pairs:
         return StepResult(effective=False, graph=None)
-    # each row as a mask and as its indexes, ascending: the one expansion of the row, and the level's order
-    idx, rows = zip(*sorted((tuple(bits(row)), row) for row in (seed | common for seed, common in pairs)))
-    out = MultipartiteGraph._from_rows(m._levels + (len(idx),), m._idx[len(m._levels[0]) :] + idx)
+    # each seed, shifted down to expand at the top level's width, orders the level and is its row
+    offset = m._level_range(-1).start
+    seeds, rows = zip(*sorted((tuple(map(offset.__add__, bits(seed >> offset))), seed | c) for seed, c in pairs))
+    out = MultipartiteGraph._from_rows(m._levels + (len(seeds),), m._idx[len(m._levels[0]) :] + seeds)
     out._top = rows  # the next step's walk ANDs these masks
     return StepResult(effective=True, graph=out)

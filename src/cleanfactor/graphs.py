@@ -4,13 +4,15 @@ Vertex sets are integer bitmasks over a per-graph, level-major vertex index.
 A ``MultipartiteGraph`` stores each vertex's lower neighbourhood as a tuple
 of ascending indexes, so appending a level rewrites no row; ``factorise``,
 the decoder and the incidence graph hand it the tuples (``_from_rows``).
-Only the candidate walk ANDs rows, as masks of the top level in ``_top``,
-which ``factorise`` leaves for the next step. A level the library generates
-stores only its size: its names are a function of its rows, built for the
-whole graph on the first label lookup, so decomposing and verifying name
-nothing. Vertices and rows never change; the caches (``_pairing``,
-``Graph._cliques``, the names and the label index) are filled on first use,
-and ``__eq__`` and ``__hash__`` ignore them and ``_top``.
+On a generated level above 1 the tuple is the vertex's seed, which fixes
+the rest; ``_whole`` rebuilds those rows, once, for the readers of whole
+rows. Only the candidate walk ANDs rows, as masks of the top level in
+``_top``, which ``factorise`` leaves for the next step. A level the library
+generates stores only its size: its names are a function of its rows, built
+for the whole graph on the first label lookup, so decomposing and verifying
+name nothing. Vertices and rows never change; the caches (``_pairing``,
+``Graph._cliques``, whole rows, names and the label index) are filled on
+first use, and ``__eq__`` and ``__hash__`` ignore them and ``_top``.
 """
 
 from __future__ import annotations
@@ -155,13 +157,13 @@ class MultipartiteGraph:
     Instances never mutate. A level given to the constructor is in label
     order; a level the library generates (level 1 of
     ``vertex_clique_incidence``, each level ``factorise`` appends) and one
-    ``append_level`` adds are in row order, by their rows as index tuples.
+    ``append_level`` adds are in row order, by their seeds as index tuples.
     A generated vertex is ``K:`` on level 1, else ``L<k>:``, plus the
     escaped labels of the level-0 neighbours its row starts with, and
     ``#n`` if it is the n-th (n >= 2) of its level with those neighbours.
     """
 
-    __slots__ = ("_levels", "_sizes", "_labels", "_index", "_level_of", "_idx", "_top", "_pairing")
+    __slots__ = ("_levels", "_sizes", "_labels", "_index", "_level_of", "_idx", "_full", "_top", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         level_tuples: list[tuple[str, ...]] = []
@@ -199,8 +201,8 @@ class MultipartiteGraph:
         given = [v for level in levels if type(level) is tuple for v in level]
         _check_distinct(given, len(set(given)))
         self._labels = self._index = self._level_of = None  # built on the first label lookup
+        self._full = self._pairing = None  # the whole rows where a level holds seeds (_whole); the oracle's pairing
         self._top = None  # the top level's rows as masks, which factorise leaves for the next step's walk
-        self._pairing = None
 
     def _named(self) -> tuple[str, ...]:
         """Every vertex's label in index order (``_labels``), the generated ones built in one pass on first use.
@@ -215,7 +217,7 @@ class MultipartiteGraph:
                     out += level
                     continue
                 prefix, seen = ("K:" if k == 1 else f"L{k}:"), {}
-                for row in self._idx[len(out) : len(out) + level]:
+                for row in self._whole()[len(out) : len(out) + level]:
                     base = row[: bisect_left(row, n0)]
                     named = seen.get(base)
                     if named is None:
@@ -226,6 +228,23 @@ class MultipartiteGraph:
                         out.append(f"{named[0]}#{named[1]}")
             self._labels = tuple(out)
         return self._labels
+
+    def _whole(self) -> tuple[tuple[int, ...], ...]:
+        """Every whole row in index order: ``_idx``, each seed rebuilt once as its members' common row and itself."""
+        if self._full is None and int in map(type, self._levels[2:]):
+            rows = list(self._idx)
+            for k in range(2, len(self._levels)):
+                sets = {}  # a member's row as a set's membership test, made on first use for the level
+                for i in self._level_range(k) if type(self._levels[k]) is int else ():
+                    members = iter(seed := self._idx[i])
+                    common = rows[next(members)]
+                    for j in members:
+                        if (has := sets.get(j)) is None:
+                            has = sets[j] = set(rows[j]).__contains__
+                        common = filter(has, common)
+                    rows[i] = (*common, *seed)
+            self._full = tuple(rows)
+        return self._full or self._idx
 
     def _indexed(self) -> dict[str, int]:
         """The label index, built with the names and ``_level_of`` on the first lookup; it refuses a shared label."""
@@ -279,24 +298,24 @@ class MultipartiteGraph:
         Each edge is stored once, in its higher endpoint's row, so the rows are transposed first, the
         vertices taken in label order, so that the edges come out sorted without sorting them.
         """
-        labels = self.vertices
+        labels, rows = self.vertices, self._whole()
         order = sorted(range(len(labels)), key=labels.__getitem__)
         above: list[list[int]] = [[] for _ in labels]
         for i in order:
-            for j in self._idx[i]:
+            for j in rows[i]:
                 above[j].append(i)
         return tuple([(labels[j], labels[i]) for j in order for i in above[j]])
 
     def edge_count(self) -> int:
-        return sum(map(len, self._idx))
+        return sum(map(len, self._whole()))
 
     def append_level(self, new_vertices: Sequence[tuple[str, Iterable[str]]]) -> MultipartiteGraph:
-        """Return a (k+1)-level graph with one extra level on top, in row order as ``factorise`` appends one.
+        """Return a (k+1)-level graph with one extra level on top, in seed order as ``factorise`` appends one.
 
-        ``new_vertices`` holds (label, neighbours) pairs; neighbours must
-        already be vertices of this graph. Existing levels and edges are
-        retained unchanged. An empty list is rejected: callers model "no
-        new vertices" as a non-effective step, not as an empty level.
+        ``new_vertices`` holds (label, neighbours) pairs; neighbours must already be vertices of this graph. The new
+        level is given, so it holds whole rows, ordered by their parts on the level below, then whole. Existing levels
+        and edges are retained unchanged. An empty list is rejected: callers model "no new vertices" as a
+        non-effective step, not as an empty level.
         """
         if not new_vertices:
             raise InvalidArgumentError("append_level needs at least one new vertex")
@@ -310,8 +329,9 @@ class MultipartiteGraph:
         except KeyError:
             out._labels = self._labels + fresh
             out._rows(((u, label) for label, nbrs in new_vertices for u in nbrs), len(self))  # raises as __init__
-        # the index is level-major, so every existing index and row survives; the new level in row order
-        rows, fresh = zip(*sorted(zip(rows, fresh)))
+        # the index is level-major, so every existing index and row survives; the new level in seed order
+        lo = len(self) - self._sizes[-1]
+        _, rows, fresh = zip(*sorted((row[bisect_left(row, lo) :], row, label) for row, label in zip(rows, fresh)))
         out._levels, out._idx = self._levels + (fresh,), self._idx + rows
         return out
 
@@ -327,17 +347,19 @@ class MultipartiteGraph:
         return frozenset(labels[i] for i in bits(mask))
 
     def __eq__(self, other: object) -> bool:
-        """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names."""
+        """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names.
+        Rows are compared as stored where both store each level in one form (seeds or whole), else whole."""
         if not isinstance(other, MultipartiteGraph):
             return NotImplemented
-        if self._sizes != other._sizes or self._idx != other._idx:
+        same = list(map(type, self._levels[2:])) == list(map(type, other._levels[2:]))
+        if self._sizes != other._sizes or (self._idx != other._idx if same else self._whole() != other._whole()):
             return False
         pairs = enumerate(zip(self._levels, other._levels))
         return all(a == b if type(a) is type(b) else self.levels[k] == other.levels[k] for k, (a, b) in pairs)
 
     def __hash__(self) -> int:
-        # level 0 is always given; a level above it may be given on only one of two equal graphs
-        return hash((self._levels[0], self._sizes, self._idx))
+        # level 0 is always given, level 1 holds whole rows; a level above may be given on one of two equal graphs only
+        return hash((self._levels[0], self._sizes, self._idx[self._sizes[0] : self._sizes[0] + self._sizes[1]]))
 
     def __repr__(self) -> str:
         return f"MultipartiteGraph(levels=[{','.join(map(str, self._sizes))}], {self.edge_count()} edges)"

@@ -1,25 +1,24 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 6) stores the decomposition graph and nothing derived
-from it. ``levels`` holds the labels that were given (level 0, and level 1
-of a bipartite start), each level sorted, and the size of each level the
-library generated, whose vertices are in row order and are named by their
-rows. A vertex is referred to by its level-major global index, and ``down``
-lists its neighbours on the level below, as the first index followed by the
-gap to each next one; above level 1 that is its seed, and the reader
-rebuilds the rest of its row. The text is exactly ``json.dumps`` with sorted
-keys and no spaces, so byte-deterministic; ``down`` is encoded 256 rows at a
-time. A content hash of the canonical edge list binds a document to its
-input."""
+A document (format 7) stores the decomposition graph as the graph holds it,
+and nothing derived from it. ``levels`` holds the labels that were given
+(level 0, and level 1 of a bipartite start), each level sorted, and the size
+of each level the library generated, whose vertices are in row order and are
+named by their rows. A vertex is referred to by its level-major global index,
+and ``down`` lists its neighbours on the level below, as the first index
+followed by the gap to each next one; above level 1 that is its seed, from
+which the graph rebuilds the rest of its row. The text is exactly
+``json.dumps`` with sorted keys and no spaces, so byte-deterministic; ``down``
+is encoded 256 rows at a time. A content hash of the canonical edge list
+binds a document to its input."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from io import StringIO
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice
 from operator import le, lt, sub
 from pathlib import Path
 
@@ -45,7 +44,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
 
 
@@ -127,8 +126,8 @@ class DecompositionDocument:
     """Serializable form of a decomposition run; the fields are the document's keys.
 
     A level is its labels, or a generated level's size. With ``n0``
-    vertices on level 0, ``down[i - n0]`` is vertex ``i``'s whole row,
-    though the text holds only its part on the level below, gap-coded.
+    vertices on level 0, ``down[i - n0]`` is vertex ``i``'s row as the graph
+    stores it, a seed above level 1, which the text holds gap-coded.
     """
 
     format_version: int
@@ -172,17 +171,13 @@ def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
 
 def to_json(doc: DecompositionDocument) -> str:
     """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII, except that
-    each ``down`` row is cut to its part on the level below, above level 1 its seed, so such a row must be the seed's
-    common neighbourhood and the seed, as a series makes it; and that what is written of a row is its first index
-    followed by the gap to each next one. ``down``, the first key, is cut, gap-coded and encoded ``_PIECE`` rows per
-    ``json.dumps`` call, the rest in one, and all joined once; a row past the last level is gap-coded whole.
+    what is written of a ``down`` row is its first index followed by the gap to each next one. ``down``, the first
+    key, is gap-coded and encoded ``_PIECE`` rows per ``json.dumps`` call, the rest in one, and all joined once.
     """
     rest = {key: value for key, value in vars(doc).items() if key != "down"}
-    sizes = [level if type(level) is int else len(level) for level in doc.levels]
-    floors = chain(chain.from_iterable(map(repeat, accumulate(sizes, initial=0), sizes[1:])), repeat(0))
-    seeds = map(lambda row, lo: _gaps(row[bisect_left(row, lo) :]), doc.down, floors)
+    rows = map(_gaps, doc.down)
     text = []
-    while piece := list(islice(seeds, _PIECE)):
+    while piece := list(islice(rows, _PIECE)):
         text += ",", json.dumps(piece, separators=(",", ":"))[1:-1]
     return "".join(['{"down":[', *text[1:], "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
 
@@ -209,27 +204,13 @@ def _expect(condition: bool, message: str, *args: object) -> None:
 
 def _first_fault(rows: list[list[int]], lo: int, limit: int, least: int) -> int | None:
     """The first gap-coded row shorter than ``least`` or not strictly ascending inside ``range(lo, limit)``: its first
-    index under ``lo``, a gap under 1, or its sum, the last index, ``limit`` or more."""
+    index under ``lo``, a gap under 1, or its sum, the last index, ``limit`` or more. A first index of 1 or more lets
+    ``min(row)`` test the gaps; only a row that starts at 0, on level 1, has them sliced off."""
     for t, row in enumerate(rows):
-        inside = not row or row[0] >= lo and min(row[1:] or [1]) > 0 and sum(row) < limit
+        inside = not row or row[0] >= lo and (min(row) if row[0] else min(row[1:] or [1])) > 0 and sum(row) < limit
         if not inside or len(row) < least:
             return t
     return None
-
-
-def _rebuilt(seeds: list[list[int]], down: list[tuple[int, ...]], n0: int) -> list[tuple[int, ...]]:
-    """Each gap-coded seed's whole row: its first member's row filtered by the other members' sets, then the seed."""
-    sets, out = {}, []  # a member's row as a set's membership test, made on first use for the level
-    for seed in seeds:
-        seed = list(accumulate(seed))  # not a tuple, which CPython keeps on a free list once freed
-        members = iter(seed)
-        common = down[next(members) - n0]
-        for j in members:
-            if (has := sets.get(j)) is None:
-                has = sets[j] = set(down[j - n0]).__contains__
-            common = filter(has, common)
-        out.append((*common, *seed))
-    return out
 
 
 # a document's vocabularies, from the types that define them; tuples, since a JSON value may be unhashable
@@ -256,10 +237,10 @@ def parse_document(text: str) -> DecompositionDocument:
     a ``bool``), its range and its order, so the document decodes to a
     well-formed multipartite graph; the first problem found is named. Only
     levels 0 and 1 may list labels; a seed holds two or more indexes, and a
-    generated level's rebuilt rows must ascend, the order the library writes.
-    Each level's gap-coded rows are checked in one pass that stops at the
-    first row at fault; only that row is decoded and walked again for the
-    reason, so a message names indexes, never gaps.
+    generated level's rows, or seeds, must ascend, the order the library
+    writes. Each level's gap-coded rows are checked in one pass that stops at
+    the first row at fault; only that row is decoded and walked again for the
+    reason, so a message names indexes, never gaps. No row is rebuilt.
     """
     try:
         payload = json.loads(text)
@@ -306,9 +287,10 @@ def parse_document(text: str) -> DecompositionDocument:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
             raise DocumentFormatError(f"down row of {vertex}: {_down_problem(list(accumulate(rows[t])), lo, limit, n)}")
         # in place, so only one level is held both as lists and as tuples
-        down[span] = rows = _rebuilt(rows, down, n0) if li > 1 else list(map(tuple, map(accumulate, rows)))
+        down[span] = rows = list(map(tuple, map(accumulate, rows)))
         t = next(compress(count(limit + 1), map(le, islice(rows, 1, None), rows)), None) if generated else None
-        _expect(t is None, "down row of vertex {} on level {}: the level's rows are not ascending", t, li)
+        stored = "seeds" if li > 1 else "rows"
+        _expect(t is None, "down row of vertex {} on level {}: the level's {} are not ascending", t, li, stored)
         limit += sizes[li]
     _expect(len(down) == n - n0, "down must hold {} rows, not {}: rows remain after level {}", n - n0, len(down), li)
 

@@ -147,7 +147,7 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str
     k = m.level_of(x)
     if k < 2:
         raise InvalidArgumentError("characterising sequences start at level 2")
-    idx, level_of = m._idx, m._level_of
+    idx, level_of = m._whole(), m._level_of
     row = idx[m._index[x]]
     seq = [_mask(i for i in row if level_of[i] == 0)]
     for j in range(2, k):
@@ -194,8 +194,8 @@ def _name(m: MultipartiteGraph, x: int) -> str:
 def _pair(m: MultipartiteGraph) -> Pairing:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
-    Rows are ascending index tuples, and each vertex's row is looked up as
-    the graph stores it. The non-simple intersections are those of m's
+    Rows are ascending index tuples, and each vertex's row is looked up
+    whole (``m._whole``). The non-simple intersections are those of m's
     level-1 rows, as masks over level 0, and ``cont[o]`` is the tuple of
     the level-1 vertices that contain ``o``. A chain is keyed by the vertex
     paired with its prefix (-1 for none) and its last entry. Chain ``(o,)``
@@ -207,7 +207,7 @@ def _pair(m: MultipartiteGraph) -> Pairing:
     level must hold exactly one vertex per predicted row, and distinct
     chains predict distinct rows, so the pairing is a bijection.
     """
-    idx, ones = m._idx, m._level_range(1)
+    idx, ones = m._whole(), m._level_range(1)
     level1 = [_mask(idx[c]) for c in ones]
     up = _inclusion(level1)
     cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}

@@ -227,11 +227,11 @@ def reference_factorise(
 ) -> tuple[MultipartiteGraph | None, tuple[CandidateSet, ...]]:
     """One factorisation step on label sets: the extended graph and its candidates.
 
-    Takes the maximal candidates from ``closed_candidates`` in row order,
-    by their members' indexes, ascending, as tuples; labels each new vertex
+    Takes the maximal candidates from ``closed_candidates`` in seed order,
+    by their seeds' indexes, ascending, as tuples; labels each new vertex
     ``L<k>:`` plus the sorted labels of its level-0 neighbours, the level-0
     part of its common neighbourhood, with backslash, comma and '#'
-    escaped; numbers vertices that share a label ``#2``, ``#3``, ... in row
+    escaped; numbers vertices that share a label ``#2``, ``#3``, ... in seed
     order; and appends the level through ``append_level``. Returns
     (None, ()) when there is no candidate.
     """
@@ -242,7 +242,7 @@ def reference_factorise(
     lower_levels = [frozenset(level) for level in m.levels[:-1]]
     index = {v: i for i, v in enumerate(m.vertices)}
     escape = lambda v: v.replace("\\", "\\\\").replace(",", "\\,").replace("#", "\\#")
-    rows = sorted((tuple(sorted(index[v] for v in seed | common)), seed, common) for seed, common in found)
+    rows = sorted((tuple(sorted(index[v] for v in seed)), seed, common) for seed, common in found)
     seen: dict[str, int] = {}
     labelled = []
     for _, seed, common in rows:

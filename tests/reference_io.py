@@ -1,26 +1,27 @@
-"""Document format 1, and the format-6 parser's checks one row at a time, kept as references.
+"""Document format 1, and the format-7 parser's checks one row at a time, kept as references.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
 sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 6 only, which stores no sequences and no generated label; tests
+format 7 only, which stores no sequences and no generated label; tests
 require both formats to decode to the same labelled graph, and each
 sequence format 1 stores to be the one ``characterising_sequence``
-recovers from the format-6 graph. Format 1
+recovers from the format-7 graph. Format 1
 fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
 
-``reference_parse_v6`` is ``parse_document`` written plainly: it tests
+``reference_parse_v7`` is ``parse_document`` written plainly: it tests
 each level's labels with ``reference_labels_ascend``, decodes each stored
 down row with ``reference_decode_row``, a running sum, finds the first
 decoded row at fault with ``reference_row_fault``, which tests each row
-on its own with ``reference_strict``, rebuilds each row above level 1 from
-its seed with ``reference_rebuild``, a set intersection, and tests each
-whole row of a generated level against the row before it. Tests require
-the library to raise the same message, or return an equal document, on any
-text.
+on its own with ``reference_strict``, and tests each decoded row of a
+generated level, a seed above level 1, against the row before it. Like the
+library it rebuilds no row; ``reference_rebuild``, a set intersection,
+gives a seed's whole row to the tests that compare the graph's. Tests
+require the library to raise the same message, or return an equal
+document, on any text.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ def reference_rebuild(seed: list[int], whole: dict[int, tuple[int, ...]]) -> tup
     return tuple(sorted(set.intersection(*(set(whole[j]) for j in seed)))) + tuple(seed)
 
 
-def reference_parse_v6(text: str) -> DecompositionDocument:
-    """A format-6 document, checked one level's labels and one decoded down row at a time."""
+def reference_parse_v7(text: str) -> DecompositionDocument:
+    """A format-7 document, checked one level's labels and one decoded down row at a time."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -234,7 +235,7 @@ def reference_parse_v6(text: str) -> DecompositionDocument:
         raise DocumentFormatError("not valid JSON: nested too deeply") from None
     _expect(type(payload) is dict, "top level must be an object")
     version = payload.get("format_version")
-    _expect(type(version) is int and version == 6, "unsupported format_version: this reader takes 6")
+    _expect(type(version) is int and version == 7, "unsupported format_version: this reader takes 7")
     keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
     for key in keys:
         _expect(key in payload, f"missing key {key!r}")
@@ -261,7 +262,7 @@ def reference_parse_v6(text: str) -> DecompositionDocument:
     down = payload["down"]
     _expect(type(down) is list and set(map(type, down)) <= {list}, "down must be a list of index lists")
     _expect(set(map(type, chain.from_iterable(down))) <= {int}, "down must hold integer indexes")
-    whole: dict[int, tuple[int, ...]] = {}  # every checked vertex's whole row, by its index
+    stored: dict[int, tuple[int, ...]] = {}  # every checked vertex's decoded row, by its index
     starts = [sum(sizes[:li]) for li in range(len(sizes))]
     for li, level in enumerate(levels[1:], start=1):
         limit, generated = starts[li], type(level) is int
@@ -273,19 +274,19 @@ def reference_parse_v6(text: str) -> DecompositionDocument:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
             raise DocumentFormatError(f"down row of {vertex}: {problem}")
         for t, row in enumerate(rows):
-            whole[limit + t] = reference_rebuild(row, whole) if li > 1 else tuple(row)
+            stored[limit + t] = tuple(row)
         for t in range(1, sizes[li]):
-            if generated and not whole[limit + t - 1] < whole[limit + t]:
-                vertex = f"vertex {limit + t} on level {li}"
-                raise DocumentFormatError(f"down row of {vertex}: the level's rows are not ascending")
+            if generated and not stored[limit + t - 1] < stored[limit + t]:
+                vertex, what = f"vertex {limit + t} on level {li}", "seeds" if li > 1 else "rows"
+                raise DocumentFormatError(f"down row of {vertex}: the level's {what} are not ascending")
     top = len(levels) - 1
     _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}: rows remain after level {top}")
 
     return DecompositionDocument(
-        format_version=6,
+        format_version=7,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],
         levels=tuple(level if type(level) is int else tuple(level) for level in levels),
-        down=tuple(whole[i] for i in range(n0, n)),
+        down=tuple(stored[i] for i in range(n0, n)),
     )

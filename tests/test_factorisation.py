@@ -494,9 +494,9 @@ def test_the_final_step_of_the_anti_matching_five_factor_series_takes_the_column
     k = m.level_count
     (card_level,), _ = _plan(OperatorKind.FACTOR, k)
     offset = m._level_range(k - 1).start
-    assert m._top is None  # a finished series drops the walk's masks, so the test builds them from the tuples
+    assert m._top is None  # a finished series drops the walk's masks, so the test builds them from the whole rows
     members, base = range(len(m.levels[-1])), (1 << offset) - 1
-    adj = [sum(1 << j for j in row) for row in m._idx[offset:]]
+    adj = [sum(1 << j for j in row) for row in m._whole()[offset:]]
     card = sum(1 << v for v in m._level_range(card_level))
     assert len(members) == 60 and sum((row & card).bit_count() for row in adj) == 120
     got = _closed_seeds(members, adj, base, card, card)
@@ -686,8 +686,10 @@ def test_factorise_matches_the_reference_step(corpus):
             if graph is None:
                 continue
             assert step.graph.vertices == graph.vertices  # which builds both label indexes
-            for slot in ("_index", "_labels", "_level_of", "_idx"):
+            for slot in ("_index", "_labels", "_level_of"):
                 assert getattr(step.graph, slot) == getattr(graph, slot), slot
+            # the step holds its new level's seeds, the reference its given level's whole rows
+            assert step.graph._whole() == graph._whole() and step.graph._idx[: len(m)] == graph._idx[: len(m)]
             # the reference appends its level through append_level, which leaves the masks to the walk
             assert step.graph._top == tuple(sum(1 << j for j in graph._idx[x]) for x in graph._level_range(-1))
             top = graph.levels[-1]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from cleanfactor import (
     parse_document,
     reconstruct_graph,
     run_series,
+    run_series_from_bipartite,
     size_bound,
     verify_bijection,
     verify_document_fields,
@@ -35,6 +37,7 @@ from cleanfactor import (
 from cleanfactor import graphs
 
 from reference_graphs import Neighbours
+from reference_io import reference_rebuild
 
 
 def test_graph_basics():
@@ -173,11 +176,13 @@ def test_append_level_matches_the_constructor_on_random_graphs():
             new_vertices.append((x, nbrs))
         appended = m.append_level(new_vertices)
         built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
-        # the same graph, the new level in row order where the constructor keeps label order
+        # the same graph, the new level in seed order where the constructor keeps label order: by each row's part
+        # on the level below, then by the whole row
         assert appended.edges() == built.edges()
         assert appended._levels[:-1] == built._levels[:-1] and sorted(appended.levels[-1]) == list(built.levels[-1])
-        new_rows = appended._idx[len(m) :]
-        assert list(new_rows) == sorted(new_rows) and appended._idx[: len(m)] == built._idx[: len(m)]
+        lo = len(m) - len(levels[-2])
+        keys = [(row[bisect_left(row, lo) :], row) for row in appended._idx[len(m) :]]
+        assert keys == sorted(keys) and appended._idx[: len(m)] == built._idx[: len(m)]
         assert appended._index == {v: i for i, v in enumerate(appended._labels)}
         assert appended._level_of == built._level_of and appended._top is None
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
@@ -246,6 +251,17 @@ def test_multipartite_equality_is_exact_on_canonical_labels(g2):
     b = run_series(g2, OperatorKind.CLEAN).final
     assert a == b and hash(a) == hash(b)
     assert a != vertex_clique_incidence(g2)
+
+
+def test_equality_compares_stored_rows_in_one_form_and_whole_rows_across_forms(g3):
+    # G3's series holds seeds on levels 2 and 3; the same graph with every level given holds whole rows there
+    m = run_series(g3, OperatorKind.CLEAN).final
+    named, n0 = tuple(map(tuple, m.levels)), len(m.levels[0])
+    given = MultipartiteGraph._from_rows(named, m._whole()[n0:])
+    assert given._idx != m._idx and given == m and m == given and hash(given) == hash(m)
+    # a given level whose whole rows are the other graph's seeds: the same stored rows, but another graph
+    seeds = MultipartiteGraph._from_rows(named, m._idx[n0:])
+    assert seeds._idx == m._idx and seeds != m and m != seeds and seeds != given
 
 
 def level0_ancestors(m: MultipartiteGraph) -> dict[str, frozenset[str]]:
@@ -341,13 +357,14 @@ def assert_held_alike(*built: MultipartiteGraph) -> None:
 
 
 def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
-    """The top level's rows as masks, from the index tuples."""
-    return tuple(sum(1 << j for j in m._idx[x]) for x in m._level_range(m.level_count - 1))
+    """The top level's whole rows as masks, from the index tuples."""
+    return tuple(sum(1 << j for j in m._whole()[x]) for x in m._level_range(m.level_count - 1))
 
 
 def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(corpus):
-    # the index tuples are the only rows a graph has a field for; _top is the candidate walk's cache
-    others = {"_levels", "_sizes", "_labels", "_index", "_level_of", "_top", "_pairing"}
+    # the index tuples are the only rows a graph stores; _full, the whole rows rebuilt from seeds, and _top, the
+    # candidate walk's masks, are caches
+    others = {"_levels", "_sizes", "_labels", "_index", "_level_of", "_full", "_top", "_pairing"}
     assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
     for _ in range(100):
@@ -484,6 +501,46 @@ def test_decomposing_and_verifying_build_no_label_index(monkeypatch, tmp_path, c
     assert built == [] and named == []  # no generated name is built, and no label index
 
 
+def record_whole_row_builds(monkeypatch) -> list[MultipartiteGraph]:
+    """Record each graph whose whole rows are rebuilt from its seeds, once per build."""
+    built = []
+    build = MultipartiteGraph._whole
+
+    def spy(self):
+        fresh = self._full is None
+        rows = build(self)
+        if fresh and self._full is not None:
+            built.append(self)
+        return rows
+
+    monkeypatch.setattr(MultipartiteGraph, "_whole", spy)
+    return built
+
+
+def test_decomposing_builds_no_whole_row_and_verifying_builds_them_once(monkeypatch, corpus):
+    # a level above 1 holds its seeds from the walk to the document and back: only the readers of whole rows, here
+    # the oracle's pairing and edges(), rebuild them, once per graph
+    built = record_whole_row_builds(monkeypatch)
+    clean = [run_series(g, OperatorKind.CLEAN) for g in corpus]
+    factor = [run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR) for n in (3, 4, 5)]
+    texts = [write_decomposition(result, graph_content_hash(g)) for g, result in zip(corpus, clean)]
+    texts += [write_decomposition(result, "") for result in factor]
+    assert built == [] and all(result.final._full is None for result in clean + factor)
+    for g, result, text in zip(corpus, clean, texts):
+        m = document_to_multipartite(parse_document(text))
+        assert verify_bijection(g, m).passed and verify_neighbourhood_formula(m).passed
+        assert size_bound(g, replace(result, final=m)).holds
+        assert built == ([m] if m.level_count > 2 else [])
+        built.clear()
+    # the benchmark's check of a bipartite start: the decoded graph is the series' graph as stored, then its edges
+    for result, text in zip(factor, texts[len(clean) :]):
+        m = document_to_multipartite(parse_document(text))
+        assert m == result.final and built == []
+        assert all(m.level_of(a) < m.level_of(b) for a, b in m.edges())
+        assert built == ([m] if m.level_count > 2 else [])
+        built.clear()
+
+
 # by vertex, since the constructor keeps each level in label order and a series in row order
 LOOKUPS = {
     "level_of": lambda m: {v: m.level_of(v) for v in m.vertices},
@@ -554,28 +611,26 @@ def reference_names(k, level0, rows):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_generated_names_count_along_row_order_and_escape_their_members(data):
-    # level-0 labels from the characters a name is made of, the empty one too; each higher level's rows are a drawn
-    # level-0 part, maybe none (one of two, so most names are shared), and a non-empty part on the levels below,
-    # distinct and in row order
+    # level-0 labels from the characters a name is made of, the empty one too; level 1's rows are drawn over level 0,
+    # and each higher level holds seeds drawn on the level below, distinct and in order. A seed's level-0 part is the
+    # common part of its members' rows, so many are shared or empty
     level0 = sorted(data.draw(st.sets(st.text("ab,#\\0", max_size=3), min_size=2, max_size=5)))
     n0 = len(level0)
-    pool = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1)), min_size=2, max_size=2))
-    levels, down, size = [tuple(level0)], [], n0
+    levels, down, whole, lo = [tuple(level0)], [], dict.fromkeys(range(n0), ()), 0
     for k in range(1, data.draw(st.integers(2, 11), label="levels")):
-        if k == 1:
-            parts = data.draw(st.lists(st.frozensets(st.integers(0, n0 - 1), min_size=1), min_size=1, max_size=6))
-        else:
-            uppers = st.frozensets(st.integers(n0, size - 1), min_size=1)
-            drawn = data.draw(st.lists(uppers, min_size=1, max_size=8))
-            parts = [pool[data.draw(st.integers(0, 1))] | upper for upper in drawn]
-        rows = sorted({tuple(sorted(part)) for part in parts})
+        below = range(lo, len(whole))
+        part = st.frozensets(st.sampled_from(below), min_size=1, max_size=3 if k == 1 else 2 + (len(below) > 2))
+        rows = sorted({tuple(sorted(drawn)) for drawn in data.draw(st.lists(part, min_size=1, max_size=6))})
         levels.append(len(rows))
         down += rows
-        size += len(rows)
+        lo = len(whole)
+        for row in rows:
+            whole[len(whole)] = row if k == 1 else reference_rebuild(list(row), whole)
     m = MultipartiteGraph._from_rows(tuple(levels), down)
+    assert m._whole() == tuple(whole.values())
     start = n0
     for k, level in enumerate(m.levels[1:], start=1):
-        assert list(level) == reference_names(k, level0, down[start - n0 : start - n0 + len(level)])
+        assert list(level) == reference_names(k, level0, [whole[i] for i in range(start, start + len(level))])
         start += len(level)
     assert len(set(m.vertices)) == len(m)  # distinct, so the index answers for every name
     assert [m.level_of(v) for v in m.vertices] == [k for k, level in enumerate(m.levels) for _ in level]
@@ -589,7 +644,7 @@ def test_a_weak_step_names_an_empty_level0_neighbour_apart_from_none():
         + [("", "p"), ("", "q")],
     )
     top = factorise(m, OperatorKind.WEAK).graph
-    assert top._idx[-2:] == ((0, 2, 3, 6, 7), (4, 5, 8, 9))
+    assert top._idx[-2:] == ((6, 7), (8, 9)) and top._whole()[-2:] == ((0, 2, 3, 6, 7), (4, 5, 8, 9))
     assert list(top.levels[-1]) == ["L3:\\0", "L3:"] and len(set(top.vertices)) == len(top)
 
 

@@ -63,7 +63,7 @@ from reference_io import (
     reference_decode_row,
     reference_encode_row,
     reference_parse_document,
-    reference_parse_v6,
+    reference_parse_v7,
     reference_rebuild,
     reference_row_fault,
     reference_to_json,
@@ -129,9 +129,10 @@ def test_document_shape_triangle(triangle):
 def test_document_shape_g2():
     g = make_g2()
     doc = build_document(run_series(g, OperatorKind.CLEAN), graph_content_hash(g))
-    # the generated levels are their sizes: the graph names their vertices from their rows
+    # the generated levels are their sizes: the graph names their vertices from their rows, and the row above level 1
+    # is held as its seed, the two cliques
     assert doc.levels == (("a", "b", "c", "d"), 2, 1)
-    assert doc.down == ((0, 1, 2), (1, 2, 3), (1, 2, 4, 5))
+    assert doc.down == ((0, 1, 2), (1, 2, 3), (4, 5))
     m = document_to_multipartite(doc)
     assert m.levels == (("a", "b", "c", "d"), ("K:a,b,c", "K:b,c,d"), ("L2:b,c",))
     # the one sequence, ({b, c}), is not stored: the library recovers it from the graph
@@ -139,7 +140,8 @@ def test_document_shape_g2():
 
 
 def test_generated_levels_are_in_row_order():
-    # G3's level 2: L2:1,2,3 (row 0,1,2,6,7) comes before L2:1,2 (row 0,1,6,7,8), against label order
+    # G3's level 2: L2:1,2,3 (seed 6,7) comes before L2:1,2 (seed 6,7,8), against label order; each generated level
+    # is in the order of its stored rows, seeds above level 1
     m = document_to_multipartite(parse_document(decomposition_text(make_g3())))
     assert m.levels[2] == ("L2:1,2,3", "L2:1,2")
     for k in range(1, m.level_count):
@@ -161,14 +163,17 @@ def test_a_generated_level_indexes_slices_and_hashes_as_the_tuple_of_its_names()
 
 # a row above level 1 is stored as its seed, its indexes on the level below; each row as its first index and gaps
 G2_GOLDEN = (
-    '{"down":[[0,1,1],[1,1,1],[4,1]],"format_version":6,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
+    '{"down":[[0,1,1],[1,1,1],[4,1]],"format_version":7,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 G3_GOLDEN = (
     '{"down":[[0,1,1,1],[0,1,1,2],[0,1,4],[6,1],[6,1,1],[9,1]],'
-    '"format_version":6,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
+    '"format_version":7,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
     '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
 )
+# G2 in format 6, which had the same bytes but for its version: it ordered a generated level by its whole rows and
+# rebuilt them on read
+G2_FORMAT_6 = G2_GOLDEN.replace('"format_version":7', '"format_version":6')
 # G2 in format 5, which stored each index whole
 G2_FORMAT_5 = (
     '{"down":[[0,1,2],[1,2,3],[4,5]],"format_version":5,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
@@ -201,8 +206,8 @@ def test_golden_bytes(make, golden):
 @pytest.mark.parametrize(
     "op, digest",
     [
-        (OperatorKind.WEAK, "3b9916f27523640fd2b0ef2d34cdb27cdaf9df970816825a44f312dcd748472f"),
-        (OperatorKind.FACTOR, "40834a4758aa7a6b8cdafb872c425258247b91e90757c2ffac00aac902669224"),
+        (OperatorKind.WEAK, "d2cc977d190394b65315dbc33e509863ffbc014e8aaed49e0145baefe7c71d25"),
+        (OperatorKind.FACTOR, "967a77ce993b5f162bf61bd2b4d9b8ae65b748b1b10b9b445892f0052f21ba92"),
     ],
     ids=["weak", "factor"],
 )
@@ -227,14 +232,14 @@ def test_reserializing_a_parsed_document_is_byte_identical():
 
 def assert_named_by_level0_neighbours(doc: DecompositionDocument) -> int:
     """Every vertex above level 1 of the decoded graph is ``L<k>:`` plus its level-0 neighbours' labels, read from
-    its down row, and the vertices of a level that share that base are, in row order, the base, then ``#2``, ``#3``,
-    ...; returns how many carry ``#n``."""
+    its whole row, and the vertices of a level that share that base are, in seed order, the base, then ``#2``,
+    ``#3``, ...; returns how many carry ``#n``."""
     level0, m = doc.levels[0], document_to_multipartite(doc)
     start = len(level0) + len(m.levels[1])
     suffixed = 0
     for k, level in enumerate(m.levels[2:], start=2):
         seen: dict[str, int] = {}
-        for label, row in zip(level, doc.down[start - len(level0) :]):
+        for label, row in zip(level, m._whole()[start:]):
             base = f"L{k}:" + ",".join(level0[j] for j in row if j < len(level0))
             seen[base] = seen.get(base, 0) + 1
             assert label == (f"{base}#{seen[base]}" if seen[base] > 1 else base)
@@ -304,7 +309,7 @@ def test_parse_document_rejects_malformed_input():
 
 
 def decoded(text):
-    """The graph a format-6 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
+    """The graph a format-7 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
     m = document_to_multipartite(parse_document(text))
     sequences = {
         x: tuple(tuple(sorted(o)) for o in characterising_sequence(m, x))
@@ -314,18 +319,18 @@ def decoded(text):
 
 
 def assert_formats_agree(result, source_hash):
-    """Format 6 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores,
-    and to the document the format-6 reference parser reads.
+    """Format 7 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores,
+    and to the document the format-7 reference parser reads.
 
     Format 1 is the reference codec and fills its sequences with ``reference_sequence``. Its graph is built by the
     constructor, which keeps each level in label order, so the two graphs are compared by their labelled edges.
     """
     v1 = reference_to_json(reference_build_document(result, source_hash))
-    v6 = write_decomposition(result, source_hash)
-    assert v6.isascii()
-    assert to_json(parse_document(v6)) == v6
-    assert reference_parse_v6(v6) == parse_document(v6)
-    m, sequences = decoded(v6)
+    v7 = write_decomposition(result, source_hash)
+    assert v7.isascii()
+    assert to_json(parse_document(v7)) == v7
+    assert reference_parse_v7(v7) == parse_document(v7)
+    m, sequences = decoded(v7)
     reference, reference_sequences = reference_decode(reference_parse_document(v1))
     assert [sorted(level) for level in m.levels] == [sorted(level) for level in reference.levels]
     assert (m.edges(), sequences) == (reference.edges(), reference_sequences)
@@ -364,15 +369,17 @@ def series_of(start, op):
 
 
 def assert_rows_rebuild_from_their_seeds(result):
-    """Every row above level 1 is its seed of two or more vertices on the level below plus the common neighbourhood
-    of their rows, so the document, which stores only the seed, decodes to the graph and re-serialises to itself."""
+    """Every row above level 1 is held as its seed of two or more vertices on the level below, and its whole row is
+    the seed plus the common neighbourhood of their rows, so the document, which stores the seed as the graph holds
+    it, decodes to the graph and re-serialises to itself."""
     m = result.final
-    whole = dict(enumerate(m._idx))
+    whole = dict(enumerate(m._whole()))
     for k in range(2, m.level_count):
         lo = m._level_range(k - 1).start
         for i in m._level_range(k):
-            seed = [j for j in whole[i] if j >= lo]
-            assert len(seed) >= 2 and reference_rebuild(seed, whole) == whole[i]
+            seed = list(m._idx[i])
+            assert len(seed) >= 2 and seed == [j for j in whole[i] if j >= lo]
+            assert reference_rebuild(seed, whole) == whole[i]
     text = write_decomposition(result, "h")
     doc = parse_document(text)
     assert doc == build_document(result, "h") and document_to_multipartite(doc) == m and to_json(doc) == text
@@ -478,9 +485,8 @@ def multipartite_runs(draw):
     """A finished run on a graph that a series can end with, its given labels adversarial.
 
     Level 0 is given, and so is level 1 where the series starts from a bipartite graph, with any edges between
-    them; every level above is generated, its distinct rows held in row order. A generated level 1 draws its rows
-    over level 0; a level above draws seeds of two or more vertices on the level below, and each row is a seed's
-    common neighbourhood and the seed, as a series makes it.
+    them; every level above is generated, its distinct rows held in order. A generated level 1 draws its rows over
+    level 0; a level above draws seeds of two or more vertices on the level below and holds them, as a series does.
     """
     labels = draw(st.lists(adversarial_labels, min_size=2, max_size=10, unique=True))
     n0 = draw(st.integers(1, len(labels) - 1))
@@ -497,9 +503,8 @@ def multipartite_runs(draw):
             lo = below - (levels[-1] if type(levels[-1]) is int else len(levels[-1]))
             if below - lo < 2:
                 break
-            seed = st.frozensets(st.integers(lo, below - 1), min_size=2, max_size=4).map(sorted)
-            whole = dict(enumerate(((),) * n0 + idx))
-            rows = sorted({reference_rebuild(s, whole) for s in draw(st.lists(seed, min_size=1, max_size=4))})
+            seed = st.frozensets(st.integers(lo, below - 1), min_size=2, max_size=4).map(sorted).map(tuple)
+            rows = sorted(set(draw(st.lists(seed, min_size=1, max_size=4))))
         levels, idx = levels + (len(rows),), idx + tuple(rows)
     m = MultipartiteGraph._from_rows(levels, idx)
     assume(named_apart(m))  # a given label that a generated name repeats is refused, as other tests show
@@ -540,45 +545,39 @@ def piece_document(rows: int) -> DecompositionDocument:
     """A well-formed document with ``rows`` varied down rows over three level-0 vertices."""
     cycle = ((0,), (1, 2), (0, 1, 2), (2,))
     return DecompositionDocument(
-        6, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
+        7, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
         tuple(cycle[i % len(cycle)] for i in range(rows)),
     )
 
 
 def written_rows(doc: DecompositionDocument) -> list[list[int]]:
-    """``doc.down`` as the text holds it: a row above level 1 keeps only its indexes on the level below, and each row
-    is gap-coded."""
-    sizes = [level if type(level) is int else len(level) for level in doc.levels]
-    out = []
-    for k in range(1, len(sizes)):
-        lo = sum(sizes[: k - 1])
-        out += [[j for j in row if j >= lo] for row in doc.down[len(out) : len(out) + sizes[k]]]
-    return list(map(reference_encode_row, out))
+    """``doc.down`` as the text holds it: each row as it stands, a seed above level 1, gap-coded."""
+    return [reference_encode_row(list(row)) for row in doc.down]
 
 
 def test_to_json_writes_empty_containers_like_json_dumps():
     # vertices without lower neighbours, an empty common neighbourhood; down rows around the writer's piece
     # boundaries; non-ASCII labels
     docs = [
-        DecompositionDocument(6, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
-        DecompositionDocument(6, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
-        DecompositionDocument(6, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (0, 2, 3))),
+        DecompositionDocument(7, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
+        DecompositionDocument(7, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
+        DecompositionDocument(7, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (2, 3))),
         *map(piece_document, (255, 256, 257, 513)),
         DecompositionDocument(
-            6, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
+            7, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
         ),
     ]
     malformed = [
-        DecompositionDocument(6, "h", "clean", "terminated", (("a",),), ()),  # no down rows
-        DecompositionDocument(6, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
-        DecompositionDocument(6, "h", "clean", "terminated", (("a", "b"), ("c",)), ((0, 1),) * 2),  # gap-coded whole
+        DecompositionDocument(7, "h", "clean", "terminated", (("a",),), ()),  # no down rows
+        DecompositionDocument(7, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
+        DecompositionDocument(7, "h", "clean", "terminated", (("a", "b"), ("c",)), ((0, 1),) * 2),  # a row past the top
     ]
     for doc in malformed:
         payload = vars(doc) | {"down": [reference_encode_row(list(row)) for row in doc.down]}
         assert to_json(doc) == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     for doc in docs:
         payload = {
-            "format_version": 6,
+            "format_version": 7,
             "source_hash": doc.source_hash,
             "operator": doc.operator,
             "status": doc.status,
@@ -593,7 +592,7 @@ def test_to_json_writes_empty_containers_like_json_dumps():
 def test_to_json_peaks_at_a_few_times_its_text():
     # json.dumps holds one string per token until it joins them, so down is encoded a piece at a time
     rows = tuple(tuple(range(i, i + 16)) for i in range(4096))
-    doc = DecompositionDocument(6, "h", "clean", "terminated", (("a",), ("b",)), rows)
+    doc = DecompositionDocument(7, "h", "clean", "terminated", (("a",), ("b",)), rows)
     tracemalloc.start()
     try:
         text = to_json(doc)
@@ -606,7 +605,7 @@ def test_to_json_peaks_at_a_few_times_its_text():
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
 NOT_LABEL_LISTS = "vertex 'L2:b,c': sequence must be a list of label lists"
-OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 6"
+OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 7"
 
 
 @pytest.mark.parametrize(
@@ -679,7 +678,7 @@ def edited(payload, path, value):
     return payload
 
 
-# G2 in format 6: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
+# G2 in format 7: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
 # gap-coded, [4, 1]; a row_edit names the indexes a row is edited to, and a row of non-integers is stored as it stands
 NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a vertex count"
 NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are given"
@@ -732,8 +731,9 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("format_version",), 3, OLD_FORMAT_REJECTED),
         (("format_version",), 4, OLD_FORMAT_REJECTED),
         (("format_version",), 5, OLD_FORMAT_REJECTED),
+        (("format_version",), 6, OLD_FORMAT_REJECTED),
         (("format_version",), True, OLD_FORMAT_REJECTED),
-        (("format_version",), 6.0, OLD_FORMAT_REJECTED),
+        (("format_version",), 7.0, OLD_FORMAT_REJECTED),
     ],
     ids=[
         "down-own-level",
@@ -779,6 +779,7 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "format-version-3",
         "format-version-4",
         "format-version-5",
+        "format-version-6",
         "boolean-format-version",
         "float-format-version",
     ],
@@ -904,12 +905,12 @@ def stored_row(i, row):
 @pytest.mark.parametrize(
     "edit, code, out, err",
     [
-        # the seeds [6, 7] and [6, 7, 8] swapped: so are the rows rebuilt from them
-        (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's rows are not ascending\n"),
+        # the seeds [6, 7] and [6, 7, 8] swapped: the level is ordered by its seeds
+        (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's seeds are not ascending\n"),
         # level 2 takes level 3's seed, which lies on level 2
         (grow_level_2, 2, "", "error: down row of vertex 11 on level 2: index 9 is not on a lower level\n"),
         (rename_a_level_0_label, 1, "bijection: FAIL (level 0 does not match the input graph's vertex set)\n", ""),
-        # [6, 7, 8] without 7: the rebuilt row (0, 1, 6, 8) loses 7, and no chain predicts it
+        # [6, 7, 8] without 7: the row the graph rebuilds, (0, 1, 6, 8), loses 7, and no chain predicts it
         (stored_row(4, [6, 8]), 1, f"bijection: FAIL (level 2, vertex 'L2:1,2': {NO_CHAIN})\n", ""),
         (stored_row(3, [2, 7]), 2, "", "error: down row of vertex 9 on level 2: index 2 is not on the level below\n"),
         (stored_row(5, [7, 10]), 2, "", "error: down row of vertex 11 on level 3: index 7 is not on the level below\n"),
@@ -925,6 +926,19 @@ def test_cli_names_the_level_of_a_tampered_document(tmp_path, edit, code, out, e
     assert (done[0], done[2]) == (code, err) and out in done[1]
 
 
+def test_two_seeds_swapped_on_any_generated_level_are_refused_naming_the_level():
+    # fresh Random(7) (12, .7), levels 12, 12, 33, 108, 116, 40: on each level above 1, two adjacent seeds swapped
+    payload = json.loads(decomposition_text(random_connected_graph(random.Random(7), 12, 0.7)))
+    sizes = [len(payload["levels"][0])] + payload["levels"][1:]
+    for k in range(2, len(sizes)):
+        t = sum(sizes[1:k]) + sizes[k] // 2  # the row in down of a vertex in the middle of level k
+        down = list(payload["down"])
+        down[t - 1 : t + 1] = down[t], down[t - 1]
+        text = json.dumps(payload | {"down": down})
+        message = f"down row of vertex {sizes[0] + t} on level {k}: the level's seeds are not ascending"
+        assert parsed(parse_document, text) == parsed(reference_parse_v7, text) == message
+
+
 @pytest.mark.parametrize(
     "graph, levels",
     [
@@ -938,7 +952,7 @@ def test_labels_on_a_generated_level_are_refused(tmp_path, graph, levels):
     """Only levels 0 and 1 can be given, so a document that names a higher level's vertices is malformed."""
     g = graph()
     text = json.dumps(json.loads(decomposition_text(g)) | {"levels": levels})
-    assert parsed(parse_document, text) == parsed(reference_parse_v6, text) == NOT_A_COUNT
+    assert parsed(parse_document, text) == parsed(reference_parse_v7, text) == NOT_A_COUNT
     graph_path, doc_path = write(tmp_path, "g.txt", format_edge_list(g)), write(tmp_path, "d.json", text)
     assert run_cli(["verify", "--decomposition", doc_path, "--input", graph_path]) == (2, "", f"error: {NOT_A_COUNT}\n")
 
@@ -1313,6 +1327,13 @@ def test_cli_rejects_a_format_5_document_with_one_error_line(tmp_path, command):
     assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_a_format_6_document_with_one_error_line(tmp_path, command):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", G2_FORMAT_6)
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
+
+
 def test_cli_reconstruct_refuses_a_level_1_that_does_not_rebuild_the_hashed_graph(tmp_path):
     # G2's clique {a, b, c} edited to {a, b, d}: the document still parses, but encodes a d where G2 has a c
     payload = edited(json.loads(G2_GOLDEN), ("down", 0), row_edit([0, 1, 3]))
@@ -1358,7 +1379,7 @@ SEED_DOCUMENTS = [json.loads(decomposition_text(g)) for g in (make_g2(), make_g3
 
 @st.composite
 def broken_documents(draw):
-    """A valid format-6 document with one field edited so that it breaks a rule of the format; a down row is edited
+    """A valid format-7 document with one field edited so that it breaks a rule of the format; a down row is edited
     as its indexes and gap-coded again."""
     payload = json.loads(json.dumps(draw(st.sampled_from(SEED_DOCUMENTS))))
     sizes = [level if type(level) is int else len(level) for level in payload["levels"]]
@@ -1370,7 +1391,7 @@ def broken_documents(draw):
         if move == "delete":
             del payload[draw(st.sampled_from(sorted(payload)))]
         elif move == "version":
-            payload["format_version"] = draw(st.sampled_from([1, 2, 3, 4, 5, True, 6.0, "6", None]))
+            payload["format_version"] = draw(st.sampled_from([1, 2, 3, 4, 5, 6, True, 7.0, "7", None]))
         else:
             payload[draw(st.sampled_from(["elements", "sequences", "comment", ""]))] = draw(junk)
         return payload
@@ -1435,7 +1456,7 @@ def test_parse_document_raises_only_format_errors(seed, data):
         parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
     parent[key] = data.draw(json_values)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v6, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v7, text)
     try:
         doc = parse_document(text)
     except DocumentFormatError:
@@ -1515,7 +1536,7 @@ def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, da
     edit = data.draw(st.one_of(items, items.map(sorted), items.map(lambda xs: sorted(set(xs)))))
     rows[data.draw(st.integers(0, len(rows) - 1))] = edit if field == "levels" else reference_encode_row(edit)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v6, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v7, text)
 
 
 # each bullet of the README's "Library API" section, by its heading, and the module whose __all__ it lists
@@ -1575,5 +1596,5 @@ def test_module_all_lists_are_the_package_all():
     from cleanfactor.io import FORMAT_VERSION
 
     # bits returns the ascending index list itself, at any width
-    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 6
+    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 7
     assert "bits" not in cleanfactor.__all__ and "FORMAT_VERSION" not in cleanfactor.__all__

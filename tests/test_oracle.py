@@ -386,16 +386,17 @@ def test_agreement_check_fails_first_when_only_a_lower_level_differs(clean_runs)
     assert verify_neighbourhood_formula(m) == VerificationReport(passed=False, counterexample=expected)
     assert not reference_verify_neighbourhood_formula(m).passed
 
-    # in a real decomposition, a level-4 vertex that loses one level-0 neighbour and nothing else is named
+    # in a real decomposition, a level-4 vertex that loses one level-0 neighbour and nothing else is named; a seed
+    # cannot say that, so every level is given, with its whole rows and final's names
     runs, _ = clean_runs
     g, result = next((g, r) for g, r in runs if r.final.level_count >= 5)
     final = result.final
     x = final._level_range(4)[0]
-    rows = list(final._idx[len(final.levels[0]) :])
+    rows = list(final._whole()[len(final.levels[0]) :])
     row = rows[x - len(final.levels[0])]
     assert row[0] < len(final.levels[0])  # its lowest neighbour is on level 0
     rows[x - len(final.levels[0])] = row[1:]  # its lowest level-0 neighbour dropped
-    t = MultipartiteGraph._from_rows(final._levels, rows)
+    t = MultipartiteGraph._from_rows(tuple(map(tuple, final.levels)), rows)
     expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
     assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
     assert not reference_verify_neighbourhood_formula(t).passed
@@ -540,7 +541,7 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
     if any(c.startswith(REFERENCE_WORDED) for c in (bijection.counterexample, reference_bijection.counterexample or "")):
         assert bijection == reference_bijection
     if t.levels == m.levels:
-        changed = [x for x, (a, b) in enumerate(zip(m._idx, t._idx)) if a != b]
+        changed = [x for x, (a, b) in enumerate(zip(m._whole(), t._whole())) if a != b]
         if len(changed) == 1 and changed[0] >= m._level_range(2).start:
             name = repr(m.vertices[changed[0]])
             assert name in bijection.counterexample and name in (formula.counterexample or "")
@@ -583,7 +584,7 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     assert report.passed and verify_neighbourhood_formula(m).passed
     assert report.level_counts == tuple((k, chains[k - 1], chains[k - 1]) for k in range(2, m.level_count))
 
-    # one level-4 row's lowest index dropped (its lowest bit), the rows handed over as they are
+    # one level-4 seed's lowest member dropped, the stored rows handed over as they are
     bottom = len(m.levels[0])
     x = m._level_range(4)[len(m.levels[4]) // 2]
     rows = list(m._idx[bottom:])
