@@ -619,7 +619,7 @@ def test_generated_names_count_along_row_order_and_escape_their_members(data):
     levels, down, whole, lo = [tuple(level0)], [], dict.fromkeys(range(n0), ()), 0
     for k in range(1, data.draw(st.integers(2, 11), label="levels")):
         below = range(lo, len(whole))
-        part = st.frozensets(st.sampled_from(below), min_size=1, max_size=3 if k == 1 else 2 + (len(below) > 2))
+        part = st.frozensets(st.sampled_from(below), min_size=1, max_size=min(3, len(below)))
         rows = sorted({tuple(sorted(drawn)) for drawn in data.draw(st.lists(part, min_size=1, max_size=6))})
         levels.append(len(rows))
         down += rows
