@@ -125,9 +125,10 @@ def graph_content_hash(g: Graph) -> str:
 class DecompositionDocument:
     """Serializable form of a decomposition run; the fields are the document's keys.
 
-    A level is its labels, or a generated level's size. With ``n0``
-    vertices on level 0, ``down[i - n0]`` is vertex ``i``'s row as the graph
-    stores it, a seed above level 1, which the text holds gap-coded.
+    A level is its labels, or a generated level's size; a generated level is
+    in the order of its rows. With ``n0`` vertices on level 0, ``down[i - n0]``
+    is vertex ``i``'s row as the graph stores it, a seed above level 1, which
+    the text holds gap-coded and the reader does not rebuild.
     """
 
     format_version: int
@@ -171,9 +172,9 @@ def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
 
 def to_json(doc: DecompositionDocument) -> str:
     """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII, except that
-    what is written of a ``down`` row is its first index followed by the gap to each next one. ``down``, the first
-    key, is gap-coded and encoded ``_PIECE`` rows per ``json.dumps`` call, the rest in one, and all joined once.
-    """
+    what is written of a ``down`` row, as the document holds it (a seed above level 1, uncut), is its first index
+    followed by the gap to each next one. ``down``, the first key, is gap-coded and encoded ``_PIECE`` rows per
+    ``json.dumps`` call, the rest in one, and all joined once."""
     rest = {key: value for key, value in vars(doc).items() if key != "down"}
     rows = map(_gaps, doc.down)
     text = []
