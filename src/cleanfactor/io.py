@@ -290,8 +290,7 @@ def parse_document(text: str) -> DecompositionDocument:
         # in place, so only one level is held both as lists and as tuples
         down[span] = rows = list(map(tuple, map(accumulate, rows)))
         t = next(compress(count(limit + 1), map(le, islice(rows, 1, None), rows)), None) if generated else None
-        stored = "seeds" if li > 1 else "rows"
-        _expect(t is None, "down row of vertex {} on level {}: the level's {} are not ascending", t, li, stored)
+        _expect(t is None, "down row of vertex {} on level {}: the level's rows are not ascending", t, li)
         limit += sizes[li]
     _expect(len(down) == n - n0, "down must hold {} rows, not {}: rows remain after level {}", n - n0, len(down), li)
 

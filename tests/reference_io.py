@@ -277,8 +277,8 @@ def reference_parse_v7(text: str) -> DecompositionDocument:
             stored[limit + t] = tuple(row)
         for t in range(1, sizes[li]):
             if generated and not stored[limit + t - 1] < stored[limit + t]:
-                vertex, what = f"vertex {limit + t} on level {li}", "seeds" if li > 1 else "rows"
-                raise DocumentFormatError(f"down row of {vertex}: the level's {what} are not ascending")
+                vertex = f"vertex {limit + t} on level {li}"
+                raise DocumentFormatError(f"down row of {vertex}: the level's rows are not ascending")
     top = len(levels) - 1
     _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}: rows remain after level {top}")
 

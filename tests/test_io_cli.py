@@ -906,7 +906,7 @@ def stored_row(i, row):
     "edit, code, out, err",
     [
         # the seeds [6, 7] and [6, 7, 8] swapped: the level is ordered by its seeds
-        (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's seeds are not ascending\n"),
+        (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's rows are not ascending\n"),
         # level 2 takes level 3's seed, which lies on level 2
         (grow_level_2, 2, "", "error: down row of vertex 11 on level 2: index 9 is not on a lower level\n"),
         (rename_a_level_0_label, 1, "bijection: FAIL (level 0 does not match the input graph's vertex set)\n", ""),
@@ -935,7 +935,7 @@ def test_two_seeds_swapped_on_any_generated_level_are_refused_naming_the_level()
         down = list(payload["down"])
         down[t - 1 : t + 1] = down[t], down[t - 1]
         text = json.dumps(payload | {"down": down})
-        message = f"down row of vertex {sizes[0] + t} on level {k}: the level's seeds are not ascending"
+        message = f"down row of vertex {sizes[0] + t} on level {k}: the level's rows are not ascending"
         assert parsed(parse_document, text) == parsed(reference_parse_v7, text) == message
 
 

@@ -584,9 +584,17 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     assert report.passed and verify_neighbourhood_formula(m).passed
     assert report.level_counts == tuple((k, chains[k - 1], chains[k - 1]) for k in range(2, m.level_count))
 
-    # one level-4 seed's lowest member dropped, the stored rows handed over as they are
+    # one level-4 row's lowest index, a level-0 neighbour, dropped and nothing else: every level given, whole rows
     bottom = len(m.levels[0])
     x = m._level_range(4)[len(m.levels[4]) // 2]
+    rows = list(m._whole()[bottom:])
+    assert rows[x - bottom][0] < bottom
+    rows[x - bottom] = rows[x - bottom][1:]
+    t = MultipartiteGraph._from_rows(tuple(map(tuple, m.levels)), rows)
+    expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
+    assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
+
+    # the same vertex's seed without its lowest member, the stored rows handed over as they are
     rows = list(m._idx[bottom:])
     rows[x - bottom] = rows[x - bottom][1:]
     t = MultipartiteGraph._from_rows(m._levels, rows)
