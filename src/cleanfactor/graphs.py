@@ -347,10 +347,12 @@ class MultipartiteGraph:
         return frozenset(labels[i] for i in bits(mask))
 
     def __eq__(self, other: object) -> bool:
-        """Equal sizes, whole rows and given labels; a level given on one side only is compared with the other's names."""
+        """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names.
+        Rows are compared as stored where both store each level in one form (seeds or whole), else whole."""
         if not isinstance(other, MultipartiteGraph):
             return NotImplemented
-        if self._sizes != other._sizes or self._whole() != other._whole():
+        same = list(map(type, self._levels[2:])) == list(map(type, other._levels[2:]))
+        if self._sizes != other._sizes or (self._idx != other._idx if same else self._whole() != other._whole()):
             return False
         pairs = enumerate(zip(self._levels, other._levels))
         return all(a == b if type(a) is type(b) else self.levels[k] == other.levels[k] for k, (a, b) in pairs)
