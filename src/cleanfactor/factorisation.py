@@ -102,15 +102,19 @@ class StepResult:
     def new_level(self) -> tuple[CandidateSet, ...]:
         """The chosen candidates, in the order of the appended top level.
 
-        Read back from ``graph``: a new vertex's upper set is its
-        neighbourhood on the level below it, and each lower set its
-        neighbourhood on a level further down. Empty when not effective.
+        Read from the graph's rows (``_whole``), not the walk's masks: a new
+        vertex's upper set is its row's part on the level below it, and each
+        lower set its part on a level further down. So it works on any graph
+        whose top level a step appended, a finished series' final graph and
+        a decoded document's graph too. Empty when not effective.
         """
-        g = self.graph
-        if g is None:
+        if not self.effective:
             return ()
-        upper = _span(g._level_range(-2))
-        return tuple(_candidate_from_masks(g, row & upper, row & ~upper) for row in g._top)
+        g = self.graph
+        labels, spans = g.vertices, [g._level_range(i) for i in range(g.level_count - 1)]
+        # each new row's parts on the levels below it, the level just below (the seed) last
+        parts = [[frozenset(labels[i] for i in row if i in span) for span in spans] for row in g._whole()[spans[-1].stop :]]
+        return tuple(CandidateSet(upper=p[-1], lower_by_level=tuple(p[:-1])) for p in parts)
 
 
 def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
@@ -131,13 +135,6 @@ def _plan(op: OperatorKind, k: int) -> tuple[tuple[int, ...], int | None]:
     if k == 4:
         return (2, 1), 0
     return (k - 2, 1), k - 3
-
-
-def _candidate_from_masks(m: MultipartiteGraph, seed: int, common: int) -> CandidateSet:
-    """The candidate of a seed and its common neighbourhood on the levels below it."""
-    top = m.level_of(m.vertices[(seed & -seed).bit_length() - 1])
-    lowers = tuple(m._labels_from_mask(common & _span(m._level_range(i))) for i in range(top))
-    return CandidateSet(upper=m._labels_from_mask(seed), lower_by_level=lowers)
 
 
 def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, a: int, b: int) -> list[tuple[int, int]]:

@@ -342,10 +342,6 @@ class MultipartiteGraph:
         start = sum(self._sizes[:k])
         return range(start, start + self._sizes[k])
 
-    def _labels_from_mask(self, mask: int) -> frozenset[str]:
-        labels = self.vertices
-        return frozenset(labels[i] for i in bits(mask))
-
     def __eq__(self, other: object) -> bool:
         """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names.
         Rows are compared as stored where both store each level in one form (seeds or whole), else whole."""

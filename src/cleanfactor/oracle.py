@@ -159,7 +159,8 @@ def characterising_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str
         for c in bits(shared):
             o &= _mask(idx[c])
         seq.append(o)
-    return tuple(m._labels_from_mask(o) for o in seq)
+    labels = m.vertices
+    return tuple(frozenset(labels[i] for i in bits(o)) for o in seq)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import itertools
 from typing import Iterable
 
 from cleanfactor import CandidateSet, Graph, MultipartiteGraph, OperatorKind
-from cleanfactor.factorisation import _candidate_from_masks, _plan
+from cleanfactor.factorisation import _plan
 from cleanfactor.graphs import bits
 
 from reference_graphs import Neighbours
@@ -171,7 +171,15 @@ def candidate_family(m: MultipartiteGraph, op: OperatorKind) -> set[CandidateSet
             extend(t + 1, s, size + 1, c, ref)
 
     extend(0, 0, 0, base_common, None)
-    return {_candidate_from_masks(m, seed, common) for seed, common in found.values()}
+    labels = m.vertices
+
+    def named(mask: int) -> frozenset[str]:
+        return frozenset(labels[i] for i in bits(mask))
+
+    return {
+        CandidateSet(upper=named(seed), lower_by_level=tuple(named(common & lmask[i]) for i in range(k - 1)))
+        for seed, common in found.values()
+    }
 
 
 def maximal_candidates(family: Iterable[CandidateSet]) -> set[CandidateSet]:

@@ -36,7 +36,8 @@ from cleanfactor import (
     vertex_clique_incidence,
     write_decomposition,
 )
-from cleanfactor.factorisation import _candidate_from_masks, _maximal_family
+from cleanfactor.factorisation import _maximal_family
+from cleanfactor.graphs import bits
 
 from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
 from conftest import make_g2, make_g3, make_triangle, random_connected_graph, random_graph
@@ -210,7 +211,7 @@ def test_bruteforce_equivalence(corpus):
                     assert produced == family
                     top = {c.members for c in maximal_candidates(candidate_family(m, op))}
                     assert top == maximal_sets(family)
-                    fast = {_candidate_from_masks(m, s, c).members for s, c in _maximal_family(m, op)}
+                    fast = {frozenset(m.vertices[i] for i in bits(s | c)) for s, c in _maximal_family(m, op)}
                     assert fast == maximal_sets(family)
                     compared += 1
             step = factorise(m, OperatorKind.CLEAN)

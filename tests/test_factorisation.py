@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,22 +12,27 @@ from cleanfactor import (
     InvalidArgumentError,
     MultipartiteGraph,
     OperatorKind,
+    StepResult,
     anti_matching,
+    build_document,
+    document_to_multipartite,
     factorise,
     graph_content_hash,
+    parse_document,
     run_series,
     run_series_from_bipartite,
+    to_json,
     vertex_clique_incidence,
     write_decomposition,
 )
 from cleanfactor import factorisation
 from cleanfactor.factorisation import (
     _PAIRS_PER_FOLD,
-    _candidate_from_masks,
     _closed_seeds,
     _maximal_family,
     _plan,
 )
+from cleanfactor.graphs import bits
 
 from bruteforce import (
     candidate_family,
@@ -156,6 +162,38 @@ def test_factorise_matches_definition_and_is_deterministic(g3):
         assert chosen == direct
 
 
+def test_new_level_reads_the_rows_so_top_is_only_the_walks_cache(corpus):
+    # _top holds the top level's masks for the next step's walk; new_level reads the graph's rows, so it reads
+    # the step's candidates back from every graph whose top level the step appended, and dropping _top changes nothing
+    steps = 0
+    for g in corpus[:40]:
+        source, base = graph_content_hash(g), vertex_clique_incidence(g)
+        assert StepResult(False, base).new_level == ()
+        for op in OperatorKind:
+            # weak and factor may not terminate; four levels are two steps
+            result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)
+            m = base
+            while m.level_count < result.final.level_count:
+                step = factorise(m, op)
+                new, chosen = step.graph, step.new_level
+                doc = to_json(build_document(replace(result, final=new), source))
+                assert StepResult(True, document_to_multipartite(parse_document(doc))).new_level == chosen
+                # the constructor's copy holds its levels in label order, so its new level reads in another order
+                built = MultipartiteGraph(new.levels, new.edges())
+                assert set(StepResult(True, built).new_level) == set(chosen)
+                # a capped series' next step can be large
+                following = factorise(new, op) if new != result.final or op is OperatorKind.CLEAN else None
+                new._top = None
+                assert step.new_level == chosen
+                assert to_json(build_document(replace(result, final=new), source)) == doc
+                assert following is None or factorise(new, op) == following
+                m = new
+                steps += 1
+            if m is not base:
+                assert StepResult(True, result.final).new_level == chosen
+    assert steps == 132
+
+
 def test_new_vertices_adjacent_to_exactly_their_candidate():
     rng = random.Random(31337)
     for _ in range(15):
@@ -218,7 +256,7 @@ def test_all_operators_match_subset_oracle():
                 assert produced == oracle_family
                 produced_top = {c.members for c in maximal_candidates(candidate_family(m, op))}
                 assert produced_top == maximal_sets(oracle_family)
-                fast = {_candidate_from_masks(m, s, c).members for s, c in _maximal_family(m, op)}
+                fast = {frozenset(m.vertices[i] for i in bits(s | c)) for s, c in _maximal_family(m, op)}
                 assert fast == produced_top
 
 
