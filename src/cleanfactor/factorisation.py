@@ -111,6 +111,8 @@ class StepResult:
         if not self.effective:
             return ()
         g = self.graph
+        if g.level_count < 3:
+            raise InvalidArgumentError("a two-level graph has no appended level to read")
         labels, spans = g.vertices, [g._level_range(i) for i in range(g.level_count - 1)]
         # each new row's parts on the levels below it, the level just below (the seed) last
         parts = [[frozenset(labels[i] for i in row if i in span) for span in spans] for row in g._whole()[spans[-1].stop :]]

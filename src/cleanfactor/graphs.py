@@ -3,16 +3,16 @@
 Vertex sets are integer bitmasks over a per-graph, level-major vertex index.
 A ``MultipartiteGraph`` stores each vertex's lower neighbourhood as a tuple
 of ascending indexes, so appending a level rewrites no row; ``factorise``,
-the decoder and the incidence graph hand it the tuples (``_from_rows``).
-On a generated level above 1 the tuple is the vertex's seed, which fixes
-the rest; ``_whole`` rebuilds those rows, once, for the readers of whole
-rows. Only the candidate walk ANDs rows, as masks of the top level in
-``_top``, which ``factorise`` leaves for the next step. A level the library
-generates stores only its size: its names are a function of its rows, built
-for the whole graph on the first label lookup, so decomposing and verifying
-name nothing. Vertices and rows never change; the caches (``_pairing``,
-``Graph._cliques``, whole rows, names and the label index) are filled on
-first use, and ``__eq__`` and ``__hash__`` ignore them and ``_top``.
+the decoder and the incidence graph hand it the tuples (``_from_rows``). On
+a generated level above 1 the tuple is the vertex's seed, which fixes the
+rest; the oracle's pairing reads the seeds, and ``_whole`` rebuilds whole
+rows once for names, ``edges()`` and other readers. Only the candidate walk
+ANDs rows, as masks of the top level in ``_top``, which ``factorise`` leaves
+for the next step. A level the library generates stores only its size: its
+names, a function of its rows, are built on the first label lookup, so
+decomposing and verifying name nothing. Vertices and rows never change; the
+caches (``_pairing``, ``Graph._cliques``, whole rows, names, label index)
+fill on first use, and equality and hashing ignore them and ``_top``.
 """
 
 from __future__ import annotations

@@ -12,21 +12,18 @@ count of ``size_bound`` and the chain walk ``_chains`` behind the command
 line's ``oracle`` listing. A chain is a plain tuple of masks, and the walk
 keeps its own stack, so a chain of any length needs no deep recursion.
 
-Both checks read one pairing per graph. The walk ``_pair`` predicts, level
-by level, the lower neighbourhood of the vertex of every chain from the
-level-1 rows and the vertices already paired below, as an index tuple, and
-pairs each vertex with the chain that predicts its row. It needs no labels
-and no second graph. ``_pairing`` runs it on a graph's first check and
-keeps the result on the graph, so verifying a graph walks it once,
-whichever checks run and in whatever order. In the same way ``_cliques``
-keeps the input graph's maximal cliques, which ``intersection_family``,
-``verify_bijection`` and ``size_bound`` all read; decomposing a graph
-neither reads nor fills them, so a graph passed from decomposition to
-verification is still enumerated once by the oracle, whichever oracle
-function runs first. ``characterising_sequence`` reads no
-pairing: it recovers one vertex's sequence from that vertex's own rows.
-Labels are formatted only for a counterexample or a listing, so only these
-build a decomposition's generated names.
+Both checks read one pairing per graph. The walk ``_pair`` pairs each
+vertex with the chain that predicts its seed, or a given level's whole
+row, from the level-1 rows and the vertices paired below: no labels, no
+second graph and no rebuilt row. ``_pairing`` runs it on a graph's first
+check and keeps the result on the graph, so verifying a graph walks it
+once, whichever checks run. In the same way ``_cliques`` keeps the input
+graph's maximal cliques, which ``intersection_family``, ``verify_bijection``
+and ``size_bound`` read; decomposing neither reads nor fills them, so the
+oracle enumerates a graph passed on from decomposition once.
+``characterising_sequence`` reads no pairing: it recovers one vertex's
+sequence from that vertex's own rows. Labels are formatted only for a
+counterexample or a listing, so only these build generated names.
 """
 
 from __future__ import annotations
@@ -195,33 +192,44 @@ def _name(m: MultipartiteGraph, x: int) -> str:
 def _pair(m: MultipartiteGraph) -> Pairing:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
-    Rows are ascending index tuples, and each vertex's row is looked up
-    whole (``m._whole``). The non-simple intersections are those of m's
-    level-1 rows, as masks over level 0, and ``cont[o]`` is the tuple of
-    the level-1 vertices that contain ``o``. A chain is keyed by the vertex
-    paired with its prefix (-1 for none) and its last entry. Chain ``(o,)``
-    predicts the row of ``o``'s vertices, then ``cont[o]``. The vertex
-    paired with a chain ``p`` predicts the row of each child ``p + (o,)``,
-    ``o`` above ``p[-1]``: its own row below level 1, then ``cont[o]``,
-    then its own row above level 1, then the window W_k, the vertices
-    paired with ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``, sorted. Each
-    level must hold exactly one vertex per predicted row, and distinct
-    chains predict distinct rows, so the pairing is a bijection.
+    ``cont[o]`` is the tuple of the level-1 vertices that contain ``o``, a
+    non-simple intersection of the level-1 rows; a chain is keyed by the
+    vertex paired with its prefix (-1 for none) and its last entry. Chain
+    ``(o,)`` predicts the row ``o``, ``cont[o]``; the vertex paired with
+    ``p`` predicts for ``p + (o,)``, ``o`` above ``p[-1]``, its own row with
+    level-1 part ``cont[o]``, then the window W_k: the vertices paired with
+    ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``, sorted. Each chain is keyed
+    by its predicted part on the level below, which a generated level holds
+    as the seed; a given level's row must also be its chain's predicted
+    row, built only where a level above 1 is given. No seed is rebuilt: with
+    the levels below k paired, a seed's rebuilt row (its members' common
+    row, then the seed, which the parser keeps on the level below) is a
+    chain's predicted row exactly when the seed is the chain's window.
+    Backward, the seed is the row's part on the level below. Forward, the
+    common row is the rest of the predicted row, as ``o`` is the meet of the
+    level-1 rows that contain it, ``cont`` is antitone (``q <= o`` gives
+    ``cont[o] <= cont[q]``) and W(a, q), the window of ``p[:-1] + (q,)``,
+    only grows with ``q``. W_k holds both ends, the vertices paired with
+    ``p`` and ``p[:-1] + (o,)``, so distinct chains have distinct windows,
+    and one vertex per chain on each level is a bijection.
     """
-    idx, ones = m._whole(), m._level_range(1)
+    idx, ones = m._idx, m._level_range(1)
     level1 = [_mask(idx[c]) for c in ones]
     up = _inclusion(level1)
     cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}
     key_of: dict[int, tuple[int, int]] = {}
-    # a level's chain keys, and the key of the chain that predicts each row: the later of two that predict one
+    # a level's chain keys, each chain by its predicted part on the level below, and its row if a level above 1 is given
     keys = [(-1, o) for o in up]
-    want = {tuple(bits(o)) + cont[o]: (-1, o) for o in up}
+    want = {cont[o]: (-1, o) for o in up}
+    rows = {(-1, o): tuple(bits(o)) + cont[o] for o in up} if tuple in map(type, m._levels[2:]) else {}
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
         paired: dict[tuple[int, int], int] = {}
+        lo = m._level_range(k - 1).start if type(m._levels[k]) is tuple else None
         for x in m._level_range(k):
-            key = want.get(idx[x])
-            if key is None:
+            row = idx[x]
+            key = want.get(row if lo is None else row[bisect_left(row, lo) :])
+            if key is None or lo is not None and row != rows[key]:
                 return f"level {k}, vertex {_name(m, x)}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
             y = paired.setdefault(key, x)
             if y != x:
@@ -236,17 +244,20 @@ def _pair(m: MultipartiteGraph) -> Pairing:
             chain = _fmt_seq(frozenset(map(m._levels[0].__getitem__, bits(o))) for o in reversed(seq))
             return f"level {k}: chain {chain} is attained by no vertex", (), 0
         counts.append((k, len(paired), len(keys)))
-        keys, want = [], {}
+        keys, want, parents, rows = [], {}, rows, {}
         for key, x in paired.items():
             a, last = key
-            row = idx[x]  # the row its chain predicts, so its level-1 part is cont[last]
-            i = bisect_left(row, ones.start)
-            below, above = row[:i], row[i + len(cont[last]) :]
+            if parents:
+                row = parents[key]
+                i = bisect_left(row, ones.start)
+                below, above = row[:i], row[i + len(cont[last]) :]
             for o in up[last]:
                 child = x, o
-                window = sorted([paired[a, q] for q in [last] + [q for q in up[last] if q | o == o]])
+                window = tuple(sorted([paired[a, q] for q in [last] + [q for q in up[last] if q | o == o]]))
                 keys.append(child)
-                want[below + cont[o] + above + tuple(window)] = child
+                want[window] = child
+                if parents:
+                    rows[child] = below + cont[o] + above + window
     return None, tuple(counts), len(keys)
 
 
@@ -268,12 +279,11 @@ def verify_bijection(g: Graph, m: MultipartiteGraph) -> VerificationReport:
     """Check the chain correspondence on a terminated clean decomposition of g.
 
     Level 0 must be g's vertex set and level 1 its maximal cliques, as
-    g's stored enumeration (``_cliques``) gives them. Each
-    level k >= 2 must then pair one to one with the (k-1)-element chains
-    of non-simple intersections, every vertex having the lower
-    neighbourhood its chain predicts in m's stored pairing (``_pairing``).
-    Beyond the top level no chains may remain, otherwise the series was
-    not terminated.
+    g's stored enumeration (``_cliques``) gives them. Each level k >= 2
+    must then pair one to one with the (k-1)-element chains of non-simple
+    intersections, every vertex having the lower neighbourhood its chain
+    predicts in m's stored pairing (``_pairing``). Beyond the top level no
+    chains may remain, otherwise the series was not terminated.
     """
     # both are sorted tuples of distinct labels, so once equal g's masks are m's level-0 masks
     if m._levels[0] != g.vertices:

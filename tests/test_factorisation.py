@@ -194,6 +194,14 @@ def test_new_level_reads_the_rows_so_top_is_only_the_walks_cache(corpus):
     assert steps == 132
 
 
+def test_new_level_refuses_a_two_level_graph_naming_the_cause(g2):
+    # no step appended G2's incidence graph's level 1, so there is no candidate to read back
+    with pytest.raises(InvalidArgumentError) as caught:
+        StepResult(True, vertex_clique_incidence(g2)).new_level
+    assert str(caught.value) == "a two-level graph has no appended level to read"
+    assert StepResult(False, vertex_clique_incidence(g2)).new_level == ()
+
+
 def test_new_vertices_adjacent_to_exactly_their_candidate():
     rng = random.Random(31337)
     for _ in range(15):

@@ -27,6 +27,7 @@ from cleanfactor import (
     intersection_family,
     maximal_cliques,
     run_series,
+    run_series_from_bipartite,
     size_bound,
     verify_bijection,
     verify_neighbourhood_formula,
@@ -548,15 +549,21 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
     return [bijection.counterexample, formula.counterexample or ""]
 
 
-def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
-    rng = random.Random(0x7A3B)
-    runs, _ = clean_runs
+def tamper_cases(runs, rng: random.Random) -> list[tuple[Graph, MultipartiteGraph]]:
+    """120 corpus runs drawn with ``rng``, then the five graphs of the benchmark's ``large-clean``, with their series."""
     cases = [(g, result.final) for g, result in rng.sample(runs, 120)]
     shapes = ((14, 0.5), (16, 0.5), (18, 0.5), (20, 0.5), (16, 0.7))
     large_rng = random.Random(7)
     for n, p in shapes:
         g = random_connected_graph(large_rng, n, p)
         cases.append((g, run_series(g, OperatorKind.CLEAN).final))
+    return cases
+
+
+def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
+    rng = random.Random(0x7A3B)
+    runs, _ = clean_runs
+    cases = tamper_cases(runs, rng)
 
     seen = set()
     checked = 0
@@ -571,6 +578,89 @@ def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
             checked += 1
     assert checked >= 500
     assert seen == set(COUNTEREXAMPLES)
+
+
+def given_whole(m: MultipartiteGraph) -> MultipartiteGraph:
+    """m with every level given, with m's names and whole rows: the copy the pairing checks row by row."""
+    return MultipartiteGraph._from_rows(tuple(map(tuple, m.levels)), m._whole()[len(m.levels[0]) :])
+
+
+SEED_TAMPERS = ("member dropped", "member added", "member replaced", "seed copied")
+
+
+def seed_tampered(m: MultipartiteGraph, rng: random.Random) -> Iterator[tuple[str, MultipartiteGraph]]:
+    """Copies of ``m`` with one stored seed changed each, one of every kind in ``SEED_TAMPERS`` that m allows.
+
+    A seed stays ascending and on the level below, as the parser keeps it:
+    one member dropped, leaving at least two; one member of the level below
+    added; one member replaced by another vertex of the level below; or one
+    seed copied onto its row-order neighbour, the next vertex of its level.
+    """
+    n0 = len(m.levels[0])
+    below = {x: m._level_range(k - 1) for k in range(2, m.level_count) for x in m._level_range(k)}
+
+    def with_seed(x: int, seed: Iterable[int]) -> MultipartiteGraph:
+        rows = list(m._idx[n0:])
+        rows[x - n0] = tuple(sorted(seed))
+        return MultipartiteGraph._from_rows(m._levels, rows)
+
+    if long := [x for x in below if len(m._idx[x]) > 2]:
+        seed = list(m._idx[x := rng.choice(long)])
+        seed.remove(rng.choice(seed))
+        yield SEED_TAMPERS[0], with_seed(x, seed)
+    if short := [x for x in below if len(m._idx[x]) < len(below[x])]:
+        seed = m._idx[x := rng.choice(short)]
+        extra = rng.choice([y for y in below[x] if y not in seed])
+        yield SEED_TAMPERS[1], with_seed(x, seed + (extra,))
+        gone = rng.choice(seed)
+        yield SEED_TAMPERS[2], with_seed(x, [y for y in seed if y != gone] + [extra])
+    if paired := [x for x in below if x + 1 in below and below[x + 1] == below[x]]:
+        x = rng.choice(paired)
+        yield SEED_TAMPERS[3], with_seed(x + 1, m._idx[x])
+
+
+def test_seed_tampers_fail_alike_on_the_seeds_and_the_whole_rows(clean_runs):
+    # the pairing looks a seed up as it is stored; its whole-row copy is checked row by row, so both must agree
+    rng = random.Random(0x5EED)
+    runs, _ = clean_runs
+    seen = set()
+    for g, m in tamper_cases(runs, rng):
+        for kind, t in seed_tampered(m, rng):
+            reports = verify_bijection(g, t), verify_neighbourhood_formula(t)
+            assert not reports[0].passed
+            whole = given_whole(t)
+            assert (verify_bijection(g, whole), verify_neighbourhood_formula(whole)) == reports
+            assert_fails_with_the_reference(g, m, t)
+            seen.add(kind)
+    assert seen == set(SEED_TAMPERS)
+
+
+def bipartite_starts(lower: int, uppers: range) -> Iterator[MultipartiteGraph]:
+    """Every bipartite start on ``lower`` labelled vertices with an upper row per member of a multiset of subsets.
+
+    So empty, one-vertex, repeated and nested upper rows all occur, for each upper size in ``uppers``.
+    """
+    vertices = list("abcdefgh"[:lower])
+    subsets = [[v for i, v in enumerate(vertices) if s >> i & 1] for s in range(1 << lower)]
+    for u in uppers:
+        upper = [f"u{j}" for j in range(u)]
+        for rows in itertools.combinations_with_replacement(subsets, u):
+            yield MultipartiteGraph([vertices, upper], [(v, w) for w, row in zip(upper, rows) for v in row])
+
+
+def test_every_bipartite_start_on_four_lower_vertices_pairs_alike_on_seeds_and_whole_rows():
+    # 2-4 lower and 1-4 upper vertices: _pair takes the intersections from the level-1 rows, so it runs on any clean
+    # series, and each one pairs every chain; the seeds and their whole-row copy pair alike
+    levels = [0] * 6
+    for lower in (2, 3, 4):
+        for h in bipartite_starts(lower, range(1, 5)):
+            final = run_series_from_bipartite(h, OperatorKind.CLEAN).final
+            pairing = oracle._pair(final)
+            assert pairing[0] is None and pairing[2] == 0
+            assert oracle._pair(given_whole(final)) == pairing
+            levels[final.level_count] += 1
+    # the 5,407 starts by the level count of their series: about two in three take at least one step
+    assert levels == [0, 0, 1832, 2876, 681, 18]
 
 
 def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
