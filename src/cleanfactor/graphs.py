@@ -5,8 +5,8 @@ A ``MultipartiteGraph`` stores each vertex's lower neighbourhood as a tuple
 of ascending indexes, so appending a level rewrites no row; ``factorise``,
 the decoder and the incidence graph hand it the tuples (``_from_rows``). On
 a generated level above 1 the tuple is the vertex's seed, which fixes the
-rest; the oracle's pairing reads the seeds, and ``_whole`` rebuilds whole
-rows once for names, ``edges()`` and other readers. Only the candidate walk
+rest; the oracle's pairing and the names read the seeds, and ``_whole``
+rebuilds whole rows once for ``edges()`` and other readers. Only a step's walk
 ANDs rows, as masks of the top level in ``_top``, which ``factorise`` leaves
 for the next step. A level the library generates stores only its size: its
 names, a function of its rows, are built on the first label lookup, so
@@ -18,6 +18,7 @@ fill on first use, and equality and hashing ignore them and ``_top``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import chain, count, repeat
 from typing import Iterable, Sequence
 
@@ -176,6 +177,7 @@ class MultipartiteGraph:
         if len(level_tuples) < 2:
             raise InvalidArgumentError("a multipartite graph needs at least two levels")
         self._set_levels(tuple(level_tuples))
+        self._labels = tuple(chain.from_iterable(level_tuples))  # every level given: the rows name nothing
         self._idx = self._rows(edges, 0)
 
     def _rows(self, edges: Iterable[tuple[str, str]], first: int) -> tuple[tuple[int, ...], ...]:
@@ -207,25 +209,26 @@ class MultipartiteGraph:
     def _named(self) -> tuple[str, ...]:
         """Every vertex's label in index order (``_labels``), the generated ones built in one pass on first use.
 
-        ``#n`` counts a level's rows by their level-0 run in a dict, so that rows in any order get distinct names.
+        A name reads its level-0 run, a mask, from its row on level 1 or a given level, else ANDs its seed members'
+        runs: no whole row is built. ``#n`` counts a level's runs in a dict, so rows in any order get distinct names.
         """
         if self._labels is None:
-            n0, out = self._sizes[0], []
+            n0, out, runs = self._sizes[0], list(self._levels[0]), [0] * self._sizes[0]
             escaped = [v.translate(_ESCAPES) or "\\0" for v in self._levels[0]]
-            for k, level in enumerate(self._levels):
+            for k, level in enumerate(self._levels[1:], 1):
+                rows = self._idx[len(runs) : len(runs) + self._sizes[k]]
+                if k > 1 and type(level) is int:
+                    runs += [reduce(int.__and__, map(runs.__getitem__, seed)) for seed in rows]
+                else:
+                    runs += [_mask(row[: bisect_left(row, n0)]) for row in rows]
                 if type(level) is tuple:
                     out += level
                     continue
                 prefix, seen = ("K:" if k == 1 else f"L{k}:"), {}
-                for row in self._whole()[len(out) : len(out) + level]:
-                    base = row[: bisect_left(row, n0)]
-                    named = seen.get(base)
-                    if named is None:
-                        seen[base] = named = [prefix + ",".join([escaped[i] for i in base]), 1]
-                        out.append(named[0])
-                    else:
-                        named[1] += 1
-                        out.append(f"{named[0]}#{named[1]}")
+                for run in runs[len(out) :]:
+                    named = seen[run] = seen.get(run) or [prefix + ",".join([escaped[i] for i in bits(run)]), 0]
+                    named[1] += 1
+                    out.append(f"{named[0]}#{named[1]}" if named[1] > 1 else named[0])
             self._labels = tuple(out)
         return self._labels
 

@@ -1,16 +1,18 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 7) stores the decomposition graph as the graph holds it,
+A document (format 8) stores the decomposition graph as the graph holds it,
 and nothing derived from it. ``levels`` holds the labels that were given
 (level 0, and level 1 of a bipartite start), each level sorted, and the size
 of each level the library generated, whose vertices are in row order and are
 named by their rows. A vertex is referred to by its level-major global index,
-and ``down`` lists its neighbours on the level below, as the first index
-followed by the gap to each next one; above level 1 that is its seed, from
-which the graph rebuilds the rest of its row. The text is exactly
-``json.dumps`` with sorted keys and no spaces, so byte-deterministic; ``down``
-is encoded 256 rows at a time. A content hash of the canonical edge list
-binds a document to its input."""
+and ``down`` lists its neighbours on the level below; above level 1 that is
+its seed, from which the graph rebuilds the rest of its row. A row is written
+as its first index less that of the previous non-empty row on its level (from
+0 on the level's first), then the gap to each next index: small on a level in
+row order, negative where a bipartite start's level 1 is in label order. The
+text is exactly ``json.dumps`` with sorted keys and no spaces, so
+byte-deterministic, ``down`` 256 rows at a time. A content hash of the
+canonical edge list binds a document to its input."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from io import StringIO
 from itertools import accumulate, chain, compress, count, islice
 from operator import le, lt, sub
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .errors import DocumentFormatError, EdgeListParseError, InvalidArgumentError
 from .factorisation import OperatorKind
@@ -44,7 +47,7 @@ __all__ = [
     "to_dot",
 ]
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
 
 
@@ -172,20 +175,25 @@ def verify_document_fields(doc: DecompositionDocument) -> VerificationReport:
 
 def to_json(doc: DecompositionDocument) -> str:
     """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII, except that
-    what is written of a ``down`` row, as the document holds it (a seed above level 1, uncut), is its first index
-    followed by the gap to each next one. ``down``, the first key, is gap-coded and encoded ``_PIECE`` rows per
-    ``json.dumps`` call, the rest in one, and all joined once."""
+    what is written of a ``down`` row, as the document holds it (a seed above level 1, uncut), is its first index less
+    that of the previous non-empty row on its level (0 on the level's first), then the gap to each next index; rows past
+    the top level count as the top level's. ``down``, the first key, is encoded ``_PIECE`` rows per ``json.dumps`` call,
+    the rest in one, and all joined once."""
     rest = {key: value for key, value in vars(doc).items() if key != "down"}
-    rows = map(_gaps, doc.down)
+    starts = [*accumulate((level if type(level) is int else len(level) for level in doc.levels[1:-1]), initial=0)]
+    rows = chain.from_iterable(_coded(doc.down[a:b]) for a, b in zip(starts, [*starts[1:], None]))
     text = []
     while piece := list(islice(rows, _PIECE)):
         text += ",", json.dumps(piece, separators=(",", ":"))[1:-1]
     return "".join(['{"down":[', *text[1:], "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
 
 
-def _gaps(row: tuple[int, ...]) -> list[int]:
-    """An ascending row as its first index followed by the gap to each next one; ``accumulate`` undoes it."""
-    return [*row[:1], *map(sub, row[1:], row)]
+def _coded(rows: Sequence[tuple[int, ...]]) -> Iterator[list[int]]:
+    """A level's rows as written: a non-empty row's first index less the previous one's, from 0, then its gaps."""
+    first = 0
+    for row in rows:
+        yield [row[0] - first, *map(sub, row[1:], row)] if row else []
+        first = row[0] if row else first
 
 
 def write_decomposition(result: SeriesResult, source_hash: str) -> str:
@@ -204,9 +212,9 @@ def _expect(condition: bool, message: str, *args: object) -> None:
 
 
 def _first_fault(rows: list[list[int]], lo: int, limit: int, least: int) -> int | None:
-    """The first gap-coded row shorter than ``least`` or not strictly ascending inside ``range(lo, limit)``: its first
-    index under ``lo``, a gap under 1, or its sum, the last index, ``limit`` or more. A first index of 1 or more lets
-    ``min(row)`` test the gaps; only a row that starts at 0, on level 1, has them sliced off."""
+    """The first row, as its first index and gaps, shorter than ``least`` or not strictly ascending inside ``range(lo,
+    limit)``: its first index under ``lo``, a gap under 1, or its sum, the last index, ``limit`` or more. A first index
+    of 1 or more lets ``min(row)`` test the gaps; only a row that starts at 0, on level 1, has them sliced off."""
     for t, row in enumerate(rows):
         inside = not row or row[0] >= lo and (min(row) if row[0] else min(row[1:] or [1])) > 0 and sum(row) < limit
         if not inside or len(row) < least:
@@ -239,9 +247,10 @@ def parse_document(text: str) -> DecompositionDocument:
     well-formed multipartite graph; the first problem found is named. Only
     levels 0 and 1 may list labels; a seed holds two or more indexes, and a
     generated level's rows, or seeds, must ascend, the order the library
-    writes. Each level's gap-coded rows are checked in one pass that stops at
-    the first row at fault; only that row is decoded and walked again for the
-    reason, so a message names indexes, never gaps. No row is rebuilt.
+    writes. Each level's first indexes are restored by one running sum, then
+    its rows are checked in one pass that stops at the first row at fault;
+    only that row is decoded and walked again for the reason, so a message
+    names indexes, never gaps. No row is rebuilt.
     """
     try:
         payload = json.loads(text)
@@ -283,6 +292,9 @@ def parse_document(text: str) -> DecompositionDocument:
         lo, span = limit - sizes[li - 1], slice(limit - n0, limit - n0 + sizes[li])
         rows, generated = down[span], type(level) is int
         _expect(len(rows) == sizes[li], "down must hold {} rows, not {}: they end on level {}", n - n0, len(down), li)
+        first = 0
+        for row in filter(None, rows):  # the level's first indexes, restored in place by one running sum
+            first = row[0] = first + row[0]
         t = _first_fault(rows, lo, limit, 2 if li > 1 else 0)
         if t is not None:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])

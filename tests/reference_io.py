@@ -1,23 +1,25 @@
-"""Document format 1, and the format-7 parser's checks one row at a time, kept as references.
+"""Document format 1, and the format-8 parser's checks one row at a time, kept as references.
 
 Format 1 names every vertex by its label everywhere: a level is a list of
 ``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
 sequence entry a list of level-0 labels, all written by
 ``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 7 only, which stores no sequences and no generated label; tests
+format 8 only, which stores no sequences and no generated label; tests
 require both formats to decode to the same labelled graph, and each
 sequence format 1 stores to be the one ``characterising_sequence``
-recovers from the format-7 graph. Format 1
+recovers from the format-8 graph. Format 1
 fills its sequences with ``reference_sequence``, which reads labelled
 neighbourhoods, so that comparison checks the library against a second
 implementation.
 
-``reference_parse_v7`` is ``parse_document`` written plainly: it tests
-each level's labels with ``reference_labels_ascend``, decodes each stored
-down row with ``reference_decode_row``, a running sum, finds the first
-decoded row at fault with ``reference_row_fault``, which tests each row
-on its own with ``reference_strict``, and tests each decoded row of a
-generated level, a seed above level 1, against the row before it. Like the
+``reference_parse_v8`` is ``parse_document`` written plainly: it tests
+each level's labels with ``reference_labels_ascend``, decodes each level's
+stored down rows with ``reference_decode_level``, which adds each first gap
+to the previous first index and then decodes each row with
+``reference_decode_row``, a running sum, finds the first decoded row at
+fault with ``reference_row_fault``, which tests each row on its own with
+``reference_strict``, and tests each decoded row of a generated level, a
+seed above level 1, against the row before it. Like the
 library it rebuilds no row; ``reference_rebuild``, a set intersection,
 gives a seed's whole row to the tests that compare the graph's. Tests
 require the library to raise the same message, or return an equal
@@ -220,13 +222,53 @@ def reference_encode_row(row: list[int]) -> list[int]:
     return [j - before for before, j in zip([0] + row, row)]
 
 
+def reference_decode_level(stored: list[list[int]]) -> list[list[int]]:
+    """A level's stored rows as indexes: a non-empty row's first gap added to the previous one's first index, from 0."""
+    rows, first = [], 0
+    for row in stored:
+        if row:
+            first += row[0]
+            row = [first, *row[1:]]
+        rows.append(reference_decode_row(row))
+    return rows
+
+
+def reference_encode_level(rows: list[list[int]]) -> list[list[int]]:
+    """A level's rows as a document stores them: each gap-coded, its first index less the previous non-empty row's."""
+    stored, first = [], 0
+    for row in rows:
+        coded = reference_encode_row(list(row))
+        if row:
+            coded[0], first = row[0] - first, row[0]
+        stored.append(coded)
+    return stored
+
+
+def _level_spans(levels: list) -> list[slice]:
+    """The down rows of each level above 0, by the sizes in ``levels``; rows past the top count as the top level's."""
+    starts = [0]
+    for level in levels[1:-1]:
+        starts.append(starts[-1] + (level if type(level) is int else len(level)))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [None])]
+
+
+def reference_decode_down(levels: list, stored: list[list[int]]) -> list[list[int]]:
+    """A document's down rows as indexes, level by level."""
+    return [row for span in _level_spans(levels) for row in reference_decode_level(stored[span])]
+
+
+def reference_encode_down(levels: list, rows) -> list[list[int]]:
+    """Down rows as a document stores them, level by level, as ``to_json`` writes them."""
+    return [row for span in _level_spans(levels) for row in reference_encode_level(list(rows[span]))]
+
+
 def reference_rebuild(seed: list[int], whole: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """A seed's whole row from the whole rows of its members: their common neighbourhood, sorted, then the seed."""
     return tuple(sorted(set.intersection(*(set(whole[j]) for j in seed)))) + tuple(seed)
 
 
-def reference_parse_v7(text: str) -> DecompositionDocument:
-    """A format-7 document, checked one level's labels and one decoded down row at a time."""
+def reference_parse_v8(text: str) -> DecompositionDocument:
+    """A format-8 document, checked one level's labels and one decoded down row at a time."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -235,7 +277,7 @@ def reference_parse_v7(text: str) -> DecompositionDocument:
         raise DocumentFormatError("not valid JSON: nested too deeply") from None
     _expect(type(payload) is dict, "top level must be an object")
     version = payload.get("format_version")
-    _expect(type(version) is int and version == 7, "unsupported format_version: this reader takes 7")
+    _expect(type(version) is int and version == 8, "unsupported format_version: this reader takes 8")
     keys = ("format_version", "source_hash", "operator", "status", "levels", "down")
     for key in keys:
         _expect(key in payload, f"missing key {key!r}")
@@ -266,7 +308,7 @@ def reference_parse_v7(text: str) -> DecompositionDocument:
     starts = [sum(sizes[:li]) for li in range(len(sizes))]
     for li, level in enumerate(levels[1:], start=1):
         limit, generated = starts[li], type(level) is int
-        rows = [reference_decode_row(row) for row in down[limit - n0 : limit - n0 + sizes[li]]]
+        rows = reference_decode_level(down[limit - n0 : limit - n0 + sizes[li]])
         _expect(len(rows) == sizes[li], f"down must hold {n - n0} rows, not {len(down)}: they end on level {li}")
         fault = reference_row_fault(rows, starts[li - 1], limit, n, li > 1)
         if fault is not None:
@@ -283,7 +325,7 @@ def reference_parse_v7(text: str) -> DecompositionDocument:
     _expect(len(down) == n - n0, f"down must hold {n - n0} rows, not {len(down)}: rows remain after level {top}")
 
     return DecompositionDocument(
-        format_version=7,
+        format_version=8,
         source_hash=payload["source_hash"],
         operator=payload["operator"],
         status=payload["status"],

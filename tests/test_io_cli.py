@@ -15,8 +15,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
+from typing import Callable
 from pathlib import Path
 
 import pytest
@@ -55,15 +56,19 @@ from cleanfactor import (
 )
 import cleanfactor.cli
 import cleanfactor.io
-from cleanfactor.io import _down_problem, _first_fault, _gaps
+from cleanfactor.io import _coded, _down_problem, _first_fault
 from conftest import make_g2, make_g3, random_connected_graph
 from reference_io import (
     reference_build_document,
     reference_decode,
+    reference_decode_down,
+    reference_decode_level,
     reference_decode_row,
+    reference_encode_down,
+    reference_encode_level,
     reference_encode_row,
     reference_parse_document,
-    reference_parse_v7,
+    reference_parse_v8,
     reference_rebuild,
     reference_row_fault,
     reference_to_json,
@@ -82,11 +87,26 @@ def decomposition_text(g, op=OperatorKind.CLEAN):
     return write_decomposition(run_series(g, op), graph_content_hash(g))
 
 
+@dataclass(frozen=True)
+class RowEdit:
+    """An edit of one down row, as its indexes, which ``edited`` applies at ``("down", t)``."""
+
+    make: Callable[[list[int]], list[int]]
+
+
 def row_edit(edit):
-    """An edit of a stored down row: decode it, apply ``edit`` to its indexes, or put the list ``edit`` in their
-    place, and gap-code the result, as the writer would store the edited row."""
-    make = edit if callable(edit) else lambda row: edit
-    return lambda stored: reference_encode_row(make(reference_decode_row(stored)))
+    """An edit of a stored down row: ``edited`` decodes the document's rows, applies ``edit`` to the row's indexes,
+    or puts the list ``edit`` in their place, and codes every row again as the writer would, so that the next row's
+    first gap still gives its own first index."""
+    return RowEdit(edit if callable(edit) else lambda row: edit)
+
+
+def with_rows(payload, edit):
+    """``payload`` with ``edit`` applied to its down rows as indexes, and the rows coded again as the writer would."""
+    rows = reference_decode_down(payload["levels"], payload["down"])
+    edit(rows)
+    payload["down"] = reference_encode_down(payload["levels"], rows)
+    return payload
 
 
 def test_read_edge_list_triangle(tmp_path):
@@ -161,19 +181,21 @@ def test_a_generated_level_indexes_slices_and_hashes_as_the_tuple_of_its_names()
             level[len(names)]
 
 
-# a row above level 1 is stored as its seed, its indexes on the level below; each row as its first index and gaps
+# a row above level 1 is stored as its seed, its indexes on the level below; each row as its first index less the
+# previous row's on its level, then its gaps: G3's level-2 seeds [6, 7] and [6, 7, 8] are [6,1] and [0,1,1]
 G2_GOLDEN = (
-    '{"down":[[0,1,1],[1,1,1],[4,1]],"format_version":7,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
+    '{"down":[[0,1,1],[1,1,1],[4,1]],"format_version":8,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
     '"source_hash":"sha256:9970d400b34ce5f898538d86e881d67f8fc872f293e0c3786ff39d7d4d2da7c1","status":"terminated"}\n'
 )
 G3_GOLDEN = (
-    '{"down":[[0,1,1,1],[0,1,1,2],[0,1,4],[6,1],[6,1,1],[9,1]],'
-    '"format_version":7,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
+    '{"down":[[0,1,1,1],[0,1,1,2],[0,1,4],[6,1],[0,1,1],[9,1]],'
+    '"format_version":8,"levels":[["1","2","3","4","5","6"],3,2,1],"operator":"clean",'
     '"source_hash":"sha256:6fa31bd095ab454ebfba77659ff7408909733029efa4bdcf954e99258a1a4ba8","status":"terminated"}\n'
 )
-# G2 in format 6, which had the same bytes but for its version: it ordered a generated level by its whole rows and
-# rebuilt them on read
-G2_FORMAT_6 = G2_GOLDEN.replace('"format_version":7', '"format_version":6')
+# G2 in format 7, which had the same bytes but for its version: it wrote each row's first index whole
+G2_FORMAT_7 = G2_GOLDEN.replace('"format_version":8', '"format_version":7')
+# G2 in format 6, the same bytes again: it ordered a generated level by its whole rows and rebuilt them on read
+G2_FORMAT_6 = G2_GOLDEN.replace('"format_version":8', '"format_version":6')
 # G2 in format 5, which stored each index whole
 G2_FORMAT_5 = (
     '{"down":[[0,1,2],[1,2,3],[4,5]],"format_version":5,"levels":[["a","b","c","d"],2,1],"operator":"clean",'
@@ -206,8 +228,8 @@ def test_golden_bytes(make, golden):
 @pytest.mark.parametrize(
     "op, digest",
     [
-        (OperatorKind.WEAK, "d2cc977d190394b65315dbc33e509863ffbc014e8aaed49e0145baefe7c71d25"),
-        (OperatorKind.FACTOR, "967a77ce993b5f162bf61bd2b4d9b8ae65b748b1b10b9b445892f0052f21ba92"),
+        (OperatorKind.WEAK, "0877b862e943007b165dec3afe411c149f5932827910e548bf9d428affd52d3d"),
+        (OperatorKind.FACTOR, "06e5b0c91fd34025edf9da2e658ea4f34d15dfce26cdf3e448844fbcc90af84c"),
     ],
     ids=["weak", "factor"],
 )
@@ -228,6 +250,47 @@ def test_serialization_is_byte_deterministic():
 def test_reserializing_a_parsed_document_is_byte_identical():
     text = decomposition_text(make_g2())
     assert to_json(parse_document(text)) == text
+
+
+@pytest.mark.parametrize(
+    "rows, stored",
+    [
+        # u's row [1, 2] before v's [0, 1]: level 1 is in label order, so v's first gap is negative
+        ({"u": "bc", "v": "ab"}, [[1, 1], [-1, 1]]),
+        # v has no lower neighbour: its row carries no first index, and w's first gap counts from u's first index
+        ({"u": "ab", "v": "", "w": "bc"}, [[0, 1], [], [1, 1]]),
+    ],
+    ids=["negative-first-gap", "empty-row"],
+)
+def test_a_bipartite_start_round_trips_whatever_its_level_1_rows(rows, stored):
+    h = MultipartiteGraph([["a", "b", "c"], list(rows)], [(x, u) for u, row in rows.items() for x in row])
+    result = run_series_from_bipartite(h, OperatorKind.CLEAN)
+    text = write_decomposition(result, "h")
+    payload = json.loads(text)
+    assert payload["levels"][1] == list(rows) and payload["down"][: len(rows)] == stored
+    doc = parse_document(text)
+    assert doc == build_document(result, "h") == reference_parse_v8(text) and to_json(doc) == text
+    assert document_to_multipartite(doc) == result.final
+
+
+def test_a_tampered_first_gap_is_refused_at_the_first_row_at_fault():
+    # fresh Random(7) (12, .7), levels 12, 12, 33, 108, 116, 40: the first gap of a row in the middle of level 3
+    # shifts that row and every later first index on the level. Raised by one, the first of them whose last index
+    # was the last vertex of level 2 reaches level 3; lowered past level 2, the row itself leaves it
+    payload = json.loads(decomposition_text(random_connected_graph(random.Random(7), 12, 0.7)))
+    sizes = [len(payload["levels"][0])] + payload["levels"][1:]
+    start, limit = sum(sizes[1:3]), sum(sizes[:3])  # level 3's first row in down, and its first vertex
+    t = start + sizes[3] // 2
+    rows = reference_decode_down(payload["levels"], payload["down"])
+    at_fault = next(i for i in range(t, start + sizes[3]) if rows[i][-1] == limit - 1)
+    assert at_fault > t
+    for shift, i, problem in ((1, at_fault, f"index {limit} is not on a lower level"),
+                              (-rows[t][0], t, "index 0 is not on the level below")):
+        tampered = json.loads(json.dumps(payload))
+        tampered["down"][t][0] += shift
+        text = json.dumps(tampered)
+        message = f"down row of vertex {sizes[0] + i} on level 3: {problem}"
+        assert parsed(parse_document, text) == parsed(reference_parse_v8, text) == message
 
 
 def assert_named_by_level0_neighbours(doc: DecompositionDocument) -> int:
@@ -309,7 +372,7 @@ def test_parse_document_rejects_malformed_input():
 
 
 def decoded(text):
-    """The graph a format-7 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
+    """The graph a format-8 text decodes to, and each vertex's recovered sequence as level-0 label tuples."""
     m = document_to_multipartite(parse_document(text))
     sequences = {
         x: tuple(tuple(sorted(o)) for o in characterising_sequence(m, x))
@@ -319,18 +382,18 @@ def decoded(text):
 
 
 def assert_formats_agree(result, source_hash):
-    """Format 7 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores,
-    and to the document the format-7 reference parser reads.
+    """Format 8 decodes to format 1's graph, on which ``characterising_sequence`` gives the sequences format 1 stores,
+    and to the document the format-8 reference parser reads.
 
     Format 1 is the reference codec and fills its sequences with ``reference_sequence``. Its graph is built by the
     constructor, which keeps each level in label order, so the two graphs are compared by their labelled edges.
     """
     v1 = reference_to_json(reference_build_document(result, source_hash))
-    v7 = write_decomposition(result, source_hash)
-    assert v7.isascii()
-    assert to_json(parse_document(v7)) == v7
-    assert reference_parse_v7(v7) == parse_document(v7)
-    m, sequences = decoded(v7)
+    v8 = write_decomposition(result, source_hash)
+    assert v8.isascii()
+    assert to_json(parse_document(v8)) == v8
+    assert reference_parse_v8(v8) == parse_document(v8)
+    m, sequences = decoded(v8)
     reference, reference_sequences = reference_decode(reference_parse_document(v1))
     assert [sorted(level) for level in m.levels] == [sorted(level) for level in reference.levels]
     assert (m.edges(), sequences) == (reference.edges(), reference_sequences)
@@ -545,39 +608,40 @@ def piece_document(rows: int) -> DecompositionDocument:
     """A well-formed document with ``rows`` varied down rows over three level-0 vertices."""
     cycle = ((0,), (1, 2), (0, 1, 2), (2,))
     return DecompositionDocument(
-        7, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
+        8, "h", "clean", "terminated", (("a", "b", "c"), tuple(f"K:{i:04d}" for i in range(rows))),
         tuple(cycle[i % len(cycle)] for i in range(rows)),
     )
 
 
 def written_rows(doc: DecompositionDocument) -> list[list[int]]:
-    """``doc.down`` as the text holds it: each row as it stands, a seed above level 1, gap-coded."""
-    return [reference_encode_row(list(row)) for row in doc.down]
+    """``doc.down`` as the text holds it: each row as it stands, a seed above level 1, gap-coded from the previous
+    row's first index on its level."""
+    return reference_encode_down(list(doc.levels), doc.down)
 
 
 def test_to_json_writes_empty_containers_like_json_dumps():
     # vertices without lower neighbours, an empty common neighbourhood; down rows around the writer's piece
     # boundaries; non-ASCII labels
     docs = [
-        DecompositionDocument(7, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
-        DecompositionDocument(7, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
-        DecompositionDocument(7, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (2, 3))),
+        DecompositionDocument(8, "h", "weak", "budget-exceeded", (("a",), ("b", "c"), 1), ((), (0,), (1, 2))),
+        DecompositionDocument(8, "h", "clean", "terminated", (("a",), ("b",)), ((0,),)),
+        DecompositionDocument(8, "h", "weak", "terminated", (("a", "b"), 2, 1), ((0,), (0, 1), (2, 3))),
         *map(piece_document, (255, 256, 257, 513)),
         DecompositionDocument(
-            7, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
+            8, "h\u00e9", "clean", "terminated", (("a", "\u00e9", "\U0001d538"), ("K:\u00e9",)), ((1, 2),)
         ),
     ]
     malformed = [
-        DecompositionDocument(7, "h", "clean", "terminated", (("a",),), ()),  # no down rows
-        DecompositionDocument(7, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
-        DecompositionDocument(7, "h", "clean", "terminated", (("a", "b"), ("c",)), ((0, 1),) * 2),  # a row past the top
+        DecompositionDocument(8, "h", "clean", "terminated", (("a",),), ()),  # no down rows
+        DecompositionDocument(8, "h", "clean", "terminated", (("a",), ("b",)), ((0,),) * 300),  # more rows than levels
+        DecompositionDocument(8, "h", "clean", "terminated", (("a", "b"), ("c",)), ((0, 1),) * 2),  # a row past the top
     ]
     for doc in malformed:
-        payload = vars(doc) | {"down": [reference_encode_row(list(row)) for row in doc.down]}
+        payload = vars(doc) | {"down": written_rows(doc)}
         assert to_json(doc) == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     for doc in docs:
         payload = {
-            "format_version": 7,
+            "format_version": 8,
             "source_hash": doc.source_hash,
             "operator": doc.operator,
             "status": doc.status,
@@ -592,7 +656,7 @@ def test_to_json_writes_empty_containers_like_json_dumps():
 def test_to_json_peaks_at_a_few_times_its_text():
     # json.dumps holds one string per token until it joins them, so down is encoded a piece at a time
     rows = tuple(tuple(range(i, i + 16)) for i in range(4096))
-    doc = DecompositionDocument(7, "h", "clean", "terminated", (("a",), ("b",)), rows)
+    doc = DecompositionDocument(8, "h", "clean", "terminated", (("a",), ("b",)), rows)
     tracemalloc.start()
     try:
         text = to_json(doc)
@@ -605,7 +669,7 @@ def test_to_json_peaks_at_a_few_times_its_text():
 DELETE = object()
 SEQUENCE = ("levels", 2, "vertices", 0, "sequence")
 NOT_LABEL_LISTS = "vertex 'L2:b,c': sequence must be a list of label lists"
-OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 7"
+OLD_FORMAT_REJECTED = "unsupported format_version: this reader takes 8"
 
 
 @pytest.mark.parametrize(
@@ -666,8 +730,10 @@ def test_parse_document_rejections_match_the_reference(path, value, message):
 
 def edited(payload, path, value):
     """``payload`` with the item at ``path`` set to ``value``, to what the callable ``value`` makes of it, or deleted
-    for ``DELETE``."""
+    for ``DELETE``; a ``row_edit`` at ``("down", t)`` edits row ``t``'s indexes and codes the rows again."""
     *parents, last = path
+    if isinstance(value, RowEdit):
+        return with_rows(payload, lambda rows: rows.__setitem__(last, value.make(rows[last])))
     target = payload
     for key in parents:
         target = target[key]
@@ -678,7 +744,7 @@ def edited(payload, path, value):
     return payload
 
 
-# G2 in format 7: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
+# G2 in format 8: levels a b c d | 2 | 1, so level 1 holds indexes 4, 5 and level 2 index 6, stored as its seed [4, 5]
 # gap-coded, [4, 1]; a row_edit names the indexes a row is edited to, and a row of non-integers is stored as it stands
 NOT_A_LEVEL = "level {} must be a non-empty list of labels or, above level 0, a vertex count"
 NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are given"
@@ -706,7 +772,8 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("down", 2), DELETE, "down must hold 3 rows, not 2: they end on level 2"),
         (("down",), lambda down: down + down[2:], "down must hold 3 rows, not 4: rows remain after level 2"),
         (("down",), None, "down must be a list of index lists"),
-        (("levels", 1), 3, "down row of vertex 6 on level 1: index 4 is not on a lower level"),
+        # level 1 takes level 2's row [4, 1], whose first gap now counts from level 1's last first index, 1
+        (("levels", 1), 3, "down row of vertex 6 on level 1: index 5 is not on a lower level"),
         # level 2 takes level 1's last row, which is not on level 1
         (("levels", 1), 1, "down row of vertex 5 on level 2: index 1 is not on the level below"),
         (("levels", 2), 2, "down must hold 4 rows, not 3: they end on level 2"),
@@ -732,8 +799,9 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("format_version",), 4, OLD_FORMAT_REJECTED),
         (("format_version",), 5, OLD_FORMAT_REJECTED),
         (("format_version",), 6, OLD_FORMAT_REJECTED),
+        (("format_version",), 7, OLD_FORMAT_REJECTED),
         (("format_version",), True, OLD_FORMAT_REJECTED),
-        (("format_version",), 7.0, OLD_FORMAT_REJECTED),
+        (("format_version",), 8.0, OLD_FORMAT_REJECTED),
     ],
     ids=[
         "down-own-level",
@@ -780,6 +848,7 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "format-version-4",
         "format-version-5",
         "format-version-6",
+        "format-version-7",
         "boolean-format-version",
         "float-format-version",
     ],
@@ -883,7 +952,7 @@ def g3_with(edit):
 
 
 def swap_level_2_rows(payload):
-    payload["down"][3:5] = payload["down"][4:2:-1]
+    with_rows(payload, lambda rows: rows.__setitem__(slice(3, 5), rows[4:2:-1]))
 
 
 def grow_level_2(payload):
@@ -907,8 +976,8 @@ def stored_row(i, row):
     [
         # the seeds [6, 7] and [6, 7, 8] swapped: the level is ordered by its seeds
         (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's rows are not ascending\n"),
-        # level 2 takes level 3's seed, which lies on level 2
-        (grow_level_2, 2, "", "error: down row of vertex 11 on level 2: index 9 is not on a lower level\n"),
+        # level 2 takes level 3's seed [9, 10], stored [9,1], whose first gap now counts from level 2's last first index, 6
+        (grow_level_2, 2, "", "error: down row of vertex 11 on level 2: index 15 is out of range\n"),
         (rename_a_level_0_label, 1, "bijection: FAIL (level 0 does not match the input graph's vertex set)\n", ""),
         # [6, 7, 8] without 7: the row the graph rebuilds, (0, 1, 6, 8), loses 7, and no chain predicts it
         (stored_row(4, [6, 8]), 1, f"bijection: FAIL (level 2, vertex 'L2:1,2': {NO_CHAIN})\n", ""),
@@ -932,11 +1001,10 @@ def test_two_seeds_swapped_on_any_generated_level_are_refused_naming_the_level()
     sizes = [len(payload["levels"][0])] + payload["levels"][1:]
     for k in range(2, len(sizes)):
         t = sum(sizes[1:k]) + sizes[k] // 2  # the row in down of a vertex in the middle of level k
-        down = list(payload["down"])
-        down[t - 1 : t + 1] = down[t], down[t - 1]
-        text = json.dumps(payload | {"down": down})
+        swap = lambda rows: rows.__setitem__(slice(t - 1, t + 1), (rows[t], rows[t - 1]))
+        text = json.dumps(with_rows(json.loads(json.dumps(payload)), swap))
         message = f"down row of vertex {sizes[0] + t} on level {k}: the level's rows are not ascending"
-        assert parsed(parse_document, text) == parsed(reference_parse_v7, text) == message
+        assert parsed(parse_document, text) == parsed(reference_parse_v8, text) == message
 
 
 @pytest.mark.parametrize(
@@ -952,7 +1020,7 @@ def test_labels_on_a_generated_level_are_refused(tmp_path, graph, levels):
     """Only levels 0 and 1 can be given, so a document that names a higher level's vertices is malformed."""
     g = graph()
     text = json.dumps(json.loads(decomposition_text(g)) | {"levels": levels})
-    assert parsed(parse_document, text) == parsed(reference_parse_v7, text) == NOT_A_COUNT
+    assert parsed(parse_document, text) == parsed(reference_parse_v8, text) == NOT_A_COUNT
     graph_path, doc_path = write(tmp_path, "g.txt", format_edge_list(g)), write(tmp_path, "d.json", text)
     assert run_cli(["verify", "--decomposition", doc_path, "--input", graph_path]) == (2, "", f"error: {NOT_A_COUNT}\n")
 
@@ -1108,9 +1176,10 @@ def test_cli_verify_names_a_vertex_by_its_index_where_the_names_clash(tmp_path):
     out_path = str(tmp_path / "d.json")
     assert run_cli(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])[0] == 0
     payload = json.loads(Path(out_path).read_text())
-    assert (payload["levels"][1:], list(map(reference_decode_row, payload["down"]))) == ([3], [[0, 2], [1], [2, 3]])
+    rows = reference_decode_down(payload["levels"], payload["down"])
+    assert (payload["levels"][1:], rows) == ([3], [[0, 2], [1], [2, 3]])
     payload["levels"].append(1)
-    # the seed of the row [2, 4, 6]: c, the cliques {K:b, c} and {c, d}
+    # the seed of the row [2, 4, 6]: c, the cliques {K:b, c} and {c, d}, the first row of its level
     payload["down"].append(reference_encode_row([4, 6]))
     doc_path = write(tmp_path, "tampered.json", json.dumps(payload))
     code, out, err = run_cli(["verify", "--decomposition", doc_path, "--input", graph_path])
@@ -1334,6 +1403,13 @@ def test_cli_rejects_a_format_6_document_with_one_error_line(tmp_path, command):
     assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_rejects_a_format_7_document_with_one_error_line(tmp_path, command):
+    graph_path = write(tmp_path, "g2.txt", G2_TEXT)
+    doc_path = write(tmp_path, "d.json", G2_FORMAT_7)
+    assert run_cli(document_command(command, doc_path, graph_path)) == (2, "", f"error: {OLD_FORMAT_REJECTED}\n")
+
+
 def test_cli_reconstruct_refuses_a_level_1_that_does_not_rebuild_the_hashed_graph(tmp_path):
     # G2's clique {a, b, c} edited to {a, b, d}: the document still parses, but encodes a d where G2 has a c
     payload = edited(json.loads(G2_GOLDEN), ("down", 0), row_edit([0, 1, 3]))
@@ -1379,8 +1455,8 @@ SEED_DOCUMENTS = [json.loads(decomposition_text(g)) for g in (make_g2(), make_g3
 
 @st.composite
 def broken_documents(draw):
-    """A valid format-7 document with one field edited so that it breaks a rule of the format; a down row is edited
-    as its indexes and gap-coded again."""
+    """A valid format-8 document with one field edited so that it breaks a rule of the format; a down row is edited
+    as its indexes and the rows are coded again."""
     payload = json.loads(json.dumps(draw(st.sampled_from(SEED_DOCUMENTS))))
     sizes = [level if type(level) is int else len(level) for level in payload["levels"]]
     n0, n = sizes[0], sum(sizes)
@@ -1391,13 +1467,13 @@ def broken_documents(draw):
         if move == "delete":
             del payload[draw(st.sampled_from(sorted(payload)))]
         elif move == "version":
-            payload["format_version"] = draw(st.sampled_from([1, 2, 3, 4, 5, 6, True, 7.0, "7", None]))
+            payload["format_version"] = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, True, 8.0, "8", None]))
         else:
             payload[draw(st.sampled_from(["elements", "sequences", "comment", ""]))] = draw(junk)
         return payload
-    rows = payload[field]
+    rows = payload[field] if field == "levels" else reference_decode_down(payload["levels"], payload[field])
     r = draw(st.integers(0, len(rows) - 1))
-    row = rows[r] if field == "levels" else reference_decode_row(rows[r])
+    row = rows[r]
     if field == "levels" and type(row) is int:
         # a generated level's size: anything but a positive integer, or another one, which down no longer fits
         rows[r] = draw(st.one_of(junk, st.integers(-2, 0), st.integers(1, 4).filter(lambda size: size != row)))
@@ -1411,7 +1487,7 @@ def broken_documents(draw):
         # a string appended to level 0 can be a new valid label ("e" after G2's "a".."d")
         extra = st.one_of(st.booleans(), st.floats(allow_nan=False), st.none()) if field == "levels" else junk
         items = st.lists(st.one_of(extra, st.just([])), min_size=1, max_size=3)
-        rows[r] = draw(st.one_of(junk, items.map(lambda extra: rows[r] + extra)))
+        payload[field][r] = draw(st.one_of(junk, items.map(lambda extra: payload[field][r] + extra)))
         return payload
     if move == "repeat":
         row.insert(draw(st.integers(0, len(row) - 1)), row[0])
@@ -1422,7 +1498,9 @@ def broken_documents(draw):
         limit = max(start for start in accumulate(sizes, initial=0) if start <= n0 + r)
         bad = draw(st.one_of(st.integers(-3, -1), st.integers(limit, n + 3)))
         row = sorted(set(row) | {bad}) if draw(st.booleans()) else [bad]
-    rows[r] = row if field == "levels" else reference_encode_row(row)
+    rows[r] = row
+    if field == "down":
+        payload["down"] = reference_encode_down(payload["levels"], rows)
     return payload
 
 
@@ -1456,7 +1534,7 @@ def test_parse_document_raises_only_format_errors(seed, data):
         parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
     parent[key] = data.draw(json_values)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v7, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v8, text)
     try:
         doc = parse_document(text)
     except DocumentFormatError:
@@ -1510,14 +1588,17 @@ def test_first_row_fault_matches_the_per_row_reference(rows, lo, limit, seeds):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 10**6), unique=True).map(sorted), max_size=4))
+@given(st.lists(st.lists(st.integers(-3, 10**6), unique=True).map(sorted), max_size=6))
 @example([[], [0], [5, 6], [-3, 0, 1_000_000]])
-def test_gap_coding_strictly_ascending_rows_gives_them_back(rows):
-    """The writer's gaps, decoded by the parser's running sum or the reference's, give each row back."""
-    for row in rows:
-        stored = _gaps(tuple(row))
-        assert stored == reference_encode_row(row) and all(gap > 0 for gap in stored[1:])
-        assert list(accumulate(stored)) == reference_decode_row(stored) == row
+@example([[4, 5], [], [1, 2], [1, 3], []])  # a fall and a repeat of the first index, across an empty row
+def test_gap_coding_a_level_of_strictly_ascending_rows_gives_it_back(rows):
+    """The writer's codes for a level's rows, in any order, decoded by the reference, give each row back; only a
+    first gap may be 0 or less."""
+    stored = list(_coded(tuple(map(tuple, rows))))
+    assert stored == reference_encode_level(rows) and all(gap > 0 for row in stored for gap in row[1:])
+    assert reference_decode_level(stored) == rows
+    firsts = [row[0] for row in rows if row]
+    assert [row[0] for row in stored if row] == [b - a for a, b in zip([0] + firsts, firsts)]
 
 
 LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_size=1, max_size=5)
@@ -1526,17 +1607,19 @@ LABELS = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "K:a,b,c"]), min_siz
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SEED_DOCUMENTS), st.data())
 def test_parse_document_matches_the_reference_on_edited_labels_and_rows(seed, data):
-    """A level or a down row replaced by labels or indexes, in any order, a row gap-coded: the reference's message or
-    document."""
+    """A level or a down row replaced by labels or indexes, in any order, the rows coded again: the reference's
+    message or document."""
     payload = json.loads(json.dumps(seed))
     field = data.draw(st.sampled_from(["levels", "down"]))
     n = sum(level if type(level) is int else len(level) for level in payload["levels"])
     items = LABELS if field == "levels" else st.lists(st.integers(-1, n), max_size=5)
-    rows = payload[field]
+    rows = payload[field] if field == "levels" else reference_decode_down(payload["levels"], payload[field])
     edit = data.draw(st.one_of(items, items.map(sorted), items.map(lambda xs: sorted(set(xs)))))
-    rows[data.draw(st.integers(0, len(rows) - 1))] = edit if field == "levels" else reference_encode_row(edit)
+    rows[data.draw(st.integers(0, len(rows) - 1))] = edit
+    if field == "down":
+        payload["down"] = reference_encode_down(payload["levels"], rows)
     text = json.dumps(payload)
-    assert parsed(parse_document, text) == parsed(reference_parse_v7, text)
+    assert parsed(parse_document, text) == parsed(reference_parse_v8, text)
 
 
 # each bullet of the README's "Library API" section, by its heading, and the module whose __all__ it lists
@@ -1596,5 +1679,5 @@ def test_module_all_lists_are_the_package_all():
     from cleanfactor.io import FORMAT_VERSION
 
     # bits returns the ascending index list itself, at any width
-    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 7
+    assert bits(0b101) == [0, 2] and bits(0) == [] and bits(1 << 1000 | 0b10) == [1, 1000] and FORMAT_VERSION == 8
     assert "bits" not in cleanfactor.__all__ and "FORMAT_VERSION" not in cleanfactor.__all__

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
 import pytest
@@ -26,9 +27,11 @@ from cleanfactor import (
     graph_content_hash,
     intersection_family,
     maximal_cliques,
+    parse_document,
     run_series,
     run_series_from_bipartite,
     size_bound,
+    to_json,
     verify_bijection,
     verify_neighbourhood_formula,
     vertex_clique_incidence,
@@ -690,6 +693,37 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     t = MultipartiteGraph._from_rows(m._levels, rows)
     expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
     assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
+
+
+def names_from_whole_rows(m: MultipartiteGraph) -> tuple[str, ...]:
+    """m's names as its whole rows give them: a generated vertex is ``K:`` or ``L<k>:`` and the labels of its level-0
+    neighbours, and ``#n`` if it is the n-th of its level with those."""
+    level0, rows, names = m.levels[0], m._whole(), []
+    for k, level in enumerate(m._levels):
+        if type(level) is tuple:
+            names += level
+            continue
+        seen: dict[str, int] = {}
+        for row in rows[len(names) : len(names) + level]:
+            base = ("K:" if k == 1 else f"L{k}:") + ",".join(level0[j] for j in row if j < len(level0))
+            seen[base] = seen.get(base, 0) + 1
+            names.append(f"{base}#{seen[base]}" if seen[base] > 1 else base)
+    return tuple(names)
+
+
+def test_a_failing_check_names_its_vertex_from_the_seeds_and_builds_no_whole_row(corpus):
+    # a corpus document and large-clean's first, each with the last level-3 seed given the last level-2 vertex it
+    # lacks: the counterexample names that vertex from the seeds' level-0 runs, so verify rebuilds no whole row, and
+    # the message and every name are those the whole rows give
+    for g, name in ((corpus[7], "L3:"), (random_connected_graph(random.Random(7), 14, 0.5), "L3:v08")):
+        result = run_series(g, OperatorKind.CLEAN)
+        doc, m = build_document(result, graph_content_hash(g)), result.final
+        x, down = m._level_range(3)[-1] - len(m.levels[0]), list(doc.down)
+        down[x] = tuple(sorted(down[x] + (max(set(m._level_range(2)) - set(down[x])),)))
+        t = document_to_multipartite(parse_document(to_json(replace(doc, down=tuple(down)))))
+        expected = f"level 3, vertex {name!r}: no 2-element chain predicts its lower neighbourhood"
+        assert verify_bijection(g, t) == VerificationReport(False, expected) and t._full is None
+        assert t.vertices == names_from_whole_rows(t)
 
 
 @st.composite
