@@ -63,7 +63,6 @@ from reference_io import (
     reference_decode,
     reference_decode_down,
     reference_decode_level,
-    reference_decode_row,
     reference_encode_down,
     reference_encode_level,
     reference_encode_row,
@@ -976,7 +975,8 @@ def stored_row(i, row):
     [
         # the seeds [6, 7] and [6, 7, 8] swapped: the level is ordered by its seeds
         (swap_level_2_rows, 2, "", "error: down row of vertex 10 on level 2: the level's rows are not ascending\n"),
-        # level 2 takes level 3's seed [9, 10], stored [9,1], whose first gap now counts from level 2's last first index, 6
+        # level 2 takes level 3's seed [9, 10], stored [9,1], whose first gap now counts from level 2's last first
+        # index, 6
         (grow_level_2, 2, "", "error: down row of vertex 11 on level 2: index 15 is out of range\n"),
         (rename_a_level_0_label, 1, "bijection: FAIL (level 0 does not match the input graph's vertex set)\n", ""),
         # [6, 7, 8] without 7: the row the graph rebuilds, (0, 1, 6, 8), loses 7, and no chain predicts it
