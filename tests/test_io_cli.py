@@ -1541,7 +1541,9 @@ def test_parse_document_raises_only_format_errors(seed, data):
         return
     m = document_to_multipartite(doc)
     assert reconstruct_graph(doc).vertices == doc.levels[0] == m.levels[0]
-    assert tuple(len(level) for level in m.levels) == tuple(map(len, doc.levels[:1])) + doc.levels[1:]
+    # a generated level is stored as its size; a given one (level 0, and level 1 of a bipartite start) as its labels
+    assert tuple(len(level) for level in m.levels) == tuple(n if type(n) is int else len(n) for n in doc.levels)
+    assert all(m.levels[li] == level for li, level in enumerate(doc.levels) if type(level) is tuple)
     verify_document_fields(doc)
     assert parse_document(to_json(doc)) == doc
 
