@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from itertools import chain, count, repeat
+from operator import and_
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
@@ -218,7 +219,7 @@ class MultipartiteGraph:
             for k, level in enumerate(self._levels[1:], 1):
                 rows = self._idx[len(runs) : len(runs) + self._sizes[k]]
                 if k > 1 and type(level) is int:
-                    runs += [reduce(int.__and__, map(runs.__getitem__, seed)) for seed in rows]
+                    runs += [reduce(and_, map(runs.__getitem__, seed)) for seed in rows]
                 else:
                     runs += [_mask(row[: bisect_left(row, n0)]) for row in rows]
                 if type(level) is tuple:
@@ -226,9 +227,12 @@ class MultipartiteGraph:
                     continue
                 prefix, seen = ("K:" if k == 1 else f"L{k}:"), {}
                 for run in runs[len(out) :]:
-                    named = seen[run] = seen.get(run) or [prefix + ",".join([escaped[i] for i in bits(run)]), 0]
-                    named[1] += 1
-                    out.append(f"{named[0]}#{named[1]}" if named[1] > 1 else named[0])
+                    if (named := seen.get(run)) is None:
+                        seen[run] = named = [prefix + ",".join([escaped[i] for i in bits(run)]), 1]
+                        out.append(named[0])
+                    else:
+                        named[1] += 1
+                        out.append(f"{named[0]}#{named[1]}")
             self._labels = tuple(out)
         return self._labels
 

@@ -1,25 +1,22 @@
 """Edge-list input, compact JSON decomposition documents, DOT export.
 
-A document (format 8) stores the decomposition graph as the graph holds it,
-and nothing derived from it. ``levels`` holds the labels that were given
-(level 0, and level 1 of a bipartite start), each level sorted, and the size
-of each level the library generated, whose vertices are in row order and are
-named by their rows. A vertex is referred to by its level-major global index,
-and ``down`` lists its neighbours on the level below; above level 1 that is
-its seed, from which the graph rebuilds the rest of its row. A row is written
-as its first index less that of the previous non-empty row on its level (from
-0 on the level's first), then the gap to each next index: small on a level in
-row order, negative where a bipartite start's level 1 is in label order. The
-text is exactly ``json.dumps`` with sorted keys and no spaces, so
-byte-deterministic, ``down`` 256 rows at a time. A content hash of the
-canonical edge list binds a document to its input."""
+A document (format 8) stores the decomposition graph as the graph holds it, and nothing derived from it. ``levels``
+holds the labels that were given (level 0, and level 1 of a bipartite start), each level sorted, and the size of each
+level the library generated, whose vertices are in row order and are named by their rows. A vertex is referred to by
+its level-major global index, and ``down`` lists its neighbours on the level below; above level 1 that is its seed,
+from which the graph rebuilds the rest of its row. A row is written as its first index less that of the previous
+non-empty row on its level (from 0 on the level's first), then the gap to each next index: small on a level in row
+order, negative where a bipartite start's level 1 is in label order. The text is exactly ``json.dumps`` with sorted
+keys and no spaces, so byte-deterministic; it is made by two ``json.JSONEncoder.encode`` methods bound at import,
+since ``json.dumps`` given a separator builds an encoder per call: one for ``down``, 256 rows at a time, one for the
+other keys. A content hash of the canonical edge list binds a document to its input."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, fields
-from io import StringIO
 from itertools import accumulate, chain, compress, count, islice
 from operator import le, lt, sub
 from pathlib import Path
@@ -48,7 +45,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 8
-_PIECE = 256  # down rows per json.dumps call, which holds one string per token until it joins them
+_PIECE = 256  # down rows per encoder call, which holds one string per token until it joins them
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_ENCODE_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -60,34 +59,29 @@ def read_edge_list(path: str | Path) -> Graph:
     declaring no vertices is rejected, and so is a file that is not UTF-8,
     with the offset of the first bad byte.
     """
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     try:
         # not the utf-8-sig codec, which would count a bad byte's offset from after the mark
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise EdgeListParseError(before.count(b"\n") + 1, _not_utf8(exc)) from None
-    vertices: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    # universal newlines, as reading the file in text mode would give
-    for lineno, raw in enumerate(StringIO(text, newline=None), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    isolated, edges = [], []  # the labels of one-label lines, and the label pairs
+    # universal newlines, as reading the file in text mode would give; other str.splitlines breaks are whitespace
+    for lineno, parts in enumerate(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")), 1):
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if len(parts) == 1:
-            vertices.add(parts[0])
-        elif len(parts) == 2:
-            u, v = parts
-            if u == v:
-                raise InvalidArgumentError(f"line {lineno}: self-loop on vertex {u!r}")
-            vertices.update((u, v))
-            edges.add((min(u, v), max(u, v)))
+        if len(parts) == 2:
+            if parts[0] == parts[1]:
+                raise InvalidArgumentError(f"line {lineno}: self-loop on vertex {parts[0]!r}")
+            edges.append(parts)
+        elif len(parts) == 1:
+            isolated.append(parts[0])
         else:
             raise EdgeListParseError(lineno, f"expected one or two labels, got {len(parts)}")
-    if not vertices:
+    if not isolated and not edges:
         raise InvalidArgumentError(f"{path}: edge list declares no vertices")
-    return Graph(vertices, edges)
+    return Graph({*isolated, *chain.from_iterable(edges)}, edges)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -177,15 +171,15 @@ def to_json(doc: DecompositionDocument) -> str:
     """Exactly ``json.dumps(vars(doc), sort_keys=True, separators=(",", ":"))`` and a newline, all ASCII, except that
     what is written of a ``down`` row, as the document holds it (a seed above level 1, uncut), is its first index less
     that of the previous non-empty row on its level (0 on the level's first), then the gap to each next index; rows past
-    the top level count as the top level's. ``down``, the first key, is encoded ``_PIECE`` rows per ``json.dumps`` call,
-    the rest in one, and all joined once."""
+    the top level count as the top level's. ``down``, the first key, is encoded ``_PIECE`` rows per call of the bound
+    encoder ``_ENCODE``, the other keys by ``_ENCODE_SORTED`` in one call, and all joined once."""
     rest = {key: value for key, value in vars(doc).items() if key != "down"}
     starts = [*accumulate((level if type(level) is int else len(level) for level in doc.levels[1:-1]), initial=0)]
     rows = chain.from_iterable(_coded(doc.down[a:b]) for a, b in zip(starts, [*starts[1:], None]))
     text = []
     while piece := list(islice(rows, _PIECE)):
-        text += ",", json.dumps(piece, separators=(",", ":"))[1:-1]
-    return "".join(['{"down":[', *text[1:], "],", json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:], "\n"])
+        text += ",", _ENCODE(piece)[1:-1]
+    return "".join(['{"down":[', *text[1:], "],", _ENCODE_SORTED(rest)[1:], "\n"])
 
 
 def _coded(rows: Sequence[tuple[int, ...]]) -> Iterator[list[int]]:
@@ -201,6 +195,12 @@ def write_decomposition(result: SeriesResult, source_hash: str) -> str:
     return to_json(build_document(result, source_hash))
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    """A file's bytes, read unbuffered; ``os.fspath`` refuses a file descriptor, which ``open`` would read."""
+    with open(os.fspath(path), "rb", buffering=0) as file:
+        return file.read()
+
+
 def _not_utf8(exc: UnicodeDecodeError) -> str:
     return f"byte {exc.start} (0x{exc.object[exc.start]:02x}) is not valid UTF-8"
 
@@ -212,18 +212,23 @@ def _expect(condition: bool, message: str, *args: object) -> None:
 
 
 def _first_fault(rows: list[list[int]], lo: int, limit: int, least: int) -> int | None:
-    """The first row, as its first index and gaps, shorter than ``least`` or not strictly ascending inside ``range(lo,
-    limit)``: its first index under ``lo``, a gap under 1, or its sum, the last index, ``limit`` or more. A first index
-    of 1 or more lets ``min(row)`` test the gaps; only a row that starts at 0, on level 1, has them sliced off."""
+    """The first of a level's rows, as written, shorter than ``least`` or not strictly ascending in ``range(lo,
+    limit)``: its first index, restored in place as the previous row's plus its first gap, under ``lo``, a gap under 1,
+    or its sum, the last index, ``limit`` or more. Only a row with a minimum under 1 has its gaps tested apart."""
+    first = 0
     for t, row in enumerate(rows):
-        inside = not row or row[0] >= lo and (min(row) if row[0] else min(row[1:] or [1])) > 0 and sum(row) < limit
-        if not inside or len(row) < least:
+        if row:
+            first = row[0] = first + row[0]
+            if first < lo or sum(row) >= limit or len(row) < least or min(row) < 1 and min(row[1:] or [1]) < 1:
+                return t
+        elif least:
             return t
     return None
 
 
-# a document's vocabularies, from the types that define them; tuples, since a JSON value may be unhashable
-_KEYS = tuple(field.name for field in fields(DecompositionDocument))
+# a document's vocabularies, from their types: the keys in a dict, whose keys view compares as a set, and the values
+# in tuples, since a JSON value may be unhashable
+_KEYS = dict.fromkeys(field.name for field in fields(DecompositionDocument))
 _OPERATORS = tuple(kind.value for kind in OperatorKind)
 _STATUSES = tuple(status.value for status in SeriesStatus)
 
@@ -247,10 +252,10 @@ def parse_document(text: str) -> DecompositionDocument:
     well-formed multipartite graph; the first problem found is named. Only
     levels 0 and 1 may list labels; a seed holds two or more indexes, and a
     generated level's rows, or seeds, must ascend, the order the library
-    writes. Each level's first indexes are restored by one running sum, then
-    its rows are checked in one pass that stops at the first row at fault;
-    only that row is decoded and walked again for the reason, so a message
-    names indexes, never gaps. No row is rebuilt.
+    writes. Each level's rows are checked in one pass that restores their
+    first indexes and stops at the first row at fault; only that row is
+    decoded and walked again for the reason, so a message names indexes,
+    never gaps. No row is rebuilt.
     """
     try:
         payload = json.loads(text)
@@ -262,10 +267,10 @@ def parse_document(text: str) -> DecompositionDocument:
     version = payload.get("format_version")
     supported = type(version) is int and version == FORMAT_VERSION
     _expect(supported, "unsupported format_version: this reader takes {}", FORMAT_VERSION)
-    for key in _KEYS:
-        _expect(key in payload, "missing key {!r}", key)
-    unknown = next((key for key in payload if key not in _KEYS), None)
-    _expect(unknown is None, "unknown key {!r}", unknown)
+    if payload.keys() != _KEYS.keys():
+        missing = next((key for key in _KEYS if key not in payload), None)
+        _expect(missing is None, "missing key {!r}", missing)
+        raise DocumentFormatError(f"unknown key {next(key for key in payload if key not in _KEYS)!r}")
     _expect(type(payload["source_hash"]) is str, "source_hash must be a string")
     _expect(payload["operator"] in _OPERATORS, "unknown operator")
     _expect(payload["status"] in _STATUSES, "unknown status")
@@ -279,8 +284,8 @@ def parse_document(text: str) -> DecompositionDocument:
         labelled = type(level) is list and level and set(map(type, level)) == {str}
         _expect(labelled, "level {} must be a non-empty list of labels or, above level 0, a vertex count", li)
         _expect(all(map(lt, level, islice(level, 1, None))), "level {}: labels are not sorted and distinct", li)
-    labels = [v for level in levels if type(level) is list for v in level]
-    _expect(len(set(labels)) == len(labels), "a label appears on more than one level")
+    # each list of labels is distinct, and only levels 0 and 1 list them
+    _expect(type(levels[1]) is int or set(levels[0]).isdisjoint(levels[1]), "a label appears on more than one level")
     sizes = [level if type(level) is int else len(level) for level in levels]
     n, n0 = sum(sizes), sizes[0]
 
@@ -292,9 +297,6 @@ def parse_document(text: str) -> DecompositionDocument:
         lo, span = limit - sizes[li - 1], slice(limit - n0, limit - n0 + sizes[li])
         rows, generated = down[span], type(level) is int
         _expect(len(rows) == sizes[li], "down must hold {} rows, not {}: they end on level {}", n - n0, len(down), li)
-        first = 0
-        for row in filter(None, rows):  # the level's first indexes, restored in place by one running sum
-            first = row[0] = first + row[0]
         t = _first_fault(rows, lo, limit, 2 if li > 1 else 0)
         if t is not None:
             vertex = f"vertex {limit + t} on level {li}" if generated else repr(level[t])
@@ -318,7 +320,7 @@ def parse_document(text: str) -> DecompositionDocument:
 
 def read_document(path: str | Path) -> DecompositionDocument:
     """Read and parse a document file; a file that is not UTF-8 is rejected."""
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

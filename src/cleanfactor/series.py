@@ -63,13 +63,7 @@ def _drive(m: MultipartiteGraph, op: OperatorKind, max_levels: int) -> SeriesRes
         m = step.graph
         steps += 1
     m._top = None  # the walk's masks of the top level: no later step reads them
-    return SeriesResult(
-        final=m,
-        status=status,
-        steps=steps,
-        level_sizes=tuple(len(level) for level in m.levels),
-        operator=op,
-    )
+    return SeriesResult(final=m, status=status, steps=steps, level_sizes=m._sizes, operator=op)
 
 
 def _budget(op: OperatorKind, max_levels: int | None, vertex_count: int) -> int:

@@ -24,20 +24,75 @@ library it rebuilds no row; ``reference_rebuild``, a set intersection,
 gives a seed's whole row to the tests that compare the graph's. Tests
 require the library to raise the same message, or return an equal
 document, on any text.
+
+``reference_read_edge_list`` is the edge-list reader that reads each line
+from a ``StringIO`` in universal-newline mode and strips it; the library
+splits the text at ``\n``, ``\r\n`` and a lone ``\r`` instead. Tests require
+both to give equal graphs, or the same error, on any text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from io import StringIO
 from itertools import chain
+from pathlib import Path
 from typing import Any
 
-from cleanfactor import DecompositionDocument, DocumentFormatError, MultipartiteGraph, SeriesResult
+from cleanfactor import (
+    DecompositionDocument,
+    DocumentFormatError,
+    EdgeListParseError,
+    Graph,
+    InvalidArgumentError,
+    MultipartiteGraph,
+    SeriesResult,
+)
+from cleanfactor.io import _not_utf8
 from reference_graphs import Neighbours
 from reference_oracle import reference_sequence
 
 FORMAT_VERSION = 1
+
+
+def reference_read_edge_list(path: str | Path) -> Graph:
+    """Parse a whitespace edge list: 'u v' per line, 'v' alone declares a vertex.
+
+    One leading byte-order mark is dropped. Lines starting with '#' and
+    blank lines are skipped; duplicate edges collapse silently; self-loops
+    and malformed lines are rejected with their line number. An edge list
+    declaring no vertices is rejected, and so is a file that is not UTF-8,
+    with the offset of the first bad byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        # not the utf-8-sig codec, which would count a bad byte's offset from after the mark
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise EdgeListParseError(before.count(b"\n") + 1, _not_utf8(exc)) from None
+    vertices: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    # universal newlines, as reading the file in text mode would give
+    for lineno, raw in enumerate(StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            vertices.add(parts[0])
+        elif len(parts) == 2:
+            u, v = parts
+            if u == v:
+                raise InvalidArgumentError(f"line {lineno}: self-loop on vertex {u!r}")
+            vertices.update((u, v))
+            edges.add((min(u, v), max(u, v)))
+        else:
+            raise EdgeListParseError(lineno, f"expected one or two labels, got {len(parts)}")
+    if not vertices:
+        raise InvalidArgumentError(f"{path}: edge list declares no vertices")
+    return Graph(vertices, edges)
 
 
 @dataclass(frozen=True)

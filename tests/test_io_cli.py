@@ -68,6 +68,7 @@ from reference_io import (
     reference_encode_row,
     reference_parse_document,
     reference_parse_v8,
+    reference_read_edge_list,
     reference_rebuild,
     reference_row_fault,
     reference_to_json,
@@ -1284,6 +1285,43 @@ def test_edge_list_splitlines_breaks_separate_two_labels_inside_one_line(tmp_pat
         read_edge_list(text)
 
 
+def read_outcome(read, path):
+    """The graph ``read`` gives, or its error's type, message and line number."""
+    try:
+        return read(path)
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+EDGE_LIST_PIECES = ["a", "b", "c", "ab", "#", " ", "\t", "\xa0", "\ufeff", "\n", "\r\n", "\r", *SPLITLINES_ONLY]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(EDGE_LIST_PIECES), max_size=24).map("".join))
+@example(False, "a b\r\nb c\rc d\n")
+@example(True, "#x\ra\x85b\n\r\nc c")
+@example(True, "\ufeffa\n")  # a second mark is part of the first label
+def test_edge_list_reader_matches_the_universal_newline_reference(tmp_path_factory, mark, text):
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    path.write_bytes((("\ufeff" if mark else "") + text).encode("utf-8"))
+    assert read_outcome(read_edge_list, path) == read_outcome(reference_read_edge_list, path)
+
+
+def test_a_file_descriptor_is_refused_not_read(tmp_path):
+    """``open`` would read an int as a file descriptor; a path argument that is an int is refused instead."""
+    graph_path, doc_path = write(tmp_path, "g2.txt", G2_TEXT), write(tmp_path, "d.json", decomposition_text(make_g2()))
+    for read, path in ((read_edge_list, graph_path), (read_document, doc_path)):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError):
+                read(fd)
+        finally:
+            with contextlib.suppress(OSError):  # reading it as a descriptor would have closed it
+                os.close(fd)
+        with pytest.raises(TypeError):
+            read(3)
+
+
 def test_cli_non_utf8_document_is_a_format_error(tmp_path, capsys):
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     doc = tmp_path / "d.json"
@@ -1581,12 +1619,15 @@ ROWS = st.lists(st.integers(-2, 9), max_size=4)
 @example([[2, 3], [3, 2]], 2, 4, True)  # a seed not ascending
 @example([[2, 3], [2, 4]], 2, 4, True)  # a seed index on the seed's own level
 def test_first_row_fault_matches_the_per_row_reference(rows, lo, limit, seeds):
-    """The first row at fault, found on the gap-coded rows, and the reason its decoded walk gives, as the per-row
-    reference finds them on the rows' indexes."""
+    """The first row at fault, found on the level's rows as written, and the reason its decoded walk gives, as the
+    per-row reference finds them on the rows' indexes; the scan leaves each row it reached with its first index."""
     n = limit + 2  # indexes from limit up name a higher vertex, from n up none
-    t = _first_fault(list(map(reference_encode_row, rows)), lo, limit, 2 if seeds else 0)
+    stored = reference_encode_level(rows)
+    t = _first_fault(stored, lo, limit, 2 if seeds else 0)
     fault = None if t is None else (t, _down_problem(rows[t], lo, limit, n))
     assert fault == reference_row_fault(rows, lo, limit, n, seeds)
+    reached = len(rows) if t is None else t + 1
+    assert stored[:reached] == list(map(reference_encode_row, rows[:reached]))
 
 
 @settings(max_examples=500, deadline=None)

@@ -50,11 +50,14 @@ def test_terminated_means_one_more_step_is_not_effective(g2, g3):
                 assert not factorise(result.final, op).effective
 
 
-def test_level_sizes_track_the_final_graph(g3):
-    result = run_series(g3, OperatorKind.CLEAN)
-    assert result.level_sizes == tuple(len(level) for level in result.final.levels)
-    assert len(result.level_sizes) == result.steps + 2
-    assert result.operator is OperatorKind.CLEAN
+def test_level_sizes_track_the_final_graph(g3, clean_runs):
+    results = [run_series(g3, OperatorKind.CLEAN), *(result for _, result in clean_runs[0])]
+    for result in results:
+        assert result.level_sizes == tuple(map(len, result.final.levels))
+        assert len(result.level_sizes) == result.steps + 2
+        assert result.operator is OperatorKind.CLEAN
+    factor = run_series_from_bipartite(anti_matching(5), OperatorKind.FACTOR)
+    assert factor.level_sizes == tuple(map(len, factor.final.levels))
 
 
 def test_series_is_deterministic(g3):
