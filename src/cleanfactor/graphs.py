@@ -4,15 +4,17 @@ Vertex sets are integer bitmasks over a per-graph, level-major vertex index.
 A ``MultipartiteGraph`` stores each vertex's lower neighbourhood as a tuple
 of ascending indexes, so appending a level rewrites no row; ``factorise``,
 the decoder and the incidence graph hand it the tuples (``_from_rows``). On
-a generated level above 1 the tuple is the vertex's seed, which fixes the
-rest; the oracle's pairing and the names read the seeds, and ``_whole``
-rebuilds whole rows once for ``edges()`` and other readers. Only a step's walk
-ANDs rows, as masks of the top level in ``_top``, which ``factorise`` leaves
-for the next step. A level the library generates stores only its size: its
-names, a function of its rows, are built on the first label lookup, so
-decomposing and verifying name nothing. Vertices and rows never change; the
-caches (``_pairing``, ``Graph._cliques``, whole rows, names, label index)
-fill on first use, and equality and hashing ignore them and ``_top``.
+every level above 1 the tuple is the vertex's seed, which fixes the rest
+(``_rebuilt``); the constructor and ``append_level`` refuse a row that its
+seed does not fix. The pairing and the names read the seeds, and ``_whole``
+rebuilds whole rows once for ``edges()`` and other readers. Only a step's
+walk ANDs rows, as masks of the top level in ``_top``, which ``factorise``
+leaves for the next step. A level the library generates stores only its
+size: its names, a function of its rows, are built on the first label
+lookup, so decomposing and verifying name nothing. Vertices and rows never
+change; the caches (``_pairing``, ``Graph._cliques``, whole rows, names,
+label index) fill on first use, and equality and hashing ignore them and
+``_top``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,20 @@ def _mask(row: Iterable[int]) -> int:
 def _span(indexes: range) -> int:
     """The mask of a run of consecutive indexes, such as a level's."""
     return (1 << indexes.stop) - (1 << indexes.start)
+
+
+def _rebuilt(rows: Sequence[tuple[int, ...]], seed: tuple[int, ...], sets: dict) -> tuple[int, ...]:
+    """The whole row that ``seed`` fixes: its members' common row in ``rows``, then the seed itself.
+
+    ``sets`` keeps each member's row as a set's membership test, made on first use, for the seeds of one level.
+    """
+    members = iter(seed)
+    common = rows[next(members)]
+    for j in members:
+        if (has := sets.get(j)) is None:
+            has = sets[j] = set(rows[j]).__contains__
+        common = filter(has, common)
+    return (*common, *seed)
 
 
 def _check_labels(labels: Iterable[object]) -> None:
@@ -154,10 +170,11 @@ class Graph:
 class MultipartiteGraph:
     """An ordered multipartite graph: disjoint non-empty levels V0..V(k-1), k >= 2.
 
-    Every edge joins two distinct levels; each vertex stores only its lower
-    neighbours, and ``edges()`` is the one public view of the edge set.
-    Instances never mutate. A level given to the constructor is in label
-    order; a level the library generates (level 1 of
+    Every edge joins two distinct levels. Each vertex stores only its lower
+    neighbours; above level 1, only its seed, those on the level below, as
+    the rest are those that its members share. ``edges()`` is the one public
+    view of the edge set. Instances never mutate. A level given to the
+    constructor is in label order; a level the library generates (level 1 of
     ``vertex_clique_incidence``, each level ``factorise`` appends) and one
     ``append_level`` adds are in row order, by their seeds as index tuples.
     A generated vertex is ``K:`` on level 1, else ``L<k>:``, plus the
@@ -168,6 +185,7 @@ class MultipartiteGraph:
     __slots__ = ("_levels", "_sizes", "_labels", "_index", "_level_of", "_idx", "_full", "_top", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
+        """The graph on ``levels``, each in label order, and ``edges``; each row above level 1 is kept as its seed."""
         level_tuples: list[tuple[str, ...]] = []
         for li, level in enumerate(levels):
             members = list(level)
@@ -179,7 +197,9 @@ class MultipartiteGraph:
             raise InvalidArgumentError("a multipartite graph needs at least two levels")
         self._set_levels(tuple(level_tuples))
         self._labels = tuple(chain.from_iterable(level_tuples))  # every level given: the rows name nothing
-        self._idx = self._rows(edges, 0)
+        rows = self._rows(edges, 0)
+        self._idx = rows[: sum(self._sizes[:2])] + self._seeds(rows, 2)
+        self._full = rows if len(level_tuples) > 2 else None  # as _whole keeps them
 
     def _rows(self, edges: Iterable[tuple[str, str]], first: int) -> tuple[tuple[int, ...], ...]:
         """The rows of vertices ``first`` and up, as ascending index tuples, from labelled edges that end at them."""
@@ -197,6 +217,19 @@ class MultipartiteGraph:
             down[max(iu, iv) - first].add(min(iu, iv))
         return tuple(tuple(sorted(row)) for row in down)
 
+    def _seeds(self, rows: Sequence[tuple[int, ...]], first: int) -> tuple[tuple[int, ...], ...]:
+        """Levels ``first`` (>= 2) and up as seeds, from every whole row; refuse the first row its seed does not fix."""
+        out = []
+        for k in range(first, len(self._sizes)):
+            lo, sets = self._level_range(k - 1).start, {}
+            for label, row in zip(self._levels[k], rows[self._level_range(k).start :]):
+                out.append(seed := row[bisect_left(row, lo) :])
+                if len(seed) < 2 or _rebuilt(rows, seed, sets) != row:
+                    short = f"fewer than two neighbours on level {k - 1}"
+                    other = f"other neighbours below level {k - 1} than those its neighbours on level {k - 1} share"
+                    raise InvalidArgumentError(f"vertex {label!r} on level {k} has {short if len(seed) < 2 else other}")
+        return tuple(out)
+
     def _set_levels(self, levels: tuple[tuple[str, ...] | int, ...]) -> None:
         """Set every field but the rows from each level's labels, or a generated level's size; check given labels."""
         self._levels = levels
@@ -204,29 +237,27 @@ class MultipartiteGraph:
         given = [v for level in levels if type(level) is tuple for v in level]
         _check_distinct(given, len(set(given)))
         self._labels = self._index = self._level_of = None  # built on the first label lookup
-        self._full = self._pairing = None  # the whole rows where a level holds seeds (_whole); the oracle's pairing
+        self._full = self._pairing = None  # the whole rows (_whole); the oracle's pairing
         self._top = None  # the top level's rows as masks, which factorise leaves for the next step's walk
 
     def _named(self) -> tuple[str, ...]:
         """Every vertex's label in index order (``_labels``), the generated ones built in one pass on first use.
 
-        A name reads its level-0 run, a mask, from its row on level 1 or a given level, else ANDs its seed members'
-        runs: no whole row is built. ``#n`` counts a level's runs in a dict, so rows in any order get distinct names.
+        A name reads its level-0 run, a mask, from its row on level 1, else ANDs its seed members' runs: no whole
+        row is built. ``#n`` counts a level's runs in a dict, so rows in any order get distinct names.
         """
         if self._labels is None:
-            n0, out, runs = self._sizes[0], list(self._levels[0]), [0] * self._sizes[0]
+            n0, n1, out = self._sizes[0], sum(self._sizes[:2]), list(self._levels[0])
+            runs = [0] * n0 + [_mask(row[: bisect_left(row, n0)]) for row in self._idx[n0:n1]]
+            for seed in self._idx[n1:]:
+                runs.append(reduce(and_, map(runs.__getitem__, seed)))
             escaped = [v.translate(_ESCAPES) or "\\0" for v in self._levels[0]]
             for k, level in enumerate(self._levels[1:], 1):
-                rows = self._idx[len(runs) : len(runs) + self._sizes[k]]
-                if k > 1 and type(level) is int:
-                    runs += [reduce(and_, map(runs.__getitem__, seed)) for seed in rows]
-                else:
-                    runs += [_mask(row[: bisect_left(row, n0)]) for row in rows]
                 if type(level) is tuple:
                     out += level
                     continue
                 prefix, seen = ("K:" if k == 1 else f"L{k}:"), {}
-                for run in runs[len(out) :]:
+                for run in runs[len(out) : len(out) + level]:
                     if (named := seen.get(run)) is None:
                         seen[run] = named = [prefix + ",".join([escaped[i] for i in bits(run)]), 1]
                         out.append(named[0])
@@ -237,19 +268,13 @@ class MultipartiteGraph:
         return self._labels
 
     def _whole(self) -> tuple[tuple[int, ...], ...]:
-        """Every whole row in index order: ``_idx``, each seed rebuilt once as its members' common row and itself."""
-        if self._full is None and int in map(type, self._levels[2:]):
+        """Every whole row in index order: ``_idx``, each seed rebuilt once (``_rebuilt``)."""
+        if self._full is None and len(self._sizes) > 2:
             rows = list(self._idx)
-            for k in range(2, len(self._levels)):
-                sets = {}  # a member's row as a set's membership test, made on first use for the level
-                for i in self._level_range(k) if type(self._levels[k]) is int else ():
-                    members = iter(seed := self._idx[i])
-                    common = rows[next(members)]
-                    for j in members:
-                        if (has := sets.get(j)) is None:
-                            has = sets[j] = set(rows[j]).__contains__
-                        common = filter(has, common)
-                    rows[i] = (*common, *seed)
+            for k in range(2, len(self._sizes)):
+                sets: dict = {}
+                for i in self._level_range(k):
+                    rows[i] = _rebuilt(rows, rows[i], sets)
             self._full = tuple(rows)
         return self._full or self._idx
 
@@ -264,10 +289,8 @@ class MultipartiteGraph:
 
     @classmethod
     def _from_rows(cls, levels: tuple[tuple[str, ...] | int, ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
-        """The graph on ``levels`` (labels, or a generated level's size) with rows ``idx`` (index tuples, level 1 up).
-
-        Only a repeated given label is checked: the caller guarantees the rest.
-        """
+        """The graph on ``levels`` (labels or sizes) with rows ``idx`` from level 1 up, seeds above level 1, unchecked
+        but for a repeated given label."""
         out = cls.__new__(cls)
         out._set_levels(levels)
         out._idx = ((),) * len(levels[0]) + tuple(idx)
@@ -319,10 +342,10 @@ class MultipartiteGraph:
     def append_level(self, new_vertices: Sequence[tuple[str, Iterable[str]]]) -> MultipartiteGraph:
         """Return a (k+1)-level graph with one extra level on top, in seed order as ``factorise`` appends one.
 
-        ``new_vertices`` holds (label, neighbours) pairs; neighbours must already be vertices of this graph. The new
-        level is given, so it holds whole rows, ordered by their parts on the level below, then whole. Existing levels
-        and edges are retained unchanged. An empty list is rejected: callers model "no new vertices" as a
-        non-effective step, not as an empty level.
+        ``new_vertices`` holds (label, neighbours) pairs; neighbours must already be vertices of this graph and form
+        a series' row, as in the constructor. The new level holds their seeds, in seed order, then label order.
+        Existing levels and edges are retained unchanged. An empty list is rejected: callers model "no new
+        vertices" as a non-effective step, not as an empty level.
         """
         if not new_vertices:
             raise InvalidArgumentError("append_level needs at least one new vertex")
@@ -332,14 +355,13 @@ class MultipartiteGraph:
         out._set_levels(self._levels + (fresh,))
         index = self._indexed()  # built once however often this graph is extended; the new graph's waits
         try:
-            rows = [tuple(sorted({index[u] for u in nbrs})) for _, nbrs in new_vertices]
+            rows = tuple([tuple(sorted({index[u] for u in nbrs})) for _, nbrs in new_vertices])
         except KeyError:
             out._labels = self._labels + fresh
             out._rows(((u, label) for label, nbrs in new_vertices for u in nbrs), len(self))  # raises as __init__
         # the index is level-major, so every existing index and row survives; the new level in seed order
-        lo = len(self) - self._sizes[-1]
-        _, rows, fresh = zip(*sorted((row[bisect_left(row, lo) :], row, label) for row, label in zip(rows, fresh)))
-        out._levels, out._idx = self._levels + (fresh,), self._idx + rows
+        seeds, rows, fresh = zip(*sorted(zip(out._seeds(self._whole() + rows, len(self._sizes)), rows, fresh)))
+        out._levels, out._idx, out._full = self._levels + (fresh,), self._idx + seeds, self._whole() + rows
         return out
 
     # -- internal helpers shared inside the package ---------------------
@@ -350,18 +372,16 @@ class MultipartiteGraph:
         return range(start, start + self._sizes[k])
 
     def __eq__(self, other: object) -> bool:
-        """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names.
-        Rows are compared as stored where both store each level in one form (seeds or whole), else whole."""
+        """Equal sizes, rows and given labels; a level given on one side only is compared with the other's names."""
         if not isinstance(other, MultipartiteGraph):
             return NotImplemented
-        same = list(map(type, self._levels[2:])) == list(map(type, other._levels[2:]))
-        if self._sizes != other._sizes or (self._idx != other._idx if same else self._whole() != other._whole()):
+        if self._sizes != other._sizes or self._idx != other._idx:
             return False
         pairs = enumerate(zip(self._levels, other._levels))
         return all(a == b if type(a) is type(b) else self.levels[k] == other.levels[k] for k, (a, b) in pairs)
 
     def __hash__(self) -> int:
-        # level 0 is always given, level 1 holds whole rows; a level above may be given on one of two equal graphs only
+        # level 0 is always given; a level above may be given on one of two equal graphs only
         return hash((self._levels[0], self._sizes, self._idx[self._sizes[0] : self._sizes[0] + self._sizes[1]]))
 
     def __repr__(self) -> str:

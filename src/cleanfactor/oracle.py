@@ -12,23 +12,22 @@ count of ``size_bound`` and the chain walk ``_chains`` behind the command
 line's ``oracle`` listing. A chain is a plain tuple of masks, and the walk
 keeps its own stack, so a chain of any length needs no deep recursion.
 
-Both checks read one pairing per graph. The walk ``_pair`` pairs each
-vertex with the chain that predicts its seed, or a given level's whole
-row, from the level-1 rows and the vertices paired below: no labels, no
-second graph and no rebuilt row. ``_pairing`` runs it on a graph's first
-check and keeps the result on the graph, so verifying a graph walks it
-once, whichever checks run. In the same way ``_cliques`` keeps the input
-graph's maximal cliques, which ``intersection_family``, ``verify_bijection``
-and ``size_bound`` read; decomposing neither reads nor fills them, so the
-oracle enumerates a graph passed on from decomposition once.
-``characterising_sequence`` reads no pairing: it recovers one vertex's
-sequence from that vertex's own rows. Labels are formatted only for a
-counterexample or a listing, so only these build generated names.
+Both checks read one pairing per graph. The walk ``_pair`` pairs each vertex
+with the chain that predicts its seed, from the level-1 rows and the
+vertices paired below: no labels, no second graph and no rebuilt row.
+``_pairing`` runs it on a graph's first check and keeps the result on the
+graph, so verifying a graph walks it once, whichever checks run. Likewise
+``_cliques`` keeps the input graph's maximal cliques, which
+``intersection_family``, ``verify_bijection`` and ``size_bound`` read;
+decomposing neither reads nor fills them, so the oracle enumerates a graph
+passed on from decomposition once. ``characterising_sequence`` reads no
+pairing: it recovers one vertex's sequence from that vertex's own rows.
+Labels are formatted only for a counterexample or a listing, so only these
+build generated names.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -192,73 +191,53 @@ def _name(m: MultipartiteGraph, x: int) -> str:
 def _pair(m: MultipartiteGraph) -> Pairing:
     """Pair each vertex from level 2 up with the chain whose predicted lower neighbourhood it has.
 
-    ``cont[o]`` is the tuple of the level-1 vertices that contain ``o``, a
-    non-simple intersection of the level-1 rows; a chain is keyed by the
-    vertex paired with its prefix (-1 for none) and its last entry. Chain
-    ``(o,)`` predicts the row ``o``, ``cont[o]``; the vertex paired with
-    ``p`` predicts for ``p + (o,)``, ``o`` above ``p[-1]``, its own row with
-    level-1 part ``cont[o]``, then the window W_k: the vertices paired with
-    ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``, sorted. Each chain is keyed
-    by its predicted part on the level below, which a generated level holds
-    as the seed; a given level's row must also be its chain's predicted
-    row, built only where a level above 1 is given. No seed is rebuilt: with
-    the levels below k paired, a seed's rebuilt row (its members' common
-    row, then the seed, which the parser keeps on the level below) is a
-    chain's predicted row exactly when the seed is the chain's window.
-    Backward, the seed is the row's part on the level below. Forward, the
-    common row is the rest of the predicted row, as ``o`` is the meet of the
-    level-1 rows that contain it, ``cont`` is antitone (``q <= o`` gives
-    ``cont[o] <= cont[q]``) and W(a, q), the window of ``p[:-1] + (q,)``,
-    only grows with ``q``. W_k holds both ends, the vertices paired with
-    ``p`` and ``p[:-1] + (o,)``, so distinct chains have distinct windows,
-    and one vertex per chain on each level is a bijection.
+    ``cont[o]`` is the tuple of the level-1 vertices that contain ``o``, a non-simple intersection of the level-1
+    rows; a chain is keyed by the vertex paired with its prefix (-1 for none) and its last entry. Chain ``(o,)``
+    predicts the row ``o``, ``cont[o]``; the vertex paired with ``p`` predicts for ``p + (o,)``, ``o`` above
+    ``p[-1]``, its own row with level-1 part ``cont[o]``, then the window W_k: the vertices paired with
+    ``p[:-1] + (q,)`` for ``p[-1] <= q <= o``, sorted. Each chain is keyed by its predicted part on the level below,
+    which every level above 1 holds as the seed. No seed is rebuilt: with the levels below k paired, a seed's row
+    (``_rebuilt``) is a chain's predicted row exactly when the seed is the chain's window. Backward, the seed is the
+    row's part on the level below. Forward, the common row is the rest of the predicted row, as ``o`` is the meet of
+    the level-1 rows that contain it, ``cont`` is antitone (``q <= o`` gives ``cont[o] <= cont[q]``) and W(a, q),
+    the window of ``p[:-1] + (q,)``, only grows with ``q``. W_k holds both ends, the vertices paired with ``p`` and
+    ``p[:-1] + (o,)``, so distinct chains have distinct windows, and one vertex per chain on each level is a
+    bijection.
     """
     idx, ones = m._idx, m._level_range(1)
     level1 = [_mask(idx[c]) for c in ones]
     up = _inclusion(level1)
     cont = {o: tuple([c for c, row in zip(ones, level1) if o | row == row]) for o in up}
     key_of: dict[int, tuple[int, int]] = {}
-    # a level's chain keys, each chain by its predicted part on the level below, and its row if a level above 1 is given
-    keys = [(-1, o) for o in up]
+    # a level's chain keys, in order, each by its predicted part on the level below: distinct chains, distinct parts
     want = {cont[o]: (-1, o) for o in up}
-    rows = {(-1, o): tuple(bits(o)) + cont[o] for o in up} if tuple in map(type, m._levels[2:]) else {}
     counts: list[tuple[int, int, int]] = []
     for k in range(2, m.level_count):
         paired: dict[tuple[int, int], int] = {}
-        lo = m._level_range(k - 1).start if type(m._levels[k]) is tuple else None
         for x in m._level_range(k):
-            row = idx[x]
-            key = want.get(row if lo is None else row[bisect_left(row, lo) :])
-            if key is None or lo is not None and row != rows[key]:
+            key = want.get(idx[x])
+            if key is None:
                 return f"level {k}, vertex {_name(m, x)}: no {k - 1}-element chain predicts its lower neighbourhood", (), 0
             y = paired.setdefault(key, x)
             if y != x:
                 return f"level {k}: vertices {_name(m, y)} and {_name(m, x)} have the same lower neighbourhood", (), 0
             key_of[x] = key
-        if len(paired) != len(keys):
-            key = next(key for key in keys if key not in paired)
+        if len(paired) != len(want):
+            key = next(key for key in want.values() if key not in paired)
             seq = [key[1]]
             while key[0] != -1:
                 key = key_of[key[0]]
                 seq.append(key[1])
             chain = _fmt_seq(frozenset(map(m._levels[0].__getitem__, bits(o))) for o in reversed(seq))
             return f"level {k}: chain {chain} is attained by no vertex", (), 0
-        counts.append((k, len(paired), len(keys)))
-        keys, want, parents, rows = [], {}, rows, {}
-        for key, x in paired.items():
-            a, last = key
-            if parents:
-                row = parents[key]
-                i = bisect_left(row, ones.start)
-                below, above = row[:i], row[i + len(cont[last]) :]
+        counts.append((k, len(paired), len(want)))
+        want = {}
+        for (a, last), x in paired.items():
             for o in up[last]:
                 child = x, o
                 window = tuple(sorted([paired[a, q] for q in [last] + [q for q in up[last] if q | o == o]]))
-                keys.append(child)
                 want[window] = child
-                if parents:
-                    rows[child] = below + cont[o] + above + window
-    return None, tuple(counts), len(keys)
+    return None, tuple(counts), len(want)
 
 
 def _pairing(m: MultipartiteGraph) -> Pairing:

@@ -6,13 +6,17 @@ answers no per-vertex neighbourhood query. ``Neighbours`` reads
 one adjacency, so a test that asks many queries of one graph builds it
 once. ``particularise``, which only
 the tests use, pins each upper vertex of a bipartite graph with a pendant.
+``random_series_graph`` draws the multi-level graphs the tests build: a
+graph stores each row above level 1 as its seed, so its builders take only
+rows that a series step gives, and these are arbitrary on level 1 only.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import chain
 
-from cleanfactor import InvalidArgumentError, MultipartiteGraph
+from cleanfactor import InvalidArgumentError, MultipartiteGraph, OperatorKind, factorise
 
 
 class Neighbours:
@@ -59,3 +63,20 @@ def particularise(h: MultipartiteGraph) -> MultipartiteGraph:
         new_bottom.append(pin)
         edges.append((pin, y))
     return MultipartiteGraph((new_bottom, uppers), edges)
+
+
+def random_series_graph(rng: random.Random, steps: int) -> MultipartiteGraph:
+    """A bipartite start of 1..7 lower and 1..7 upper vertices, each edge drawn, then up to ``steps`` steps.
+
+    Each step's operator is drawn, and the series stops at its first step that is not effective.
+    """
+    lower = [f"a{i}" for i in range(rng.randint(1, 7))]
+    upper = [f"b{i}" for i in range(rng.randint(1, 7))]
+    p = rng.choice((0.4, 0.6, 0.8))
+    m = MultipartiteGraph([lower, upper], [(u, v) for u in lower for v in upper if rng.random() < p])
+    for _ in range(steps):
+        step = factorise(m, rng.choice(list(OperatorKind)))
+        if not step.effective:
+            break
+        m = step.graph
+    return m

@@ -42,7 +42,7 @@ from bruteforce import (
     subset_candidate_family,
 )
 from conftest import random_connected_graph, random_graph
-from reference_graphs import Neighbours, particularise
+from reference_graphs import Neighbours, particularise, random_series_graph
 
 C1, C2, C3 = "K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"
 # the graph shapes of the benchmark's large-clean workload, drawn from Random(7)
@@ -695,23 +695,10 @@ def test_plan_gives_at_most_two_card_levels():
             assert all(0 <= i < k - 1 for i in card_levels)
 
 
-def random_multipartite(rng: random.Random) -> MultipartiteGraph:
-    """Two to four levels of 1..7 vertices, edges between any two levels."""
-    levels = [[f"{'abcd'[li]}{i}" for i in range(rng.randint(1, 7))] for li in range(rng.randint(2, 4))]
-    p = rng.choice((0.4, 0.6, 0.8))
-    edges = [
-        (u, v)
-        for lo, hi in itertools.combinations(levels, 2)
-        for u in lo
-        for v in hi
-        if rng.random() < p
-    ]
-    return MultipartiteGraph(levels, edges)
-
-
 def test_factorise_matches_the_reference_step(corpus):
     rng = random.Random(0xFAC7)
-    inputs = [random_multipartite(rng) for _ in range(300)]
+    # two to four levels, arbitrary rows on level 1 and a series' rows above it
+    inputs = [random_series_graph(rng, rng.randint(0, 2)) for _ in range(300)]
     large = random.Random(7)
     graphs = corpus[:100] + [random_connected_graph(large, n, p) for n, p in LARGE_CLEAN_SHAPES]
     for g in graphs:
@@ -734,10 +721,10 @@ def test_factorise_matches_the_reference_step(corpus):
             assert step.graph.vertices == graph.vertices  # which builds both label indexes
             for slot in ("_index", "_labels", "_level_of"):
                 assert getattr(step.graph, slot) == getattr(graph, slot), slot
-            # the step holds its new level's seeds, the reference its given level's whole rows
-            assert step.graph._whole() == graph._whole() and step.graph._idx[: len(m)] == graph._idx[: len(m)]
+            # both hold the new level's seeds; the reference keeps the whole rows it appended, the seeds' rebuilds
+            assert step.graph._whole() == graph._full and step.graph._idx == graph._idx
             # the reference appends its level through append_level, which leaves the masks to the walk
-            assert step.graph._top == tuple(sum(1 << j for j in graph._idx[x]) for x in graph._level_range(-1))
+            assert step.graph._top == tuple(sum(1 << j for j in graph._full[x]) for x in graph._level_range(-1))
             top = graph.levels[-1]
             suffixed += sum("#" in x for x in top)
             plain += sum("#" not in x for x in top)

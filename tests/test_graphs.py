@@ -2,8 +2,8 @@
 
 import itertools
 import random
-from bisect import bisect_left
 from dataclasses import replace
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,7 @@ from cleanfactor import (
 )
 from cleanfactor import graphs
 
-from reference_graphs import Neighbours
+from reference_graphs import Neighbours, random_series_graph
 from reference_io import reference_rebuild
 
 
@@ -122,12 +122,12 @@ def test_levels_partition_neighbourhood(g3):
         assert sum(len(p) for p in parts) == len(union)
 
 
-def test_append_level_mechanical_extension(triangle):
-    m = vertex_clique_incidence(triangle)
-    m2 = m.append_level([("x", ["a", "b"])])
+def test_append_level_mechanical_extension(g2):
+    m = vertex_clique_incidence(g2)
+    m2 = m.append_level([("x", ["b", "c", "K:a,b,c", "K:b,c,d"])])
     assert m2.level_count == 3
     assert m2.levels[2] == ("x",)
-    assert Neighbours(m2)("x") == {"a", "b"}
+    assert Neighbours(m2)("x") == {"b", "c", "K:a,b,c", "K:b,c,d"}
 
 
 APPEND_LEVEL_ERRORS = [
@@ -138,6 +138,13 @@ APPEND_LEVEL_ERRORS = [
     ([("x", ["a", "nope"])], "edge endpoint 'nope' is not a declared vertex"),
     ([("x", ["a"]), ("y", ["b", "x"])], "edge 'x'-'y' stays inside level 2"),
     ([("x", ["x"])], "edge 'x'-'x' stays inside level 2"),
+    # the triangle has one clique, so a level-2 vertex has at most one neighbour on level 1: an empty seed, or one
+    # member; the first vertex at fault is named
+    ([("x", ["a", "b"])], "vertex 'x' on level 2 has fewer than two neighbours on level 1"),
+    (
+        [("x", ["a", "b", "c", "K:a,b,c"]), ("y", ["a"])],
+        "vertex 'x' on level 2 has fewer than two neighbours on level 1",
+    ),
 ]
 
 
@@ -155,43 +162,117 @@ def test_append_level_validation(triangle):
             assert str(err.value) == message
 
 
-def test_append_level_matches_the_constructor_on_random_graphs():
+def without_top_level(m: MultipartiteGraph) -> MultipartiteGraph:
+    """m without its top level, in m's index order."""
+    return MultipartiteGraph._from_rows(m._levels[:-1], m._idx[len(m.levels[0]) : len(m) - len(m.levels[-1])])
+
+
+ROW_FAULTS = ("level-0 neighbour dropped", "level-0 neighbour added", "one seed member left", "seed emptied")
+
+
+def row_faults(m: MultipartiteGraph, x: int) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """Vertex ``x``'s whole row (level >= 2) with one fault of each kind of ``ROW_FAULTS`` that it allows, each with
+    the message that the builders give for it."""
+    k, n0 = m._level_of[x], len(m.levels[0])
+    row, below = m._whole()[x], m._level_range(k - 1)
+    lower = [j for j in row if j < below.start]
+    vertex = f"vertex {m.vertices[x]!r} on level {k} has"
+    other = f"{vertex} other neighbours below level {k - 1} than those its neighbours on level {k - 1} share"
+    short = f"{vertex} fewer than two neighbours on level {k - 1}"
+    if lower and lower[0] < n0:
+        yield ROW_FAULTS[0], row[1:], other
+    if absent := [j for j in range(n0) if j not in row]:
+        yield ROW_FAULTS[1], tuple(sorted(row + (absent[0],))), other
+    yield ROW_FAULTS[2], tuple(lower) + (row[-1],), short
+    yield ROW_FAULTS[3], tuple(lower), short
+
+
+def test_the_builders_refuse_a_row_that_its_seed_does_not_fix(clean_runs):
+    # a vertex above level 1 stores its seed, its part on the level below, so its row must be the common row of the
+    # seed's members followed by the seed, and the seed must hold two or more vertices, as in a document: the
+    # constructor and append_level refuse any other row, naming its vertex and level; the whole-row tampers that
+    # the verifier's tests once built
+    runs, _ = clean_runs
+    finals = [result.final for _, result in runs if result.final.level_count >= 5][:20]
+    seen = set()
+    for final in finals:
+        labels, rows = final.vertices, final._whole()
+        edges = [(labels[j], labels[i]) for i in range(len(final)) for j in rows[i]]
+        below = without_top_level(final)
+        for k in range(2, final.level_count):
+            x = final._level_range(k)[len(final.levels[k]) // 2]
+            for kind, row, message in row_faults(final, x):
+                tampered = [e for e in edges if e[1] != labels[x]] + [(labels[j], labels[x]) for j in row]
+                with pytest.raises(InvalidArgumentError) as err:
+                    MultipartiteGraph(final.levels, tampered)
+                assert str(err.value) == message
+                if k == final.level_count - 1:
+                    given = {i: row if i == x else rows[i] for i in final._level_range(k)}
+                    top = [(labels[i], [labels[j] for j in given[i]]) for i in given]
+                    with pytest.raises(InvalidArgumentError) as err:
+                        below.append_level(top)
+                    assert str(err.value) == message
+                seen.add(kind)
+    assert seen == set(ROW_FAULTS)
+
+
+def test_the_builders_accept_every_series_graph(clean_runs):
+    # the corpus's clean series and the benchmark's anti-matching factor series: appending each level of the final
+    # graph by its names and whole rows, as the benchmark's replay does, gives the final graph, and the constructor
+    # on its levels and edges gives its edges
+    runs, _ = clean_runs
+    finals = [result.final for _, result in runs]
+    finals += [run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR).final for n in (3, 4, 5)]
+    appended_levels = 0
+    for final in finals:
+        labels, rows, n0 = final.vertices, final._whole(), len(final.levels[0])
+        m = MultipartiteGraph._from_rows(final._levels[:2], final._idx[n0 : n0 + len(final.levels[1])])
+        for k in range(2, final.level_count):
+            m = m.append_level([(labels[i], [labels[j] for j in rows[i]]) for i in final._level_range(k)])
+            appended_levels += 1
+        assert m == final and m._whole() == rows  # the whole rows appended are kept
+        assert MultipartiteGraph(final.levels, final.edges()).edges() == final.edges()
+    assert appended_levels > len(finals)
+
+
+def test_append_level_matches_the_constructor_on_series_graphs():
     rng = random.Random(0xA99E)
-    for _ in range(300):
-        names = rng.sample([f"{c}{i}" for c in "abxyz" for i in range(12)], rng.randint(3, 30))
-        cuts = sorted(rng.sample(range(1, len(names)), rng.randint(2, min(4, len(names) - 1))))
-        levels = [names[i:j] for i, j in zip([0] + cuts, cuts + [len(names)])]
-        below = [v for level in levels[:-1] for v in level]
-        level_of = {v: li for li, level in enumerate(levels) for v in level}
-        pairs = itertools.combinations(names, 2)
-        edges = [(u, v) for u, v in pairs if level_of[u] != level_of[v] and rng.random() < 0.3]
-        top = set(levels[-1])
-        lower_edges = [(u, v) for u, v in edges if u not in top and v not in top]
+    graphs = 0
+    while graphs < 300:
+        final = random_series_graph(rng, 3)
+        if final.level_count < 3:
+            continue
+        graphs += 1
+        levels = [list(level) for level in final.levels]
+        edges, top = list(final.edges()), set(levels[-1])
+        lower_edges = [(u, v) for u, v in edges if v not in top]
         m = MultipartiteGraph(levels[:-1], lower_edges)
         new_vertices = []
         for x in rng.sample(levels[-1], len(levels[-1])):
-            nbrs = [u for u, v in edges if v == x] + [v for u, v in edges if u == x]
-            nbrs += rng.sample(below, rng.randint(0, 2))  # repeated neighbours collapse
+            nbrs = [u for u, v in edges if v == x]
+            nbrs += rng.sample(nbrs, rng.randint(0, min(2, len(nbrs))))  # repeated neighbours collapse
             rng.shuffle(nbrs)
             new_vertices.append((x, nbrs))
         appended = m.append_level(new_vertices)
-        built = MultipartiteGraph(levels, edges + [(u, x) for x, nbrs in new_vertices for u in nbrs])
-        # the same graph, the new level in seed order where the constructor keeps label order: by each row's part
-        # on the level below, then by the whole row
+        built = MultipartiteGraph(levels, edges)
+        # the same graph, the new level in seed order where the constructor keeps label order: by each seed, then
+        # by label; both keep the whole rows they were given, the seeds' rebuilds
         assert appended.edges() == built.edges()
         assert appended._levels[:-1] == built._levels[:-1] and sorted(appended.levels[-1]) == list(built.levels[-1])
-        lo = len(m) - len(levels[-2])
-        keys = [(row[bisect_left(row, lo) :], row) for row in appended._idx[len(m) :]]
-        assert keys == sorted(keys) and appended._idx[: len(m)] == built._idx[: len(m)]
+        seeds = appended._idx[len(m) :]
+        assert list(seeds) == sorted(seeds) and appended._idx[: len(m)] == built._idx[: len(m)]
+        for kept in (appended, built):
+            assert kept._full == MultipartiteGraph._from_rows(kept._levels, kept._idx[len(levels[0]) :])._whole()
         assert appended._index == {v: i for i, v in enumerate(appended._labels)}
         assert appended._level_of == built._level_of and appended._top is None
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
 
 def test_append_level_keeps_every_row_and_resolves_only_the_new_edges(g3, monkeypatch):
-    m = run_series(g3, OperatorKind.CLEAN).final
-    level0, top = m.levels[0], tuple(run_series(g3, OperatorKind.CLEAN).final.levels[-1])  # m names nothing
-    new_vertices = [("y", [top[0], level0[1]]), ("x", [level0[0], level0[1], level0[0]])]
+    m = vertex_clique_incidence(g3)
+    level0, cliques = m.levels[0], tuple(vertex_clique_incidence(g3).levels[1])  # m names nothing
+    # x on the cliques {1,2,3,4} and {1,2,6}, y on {1,2,3,4} and {1,2,3,5}, each with the level-0 vertices they share
+    new_vertices = [("x", [cliques[0], "1", cliques[2], "2", "1"]), ("y", [cliques[1], "3", "1", cliques[0], "2"])]
     resolve = MultipartiteGraph._rows
     monkeypatch.setattr(MultipartiteGraph, "_rows", lambda *args: pytest.fail("an edge resolved one at a time"))
     m2 = m.append_level(new_vertices)
@@ -200,8 +281,10 @@ def test_append_level_keeps_every_row_and_resolves_only_the_new_edges(g3, monkey
     # m's label index resolves the new vertices' neighbours, each vertex's in one pass; m2's waits for a lookup
     assert m._index is not None and m2._index is None and m2._labels is None
     index = {v: i for i, v in enumerate(m.vertices)}
-    assert m2._idx[len(m) :] == ((index[level0[0]], index[level0[1]]), (index[level0[1]], index[top[0]]))
-    assert m2.levels[-1] == ("x", "y")  # in row order
+    ones = [index[c] for c in cliques]
+    assert m2._idx[len(m) :] == ((ones[0], ones[1]), (ones[0], ones[2]))  # the seeds, in seed order
+    assert m2._full[len(m) :] == ((0, 1, 2, ones[0], ones[1]), (0, 1, ones[0], ones[2]))  # the rows given
+    assert m2.levels[-1] == ("y", "x")
     # an edge that cannot be resolved is refused by the constructor's resolver, with its message
     monkeypatch.setattr(MultipartiteGraph, "_rows", resolve)
     with pytest.raises(InvalidArgumentError, match="^edge endpoint 'nope' is not a declared vertex$"):
@@ -239,7 +322,7 @@ def test_appending_each_steps_named_level_gives_the_steps_graph(op, corpus):
 
 def test_append_level_preserves_existing_adjacency(g3):
     m = vertex_clique_incidence(g3)
-    m2 = m.append_level([("x", ["1", "2"])])
+    m2 = m.append_level([("x", ["1", "2", "K:1,2,3,4", "K:1,2,6"])])
     adj, adj2 = Neighbours(m), Neighbours(m2)
     for v in m.vertices:
         assert adj(v) == adj2(v) - {"x"}
@@ -253,15 +336,17 @@ def test_multipartite_equality_is_exact_on_canonical_labels(g2):
     assert a != vertex_clique_incidence(g2)
 
 
-def test_equality_compares_stored_rows_in_one_form_and_whole_rows_across_forms(g3):
-    # G3's series holds seeds on levels 2 and 3; the same graph with every level given holds whole rows there
+def test_equality_compares_the_stored_rows_and_the_names(g3):
+    # G3's series holds seeds on levels 2 and 3, and so does the same graph with every level given m's names
     m = run_series(g3, OperatorKind.CLEAN).final
     named, n0 = tuple(map(tuple, m.levels)), len(m.levels[0])
-    given = MultipartiteGraph._from_rows(named, m._whole()[n0:])
-    assert given._idx != m._idx and given == m and m == given and hash(given) == hash(m)
-    # a given level whose whole rows are the other graph's seeds: the same stored rows, but another graph
-    seeds = MultipartiteGraph._from_rows(named, m._idx[n0:])
-    assert seeds._idx == m._idx and seeds != m and m != seeds and seeds != given
+    given = MultipartiteGraph._from_rows(named, m._idx[n0:])
+    assert given._idx == m._idx and given == m and m == given and hash(given) == hash(m)
+    # the top vertex's seed with one member left, or the top vertex named otherwise: another graph
+    cut = MultipartiteGraph._from_rows(named, m._idx[n0:-1] + (m._idx[-1][1:],))
+    renamed = MultipartiteGraph._from_rows(named[:-1] + (("top",),), m._idx[n0:])
+    for other in (cut, renamed):
+        assert other != m and m != other and other != given
 
 
 def level0_ancestors(m: MultipartiteGraph) -> dict[str, frozenset[str]]:
@@ -284,34 +369,29 @@ def test_level0_ancestors(g2):
     assert anc[top] == {"a", "b", "c", "d"}
 
 
-def random_levels_and_edges(rng: random.Random) -> tuple[list[list[str]], list[tuple[str, str]]]:
-    """Three to five levels of 1..7 vertices; edges in either orientation, some repeated."""
-    levels = [[f"{'abcde'[li]}{i}" for i in range(rng.randint(1, 7))] for li in range(rng.randint(3, 5))]
+def random_levels_and_edges(rng: random.Random) -> tuple[MultipartiteGraph, list[list[str]], list[tuple[str, str]]]:
+    """A series graph of three to five levels and at most 60 vertices, as ``random_series_graph`` draws them; its
+    levels' labels, shuffled, and its edges in either orientation, some repeated."""
+    while (m := random_series_graph(rng, 3)).level_count < 3 or len(m) > 60:
+        pass
+    levels = [list(level) for level in m.levels]
     for level in levels:
         rng.shuffle(level)
-    p = rng.choice((0.2, 0.5, 0.8))
-    edges = [(u, v) for lo, hi in itertools.combinations(levels, 2) for u in lo for v in hi if rng.random() < p]
+    edges = list(m.edges())
     edges += rng.sample(edges, min(len(edges), 2))
-    return levels, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    return m, levels, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
 
 
-def built_three_ways(levels, edges) -> list[MultipartiteGraph]:
-    """The graph on ``levels`` and ``edges`` from the constructor, ``append_level`` and a document."""
+def built_three_ways(m, levels, edges) -> list[MultipartiteGraph]:
+    """The graph on ``levels`` and ``edges`` from the constructor and ``append_level``, and series graph ``m`` from
+    its document."""
     whole = MultipartiteGraph(levels, edges)
     top = set(levels[-1])
     lower = MultipartiteGraph(levels[:-1], [(u, v) for u, v in edges if u not in top and v not in top])
     appended = lower.append_level(
         [(x, [u for u, v in edges if v == x] + [v for u, v in edges if u == x]) for x in levels[-1]]
     )
-    index = {v: i for i, v in enumerate(sorted(levels[0]) + sorted(v for level in levels[1:] for v in level))}
-    level_of = {v: li for li, level in enumerate(levels) for v in level}
-    down = [
-        tuple(sorted({index[u] for e in edges for u in e if x in e and level_of[u] < level_of[x]}))
-        for level in levels[1:]
-        for x in sorted(level)
-    ]
-    sorted_levels = tuple(tuple(sorted(level)) for level in levels)
-    doc = DecompositionDocument(3, "", "clean", "terminated", sorted_levels, tuple(down))
+    doc = DecompositionDocument(8, "", "weak", "budget-exceeded", m._levels, m._idx[len(levels[0]) :])
     return [whole, appended, document_to_multipartite(doc)]
 
 
@@ -329,7 +409,7 @@ def brute_ancestors(levels, edges) -> dict[str, frozenset[str]]:
 def test_queries_match_the_edge_list_however_the_graph_was_built():
     rng = random.Random(0xD0C5)
     for _ in range(200):
-        levels, edges = random_levels_and_edges(rng)
+        series, levels, edges = random_levels_and_edges(rng)
         level_of = {v: li for li, level in enumerate(levels) for v in level}
         nbrs = {v: set() for v in level_of}
         for u, v in edges:
@@ -337,7 +417,7 @@ def test_queries_match_the_edge_list_however_the_graph_was_built():
             nbrs[v].add(u)
         want_edges = tuple(sorted({(u, v) if level_of[u] < level_of[v] else (v, u) for u, v in edges}))
         ancestors = brute_ancestors(levels, edges)
-        for m in built_three_ways(levels, edges):
+        for m in built_three_ways(series, levels, edges):
             assert m.edges() == want_edges
             assert m.edge_count() == len(want_edges)
             assert level0_ancestors(m) == ancestors
@@ -368,13 +448,14 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
     assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
     for _ in range(100):
-        levels, edges = random_levels_and_edges(rng)
-        whole, appended, decoded = built_three_ways(levels, edges)
+        series, levels, edges = random_levels_and_edges(rng)
+        whole, appended, decoded = built_three_ways(series, levels, edges)
         bottom = len(whole.levels[0])
         rebuilt = MultipartiteGraph._from_rows(whole._levels, whole._idx[bottom:])
-        assert_held_alike(whole, decoded, rebuilt)
-        assert_held_alike(appended)  # its top level is in row order, the others' in label order
-        assert appended.edges() == whole.edges()
+        assert_held_alike(whole, rebuilt)
+        assert_held_alike(decoded, series)  # in row order, as the series made it
+        assert_held_alike(appended)  # its top level is in row order, the others in label order
+        assert appended.edges() == whole.edges() == decoded.edges()
         assert [m._top for m in (whole, appended, decoded, rebuilt)] == [None] * 4
     finals = 0
     for g in corpus[:60]:
@@ -566,11 +647,13 @@ def test_the_first_label_lookup_builds_the_index_once_as_the_constructor_does(lo
 
 
 def test_append_level_builds_only_this_graphs_index(monkeypatch, g3):
-    m = run_series(g3, OperatorKind.CLEAN).final
-    new_vertices = [("y", [m.levels[-1][0], m.levels[0][1]])]
+    # G3's series without its top level, which y copies
+    final = run_series(g3, OperatorKind.CLEAN).final
+    new_vertices = [("y", [u for u, v in final.edges() if v == final.levels[-1][0]])]
+    m = factorise(vertex_clique_incidence(g3), OperatorKind.CLEAN).graph
     expected = MultipartiteGraph(m.levels, m.edges()).append_level(new_vertices)
     expected_levels = {v: expected.level_of(v) for v in expected.vertices}
-    m = run_series(g3, OperatorKind.CLEAN).final  # one whose index is not built yet
+    m = factorise(vertex_clique_incidence(g3), OperatorKind.CLEAN).graph  # one whose index is not built yet
     built = record_index_builds(monkeypatch)
     appended = m.append_level(new_vertices)
     again = m.append_level(new_vertices)

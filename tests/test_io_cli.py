@@ -598,8 +598,9 @@ def test_codec_matches_the_reference_on_adversarial_labels(result, source_hash):
 
 def test_build_document_refuses_labels_above_level_1():
     # the constructor keeps every level's labels; a series generates each level above 1
-    m = MultipartiteGraph([["a", "b"], ["p"], ["x"]], [("a", "p"), ("b", "p"), ("p", "x")])
-    result = SeriesResult(m, SeriesStatus.TERMINATED, 1, (2, 1, 1), OperatorKind.WEAK)
+    edges = [(u, v) for u in "ab" for v in "pqx"] + [("p", "x"), ("q", "x")]
+    m = MultipartiteGraph([["a", "b"], ["p", "q"], ["x"]], edges)
+    result = SeriesResult(m, SeriesStatus.TERMINATED, 1, (2, 2, 1), OperatorKind.WEAK)
     with pytest.raises(InvalidArgumentError, match="^level 2 lists labels, but a document holds labels on levels 0 and 1 only$"):
         build_document(result, "h")
 

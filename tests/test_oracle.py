@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
@@ -363,60 +364,35 @@ def test_g3_window_set_matches_level_two(g3):
 
 
 def test_verify_neighbourhood_formula_detects_tampering(g2):
-    # dropping a clique/decomposition edge breaks the containing-cliques
-    # check while leaving the sequences themselves intact
+    # dropping a clique/decomposition edge leaves the level-2 vertex one seed member: the constructor refuses it, and
+    # the graph that holds that seed, as a document could before its parser refused it, fails the formula check
     m = run_series(g2, OperatorKind.CLEAN).final
     (x,) = m.levels[2]
     removed = ("K:a,b,c", x)
     edges = [e for e in m.edges() if e != removed]
     assert len(edges) == m.edge_count() - 1
-    tampered = MultipartiteGraph(m.levels, edges)
-    assert not verify_neighbourhood_formula(tampered).passed
-
-
-def test_agreement_check_fails_first_when_only_a_lower_level_differs(clean_runs):
-    # x and xp share their level-2 neighbourhood {y} but differ on level 0; the one clique
-    # has no non-simple intersection, so no chain predicts y's row and the walk stops there
-    levels = [["a", "b", "c"], ["c1"], ["y"], ["z"], ["x", "xp"]]
-    below = {
-        "c1": "a b c",
-        "y": "a b c c1",
-        "z": "a b c c1 y",
-        "x": "a c1 y",
-        "xp": "a b c1 y",
-    }
-    m = MultipartiteGraph(levels, [(u, v) for v, us in below.items() for u in us.split()])
-    expected = "level 2, vertex 'y': no 1-element chain predicts its lower neighbourhood"
-    assert verify_neighbourhood_formula(m) == VerificationReport(passed=False, counterexample=expected)
-    assert not reference_verify_neighbourhood_formula(m).passed
-
-    # in a real decomposition, a level-4 vertex that loses one level-0 neighbour and nothing else is named; a seed
-    # cannot say that, so every level is given, with its whole rows and final's names
-    runs, _ = clean_runs
-    g, result = next((g, r) for g, r in runs if r.final.level_count >= 5)
-    final = result.final
-    x = final._level_range(4)[0]
-    rows = list(final._whole()[len(final.levels[0]) :])
-    row = rows[x - len(final.levels[0])]
-    assert row[0] < len(final.levels[0])  # its lowest neighbour is on level 0
-    rows[x - len(final.levels[0])] = row[1:]  # its lowest level-0 neighbour dropped
-    t = MultipartiteGraph._from_rows(tuple(map(tuple, final.levels)), rows)
-    expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
-    assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
-    assert not reference_verify_neighbourhood_formula(t).passed
+    with pytest.raises(InvalidArgumentError, match="^vertex 'L2:b,c' on level 2 has fewer than two neighbours on "):
+        MultipartiteGraph(m.levels, edges)
+    tampered = MultipartiteGraph._from_rows(m._levels, m._idx[4:-1] + (m._idx[-1][1:],))
+    expected = "level 2, vertex 'L2:b,c,d': no 1-element chain predicts its lower neighbourhood"
+    assert verify_neighbourhood_formula(tampered) == VerificationReport(False, expected)
 
 
 def test_verify_bijection_detects_tampering(g2):
-    # dropping a bottom edge shrinks the vertex's sequence below two
-    # vertices, which is no non-simple intersection
+    # dropping a bottom edge of the level-2 vertex leaves it a row that its seed does not fix, which the constructor
+    # refuses; dropping b from the clique {a,b,c} instead shrinks the vertex's sequence below two vertices, which is
+    # no non-simple intersection
     m = run_series(g2, OperatorKind.CLEAN).final
     (x,) = m.levels[2]
-    removed = ("b", x)
-    edges = [e for e in m.edges() if e != removed]
+    edges = [e for e in m.edges() if e != ("b", x)]
     assert len(edges) == m.edge_count() - 1
-    tampered = MultipartiteGraph(m.levels, edges)
-    report = verify_bijection(g2, tampered)
-    assert not report.passed and report.counterexample
+    with pytest.raises(InvalidArgumentError, match="^vertex 'L2:b,c' on level 2 has other neighbours below level 1 "):
+        MultipartiteGraph(m.levels, edges)
+    tampered = MultipartiteGraph._from_rows(m._levels, ((0, 2),) + m._idx[5:])
+    expected = "level 1 does not match the maximal cliques of the input graph"
+    assert verify_bijection(g2, tampered) == VerificationReport(False, expected)
+    expected = "level 2, vertex 'L2:c': no 1-element chain predicts its lower neighbourhood"
+    assert verify_neighbourhood_formula(tampered) == VerificationReport(False, expected)
 
 
 def test_size_bound_fixed_instances(triangle, g2, g3):
@@ -466,28 +442,57 @@ def test_poset_height_is_bounded_by_n_minus_2():
         assert poset.chain_count(len(g) - 1) == 0
 
 
-def in_order_of(m: MultipartiteGraph, edges: list[tuple[str, str]]) -> MultipartiteGraph:
-    """The graph with ``edges`` on m's vertices, every level given m's names in m's index order.
+def in_order_of(m: MultipartiteGraph, edges: list[tuple[str, str]], gone: str | None = None) -> MultipartiteGraph:
+    """The graph that a document holds for ``edges`` on m's vertices but ``gone``: m's names, in m's index order.
 
-    The constructor would put each level in label order, and a series keeps
-    its levels in row order, so this keeps a vertex's index, and its name,
-    whatever the edges.
+    Level 1's rows are held whole and each row above as its seed, its part
+    on the level below, whatever the seed: so an edge between two levels
+    further apart is not held. The constructor
+    would put each level in label order, and refuse a row that its seed
+    does not fix.
     """
-    index = {v: i for i, v in enumerate(m.vertices)}
+    levels = tuple(tuple(v for v in level if v != gone) for level in m.levels)
+    level_of = {v: k for k, level in enumerate(levels) for v in level}
+    index = {v: i for i, v in enumerate(itertools.chain.from_iterable(levels))}
     rows: list[set[int]] = [set() for _ in index]
     for a, b in edges:
-        rows[max(index[a], index[b])].add(min(index[a], index[b]))
-    n0 = len(m.levels[0])
-    return MultipartiteGraph._from_rows(tuple(map(tuple, m.levels)), [tuple(sorted(row)) for row in rows[n0:]])
+        if abs(level_of[a] - level_of[b]) == 1:
+            rows[max(index[a], index[b])].add(min(index[a], index[b]))
+    return MultipartiteGraph._from_rows(levels, [tuple(sorted(row)) for row in rows[len(levels[0]) :]])
 
 
-def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[MultipartiteGraph]:
-    """Copies of ``m`` with one change each, ``rounds`` of every kind.
+def held(m: MultipartiteGraph, edges: list[tuple[str, str]], refused: list) -> Iterator[MultipartiteGraph]:
+    """The graph that a document holds for m's vertices and ``edges`` (``in_order_of``), unless it is m.
+
+    The constructor takes ``edges`` exactly where every row above level 1
+    is the row its seed fixes, and then holds the same edges; else it
+    refuses the first row at fault, naming the vertex. Edges that only the
+    constructor's refusal checks, as their graph would be m, are added to
+    ``refused``.
+    """
+    t = in_order_of(m, edges)
+    try:
+        built = MultipartiteGraph(m.levels, edges)
+    except InvalidArgumentError as err:
+        assert re.fullmatch(r"vertex '.*' on level \d+ has (fewer than two|other) neighbours .*", str(err))
+    else:
+        assert t != m and built.edges() == t.edges() == tuple(sorted(set(edges)))
+    if t != m:
+        yield t
+    else:
+        refused.append(edges)
+
+
+def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int, refused: list) -> Iterator[MultipartiteGraph]:
+    """Copies of ``m`` with one change each, ``rounds`` of every kind, as a document holds them (``held``).
 
     The kinds: one edge deleted (its level pair drawn first, so that the
     sparse pairs are hit too), one edge added between two levels, and one
     vertex of level >= 2 deleted with its edges; last, the top level
-    deleted, and one vertex of level >= 2 copied with its lower edges.
+    deleted, and one vertex of level >= 2 copied with its lower edges. A
+    document holds no edge that skips a level above level 1, so such an
+    edge deleted or added leaves m, and only the constructor's refusal is
+    checked, and added to ``refused``.
     """
     edges = list(m.edges())
     present = set(edges)
@@ -497,17 +502,17 @@ def tampered(m: MultipartiteGraph, rng: random.Random, rounds: int) -> Iterator[
     pairs = sorted(by_pair)
     for _ in range(rounds):
         gone = rng.choice(by_pair[rng.choice(pairs)])
-        yield in_order_of(m, [e for e in edges if e != gone])
+        yield from held(m, [e for e in edges if e != gone], refused)
         while True:
             i, j = sorted(rng.sample(range(m.level_count), 2))
             extra = (rng.choice(m.levels[i]), rng.choice(m.levels[j]))
             if extra not in present:
                 break
-        yield in_order_of(m, edges + [extra])
+        yield from held(m, edges + [extra], refused)
         k = rng.randrange(2, m.level_count)
         if len(m.levels[k]) > 1:
             x = rng.choice(m.levels[k])
-            yield MultipartiteGraph([[v for v in level if v != x] for level in m.levels], [e for e in edges if x not in e])
+            yield in_order_of(m, [e for e in edges if x not in e], gone=x)
     top = set(m.levels[-1])
     yield MultipartiteGraph(m.levels[:-1], [e for e in edges if e[1] not in top])
     k = rng.randrange(2, m.level_count)
@@ -532,8 +537,8 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
 
     The bijection check fails; the formula check passes only where the
     reference's does; the two together fail, as the reference's do. Where
-    the copy differs from ``m`` in one row above level 1, both checks name
-    that row's vertex.
+    the copy differs from ``m`` in one stored row above level 1, a seed,
+    both checks name that row's vertex.
     """
     bijection = verify_bijection(g, t)
     formula = verify_neighbourhood_formula(t)
@@ -545,7 +550,7 @@ def assert_fails_with_the_reference(g: Graph, m: MultipartiteGraph, t: Multipart
     if any(c.startswith(REFERENCE_WORDED) for c in (bijection.counterexample, reference_bijection.counterexample or "")):
         assert bijection == reference_bijection
     if t.levels == m.levels:
-        changed = [x for x, (a, b) in enumerate(zip(m._whole(), t._whole())) if a != b]
+        changed = [x for x, (a, b) in enumerate(zip(m._idx, t._idx)) if a != b]
         if len(changed) == 1 and changed[0] >= m._level_range(2).start:
             name = repr(m.vertices[changed[0]])
             assert name in bijection.counterexample and name in (formula.counterexample or "")
@@ -569,23 +574,19 @@ def test_checks_match_the_reference_on_tampered_decompositions(clean_runs):
     cases = tamper_cases(runs, rng)
 
     seen = set()
-    checked = 0
+    checked, refused = 0, []
     for g, m in cases:
         if m.level_count < 3:
             continue
         assert verify_bijection(g, m) == reference_verify_bijection(g, m)
         assert verify_neighbourhood_formula(m) == reference_verify_neighbourhood_formula(m)
-        for t in tampered(m, rng, rounds=2 if len(g) <= 12 else 1):
+        for t in tampered(m, rng, 2 if len(g) <= 12 else 1, refused):
             for message in assert_fails_with_the_reference(g, m, t):
                 seen.update(c for c in COUNTEREXAMPLES if c in message)
             checked += 1
-    assert checked >= 500
+    # the tampers a document cannot hold, an edge that skips a level above level 1, only the constructor refuses
+    assert checked + len(refused) >= 500 and checked >= 450 and refused
     assert seen == set(COUNTEREXAMPLES)
-
-
-def given_whole(m: MultipartiteGraph) -> MultipartiteGraph:
-    """m with every level given, with m's names and whole rows: the copy the pairing checks row by row."""
-    return MultipartiteGraph._from_rows(tuple(map(tuple, m.levels)), m._whole()[len(m.levels[0]) :])
 
 
 SEED_TAMPERS = ("member dropped", "member added", "member replaced", "seed copied")
@@ -622,18 +623,16 @@ def seed_tampered(m: MultipartiteGraph, rng: random.Random) -> Iterator[tuple[st
         yield SEED_TAMPERS[3], with_seed(x + 1, m._idx[x])
 
 
-def test_seed_tampers_fail_alike_on_the_seeds_and_the_whole_rows(clean_runs):
-    # the pairing looks a seed up as it is stored; its whole-row copy is checked row by row, so both must agree
+def test_seed_tampers_fail_as_the_reference_does(clean_runs):
+    # the pairing looks a seed up as it is stored, and the reference checks the whole rows that the graph rebuilds
+    # from the seeds; levels 0 and 1 are kept, so both checks fail with the pairing's counterexample
     rng = random.Random(0x5EED)
     runs, _ = clean_runs
     seen = set()
     for g, m in tamper_cases(runs, rng):
         for kind, t in seed_tampered(m, rng):
-            reports = verify_bijection(g, t), verify_neighbourhood_formula(t)
-            assert not reports[0].passed
-            whole = given_whole(t)
-            assert (verify_bijection(g, whole), verify_neighbourhood_formula(whole)) == reports
-            assert_fails_with_the_reference(g, m, t)
+            bijection, formula = assert_fails_with_the_reference(g, m, t)
+            assert bijection == formula
             seen.add(kind)
     assert seen == set(SEED_TAMPERS)
 
@@ -651,16 +650,16 @@ def bipartite_starts(lower: int, uppers: range) -> Iterator[MultipartiteGraph]:
             yield MultipartiteGraph([vertices, upper], [(v, w) for w, row in zip(upper, rows) for v in row])
 
 
-def test_every_bipartite_start_on_four_lower_vertices_pairs_alike_on_seeds_and_whole_rows():
+def test_every_bipartite_start_on_four_lower_vertices_pairs_every_chain_as_the_reference_does():
     # 2-4 lower and 1-4 upper vertices: _pair takes the intersections from the level-1 rows, so it runs on any clean
-    # series, and each one pairs every chain; the seeds and their whole-row copy pair alike
+    # series, and each one pairs every chain; the reference, which reads the graph's edges, passes each one too
     levels = [0] * 6
     for lower in (2, 3, 4):
         for h in bipartite_starts(lower, range(1, 5)):
             final = run_series_from_bipartite(h, OperatorKind.CLEAN).final
             pairing = oracle._pair(final)
             assert pairing[0] is None and pairing[2] == 0
-            assert oracle._pair(given_whole(final)) == pairing
+            assert reference_verify_neighbourhood_formula(final).passed
             levels[final.level_count] += 1
     # the 5,407 starts by the level count of their series: about two in three take at least one step
     assert levels == [0, 0, 1832, 2876, 681, 18]
@@ -677,17 +676,9 @@ def test_checks_at_scale_pair_every_chain_and_name_a_tampered_row():
     assert report.passed and verify_neighbourhood_formula(m).passed
     assert report.level_counts == tuple((k, chains[k - 1], chains[k - 1]) for k in range(2, m.level_count))
 
-    # one level-4 row's lowest index, a level-0 neighbour, dropped and nothing else: every level given, whole rows
+    # one level-4 seed without its lowest member, the stored rows handed over as they are
     bottom = len(m.levels[0])
     x = m._level_range(4)[len(m.levels[4]) // 2]
-    rows = list(m._whole()[bottom:])
-    assert rows[x - bottom][0] < bottom
-    rows[x - bottom] = rows[x - bottom][1:]
-    t = MultipartiteGraph._from_rows(tuple(map(tuple, m.levels)), rows)
-    expected = f"level 4, vertex {t.vertices[x]!r}: no 3-element chain predicts its lower neighbourhood"
-    assert verify_bijection(g, t) == verify_neighbourhood_formula(t) == VerificationReport(False, expected)
-
-    # the same vertex's seed without its lowest member, the stored rows handed over as they are
     rows = list(m._idx[bottom:])
     rows[x - bottom] = rows[x - bottom][1:]
     t = MultipartiteGraph._from_rows(m._levels, rows)
@@ -741,19 +732,25 @@ def test_tampered_small_decompositions_fail_with_the_reference(g, rng):
     m = run_series(g, OperatorKind.CLEAN).final
     assert verify_bijection(g, m).passed and verify_neighbourhood_formula(m).passed
     if m.level_count >= 3:
-        for t in tampered(m, rng, rounds=1):
+        for t in tampered(m, rng, 1, []):
             assert_fails_with_the_reference(g, m, t)
 
 
 @st.composite
 def multipartite_graphs(draw) -> MultipartiteGraph:
-    """3 to 6 levels of 1 to 4 vertices, each cross-level edge present with one drawn probability."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=3, max_size=6))
+    """3 to 6 levels of 1 to 4 vertices (2 to 4 below the top), as a document holds them: each level-1 row and each
+    seed above, of two or more vertices of the level below, present with one drawn probability."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=5)) + [draw(st.integers(1, 4))]
     p = draw(st.floats(0.3, 0.9))
     rng = draw(st.randoms(use_true_random=False))
     levels = [[f"{li}.{i}" for i in range(size)] for li, size in enumerate(sizes)]
-    pairs = [(u, v) for lower, upper in itertools.combinations(levels, 2) for u in lower for v in upper]
-    return MultipartiteGraph(levels, [e for e in pairs if rng.random() < p])
+    start = list(itertools.accumulate([0] + sizes))
+    rows = []
+    for k in range(1, len(levels)):
+        for _ in levels[k]:
+            row = [j for j in range(start[k - 1], start[k]) if rng.random() < p]
+            rows.append(tuple(row if k == 1 or len(row) >= 2 else range(start[k - 1], start[k - 1] + 2)))
+    return MultipartiteGraph._from_rows(tuple(map(tuple, levels)), rows)
 
 
 @settings(max_examples=300, deadline=None)
