@@ -63,11 +63,12 @@ def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
     """The bipartite graph with the vertices of ``g`` below its maximal cliques.
 
     Level 0 holds the vertices, and level 1, a generated level, one vertex
-    per maximal clique in row order; membership gives the edges.
+    per maximal clique in row order; membership gives the edges. The clique
+    masks, its rows as masks, stay as ``_top`` for the first step's walk.
     """
     # both graphs index level 0 in label order, so a clique mask's bits are its row
-    rows = sorted(tuple(bits(c)) for c in _clique_masks(g._adj))
-    return MultipartiteGraph._from_rows((g.vertices, len(rows)), rows)
+    rows, masks = zip(*sorted([(tuple(bits(c)), c) for c in _clique_masks(g._adj)]))
+    return MultipartiteGraph._from_rows((g.vertices, len(rows)), rows, masks)
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

@@ -30,8 +30,9 @@ needs ``4 * _PAIRS_PER_FOLD + 2`` members or more since each row holds
 two, each member meets only those sharing two vertices with it there,
 found at once by bit-parallel columns built from the row masks. The walk
 keeps its own stack, so a long chain of nested seeds needs no deep
-recursion. The whole candidate family, which the definitions describe, is
-enumerated only in the tests.
+recursion. A seed is a mask over the top level's positions; no seed is
+shifted to global indexes but by ``factorise``, once, for its row's mask.
+The whole candidate family is enumerated only in the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidArgumentError
 from .graphs import MultipartiteGraph, _mask, _span, bits
@@ -148,10 +149,11 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
     members ``u``, common mask) for every closed seed of at least two
     members whose common neighbourhood has at least two vertices on each
     of the card masks ``a`` and ``b``. ``_plan`` gives at most two card
-    levels: a single one is both ``a`` and ``b``, and with none both are
-    ``base_common``, which asks for two common vertices in all (two on a
-    card level are two in all). Each card mask is one run of consecutive
-    indexes, as a level and ``base_common`` are.
+    levels: a single one is both ``a`` and ``b``, tested once, and with
+    none both are ``base_common``, which asks for two common vertices in
+    all (two on a card level are two in all). Each card mask is one run of
+    consecutive indexes, as a level and ``base_common`` are. A class of two
+    members has one seed to test, closed as it holds the whole class.
 
     The walk is depth-first Close-by-One (Kuznetsov): a closed seed is
     extended by one member ``j`` past the branch start. The extension is
@@ -199,8 +201,12 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
     tested first; in a class of nested rows, where every pair passes, the
     folds would cost more than the intersections: ``s`` exceeds the pairs.
     """
+    if len(members) == 2:  # the one seed of two members is closed: a candidate when its common passes the card test
+        c = adj[members[0]] & adj[members[1]]
+        return [(1 << members[0] | 1 << members[1], c)] if (c & a).bit_count() > 1 and (c & b).bit_count() > 1 else []
     rows = [adj[u] for u in members]
     units = [1 << u for u in members]
+    one = a == b  # one card level: the test on b repeats the one on a
     out: list[tuple[int, int]] = []
 
     # the root is the empty seed, and every row lies inside base_common
@@ -215,7 +221,7 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
     for i, row in enumerate(rows):
         if row == base_common:
             root |= units[i]
-        elif (row & a).bit_count() > 1 and (row & b).bit_count() > 1:
+        elif (row & a).bit_count() > 1 and (one or (row & b).bit_count() > 1):
             top.append(i)
             trows.append(row)
             lives.append([])
@@ -226,7 +232,7 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
     if t > 4 * _PAIRS_PER_FOLD + 1 and _PAIRS_PER_FOLD * sum((row & a).bit_count() for row in trows) < t * (t - 1) // 2:
         partners = _partners(trows, a)
     covered = [False] * len(top)
-    stack: list[tuple[int, int, list[int], Iterator[int]]] = []
+    stack: list[tuple[int, int, list[int], int]] = []
     push, pop = stack.append, stack.pop
     for n, p in enumerate(top):
         rp = trows[n]
@@ -246,7 +252,7 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
                 # p covers q's common, so q gets no node but is live for p
                 covered[m] = True
                 live.append(top[m])
-            elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
+            elif (x & a).bit_count() > 1 and (one or (x & b).bit_count() > 1):
                 live.append(top[m])
                 lives[m].append(p)
         # p's list is complete and ascending: walk its subtree now and drop the list
@@ -256,19 +262,18 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
         if seed & (seed - 1):
             out.append((seed, rp))
         # walk p's subtree depth first, in the order recursion would take. The stack holds
-        # the nodes whose children are not all walked: seed, common, live list, and an
-        # iterator over the members of the list after the node's j. A child adds its j to
+        # the nodes whose children are not all walked: seed, common, live list, and the
+        # position in the list of the next child, past the node's j. A child adds its j to
         # the closed seed and scans the list; it is dropped when a member before j covers
         # its common, else closed and recorded.
         k = bisect_left(live, p)
         if k < len(live):
-            push((seed, rp, live, iter(live[k:])))
+            push((seed, rp, live, k))
         while stack:
-            pseed, pc, scan, kids = stack[-1]
-            j = next(kids, None)
-            if j is None:
-                pop()
-                continue
+            pseed, pc, scan, k = pop()
+            j = scan[k]
+            if k + 1 < len(scan):
+                push((pseed, pc, scan, k + 1))
             seed, c = pseed, pc & rows[j]
             live = []
             for i in scan:
@@ -277,14 +282,14 @@ def _closed_seeds(members: Sequence[int], adj: Sequence[int], base_common: int, 
                     if i < j:
                         break
                     seed |= units[i]
-                elif (x & a).bit_count() > 1 and (x & b).bit_count() > 1:
+                elif (x & a).bit_count() > 1 and (one or (x & b).bit_count() > 1):
                     live.append(i)
             else:
                 if seed & (seed - 1):
                     out.append((seed, c))
                 k = bisect_left(live, j)
                 if k < len(live):
-                    push((seed, c, live, iter(live[k:])))
+                    push((seed, c, live, k))
     return out
 
 
@@ -319,20 +324,21 @@ def _partners(trows: Sequence[int], card: int) -> list[list[int]]:
 def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, int]]:
     """Maximal candidates as (seed, common) mask pairs, in no fixed order.
 
-    These are the closed seeds that pass the operator's constraints; see
-    ``_closed_seeds``. For the clean variant at four or more levels the
-    seed members must share their neighbourhood on one lower level (three
-    levels down at k=4, two down above), so the upper level splits into
-    independent classes and each class is walked on its own. Classes never
-    dominate each other because seeds from different classes are
-    incomparable. The walk ANDs the top level's rows as masks: those
-    ``factorise`` left on the graph (``m._top``), else built here from the
-    whole rows (``m._whole``) and not stored.
+    Seeds are over the top level's positions, as ``_closed_seeds`` gives
+    them. These are the closed seeds that pass the operator's constraints.
+    For the clean variant at four or more levels the seed members must
+    share their neighbourhood on one lower level (three levels down at
+    k=4, two down above), so the upper level splits into independent
+    classes and each class is walked on its own. Classes never dominate
+    each other because seeds from different classes are incomparable. The
+    walk ANDs the top level's rows as masks: those ``factorise`` or
+    ``vertex_clique_incidence`` left (``m._top``), else built here from
+    the whole rows (``m._whole``) and not stored.
     """
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
-    # indexes them by their place in the level, and each seed is shifted to global indexes
+    # indexes them by their place in the level, and each seed keeps those places
     offset = m._level_range(k - 1).start
     adj = m._top or tuple(map(_mask, m._whole()[offset:]))
     uppers = range(len(adj))
@@ -341,15 +347,12 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     a, b = cards[0], cards[-1]
 
     if eq_level is None:
-        groups = [uppers]
-    else:
-        eq_mask = _span(m._level_range(eq_level))
-        buckets: dict[int, list[int]] = {}
-        for u in uppers:
-            buckets.setdefault(adj[u] & eq_mask, []).append(u)
-        groups = [grp for grp in buckets.values() if len(grp) >= 2]
-
-    return [(seed << offset, c) for grp in groups for seed, c in _closed_seeds(grp, adj, base_common, a, b)]
+        return _closed_seeds(uppers, adj, base_common, a, b)
+    eq_mask = _span(m._level_range(eq_level))
+    buckets: dict[int, list[int]] = {}
+    for u in uppers:
+        buckets.setdefault(adj[u] & eq_mask, []).append(u)
+    return [pair for grp in buckets.values() if len(grp) >= 2 for pair in _closed_seeds(grp, adj, base_common, a, b)]
 
 
 def _check_threads(threads: int) -> None:
@@ -368,15 +371,14 @@ def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> St
     Not effective when the candidate family has no maximal element;
     otherwise returns the graph extended by one generated level in seed
     order, one vertex per maximal candidate, adjacent to exactly its members
-    and holding its seed. ``threads`` must be 1; see ``_check_threads``.
+    and holding its seed; the rows' masks stay as its ``_top``.
+    ``threads`` must be 1; see ``_check_threads``.
     """
     _check_threads(threads)
     pairs = _maximal_family(m, op)
     if not pairs:
         return StepResult(effective=False, graph=None)
-    # each seed, shifted down to expand at the top level's width, orders the level and is its row
+    # each seed, as global indexes, orders the level and is its row; shifted up, with its common, its row's mask
     offset = m._level_range(-1).start
-    seeds, rows = zip(*sorted((tuple(map(offset.__add__, bits(seed >> offset))), seed | c) for seed, c in pairs))
-    out = MultipartiteGraph._from_rows(m._levels + (len(seeds),), m._idx[len(m._levels[0]) :] + seeds)
-    out._top = rows  # the next step's walk ANDs these masks
-    return StepResult(effective=True, graph=out)
+    seeds, rows = zip(*sorted([(tuple(bits(seed, offset)), seed << offset | c) for seed, c in pairs]))
+    return StepResult(effective=True, graph=m._extended(seeds, rows))  # the next step's walk ANDs the masks

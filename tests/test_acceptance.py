@@ -211,7 +211,9 @@ def test_bruteforce_equivalence(corpus):
                     assert produced == family
                     top = {c.members for c in maximal_candidates(candidate_family(m, op))}
                     assert top == maximal_sets(family)
-                    fast = {frozenset(m.vertices[i] for i in bits(s | c)) for s, c in _maximal_family(m, op)}
+                    # the seeds are masks over the top level's positions, so each is shifted up to global indexes
+                    offset = m._level_range(m.level_count - 1).start
+                    fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op)}
                     assert fast == maximal_sets(family)
                     compared += 1
             step = factorise(m, OperatorKind.CLEAN)

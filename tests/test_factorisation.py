@@ -264,7 +264,9 @@ def test_all_operators_match_subset_oracle():
                 assert produced == oracle_family
                 produced_top = {c.members for c in maximal_candidates(candidate_family(m, op))}
                 assert produced_top == maximal_sets(oracle_family)
-                fast = {frozenset(m.vertices[i] for i in bits(s | c)) for s, c in _maximal_family(m, op)}
+                # the seeds are masks over the top level's positions, so each is shifted up to global indexes
+                offset = m._level_range(m.level_count - 1).start
+                fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op)}
                 assert fast == produced_top
 
 

@@ -441,9 +441,9 @@ def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
     return tuple(sum(1 << j for j in m._whole()[x]) for x in m._level_range(m.level_count - 1))
 
 
-def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(corpus):
+def test_every_builder_holds_rows_as_tuples_and_only_the_series_builders_leave_top_masks(corpus):
     # the index tuples are the only rows a graph stores; _full, the whole rows rebuilt from seeds, and _top, the
-    # candidate walk's masks, are caches
+    # candidate walk's masks, which only vertex_clique_incidence and factorise leave, are caches
     others = {"_levels", "_sizes", "_labels", "_index", "_level_of", "_full", "_top", "_pairing"}
     assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
     rng = random.Random(0x1D)
@@ -464,7 +464,8 @@ def test_every_builder_holds_rows_as_tuples_and_only_factorise_leaves_top_masks(
         # every level given, in label order: for these labels, level 1's row order
         whole = MultipartiteGraph(base.levels, base.edges())
         assert_held_alike(base, whole)
-        assert base._top is None and whole._top is None
+        # the incidence graph leaves its clique masks for the first step's walk, in row order
+        assert base._top == top_masks(base) and whole._top is None
         for op in OperatorKind:
             # weak and factor may not terminate; four levels are two steps
             result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cleanfactor import (
+    DEFAULT_OPEN_BUDGET,
     Graph,
     InvalidArgumentError,
     MultipartiteGraph,
@@ -153,3 +154,40 @@ def test_dense_eighteen_vertex_graph():
     formula = verify_neighbourhood_formula(result.final)
     assert formula.passed, formula.counterexample
     assert size_bound(g, series=result).holds
+
+
+def stepped_without_masks(m: MultipartiteGraph, op: OperatorKind, max_levels: int):
+    """The series from ``m`` as ``run_series`` steps it, but with ``_top`` dropped before every step.
+
+    So each step's walk builds the top level's masks from the graph's tuples, where the series reads those
+    that the incidence graph or the previous step left. Returns the final graph and the number of steps.
+    """
+    steps = 0
+    while m.level_count < max_levels:
+        m._top = None
+        step = factorise(m, op)
+        if not step.effective:
+            break
+        m, steps = step.graph, steps + 1
+    return m, steps
+
+
+def test_the_masks_a_builder_leaves_step_as_the_masks_of_its_tuples(corpus):
+    # both sources of the walk's masks stay under test: the series reads the left ones, this stepping the rebuilt
+    series = [(g, OperatorKind.CLEAN, len(g) + 2) for g in corpus]
+    # weak to four levels (two steps) over the small graphs: the weak step has no card level
+    series += [(g, OperatorKind.WEAK, 4) for g in corpus if len(g) <= 8]
+    compared = 0
+    for g, op, max_levels in series:
+        result = run_series(g, op, max_levels)
+        final, steps = stepped_without_masks(vertex_clique_incidence(g), op, max_levels)
+        assert (final, steps) == (result.final, result.steps)
+        assert final.vertices == result.final.vertices
+        compared += steps
+    for n, expected in ((3, 0), (4, 1), (5, 5)):
+        # one card level on every factor step
+        result = run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR)
+        final, steps = stepped_without_masks(anti_matching(n), OperatorKind.FACTOR, DEFAULT_OPEN_BUDGET)
+        assert (final, steps) == (result.final, result.steps) and steps == expected
+        compared += steps
+    assert compared == 787
