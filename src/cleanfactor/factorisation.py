@@ -33,6 +33,12 @@ keeps its own stack, so a long chain of nested seeds needs no deep
 recursion. A seed is a mask over the top level's positions; no seed is
 shifted to global indexes but by ``factorise``, once, for its row's mask.
 The whole candidate family is enumerated only in the tests.
+
+With no class and no card level that narrows the common (weak steps, and
+clean and factor at k=2), closed seeds and closed commons are the two
+halves of one Galois connection, so the same walk over the lower side,
+each vertex's column of top positions, gives the same candidates. It runs
+there when that side holds fewer vertices, and over the top on a tie.
 """
 
 from __future__ import annotations
@@ -330,8 +336,12 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     share their neighbourhood on one lower level (three levels down at
     k=4, two down above), so the upper level splits into independent
     classes and each class is walked on its own. Classes never dominate
-    each other because seeds from different classes are incomparable. The
-    walk ANDs the top level's rows as masks: those ``factorise`` or
+    each other because seeds from different classes are incomparable. With
+    no class and every card mask the whole lower side, a pair is the same
+    closed (seed, common) read from either side, so when fewer vertices
+    lie below the top than on it the walk runs over each lower vertex's
+    column of top positions and each pair is swapped back. The walk ANDs
+    the top level's rows as masks: those ``factorise`` or
     ``vertex_clique_incidence`` left (``m._top``), else built here from
     the whole rows (``m._whole``) and not stored.
     """
@@ -346,6 +356,13 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     cards = [_span(m._level_range(i)) for i in card_levels] or [base_common]
     a, b = cards[0], cards[-1]
 
+    if eq_level is None and a == b == base_common and offset < len(adj):
+        # the lower side is smaller: walk its columns of top positions, then swap each pair back
+        cols, full = [0] * offset, (1 << len(adj)) - 1
+        for p, row in enumerate(adj):
+            for v in bits(row):
+                cols[v] |= 1 << p
+        return [(seed, c) for c, seed in _closed_seeds(range(offset), cols, full, full, full)]
     if eq_level is None:
         return _closed_seeds(uppers, adj, base_common, a, b)
     eq_mask = _span(m._level_range(eq_level))

@@ -9,12 +9,15 @@ the tests use, pins each upper vertex of a bipartite graph with a pendant.
 ``random_series_graph`` draws the multi-level graphs the tests build: a
 graph stores each row above level 1 as its seed, so its builders take only
 rows that a series step gives, and these are arbitrary on level 1 only.
+``bipartite_starts`` lists every bipartite start of a few labelled lower
+vertices.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain
+from itertools import chain, combinations_with_replacement
+from typing import Iterator
 
 from cleanfactor import InvalidArgumentError, MultipartiteGraph, OperatorKind, factorise
 
@@ -80,3 +83,16 @@ def random_series_graph(rng: random.Random, steps: int) -> MultipartiteGraph:
             break
         m = step.graph
     return m
+
+
+def bipartite_starts(lower: int, uppers: range) -> Iterator[MultipartiteGraph]:
+    """Every bipartite start on ``lower`` labelled vertices with an upper row per member of a multiset of subsets.
+
+    So empty, one-vertex, repeated and nested upper rows all occur, for each upper size in ``uppers``.
+    """
+    vertices = list("abcdefgh"[:lower])
+    subsets = [[v for i, v in enumerate(vertices) if s >> i & 1] for s in range(1 << lower)]
+    for u in uppers:
+        upper = [f"u{j}" for j in range(u)]
+        for rows in combinations_with_replacement(subsets, u):
+            yield MultipartiteGraph([vertices, upper], [(v, w) for w, row in zip(upper, rows) for v in row])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -36,13 +37,14 @@ from cleanfactor.graphs import bits
 
 from bruteforce import (
     candidate_family,
+    closed_candidates,
     maximal_candidates,
     maximal_sets,
     reference_factorise,
     subset_candidate_family,
 )
 from conftest import random_connected_graph, random_graph
-from reference_graphs import Neighbours, particularise, random_series_graph
+from reference_graphs import Neighbours, bipartite_starts, particularise, random_series_graph
 
 C1, C2, C3 = "K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"
 # the graph shapes of the benchmark's large-clean workload, drawn from Random(7)
@@ -268,6 +270,32 @@ def test_all_operators_match_subset_oracle():
                 offset = m._level_range(m.level_count - 1).start
                 fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op)}
                 assert fast == produced_top
+
+
+def test_clean_steps_split_into_equality_classes_match_the_subset_oracle():
+    # clean steps at four levels and up whose top level splits into classes by the rows on the equality level, at
+    # least one of two or more members: the only path that walks one class at a time. Most such small steps have
+    # no candidate, so the draw is large enough that some two dozen of them do
+    rng = random.Random(5)
+    steps = candidates = 0
+    with_candidates: Counter[int] = Counter()
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(7, 12), rng.choice([0.6, 0.7, 0.8]))
+        for m in clean_prefix_graphs(g)[2:]:
+            if len(m.levels[-1]) > 14:
+                continue
+            _, eq_level = _plan(OperatorKind.CLEAN, m.level_count)
+            adj = Neighbours(m)
+            if max(Counter(adj.at_level(y, eq_level) for y in m.levels[-1]).values()) < 2:
+                continue
+            offset = m._level_range(m.level_count - 1).start
+            fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, OperatorKind.CLEAN)}
+            assert fast == maximal_sets(subset_candidate_family(m, OperatorKind.CLEAN))
+            steps += 1
+            candidates += len(fast)
+            with_candidates[m.level_count] += bool(fast)
+    # 262 such steps; 66 candidates come from 23 of them at four levels and one at five
+    assert (steps, candidates, with_candidates[4], with_candidates[5]) == (262, 66, 23, 1)
 
 
 def qualifying_closed_seeds(members, adj, base, cards):
@@ -686,6 +714,61 @@ def test_weak_step_walks_a_chain_of_a_thousand_nested_seeds():
     expected = {sum(1 << u for u in uppers[: i + 1]) | sum(1 << j for j in h._idx[uppers[i]]) for i in range(1, n)}
     assert len(new_rows) == len(expected) == n - 1
     assert set(new_rows) == expected
+
+
+def each_side(m: MultipartiteGraph) -> tuple[list[int], list[int]]:
+    """An unconstrained step's two sides: the top's rows over the lower side, and the lower side's columns over the top's positions."""
+    offset = m._level_range(m.level_count - 1).start
+    rows = [sum(1 << j for j in row) for row in m._whole()[offset:]]
+    return rows, [sum(1 << p for p, row in enumerate(rows) if row >> v & 1) for v in range(offset)]
+
+
+def test_an_unconstrained_step_walks_either_side_to_the_same_pairs(corpus, monkeypatch):
+    # a weak step, and a clean or factor step at k = 2, has no class and no card level that narrows the common, so
+    # its closed seeds and closed commons are the two halves of one Galois connection: the walk over either side
+    # gives the same pairs. The step walks the side with fewer vertices, and the top side on a tie
+    walked: list[list[int]] = []
+    closed_seeds = factorisation._closed_seeds
+    monkeypatch.setattr(factorisation, "_closed_seeds", lambda members, adj, *rest: walked.append(list(adj)) or closed_seeds(members, adj, *rest))
+    rng = random.Random(51)
+    # the steps of budget-5 weak series, each corpus graph's first clean step, the first factor step of anti-matching
+    # n = 3..5 (each a tie) and of every bipartite start on 2..4 lower and 1..4 upper vertices, and a staircase and
+    # its mirror: chains of 199 nested seeds over the top side and over the lower side
+    weak = [vertex_clique_incidence(random_graph(rng, rng.randint(6, 12), rng.choice([0.5, 0.7]))) for _ in range(40)]
+    steps = [(m, OperatorKind.WEAK) for start in weak for m in series_graphs(start, OperatorKind.WEAK, limit=3)]
+    steps += [(vertex_clique_incidence(g), OperatorKind.CLEAN) for g in corpus]
+    starts = [anti_matching(n) for n in (3, 4, 5)] + [h for lower in (2, 3, 4) for h in bipartite_starts(lower, range(1, 5))]
+    steps += [(h, OperatorKind.FACTOR) for h in starts]
+    bottoms, uppers = tuple(f"b{i:03d}" for i in range(200)), tuple(f"u{j:03d}" for j in range(201))
+    mirror = MultipartiteGraph._from_rows((bottoms, uppers), [tuple(range(min(j + 1, 200))) for j in range(201)])
+    steps += [(staircase(200), OperatorKind.WEAK), (mirror, OperatorKind.WEAK)]
+    cases: Counter[tuple[str, str]] = Counter()
+    for m, op in steps:
+        offset, n_top = m._level_range(m.level_count - 1).start, len(m.levels[-1])
+        rows, cols = each_side(m)
+        base, full = (1 << offset) - 1, (1 << n_top) - 1
+        top = _closed_seeds(range(n_top), rows, base, base, base)
+        lower = [(seed, c) for c, seed in _closed_seeds(range(offset), cols, full, full, full)]
+        assert len(set(top)) == len(top) and len(set(lower)) == len(lower)
+        assert set(top) == set(lower)
+        walked.clear()
+        assert set(_maximal_family(m, op)) == set(top)
+        assert walked == [cols if offset < n_top else rows]
+        if n_top <= 60:
+            index = {v: i for i, v in enumerate(m.vertices)}
+            brute = {(sum(1 << (index[y] - offset) for y in seed), sum(1 << index[v] for v in common)) for seed, common in closed_candidates(m, op)}
+            assert set(top) == brute
+        side = "lower" if offset < n_top else "tie" if offset == n_top else "top"
+        cases[op.value, side] += 1
+        if min(offset, n_top) == 2:
+            cases[op.value, f"two on the {side}"] += 1
+    # the lower side is walked in every operator's steps, two-vertex sides on both sides among the factor steps
+    assert cases == {
+        ("weak", "lower"): 32, ("weak", "tie"): 10, ("weak", "top"): 74, ("weak", "two on the top"): 4,
+        ("clean", "lower"): 134, ("clean", "tie"): 74, ("clean", "top"): 292, ("clean", "two on the top"): 19,
+        ("factor", "lower"): 385, ("factor", "tie"): 4009, ("factor", "top"): 1016,
+        ("factor", "two on the lower"): 55, ("factor", "two on the tie"): 10, ("factor", "two on the top"): 172,
+    }
 
 
 def test_plan_gives_at_most_two_card_levels():

@@ -43,7 +43,7 @@ from cleanfactor.graphs import bits
 
 from bruteforce import subset_chains, subset_intersections, subset_maximal_cliques
 from conftest import random_connected_graph, random_graph
-from reference_graphs import Neighbours
+from reference_graphs import Neighbours, bipartite_starts
 from reference_oracle import (
     IntersectionPoset,
     chains_of_length,
@@ -635,19 +635,6 @@ def test_seed_tampers_fail_as_the_reference_does(clean_runs):
             assert bijection == formula
             seen.add(kind)
     assert seen == set(SEED_TAMPERS)
-
-
-def bipartite_starts(lower: int, uppers: range) -> Iterator[MultipartiteGraph]:
-    """Every bipartite start on ``lower`` labelled vertices with an upper row per member of a multiset of subsets.
-
-    So empty, one-vertex, repeated and nested upper rows all occur, for each upper size in ``uppers``.
-    """
-    vertices = list("abcdefgh"[:lower])
-    subsets = [[v for i, v in enumerate(vertices) if s >> i & 1] for s in range(1 << lower)]
-    for u in uppers:
-        upper = [f"u{j}" for j in range(u)]
-        for rows in itertools.combinations_with_replacement(subsets, u):
-            yield MultipartiteGraph([vertices, upper], [(v, w) for w, row in zip(upper, rows) for v in row])
 
 
 def test_every_bipartite_start_on_four_lower_vertices_pairs_every_chain_as_the_reference_does():
