@@ -59,16 +59,16 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     return tuple(found)
 
 
-def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
-    """The bipartite graph with the vertices of ``g`` below its maximal cliques.
-
-    Level 0 holds the vertices, and level 1, a generated level, one vertex
-    per maximal clique in row order; membership gives the edges. The clique
-    masks, its rows as masks, stay as ``_top`` for the first step's walk.
-    """
+def _incidence(g: Graph) -> tuple[MultipartiteGraph, tuple[int, ...]]:
+    """``vertex_clique_incidence(g)`` and its level-1 rows as masks, the clique masks, for a series' first step."""
     # both graphs index level 0 in label order, so a clique mask's bits are its row
     rows, masks = zip(*sorted([(tuple(bits(c)), c) for c in _clique_masks(g._adj)]))
-    return MultipartiteGraph._from_rows((g.vertices, len(rows)), rows, masks)
+    return MultipartiteGraph._from_rows((g.vertices, len(rows)), rows), masks
+
+
+def vertex_clique_incidence(g: Graph) -> MultipartiteGraph:
+    """The vertices of ``g`` (level 0) below its maximal cliques (level 1, generated, in row order), by membership."""
+    return _incidence(g)[0]
 
 
 def anti_matching(n: int) -> MultipartiteGraph:

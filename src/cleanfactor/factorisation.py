@@ -31,7 +31,7 @@ two, each member meets only those sharing two vertices with it there,
 found at once by bit-parallel columns built from the row masks. The walk
 keeps its own stack, so a long chain of nested seeds needs no deep
 recursion. A seed is a mask over the top level's positions; no seed is
-shifted to global indexes but by ``factorise``, once, for its row's mask.
+shifted to global indexes but by ``_step``, once, for its row's mask.
 The whole candidate family is enumerated only in the tests.
 
 With no class and no card level that narrows the common (weak steps, and
@@ -327,7 +327,7 @@ def _partners(trows: Sequence[int], card: int) -> list[list[int]]:
     return out
 
 
-def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, int]]:
+def _maximal_family(m: MultipartiteGraph, op: OperatorKind, adj: Sequence[int]) -> list[tuple[int, int]]:
     """Maximal candidates as (seed, common) mask pairs, in no fixed order.
 
     Seeds are over the top level's positions, as ``_closed_seeds`` gives
@@ -341,16 +341,14 @@ def _maximal_family(m: MultipartiteGraph, op: OperatorKind) -> list[tuple[int, i
     closed (seed, common) read from either side, so when fewer vertices
     lie below the top than on it the walk runs over each lower vertex's
     column of top positions and each pair is swapped back. The walk ANDs
-    the top level's rows as masks: those ``factorise`` or
-    ``vertex_clique_incidence`` left (``m._top``), else built here from
-    the whole rows (``m._whole``) and not stored.
+    the top level's rows as masks, ``adj``, which the caller holds: the
+    series loop carries them from step to step (``_step``).
     """
     k = m.level_count
     card_levels, eq_level = _plan(op, k)
     # the upper level is the top one, so its rows are whole neighbourhoods; the walk
     # indexes them by their place in the level, and each seed keeps those places
     offset = m._level_range(k - 1).start
-    adj = m._top or tuple(map(_mask, m._whole()[offset:]))
     uppers = range(len(adj))
     base_common = (1 << offset) - 1  # every level below the top
     cards = [_span(m._level_range(i)) for i in card_levels] or [base_common]
@@ -382,20 +380,34 @@ def _check_threads(threads: int) -> None:
         raise InvalidArgumentError(f"threads must be 1, got {threads!r}: the candidate walk runs in one thread")
 
 
+def _step(
+    m: MultipartiteGraph, op: OperatorKind, adj: Sequence[int]
+) -> tuple[MultipartiteGraph, tuple[int, ...]] | None:
+    """One step on ``m`` that walks ``adj``, its top level's rows as masks: None, or the new graph and its masks."""
+    pairs = _maximal_family(m, op, adj)
+    if not pairs:
+        return None
+    # each seed, as global indexes, orders the level and is its row; shifted up, with its common, its row's mask
+    offset = m._level_range(-1).start
+    seeds, masks = zip(*sorted([(tuple(bits(seed, offset)), seed << offset | c) for seed, c in pairs]))
+    return MultipartiteGraph._from_rows(m._levels + (len(seeds),), m._idx[m._sizes[0] :] + seeds), masks
+
+
+def _top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
+    """The top level's rows as masks, built from the whole rows."""
+    return tuple(map(_mask, m._whole()[m._level_range(-1).start :]))
+
+
 def factorise(m: MultipartiteGraph, op: OperatorKind, *, threads: int = 1) -> StepResult:
     """Apply one factorisation step of the given variant.
 
     Not effective when the candidate family has no maximal element;
     otherwise returns the graph extended by one generated level in seed
     order, one vertex per maximal candidate, adjacent to exactly its members
-    and holding its seed; the rows' masks stay as its ``_top``.
-    ``threads`` must be 1; see ``_check_threads``.
+    and holding its seed. The walk's masks are built from ``m``'s rows; a
+    series carries them from step to step (``_step``). ``threads`` must be
+    1; see ``_check_threads``.
     """
     _check_threads(threads)
-    pairs = _maximal_family(m, op)
-    if not pairs:
-        return StepResult(effective=False, graph=None)
-    # each seed, as global indexes, orders the level and is its row; shifted up, with its common, its row's mask
-    offset = m._level_range(-1).start
-    seeds, rows = zip(*sorted([(tuple(bits(seed, offset)), seed << offset | c) for seed, c in pairs]))
-    return StepResult(effective=True, graph=m._extended(seeds, rows))  # the next step's walk ANDs the masks
+    step = _step(m, op, _top_masks(m))
+    return StepResult(effective=False, graph=None) if step is None else StepResult(effective=True, graph=step[0])

@@ -2,19 +2,19 @@
 
 Vertex sets are integer bitmasks over a per-graph, level-major vertex index.
 A ``MultipartiteGraph`` stores each vertex's lower neighbourhood as a tuple
-of ascending indexes, so appending a level rewrites no row; the decoder and
-the incidence graph hand it the tuples (``_from_rows``), ``factorise`` the
-new level's (``_extended``). On every level above 1 the tuple is the
+of ascending indexes, so appending a level rewrites no row; the decoder,
+the incidence graph and a factorisation step hand it the tuples
+(``_from_rows``). On every level above 1 the tuple is the
 vertex's seed, which fixes the rest (``_rebuilt``); the constructor and
 ``append_level`` refuse a row that its seed does not fix. The pairing and
 the names read the seeds, and ``_whole`` rebuilds whole rows once for
 ``edges()`` and other readers. Only a step's walk ANDs rows, as the top
-level's masks in ``_top``, which the graph's builder leaves if it is the
-incidence graph or ``factorise``. A generated level stores only its size:
-its names, a function of its rows, are built on the first label lookup, so
-decomposing and verifying name nothing. Vertices and rows never change;
-the caches (``_pairing``, ``Graph._cliques``, whole rows, names, label
-index) fill on first use, and equality and hashing ignore them and ``_top``.
+level's masks, which the series loop carries and no graph holds. A
+generated level stores only its size: its names, a function of its rows,
+are built on the first label lookup, so decomposing and verifying name
+nothing. Vertices and rows never change; the caches (``_pairing``,
+``Graph._cliques``, whole rows, names, label index) fill on first use, and
+equality and hashing ignore them.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class MultipartiteGraph:
     ``#n`` if it is the n-th (n >= 2) of its level with those neighbours.
     """
 
-    __slots__ = ("_levels", "_sizes", "_labels", "_index", "_level_of", "_idx", "_full", "_top", "_pairing")
+    __slots__ = ("_levels", "_sizes", "_labels", "_index", "_level_of", "_idx", "_full", "_pairing")
 
     def __init__(self, levels: Sequence[Iterable[str]], edges: Iterable[tuple[str, str]] = ()) -> None:
         """The graph on ``levels``, each in label order, and ``edges``; each row above level 1 is kept as its seed."""
@@ -230,17 +230,14 @@ class MultipartiteGraph:
                     raise InvalidArgumentError(f"vertex {label!r} on level {k} has {short if len(seed) < 2 else other}")
         return tuple(out)
 
-    def _set_levels(self, levels: tuple[tuple[str, ...] | int, ...], sizes: tuple[int, ...] | None = None) -> None:
-        """Set every field but the rows from each level's labels, or a generated level's size; check given labels
-        unless ``sizes`` comes with them, as from ``_extended``, whose given labels a checked graph holds."""
+    def _set_levels(self, levels: tuple[tuple[str, ...] | int, ...]) -> None:
+        """Set every field but the rows from each level's labels, or a generated level's size; check given labels."""
         self._levels = levels
-        self._sizes = sizes or tuple(level if type(level) is int else len(level) for level in levels)
-        if sizes is None:
-            given = [v for level in levels if type(level) is tuple for v in level]
-            _check_distinct(given, len(set(given)))
+        self._sizes = tuple(level if type(level) is int else len(level) for level in levels)
+        given = [v for level in levels if type(level) is tuple for v in level]
+        _check_distinct(given, len(set(given)))
         self._labels = self._index = self._level_of = None  # built on the first label lookup
         self._full = self._pairing = None  # the whole rows (_whole); the oracle's pairing
-        self._top = None  # the top level's rows as masks, left by factorise and the incidence graph for a step's walk
 
     def _named(self) -> tuple[str, ...]:
         """Every vertex's label in index order (``_labels``), the generated ones built in one pass on first use.
@@ -290,21 +287,12 @@ class MultipartiteGraph:
         return self._index
 
     @classmethod
-    def _from_rows(
-        cls, levels: tuple[tuple[str, ...] | int, ...], idx: Iterable[tuple[int, ...]], top: tuple[int, ...] | None = None
-    ) -> MultipartiteGraph:
+    def _from_rows(cls, levels: tuple[tuple[str, ...] | int, ...], idx: Iterable[tuple[int, ...]]) -> MultipartiteGraph:
         """The graph on ``levels`` (labels or sizes) with rows ``idx`` from level 1 up, seeds above level 1, unchecked
-        but for a repeated given label; ``top`` is the top level's rows as masks, if the caller has them."""
+        but for a repeated given label."""
         out = cls.__new__(cls)
         out._set_levels(levels)
-        out._idx, out._top = ((),) * len(levels[0]) + tuple(idx), top
-        return out
-
-    def _extended(self, seeds: tuple[tuple[int, ...], ...], top: tuple[int, ...]) -> MultipartiteGraph:
-        """This graph plus a generated level on top: its ``seeds`` in seed order, their whole rows as masks in ``top``."""
-        out = MultipartiteGraph.__new__(MultipartiteGraph)
-        out._set_levels(self._levels + (len(seeds),), self._sizes + (len(seeds),))
-        out._idx, out._top = self._idx + seeds, top
+        out._idx = ((),) * len(levels[0]) + tuple(idx)
         return out
 
     @property

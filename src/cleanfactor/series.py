@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cliques import vertex_clique_incidence
+from .cliques import _incidence
 from .errors import InvalidArgumentError
-from .factorisation import OperatorKind, _check_threads, factorise
+from .factorisation import OperatorKind, _check_threads, _step, _top_masks
 from .graphs import Graph, MultipartiteGraph
 
 __all__ = [
@@ -50,19 +50,18 @@ class SeriesResult:
     operator: OperatorKind
 
 
-def _drive(m: MultipartiteGraph, op: OperatorKind, max_levels: int) -> SeriesResult:
+def _drive(m: MultipartiteGraph, adj: tuple[int, ...], op: OperatorKind, max_levels: int) -> SeriesResult:
     steps = 0
     while True:
         if m.level_count >= max_levels:
             status = SeriesStatus.BUDGET_EXCEEDED
             break
-        step = factorise(m, op)
-        if not step.effective:
+        step = _step(m, op, adj)
+        if step is None:
             status = SeriesStatus.TERMINATED
             break
-        m = step.graph
+        m, adj = step
         steps += 1
-    m._top = None  # the walk's masks of the top level: no later step reads them
     return SeriesResult(final=m, status=status, steps=steps, level_sizes=m._sizes, operator=op)
 
 
@@ -87,7 +86,7 @@ def run_series(g: Graph, op: OperatorKind, max_levels: int | None = None, *, thr
     if len(g) == 0:
         raise InvalidArgumentError("cannot run a series on the empty graph")
     budget = _budget(op, max_levels, len(g))
-    return _drive(vertex_clique_incidence(g), op, budget)
+    return _drive(*_incidence(g), op, budget)
 
 
 def run_series_from_bipartite(
@@ -98,4 +97,4 @@ def run_series_from_bipartite(
     if h.level_count != 2:
         raise InvalidArgumentError("the series must start from a bipartite (two-level) graph")
     budget = _budget(op, max_levels, len(h))
-    return _drive(h, op, budget)
+    return _drive(h, _top_masks(h), op, budget)

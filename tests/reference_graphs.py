@@ -10,7 +10,7 @@ the tests use, pins each upper vertex of a bipartite graph with a pendant.
 graph stores each row above level 1 as its seed, so its builders take only
 rows that a series step gives, and these are arbitrary on level 1 only.
 ``bipartite_starts`` lists every bipartite start of a few labelled lower
-vertices.
+vertices. ``top_masks`` builds the masks a step walks from a graph's rows.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ class Neighbours:
 
     def degree(self, x: str) -> int:
         return sum(map(len, self._at[x].values()))
+
+
+def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
+    """The top level's whole rows as masks, from the index tuples."""
+    return tuple(sum(1 << j for j in m._whole()[x]) for x in m._level_range(m.level_count - 1))
 
 
 def particularise(h: MultipartiteGraph) -> MultipartiteGraph:

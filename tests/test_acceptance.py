@@ -41,7 +41,7 @@ from cleanfactor.graphs import bits
 
 from bruteforce import candidate_family, maximal_candidates, maximal_sets, subset_candidate_family
 from conftest import make_g2, make_g3, make_triangle, random_connected_graph, random_graph
-from reference_graphs import Neighbours, particularise
+from reference_graphs import Neighbours, particularise, top_masks
 from reference_oracle import cliques_containing, reference_closure, reference_nonsimple
 
 
@@ -213,7 +213,7 @@ def test_bruteforce_equivalence(corpus):
                     assert top == maximal_sets(family)
                     # the seeds are masks over the top level's positions, so each is shifted up to global indexes
                     offset = m._level_range(m.level_count - 1).start
-                    fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op)}
+                    fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op, top_masks(m))}
                     assert fast == maximal_sets(family)
                     compared += 1
             step = factorise(m, OperatorKind.CLEAN)

@@ -22,6 +22,7 @@ from cleanfactor import (
     parse_document,
     run_series,
     run_series_from_bipartite,
+    size_bound,
     to_json,
     vertex_clique_incidence,
     write_decomposition,
@@ -32,6 +33,7 @@ from cleanfactor.factorisation import (
     _closed_seeds,
     _maximal_family,
     _plan,
+    _step,
 )
 from cleanfactor.graphs import bits
 
@@ -44,7 +46,7 @@ from bruteforce import (
     subset_candidate_family,
 )
 from conftest import random_connected_graph, random_graph
-from reference_graphs import Neighbours, bipartite_starts, particularise, random_series_graph
+from reference_graphs import Neighbours, bipartite_starts, particularise, random_series_graph, top_masks
 
 C1, C2, C3 = "K:1,2,3,4", "K:1,2,3,5", "K:1,2,6"
 # the graph shapes of the benchmark's large-clean workload, drawn from Random(7)
@@ -57,20 +59,25 @@ def drop_top_level(m: MultipartiteGraph) -> MultipartiteGraph:
     return MultipartiteGraph(m.levels[:-1], edges)
 
 
-def series_graphs(m: MultipartiteGraph, op: OperatorKind, limit=32):
-    """Every multipartite graph along the series of op from m, in order."""
+def series_graphs(m: MultipartiteGraph, op: OperatorKind, limit=32, size=None):
+    """Every multipartite graph along the series of op from m, in order; one of more than ``size`` vertices fails."""
     out = [m]
     while len(out) < limit:
         step = factorise(out[-1], op)
         if not step.effective:
             break
+        assert size is None or len(step.graph) <= size, f"step {len(out)} makes {len(step.graph)} vertices, past {size}"
         out.append(step.graph)
     return out
 
 
 def clean_prefix_graphs(g, limit=32):
-    """Every multipartite graph along the clean series of g, in order."""
-    return series_graphs(vertex_clique_incidence(g), OperatorKind.CLEAN, limit)
+    """Every multipartite graph along the clean series of g, in order.
+
+    No graph of the series has more vertices than its terminated clean decomposition, which ``size_bound`` counts
+    without a series: so a faulty step fails the test at once rather than growing the series without end.
+    """
+    return series_graphs(vertex_clique_incidence(g), OperatorKind.CLEAN, limit, size_bound(g).actual)
 
 
 def test_candidate_set_validation():
@@ -164,9 +171,10 @@ def test_factorise_matches_definition_and_is_deterministic(g3):
         assert chosen == direct
 
 
-def test_new_level_reads_the_rows_so_top_is_only_the_walks_cache(corpus):
-    # _top holds the top level's masks for the next step's walk; new_level reads the graph's rows, so it reads
-    # the step's candidates back from every graph whose top level the step appended, and dropping _top changes nothing
+def test_new_level_reads_the_rows_so_the_walks_masks_stay_with_the_series(corpus):
+    # the series hands each step the masks the step before returned, factorise builds them from the graph's rows;
+    # new_level reads the rows, so it reads the step's candidates back from every graph whose top level the step
+    # appended, and either source of the masks gives the same next step
     steps = 0
     for g in corpus[:40]:
         source, base = graph_content_hash(g), vertex_clique_incidence(g)
@@ -174,21 +182,21 @@ def test_new_level_reads_the_rows_so_top_is_only_the_walks_cache(corpus):
         for op in OperatorKind:
             # weak and factor may not terminate; four levels are two steps
             result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)
-            m = base
+            m, adj = base, top_masks(base)
             while m.level_count < result.final.level_count:
                 step = factorise(m, op)
                 new, chosen = step.graph, step.new_level
+                stepped, adj = _step(m, op, adj)
+                assert stepped == new and adj == top_masks(new)
                 doc = to_json(build_document(replace(result, final=new), source))
                 assert StepResult(True, document_to_multipartite(parse_document(doc))).new_level == chosen
                 # the constructor's copy holds its levels in label order, so its new level reads in another order
                 built = MultipartiteGraph(new.levels, new.edges())
                 assert set(StepResult(True, built).new_level) == set(chosen)
                 # a capped series' next step can be large
-                following = factorise(new, op) if new != result.final or op is OperatorKind.CLEAN else None
-                new._top = None
-                assert step.new_level == chosen
-                assert to_json(build_document(replace(result, final=new), source)) == doc
-                assert following is None or factorise(new, op) == following
+                if new != result.final or op is OperatorKind.CLEAN:
+                    following = _step(new, op, adj)
+                    assert factorise(new, op) == StepResult(following is not None, following and following[0])
                 m = new
                 steps += 1
             if m is not base:
@@ -268,7 +276,7 @@ def test_all_operators_match_subset_oracle():
                 assert produced_top == maximal_sets(oracle_family)
                 # the seeds are masks over the top level's positions, so each is shifted up to global indexes
                 offset = m._level_range(m.level_count - 1).start
-                fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op)}
+                fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, op, top_masks(m))}
                 assert fast == produced_top
 
 
@@ -289,7 +297,7 @@ def test_clean_steps_split_into_equality_classes_match_the_subset_oracle():
             if max(Counter(adj.at_level(y, eq_level) for y in m.levels[-1]).values()) < 2:
                 continue
             offset = m._level_range(m.level_count - 1).start
-            fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, OperatorKind.CLEAN)}
+            fast = {frozenset(m.vertices[i] for i in bits(s << offset | c)) for s, c in _maximal_family(m, OperatorKind.CLEAN, top_masks(m))}
             assert fast == maximal_sets(subset_candidate_family(m, OperatorKind.CLEAN))
             steps += 1
             candidates += len(fast)
@@ -565,14 +573,18 @@ def test_partners_are_the_later_rows_sharing_two_vertices_on_the_card(n_top):
 def test_the_final_step_of_the_anti_matching_five_factor_series_takes_the_columns(monkeypatch):
     # its one class has 60 members whose rows hold 120 vertices on the card level: 1,770 pairs,
     # 14.75 per fold. It walks in about 0.3 ms with the columns and 0.5 ms pairwise
-    m = run_series_from_bipartite(anti_matching(5), OperatorKind.FACTOR).final
+    m = anti_matching(5)
+    adj = top_masks(m)
+    # the series as run_series_from_bipartite steps it, each step walking the masks the one before returned
+    while (step := _step(m, OperatorKind.FACTOR, adj)) is not None:
+        m, adj = step
+        assert adj == top_masks(m)
+    assert m == run_series_from_bipartite(anti_matching(5), OperatorKind.FACTOR).final
     columns = count_partners(monkeypatch)
     k = m.level_count
     (card_level,), _ = _plan(OperatorKind.FACTOR, k)
     offset = m._level_range(k - 1).start
-    assert m._top is None  # a finished series drops the walk's masks, so the test builds them from the whole rows
     members, base = range(len(m.levels[-1])), (1 << offset) - 1
-    adj = [sum(1 << j for j in row) for row in m._whole()[offset:]]
     card = sum(1 << v for v in m._level_range(card_level))
     assert len(members) == 60 and sum((row & card).bit_count() for row in adj) == 120
     got = _closed_seeds(members, adj, base, card, card)
@@ -707,13 +719,15 @@ def test_weak_step_walks_a_chain_of_a_thousand_nested_seeds():
     h = staircase(n)
     step = factorise(h, OperatorKind.WEAK)
     assert step.effective
-    m = step.graph
-    new_rows = m._top
-    # one vertex per i >= 1: the seed {u_0..u_i} plus its common, u_i's row; u_1099's row is the last with two bottoms
+    m, new_rows = _step(h, OperatorKind.WEAK, top_masks(h))
+    assert m == step.graph
+    # one vertex per i >= 1: the seed {u_0..u_i} plus its common, u_i's row; u_1099's row is the last with two bottoms.
+    # These are the new rows' masks in seed order, where a seed sorts before the seeds it is a prefix of, built from
+    # the staircase: top_masks would rebuild each whole row from its seed, some 10^9 set tests in all
     uppers = h._level_range(1)
-    expected = {sum(1 << u for u in uppers[: i + 1]) | sum(1 << j for j in h._idx[uppers[i]]) for i in range(1, n)}
+    expected = [sum(1 << u for u in uppers[: i + 1]) | sum(1 << j for j in h._idx[uppers[i]]) for i in range(1, n)]
     assert len(new_rows) == len(expected) == n - 1
-    assert set(new_rows) == expected
+    assert list(new_rows) == expected
 
 
 def each_side(m: MultipartiteGraph) -> tuple[list[int], list[int]]:
@@ -752,7 +766,7 @@ def test_an_unconstrained_step_walks_either_side_to_the_same_pairs(corpus, monke
         assert len(set(top)) == len(top) and len(set(lower)) == len(lower)
         assert set(top) == set(lower)
         walked.clear()
-        assert set(_maximal_family(m, op)) == set(top)
+        assert set(_maximal_family(m, op, rows)) == set(top)
         assert walked == [cols if offset < n_top else rows]
         if n_top <= 60:
             index = {v: i for i, v in enumerate(m.vertices)}
@@ -808,8 +822,9 @@ def test_factorise_matches_the_reference_step(corpus):
                 assert getattr(step.graph, slot) == getattr(graph, slot), slot
             # both hold the new level's seeds; the reference keeps the whole rows it appended, the seeds' rebuilds
             assert step.graph._whole() == graph._full and step.graph._idx == graph._idx
-            # the reference appends its level through append_level, which leaves the masks to the walk
-            assert step.graph._top == tuple(sum(1 << j for j in graph._full[x]) for x in graph._level_range(-1))
+            # the masks the step hands the next one are those of the rows the reference appended
+            stepped, masks = _step(m, op, top_masks(m))
+            assert stepped == graph and masks == top_masks(graph)
             top = graph.levels[-1]
             suffixed += sum("#" in x for x in top)
             plain += sum("#" not in x for x in top)

@@ -35,8 +35,10 @@ from cleanfactor import (
     write_decomposition,
 )
 from cleanfactor import graphs
+from cleanfactor.cliques import _incidence
+from cleanfactor.factorisation import _step
 
-from reference_graphs import Neighbours, random_series_graph
+from reference_graphs import Neighbours, random_series_graph, top_masks
 from reference_io import reference_rebuild
 
 
@@ -264,7 +266,10 @@ def test_append_level_matches_the_constructor_on_series_graphs():
         for kept in (appended, built):
             assert kept._full == MultipartiteGraph._from_rows(kept._levels, kept._idx[len(levels[0]) :])._whole()
         assert appended._index == {v: i for i, v in enumerate(appended._labels)}
-        assert appended._level_of == built._level_of and appended._top is None
+        assert appended._level_of == built._level_of
+        # a clean step walks the masks of the appended graph's rows and returns those of the rows it appends
+        if (step := _step(appended, OperatorKind.CLEAN, top_masks(appended))) is not None:
+            assert step[0] == factorise(appended, OperatorKind.CLEAN).graph and step[1] == top_masks(step[0])
         assert m == MultipartiteGraph(levels[:-1], lower_edges)  # the source graph is left as it was
 
 
@@ -436,16 +441,11 @@ def assert_held_alike(*built: MultipartiteGraph) -> None:
         assert m == built[0] and hash(m) == hash(built[0])
 
 
-def top_masks(m: MultipartiteGraph) -> tuple[int, ...]:
-    """The top level's whole rows as masks, from the index tuples."""
-    return tuple(sum(1 << j for j in m._whole()[x]) for x in m._level_range(m.level_count - 1))
-
-
-def test_every_builder_holds_rows_as_tuples_and_only_the_series_builders_leave_top_masks(corpus):
-    # the index tuples are the only rows a graph stores; _full, the whole rows rebuilt from seeds, and _top, the
-    # candidate walk's masks, which only vertex_clique_incidence and factorise leave, are caches
-    others = {"_levels", "_sizes", "_labels", "_index", "_level_of", "_full", "_top", "_pairing"}
-    assert set(MultipartiteGraph.__slots__) == others | {"_idx"}
+def test_every_builder_holds_rows_as_tuples_and_the_series_carries_the_top_masks(corpus):
+    # the index tuples are the only rows a graph stores, and _full, the whole rows rebuilt from seeds, is a cache;
+    # the candidate walk's masks are no graph's: the series hands each step those the step before returned
+    others = {"_levels", "_sizes", "_labels", "_index", "_level_of", "_full", "_pairing"}
+    assert set(MultipartiteGraph.__slots__) == others | {"_idx"} and "_top" not in MultipartiteGraph.__slots__
     rng = random.Random(0x1D)
     for _ in range(100):
         series, levels, edges = random_levels_and_edges(rng)
@@ -456,7 +456,6 @@ def test_every_builder_holds_rows_as_tuples_and_only_the_series_builders_leave_t
         assert_held_alike(decoded, series)  # in row order, as the series made it
         assert_held_alike(appended)  # its top level is in row order, the others in label order
         assert appended.edges() == whole.edges() == decoded.edges()
-        assert [m._top for m in (whole, appended, decoded, rebuilt)] == [None] * 4
     finals = 0
     for g in corpus[:60]:
         source = graph_content_hash(g)
@@ -464,28 +463,30 @@ def test_every_builder_holds_rows_as_tuples_and_only_the_series_builders_leave_t
         # every level given, in label order: for these labels, level 1's row order
         whole = MultipartiteGraph(base.levels, base.edges())
         assert_held_alike(base, whole)
-        # the incidence graph leaves its clique masks for the first step's walk, in row order
-        assert base._top == top_masks(base) and whole._top is None
+        # the clique masks, which the series hands its first step, are the incidence graph's rows in row order
+        incidence, cliques = _incidence(g)
+        assert incidence == base and cliques == top_masks(base)
         for op in OperatorKind:
             # weak and factor may not terminate; four levels are two steps
             result = run_series(g, op, max_levels=None if op is OperatorKind.CLEAN else 4)
             final = result.final
-            m, step = base, factorise(base, op)
+            m, step, masks = base, factorise(base, op), cliques
             assert factorise(whole, op) == step
             while m.level_count < final.level_count:
                 new = step.graph
+                stepped, masks = _step(m, op, masks)
+                assert stepped == new and masks == top_masks(new)
                 appended = m.append_level(list(zip(new.levels[-1], (c.members for c in step.new_level))))
                 built = MultipartiteGraph(new.levels, new.edges())
                 decoded = document_to_multipartite(build_document(replace(result, final=new), source))
                 assert_held_alike(new, appended, decoded)
                 assert_held_alike(built)
                 assert built.edges() == new.edges()
-                assert new._top == top_masks(new)
-                for other in (appended, built, decoded):
-                    assert other._top is None
+                # appended and decoded hold the new level in the step's order, so their rows give the step's masks
+                assert top_masks(appended) == top_masks(decoded) == masks
                 m, step = new, None
                 if new != final or op is OperatorKind.CLEAN:  # a capped series' next step can be large
-                    # the walk builds the masks for the other builders' graphs and leaves none on them
+                    # factorise builds the masks from each builder's rows
                     step = factorise(new, op)
                     for other in (appended, decoded):
                         assert factorise(other, op) == step
@@ -493,10 +494,7 @@ def test_every_builder_holds_rows_as_tuples_and_only_the_series_builders_leave_t
                     stepped = factorise(built, op)
                     assert stepped.effective == step.effective
                     assert not step.effective or set(stepped.new_level) == set(step.new_level)
-                    for other in (appended, built, decoded):
-                        assert other._top is None
             assert m == final
-            assert final._top is None  # a finished series drops the walk's masks
             if op is OperatorKind.CLEAN:
                 # verifying a document reads its tuples only
                 doc = build_document(result, source)
@@ -505,7 +503,6 @@ def test_every_builder_holds_rows_as_tuples_and_only_the_series_builders_leave_t
                 assert verify_bijection(g, decoded).passed
                 assert verify_neighbourhood_formula(decoded).passed
                 assert size_bound(g, replace(result, final=decoded)).holds
-                assert decoded._top is None
             finals += 1
     assert finals == 180
 

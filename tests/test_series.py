@@ -1,5 +1,6 @@
 """Series iteration: termination, budgets, bipartite starts."""
 
+import copy
 import random
 
 import pytest
@@ -12,7 +13,10 @@ from cleanfactor import (
     OperatorKind,
     SeriesStatus,
     anti_matching,
+    build_document,
+    document_to_multipartite,
     factorise,
+    graph_content_hash,
     run_series,
     run_series_from_bipartite,
     size_bound,
@@ -20,9 +24,11 @@ from cleanfactor import (
     verify_neighbourhood_formula,
     vertex_clique_incidence,
 )
+from cleanfactor.cliques import _incidence
+from cleanfactor.factorisation import _step
 
 from conftest import random_connected_graph
-from reference_graphs import particularise
+from reference_graphs import particularise, top_masks
 
 # Found by seeded random search: the weak series of this graph reproduces a
 # four-vertex level forever, so it exceeds any budget.
@@ -156,38 +162,87 @@ def test_dense_eighteen_vertex_graph():
     assert size_bound(g, series=result).holds
 
 
-def stepped_without_masks(m: MultipartiteGraph, op: OperatorKind, max_levels: int):
-    """The series from ``m`` as ``run_series`` steps it, but with ``_top`` dropped before every step.
-
-    So each step's walk builds the top level's masks from the graph's tuples, where the series reads those
-    that the incidence graph or the previous step left. Returns the final graph and the number of steps.
-    """
-    steps = 0
-    while m.level_count < max_levels:
-        m._top = None
-        step = factorise(m, op)
-        if not step.effective:
-            break
-        m, steps = step.graph, steps + 1
-    return m, steps
+def factorised_series(m: MultipartiteGraph, op: OperatorKind, max_levels: int) -> list[MultipartiteGraph]:
+    """Every graph of the series from ``m`` as a plain ``factorise`` loop runs it, which builds each step's masks
+    from the graph's rows, under the same level budget as ``run_series``."""
+    out = [m]
+    while out[-1].level_count < max_levels and (step := factorise(out[-1], op)).effective:
+        out.append(step.graph)
+    return out
 
 
-def test_the_masks_a_builder_leaves_step_as_the_masks_of_its_tuples(corpus):
-    # both sources of the walk's masks stay under test: the series reads the left ones, this stepping the rebuilt
+def assert_carried(graphs: list[MultipartiteGraph], adj: tuple[int, ...], op: OperatorKind) -> None:
+    """Each step from ``graphs[0]``, whose top level's masks are ``adj``, carrying the masks each step returns to
+    the next as the series does, gives the next graph and the masks of its rows."""
+    for m, new in zip(graphs, graphs[1:]):
+        stepped, adj = _step(m, op, adj)
+        assert stepped == new and adj == top_masks(new)
+
+
+def test_the_masks_the_series_carries_step_as_the_masks_of_its_tuples(corpus):
+    # both sources of the walk's masks stay under test: run_series carries the ones each step returns, the plain
+    # factorise loop builds them from the rows
     series = [(g, OperatorKind.CLEAN, len(g) + 2) for g in corpus]
     # weak to four levels (two steps) over the small graphs: the weak step has no card level
     series += [(g, OperatorKind.WEAK, 4) for g in corpus if len(g) <= 8]
     compared = 0
     for g, op, max_levels in series:
         result = run_series(g, op, max_levels)
-        final, steps = stepped_without_masks(vertex_clique_incidence(g), op, max_levels)
-        assert (final, steps) == (result.final, result.steps)
-        assert final.vertices == result.final.vertices
-        compared += steps
+        graphs = factorised_series(vertex_clique_incidence(g), op, max_levels)
+        assert (graphs[-1], len(graphs) - 1) == (result.final, result.steps)
+        assert graphs[-1].vertices == result.final.vertices
+        base, cliques = _incidence(g)
+        assert base == graphs[0] and cliques == top_masks(base)
+        assert_carried(graphs, cliques, op)
+        compared += result.steps
     for n, expected in ((3, 0), (4, 1), (5, 5)):
         # one card level on every factor step
         result = run_series_from_bipartite(anti_matching(n), OperatorKind.FACTOR)
-        final, steps = stepped_without_masks(anti_matching(n), OperatorKind.FACTOR, DEFAULT_OPEN_BUDGET)
-        assert (final, steps) == (result.final, result.steps) and steps == expected
-        compared += steps
+        graphs = factorised_series(anti_matching(n), OperatorKind.FACTOR, DEFAULT_OPEN_BUDGET)
+        assert (graphs[-1], len(graphs) - 1) == (result.final, result.steps) and result.steps == expected
+        assert_carried(graphs, top_masks(anti_matching(n)), OperatorKind.FACTOR)
+        compared += result.steps
     assert compared == 787
+
+
+# the caches a multipartite graph fills on first use; every other slot is the graph itself
+CACHES = {"_labels", "_index", "_level_of", "_full", "_pairing"}
+
+
+def held(x: Graph | MultipartiteGraph) -> dict[str, object]:
+    """A copy of every slot of ``x`` as it holds it now, but a multipartite graph's caches."""
+    caches = CACHES if isinstance(x, MultipartiteGraph) else set()
+    return {name: copy.deepcopy(getattr(x, name)) for name in type(x).__slots__ if name not in caches}
+
+
+def test_no_call_changes_the_graph_it_is_given(triangle, corpus):
+    # the triangle's incidence graph has one clique, so its series takes no step and returns it as its final graph
+    base = vertex_clique_incidence(triangle)
+    assert run_series_from_bipartite(base, OperatorKind.CLEAN).final is base
+    inputs = [triangle] + corpus[:20]
+    graphs = [anti_matching(3), anti_matching(4)]
+    for g in inputs:
+        base, result = vertex_clique_incidence(g), run_series(g, OperatorKind.CLEAN)
+        graphs += [base, MultipartiteGraph(base.levels, base.edges())]
+        graphs.append(document_to_multipartite(build_document(result, graph_content_hash(g))))
+        step = factorise(base, OperatorKind.CLEAN)
+        if step.effective:
+            graphs.append(base.append_level(list(zip(step.graph.levels[-1], (c.members for c in step.new_level)))))
+            graphs.append(MultipartiteGraph(step.graph.levels, step.graph.edges()))
+    # two-level and deeper graphs, each with a given top level (constructor, append_level) and a generated one
+    kinds = {(m.level_count == 2, type(m._levels[-1]) is int) for m in graphs}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    for m in graphs:
+        before = held(m)
+        for op in OperatorKind:
+            # weak and factor may not terminate; four levels are two steps
+            max_levels = None if op is OperatorKind.CLEAN else 4
+            factorise(m, op)
+            if m.level_count == 2:
+                run_series_from_bipartite(m, op, max_levels)
+            assert held(m) == before, op
+    for g in inputs:
+        before = held(g)
+        for op in OperatorKind:
+            run_series(g, op, None if op is OperatorKind.CLEAN else 4)
+        assert held(g) == before
