@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 import time
 
 import pytest
 
-from cleanfactor import Graph, OperatorKind, run_series
+from cleanfactor import Graph, OperatorKind, cli_main, run_series
 
 
 def make_triangle() -> Graph:
@@ -85,3 +87,11 @@ def clean_runs(corpus):
     runs = [(g, run_series(g, OperatorKind.CLEAN)) for g in corpus]
     elapsed = time.perf_counter() - start
     return runs, elapsed
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()

@@ -317,6 +317,17 @@ def reference_encode_down(levels: list, rows) -> list[list[int]]:
     return [row for span in _level_spans(levels) for row in reference_encode_level(list(rows[span]))]
 
 
+def with_rows(payload: dict, edit) -> dict:
+    """``payload`` with ``edit`` applied to its down rows as indexes, and the rows coded again as the writer would.
+
+    The tests' one tamper helper: a test edits a document's rows by index, and only this module and the library
+    know how a document codes them."""
+    rows = reference_decode_down(payload["levels"], payload["down"])
+    edit(rows)
+    payload["down"] = reference_encode_down(payload["levels"], rows)
+    return payload
+
+
 def reference_rebuild(seed: list[int], whole: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """A seed's whole row from the whole rows of its members: their common neighbourhood, sorted, then the seed."""
     return tuple(sorted(set.intersection(*(set(whole[j]) for j in seed)))) + tuple(seed)

@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import importlib
 import inspect
-import io
 import itertools
 import json
 import os
@@ -57,7 +56,7 @@ from cleanfactor import (
 import cleanfactor.cli
 import cleanfactor.io
 from cleanfactor.io import _coded, _down_problem, _first_fault
-from conftest import make_g2, make_g3, random_connected_graph
+from conftest import make_g2, make_g3, random_connected_graph, run_cli
 from reference_io import (
     reference_build_document,
     reference_decode,
@@ -72,6 +71,7 @@ from reference_io import (
     reference_rebuild,
     reference_row_fault,
     reference_to_json,
+    with_rows,
 )
 
 G2_TEXT = "a b\na c\nb c\nb d\nc d\n"
@@ -99,14 +99,6 @@ def row_edit(edit):
     or puts the list ``edit`` in their place, and codes every row again as the writer would, so that the next row's
     first gap still gives its own first index."""
     return RowEdit(edit if callable(edit) else lambda row: edit)
-
-
-def with_rows(payload, edit):
-    """``payload`` with ``edit`` applied to its down rows as indexes, and the rows coded again as the writer would."""
-    rows = reference_decode_down(payload["levels"], payload["down"])
-    edit(rows)
-    payload["down"] = reference_encode_down(payload["levels"], rows)
-    return payload
 
 
 def test_read_edge_list_triangle(tmp_path):
@@ -759,6 +751,8 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("down", 2), row_edit([4, 6]), "down row of vertex 6 on level 2: index 6 is not on a lower level"),
         (("down", 2), row_edit([1, 5]), "down row of vertex 6 on level 2: index 1 is not on the level below"),
         (("down", 2), row_edit([5, 4]), "down row of vertex 6 on level 2: indexes are not strictly ascending"),
+        (("down", 2), row_edit([4, 4]), "down row of vertex 6 on level 2: indexes are not strictly ascending"),
+        (("down", 2), row_edit([4, 7]), "down row of vertex 6 on level 2: index 7 is out of range"),
         (("down", 2), row_edit([5]), "down row of vertex 6 on level 2: a seed holds at least two indexes"),
         (("down", 2), row_edit([]), "down row of vertex 6 on level 2: a seed holds at least two indexes"),
         (("down", 0), row_edit([-1, 0, 1]), "down row of vertex 4 on level 1: index -1 is out of range"),
@@ -767,6 +761,8 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         (("down", 0), row_edit([0, 1, 1]), "down row of vertex 4 on level 1: indexes are not strictly ascending"),
         (("down", 0), row_edit([1, 3]), "down row of vertex 5 on level 1: the level's rows are not ascending"),
         (("down", 1), row_edit([0, 1, 2]), "down row of vertex 5 on level 1: the level's rows are not ascending"),
+        # the level-1 rows with their first gaps swapped read [1, 2, 3] twice
+        (("down", 0), row_edit([1, 2, 3]), "down row of vertex 5 on level 1: the level's rows are not ascending"),
         (("down", 0), [0, 1, True], "down must hold integer indexes"),
         (("down", 0), [0, 1, 2.0], "down must hold integer indexes"),
         (("down", 0), "0 1 2", "down must be a list of index lists"),
@@ -810,6 +806,8 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "down-own-level-at-level-2",
         "seed-below-the-level-below",
         "seed-unsorted",
+        "seed-repeated",
+        "seed-beyond-last",
         "seed-one-member",
         "seed-empty",
         "down-negative",
@@ -818,6 +816,7 @@ NOT_A_COUNT = "level 2 must be a positive vertex count: only levels 0 and 1 are 
         "down-repeated",
         "down-rows-swapped",
         "down-rows-equal",
+        "down-first-gaps-swapped",
         "down-boolean",
         "down-float",
         "down-row-not-list",
@@ -924,16 +923,26 @@ def test_cli_decompose_and_verify_round_trip(tmp_path, capsys):
     assert out.count(": ok") == 5
 
 
-def test_cli_verify_rejects_tampered_document(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "t, row, failure",
+    [
+        (0, [1, 2], "bijection: FAIL (level 1 does not match the maximal cliques of the input graph)"),
+        # dropping c - K:a,b,c or b - K:b,c,d drops that vertex from the level-2 row the graph rebuilds from the seed
+        (0, [0, 1], "neighbourhood-formula: FAIL (level 2, vertex 'L2:b': no 1-element chain predicts its lower"),
+        (1, [2, 3], "neighbourhood-formula: FAIL (level 2, vertex 'L2:c': no 1-element chain predicts its lower"),
+    ],
+    ids=["a-dropped", "c-dropped", "b-dropped"],
+)
+def test_cli_verify_rejects_tampered_document(tmp_path, capsys, t, row, failure):
     graph_path = write(tmp_path, "g2.txt", G2_TEXT)
     out_path = str(tmp_path / "d.json")
     cli_main(["decompose", "--operator", "clean", "--input", graph_path, "--output", out_path])
     payload = json.loads((tmp_path / "d.json").read_text())
-    edited(payload, ("down", 0), row_edit(lambda row: row[1:]))  # drop one edge
+    edited(payload, ("down", t), row_edit(row))
     (tmp_path / "d.json").write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli_main(["verify", "--decomposition", out_path, "--input", graph_path]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert any(line.startswith(failure) for line in capsys.readouterr().out.splitlines())
 
 
 def test_cli_verify_prints_level_counts(tmp_path, capsys):
@@ -1341,14 +1350,6 @@ def test_cli_non_utf8_document_is_a_format_error(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-def run_cli(argv):
-    """Exit status, stdout and stderr of one command."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 def test_cli_writes_utf8_whatever_the_locale(tmp_path, encoding):
     # é lies in both cliques {a,b,é} and {a,c,é}, so the oracle lists {a,é}
@@ -1694,12 +1695,16 @@ def test_readme_api_list_is_the_package_all():
     assert sorted(itertools.chain.from_iterable(found.values())) == sorted(cleanfactor.__all__)
 
 
-def test_readme_library_example_prints_what_its_comments_say(capsys):
+@pytest.mark.parametrize("section, prints", [("Library example", 3), ("File formats", 1)])
+def test_readme_examples_print_what_their_comments_say(tmp_path, monkeypatch, capsys, section, prints):
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("\n```\n", 1)[0]
+    block = text.split(f"\n## {section}\n", 1)[1].split("```python\n", 1)[1].split("\n```\n", 1)[0]
+    # the File formats example reads G2's document
+    (tmp_path / "g2.json").write_text(decomposition_text(make_g2()), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
-    assert len(comments) == 3
+    assert len(comments) == prints
     assert capsys.readouterr().out.splitlines() == comments
 
 
