@@ -10,7 +10,7 @@ later ones that strictly contain it. Everything here that needs the order
 reads it: ``intersection_family``, the pairing walk ``_pair``, the chain
 count of ``size_bound`` and the chain walk ``_chains`` behind the command
 line's ``oracle`` listing. A chain is a plain tuple of masks, and the walk
-keeps its own stack, so a chain of any length needs no deep recursion.
+adds one element per round, so a chain of any length needs no deep recursion.
 
 Both checks read one pairing per graph. The walk ``_pair`` pairs each vertex
 with the chain that predicts its seed, from the level-1 rows and the
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .cliques import _clique_masks
 from .errors import InvalidArgumentError
@@ -107,28 +107,20 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     return IntersectionFamily(nonsimple=frozenset(frozenset(labels[i] for i in bits(o)) for o in up))
 
 
-def _chains(up: dict[int, list[int]], m: int) -> Iterator[tuple[int, ...]]:
+def _chains(up: dict[int, list[int]], m: int) -> list[tuple[int, ...]]:
     """The strictly increasing m-element sequences (m >= 1) of the order ``up``, in the order of its keys.
 
-    The walk keeps its own stack, so a chain of any length needs no deep
-    recursion, and enters only elements that start a chain long enough.
+    Built one element per round, each prefix taking only elements that start a chain long enough to finish it.
     """
     # longest[o]: the most elements of a chain that starts at o; up[o] comes later in the keys
     longest: dict[int, int] = {}
     for o in reversed(up):
         longest[o] = 1 + max(map(longest.__getitem__, up[o]), default=0)
-    # per node: the chain so far, and the elements left that can extend it
-    stack = [((), iter([o for o in up if longest[o] >= m]))]
-    while stack:
-        acc, kids = stack[-1]
-        o = next(kids, None)
-        if o is None:
-            stack.pop()
-        elif len(acc) == m - 1:
-            yield acc + (o,)
-        else:
-            need = m - len(acc) - 1
-            stack.append((acc + (o,), iter([q for q in up[o] if longest[q] >= need])))
+    chains, need = [(o,) for o in up if longest[o] >= m], m - 1
+    while chains and need:
+        chains = [acc + (q,) for acc in chains for q in up[acc[-1]] if longest[q] >= need]
+        need -= 1
+    return chains
 
 
 def characterising_sequence(m: MultipartiteGraph, x: str) -> tuple[frozenset[str], ...]:

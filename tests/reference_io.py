@@ -1,16 +1,4 @@
-"""Document format 1, and the format-8 parser's checks one row at a time, kept as references.
-
-Format 1 names every vertex by its label everywhere: a level is a list of
-``{"id", "label", "sequence"}`` records, an edge a pair of ids, and a
-sequence entry a list of level-0 labels, all written by
-``json.dumps(indent=2, sort_keys=True)``. The library reads and writes
-format 8 only, which stores no sequences and no generated label; tests
-require both formats to decode to the same labelled graph, and each
-sequence format 1 stores to be the one ``characterising_sequence``
-recovers from the format-8 graph. Format 1
-fills its sequences with ``reference_sequence``, which reads labelled
-neighbourhoods, so that comparison checks the library against a second
-implementation.
+"""The format-8 parser's checks one row at a time, its gap coding, and the edge-list reader, kept as references.
 
 ``reference_parse_v8`` is ``parse_document`` written plainly: it tests
 each level's labels with ``reference_labels_ascend``, decodes each level's
@@ -34,11 +22,9 @@ both to give equal graphs, or the same error, on any text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from io import StringIO
 from itertools import chain
 from pathlib import Path
-from typing import Any
 
 from cleanfactor import (
     DecompositionDocument,
@@ -46,14 +32,8 @@ from cleanfactor import (
     EdgeListParseError,
     Graph,
     InvalidArgumentError,
-    MultipartiteGraph,
-    SeriesResult,
 )
 from cleanfactor.io import _not_utf8
-from reference_graphs import Neighbours
-from reference_oracle import reference_sequence
-
-FORMAT_VERSION = 1
 
 
 def reference_read_edge_list(path: str | Path) -> Graph:
@@ -95,141 +75,9 @@ def reference_read_edge_list(path: str | Path) -> Graph:
     return Graph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class VertexRecord:
-    id: str
-    label: str
-    sequence: tuple[tuple[str, ...], ...] | None = None
-
-
-@dataclass(frozen=True)
-class LevelRecord:
-    index: int
-    vertices: tuple[VertexRecord, ...]
-
-
-@dataclass(frozen=True)
-class V1Document:
-    format_version: int
-    source_hash: str
-    operator: str
-    status: str
-    levels: tuple[LevelRecord, ...]
-    edges: tuple[tuple[str, str], ...]
-
-
-def reference_build_document(result: SeriesResult, source_hash: str) -> V1Document:
-    m = result.final
-    adj = Neighbours(m)
-    sequences = {
-        x: tuple(tuple(sorted(o)) for o in reference_sequence(m, adj, x)) for x in chain.from_iterable(m.levels[2:])
-    }
-    levels = tuple(
-        LevelRecord(index=li, vertices=tuple(VertexRecord(v, v, sequences.get(v)) for v in members))
-        for li, members in enumerate(m.levels)
-    )
-    return V1Document(FORMAT_VERSION, source_hash, result.operator.value, result.status.value, levels, m.edges())
-
-
-def reference_to_json(doc: V1Document) -> str:
-    payload: dict[str, Any] = {
-        "format_version": doc.format_version,
-        "source_hash": doc.source_hash,
-        "operator": doc.operator,
-        "status": doc.status,
-        "levels": [
-            {
-                "index": level.index,
-                "vertices": [
-                    {"id": vr.id, "label": vr.label}
-                    | ({"sequence": [list(o) for o in vr.sequence]} if vr.sequence is not None else {})
-                    for vr in level.vertices
-                ],
-            }
-            for level in doc.levels
-        ],
-        "edges": [[a, b] for a, b in doc.edges],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise DocumentFormatError(message)
-
-
-def reference_parse_document(text: str) -> V1Document:
-    """One plain check per field, in document order; the first failure is named."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentFormatError(f"not valid JSON: {exc}") from None
-    _expect(isinstance(payload, dict), "top level must be an object")
-    for key in ("format_version", "source_hash", "operator", "status", "levels", "edges"):
-        _expect(key in payload, f"missing key {key!r}")
-    version = payload["format_version"]
-    _expect(type(version) is int and version == FORMAT_VERSION, "unsupported format_version")
-    _expect(isinstance(payload["source_hash"], str), "source_hash must be a string")
-    _expect(payload["operator"] in ("weak", "factor", "clean"), "unknown operator")
-    _expect(payload["status"] in ("terminated", "budget-exceeded"), "unknown status")
-    _expect(isinstance(payload["levels"], list) and len(payload["levels"]) >= 2, "need at least two levels")
-
-    ids: set[str] = set()
-    levels = []
-    for pos, level in enumerate(payload["levels"]):
-        _expect(isinstance(level, dict), "levels must be objects")
-        index = level.get("index")
-        _expect(type(index) is int and index == pos, f"level index {index!r} out of order")
-        raw_vertices = level.get("vertices")
-        _expect(isinstance(raw_vertices, list) and raw_vertices, f"level {pos} needs vertices")
-        records = []
-        for rv in raw_vertices:
-            _expect(isinstance(rv, dict), "vertex records must be objects")
-            vid = rv.get("id")
-            _expect(isinstance(vid, str), "vertex id must be a string")
-            _expect(vid not in ids, f"duplicate vertex id {vid!r}")
-            ids.add(vid)
-            label = rv.get("label")
-            _expect(isinstance(label, str), "vertex label must be a string")
-            sequence = None
-            if "sequence" in rv:
-                raw_seq = rv["sequence"]
-                _expect(
-                    isinstance(raw_seq, list)
-                    and all(isinstance(o, list) and all(isinstance(v, str) for v in o) for o in raw_seq),
-                    f"vertex {vid!r}: sequence must be a list of label lists",
-                )
-                sequence = tuple(tuple(o) for o in raw_seq)
-            _expect(pos < 2 or sequence is not None, f"vertex {vid!r} at level {pos} needs a sequence")
-            records.append(VertexRecord(id=vid, label=label, sequence=sequence))
-        levels.append(LevelRecord(index=pos, vertices=tuple(records)))
-
-    _expect(isinstance(payload["edges"], list), "edges must be a list")
-    edges = []
-    for raw in payload["edges"]:
-        _expect(
-            isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, str) for v in raw),
-            "edges must be pairs of ids",
-        )
-        a, b = raw
-        _expect(a in ids and b in ids, f"edge [{a!r}, {b!r}] references an undeclared id")
-        edges.append((a, b))
-
-    return V1Document(
-        format_version=FORMAT_VERSION,
-        source_hash=payload["source_hash"],
-        operator=payload["operator"],
-        status=payload["status"],
-        levels=tuple(levels),
-        edges=tuple(edges),
-    )
-
-
-def reference_decode(doc: V1Document) -> tuple[MultipartiteGraph, dict[str, tuple[tuple[str, ...], ...]]]:
-    """The graph a format-1 document describes, and each stored sequence by vertex label."""
-    graph = MultipartiteGraph([[vr.id for vr in level.vertices] for level in doc.levels], doc.edges)
-    sequences = {vr.id: vr.sequence for level in doc.levels for vr in level.vertices if vr.sequence is not None}
-    return graph, sequences
 
 
 def reference_labels_ascend(level: list[str]) -> bool:
